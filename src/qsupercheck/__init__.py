@@ -1,102 +1,42 @@
 """Exact-arithmetic verification of q-supercongruences.
 
-The package reduces truncated q-hypergeometric sums in the quotient rings
-Q[q]/(Phi_n(q)^2) and Q[q]/([n]^2), checks parametric congruences at the
-substitutions a = q^n and a = q^{-n}, verifies the supporting summation
-and proof-step identities exactly, and confirms the classical mod-p^2
-shadows of the q-statements.  All arithmetic is exact; an optional fast
-mode replays checks over two random 61-bit prime fields.
+The package checks truncated q-hypergeometric sums against their closed
+forms in Z[q]/(Phi_n(q)^2) by fraction-free cross-multiplication, divides
+the prefactored sum of the divisibility family by [n]^2, checks
+parametric congruences at the substitutions a = q^n and a = q^{-n},
+verifies the supporting summation and proof-step identities exactly, and
+confirms the classical mod-p^2 shadows of the q-statements.  All
+arithmetic is exact.
+
+The package root exports what the command line runs; the layers live in
+their own modules.
 """
 
 __version__ = "0.1.0"
 
-from .catalog import REGISTRY, RunOptions, paper_default_suite, run_check
-from .cyclotomic import cyclotomic, euler_phi, mobius, q_integer
-from .families import a_exponent, closed_form
-from .gf import RATIONALS, Domain
-from .identities import (
-    verify_karlsson_minton,
-    verify_proof_step,
-    verify_qbinomial_vanishing,
+from .catalog import (
+    DEFAULT_SEED,
+    DEFAULT_TRIALS,
+    REGISTRY,
+    SUITES,
+    RunOptions,
+    km_offset_lists,
+    run_check,
 )
-from .laurent import Laurent, RatFunc, eval_at_rational
-from .padic import (
-    PadicResidue,
-    padic_gamma,
-    rising_factorial_mod,
-    verify_classical,
-)
-from .parametric import verify_parametric
-from .poly import Poly, divrem, poly_prod, xgcd
-from .qfuncs import PochhammerSpec, QMonomial, q_binomial, q_pochhammer, q_pochhammer_multi
-from .residue import (
-    BRACKET_SQUARED,
-    PHI_SQUARED,
-    NonUnitError,
-    ResidueRing,
-    RingElement,
-    ring_invert,
-    ring_pow_q,
-    ring_reduce,
-)
+from .report import Report, SweepPlan
 from .results import CheckResult, Status
-from .verifier import (
-    lhs_sum,
-    rhs_for_family,
-    lhs_sum_whole,
-    rhs_closed_form,
-    verify_divisibility,
-    verify_theorem,
-)
 
 __all__ = [
     "__version__",
-    "BRACKET_SQUARED",
     "CheckResult",
-    "Domain",
-    "Laurent",
-    "NonUnitError",
-    "PHI_SQUARED",
-    "PadicResidue",
-    "PochhammerSpec",
-    "Poly",
-    "QMonomial",
-    "RATIONALS",
-    "RatFunc",
+    "DEFAULT_SEED",
+    "DEFAULT_TRIALS",
     "REGISTRY",
-    "ResidueRing",
-    "RingElement",
+    "Report",
     "RunOptions",
+    "SUITES",
     "Status",
-    "a_exponent",
-    "closed_form",
-    "cyclotomic",
-    "divrem",
-    "euler_phi",
-    "eval_at_rational",
-    "lhs_sum",
-    "lhs_sum_whole",
-    "mobius",
-    "padic_gamma",
-    "paper_default_suite",
-    "poly_prod",
-    "q_binomial",
-    "q_integer",
-    "q_pochhammer",
-    "q_pochhammer_multi",
-    "rhs_closed_form",
-    "rhs_for_family",
-    "ring_invert",
-    "ring_pow_q",
-    "ring_reduce",
-    "rising_factorial_mod",
+    "SweepPlan",
+    "km_offset_lists",
     "run_check",
-    "verify_classical",
-    "verify_divisibility",
-    "verify_karlsson_minton",
-    "verify_parametric",
-    "verify_proof_step",
-    "verify_qbinomial_vanishing",
-    "verify_theorem",
-    "xgcd",
 ]

@@ -2,17 +2,17 @@
 
 Every check is a pure function of (id, params, options), so sweeps can
 run instances in any order or concurrently and merge deterministically by
-sorting on (id, canonical parameter string).  Fast mode runs a check once
-per sampled prime field and requires agreement across both runs.
+sorting on (id, canonical parameter string).  ``run_check`` is the one
+place a check is timed, and it keeps sweeps total: an arithmetic
+exception is the mathematics refusing the instance and reads as FAILS,
+any other exception is an engine fault and reads as ERROR.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 
-from .gf import RATIONALS, Domain, sample_fast_mode_primes
 from .identities import (
     PROOF_STEP_IDS,
     verify_karlsson_minton,
@@ -21,7 +21,7 @@ from .identities import (
 )
 from .padic import CLASSICAL_IDS, verify_classical
 from .parametric import PARAMETRIC_IDS, verify_parametric
-from .results import CheckResult, Status, fails
+from .results import CheckResult, errored, fails
 from .verifier import THEOREM_IDS, verify_divisibility, verify_theorem
 
 DEFAULT_SEED = 42
@@ -32,17 +32,6 @@ DEFAULT_TRIALS = 5
 class RunOptions:
     seed: int = DEFAULT_SEED
     trials: int = DEFAULT_TRIALS
-    fast_primes: tuple[int, ...] = ()
-
-    @property
-    def fast(self) -> bool:
-        return bool(self.fast_primes)
-
-
-def options_with_fast_mode(seed: int = DEFAULT_SEED,
-                           trials: int = DEFAULT_TRIALS) -> RunOptions:
-    primes = sample_fast_mode_primes(random.Random(seed))
-    return RunOptions(seed=seed, trials=trials, fast_primes=primes)
 
 
 # --------------------------------------------------------------------------
@@ -54,7 +43,6 @@ class CheckSpec:
     check_id: str
     param_names: tuple[str, ...]
     description: str
-    domain_aware: bool  # fast mode applies
 
 
 def _theorem_descriptions() -> dict[str, str]:
@@ -83,11 +71,11 @@ def build_registry() -> dict[str, CheckSpec]:
     descriptions = _theorem_descriptions()
     for cid in THEOREM_IDS:
         names = ("d", "n", "r") if cid in ("lemma21", "thm41", "thm42") else ("d", "n")
-        registry[cid] = CheckSpec(cid, names, descriptions[cid], True)
+        registry[cid] = CheckSpec(cid, names, descriptions[cid])
     registry["thm13"] = CheckSpec(
         "thm13", ("d", "n"),
         "(q^d;q^d)_(n-1)^d/(1-q)^(dn-d) times the mixed sum is divisible "
-        "by [n]^2 as a polynomial", True)
+        "by [n]^2 as a polynomial")
     param_desc = {
         "p1_24": "parametric vanishing sum, d + r odd, index k-2 central band",
         "p2_25": "parametric vanishing sum, d and r odd, index k-2 central band",
@@ -102,14 +90,14 @@ def build_registry() -> dict[str, CheckSpec]:
         registry[cid] = CheckSpec(
             cid, ("d", "r", "n"),
             param_desc[cid] + "; exact equality at a = q^n and a = q^-n "
-            "plus termwise a = 1 collapse", True)
+            "plus termwise a = 1 collapse")
     registry["km"] = CheckSpec(
         "km", ("m", "n_list", "trials", "seed"),
         "terminating Karlsson-Minton summation, exact random rational "
-        "evaluation", False)
+        "evaluation")
     registry["qbinom_vanish"] = CheckSpec(
         "qbinom_vanish", ("n", "j", "expect"),
-        "alternating q-binomial sum vanishes for 0 <= j <= n-1", True)
+        "alternating q-binomial sum vanishes for 0 <= j <= n-1")
     step_desc = {
         "ratio_shift_generic": "Pochhammer ratio shift outside the central "
                                "band, exact rational function identity",
@@ -142,7 +130,7 @@ def build_registry() -> dict[str, CheckSpec]:
         "bracket_factorization": ("n",),
     }
     for cid in PROOF_STEP_IDS:
-        registry[cid] = CheckSpec(cid, step_params[cid], step_desc[cid], True)
+        registry[cid] = CheckSpec(cid, step_params[cid], step_desc[cid])
     classical_desc = {
         "rv_11": "sum (1/2)_k^2/k!^2 == (-1)^((p-1)/2) mod p^2",
         "deines_12": "sum ((d-1)/d)_k^d/k!^d == -Gamma_p(1/d)^d mod p^2",
@@ -165,23 +153,22 @@ def build_registry() -> dict[str, CheckSpec]:
     }
     for cid in CLASSICAL_IDS:
         registry[cid] = CheckSpec(cid, classical_params[cid],
-                                  classical_desc[cid], False)
+                                  classical_desc[cid])
     return registry
 
 
 REGISTRY = build_registry()
 
 
-def _run_in_domain(check_id: str, params: dict, options: RunOptions,
-                   domain: Domain) -> CheckResult:
+def _dispatch(check_id: str, params: dict, options: RunOptions) -> CheckResult:
     if check_id in THEOREM_IDS:
         return verify_theorem(check_id, params["d"], params["n"],
-                              params.get("r", 1), domain)
+                              params.get("r", 1))
     if check_id == "thm13":
-        return verify_divisibility(params["d"], params["n"], domain)
+        return verify_divisibility(params["d"], params["n"])
     if check_id in PARAMETRIC_IDS:
         return verify_parametric(check_id, params["d"], params["r"],
-                                 params["n"], domain)
+                                 params["n"])
     if check_id == "km":
         return verify_karlsson_minton(params["n_list"],
                                       params.get("trials", options.trials),
@@ -189,9 +176,9 @@ def _run_in_domain(check_id: str, params: dict, options: RunOptions,
                                       params.get("m"))
     if check_id == "qbinom_vanish":
         return verify_qbinomial_vanishing(params["n"], params.get("j"),
-                                          params.get("expect"), domain)
+                                          params.get("expect"))
     if check_id in PROOF_STEP_IDS:
-        return verify_proof_step(check_id, params, domain)
+        return verify_proof_step(check_id, params)
     if check_id in CLASSICAL_IDS:
         return verify_classical(check_id, params)
     raise ValueError(f"unknown check id {check_id!r}")
@@ -199,31 +186,16 @@ def _run_in_domain(check_id: str, params: dict, options: RunOptions,
 
 def run_check(check_id: str, params: dict,
               options: RunOptions = RunOptions()) -> CheckResult:
-    """Run one check; in fast mode, once per sampled prime field."""
+    """Run and time one check; never raises for a known check id."""
     if check_id not in REGISTRY:
         raise ValueError(f"unknown check id {check_id!r}")
     start = time.perf_counter()
     try:
-        if options.fast and REGISTRY[check_id].domain_aware:
-            outcome = None
-            for prime in options.fast_primes:
-                result = _run_in_domain(check_id, params, options,
-                                        Domain(prime))
-                if outcome is None:
-                    outcome = result
-                elif result.status is not outcome.status:
-                    outcome = fails(check_id, result.params,
-                                    f"prime fields disagree: {outcome.status.value}"
-                                    f" vs {result.status.value} (p={prime})")
-                    break
-                if result.status is Status.FAILS:
-                    outcome = result
-                    break
-            result = outcome
-        else:
-            result = _run_in_domain(check_id, params, options, RATIONALS)
-    except Exception as exc:  # sweeps must stay total
+        result = _dispatch(check_id, params, options)
+    except ArithmeticError as exc:  # non-unit, pole, non-integral exponent
         result = fails(check_id, params, f"{type(exc).__name__}: {exc}")
+    except Exception as exc:  # sweeps must stay total
+        result = errored(check_id, params, f"{type(exc).__name__}: {exc}")
     result.elapsed_ms = (time.perf_counter() - start) * 1000
     return result
 

@@ -1,14 +1,14 @@
 """Command-line front end: single checks, grid sweeps, catalog listing.
 
 Exit codes: 0 for a clean run (HOLDS or SKIPPED only), 1 when any check
-FAILS, 2 for usage errors, 3 when the report cannot be written.
+FAILS, 2 for usage errors, 3 when the report cannot be written, 4 when any
+check ends in ERROR (the engine raised), which takes precedence over 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -22,7 +22,6 @@ from .catalog import (
     km_offset_lists,
     run_check,
 )
-from .gf import sample_fast_mode_primes
 from .report import Report, SweepPlan
 from .results import Status
 
@@ -30,6 +29,7 @@ EXIT_OK = 0
 EXIT_FAILS = 1
 EXIT_USAGE = 2
 EXIT_WRITE = 3
+EXIT_ERROR = 4
 
 _INT_FLAGS = ("d", "r", "n", "j", "k", "p", "m")
 
@@ -75,8 +75,6 @@ def _add_check_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--expect", choices=("zero", "nonzero"))
     cmd.add_argument("--seed", type=int, default=DEFAULT_SEED)
     cmd.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    cmd.add_argument("--fast-mode", action="store_true",
-                     help="re-run checks over two random 61-bit prime fields")
 
 
 def _parse_int_values(text: str, flag: str) -> list[int]:
@@ -134,9 +132,6 @@ def _collect_params(args, check_id: str, grid: bool):
 
 
 def _plan_from_args(args) -> SweepPlan:
-    fast_primes: tuple[int, ...] = ()
-    if args.fast_mode:
-        fast_primes = sample_fast_mode_primes(random.Random(args.seed))
     if args.plan:
         try:
             with open(args.plan, "r", encoding="utf-8") as fh:
@@ -154,23 +149,20 @@ def _plan_from_args(args) -> SweepPlan:
             }
             checks.append((cid, params))
         return SweepPlan(checks, raw.get("seed", args.seed),
-                         raw.get("trials", args.trials),
-                         args.fast_mode, fast_primes)
+                         raw.get("trials", args.trials))
     if args.suite:
         checks = SUITES[args.suite](args.seed, args.trials)
-        return SweepPlan(checks, args.seed, args.trials, args.fast_mode,
-                         fast_primes, suite=args.suite)
+        return SweepPlan(checks, args.seed, args.trials, suite=args.suite)
     if not args.check:
         raise UsageError("sweep needs --suite, --plan, or --check")
     if args.check == "km" and args.m_max is not None:
         offsets = km_offset_lists(args.m_max, args.nj_max or 0)
         checks = [("km", {"m": len(t), "n_list": t, "trials": args.trials,
                           "seed": args.seed}) for t in offsets]
-        return SweepPlan(checks, args.seed, args.trials, args.fast_mode,
-                         fast_primes)
+        return SweepPlan(checks, args.seed, args.trials)
     instances = _collect_params(args, args.check, grid=True)
     return SweepPlan([(args.check, inst) for inst in instances],
-                     args.seed, args.trials, args.fast_mode, fast_primes)
+                     args.seed, args.trials)
 
 
 def _run_instance(task):
@@ -179,8 +171,7 @@ def _run_instance(task):
 
 
 def _execute_plan(plan: SweepPlan, jobs: int) -> Report:
-    options = RunOptions(seed=plan.seed, trials=plan.trials,
-                         fast_primes=plan.fast_primes)
+    options = RunOptions(seed=plan.seed, trials=plan.trials)
     start = time.perf_counter()
     tasks = [(cid, params, options) for cid, params in plan.checks]
     if jobs > 1 and len(tasks) > 1:
@@ -196,11 +187,10 @@ def _execute_plan(plan: SweepPlan, jobs: int) -> Report:
 def _cmd_verify(args) -> int:
     instances = _collect_params(args, args.check, grid=False)
     options = RunOptions(seed=args.seed, trials=args.trials)
-    if args.fast_mode:
-        options = RunOptions(args.seed, args.trials,
-                             sample_fast_mode_primes(random.Random(args.seed)))
     result = run_check(args.check, instances[0], options)
     print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
+    if result.status is Status.ERROR:
+        return EXIT_ERROR
     return EXIT_FAILS if result.status is Status.FAILS else EXIT_OK
 
 
@@ -218,9 +208,10 @@ def _cmd_sweep(args) -> int:
             return EXIT_WRITE
     else:
         sys.stdout.write(body)
-    summary = report.summary()
-    print(f"holds={summary['holds']} fails={summary['fails']} "
-          f"skipped={summary['skipped']}", file=sys.stderr)
+    print(" ".join(f"{k}={v}" for k, v in report.summary().items()),
+          file=sys.stderr)
+    if report.has_errors:
+        return EXIT_ERROR
     return EXIT_FAILS if report.has_failures else EXIT_OK
 
 

@@ -14,12 +14,10 @@ of [n].
 from __future__ import annotations
 
 import random
-import time
 from fractions import Fraction
 from math import gcd as igcd
 
 from .cyclotomic import cyclotomic, divisors, q_integer
-from .gf import RATIONALS, Domain
 from .laurent import Laurent, RatFunc
 from .poly import Poly, divrem, poly_prod
 from .qfuncs import inflate, one_minus_product, q_binomial
@@ -92,7 +90,6 @@ def verify_karlsson_minton(n_list, trials: int = 5, seed: int = 0,
     params = {"m": m, "n_list": tuple(ns), "trials": trials, "seed": seed}
     if m < 1 or m != len(ns) or any(nj < 0 for nj in ns):
         return skipped("km", params, "requires m >= 1 nonnegative offsets")
-    start = time.perf_counter()
     rng = random.Random(seed)
     total_n = sum(ns)
     for trial in range(trials):
@@ -111,28 +108,25 @@ def verify_karlsson_minton(n_list, trials: int = 5, seed: int = 0,
         if lhs != rhs:
             return fails("km", params,
                          f"trial {trial}: q={q}, b={bs}: {lhs} != {rhs}")
-    result = holds("km", params)
-    result.elapsed_ms = (time.perf_counter() - start) * 1000
-    return result
+    return holds("km", params)
 
 
 # ---------------------------------------------------------------------------
 # Terminating q-binomial vanishing
 # ---------------------------------------------------------------------------
 
-def qbinom_alternating_sum(n: int, j: int, domain: Domain = RATIONALS) -> Poly:
+def qbinom_alternating_sum(n: int, j: int) -> Poly:
     """sum_k (-1)^k [n k] q^{C(n-k,2) + jk}, zero exactly for 0 <= j <= n-1."""
     total = Poly()
     for k in range(n + 1):
         shift = (n - k) * (n - k - 1) // 2 + j * k
-        term = domain.poly(q_binomial(n, k)).shift(shift)
+        term = q_binomial(n, k).shift(shift)
         total = total + (term if k % 2 == 0 else -term)
     return total
 
 
 def verify_qbinomial_vanishing(n: int, j: int | None = None,
-                               expect: str | None = None,
-                               domain: Domain = RATIONALS) -> CheckResult:
+                               expect: str | None = None) -> CheckResult:
     """Vanishing of the alternating q-binomial sum.
 
     Without j, every exponent 0..n-1 must give the zero polynomial.  With
@@ -146,7 +140,6 @@ def verify_qbinomial_vanishing(n: int, j: int | None = None,
         params["expect"] = expect
     if n < 1:
         return skipped("qbinom_vanish", params, "requires n >= 1")
-    start = time.perf_counter()
     if j is None:
         targets = [(jj, "zero") for jj in range(n)]
         note = None
@@ -156,16 +149,14 @@ def verify_qbinomial_vanishing(n: int, j: int | None = None,
         note = ("expected-nonvanishing outside stated range"
                 if expectation == "nonzero" else None)
     for jj, expectation in targets:
-        value = qbinom_alternating_sum(n, jj, domain)
+        value = qbinom_alternating_sum(n, jj)
         if expectation == "zero" and not value.is_zero():
             return fails("qbinom_vanish", params,
                          f"nonzero polynomial at j = {jj}: {value!r}")
         if expectation == "nonzero" and value.is_zero():
             return fails("qbinom_vanish", params,
                          f"unexpected vanishing at j = {jj}")
-    result = holds("qbinom_vanish", params, note)
-    result.elapsed_ms = (time.perf_counter() - start) * 1000
-    return result
+    return holds("qbinom_vanish", params, note)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +200,7 @@ def _ratio_shift_pre(d, r, n, j, k, central: bool) -> str | None:
     return None
 
 
-def _check_ratio_shift(d, r, n, j, k, central: bool, dom: Domain) -> str | None:
+def _check_ratio_shift(d, r, n, j, k, central: bool) -> str | None:
     m = (n + r) // d
     b = d - (d - 2 * j) * n
     top = d + r - (d - 2 * j - 1) * n
@@ -217,28 +208,27 @@ def _check_ratio_shift(d, r, n, j, k, central: bool, dom: Domain) -> str | None:
     lden2, _ = _poch_parts(b, d, k)
     rnum, rden = _poch_parts(b + d * k, d, m - 2 if central else m)
     rden2, _ = _poch_parts(b, d, m)
-    lhs_num = one_minus_product(lnum, dom)
-    lhs_den = one_minus_product(lden + lden2, dom)
-    rhs_num = one_minus_product(rnum, dom)
-    rhs_den = one_minus_product(rden + rden2, dom)
+    lhs_num = one_minus_product(lnum)
+    lhs_den = one_minus_product(lden + lden2)
+    rhs_num = one_minus_product(rnum)
+    rhs_den = one_minus_product(rden + rden2)
     if not _sides_equal(lhs_num, lhs_den, rhs_num, rhs_den):
         return f"ratio shift differs at j={j}, k={k}"
     return None
 
 
-def _check_qbinom_rewrite(d, r, n, k, dom: Domain) -> str | None:
+def _check_qbinom_rewrite(d, r, n, k) -> str | None:
     m = (n + r) // d
     top = n - 1 - m
     lhs_num = one_minus_product(
-        [d + r - (d - 1) * n + d * t for t in range(k)], dom).shifted(d * k)
-    lhs_den = one_minus_product([d + d * t for t in range(k)], dom)
+        [d + r - (d - 1) * n + d * t for t in range(k)]).shifted(d * k)
+    lhs_den = one_minus_product([d + d * t for t in range(k)])
     exponent = d * k * (k - 1) // 2 + (n + 2 * d + r - d * n) * k
-    gauss = dom.poly(inflate(q_binomial(top, k), d))
+    gauss = inflate(q_binomial(top, k), d)
     rhs_num = Laurent(gauss, exponent)
     if k % 2:
         rhs_num = -rhs_num
-    one = Laurent(Poly((1,), dom.p))
-    if not _sides_equal(lhs_num, lhs_den, rhs_num, one):
+    if not _sides_equal(lhs_num, lhs_den, rhs_num, Laurent(Poly((1,)))):
         return f"q-binomial rewrite differs at k={k}"
     return None
 
@@ -253,7 +243,7 @@ def _check_exponent_identity(d, r, n, k) -> str | None:
     return None
 
 
-def _check_sum_decomposition(d, n, dom: Domain) -> str | None:
+def _check_sum_decomposition(d, n) -> str | None:
     sums = []
     for shape in ((d - 1, 0, 1), (d - 2, 1, 1), (d - 2, 2, 0)):
         mult_high, mult_one, mult_neg = shape
@@ -263,51 +253,46 @@ def _check_sum_decomposition(d, n, dom: Domain) -> str | None:
             exps += [1 + d * t for t in range(k)] * mult_one
             exps += [1 - d + d * t for t in range(k)] * mult_neg
             cofactor = [d * t for t in range(k + 1, n)] * d
-            total = total + one_minus_product(exps + cofactor, dom).shifted(d * k)
+            total = total + one_minus_product(exps + cofactor).shifted(d * k)
         sums.append(total)
     s1, s2, s3 = sums
-    bracket_d = Laurent(dom.poly(q_integer(d)))
-    bracket_d1 = Laurent(dom.poly(q_integer(d - 1)), 1)
+    bracket_d = Laurent(q_integer(d))
+    bracket_d1 = Laurent(q_integer(d - 1), 1)
     if s1 != bracket_d * s2 - bracket_d1 * s3:
         return "three-sum decomposition differs"
     return None
 
 
-def _check_poch_split(d, r, k, dom: Domain) -> str | None:
+def _check_poch_split(d, r, k) -> str | None:
     lhs = RatFunc(one_minus_product(
-        [d + r + d * t for t in range(k)] + [r - d + d * t for t in range(k)],
-        dom))
+        [d + r + d * t for t in range(k)] + [r - d + d * t for t in range(k)]))
     # 1 + (1 - q^d)/(q^d - q^{dk+r}), with the denominator written as
     # q^d (1 - q^{dk+r-d}).
     ratio = RatFunc(
-        one_minus_product([d], dom),
-        one_minus_product([d * k + r - d], dom).shifted(d),
+        one_minus_product([d]),
+        one_minus_product([d * k + r - d]).shifted(d),
     )
-    brackets = RatFunc(
-        Laurent(dom.poly(q_integer(d - r))),
-        dom.poly(q_integer(r)),
-    )
-    square = RatFunc(one_minus_product([r + d * t for t in range(k)], dom)) ** 2
+    brackets = RatFunc(Laurent(q_integer(d - r)), q_integer(r))
+    square = RatFunc(one_minus_product([r + d * t for t in range(k)])) ** 2
     rhs = -Laurent.term(1, r) * brackets * (1 + ratio) * square
     if lhs != rhs:
         return f"Pochhammer splitting differs at d={d}, r={r}, k={k}"
     return None
 
 
-def _check_prefactor_divisibility(d, n, dom: Domain) -> str | None:
+def _check_prefactor_divisibility(d, n) -> str | None:
     factors = []
     for mult in range(1, n):
-        factors.extend([dom.poly(q_integer(mult * d))] * d)
+        factors.extend([q_integer(mult * d)] * d)
     product = poly_prod(factors)
-    modulus = dom.poly(poly_prod(
-        [cyclotomic(m) ** 2 for m in divisors(n) if 1 < m < n]))
+    modulus = poly_prod([cyclotomic(m) ** 2 for m in divisors(n) if 1 < m < n])
     _, rem = divrem(product, modulus)
     if not rem.is_zero():
         return f"remainder {rem!r}"
     return None
 
 
-def _check_bracket_factorization(n, dom: Domain) -> str | None:
+def _check_bracket_factorization(n) -> str | None:
     product = cyclotomic(n) * poly_prod(
         [cyclotomic(m) for m in divisors(n) if 1 < m < n])
     if product != q_integer(n):
@@ -315,13 +300,11 @@ def _check_bracket_factorization(n, dom: Domain) -> str | None:
     return None
 
 
-def verify_proof_step(step_id: str, params: dict,
-                      domain: Domain = RATIONALS) -> CheckResult:
+def verify_proof_step(step_id: str, params: dict) -> CheckResult:
     """Dispatch one exact proof-step identity check."""
     if step_id not in PROOF_STEP_IDS:
         raise ValueError(f"unknown proof step {step_id!r}")
     p = dict(params)
-    start = time.perf_counter()
     witness = None
     if step_id in ("ratio_shift_generic", "ratio_shift_central"):
         central = step_id == "ratio_shift_central"
@@ -329,11 +312,11 @@ def verify_proof_step(step_id: str, params: dict,
         if reason:
             return skipped(step_id, p, reason)
         witness = _check_ratio_shift(p["d"], p["r"], p["n"], p["j"], p["k"],
-                                     central, domain)
+                                     central)
     elif step_id == "qbinom_rewrite":
         if (p["n"] + p["r"]) % p["d"] or p["k"] < 0 or p["n"] - 1 - (p["n"] + p["r"]) // p["d"] < 0:
             return skipped(step_id, p, "requires n == -r (mod d), k >= 0")
-        witness = _check_qbinom_rewrite(p["d"], p["r"], p["n"], p["k"], domain)
+        witness = _check_qbinom_rewrite(p["d"], p["r"], p["n"], p["k"])
     elif step_id == "exponent_identity":
         if (p["n"] + p["r"]) % p["d"]:
             return skipped(step_id, p, "requires n == -r (mod d)")
@@ -341,25 +324,23 @@ def verify_proof_step(step_id: str, params: dict,
     elif step_id == "sum_decomposition":
         if p["d"] < 2 or p["n"] < 1:
             return skipped(step_id, p, "requires d >= 2 and n >= 1")
-        witness = _check_sum_decomposition(p["d"], p["n"], domain)
+        witness = _check_sum_decomposition(p["d"], p["n"])
     elif step_id == "pochhammer_split_r1":
         if p["d"] < 2 or p["k"] < 0:
             return skipped(step_id, p, "requires d >= 2 and k >= 0")
-        witness = _check_poch_split(p["d"], 1, p["k"], domain)
+        witness = _check_poch_split(p["d"], 1, p["k"])
     elif step_id == "pochhammer_split_general":
         if not (p["d"] > p["r"] >= 1) or p["k"] < 0:
             return skipped(step_id, p, "requires d > r >= 1 and k >= 0")
-        witness = _check_poch_split(p["d"], p["r"], p["k"], domain)
+        witness = _check_poch_split(p["d"], p["r"], p["k"])
     elif step_id == "prefactor_divisibility":
         if p["d"] < 2 or p["n"] < 2:
             return skipped(step_id, p, "requires d >= 2 and n >= 2")
-        witness = _check_prefactor_divisibility(p["d"], p["n"], domain)
+        witness = _check_prefactor_divisibility(p["d"], p["n"])
     elif step_id == "bracket_factorization":
         if p["n"] < 2:
             return skipped(step_id, p, "requires n >= 2")
-        witness = _check_bracket_factorization(p["n"], domain)
+        witness = _check_bracket_factorization(p["n"])
     if witness is not None:
         return fails(step_id, p, witness)
-    result = holds(step_id, p)
-    result.elapsed_ms = (time.perf_counter() - start) * 1000
-    return result
+    return holds(step_id, p)

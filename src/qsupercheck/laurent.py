@@ -62,13 +62,13 @@ class Laurent:
         return Laurent(Poly((c,)), exp)
 
     @staticmethod
-    def one_minus(c, exp, p=None):
-        """1 - c*q**exp, the basic Pochhammer factor, optionally over Z/pZ."""
+    def one_minus(c, exp):
+        """1 - c*q**exp, the basic Pochhammer factor."""
         if exp > 0:
-            return Laurent(Poly((1,) + (0,) * (exp - 1) + (-c,), p), 0)
+            return Laurent(Poly((1,) + (0,) * (exp - 1) + (-c,)), 0)
         if exp == 0:
-            return Laurent(Poly((1 - c,), p), 0)
-        return Laurent(Poly((-c,) + (0,) * (-exp - 1) + (1,), p), exp)
+            return Laurent(Poly((1 - c,)), 0)
+        return Laurent(Poly((-c,) + (0,) * (-exp - 1) + (1,)), exp)
 
     def is_zero(self):
         return self.body.is_zero()
@@ -146,8 +146,6 @@ class Laurent:
         if self.min_exp < 0 and not x:
             raise ZeroBaseError("negative q-exponent evaluated at 0")
         val = self.body.evaluate(x)
-        if self.body.p is not None:
-            return val * pow(x, self.min_exp, self.body.p) % self.body.p
         if self.min_exp >= 0:
             return val * x**self.min_exp
         return val * _pow_signed(x, self.min_exp)
@@ -182,7 +180,7 @@ class RatFunc:
             num = num.shifted(-den.min_exp)
             den = den.body
         elif isinstance(den, (int, Fraction)):
-            den = Poly((den,), num.body.p)
+            den = Poly((den,))
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         low = 0
@@ -198,7 +196,7 @@ class RatFunc:
                 den = exact_div(den, g)
         lead = den.leading()
         if lead != 1:
-            inv = _scalar_inv(lead, den.p)
+            inv = _scalar_inv(lead)
             num = Laurent(num.body * inv, num.min_exp)
             den = den * inv
         if num.is_zero():
@@ -300,10 +298,3 @@ def eval_at_rational(f, x):
     if isinstance(f, Poly):
         return f.evaluate(x)
     raise TypeError(f"cannot evaluate {type(f).__name__}")
-
-
-def cross_equal(num1, den1, num2, den2) -> bool:
-    """num1/den1 == num2/den2 without reducing either side."""
-    a = _as_laurent(num1) * _as_laurent(den2)
-    b = _as_laurent(num2) * _as_laurent(den1)
-    return a == b

@@ -3,12 +3,8 @@
 A polynomial in q is a tuple of coefficients indexed by exponent, with the
 leading (highest-index) coefficient nonzero; the zero polynomial is the
 empty tuple.  Coefficients are Python ints or ``fractions.Fraction``;
-integer polynomials stay integer until a genuine division happens.
-
-A polynomial may instead be tagged with a prime p, in which case its
-coefficients are plain ints canonically reduced into [0, p): the fast
-probabilistic mode runs all checks over such Z/pZ polynomials.  Tagged and
-untagged operands mix freely (the integers embed), with the tag winning.
+integer polynomials stay integer until a genuine division happens, and
+division by a monic polynomial never leaves the integers.
 
 Large products are multiplied through Kronecker substitution: coefficients
 packed into one big integer, multiplied with CPython's native bignum
@@ -28,31 +24,6 @@ def _sdiv(a, b):
         quo, rem = divmod(a, b)
         return quo if rem == 0 else Fraction(a, b)
     return a / b
-
-
-def _lift_mod(c, p: int) -> int:
-    if type(c) is int:
-        return c % p
-    if isinstance(c, Fraction):
-        return c.numerator * pow(c.denominator, -1, p) % p
-    raise TypeError(f"cannot reduce {type(c).__name__} mod {p}")
-
-
-def _merge_p(a: "Poly", b: "Poly"):
-    if a.p is None:
-        return b.p
-    if b.p is None or b.p == a.p:
-        return a.p
-    raise ValueError("mixed prime-field polynomials")
-
-
-def _pack_nonneg(coeffs, nbytes):
-    buf = bytearray(len(coeffs) * nbytes)
-    for i, c in enumerate(coeffs):
-        if c:
-            width = (c.bit_length() + 7) // 8
-            buf[i * nbytes : i * nbytes + width] = c.to_bytes(width, "little")
-    return int.from_bytes(buf, "little")
 
 
 def _pack_signed(coeffs, nbytes):
@@ -86,27 +57,6 @@ def _mul_int_kronecker(ac, bc):
     ]
 
 
-def _mul_mod(ac, bc, p):
-    """Product of canonical mod-p coefficient tuples, reduced mod p."""
-    if min(len(ac), len(bc)) >= _KRONECKER_MIN_LEN:
-        bound = (p - 1) * (p - 1) * min(len(ac), len(bc))
-        nbytes = (bound.bit_length() + 7) // 8
-        length = len(ac) + len(bc) - 1
-        raw = (_pack_nonneg(ac, nbytes) * _pack_nonneg(bc, nbytes)).to_bytes(
-            length * nbytes + nbytes, "little")
-        return [
-            int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little") % p
-            for i in range(length)
-        ]
-    res = [0] * (len(ac) + len(bc) - 1)
-    for i, c in enumerate(ac):
-        if c:
-            for j, d in enumerate(bc):
-                if d:
-                    res[i + j] += c * d
-    return [v % p for v in res]
-
-
 def _mul_schoolbook(ac, bc):
     res = [0] * (len(ac) + len(bc) - 1)
     for i, c in enumerate(ac):
@@ -126,31 +76,16 @@ class Poly:
     Poly('q - 1')
     """
 
-    __slots__ = ("coeffs", "p")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=(), p=None):
-        if p is not None:
-            coeffs = [c % p if type(c) is int else _lift_mod(c, p)
-                      for c in coeffs]
+    def __init__(self, coeffs=()):
         end = len(coeffs)
         while end and not coeffs[end - 1]:
             end -= 1
         object.__setattr__(self, "coeffs", tuple(coeffs[:end]))
-        object.__setattr__(self, "p", p)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Poly is immutable")
-
-    @staticmethod
-    def const(c, p=None):
-        return Poly((c,), p)
-
-    @staticmethod
-    def monomial(exp, c=1, p=None):
-        """c * q**exp for exp >= 0."""
-        if exp < 0:
-            raise ValueError("monomial exponent must be nonnegative")
-        return Poly((0,) * exp + (c,), p)
 
     @property
     def degree(self):
@@ -175,7 +110,7 @@ class Poly:
         if isinstance(other, Poly):
             return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self == Poly((other,), self.p)
+            return self == Poly((other,))
         return NotImplemented
 
     def __hash__(self):
@@ -183,28 +118,25 @@ class Poly:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Poly((other,), self.p)
+            other = Poly((other,))
         elif not isinstance(other, Poly):
             return NotImplemented
-        p = _merge_p(self, other)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        if p is not None:
-            out = [c % p for c in out]
-        return Poly(out, p)
+        return Poly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs], self.p)
+        return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Poly((other,), self.p)
+            other = Poly((other,))
         elif not isinstance(other, Poly):
             return NotImplemented
         return self + (-other)
@@ -215,18 +147,13 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
-                return Poly((), self.p)
-            return Poly([c * other for c in self.coeffs], self.p)
+                return Poly()
+            return Poly([c * other for c in self.coeffs])
         if not isinstance(other, Poly):
             return NotImplemented
-        p = _merge_p(self, other)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return Poly((), p)
-        if p is not None:
-            ac = a if self.p else [_lift_mod(c, p) for c in a]
-            bc = b if other.p else [_lift_mod(c, p) for c in b]
-            return Poly(_mul_mod(ac, bc, p), p)
+            return Poly()
         if min(len(a), len(b)) >= _KRONECKER_MIN_LEN and all(
                 type(c) is int for c in a) and all(type(c) is int for c in b):
             return Poly(_mul_int_kronecker(a, b))
@@ -237,7 +164,7 @@ class Poly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Poly((1,), self.p)
+        result = Poly((1,))
         base = self
         while n:
             if n & 1:
@@ -252,7 +179,7 @@ class Poly:
             raise ValueError("negative shift")
         if not self.coeffs:
             return self
-        return Poly((0,) * k + self.coeffs, self.p)
+        return Poly((0,) * k + self.coeffs)
 
     def __divmod__(self, other):
         return divrem(self, other)
@@ -264,18 +191,11 @@ class Poly:
         return divrem(self, other)[1]
 
     def evaluate(self, x):
-        """Exact value at x (Horner); reduced mod p for tagged polynomials."""
+        """Exact value at x (Horner)."""
         acc = 0
-        if self.p is not None:
-            for c in reversed(self.coeffs):
-                acc = (acc * x + c) % self.p
-            return acc
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def map_coeffs(self, fn):
-        return Poly([fn(c) for c in self.coeffs], self.p)
 
     def __repr__(self):
         return f"Poly('{format_terms(enumerate(self.coeffs))}')"
@@ -313,10 +233,8 @@ def _is_negative(c):
         return False
 
 
-def _scalar_inv(c, p):
-    """1/c in the field the coefficient lives in."""
-    if p is not None:
-        return pow(c, -1, p)
+def _scalar_inv(c):
+    """1/c as an exact rational."""
     return _sdiv(1, c)
 
 
@@ -330,33 +248,13 @@ def divrem(a: Poly, b: Poly) -> tuple[Poly, Poly]:
         raise TypeError("divrem expects polynomials")
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    p = _merge_p(a, b)
     if a.degree < b.degree:
-        return Poly((), p), (a if p is None or a.p else Poly(a.coeffs, p))
+        return Poly(), a
     rem = list(a.coeffs)
     bc = b.coeffs
     lead = bc[-1]
     db = len(bc) - 1
     quo = [0] * (len(rem) - db)
-    if p is not None:
-        if a.p is None:
-            rem = [_lift_mod(c, p) for c in rem]
-        if b.p is None:
-            bc = tuple(_lift_mod(c, p) for c in bc)
-            lead = bc[-1]
-        linv = pow(lead, -1, p)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if not c:
-                continue
-            t = c * linv % p
-            quo[i - db] = t
-            base = i - db
-            for j, bj in enumerate(bc[:-1]):
-                if bj:
-                    rem[base + j] = (rem[base + j] - t * bj) % p
-            rem[i] = 0
-        return Poly(quo, p), Poly(rem[:db], p)
     for i in range(len(rem) - 1, db - 1, -1):
         c = rem[i]
         if not c:
@@ -385,10 +283,9 @@ def xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     """
     if a.is_zero() and b.is_zero():
         raise ValueError("xgcd(0, 0) is undefined")
-    p = _merge_p(a, b)
     r0, r1 = a, b
-    s0, s1 = Poly((1,), p), Poly((), p)
-    t0, t1 = Poly((), p), Poly((1,), p)
+    s0, s1 = Poly((1,)), Poly()
+    t0, t1 = Poly(), Poly((1,))
     while not r1.is_zero():
         quo, rem = divrem(r0, r1)
         r0, r1 = r1, rem
@@ -396,7 +293,7 @@ def xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
         t0, t1 = t1, t0 - quo * t1
     lead = r0.leading()
     if lead != 1:
-        inv = _scalar_inv(lead, p)
+        inv = _scalar_inv(lead)
         r0, s0, t0 = r0 * inv, s0 * inv, t0 * inv
     return r0, s0, t0
 
@@ -404,12 +301,11 @@ def xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
 def gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd; gcd(0, 0) = 0."""
     if a.is_zero() and b.is_zero():
-        return Poly((), _merge_p(a, b))
-    p = _merge_p(a, b)
+        return Poly()
     while not b.is_zero():
         a, b = b, a % b
     lead = a.leading()
-    return a if lead == 1 else a * _scalar_inv(lead, p)
+    return a if lead == 1 else a * _scalar_inv(lead)
 
 
 def poly_prod(factors) -> Poly:

@@ -13,7 +13,6 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import q_integer
 from .laurent import Laurent, RatFunc
 from .poly import Poly, exact_div, poly_prod
 
@@ -136,23 +135,10 @@ def inflate(p: Poly, d: int) -> Poly:
     return Poly(out)
 
 
-def q_binomial_base(n: int, k: int, d: int) -> Poly:
-    """[n choose k] with q replaced by q**d."""
-    return inflate(q_binomial(n, k), d)
-
-
-def q_integer_poly(n: int) -> Poly:
-    return q_integer(n)
-
-
-def one_minus_product(exponents, domain=None) -> Laurent:
-    """prod (1 - q^e) over the exponent list, in the given scalar domain.
+def one_minus_product(exponents) -> Laurent:
+    """prod (1 - q^e) over the exponent list.
 
     Balanced pairwise products keep the big multiplications on the packed
     integer fast path.
     """
-    p = None if domain is None else domain.p
-    factors = [Laurent.one_minus(1, e, p) for e in exponents]
-    if not factors:
-        return Laurent(Poly((1,), p))
-    return _laurent_prod(factors)
+    return _laurent_prod(Laurent.one_minus(1, e) for e in exponents)

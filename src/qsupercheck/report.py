@@ -16,13 +16,16 @@ from . import __version__
 from .results import CheckResult, Status, canonical_params
 
 
+_SUMMARY_KEYS = {Status.HOLDS: "holds", Status.FAILS: "fails",
+                 Status.SKIPPED_PRECONDITION: "skipped", Status.ERROR: "errors"}
+
+
 @dataclass
 class SweepPlan:
     checks: list[tuple[str, dict]]
     seed: int
     trials: int
-    fast_mode: bool
-    fast_primes: tuple[int, ...] = ()
+    fast_mode: bool = False  # always False; kept so report headers keep the key
     suite: str | None = None
 
     def instance_count(self) -> int:
@@ -35,8 +38,6 @@ class SweepPlan:
             "fast_mode": self.fast_mode,
             "instances": self.instance_count(),
         }
-        if self.fast_mode:
-            plan["fast_primes"] = list(self.fast_primes)
         if self.suite:
             plan["suite"] = self.suite
         else:
@@ -58,14 +59,11 @@ class Report:
         return sorted(self.results, key=CheckResult.sort_key)
 
     def summary(self) -> dict:
+        """Counts per status; ``errors`` appears only when nonzero."""
         counts = {"holds": 0, "fails": 0, "skipped": 0}
         for r in self.results:
-            if r.status is Status.HOLDS:
-                counts["holds"] += 1
-            elif r.status is Status.FAILS:
-                counts["fails"] += 1
-            else:
-                counts["skipped"] += 1
+            key = _SUMMARY_KEYS[r.status]
+            counts[key] = counts.get(key, 0) + 1
         return counts
 
     def to_dict(self) -> dict:
@@ -99,3 +97,7 @@ class Report:
     @property
     def has_failures(self) -> bool:
         return self.summary()["fails"] > 0
+
+    @property
+    def has_errors(self) -> bool:
+        return "errors" in self.summary()

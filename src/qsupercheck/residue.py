@@ -1,17 +1,18 @@
 """Quotient rings Q[q]/(M) for M = Phi_n(q)^2 or [n]^2.
 
-Both moduli have constant term 1 for n >= 2, so q is a unit and Laurent
-polynomials reduce cleanly: negative powers of q become powers of the
-cached inverse of q.  Unit inversion runs extended Euclid against the
-modulus; a non-unit raises ``NonUnitError`` carrying the offending gcd,
-which under the theorems' parameter constraints can only mean invalid
-parameters or an internal bug.  Rings and their elements are immutable.
+Both moduli are monic integer polynomials with constant term 1 for
+n >= 2.  Reducing by a monic modulus never divides a coefficient, so an
+integer polynomial stays integer in the ring, and q is a unit whose
+inverse -(M - 1)/q is an integer polynomial too: negative powers of q
+become powers of that cached inverse.  Unit inversion runs extended
+Euclid against the modulus and leaves the integers; the congruence checks
+avoid it.  A non-unit raises ``NonUnitError`` carrying the offending gcd.
+Rings and their elements are immutable.
 """
 
 from __future__ import annotations
 
 from .cyclotomic import cyclotomic, q_integer
-from .gf import RATIONALS, Domain
 from .laurent import Laurent
 from .poly import Poly, divrem, xgcd
 
@@ -30,9 +31,9 @@ class NonUnitError(ArithmeticError):
 class ResidueRing:
     """Q[q]/(M(q)) with M = Phi_n^2 or [n]^2, n >= 2."""
 
-    __slots__ = ("n", "kind", "modulus", "domain", "inv_q", "one", "zero")
+    __slots__ = ("n", "kind", "modulus", "inv_q", "one", "zero")
 
-    def __init__(self, n: int, kind: str = PHI_SQUARED, domain: Domain = RATIONALS):
+    def __init__(self, n: int, kind: str = PHI_SQUARED):
         if n < 2:
             raise ValueError("residue rings require n >= 2")
         if kind == PHI_SQUARED:
@@ -41,18 +42,17 @@ class ResidueRing:
             base = q_integer(n)
         else:
             raise ValueError(f"unknown ring kind {kind!r}")
-        modulus = domain.poly(base * base)
+        modulus = base * base
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "domain", domain)
         if modulus.constant() != 1:
             raise ValueError("modulus constant term must be 1")
         # M = 1 + q*T  ==>  q^(-1) = -T mod M.
         tail = Poly(modulus.coeffs[1:])
         inv_q = RingElement(self, -tail)
         object.__setattr__(self, "inv_q", inv_q)
-        object.__setattr__(self, "one", RingElement(self, Poly((domain.scalar(1),))))
+        object.__setattr__(self, "one", RingElement(self, Poly((1,))))
         object.__setattr__(self, "zero", RingElement(self, Poly()))
 
     def __setattr__(self, name, value):  # pragma: no cover
@@ -70,7 +70,7 @@ class ResidueRing:
         if isinstance(f, Laurent):
             return self.reduce_laurent(f)
         if not isinstance(f, Poly):
-            f = Poly((self.domain.scalar(f),))
+            f = Poly((f,))
         return RingElement(self, f)
 
     def reduce_laurent(self, f: Laurent) -> "RingElement":
@@ -84,8 +84,8 @@ class ResidueRing:
         if e >= 0:
             deg = self.modulus.degree
             if e < deg:
-                return RingElement(self, Poly((0,) * e + (self.domain.scalar(1),)))
-            base = RingElement(self, Poly((0, self.domain.scalar(1))))
+                return RingElement(self, Poly((0,) * e + (1,)))
+            base = RingElement(self, Poly((0, 1)))
             return base**e
         return self.inv_q ** (-e)
 
@@ -179,16 +179,3 @@ class RingElement:
 
     def __repr__(self):
         return f"RingElement({self.rep!r} mod {self.ring!r})"
-
-
-def ring_reduce(ring: ResidueRing, f) -> RingElement:
-    """Canonical class of f, with negative q-powers sent through inv(q)."""
-    return ring.element(f)
-
-
-def ring_invert(x: RingElement) -> RingElement:
-    return x.invert()
-
-
-def ring_pow_q(ring: ResidueRing, e: int) -> RingElement:
-    return ring.pow_q(e)

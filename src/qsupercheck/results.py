@@ -10,6 +10,7 @@ class Status(enum.Enum):
     HOLDS = "HOLDS"
     FAILS = "FAILS"
     SKIPPED_PRECONDITION = "SKIPPED_PRECONDITION"
+    ERROR = "ERROR"  # the engine raised; says nothing about the mathematics
 
 
 @dataclass
@@ -17,8 +18,8 @@ class CheckResult:
     """One verification outcome.
 
     ``witness`` is mandatory for FAILS (the difference polynomial or the
-    offending value); ``note`` flags boundary cases accepted outside the
-    documented parameter range.
+    offending value) and for ERROR (the exception text); ``note`` flags
+    boundary cases accepted outside the documented parameter range.
     """
 
     check_id: str
@@ -29,12 +30,8 @@ class CheckResult:
     elapsed_ms: float = 0.0
 
     def __post_init__(self):
-        if self.status is Status.FAILS and self.witness is None:
-            raise ValueError("FAILS results must carry a witness")
-
-    @property
-    def ok(self) -> bool:
-        return self.status is not Status.FAILS
+        if self.status in (Status.FAILS, Status.ERROR) and self.witness is None:
+            raise ValueError(f"{self.status.value} results must carry a witness")
 
     def params_key(self) -> str:
         return canonical_params(self.params)
@@ -83,3 +80,7 @@ def holds(check_id: str, params: dict, note: str | None = None) -> CheckResult:
 
 def fails(check_id: str, params: dict, witness: str) -> CheckResult:
     return CheckResult(check_id, params, Status.FAILS, witness=witness)
+
+
+def errored(check_id: str, params: dict, witness: str) -> CheckResult:
+    return CheckResult(check_id, params, Status.ERROR, witness=witness)

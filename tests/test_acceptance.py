@@ -30,7 +30,6 @@ from qsupercheck.catalog import (
     QBINOM_MAX_N,
     RunOptions,
     km_offset_lists,
-    options_with_fast_mode,
     paper_default_suite,
     run_check,
 )
@@ -169,11 +168,13 @@ def test_criterion_8a_r1_collapse():
                  (4, 3, None, "eq15"), (3, 2, None, "thm12")]
         for d, n, mixed_id, squared_id in pairs:
             ring = ResidueRing(n, PHI_SQUARED)
+            pairs = [("thm42", squared_id)]
             if mixed_id:
-                assert rhs_closed_form("thm41", d, 1, n, ring) == \
-                    rhs_closed_form(mixed_id, d, 1, n, ring)
-            assert rhs_closed_form("thm42", d, 1, n, ring) == \
-                rhs_closed_form(squared_id, d, 1, n, ring)
+                pairs.append(("thm41", mixed_id))
+            for two_param, one_param in pairs:
+                num2, den2 = rhs_closed_form(two_param, d, 1, n, ring)
+                num1, den1 = rhs_closed_form(one_param, d, 1, n, ring)
+                assert num2 * den1 == num1 * den2, (two_param, d, n)
 
 
 def test_criterion_8b_q1_specialization_matches_padic():
@@ -186,7 +187,7 @@ def test_criterion_8b_q1_specialization_matches_padic():
 
 
 def test_criterion_8c_incremental_vs_whole_sum_oracle():
-    with criterion("8c incremental sums match the one-shot oracle, n <= 10"):
+    with criterion("8c fraction-free sums match the one-shot oracle, n <= 10"):
         from qsupercheck.families import theorem_family
 
         seen = 0
@@ -204,19 +205,11 @@ def test_criterion_8c_incremental_vs_whole_sum_oracle():
                 if n > 10:
                     continue
                 ring = ResidueRing(n, PHI_SQUARED)
-                assert lhs_sum(family, d, r, n, ring) == \
-                    lhs_sum_whole(family, d, r, n, ring), (cid, d, r, n)
+                num, den = lhs_sum(family, d, r, n, ring)
+                assert num == lhs_sum_whole(family, d, r, n, ring) * den, (
+                    cid, d, r, n)
                 seen += 1
         assert seen >= 30
-
-
-def test_criterion_8d_fast_mode_reproduces_statuses(exact_results):
-    with criterion("8d fast prime-field mode reproduces every exact status"):
-        opts = options_with_fast_mode(seed=42)
-        for cid, params in paper_default_suite():
-            fast = run_check(cid, params, opts)
-            exact = exact_results[(cid, canonical_params(params))]
-            assert fast.status is exact.status, (cid, params)
 
 
 def test_criterion_9_mutation_harness():

@@ -137,8 +137,23 @@ def test_list_prints_catalog(capsys):
         assert cid in out
 
 
-def test_fast_mode_flag_smoke(capsys):
-    code = main(["verify", "--check", "thm12", "--d", "3", "--n", "5",
-                 "--fast-mode", "--seed", "42"])
-    out = json.loads(capsys.readouterr().out)
-    assert code == 0 and out["status"] == "HOLDS"
+def test_fast_mode_flag_is_a_usage_error(capsys):
+    assert main(["sweep", "--suite", "paper-default", "--fast-mode"]) == 2
+
+
+def test_engine_error_exit_four(tmp_path, capsys):
+    plan = {"checks": [
+        {"id": "thm12", "params": {"d": 3, "n": 5}},
+        {"id": "qbinom_vanish", "params": {"n": 2, "j": 2, "expect": "zero"}},
+        {"id": "thm12", "params": {"d": 3, "n": "x"}},
+    ]}
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    out_path = tmp_path / "report.json"
+    code = main(["sweep", "--plan", str(plan_path), "--out", str(out_path)])
+    assert code == 4
+    report = json.loads(out_path.read_text())
+    assert report["summary"] == {"holds": 1, "fails": 1, "skipped": 0,
+                                 "errors": 1}
+    error = [r for r in report["results"] if r["status"] == "ERROR"]
+    assert error[0]["witness"].startswith("TypeError")

@@ -38,3 +38,38 @@ def test_out_of_catalog_instances_also_hold():
         result = run_check(cid, params, RunOptions())
         assert result.status is Status.HOLDS, (cid, params, result.witness,
                                                result.note)
+
+
+def test_engine_fault_is_error_not_fails():
+    result = run_check("thm12", {"d": 3, "n": "x"})
+    assert result.status is Status.ERROR
+    assert result.witness.startswith("TypeError")
+
+
+def test_arithmetic_exceptions_stay_fails(monkeypatch):
+    import qsupercheck.catalog
+    from qsupercheck.poly import Poly
+    from qsupercheck.residue import NonUnitError
+
+    def raise_(exc):
+        def check(*args, **kwargs):
+            raise exc
+        return check
+
+    monkeypatch.setattr(qsupercheck.catalog, "verify_theorem",
+                        raise_(NonUnitError(Poly((1, 1)))))
+    refused = run_check("thm12", {"d": 3, "n": 5})
+    assert refused.status is Status.FAILS
+    assert refused.witness.startswith("NonUnitError")
+    monkeypatch.setattr(qsupercheck.catalog, "verify_theorem",
+                        raise_(KeyError("r")))
+    assert run_check("thm12", {"d": 3, "n": 5}).status is Status.ERROR
+
+
+def test_run_check_times_every_status():
+    skipped = run_check("thm11", {"d": 4, "n": 6})
+    held = run_check("thm12", {"d": 3, "n": 5})
+    failed = run_check("qbinom_vanish", {"n": 2, "j": 2, "expect": "zero"})
+    assert [r.status for r in (skipped, held, failed)] == [
+        Status.SKIPPED_PRECONDITION, Status.HOLDS, Status.FAILS]
+    assert all(r.elapsed_ms > 0 for r in (skipped, held, failed))

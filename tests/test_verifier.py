@@ -2,6 +2,18 @@
 
 import pytest
 
+from qsupercheck.catalog import (
+    GRID_EQ13,
+    GRID_EQ14,
+    GRID_EQ15,
+    GRID_EQ22,
+    GRID_LEMMA21,
+    GRID_THM11,
+    GRID_THM12,
+    GRID_THM41,
+    GRID_THM42,
+)
+from qsupercheck.cyclotomic import cyclotomic
 from qsupercheck.families import (
     F1_GUO,
     F3_SQUARED,
@@ -12,7 +24,7 @@ from qsupercheck.families import (
 from qsupercheck.laurent import Laurent
 from qsupercheck.poly import Poly
 from qsupercheck.qfuncs import poch_power_base
-from qsupercheck.residue import PHI_SQUARED, ResidueRing, ring_reduce
+from qsupercheck.residue import PHI_SQUARED, NonUnitError, ResidueRing
 from qsupercheck.results import Status
 from qsupercheck.verifier import (
     lhs_sum,
@@ -23,26 +35,96 @@ from qsupercheck.verifier import (
 )
 
 
+def _same_value(a, b):
+    """(num, den) pairs with units as denominators, compared as fractions."""
+    return a[0] * b[1] == b[0] * a[1]
+
+
 def test_lhs_sum_two_term_by_hand():
-    # d = 3, n = 2: the k = 0, 1 terms written out explicitly.
+    # d = 3, n = 2: 1 + T_1 / h_1 = (h_1 + T_1) / h_1.
     ring = ResidueRing(2, PHI_SQUARED)
-    expected = ring.one + (
-        ring_reduce(ring, poch_power_base(4, 3, 1)
-                    * poch_power_base(1, 3, 1) ** 2
-                    * Laurent(Poly((1,)), 3))
-        * ring_reduce(ring, poch_power_base(3, 3, 1) ** 3).invert()
-    )
-    assert lhs_sum(F3_SQUARED, 3, 1, 2, ring) == expected
+    h1 = poch_power_base(3, 3, 1) ** 3
+    t1 = (poch_power_base(4, 3, 1) * poch_power_base(1, 3, 1) ** 2
+          * Laurent(Poly((1,)), 3))
+    num, den = lhs_sum(F3_SQUARED, 3, 1, 2, ring)
+    assert num == ring.element(h1 + t1)
+    assert den == ring.element(h1)
+
+
+def test_lhs_sum_coefficients_stay_integral():
+    ring = ResidueRing(11, PHI_SQUARED)
+    for value in lhs_sum(F3_SQUARED, 3, 1, 11, ring):
+        assert all(type(c) is int for c in value.rep.coeffs)
 
 
 def test_lhs_sum_matches_whole_sum_oracle():
     ring = ResidueRing(3, PHI_SQUARED)
-    assert lhs_sum(F1_GUO, 2, 1, 3, ring) == lhs_sum_whole(F1_GUO, 2, 1, 3, ring)
+    num, den = lhs_sum(F1_GUO, 2, 1, 3, ring)
+    assert num == lhs_sum_whole(F1_GUO, 2, 1, 3, ring) * den
 
 
 def test_lemma_sum_vanishes():
     ring = ResidueRing(7, PHI_SQUARED)
-    assert lhs_sum(F4_LEMMA, 4, 1, 7, ring).is_zero()
+    num, _ = lhs_sum(F4_LEMMA, 4, 1, 7, ring)
+    assert num.is_zero()
+
+
+def test_lhs_sum_refuses_non_unit_denominator():
+    # d = 2, n = 4: the k = 2 factor 1 - q^4 is divisible by Phi_4.
+    with pytest.raises(NonUnitError) as err:
+        lhs_sum(F1_GUO, 2, 1, 4, ResidueRing(4, PHI_SQUARED))
+    assert err.value.witness == cyclotomic(4)
+
+
+def test_rhs_closed_form_refuses_non_unit_denominator():
+    # thm12 at d = 3, n = 8 in the ring of n = 3: (q^3; q^3)_3 has 1 - q^3.
+    with pytest.raises(NonUnitError):
+        rhs_closed_form("thm12", 3, 1, 8, ResidueRing(3, PHI_SQUARED))
+
+
+# Statuses of (no mutation, sign mutant, exponent mutant) per check id on
+# its catalog grid, recorded from the ring-inversion implementation.  The
+# vanishing families have no closed form to mutate.
+THEOREM_GRID_VERDICTS = {
+    "eq13": ("HOLDS", "FAILS", "FAILS"),
+    "eq14": ("HOLDS", "FAILS", "FAILS"),
+    "eq15": ("HOLDS", "FAILS", "FAILS"),
+    "thm11": ("HOLDS", "FAILS", "FAILS"),
+    "thm12": ("HOLDS", "FAILS", "FAILS"),
+    "lemma21": ("HOLDS", "HOLDS", "HOLDS"),
+    "eq22": ("HOLDS", "HOLDS", "HOLDS"),
+    "thm41": ("HOLDS", "FAILS", "FAILS"),
+    "thm42": ("HOLDS", "FAILS", "FAILS"),
+}
+THEOREM_GRID = (
+    [("eq13", d, 1, n) for d, n in GRID_EQ13]
+    + [("eq14", d, 1, n) for d, n in GRID_EQ14]
+    + [("eq15", d, 1, n) for d, n in GRID_EQ15]
+    + [("thm11", d, 1, n) for d, n in GRID_THM11]
+    + [("thm12", d, 1, n) for d, n in GRID_THM12]
+    + [("lemma21", d, r, n) for d, r, n in GRID_LEMMA21]
+    + [("eq22", d, 1, n) for d, n in GRID_EQ22]
+    + [("thm41", d, r, n) for d, r, n in GRID_THM41]
+    + [("thm42", d, r, n) for d, r, n in GRID_THM42]
+)
+
+
+def test_theorem_grid_verdicts_without_inversion(monkeypatch):
+    import qsupercheck.poly
+    import qsupercheck.residue
+
+    def refuse(*args):
+        raise AssertionError("verify_theorem inverted a ring element")
+
+    monkeypatch.setattr(qsupercheck.residue.RingElement, "invert", refuse)
+    monkeypatch.setattr(qsupercheck.residue, "xgcd", refuse)
+    monkeypatch.setattr(qsupercheck.poly, "xgcd", refuse)
+    assert len(THEOREM_GRID) == 50
+    for check_id, d, r, n in THEOREM_GRID:
+        statuses = tuple(
+            verify_theorem(check_id, d, n, r, mutation=mutation).status.value
+            for mutation in (None, "sign", "exponent"))
+        assert statuses == THEOREM_GRID_VERDICTS[check_id], (check_id, d, r, n)
 
 
 def test_a_exponent_values():
@@ -56,20 +138,14 @@ def test_a_exponent_values():
 def test_rhs_closed_form_first_family():
     # d = 2, n = 3: the two length-one Pochhammers cancel, leaving -q^2.
     ring = ResidueRing(3, PHI_SQUARED)
-    direct = (
-        ring_reduce(ring, poch_power_base(2, 2, 1))
-        * ring.pow_q(2)
-        * ring_reduce(ring, poch_power_base(2, 2, 1)).invert()
-        * (-1)
-    )
-    value = rhs_closed_form("eq13", 2, 1, 3, ring)
-    assert value == direct
-    assert value == -ring.pow_q(2)
+    num, den = rhs_closed_form("eq13", 2, 1, 3, ring)
+    assert den == ring.element(poch_power_base(2, 2, 1))
+    assert num == -ring.pow_q(2) * den
 
 
 def test_rhs_zero_for_vanishing_family():
     ring = ResidueRing(7, PHI_SQUARED)
-    assert rhs_closed_form("lemma21", 4, 1, 7, ring).is_zero()
+    assert rhs_closed_form("lemma21", 4, 1, 7, ring) == (ring.zero, ring.one)
 
 
 def test_verify_theorem_examples():
@@ -119,10 +195,10 @@ def test_r1_collapse_of_closed_forms():
         (5, 9, "eq14", "thm12"),
     ):
         ring = ResidueRing(n, PHI_SQUARED)
-        assert rhs_closed_form("thm41", d, 1, n, ring) == rhs_closed_form(
-            flavor_mixed, d, 1, n, ring)
-        assert rhs_closed_form("thm42", d, 1, n, ring) == rhs_closed_form(
-            flavor_squared, d, 1, n, ring)
+        assert _same_value(rhs_closed_form("thm41", d, 1, n, ring),
+                           rhs_closed_form(flavor_mixed, d, 1, n, ring))
+        assert _same_value(rhs_closed_form("thm42", d, 1, n, ring),
+                           rhs_closed_form(flavor_squared, d, 1, n, ring))
 
 
 def test_family_keyed_rhs_dispatch():
@@ -134,7 +210,7 @@ def test_family_keyed_rhs_dispatch():
         "eq14", 3, 1, 5, ring5)
     assert rhs_for_family("F2_MIXED", 4, 1, 7, ring7) == rhs_closed_form(
         "thm11", 4, 1, 7, ring7)
-    assert rhs_for_family("F4_LEMMA", 4, 1, 7, ring7).is_zero()
+    assert rhs_for_family("F4_LEMMA", 4, 1, 7, ring7)[0].is_zero()
 
 
 @pytest.mark.parametrize("check_id,d,r,n", [
@@ -145,7 +221,6 @@ def test_family_keyed_rhs_dispatch():
 def test_congruence_by_polynomial_divisibility_oracle(check_id, d, r, n):
     # Third route, no ring reduction: clear all denominators of LHS - RHS
     # and check Phi_n(q)^2 divides the resulting Laurent polynomial.
-    from qsupercheck.cyclotomic import cyclotomic
     from qsupercheck.families import closed_form, numerator_factors, theorem_family
     from qsupercheck.poly import divrem
 
