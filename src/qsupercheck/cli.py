@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -58,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", help="report path (default: stdout)")
     sweep.add_argument("--format", choices=("json", "csv"), default="json")
     sweep.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (default 1)")
+                       help="worker processes, at most one per CPU (default 1)")
     sweep.add_argument("--m-max", type=int, help="Karlsson-Minton: max m")
     sweep.add_argument("--nj-max", type=int,
                        help="Karlsson-Minton: max offset n_j")
@@ -174,8 +175,9 @@ def _execute_plan(plan: SweepPlan, jobs: int) -> Report:
     options = RunOptions(seed=plan.seed, trials=plan.trials)
     start = time.perf_counter()
     tasks = [(cid, params, options) for cid, params in plan.checks]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_instance, tasks, chunksize=4))
     else:
         results = [_run_instance(task) for task in tasks]
@@ -195,6 +197,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     plan = _plan_from_args(args)
     print(f"running {plan.instance_count()} check instances", file=sys.stderr)
     report = _execute_plan(plan, args.jobs)

@@ -20,7 +20,7 @@ from math import gcd as igcd
 from .cyclotomic import cyclotomic, divisors, q_integer
 from .laurent import Laurent, RatFunc
 from .poly import Poly, divrem, poly_prod
-from .qfuncs import inflate, one_minus_product, q_binomial
+from .qfuncs import inflate, one_minus_product, q_binomial, truncated_sum
 from .results import CheckResult, fails, holds, skipped
 
 PROOF_STEP_IDS = (
@@ -243,19 +243,22 @@ def _check_exponent_identity(d, r, n, k) -> str | None:
     return None
 
 
-def _check_sum_decomposition(d, n) -> str | None:
+def _decomposition_sums(d, n) -> list[Laurent]:
+    """The three sums of the decomposition over the common denominator
+    (q^d; q^d)_{n-1}^d."""
     sums = []
-    for shape in ((d - 1, 0, 1), (d - 2, 1, 1), (d - 2, 2, 0)):
-        mult_high, mult_one, mult_neg = shape
-        total = Laurent(Poly())
-        for k in range(n):
-            exps = [d + 1 + d * t for t in range(k)] * mult_high
-            exps += [1 + d * t for t in range(k)] * mult_one
-            exps += [1 - d + d * t for t in range(k)] * mult_neg
-            cofactor = [d * t for t in range(k + 1, n)] * d
-            total = total + one_minus_product(exps + cofactor).shifted(d * k)
-        sums.append(total)
-    s1, s2, s3 = sums
+    for high, one, neg in ((d - 1, 0, 1), (d - 2, 1, 1), (d - 2, 2, 0)):
+        increments = [([], [], [])]
+        for k in range(1, n):
+            e = d * k + 1
+            num = [e] * high + [e - d] * one + [e - 2 * d] * neg
+            increments.append((num, [d * k] * d, []))
+        sums.append(truncated_sum(d, increments)[0])
+    return sums
+
+
+def _check_sum_decomposition(d, n) -> str | None:
+    s1, s2, s3 = _decomposition_sums(d, n)
     bracket_d = Laurent(q_integer(d))
     bracket_d1 = Laurent(q_integer(d - 1), 1)
     if s1 != bracket_d * s2 - bracket_d1 * s3:

@@ -76,10 +76,6 @@ class Laurent:
     def __bool__(self):
         return bool(self.body)
 
-    @property
-    def max_exp(self):
-        return self.min_exp + self.body.degree
-
     def __eq__(self, other):
         other = _as_laurent(other)
         if other is None:
@@ -290,11 +286,3 @@ class RatFunc:
     def __repr__(self):
         return f"RatFunc({self.num!r} / {Poly.__repr__(self.den)})"
 
-
-def eval_at_rational(f, x):
-    """Exact evaluation of a polynomial-like object at a scalar point."""
-    if isinstance(f, (Laurent, RatFunc)):
-        return f.evaluate(x)
-    if isinstance(f, Poly):
-        return f.evaluate(x)
-    raise TypeError(f"cannot evaluate {type(f).__name__}")

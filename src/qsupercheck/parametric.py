@@ -6,9 +6,11 @@ band of bases carrying the low q-power (or a shifted Pochhammer index),
 and the fixed denominator bases {q^d} + {a^j q^d : j = d-2, d-4, ..., 2-d}.
 Substituting a = q^{+-n} makes everything univariate; the congruence
 modulo (1 - a q^n)(a - q^n) is certified by exact rational-function
-equality at both substitution points.  Substituting a = 1 instead must
-reproduce the corresponding non-parametric summand term by term, which
-pins down the reconstruction of the displayed exponent patterns.
+equality at both substitution points, each sum one ``truncated_sum``.
+Substituting a = 1 into the same increments must reproduce the
+corresponding non-parametric summand term by term, which pins down the
+reconstruction of the displayed exponent patterns; the terms are compared
+by exponent counting, with no polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -16,9 +18,7 @@ from __future__ import annotations
 from math import gcd as igcd
 
 from .families import a_exponent
-from .laurent import Laurent
-from .poly import Poly
-from .qfuncs import one_minus_product
+from .qfuncs import one_minus_normal_form, one_minus_product, truncated_sum
 from .results import CheckResult, fails, holds, skipped
 
 PARAMETRIC_IDS = ("p1_24", "p2_25", "p3_32", "p4_33", "p5_43", "p6_44",
@@ -110,55 +110,36 @@ def _upper_limit(check_id: str, d: int, r: int, n: int) -> int:
     return n - 1
 
 
-def _sum_sides(check_id: str, d: int, r: int, n: int, s: int):
-    """LHS of the substituted congruence as an unreduced (num, den) pair.
+def _sum_increments(check_id: str, d: int, r: int, n: int, s: int):
+    """``truncated_sum`` increments (a_k, b_k, c_k), k = 0..limit, of the LHS.
 
     s = +1 or -1 selects a = q^{sn}; s = 0 gives the a = 1 collapse.
-    Returns (numerator, denominator) Laurent polynomials.
+    Term k multiplies (x; q^d)_{k+off} over the numerator bases x and
+    divides by (x; q^d)_k over the denominator bases, q^d among them.
+    An index k - 2 puts its reciprocal factors 1 - x q^{-2d}, 1 - x q^{-d}
+    into b_0 and takes them back from a_1 and a_2.
     """
-    entries = numerator_entries(check_id, d, r)
-    limit = _upper_limit(check_id, d, r, n)
+    entries = [(j * s * n + e, off)
+               for j, e, off in numerator_entries(check_id, d, r)]
     den_bases = [j * s * n + d for j in [0] + _den_core(d)]
     for e in den_bases:
         if e % d == 0 and e <= 0:
             raise DegenerateSubstitutionError(f"denominator base q^{e}")
+    reciprocal = [x + d * (off + t) for x, off in entries for t in range(-off)]
+    if 0 in reciprocal:
+        raise DegenerateSubstitutionError("reciprocal factor 1 - q^0")
+    width = r if check_id in _SHIFTED_INDEX else 0
+    increments = [([], reciprocal, [r - d] * width)]
+    for k in range(1, _upper_limit(check_id, d, r, n) + 1):
+        increments.append(([x + d * (k - 1 + off) for x, off in entries],
+                           [x + d * (k - 1) for x in den_bases],
+                           [d * k - d + r] * width))
+    return increments
 
-    # Shared extra denominator from index k-2 at k = 0, 1.
-    shifted_bases = [j * s * n + d + r for j, _, off in entries if off == -2]
-    neg_exps_k0 = [b - d for b in shifted_bases] + [b - 2 * d for b in shifted_bases]
-    for e in neg_exps_k0:
-        if e == 0:
-            raise DegenerateSubstitutionError("reciprocal factor 1 - q^0")
-    neg_total = one_minus_product(neg_exps_k0)
-    neg_k1_complement = one_minus_product([b - 2 * d for b in shifted_bases])
 
-    increments = [
-        one_minus_product([e + d * k for e in den_bases]) for k in range(limit)
-    ]
-    suffix = [Laurent(Poly((1,)))]
-    for g in reversed(increments):
-        suffix.append(suffix[-1] * g)
-    suffix.reverse()  # suffix[k] = prod of increments k..limit-1
-
-    total = Laurent(Poly())
-    for k in range(limit + 1):
-        num_exps = []
-        for j, e, off in entries:
-            base = j * s * n + e
-            for t in range(k + off if off else k):
-                num_exps.append(base + d * t)
-        if check_id in _SHIFTED_INDEX:
-            num_exps.extend([d * k - d + r] * r)
-        term = one_minus_product(num_exps).shifted(d * k)
-        # Multiplier neg_total / neg_k: the k = 0 term owns every
-        # reciprocal factor, k = 1 all but the (b - 2d) ones.
-        if k == 1:
-            term = term * neg_k1_complement
-        elif k >= 2:
-            term = term * neg_total
-        total = total + term * suffix[k]
-    denominator = suffix[0] * neg_total
-    return total, denominator
+def _sum_sides(check_id: str, d: int, r: int, n: int, s: int):
+    """LHS of the substituted congruence as an unreduced (num, den) pair."""
+    return truncated_sum(d, _sum_increments(check_id, d, r, n, s))
 
 
 def _rhs_sides(check_id: str, d: int, r: int, n: int, s: int,
@@ -184,7 +165,8 @@ def _rhs_sides(check_id: str, d: int, r: int, n: int, s: int,
 
 
 def _reference_summand(check_id: str, d: int, r: int, k: int):
-    """The non-parametric term the a = 1 collapse must reproduce."""
+    """The non-parametric term the a = 1 collapse must reproduce, as
+    (q-shift, numerator exponents, denominator exponents)."""
     num_exps = [d + r + d * t for t in range(k)] * (d - r - 1)
     den_exps = [d + d * t for t in range(k)] * d
     if check_id in _SHIFTED_INDEX:
@@ -197,31 +179,21 @@ def _reference_summand(check_id: str, d: int, r: int, k: int):
         num_exps += [d * k - d + r] * r
     else:
         num_exps += [r + d * t for t in range(k)] * (r + 1)
-    num = one_minus_product(num_exps).shifted(d * k)
-    return num, one_minus_product(den_exps)
+    return d * k, num_exps, den_exps
 
 
 def _collapse_at_one(check_id: str, d: int, r: int, n: int) -> str | None:
-    """Termwise a = 1 consistency; returns a witness string on failure."""
-    entries = numerator_entries(check_id, d, r)
-    limit = _upper_limit(check_id, d, r, n)
-    for k in range(limit + 1):
-        num_exps = []
-        den_exps = [d + d * t for t in range(k)] * d
-        for j, e, off in entries:
-            if off == -2 and k < 2:
-                if k == 1:
-                    den_exps.append(e - d)
-                else:
-                    den_exps.extend((e - d, e - 2 * d))
-                continue
-            num_exps.extend(e + d * t for t in range(k + off))
-        if check_id in _SHIFTED_INDEX:
-            num_exps.extend([d * k - d + r] * r)
-        lhs_num = one_minus_product(num_exps).shifted(d * k)
-        lhs_den = one_minus_product(den_exps)
-        ref_num, ref_den = _reference_summand(check_id, d, r, k)
-        if lhs_num * ref_den != ref_num * lhs_den:
+    """Termwise a = 1 consistency by exponent counting; a witness on failure.
+
+    Term k of the sum at a = 1 is q^{dk} prod_{j<=k} a_j c_k / prod_{j<=k} b_j
+    over the same increments the substituted sums are built from.
+    """
+    num, den = [], []
+    for k, (a, b, c) in enumerate(_sum_increments(check_id, d, r, n, 0)):
+        num += a
+        den += b
+        ref = one_minus_normal_form(*_reference_summand(check_id, d, r, k))
+        if one_minus_normal_form(d * k, num + c, den) != ref:
             return f"a = 1 collapse differs from reference summand at k = {k}"
     return None
 

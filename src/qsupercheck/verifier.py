@@ -9,15 +9,18 @@ inverted.  Cross-multiplying is valid only when both denominators are
 units; 1 - q^e is divisible by Phi_n exactly when n divides e, so each
 denominator factor is checked by counting and a non-unit raises
 ``NonUnitError``.  The divisibility family is different in kind: its
-prefactor cancels every denominator exactly, so the whole expression is
-assembled as one integer Laurent polynomial and divided by [n]^2 at the
-polynomial level, where multiplying by a power of q (a unit coprime to
-[n]) is harmless.
+prefactor cancels every denominator exactly, so the numerator from
+``truncated_sum`` divided by a power of 1 - q is the whole expression, an
+integer Laurent polynomial divided by [n]^2 at the polynomial level, where
+a power of q (a unit coprime to [n]) is harmless.  The ring sum ``lhs_sum``
+keeps its own recurrence on ring elements.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
+from math import prod
 
 from .cyclotomic import cyclotomic, q_integer
 from .families import (
@@ -29,8 +32,8 @@ from .families import (
     theorem_precondition,
 )
 from .laurent import Laurent
-from .poly import Poly, divrem, poly_prod
-from .qfuncs import poch_power_base
+from .poly import Poly, divrem
+from .qfuncs import poch_power_base, truncated_sum
 from .residue import PHI_SQUARED, NonUnitError, ResidueRing, RingElement
 from .results import CheckResult, fails, holds, skipped
 
@@ -161,30 +164,22 @@ def divisibility_expression(d: int, n: int) -> Laurent:
     """(q^d;q^d)_{n-1}^d / (1-q)^{d(n-1)} times the mixed sum, assembled as
     one Laurent polynomial with integer coefficients.
 
-    Each factor 1 - q^e of each term turns into a q-integer [|e|] times a
-    monomial, and the term has exactly d(n-1) such factors, cancelling the
-    (1-q) power without any division.
+    ``truncated_sum`` gives the sum's numerator N over the denominator
+    (q^d;q^d)_{n-1}^d; every term of N has d(n-1) factors 1 - q^e, so
+    dividing N by 1 - q that many times is exact, one running sum each.
+    An inexact division raises IntegralityError.
     """
-    total = Laurent(Poly())
-    for k in range(n):
-        exponents = []
-        for e, mult in numerator_factors(F7_DIVISIBILITY, d, 1):
-            for j in range(k):
-                exponents.extend([e + d * j] * mult)
-        for j in range(k + 1, n):
-            exponents.extend([d * j] * d)
-        sign = 1
-        shift = d * k
-        q_ints = []
-        for e in exponents:
-            if e < 0:
-                sign = -sign
-                shift += e
-                e = -e
-            q_ints.append(q_integer(e))
-        term = Laurent(poly_prod(q_ints), shift)
-        total = total + (term if sign > 0 else -term)
-    return total
+    factors = numerator_factors(F7_DIVISIBILITY, d, 1)
+    increments = [([], [], [])] + [
+        ([e + d * (k - 1) for e, mult in factors for _ in range(mult)],
+         [d * k] * d, []) for k in range(1, n)]
+    num = truncated_sum(d, increments)[0]
+    body = list(num.body.coeffs)
+    for _ in range(d * (n - 1)):
+        if sum(body):
+            raise IntegralityError("1 - q does not divide the numerator")
+        body = list(accumulate(body[:-1]))  # f / (1 - q), f(1) = 0
+    return Laurent(Poly(body), num.min_exp)
 
 
 def verify_divisibility(d: int, n: int) -> CheckResult:
@@ -193,11 +188,8 @@ def verify_divisibility(d: int, n: int) -> CheckResult:
     reason = theorem_precondition("thm13", d, n, 1)
     if reason is not None:
         return skipped("thm13", params, reason)
-    expr = divisibility_expression(d, n)
-    if not all(isinstance(c, int) for c in expr.body.coeffs):
-        raise IntegralityError("assembled divisibility expression is not integral")
-    shifted = expr.body  # q^{min_exp} is a unit mod [n]^2, safe to drop
-    _, rem = divrem(shifted, q_integer(n) ** 2)
+    body = divisibility_expression(d, n).body  # drops q^min_exp, a unit
+    _, rem = divrem(body, q_integer(n) ** 2)
     if rem.is_zero():
         return holds("thm13", params)
     return fails("thm13", params, f"remainder {rem!r}")
@@ -207,23 +199,16 @@ def summand_value_at_one(num_factors: list[tuple[int, int]], d: int,
                          k: int) -> Fraction:
     """Exact value at q = 1 of one truncated-sum term.
 
-    The term's numerator and denominator vanish to the same order at
-    q = 1; both are divided by (q - 1) until the denominator no longer
-    vanishes, then evaluated.
+    Each factor 1 - q^e is (1 - q) times a polynomial worth e at q = 1, so
+    a term with as many factors above as below is worth prod e / prod e',
+    and one with more above vanishes.
     """
-    num = Laurent(Poly((1,))).shifted(d * k)
-    for e, mult in num_factors:
-        num = num * poch_power_base(e, d, k) ** mult
-    den = poch_power_base(d, d, k) ** d
-    num_poly = num.body  # the dropped q-power evaluates to 1 at q = 1
-    den_poly = den.to_poly()
-    q_minus_1 = Poly((-1, 1))
-    while not den_poly.evaluate(1):
-        num_poly, rn = divrem(num_poly, q_minus_1)
-        den_poly, rd = divrem(den_poly, q_minus_1)
-        if not (rn.is_zero() and rd.is_zero()):
-            raise ArithmeticError("unbalanced vanishing order at q = 1")
-    return Fraction(num_poly.evaluate(1), den_poly.evaluate(1))
+    num = [e + d * t for e, mult in num_factors for t in range(k)
+           for _ in range(mult)]
+    den = [d + d * t for t in range(k)] * d
+    if len(num) < len(den):
+        raise ArithmeticError("pole of the term at q = 1")
+    return Fraction(prod(num) if len(num) == len(den) else 0, prod(den))
 
 
 def family_sum_at_one_mod(family: str, d: int, r: int, p: int,

@@ -3,6 +3,9 @@
 import copy
 import json
 
+import pytest
+
+from qsupercheck import cli
 from qsupercheck.cli import main
 
 
@@ -128,6 +131,44 @@ def test_sweep_parallel_jobs_match_serial(tmp_path):
     report_s = _strip_timing(json.loads(serial.read_text()))
     report_p = _strip_timing(json.loads(parallel.read_text()))
     assert report_s == report_p
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_one_is_usage_error(jobs, capsys):
+    code = main(["sweep", "--check", "bracket_factorization", "--n", "4",
+                 "--jobs", jobs])
+    assert code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_sweep_jobs_capped_by_cpus_and_instances(monkeypatch, tmp_path):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records the size, forks nothing."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    out = str(tmp_path / "r.json")
+    base = ["sweep", "--check", "bracket_factorization", "--out", out]
+    assert main(base + ["--n", "2,3,4,5,6", "--jobs", "5000"]) == 0
+    assert main(base + ["--n", "2,3", "--jobs", "8"]) == 0
+    assert main(base + ["--n", "2,3", "--jobs", "1"]) == 0  # serial, no pool
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert main(base + ["--n", "2,3", "--jobs", "8"]) == 0  # serial, no pool
+    assert sizes == [3, 2]
 
 
 def test_list_prints_catalog(capsys):

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from qsupercheck.catalog import GRID_LEMMA21
 from qsupercheck.cyclotomic import cyclotomic, q_integer
 from qsupercheck.identities import (
+    _decomposition_sums,
     _km_degenerate,
     _km_sides,
     qbinom_alternating_sum,
@@ -15,7 +17,7 @@ from qsupercheck.identities import (
 )
 from qsupercheck.laurent import Laurent, RatFunc
 from qsupercheck.poly import Poly, poly_prod
-from qsupercheck.qfuncs import QMonomial, q_pochhammer
+from qsupercheck.qfuncs import QMonomial, one_minus_product, q_pochhammer
 from qsupercheck.results import Status
 
 
@@ -107,6 +109,28 @@ def test_sum_decomposition_termwise_oracle():
     assert high * neg == bracket_d * low * neg - bracket_d1 * low * low
     result = verify_proof_step("sum_decomposition", {"d": 3, "n": 5})
     assert result.status is Status.HOLDS
+
+
+def _decomposition_sums_per_term(d, n):
+    """Oracle: every term's whole factor product, cofactor included."""
+    sums = []
+    for high, one, neg in ((d - 1, 0, 1), (d - 2, 1, 1), (d - 2, 2, 0)):
+        total = Laurent(Poly())
+        for k in range(n):
+            exps = [d + 1 + d * t for t in range(k)] * high
+            exps += [1 + d * t for t in range(k)] * one
+            exps += [1 - d + d * t for t in range(k)] * neg
+            cofactor = [d * t for t in range(k + 1, n)] * d
+            total = total + one_minus_product(exps + cofactor).shifted(d * k)
+        sums.append(total)
+    return sums
+
+
+# The catalog instances, then those the benchmark runs past the grid.
+@pytest.mark.parametrize("d,n", sorted({(d, n) for d, _, n in GRID_LEMMA21})
+                         + [(2, 1), (2, 2), (5, 14), (6, 12), (7, 10)])
+def test_decomposition_sums_match_per_term_oracle(d, n):
+    assert _decomposition_sums(d, n) == _decomposition_sums_per_term(d, n)
 
 
 def test_ratio_shifts():

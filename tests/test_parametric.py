@@ -2,14 +2,139 @@
 
 import pytest
 
+from qsupercheck import parametric
+from qsupercheck.catalog import GRID_PARAMETRIC
+from qsupercheck.laurent import Laurent
 from qsupercheck.parametric import (
+    DegenerateSubstitutionError,
+    _collapse_at_one,
+    _den_core,
+    _reference_summand,
+    _SHIFTED_INDEX,
+    _sum_increments,
     _sum_sides,
+    _upper_limit,
     numerator_entries,
     parametric_precondition,
     rhs_band,
     verify_parametric,
 )
+from qsupercheck.poly import Poly
+from qsupercheck.qfuncs import one_minus_product, truncated_sum
 from qsupercheck.results import Status
+
+# The catalog grid plus the instances just past it (largest catalog d, next
+# admissible n) that the benchmark's laurent-products workload runs.
+PAST_GRID = {
+    "p1_24": ((7, 2, 12), (5, 2, 13)),
+    "p2_25": ((7, 3, 11), (5, 1, 14)),
+    "p3_32": ((5, 1, 9), (5, 1, 14)),
+    "p4_33": ((3, 1, 8), (3, 1, 11)),
+    "p5_43": ((5, 2, 8), (5, 2, 13)),
+    "p6_44": ((4, 3, 5), (4, 3, 9)),
+    "p7_45": ((7, 3, 11), (5, 1, 14)),
+    "p8_46": ((5, 3, 7), (5, 3, 12)),
+}
+INSTANCES = sorted({(cid, d, r, n) for grid in (GRID_PARAMETRIC, PAST_GRID)
+                    for cid, triples in grid.items() for d, r, n in triples})
+
+
+def _sum_sides_by_suffixes(check_id, d, r, n, s):
+    """Oracle: each term's full factor product times a suffix product of
+    the denominator increments, with the reciprocal factors of index k - 2
+    handled at k = 0 and k = 1 by hand."""
+    entries = numerator_entries(check_id, d, r)
+    limit = _upper_limit(check_id, d, r, n)
+    den_bases = [j * s * n + d for j in [0] + _den_core(d)]
+    for e in den_bases:
+        if e % d == 0 and e <= 0:
+            raise DegenerateSubstitutionError(f"denominator base q^{e}")
+    shifted_bases = [j * s * n + d + r for j, _, off in entries if off == -2]
+    neg_exps_k0 = ([b - d for b in shifted_bases]
+                   + [b - 2 * d for b in shifted_bases])
+    if 0 in neg_exps_k0:
+        raise DegenerateSubstitutionError("reciprocal factor 1 - q^0")
+    neg_total = one_minus_product(neg_exps_k0)
+    neg_k1_complement = one_minus_product([b - 2 * d for b in shifted_bases])
+    increments = [one_minus_product([e + d * k for e in den_bases])
+                  for k in range(limit)]
+    suffix = [Laurent(Poly((1,)))]
+    for g in reversed(increments):
+        suffix.append(suffix[-1] * g)
+    suffix.reverse()  # suffix[k] = prod of increments k..limit-1
+    total = Laurent(Poly())
+    for k in range(limit + 1):
+        num_exps = []
+        for j, e, off in entries:
+            base = j * s * n + e
+            for t in range(k + off if off else k):
+                num_exps.append(base + d * t)
+        if check_id in _SHIFTED_INDEX:
+            num_exps.extend([d * k - d + r] * r)
+        term = one_minus_product(num_exps).shifted(d * k)
+        if k == 1:
+            term = term * neg_k1_complement
+        elif k >= 2:
+            term = term * neg_total
+        total = total + term * suffix[k]
+    return total, suffix[0] * neg_total
+
+
+@pytest.mark.parametrize("check_id,d,r,n", INSTANCES)
+def test_sum_sides_match_suffix_product_oracle(check_id, d, r, n):
+    for s in (1, -1):
+        assert _sum_sides(check_id, d, r, n, s) == _sum_sides_by_suffixes(
+            check_id, d, r, n, s)
+
+
+def test_vanishing_sum_without_last_term_is_nonzero():
+    # Negative control: the vanishing check must not pass vacuously.
+    for s in (1, -1):
+        increments = _sum_increments("p1_24", 4, 1, 7, s)
+        assert truncated_sum(4, increments)[0].is_zero()
+        assert not truncated_sum(4, increments[:-1])[0].is_zero()
+
+
+def _collapsed_term_by_entries(check_id, d, r, k):
+    """Oracle: term k at a = 1 read off the numerator entries directly."""
+    num_exps = []
+    den_exps = [d + d * t for t in range(k)] * d
+    for _, e, off in numerator_entries(check_id, d, r):
+        if off == -2 and k < 2:
+            den_exps.extend((e - d,) if k == 1 else (e - d, e - 2 * d))
+            continue
+        num_exps.extend(e + d * t for t in range(k + off))
+    if check_id in _SHIFTED_INDEX:
+        num_exps.extend([d * k - d + r] * r)
+    num = one_minus_product(num_exps).shifted(d * k)
+    return num, one_minus_product(den_exps)
+
+
+@pytest.mark.parametrize("check_id,d,r,n", INSTANCES)
+def test_collapse_counting_matches_polynomial_oracle(check_id, d, r, n):
+    num, den = [], []
+    for k, (a, b, c) in enumerate(_sum_increments(check_id, d, r, n, 0)):
+        num += a
+        den += b
+        lhs_num = one_minus_product(num + c).shifted(d * k)
+        lhs_den = one_minus_product(den)
+        oracle_num, oracle_den = _collapsed_term_by_entries(check_id, d, r, k)
+        assert lhs_num * oracle_den == oracle_num * lhs_den
+        shift, ref_num, ref_den = _reference_summand(check_id, d, r, k)
+        ref_num = one_minus_product(ref_num).shifted(shift)
+        ref_den = one_minus_product(ref_den)
+        assert lhs_num * ref_den == ref_num * lhs_den
+    assert _collapse_at_one(check_id, d, r, n) is None
+
+
+def test_collapse_detects_a_wrong_exponent(monkeypatch):
+    def off_by_one(check_id, d, r, k):
+        shift, num, den = _reference_summand(check_id, d, r, k)
+        return shift, num + [d * k + 1], den + [d * k + 2]
+
+    monkeypatch.setattr(parametric, "_reference_summand", off_by_one)
+    witness = _collapse_at_one("p7_45", 7, 3, 11)
+    assert witness == "a = 1 collapse differs from reference summand at k = 0"
 
 
 def test_substituted_sums_vanish_exactly():

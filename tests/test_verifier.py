@@ -2,6 +2,7 @@
 
 import pytest
 
+from qsupercheck import verifier
 from qsupercheck.catalog import (
     GRID_EQ13,
     GRID_EQ14,
@@ -10,24 +11,30 @@ from qsupercheck.catalog import (
     GRID_LEMMA21,
     GRID_THM11,
     GRID_THM12,
+    GRID_THM13,
     GRID_THM41,
     GRID_THM42,
+    run_check,
 )
-from qsupercheck.cyclotomic import cyclotomic
+from qsupercheck.cyclotomic import cyclotomic, q_integer
 from qsupercheck.families import (
     F1_GUO,
     F3_SQUARED,
     F4_LEMMA,
+    F7_DIVISIBILITY,
+    IntegralityError,
     a_exponent,
+    numerator_factors,
     one_parameter_exponent,
 )
 from qsupercheck.laurent import Laurent
-from qsupercheck.poly import Poly
+from qsupercheck.poly import Poly, poly_prod
 from qsupercheck.qfuncs import poch_power_base
 from qsupercheck.residue import PHI_SQUARED, NonUnitError, ResidueRing
 from qsupercheck.results import Status
 from qsupercheck.verifier import (
     lhs_sum,
+    divisibility_expression,
     lhs_sum_whole,
     rhs_closed_form,
     verify_divisibility,
@@ -183,6 +190,48 @@ def test_verify_divisibility_examples():
     assert verify_divisibility(2, 3).status is Status.HOLDS
     assert verify_divisibility(3, 5).status is Status.HOLDS
     assert verify_divisibility(3, 4).status is Status.SKIPPED_PRECONDITION
+
+
+def _divisibility_by_q_integers(d, n):
+    """Oracle: each factor 1 - q^e of each term becomes a q-integer [|e|]
+    times a signed monomial, cancelling (1 - q)^{d(n-1)} term by term."""
+    total = Laurent(Poly())
+    for k in range(n):
+        exponents = []
+        for e, mult in numerator_factors(F7_DIVISIBILITY, d, 1):
+            for j in range(k):
+                exponents.extend([e + d * j] * mult)
+        for j in range(k + 1, n):
+            exponents.extend([d * j] * d)
+        sign, shift, q_ints = 1, d * k, []
+        for e in exponents:
+            if e < 0:
+                sign, shift, e = -sign, shift + e, -e
+            q_ints.append(q_integer(e))
+        term = Laurent(poly_prod(q_ints), shift)
+        total = total + (term if sign > 0 else -term)
+    return total
+
+
+# The catalog grid, then the instances the benchmark runs past it.
+@pytest.mark.parametrize("d,n", GRID_THM13 + ((2, 1), (4, 15), (6, 11)))
+def test_divisibility_expression_matches_q_integer_oracle(d, n):
+    assert divisibility_expression(d, n) == _divisibility_by_q_integers(d, n)
+
+
+def test_inexact_divisibility_division_reads_as_fails(monkeypatch):
+    real = verifier.truncated_sum
+
+    def plus_one(step, increments):
+        num, den = real(step, increments)
+        return num + 1, den
+
+    monkeypatch.setattr(verifier, "truncated_sum", plus_one)
+    with pytest.raises(IntegralityError):
+        divisibility_expression(3, 5)
+    result = run_check("thm13", {"d": 3, "n": 5})
+    assert result.status is Status.FAILS
+    assert result.witness.startswith("IntegralityError")
 
 
 def test_r1_collapse_of_closed_forms():
