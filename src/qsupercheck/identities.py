@@ -20,7 +20,14 @@ from math import gcd as igcd
 from .cyclotomic import cyclotomic, divisors, q_integer
 from .laurent import Laurent, RatFunc
 from .poly import Poly, divrem, poly_prod
-from .qfuncs import inflate, one_minus_product, q_binomial, truncated_sum
+from .qfuncs import (
+    inflate,
+    one_minus_product,
+    packed_width,
+    q_binomial,
+    sum_bounds,
+    truncated_sum,
+)
 from .results import CheckResult, fails, holds, skipped
 
 PROOF_STEP_IDS = (
@@ -90,6 +97,8 @@ def verify_karlsson_minton(n_list, trials: int = 5, seed: int = 0,
     params = {"m": m, "n_list": tuple(ns), "trials": trials, "seed": seed}
     if m < 1 or m != len(ns) or any(nj < 0 for nj in ns):
         return skipped("km", params, "requires m >= 1 nonnegative offsets")
+    if trials < 1:  # no trial would check anything
+        return skipped("km", params, "requires trials >= 1")
     rng = random.Random(seed)
     total_n = sum(ns)
     for trial in range(trials):
@@ -115,14 +124,19 @@ def verify_karlsson_minton(n_list, trials: int = 5, seed: int = 0,
 # Terminating q-binomial vanishing
 # ---------------------------------------------------------------------------
 
-def qbinom_alternating_sum(n: int, j: int) -> Poly:
-    """sum_k (-1)^k [n k] q^{C(n-k,2) + jk}, zero exactly for 0 <= j <= n-1."""
+def qbinom_alternating_sum(n: int, j: int) -> Laurent:
+    """sum_k (-1)^k [n k] q^{C(n-k,2) + jk}, zero exactly for 0 <= j <= n-1.
+
+    A negative j gives negative exponents, so the sum is built offset by
+    its smallest shift.
+    """
+    shifts = [(n - k) * (n - k - 1) // 2 + j * k for k in range(n + 1)]
+    low = min(shifts)
     total = Poly()
-    for k in range(n + 1):
-        shift = (n - k) * (n - k - 1) // 2 + j * k
-        term = q_binomial(n, k).shift(shift)
+    for k, shift in enumerate(shifts):
+        term = q_binomial(n, k).shift(shift - low)
         total = total + (term if k % 2 == 0 else -term)
-    return total
+    return Laurent(total, low)
 
 
 def verify_qbinomial_vanishing(n: int, j: int | None = None,
@@ -243,9 +257,9 @@ def _check_exponent_identity(d, r, n, k) -> str | None:
     return None
 
 
-def _decomposition_sums(d, n) -> list[Laurent]:
-    """The three sums of the decomposition over the common denominator
-    (q^d; q^d)_{n-1}^d."""
+def _decomposition_increments(d, n) -> list[list]:
+    """``truncated_sum`` increments of the three sums of the decomposition,
+    each over the common denominator (q^d; q^d)_{n-1}^d."""
     sums = []
     for high, one, neg in ((d - 1, 0, 1), (d - 2, 1, 1), (d - 2, 2, 0)):
         increments = [([], [], [])]
@@ -253,15 +267,18 @@ def _decomposition_sums(d, n) -> list[Laurent]:
             e = d * k + 1
             num = [e] * high + [e - d] * one + [e - 2 * d] * neg
             increments.append((num, [d * k] * d, []))
-        sums.append(truncated_sum(d, increments)[0])
+        sums.append(increments)
     return sums
 
 
 def _check_sum_decomposition(d, n) -> str | None:
-    s1, s2, s3 = _decomposition_sums(d, n)
-    bracket_d = Laurent(q_integer(d))
-    bracket_d1 = Laurent(q_integer(d - 1), 1)
-    if s1 != bracket_d * s2 - bracket_d1 * s3:
+    """s1 = [d] s2 - q [d-1] s3 over the common denominator, compared packed
+    after multiplying through by 1 - q: (1 - q)[m] = 1 - q^m."""
+    sums = _decomposition_increments(d, n)
+    width = packed_width(max(sum_bounds(inc)[0] for inc in sums) + 2)
+    s1, s2, s3 = (truncated_sum(d, inc, width)[0] for inc in sums)
+    rhs = s2.times_one_minus([d]) - s3.times_one_minus([d - 1]).shifted(1)
+    if s1.times_one_minus([1]) != rhs:
         return "three-sum decomposition differs"
     return None
 

@@ -6,7 +6,9 @@ band of bases carrying the low q-power (or a shifted Pochhammer index),
 and the fixed denominator bases {q^d} + {a^j q^d : j = d-2, d-4, ..., 2-d}.
 Substituting a = q^{+-n} makes everything univariate; the congruence
 modulo (1 - a q^n)(a - q^n) is certified by exact rational-function
-equality at both substitution points, each sum one ``truncated_sum``.
+equality at both substitution points: each sum is one packed
+``truncated_sum``, the closed form's factors 1 - q^e are applied to it
+crosswise, and the two cross products are compared as integers.
 Substituting a = 1 into the same increments must reproduce the
 corresponding non-parametric summand term by term, which pins down the
 reconstruction of the displayed exponent patterns; the terms are compared
@@ -18,7 +20,12 @@ from __future__ import annotations
 from math import gcd as igcd
 
 from .families import a_exponent
-from .qfuncs import one_minus_normal_form, one_minus_product, truncated_sum
+from .qfuncs import (
+    one_minus_normal_form,
+    packed_width,
+    sum_bounds,
+    truncated_sum,
+)
 from .results import CheckResult, fails, holds, skipped
 
 PARAMETRIC_IDS = ("p1_24", "p2_25", "p3_32", "p4_33", "p5_43", "p6_44",
@@ -137,31 +144,23 @@ def _sum_increments(check_id: str, d: int, r: int, n: int, s: int):
     return increments
 
 
-def _sum_sides(check_id: str, d: int, r: int, n: int, s: int):
-    """LHS of the substituted congruence as an unreduced (num, den) pair."""
-    return truncated_sum(d, _sum_increments(check_id, d, r, n, s))
-
-
-def _rhs_sides(check_id: str, d: int, r: int, n: int, s: int,
-               mutation: str | None):
-    """Substituted closed form as an unreduced (num, den) pair."""
+def _rhs_factors(check_id: str, d: int, r: int, n: int, s: int,
+                 mutation: str | None):
+    """Substituted closed form sign q^shift prod_num (1 - q^e) over
+    prod_den (1 - q^e), as (sign, shift, num exponents, den exponents)."""
     m = (n + r) // d
-    exp = a_exponent(d, n, r) - r
+    shift = a_exponent(d, n, r) - r
     sign = 1 if (n - 1 - m) % 2 == 0 else -1
     if mutation == "sign":
         sign = -sign
     elif mutation == "exponent":
-        exp += 1
+        shift += 1
     elif mutation is not None:
         raise ValueError(f"unknown mutation {mutation!r}")
-    num = one_minus_product([j * s * n + r for j in rhs_band(check_id, d, r)])
-    num = num * one_minus_product([d * t for t in range(1, n - m)])
-    num = num.shifted(exp)
-    if sign < 0:
-        num = -num
-    den = one_minus_product(
-        [j * s * n + d + d * t for j in _den_core(d) for t in range(m)])
-    return num, den
+    num = [j * s * n + r for j in rhs_band(check_id, d, r)]
+    num += [d * t for t in range(1, n - m)]
+    den = [j * s * n + d + d * t for j in _den_core(d) for t in range(m)]
+    return sign, shift, num, den
 
 
 def _reference_summand(check_id: str, d: int, r: int, k: int):
@@ -206,18 +205,24 @@ def verify_parametric(check_id: str, d: int, r: int, n: int,
     if reason is not None:
         return skipped(check_id, params, reason)
     for s in (1, -1):
-        lhs_num, lhs_den = _sum_sides(check_id, d, r, n, s)
+        increments = _sum_increments(check_id, d, r, n, s)
+        num_bits, den_bits = sum_bounds(increments)
         if check_id in _VANISHING:
             if mutation is not None:
                 raise ValueError("vanishing right-hand sides have no mutation")
+            lhs_num, _ = truncated_sum(d, increments, packed_width(num_bits))
             if not lhs_num.is_zero():
                 return fails(check_id, params,
                              f"substituted sum nonzero at a = q^{s * n}")
-        else:
-            rhs_num, rhs_den = _rhs_sides(check_id, d, r, n, s, mutation)
-            if lhs_num * rhs_den != rhs_num * lhs_den:
-                return fails(check_id, params,
-                             f"sides differ at a = q^{s * n}")
+            continue
+        sign, shift, num, den = _rhs_factors(check_id, d, r, n, s, mutation)
+        # Cross products N * den and D * num, each built by applying the
+        # other side's factors, at one width wide enough for both.
+        width = packed_width(max(num_bits + len(den), len(num) + den_bits))
+        lhs_num, lhs_den = truncated_sum(d, increments, width)
+        rhs = lhs_den.times_one_minus(num).shifted(shift)
+        if lhs_num.times_one_minus(den) != (rhs if sign > 0 else -rhs):
+            return fails(check_id, params, f"sides differ at a = q^{s * n}")
     witness = _collapse_at_one(check_id, d, r, n)
     if witness is not None:
         return fails(check_id, params, witness)

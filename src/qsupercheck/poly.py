@@ -8,7 +8,9 @@ division by a monic polynomial never leaves the integers.
 
 Large products are multiplied through Kronecker substitution: coefficients
 packed into one big integer, multiplied with CPython's native bignum
-arithmetic, and unpacked.  Everything else is schoolbook.
+arithmetic, and unpacked.  Everything else is schoolbook.  ``pack`` and
+``unpack`` are the one conversion between coefficient lists and values at
+q = 2^B; ``qfuncs.Packed`` computes on such values directly.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ def _sdiv(a, b):
     return a / b
 
 
-def _pack_signed(coeffs, nbytes):
+def pack(coeffs, nbytes):
+    """sum c_i 2^(8 nbytes i), the polynomial's value at q = 2^(8 nbytes)."""
     pos = bytearray(len(coeffs) * nbytes)
     neg = bytearray(len(coeffs) * nbytes)
     for i, c in enumerate(coeffs):
@@ -40,21 +43,28 @@ def _pack_signed(coeffs, nbytes):
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
+def unpack(value, nbytes):
+    """Inverse of ``pack``: the balanced base-2^(8 nbytes) digits of value,
+    lowest first, each in [-2^(8 nbytes - 1), 2^(8 nbytes - 1)).
+
+    They are the packed coefficients whenever every coefficient lies in that
+    range; the list may end in zero digits.
+    """
+    bits = 8 * nbytes
+    length = abs(value).bit_length() // bits + 2
+    # Bias every digit into [0, 2**bits) so unpacking never borrows.
+    bias = 1 << (bits - 1)
+    biases = int.from_bytes(bias.to_bytes(nbytes, "little") * length, "little")
+    raw = (value + biases).to_bytes(length * nbytes, "little")
+    return [int.from_bytes(raw[i : i + nbytes], "little") - bias
+            for i in range(0, length * nbytes, nbytes)]
+
+
 def _mul_int_kronecker(ac, bc):
     """Multiply two all-int coefficient tuples via Kronecker substitution."""
     bound = max(map(abs, ac)) * max(map(abs, bc)) * min(len(ac), len(bc))
     nbytes = (bound.bit_length() + 2 + 7) // 8
-    bits = 8 * nbytes
-    prod = _pack_signed(ac, nbytes) * _pack_signed(bc, nbytes)
-    length = len(ac) + len(bc) - 1
-    # Bias every digit into [0, 2**bits) so unpacking never borrows.
-    bias = 1 << (bits - 1)
-    ones = ((1 << (bits * length)) - 1) // ((1 << bits) - 1)
-    raw = (prod + bias * ones).to_bytes(length * nbytes + nbytes, "little")
-    return [
-        int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little") - bias
-        for i in range(length)
-    ]
+    return unpack(pack(ac, nbytes) * pack(bc, nbytes), nbytes)
 
 
 def _mul_schoolbook(ac, bc):

@@ -6,10 +6,15 @@ definition, (x; q)_{-m} = prod_{j=1..m} (1 - x q^{-j})^{-1}, which is the
 unique extension satisfying (x;q)_a (x q^a;q)_b = (x;q)_{a+b} for all
 integers; the verification sums hit indices k-2 at k = 0, 1.
 
+``Packed`` holds a Laurent polynomial with integer coefficients as its
+value at q = 2^B, one Python int: a factor 1 - q^e is one shift and one
+subtraction, and two values are compared as integers while a bound on
+their coefficients, carried along, fits the digit width B.
 ``truncated_sum`` builds the truncated Laurent sums of the checks as
-(num, den) pairs, one factor 1 - q^e at a time on dense integer lists;
-``one_minus_normal_form`` reduces a quotient of such factors to exponent
-counts for comparison.
+packed (num, den) pairs and ``one_minus_product`` unpacks a packed product
+of factors 1 - q^e; the width comes beforehand from factor counts
+(``sum_bounds``, ``packed_width``).  ``one_minus_normal_form`` reduces a
+quotient of such factors to exponent counts for comparison.
 """
 
 from __future__ import annotations
@@ -18,10 +23,9 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
 
 from .laurent import Laurent, RatFunc
-from .poly import Poly, exact_div, poly_prod
+from .poly import Poly, exact_div, poly_prod, unpack
 
 
 class DegenerateProductError(ZeroDivisionError):
@@ -95,8 +99,9 @@ def inflate(p: Poly, d: int) -> Poly:
 
 
 def one_minus_product(exponents) -> Laurent:
-    """prod (1 - q^e) over the exponent list, one dense pass per factor."""
-    return _Dense([1]).times_one_minus(exponents).laurent()
+    """prod (1 - q^e) over the exponent list, packed and unpacked once."""
+    return Packed.one(packed_width(len(exponents))).times_one_minus(
+        exponents).laurent()
 
 
 def one_minus_normal_form(shift: int, num, den):
@@ -123,65 +128,138 @@ def one_minus_normal_form(shift: int, num, den):
     return sign, shift, frozenset((e, m) for e, m in counts.items() if m)
 
 
-class _Dense:
-    """sign * q^low * sum_i coeffs[i] q^i, updated in place."""
+class PackingOverflowError(RuntimeError):
+    """A packed value's coefficient bound does not fit its digit width, so
+    the comparison or unpacking asked of it would not be exact."""
 
-    __slots__ = ("coeffs", "low", "sign")
 
-    def __init__(self, coeffs, low=0, sign=1):
-        self.coeffs, self.low, self.sign = coeffs, low, sign
+def packed_width(bits: int) -> int:
+    """Digit width B, in whole bytes, for values of L1 norm at most 2^bits."""
+    return (bits + 2 + 7) // 8 * 8
 
-    def times_one_minus(self, exps) -> "_Dense":
-        f = self.coeffs
+
+class Packed:
+    """q^low P(q) held as the integer P(2^width), with ||P||_1 <= 2^bits.
+
+    Evaluation at q = 2^width is a ring homomorphism from Z[q], so sums,
+    shifts and factors 1 - q^e (one shift and one subtraction) are exact
+    integer operations on the value, whatever the coefficients.  It is
+    injective on polynomials with coefficients below 2^width in
+    absolute value: while bits + 2 <= width, two values are equal exactly
+    when their integers are, and the coefficients are the value's balanced
+    digits.  A comparison or unpacking beyond that raises
+    PackingOverflowError.  Every factor 1 - q^e at most doubles the L1
+    norm and a sum at most adds the norms; ``bits`` follows those rules,
+    and callers choose the width from the same counts before building.
+    """
+
+    __slots__ = ("value", "low", "bits", "width")
+
+    def __init__(self, value: int, low: int, bits: int, width: int):
+        self.value, self.low, self.bits, self.width = value, low, bits, width
+
+    @classmethod
+    def one(cls, width: int) -> "Packed":
+        return cls(1, 0, 0, width)
+
+    def times_one_minus(self, exps) -> "Packed":
+        """Multiply by prod (1 - q^e) over the exponent list."""
+        value, low, width = self.value, self.low, self.width
         for e in exps:
-            if not e:  # 1 - q^0 = 0
-                f.clear()
-            if not f:
+            if e > 0:
+                value -= value << (e * width)
+            elif e < 0:  # 1 - q^e = -q^e (1 - q^-e)
+                value = (value << (-e * width)) - value
+                low += e
+            else:  # 1 - q^0 = 0
+                value = 0
                 break
-            if e < 0:  # 1 - q^e = -q^e (1 - q^-e)
-                e, self.low, self.sign = -e, self.low + e, -self.sign
-            f.extend([0] * e)
-            f[e:] = map(sub, f[e:], f[:-e])
-        return self
+        return Packed(value, low, self.bits + len(exps), width)
 
-    def add(self, other: "_Dense", shift: int) -> None:
-        """self += other * q^shift."""
-        if not other.coeffs:
-            return
-        low = other.low + shift
-        if low < self.low:
-            self.coeffs[:0] = [0] * (self.low - low)
-            self.low = low
-        f, g = self.coeffs, other.coeffs
-        at = low - self.low
-        f.extend([0] * (at + len(g) - len(f)))
-        op = add if other.sign == self.sign else sub
-        f[at:at + len(g)] = map(op, f[at:at + len(g)], g)
+    def shifted(self, k: int) -> "Packed":
+        """Multiply by q**k."""
+        return Packed(self.value, self.low + k, self.bits, self.width)
+
+    def _exact(self, bits: int) -> None:
+        if bits + 2 > self.width:
+            raise PackingOverflowError(f"coefficient bound 2^{bits} does not"
+                                       f" fit {self.width}-bit digits")
+
+    def _aligned(self, other: "Packed"):
+        """Both values over the common offset min(low), and that offset."""
+        if other.width != self.width:
+            raise ValueError(
+                f"digit widths {self.width} and {other.width} differ")
+        a, b, low = self.value, other.value, min(self.low, other.low)
+        if self.low > low:
+            a <<= (self.low - low) * self.width
+        if other.low > low:
+            b <<= (other.low - low) * self.width
+        return a, b, low
+
+    def __neg__(self) -> "Packed":
+        return Packed(-self.value, self.low, self.bits, self.width)
+
+    def __add__(self, other: "Packed") -> "Packed":
+        a, b, low = self._aligned(other)
+        return Packed(a + b, low, max(self.bits, other.bits) + 1, self.width)
+
+    def __sub__(self, other: "Packed") -> "Packed":
+        return self + -other
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Packed):
+            return NotImplemented
+        self._exact(max(self.bits, other.bits))
+        a, b, _ = self._aligned(other)
+        return a == b
+
+    def is_zero(self) -> bool:
+        self._exact(self.bits)
+        return not self.value
 
     def laurent(self) -> Laurent:
-        body = self.coeffs if self.sign > 0 else [-c for c in self.coeffs]
-        return Laurent(Poly(body), self.low)
+        """The coefficients, unpacked."""
+        self._exact(self.bits)
+        return Laurent(Poly(unpack(self.value, self.width // 8)), self.low)
 
 
-def truncated_sum(step: int, increments) -> tuple[Laurent, Laurent]:
-    """Sum_{k=0}^{L} T_k / prod_{j<=k} B_j as a pair (N, D) with sum = N / D.
+def sum_bounds(increments) -> tuple[int, int]:
+    """(num_bits, den_bits) with ||N||_1 <= 2^num_bits and
+    ||D||_1 <= 2^den_bits for ``truncated_sum``'s (N, D): term k of N has
+    the factors of a_0..a_k, c_k and b_{k+1}..b_L."""
+    later = den_bits = sum(len(b) for _, b, _ in increments)
+    ran = total = 0
+    for a, b, c in increments:
+        ran += len(a)
+        later -= len(b)
+        total += 1 << (ran + len(c) + later)
+    return (total - 1).bit_length(), den_bits
+
+
+def truncated_sum(step: int, increments, width: int) -> tuple[Packed, Packed]:
+    """Sum_{k=0}^{L} T_k / prod_{j<=k} B_j as packed (N, D) with sum = N / D.
 
     ``increments[k] = (a_k, b_k, c_k)`` are lists of exponents e of factors
     1 - q^e, with B_k = prod_{b_k} (1 - q^e) and
     T_k = q^{step k} prod_{j<=k} prod_{a_j} (1 - q^e) prod_{c_k} (1 - q^e):
     a and b accumulate from term to term, c belongs to term k alone.  The
     forward recurrence N_k = N_{k-1} B_k + T_k gives
-    N = sum_k T_k prod_{j>k} B_j and D = prod_j B_j.  A factor 1 - q^0
-    zeroes every later term from a, only term k from c, and raises
+    N = sum_k T_k prod_{j>k} B_j and D = prod_j B_j, both at digit width
+    ``width`` with the bounds of ``sum_bounds``.  A factor 1 - q^0 zeroes
+    every later term from a, only term k from c, and raises
     DegenerateProductError from b.
     """
     if any(0 in b for _, b, _ in increments):
         raise DegenerateProductError("denominator factor 1 - q^0")
-    num, den, run = _Dense([]), _Dense([1]), _Dense([1])
+    num, den, run = Packed(0, 0, 0, width), Packed.one(width), Packed.one(width)
     for k, (a, b, c) in enumerate(increments):
-        num.times_one_minus(b)
-        den.times_one_minus(b)
-        run.times_one_minus(a)
-        term = _Dense(list(run.coeffs), run.low, run.sign) if c else run
-        num.add(term.times_one_minus(c), step * k)
-    return num.laurent(), den.laurent()
+        num = num.times_one_minus(b)
+        den = den.times_one_minus(b)
+        run = run.times_one_minus(a)
+        term = run.times_one_minus(c)
+        if term.value:  # a zero term would only realign num
+            num = num + term.shifted(step * k)
+    num_bits, den_bits = sum_bounds(increments)
+    return (Packed(num.value, num.low, num_bits, width),
+            Packed(den.value, den.low, den_bits, width))

@@ -33,7 +33,7 @@ from .families import (
 )
 from .laurent import Laurent
 from .poly import Poly, divrem
-from .qfuncs import poch_power_base, truncated_sum
+from .qfuncs import packed_width, poch_power_base, sum_bounds, truncated_sum
 from .residue import PHI_SQUARED, NonUnitError, ResidueRing, RingElement
 from .results import CheckResult, fails, holds, skipped
 
@@ -165,15 +165,17 @@ def divisibility_expression(d: int, n: int) -> Laurent:
     one Laurent polynomial with integer coefficients.
 
     ``truncated_sum`` gives the sum's numerator N over the denominator
-    (q^d;q^d)_{n-1}^d; every term of N has d(n-1) factors 1 - q^e, so
-    dividing N by 1 - q that many times is exact, one running sum each.
+    (q^d;q^d)_{n-1}^d, packed at the width of N's bound and unpacked;
+    every term of N has d(n-1) factors 1 - q^e, so dividing N by 1 - q
+    that many times is exact, one running sum each.
     An inexact division raises IntegralityError.
     """
     factors = numerator_factors(F7_DIVISIBILITY, d, 1)
     increments = [([], [], [])] + [
         ([e + d * (k - 1) for e, mult in factors for _ in range(mult)],
          [d * k] * d, []) for k in range(1, n)]
-    num = truncated_sum(d, increments)[0]
+    width = packed_width(sum_bounds(increments)[0])
+    num = truncated_sum(d, increments, width)[0].laurent()
     body = list(num.body.coeffs)
     for _ in range(d * (n - 1)):
         if sum(body):

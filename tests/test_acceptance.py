@@ -6,10 +6,13 @@ congruence criterion demands exact ring or polynomial equality.
 """
 
 import contextlib
+from pathlib import Path
 
 import pytest
 
 from qsupercheck.catalog import (
+    DEFAULT_SEED,
+    DEFAULT_TRIALS,
     GRID_COR41_I,
     GRID_COR41_II,
     GRID_DEINES,
@@ -36,6 +39,7 @@ from qsupercheck.catalog import (
 from qsupercheck.families import F5_THM41, F6_THM42
 from qsupercheck.padic import classical_lhs_sum
 from qsupercheck.parametric import verify_parametric
+from qsupercheck.report import Report, SweepPlan
 from qsupercheck.residue import PHI_SQUARED, ResidueRing
 from qsupercheck.results import Status, canonical_params
 from qsupercheck.verifier import (
@@ -45,6 +49,11 @@ from qsupercheck.verifier import (
     rhs_closed_form,
     verify_theorem,
 )
+
+
+# `qsupercheck sweep --suite paper-default --format json` without its
+# elapsed_ms lines.
+GOLDEN_REPORT = Path(__file__).parent / "data" / "paper_default_report.json"
 
 
 @pytest.fixture(scope="module")
@@ -229,3 +238,13 @@ def test_criterion_9_mutation_harness():
             for mutation in ("sign", "exponent"):
                 result = verify_parametric(cid, d, r, n, mutation=mutation)
                 assert result.status is Status.FAILS, (cid, mutation)
+
+
+def test_criterion_10_report_identical_apart_from_timing(exact_results):
+    with criterion("10 paper-default report matches the committed one"):
+        plan = SweepPlan(paper_default_suite(), DEFAULT_SEED, DEFAULT_TRIALS,
+                         suite="paper-default")
+        report = Report(plan, list(exact_results.values())).to_json()
+        untimed = "".join(line for line in report.splitlines(keepends=True)
+                          if "elapsed_ms" not in line)
+        assert untimed == GOLDEN_REPORT.read_text(encoding="utf-8")

@@ -33,6 +33,14 @@ def test_verify_skipped_exit_zero(capsys):
     assert out["status"] == "SKIPPED_PRECONDITION"
 
 
+def test_verify_km_without_trials_is_skipped(capsys):
+    code = main(["verify", "--check", "km", "--n-list", "1,2", "--trials", "0"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["status"] == "SKIPPED_PRECONDITION"
+    assert out["note"] == "requires trials >= 1"
+
+
 def test_verify_unknown_check_exit_two(capsys):
     assert main(["verify", "--check", "bogus", "--n", "3"]) == 2
 

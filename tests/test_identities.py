@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from qsupercheck.catalog import GRID_LEMMA21
+from qsupercheck.catalog import GRID_LEMMA21, run_check
 from qsupercheck.cyclotomic import cyclotomic, q_integer
 from qsupercheck.identities import (
-    _decomposition_sums,
+    _decomposition_increments,
     _km_degenerate,
     _km_sides,
     qbinom_alternating_sum,
@@ -17,7 +17,14 @@ from qsupercheck.identities import (
 )
 from qsupercheck.laurent import Laurent, RatFunc
 from qsupercheck.poly import Poly, poly_prod
-from qsupercheck.qfuncs import QMonomial, one_minus_product, q_pochhammer
+from qsupercheck.qfuncs import (
+    QMonomial,
+    one_minus_product,
+    packed_width,
+    q_pochhammer,
+    sum_bounds,
+    truncated_sum,
+)
 from qsupercheck.results import Status
 
 
@@ -46,6 +53,31 @@ def test_km_degeneracy_detection():
 def test_km_bad_arguments_skip():
     assert verify_karlsson_minton([], m=0).status is Status.SKIPPED_PRECONDITION
     assert verify_karlsson_minton([1], m=2).status is Status.SKIPPED_PRECONDITION
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_km_without_trials_is_skipped(trials):
+    # Zero trials would check nothing and report HOLDS.
+    result = run_check("km", {"n_list": (1, 2), "trials": trials})
+    assert result.status is Status.SKIPPED_PRECONDITION
+    assert result.note == "requires trials >= 1"
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_qbinom_sum_is_a_pochhammer(n):
+    # q-binomial theorem with k -> n - k and x = q^-j:
+    # the sum is (-1)^n q^{jn} (q^-j; q)_n, negative j included.
+    for j in range(-4, n + 3):
+        expected = one_minus_product([t - j for t in range(n)]).shifted(j * n)
+        assert qbinom_alternating_sum(n, j) == (-1) ** n * expected, j
+
+
+def test_qbinom_negative_j_is_nonvanishing():
+    result = run_check("qbinom_vanish", {"n": 3, "j": -1})
+    assert result.status is Status.HOLDS
+    assert result.note == "expected-nonvanishing outside stated range"
+    forced = run_check("qbinom_vanish", {"n": 3, "j": -1, "expect": "zero"})
+    assert forced.status is Status.FAILS
 
 
 def test_qbinom_vanishing_small():
@@ -130,7 +162,29 @@ def _decomposition_sums_per_term(d, n):
 @pytest.mark.parametrize("d,n", sorted({(d, n) for d, _, n in GRID_LEMMA21})
                          + [(2, 1), (2, 2), (5, 14), (6, 12), (7, 10)])
 def test_decomposition_sums_match_per_term_oracle(d, n):
-    assert _decomposition_sums(d, n) == _decomposition_sums_per_term(d, n)
+    sums = []
+    for increments in _decomposition_increments(d, n):
+        width = packed_width(sum_bounds(increments)[0])
+        sums.append(truncated_sum(d, increments, width)[0].laurent())
+    assert sums == _decomposition_sums_per_term(d, n)
+
+
+def test_decomposition_with_a_wrong_exponent_fails(monkeypatch):
+    import qsupercheck.identities as ident
+
+    real = ident._decomposition_increments
+
+    def one_off(d, n):
+        sums = real(d, n)
+        sums[1][-1][0][0] += 1  # one numerator exponent of the last term of s2
+        return sums
+
+    assert verify_proof_step("sum_decomposition", {"d": 3, "n": 5}).status \
+        is Status.HOLDS
+    monkeypatch.setattr(ident, "_decomposition_increments", one_off)
+    result = verify_proof_step("sum_decomposition", {"d": 3, "n": 5})
+    assert result.status is Status.FAILS
+    assert result.witness == "three-sum decomposition differs"
 
 
 def test_ratio_shifts():

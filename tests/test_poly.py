@@ -8,7 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsupercheck.laurent import Laurent, PoleError, RatFunc, ZeroBaseError
-from qsupercheck.poly import Poly, divrem, exact_div, gcd, poly_prod, xgcd
+from qsupercheck.poly import (
+    Poly,
+    divrem,
+    exact_div,
+    gcd,
+    pack,
+    poly_prod,
+    unpack,
+    xgcd,
+)
 
 Q = Poly((0, 1))
 
@@ -188,3 +197,22 @@ def test_xgcd_result_divides_both_inputs():
             assert (a % g).is_zero()
         if not b.is_zero():
             assert (b % g).is_zero()
+
+
+@st.composite
+def _digits(draw):
+    """(coefficients, nbytes) with every coefficient a balanced digit below
+    2^(8 nbytes - 1) in absolute value, the extremes drawn often."""
+    nbytes = draw(st.integers(1, 5))
+    top = (1 << (8 * nbytes - 1)) - 1
+    digit = st.one_of(st.integers(-top, top), st.sampled_from([top, -top, 0]))
+    return draw(st.lists(digit, max_size=12)), nbytes
+
+
+@settings(max_examples=300, deadline=None)
+@given(_digits())
+def test_pack_unpack_round_trip(case):
+    coeffs, nbytes = case
+    value = pack(coeffs, nbytes)
+    assert value == Poly(coeffs).evaluate(1 << (8 * nbytes))
+    assert Poly(unpack(value, nbytes)) == Poly(coeffs)

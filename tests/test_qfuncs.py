@@ -9,21 +9,37 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsupercheck import identities
-from qsupercheck.catalog import run_check
+from qsupercheck import identities, parametric, qfuncs, verifier
+from qsupercheck.catalog import GRID_PARAMETRIC, paper_default_suite, run_check
 from qsupercheck.laurent import Laurent, RatFunc
+from qsupercheck.parametric import (
+    PARAMETRIC_IDS,
+    _rhs_factors,
+    verify_parametric,
+)
 from qsupercheck.poly import Poly
 from qsupercheck.qfuncs import (
     DegenerateProductError,
+    Packed,
+    PackingOverflowError,
     QMonomial,
     inflate,
     one_minus_normal_form,
     one_minus_product,
+    packed_width,
     q_binomial,
     q_pochhammer,
+    sum_bounds,
     truncated_sum,
 )
 from qsupercheck.results import Status
+
+
+def _laurent_sum(step, increments):
+    """The kernel's (N, D) at the width of their own bounds, unpacked."""
+    width = packed_width(max(sum_bounds(increments)))
+    num, den = truncated_sum(step, increments, width)
+    return num.laurent(), den.laurent()
 
 
 def test_pochhammer_two_factor_product():
@@ -131,7 +147,7 @@ def test_exact_rational_invariants():
 def test_truncated_sum_two_terms_by_hand():
     # 1/(1 - q) + q^2 (1 - q^3)(1 - q) / ((1 - q)(1 - q^2)) over the common
     # denominator (1 - q)(1 - q^2): N = (1 - q^2) + q^2 (1 - q^3)(1 - q).
-    num, den = truncated_sum(2, [([], [1], []), ([3], [2], [1])])
+    num, den = _laurent_sum(2, [([], [1], []), ([3], [2], [1])])
     assert num == Laurent(Poly((1, 0, 0, -1, 0, -1, 1)))
     assert den == Laurent(Poly((1, -1, -1, 1)))
 
@@ -140,34 +156,34 @@ def test_truncated_sum_two_terms_by_hand():
 def test_truncated_sum_negative_exponent(d):
     factor = Laurent.one_minus(1, 1 - d)  # -q^{1-d} (1 - q^{d-1})
     assert factor == Laurent(Poly((-1,) + (0,) * (d - 2) + (1,)), 1 - d)
-    assert truncated_sum(1, [([1 - d], [], [])]) == (factor, Laurent(Poly((1,))))
-    assert truncated_sum(1, [([], [1 - d], [])]) == (Laurent(Poly((1,))), factor)
-    num, den = truncated_sum(d, [([], [], []), ([1 - d], [d], [1 - d])])
+    assert _laurent_sum(1, [([1 - d], [], [])]) == (factor, Laurent(Poly((1,))))
+    assert _laurent_sum(1, [([], [1 - d], [])]) == (Laurent(Poly((1,))), factor)
+    num, den = _laurent_sum(d, [([], [], []), ([1 - d], [d], [1 - d])])
     assert num == one_minus_product([d]) + factor * factor * Laurent.term(1, d)
     assert den == one_minus_product([d])
 
 
 def test_truncated_sum_numerator_zero_ends_the_sum():
-    num, den = truncated_sum(1, [([], [1], []), ([0], [2], []), ([5], [3], [])])
+    num, den = _laurent_sum(1, [([], [1], []), ([0], [2], []), ([5], [3], [])])
     assert num == one_minus_product([2, 3])
     assert den == one_minus_product([1, 2, 3])
     # A term-only factor 1 - q^0 drops that term alone.
-    num, den = truncated_sum(1, [([], [], [0]), ([1], [], [])])
+    num, den = _laurent_sum(1, [([], [], [0]), ([1], [], [])])
     assert num == Laurent(Poly((0, 1, -1)))
     assert den == Laurent(Poly((1,)))
 
 
 def test_truncated_sum_denominator_zero_raises():
     with pytest.raises(DegenerateProductError):
-        truncated_sum(1, [([], [], []), ([1], [0], [])])
+        truncated_sum(1, [([], [], []), ([1], [0], [])], 8)
 
 
 def test_denominator_zero_reads_as_fails(monkeypatch):
     real = identities.truncated_sum
 
-    def with_zero(step, increments):
+    def with_zero(step, increments, width):
         *head, (a, b, c) = increments
-        return real(step, head + [(a, b + [0], c)])
+        return real(step, head + [(a, b + [0], c)], width)
 
     monkeypatch.setattr(identities, "truncated_sum", with_zero)
     result = run_check("sum_decomposition", {"d": 3, "n": 4})
@@ -196,7 +212,7 @@ def test_one_minus_product_matches_laurent_products(exps):
        st.lists(st.tuples(_exponents, _nonzero, _exponents), min_size=1,
                 max_size=4))
 def test_truncated_sum_matches_rational_sum(step, increments):
-    num, den = truncated_sum(step, increments)
+    num, den = _laurent_sum(step, increments)
     total = RatFunc(Laurent(Poly()))
     a, b = [], []
     for k, (a_k, b_k, c_k) in enumerate(increments):
@@ -253,3 +269,188 @@ def test_normal_form_degenerate_factors():
     assert one_minus_normal_form(0, [-2], []) == (-1, -2, frozenset({(2, 1)}))
     assert one_minus_normal_form(1, [6, 2], [2, 3]) == (
         1, 1, frozenset({(6, 1), (3, -1)}))
+
+
+class _Dense:
+    """Oracle: sign * q^low * sum_i coeffs[i] q^i on a dense integer list,
+    updated in place, one pass over the list per factor 1 - q^e."""
+
+    __slots__ = ("coeffs", "low", "sign")
+
+    def __init__(self, coeffs, low=0, sign=1):
+        self.coeffs, self.low, self.sign = coeffs, low, sign
+
+    def times_one_minus(self, exps):
+        f = self.coeffs
+        for e in exps:
+            if not e:  # 1 - q^0 = 0
+                f.clear()
+            if not f:
+                break
+            if e < 0:  # 1 - q^e = -q^e (1 - q^-e)
+                e, self.low, self.sign = -e, self.low + e, -self.sign
+            f.extend([0] * e)
+            f[e:] = map(operator.sub, f[e:], f[:-e])
+        return self
+
+    def add(self, other, shift):
+        """self += other * q^shift."""
+        if not other.coeffs:
+            return
+        low = other.low + shift
+        if low < self.low:
+            self.coeffs[:0] = [0] * (self.low - low)
+            self.low = low
+        f, g = self.coeffs, other.coeffs
+        at = low - self.low
+        f.extend([0] * (at + len(g) - len(f)))
+        op = operator.add if other.sign == self.sign else operator.sub
+        f[at:at + len(g)] = map(op, f[at:at + len(g)], g)
+
+    def laurent(self):
+        body = self.coeffs if self.sign > 0 else [-c for c in self.coeffs]
+        return Laurent(Poly(body), self.low)
+
+
+def _dense_sum(step, increments):
+    """Oracle for ``truncated_sum``: the same recurrence on dense lists."""
+    num, den, run = _Dense([]), _Dense([1]), _Dense([1])
+    for k, (a, b, c) in enumerate(increments):
+        num.times_one_minus(b)
+        den.times_one_minus(b)
+        run.times_one_minus(a)
+        term = _Dense(list(run.coeffs), run.low, run.sign) if c else run
+        num.add(term.times_one_minus(c), step * k)
+    return num.laurent(), den.laurent()
+
+
+def _dense_product(exps):
+    return _Dense([1]).times_one_minus(exps).laurent()
+
+
+# The instances of the laurent-products benchmark workload, past the grid.
+LAURENT_PRODUCTS = (
+    [(cid, {"d": d, "n": n, "r": r}) for cid, grid in {
+        "p1_24": ((7, 2, 12), (5, 2, 13)),
+        "p2_25": ((7, 3, 11), (5, 1, 14)),
+        "p3_32": ((5, 1, 9), (5, 1, 14)),
+        "p4_33": ((3, 1, 8), (3, 1, 11)),
+        "p5_43": ((5, 2, 8), (5, 2, 13)),
+        "p6_44": ((4, 3, 5), (4, 3, 9)),
+        "p7_45": ((7, 3, 11), (5, 1, 14)),
+        "p8_46": ((5, 3, 7), (5, 3, 12)),
+    }.items() for d, r, n in grid]
+    + [("sum_decomposition", {"d": d, "n": n})
+       for d, n in ((5, 14), (6, 12), (7, 10))]
+    + [("thm13", {"d": d, "n": n}) for d, n in ((4, 15), (6, 11))])
+KERNEL_IDS = PARAMETRIC_IDS + ("sum_decomposition", "thm13")
+KERNEL_INSTANCES = [(cid, params) for cid, params in paper_default_suite()
+                    if cid in KERNEL_IDS] + LAURENT_PRODUCTS
+
+
+def test_packed_kernel_matches_dense_oracle(monkeypatch):
+    calls = []
+    real = qfuncs.truncated_sum
+
+    def spy(step, increments, width):
+        calls.append((step, increments, width))
+        return real(step, increments, width)
+
+    for module in (parametric, identities, verifier):
+        monkeypatch.setattr(module, "truncated_sum", spy)
+    for cid, params in KERNEL_INSTANCES:
+        assert run_check(cid, params).status is Status.HOLDS, (cid, params)
+    assert len(calls) > 2 * len(KERNEL_INSTANCES)
+    for step, increments, width in calls:
+        dense_num, dense_den = _dense_sum(step, increments)
+        # The vanishing checks pick a width for N alone.
+        assert real(step, increments, width)[0].laurent() == dense_num
+        assert _laurent_sum(step, increments) == (dense_num, dense_den)
+    for cid, params in KERNEL_INSTANCES:
+        if cid in PARAMETRIC_IDS:
+            for s in (1, -1):
+                _, _, num, den = _rhs_factors(cid, params["d"], params["r"],
+                                              params["n"], s, None)
+                assert one_minus_product(num) == _dense_product(num)
+                assert one_minus_product(den) == _dense_product(den)
+
+
+def _oracle_verdict(check_id, d, r, n, increments):
+    """HOLDS when both substituted sums, built on dense lists, equal their
+    closed forms by Laurent cross-multiplication."""
+    for s in (1, -1):
+        num, den = _dense_sum(d, increments[s])
+        if check_id in ("p1_24", "p2_25"):
+            same = num.is_zero()
+        else:
+            sign, shift, rnum, rden = _rhs_factors(check_id, d, r, n, s, None)
+            rhs = _dense_product(rnum).shifted(shift) * den * sign
+            same = num * _dense_product(rden) == rhs
+        if not same:
+            return Status.FAILS
+    return Status.HOLDS
+
+
+def test_single_exponent_mutants_agree_with_dense_oracle(monkeypatch):
+    rng = random.Random(5)
+    real = parametric._sum_increments
+    small = [(cid, d, r, n) for cid, grid in GRID_PARAMETRIC.items()
+             for d, r, n in grid if n <= 9]
+    verdicts = []
+    for _ in range(64):
+        cid, d, r, n = rng.choice(small)
+        increments = {s: [tuple(list(part) for part in inc)
+                          for inc in real(cid, d, r, n, s)] for s in (1, -1)}
+        inc = increments[rng.choice((1, -1))]
+        k, part = rng.choice([(k, p) for k in range(len(inc))
+                              for p in range(3) if inc[k][p]])
+        exps = inc[k][part]
+        i = rng.randrange(len(exps))
+        delta = rng.choice((1, -1))
+        if part == 1 and exps[i] + delta == 0:  # keep denominators nonzero
+            delta = -delta
+        exps[i] += delta
+        def mutated(c, d_, r_, n_, s, increments=increments):
+            return increments[s] if s else real(c, d_, r_, n_, s)
+
+        monkeypatch.setattr(parametric, "_sum_increments", mutated)
+        packed = verify_parametric(cid, d, r, n).status
+        assert packed is _oracle_verdict(cid, d, r, n, increments), (
+            cid, d, r, n, k, part, i, delta)
+        verdicts.append(packed)
+    # A mutant inside a term that a factor 1 - q^0 already zeroes changes
+    # nothing, so some mutants hold.
+    assert verdicts.count(Status.FAILS) > len(verdicts) // 2
+
+
+@pytest.mark.parametrize("module,check_id,params", [
+    (parametric, "p7_45", {"d": 7, "n": 11, "r": 3}),
+    (parametric, "p1_24", {"d": 4, "n": 7, "r": 1}),
+    (identities, "sum_decomposition", {"d": 3, "n": 4}),
+    (verifier, "thm13", {"d": 3, "n": 5}),
+])
+def test_undersized_width_is_error_not_a_verdict(monkeypatch, module,
+                                                 check_id, params):
+    assert run_check(check_id, params).status is Status.HOLDS
+    monkeypatch.setattr(module, "packed_width", lambda bits: 8)
+    result = run_check(check_id, params)
+    assert result.status is Status.ERROR
+    assert result.witness.startswith("PackingOverflowError")
+
+
+def test_packed_bound_decides_exactness():
+    width = packed_width(6)
+    assert width == 8
+    six = Packed.one(width).times_one_minus([1, 2, 3, 4, 5, 6])
+    assert six.bits == 6 and six.laurent() == one_minus_product(range(1, 7))
+    assert six == six.shifted(0) and not six.is_zero()
+    seven = six.times_one_minus([7])
+    for ask in (seven.is_zero, seven.laurent, lambda: seven == six):
+        with pytest.raises(PackingOverflowError):
+            ask()
+    with pytest.raises(ValueError):
+        six == Packed.one(16)
+    # Factors of either sign and offsets line up like Laurent products.
+    mixed = Packed.one(16).times_one_minus([3, -2]).shifted(-4)
+    assert mixed.laurent() == _laurent_product([3, -2]).shifted(-4)
+    assert (mixed - mixed).is_zero()

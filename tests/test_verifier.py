@@ -29,7 +29,7 @@ from qsupercheck.families import (
 )
 from qsupercheck.laurent import Laurent
 from qsupercheck.poly import Poly, poly_prod
-from qsupercheck.qfuncs import poch_power_base
+from qsupercheck.qfuncs import Packed, poch_power_base
 from qsupercheck.residue import PHI_SQUARED, NonUnitError, ResidueRing
 from qsupercheck.results import Status
 from qsupercheck.verifier import (
@@ -222,9 +222,9 @@ def test_divisibility_expression_matches_q_integer_oracle(d, n):
 def test_inexact_divisibility_division_reads_as_fails(monkeypatch):
     real = verifier.truncated_sum
 
-    def plus_one(step, increments):
-        num, den = real(step, increments)
-        return num + 1, den
+    def plus_one(step, increments, width):
+        num, den = real(step, increments, width)
+        return Packed(num.value + 1, num.low, num.bits, width), den  # + q^low
 
     monkeypatch.setattr(verifier, "truncated_sum", plus_one)
     with pytest.raises(IntegralityError):
