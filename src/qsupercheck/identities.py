@@ -7,8 +7,8 @@ trials make the check deterministic in practice.  The proof-step catalog
 collects the small exact identities the congruence proofs lean on: the
 two Pochhammer ratio shifts, the q-binomial rewriting with its integer
 exponent identity, the three-sum decomposition, the two Pochhammer
-splittings, the prefactor divisibility, and the cyclotomic factorization
-of [n].
+splittings, the prefactor divisibility (by counting cyclotomic factors),
+and the cyclotomic factorization of [n].
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from math import gcd as igcd
 
 from .cyclotomic import cyclotomic, divisors, q_integer
 from .laurent import Laurent, RatFunc
-from .poly import Poly, divrem, poly_prod
+from .poly import Poly, poly_prod
 from .qfuncs import (
     inflate,
     one_minus_product,
@@ -301,14 +301,16 @@ def _check_poch_split(d, r, k) -> str | None:
 
 
 def _check_prefactor_divisibility(d, n) -> str | None:
-    factors = []
-    for mult in range(1, n):
-        factors.extend([q_integer(mult * d)] * d)
-    product = poly_prod(factors)
-    modulus = poly_prod([cyclotomic(m) ** 2 for m in divisors(n) if 1 < m < n])
-    _, rem = divrem(product, modulus)
-    if not rem.is_zero():
-        return f"remainder {rem!r}"
+    """prod_{j<n} [jd]^d is divisible by prod Phi_m^2 over m | n, 1 < m < n.
+
+    [jd] = prod_{m | jd, m > 1} Phi_m, so Phi_m divides the product exactly
+    d #{0 < j < n : m | jd} times, and distinct Phi_m^2 are coprime.
+    """
+    for m in divisors(n):
+        if 1 < m < n:
+            count = d * sum(1 for j in range(1, n) if j * d % m == 0)
+            if count < 2:
+                return f"Phi_{m} divides the product {count} times, not twice"
     return None
 
 
@@ -333,6 +335,8 @@ def verify_proof_step(step_id: str, params: dict) -> CheckResult:
             return skipped(step_id, p, reason)
         witness = _check_ratio_shift(p["d"], p["r"], p["n"], p["j"], p["k"],
                                      central)
+    elif step_id in ("qbinom_rewrite", "exponent_identity") and p["d"] < 1:
+        return skipped(step_id, p, "requires d >= 1")
     elif step_id == "qbinom_rewrite":
         if (p["n"] + p["r"]) % p["d"] or p["k"] < 0 or p["n"] - 1 - (p["n"] + p["r"]) // p["d"] < 0:
             return skipped(step_id, p, "requires n == -r (mod d), k >= 0")

@@ -13,8 +13,11 @@ their coefficients, carried along, fits the digit width B.
 ``truncated_sum`` builds the truncated Laurent sums of the checks as
 packed (num, den) pairs and ``one_minus_product`` unpacks a packed product
 of factors 1 - q^e; the width comes beforehand from factor counts
-(``sum_bounds``, ``packed_width``).  ``one_minus_normal_form`` reduces a
-quotient of such factors to exponent counts for comparison.
+(``sum_bounds``, ``packed_width``).  With ``fold = n`` the same kernel
+keeps a value modulo (1 - q^n)^2, as an int modulo (2^{n B} - 1)^2, so a
+divisibility by (1 - q^n)^2 is decided without unpacking.
+``one_minus_normal_form`` reduces a quotient of such factors to exponent
+counts for comparison.
 """
 
 from __future__ import annotations
@@ -138,6 +141,14 @@ def packed_width(bits: int) -> int:
     return (bits + 2 + 7) // 8 * 8
 
 
+def fold_bits(span: int, n: int) -> int:
+    """Bits that reduction modulo (1 - q^n)^2 adds to an L1 bound when no
+    exponent exceeds ``span`` in absolute value: q^{jn+s}, 0 <= s < n,
+    reduces to (1 - j) q^s + j q^{n+s}, of norm at most 2J + 1 for
+    J = span // n + 1, and ceil(log2(2J + 1)) is the bit length of 2J."""
+    return (2 * (span // n + 1)).bit_length()
+
+
 class Packed:
     """q^low P(q) held as the integer P(2^width), with ||P||_1 <= 2^bits.
 
@@ -151,22 +162,49 @@ class Packed:
     PackingOverflowError.  Every factor 1 - q^e at most doubles the L1
     norm and a sum at most adds the norms; ``bits`` follows those rules,
     and callers choose the width from the same counts before building.
+
+    With ``fold = n`` the value is held modulo M = (X - 1)^2, X = 2^{n
+    width}, the image of Z[q]/((1 - q^n)^2) at q = 2^width, and low is 0:
+    there q^{jn+s} = q^s (1 + j(q^n - 1)) for j of either sign, and
+    X^2 = 2X - 1 folds the high part back after every factor.  P is then
+    the class's representative of degree < 2n, and ``bits`` also adds the
+    ``fold_bits`` of each reduction.  While bits + 2 <= width, the balanced
+    residue mod M is P(2^width), so the class is zero when M | value.
     """
 
-    __slots__ = ("value", "low", "bits", "width")
+    __slots__ = ("value", "low", "bits", "width", "fold")
 
-    def __init__(self, value: int, low: int, bits: int, width: int):
-        self.value, self.low, self.bits, self.width = value, low, bits, width
+    def __init__(self, value: int, low: int, bits: int, width: int,
+                 fold: int = 0):
+        self.value, self.low, self.bits = value, low, bits
+        self.width, self.fold = width, fold
 
     @classmethod
-    def one(cls, width: int) -> "Packed":
-        return cls(1, 0, 0, width)
+    def one(cls, width: int, fold: int = 0) -> "Packed":
+        return cls(1, 0, 0, width, fold)
+
+    def _times_q(self, value: int, e: int) -> int:
+        """q^e value mod M, folded into [0, X^2)."""
+        n, width = self.fold, self.width
+        j, s = divmod(e, n)
+        value <<= s * width
+        value += j * ((value << n * width) - value)
+        while high := value >> 2 * n * width:  # X^2 = 2X - 1 mod M
+            value += (high << n * width + 1) - high - (high << 2 * n * width)
+        return value
+
+    def _fold_bits(self, span: int) -> int:
+        """fold_bits of a product of P (degree < 2n) and exponents of
+        absolute value at most span in all."""
+        return self.fold and fold_bits(2 * self.fold + span, self.fold)
 
     def times_one_minus(self, exps) -> "Packed":
         """Multiply by prod (1 - q^e) over the exponent list."""
         value, low, width = self.value, self.low, self.width
         for e in exps:
-            if e > 0:
+            if self.fold:
+                value -= self._times_q(value, e)
+            elif e > 0:
                 value -= value << (e * width)
             elif e < 0:  # 1 - q^e = -q^e (1 - q^-e)
                 value = (value << (-e * width)) - value
@@ -174,11 +212,19 @@ class Packed:
             else:  # 1 - q^0 = 0
                 value = 0
                 break
-        return Packed(value, low, self.bits + len(exps), width)
+        bits = self.bits + len(exps) + self._fold_bits(sum(map(abs, exps)))
+        return Packed(value, low, bits, width, self.fold)
 
     def shifted(self, k: int) -> "Packed":
         """Multiply by q**k."""
+        if self.fold:
+            return Packed(self._times_q(self.value, k), 0,
+                          self.bits + self._fold_bits(abs(k)), self.width,
+                          self.fold)
         return Packed(self.value, self.low + k, self.bits, self.width)
+
+    def _modulus(self) -> int:
+        return ((1 << self.fold * self.width) - 1) ** 2
 
     def _exact(self, bits: int) -> None:
         if bits + 2 > self.width:
@@ -187,9 +233,10 @@ class Packed:
 
     def _aligned(self, other: "Packed"):
         """Both values over the common offset min(low), and that offset."""
-        if other.width != self.width:
+        if (other.width, other.fold) != (self.width, self.fold):
             raise ValueError(
-                f"digit widths {self.width} and {other.width} differ")
+                f"digit widths {self.width} and {other.width} or folds"
+                f" {self.fold} and {other.fold} differ")
         a, b, low = self.value, other.value, min(self.low, other.low)
         if self.low > low:
             a <<= (self.low - low) * self.width
@@ -198,11 +245,12 @@ class Packed:
         return a, b, low
 
     def __neg__(self) -> "Packed":
-        return Packed(-self.value, self.low, self.bits, self.width)
+        return Packed(-self.value, self.low, self.bits, self.width, self.fold)
 
     def __add__(self, other: "Packed") -> "Packed":
         a, b, low = self._aligned(other)
-        return Packed(a + b, low, max(self.bits, other.bits) + 1, self.width)
+        return Packed(a + b, low, max(self.bits, other.bits) + 1, self.width,
+                      self.fold)
 
     def __sub__(self, other: "Packed") -> "Packed":
         return self + -other
@@ -212,32 +260,40 @@ class Packed:
             return NotImplemented
         self._exact(max(self.bits, other.bits))
         a, b, _ = self._aligned(other)
-        return a == b
+        return not ((a - b) % self._modulus() if self.fold else a - b)
 
     def is_zero(self) -> bool:
         self._exact(self.bits)
-        return not self.value
+        return not (self.value % self._modulus() if self.fold else self.value)
 
     def laurent(self) -> Laurent:
-        """The coefficients, unpacked."""
+        """The coefficients of P, unpacked."""
         self._exact(self.bits)
-        return Laurent(Poly(unpack(self.value, self.width // 8)), self.low)
+        value, half = self.value, self.fold and self._modulus() >> 1
+        if half:  # the balanced residue
+            value = (value + half) % (2 * half + 1) - half
+        return Laurent(Poly(unpack(value, self.width // 8)), self.low)
 
 
-def sum_bounds(increments) -> tuple[int, int]:
+def sum_bounds(increments, step: int = 0,
+               fold: int = 0) -> tuple[int, int]:
     """(num_bits, den_bits) with ||N||_1 <= 2^num_bits and
     ||D||_1 <= 2^den_bits for ``truncated_sum``'s (N, D): term k of N has
-    the factors of a_0..a_k, c_k and b_{k+1}..b_L."""
+    the factors of a_0..a_k, c_k and b_{k+1}..b_L.  With ``fold = n`` both
+    add the ``fold_bits`` of an exponent bound, step L plus every |e|."""
     later = den_bits = sum(len(b) for _, b, _ in increments)
     ran = total = 0
     for a, b, c in increments:
         ran += len(a)
         later -= len(b)
         total += 1 << (ran + len(c) + later)
-    return (total - 1).bit_length(), den_bits
+    grow = fold and fold_bits(abs(step) * len(increments) + sum(
+        abs(e) for inc in increments for exps in inc for e in exps), fold)
+    return (total - 1).bit_length() + grow, den_bits + grow
 
 
-def truncated_sum(step: int, increments, width: int) -> tuple[Packed, Packed]:
+def truncated_sum(step: int, increments, width: int,
+                  fold: int = 0) -> tuple[Packed, Packed]:
     """Sum_{k=0}^{L} T_k / prod_{j<=k} B_j as packed (N, D) with sum = N / D.
 
     ``increments[k] = (a_k, b_k, c_k)`` are lists of exponents e of factors
@@ -246,13 +302,15 @@ def truncated_sum(step: int, increments, width: int) -> tuple[Packed, Packed]:
     a and b accumulate from term to term, c belongs to term k alone.  The
     forward recurrence N_k = N_{k-1} B_k + T_k gives
     N = sum_k T_k prod_{j>k} B_j and D = prod_j B_j, both at digit width
-    ``width`` with the bounds of ``sum_bounds``.  A factor 1 - q^0 zeroes
-    every later term from a, only term k from c, and raises
-    DegenerateProductError from b.
+    ``width`` with the bounds of ``sum_bounds``, folded modulo
+    (1 - q^n)^2 with ``fold = n``.  A factor 1 - q^0 zeroes every later
+    term from a, only term k from c, and raises DegenerateProductError
+    from b.
     """
     if any(0 in b for _, b, _ in increments):
         raise DegenerateProductError("denominator factor 1 - q^0")
-    num, den, run = Packed(0, 0, 0, width), Packed.one(width), Packed.one(width)
+    num = Packed(0, 0, 0, width, fold)
+    den, run = Packed.one(width, fold), Packed.one(width, fold)
     for k, (a, b, c) in enumerate(increments):
         num = num.times_one_minus(b)
         den = den.times_one_minus(b)
@@ -260,6 +318,5 @@ def truncated_sum(step: int, increments, width: int) -> tuple[Packed, Packed]:
         term = run.times_one_minus(c)
         if term.value:  # a zero term would only realign num
             num = num + term.shifted(step * k)
-    num_bits, den_bits = sum_bounds(increments)
-    return (Packed(num.value, num.low, num_bits, width),
-            Packed(den.value, den.low, den_bits, width))
+    num.bits, den.bits = sum_bounds(increments, step, fold)  # built here
+    return num, den

@@ -9,11 +9,11 @@ inverted.  Cross-multiplying is valid only when both denominators are
 units; 1 - q^e is divisible by Phi_n exactly when n divides e, so each
 denominator factor is checked by counting and a non-unit raises
 ``NonUnitError``.  The divisibility family is different in kind: its
-prefactor cancels every denominator exactly, so the numerator from
-``truncated_sum`` divided by a power of 1 - q is the whole expression, an
-integer Laurent polynomial divided by [n]^2 at the polynomial level, where
-a power of q (a unit coprime to [n]) is harmless.  The ring sum ``lhs_sum``
-keeps its own recurrence on ring elements.
+prefactor cancels every denominator exactly, which is proved by counting
+factors 1 - q^e, and [n]^2 divides the result exactly when (1 - q^n)^2
+divides (1 - q)^2 times the numerator from ``truncated_sum``, which the
+kernel decides folded modulo (1 - q^n)^2 without unpacking.  The ring sum
+``lhs_sum`` keeps its own recurrence on ring elements.
 """
 
 from __future__ import annotations
@@ -160,20 +160,42 @@ def verify_theorem(check_id: str, d: int, n: int, r: int = 1,
                  f"cross-multiplied difference {difference.rep!r}")
 
 
+def divisibility_increments(d: int, n: int) -> list[tuple]:
+    """``truncated_sum`` increments of the mixed sum of the divisibility
+    statement over the denominator (q^d;q^d)_{n-1}^d."""
+    factors = numerator_factors(F7_DIVISIBILITY, d, 1)
+    return [([], [], [])] + [
+        ([e + d * (k - 1) for e, mult in factors for _ in range(mult)],
+         [d * k] * d, []) for k in range(1, n)]
+
+
+def _require_integral(increments, order: int) -> None:
+    """Raise IntegralityError unless every nonzero term of
+    ``truncated_sum``'s N has at least ``order`` factors 1 - q^e with
+    e != 0, each divisible by 1 - q (a term with a factor 1 - q^0 is zero,
+    and a denominator one is refused by ``truncated_sum``)."""
+    later = sum(len(b) for _, b, _ in increments)
+    ran, dead = 0, False
+    for k, (a, b, c) in enumerate(increments):
+        ran += len(a)
+        later -= len(b)
+        dead = dead or 0 in a
+        if not (dead or 0 in c) and ran + len(c) + later < order:
+            raise IntegralityError(f"term {k} has {ran + len(c) + later}"
+                                   f" factors 1 - q^e, fewer than {order}")
+
+
 def divisibility_expression(d: int, n: int) -> Laurent:
     """(q^d;q^d)_{n-1}^d / (1-q)^{d(n-1)} times the mixed sum, assembled as
     one Laurent polynomial with integer coefficients.
 
     ``truncated_sum`` gives the sum's numerator N over the denominator
     (q^d;q^d)_{n-1}^d, packed at the width of N's bound and unpacked;
-    every term of N has d(n-1) factors 1 - q^e, so dividing N by 1 - q
-    that many times is exact, one running sum each.
-    An inexact division raises IntegralityError.
+    N is divided by 1 - q d(n-1) times, one running sum each.  An inexact
+    division raises IntegralityError.  ``verify_divisibility`` needs this
+    only for the witness of a FAILS.
     """
-    factors = numerator_factors(F7_DIVISIBILITY, d, 1)
-    increments = [([], [], [])] + [
-        ([e + d * (k - 1) for e, mult in factors for _ in range(mult)],
-         [d * k] * d, []) for k in range(1, n)]
+    increments = divisibility_increments(d, n)
     width = packed_width(sum_bounds(increments)[0])
     num = truncated_sum(d, increments, width)[0].laurent()
     body = list(num.body.coeffs)
@@ -185,15 +207,32 @@ def divisibility_expression(d: int, n: int) -> Laurent:
 
 
 def verify_divisibility(d: int, n: int) -> CheckResult:
-    """Divisibility of the prefactored mixed sum by [n]^2."""
+    """Divisibility of f = N / (1 - q)^{d(n-1)} by [n]^2, N the numerator of
+    the prefactored mixed sum.
+
+    f is a Laurent polynomial because every nonzero term of N has d(n-1)
+    factors 1 - q^e with e != 0, counted on the increments.  [n] is coprime
+    to 1 - q, so [n]^2 | f exactly when (1 - q^n)^2 = (1 - q)^2 [n]^2
+    divides (1 - q)^2 N, and that is one ``truncated_sum`` folded modulo
+    (1 - q^n)^2 with (1 - q)^2 put in front of every term.
+    """
     params = {"d": d, "n": n}
     reason = theorem_precondition("thm13", d, n, 1)
     if reason is not None:
         return skipped("thm13", params, reason)
-    body = divisibility_expression(d, n).body  # drops q^min_exp, a unit
+    try:
+        increments = divisibility_increments(d, n)
+        _require_integral(increments, d * (n - 1))
+        increments[0][0].extend([1, 1])  # (1 - q)^2 N
+        width = packed_width(sum_bounds(increments, d, fold=n)[0])
+        if truncated_sum(d, increments, width, fold=n)[0].is_zero():
+            return holds("thm13", params)
+        body = divisibility_expression(d, n).body  # drops q^min_exp, a unit
+    except IntegralityError as exc:
+        return fails("thm13", params, f"{type(exc).__name__}: {exc}")
     _, rem = divrem(body, q_integer(n) ** 2)
     if rem.is_zero():
-        return holds("thm13", params)
+        raise RuntimeError("fold and divrem disagree on [n]^2 | f")
     return fails("thm13", params, f"remainder {rem!r}")
 
 

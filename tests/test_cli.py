@@ -33,6 +33,14 @@ def test_verify_skipped_exit_zero(capsys):
     assert out["status"] == "SKIPPED_PRECONDITION"
 
 
+def test_verify_qbinom_rewrite_without_positive_d_is_skipped(capsys):
+    code = main(["verify", "--check", "qbinom_rewrite", "--d", "0", "--r", "4",
+                 "--n", "11", "--k", "3"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["status"] == "SKIPPED_PRECONDITION"
+
+
 def test_verify_km_without_trials_is_skipped(capsys):
     code = main(["verify", "--check", "km", "--n-list", "1,2", "--trials", "0"])
     out = json.loads(capsys.readouterr().out)

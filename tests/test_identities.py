@@ -1,12 +1,14 @@
 """Karlsson-Minton summation, q-binomial vanishing, proof-step identities."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from qsupercheck.catalog import GRID_LEMMA21, run_check
-from qsupercheck.cyclotomic import cyclotomic, q_integer
+from qsupercheck.cyclotomic import cyclotomic, divisors, q_integer
 from qsupercheck.identities import (
+    _check_prefactor_divisibility,
     _decomposition_increments,
     _km_degenerate,
     _km_sides,
@@ -16,7 +18,7 @@ from qsupercheck.identities import (
     verify_qbinomial_vanishing,
 )
 from qsupercheck.laurent import Laurent, RatFunc
-from qsupercheck.poly import Poly, poly_prod
+from qsupercheck.poly import Poly, divrem, poly_prod
 from qsupercheck.qfuncs import (
     QMonomial,
     one_minus_product,
@@ -222,6 +224,45 @@ def test_prefactor_divisibility():
     # Prime n has no proper divisors above 1; the modulus is trivial.
     assert verify_proof_step(
         "prefactor_divisibility", {"d": 2, "n": 7}).status is Status.HOLDS
+
+
+def _prefactor_divides_by_division(d, n):
+    """Oracle: reduce prod_{j<n} [jd]^d modulo prod Phi_m^2 (m | n,
+    1 < m < n) by polynomial division, one j at a time."""
+    modulus = poly_prod([cyclotomic(m) ** 2 for m in divisors(n) if 1 < m < n])
+    rem = Poly((1,))
+    for j in range(1, n):
+        _, rem = divrem(rem * q_integer(j * d) ** d, modulus)
+    return rem.is_zero()
+
+
+def test_prefactor_counting_matches_division_oracle():
+    verdicts = [_check_prefactor_divisibility(d, n) is None
+                for d in range(1, 7) for n in range(2, 31)]
+    assert verdicts == [_prefactor_divides_by_division(d, n)
+                        for d in range(1, 7) for n in range(2, 31)]
+    assert 0 < verdicts.count(False) < len(verdicts)
+
+
+def test_prefactor_fails_when_a_cyclotomic_factor_divides_once():
+    # d = 1, n = 4: of [1], [2], [3] only [2] has the factor Phi_2.
+    assert not _prefactor_divides_by_division(1, 4)
+    assert _check_prefactor_divisibility(1, 4) == (
+        "Phi_2 divides the product 1 times, not twice")
+
+
+@pytest.mark.parametrize("step_id", ["qbinom_rewrite", "exponent_identity"])
+def test_q_binomial_steps_need_positive_d(step_id):
+    # d < 1 once read as FAILS (integer modulo by zero) or ERROR.
+    for d, r, n, k in itertools.product(range(-1, 7), range(-1, 5),
+                                        range(-1, 12), range(-1, 4)):
+        result = run_check(step_id, {"d": d, "r": r, "n": n, "k": k})
+        if d < 1:
+            assert result.status is Status.SKIPPED_PRECONDITION, (d, r, n, k)
+            assert result.note == "requires d >= 1"
+        else:
+            assert result.status in (Status.HOLDS,
+                                     Status.SKIPPED_PRECONDITION), (d, r, n, k)
 
 
 def test_unknown_step_rejected():

@@ -1,6 +1,7 @@
 """q-shifted factorials and Gaussian binomials."""
 
 import functools
+import itertools
 import operator
 import random
 from fractions import Fraction
@@ -10,14 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsupercheck import identities, parametric, qfuncs, verifier
-from qsupercheck.catalog import GRID_PARAMETRIC, paper_default_suite, run_check
+from qsupercheck.catalog import (
+    GRID_PARAMETRIC,
+    GRID_THM13,
+    paper_default_suite,
+    run_check,
+)
+from qsupercheck.cyclotomic import q_integer
 from qsupercheck.laurent import Laurent, RatFunc
 from qsupercheck.parametric import (
     PARAMETRIC_IDS,
     _rhs_factors,
     verify_parametric,
 )
-from qsupercheck.poly import Poly
+from qsupercheck.poly import Poly, divrem
 from qsupercheck.qfuncs import (
     DegenerateProductError,
     Packed,
@@ -352,17 +359,24 @@ def test_packed_kernel_matches_dense_oracle(monkeypatch):
     calls = []
     real = qfuncs.truncated_sum
 
-    def spy(step, increments, width):
-        calls.append((step, increments, width))
-        return real(step, increments, width)
+    def spy(step, increments, width, fold=0):
+        calls.append((step, increments, width, fold))
+        return real(step, increments, width, fold)
 
     for module in (parametric, identities, verifier):
         monkeypatch.setattr(module, "truncated_sum", spy)
     for cid, params in KERNEL_INSTANCES:
         assert run_check(cid, params).status is Status.HOLDS, (cid, params)
     assert len(calls) > 2 * len(KERNEL_INSTANCES)
-    for step, increments, width in calls:
+    assert sum(1 for *_, fold in calls if fold) == sum(
+        1 for cid, _ in KERNEL_INSTANCES if cid == "thm13")
+    for step, increments, width, fold in calls:
         dense_num, dense_den = _dense_sum(step, increments)
+        if fold:  # thm13: both folded modulo (1 - q^fold)^2
+            num, den = real(step, increments, width, fold)
+            assert num.laurent() == _fold_oracle(dense_num, fold)
+            assert den.laurent() == _fold_oracle(dense_den, fold)
+            continue
         # The vanishing checks pick a width for N alone.
         assert real(step, increments, width)[0].laurent() == dense_num
         assert _laurent_sum(step, increments) == (dense_num, dense_den)
@@ -423,6 +437,86 @@ def test_single_exponent_mutants_agree_with_dense_oracle(monkeypatch):
     assert verdicts.count(Status.FAILS) > len(verdicts) // 2
 
 
+def _divisibility_oracle_verdict(d, n, increments):
+    """FAILS unless (1 - q)^{d(n-1)} divides the dense N and [n]^2 divides
+    the quotient, by running sums and polynomial division."""
+    num, _ = _dense_sum(d, increments)
+    body = list(num.body.coeffs)
+    for _ in range(d * (n - 1)):
+        if sum(body):
+            return Status.FAILS
+        body = list(itertools.accumulate(body[:-1]))
+    _, rem = divrem(Poly(body), q_integer(n) ** 2)
+    return Status.HOLDS if rem.is_zero() else Status.FAILS
+
+
+def test_divisibility_exponent_mutants_agree_with_dense_oracle(monkeypatch):
+    rng = random.Random(13)
+    real = verifier.divisibility_increments
+    verdicts = []
+    for _ in range(70):
+        d, n = rng.choice(GRID_THM13)
+        increments = real(d, n)
+        k, part = rng.choice([(k, p) for k in range(n) for p in range(2)
+                              if increments[k][p]])
+        exps = increments[k][part]
+        i = rng.randrange(len(exps))
+        delta = rng.choice((1, -1))
+        if part == 1 and exps[i] + delta == 0:  # keep denominators nonzero
+            delta = -delta
+        exps[i] += delta
+        monkeypatch.setattr(
+            verifier, "divisibility_increments",
+            lambda d_, n_, inc=increments: [tuple(map(list, t)) for t in inc])
+        packed = verifier.verify_divisibility(d, n).status
+        assert packed is _divisibility_oracle_verdict(d, n, increments), (
+            d, n, k, part, i, delta)
+        verdicts.append(packed)
+    assert verdicts.count(Status.FAILS) > len(verdicts) // 2
+
+
+def _fold_oracle(value, n):
+    """Oracle: the representative of degree < 2n of a Laurent polynomial
+    modulo (1 - q^n)^2, by polynomial division once q^low is cleared with
+    q^{-mn} = (1 + m) - m q^n there."""
+    m = max(0, -(value.min_exp // n))
+    body = value.body.shift(value.min_exp + m * n)
+    body = body * Poly((1 + m,) + (0,) * (n - 1) + (-m,))
+    _, rem = divrem(body, Poly((1,) + (0,) * (n - 1) + (-1,)) ** 2)
+    return Laurent(rem, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 20),
+       st.dictionaries(st.integers(-40, 40), st.integers(-50, 50),
+                       max_size=8),
+       st.lists(st.integers(-30, 30), max_size=4), st.integers(-30, 30),
+       st.booleans())
+def test_fold_matches_division_by_one_minus_q_n_squared(n, coeffs, exps,
+                                                        shift, divisible):
+    if divisible:
+        exps = exps + [n, -n]
+    bits = (sum(map(abs, coeffs.values())).bit_length()
+            + qfuncs.fold_bits(40, n))
+    # Bounds follow from the operations alone, so a zero value at any width
+    # carries them ahead of the build.
+    width = packed_width(
+        Packed(0, 0, bits, 8, n).times_one_minus(exps).shifted(shift).bits)
+    one = Packed.one(width, fold=n)
+    start = Packed(sum(c * one.shifted(e).value for e, c in coeffs.items()),
+                   0, bits, width, n)
+    folded = start.times_one_minus(exps).shifted(shift)
+    value = sum((Laurent.term(c, e) for e, c in coeffs.items()),
+                Laurent(Poly()))
+    value = (value * _laurent_product(exps)).shifted(shift)
+    rep = _fold_oracle(value, n)
+    assert folded.laurent() == rep
+    assert not rep.body.coeffs or rep.min_exp + rep.body.degree < 2 * n
+    assert folded.is_zero() is rep.is_zero()
+    assert folded.is_zero() or not divisible
+    assert folded == start.shifted(shift).times_one_minus(exps)
+
+
 @pytest.mark.parametrize("module,check_id,params", [
     (parametric, "p7_45", {"d": 7, "n": 11, "r": 3}),
     (parametric, "p1_24", {"d": 4, "n": 7, "r": 1}),
@@ -450,6 +544,21 @@ def test_packed_bound_decides_exactness():
             ask()
     with pytest.raises(ValueError):
         six == Packed.one(16)
+    with pytest.raises(ValueError):
+        six == Packed.one(width, fold=3)
+    # Folded, the bound also carries the growth of each reduction.
+    folded = Packed.one(width, fold=3).times_one_minus([1, 2])
+    assert folded.bits == 2 + qfuncs.fold_bits(2 * 3 + 3, 3) == 6
+    assert folded.laurent() == one_minus_product([1, 2])
+    with pytest.raises(PackingOverflowError):
+        folded.times_one_minus([1]).is_zero()
+    # q^400 = -199 + 200 q^2 mod (1 - q^2)^2: 200 needs more than 8-bit
+    # digits, which the reduction's growth in the bound asks for.
+    far = Packed.one(8, fold=2).shifted(400)
+    with pytest.raises(PackingOverflowError):
+        far.laurent()
+    far = Packed.one(packed_width(far.bits), fold=2).shifted(400)
+    assert far.laurent() == Laurent(Poly((-199, 0, 200)), 0)
     # Factors of either sign and offsets line up like Laurent products.
     mixed = Packed.one(16).times_one_minus([3, -2]).shifted(-4)
     assert mixed.laurent() == _laurent_product([3, -2]).shifted(-4)

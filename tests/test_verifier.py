@@ -16,7 +16,7 @@ from qsupercheck.catalog import (
     GRID_THM42,
     run_check,
 )
-from qsupercheck.cyclotomic import cyclotomic, q_integer
+from qsupercheck.cyclotomic import cyclotomic, divisors, q_integer
 from qsupercheck.families import (
     F1_GUO,
     F3_SQUARED,
@@ -24,12 +24,20 @@ from qsupercheck.families import (
     F7_DIVISIBILITY,
     IntegralityError,
     a_exponent,
+    closed_form,
     numerator_factors,
     one_parameter_exponent,
+    theorem_family,
 )
 from qsupercheck.laurent import Laurent
 from qsupercheck.poly import Poly, poly_prod
-from qsupercheck.qfuncs import Packed, poch_power_base
+from qsupercheck.qfuncs import (
+    Packed,
+    packed_width,
+    poch_power_base,
+    sum_bounds,
+    truncated_sum,
+)
 from qsupercheck.residue import PHI_SQUARED, NonUnitError, ResidueRing
 from qsupercheck.results import Status
 from qsupercheck.verifier import (
@@ -220,18 +228,99 @@ def test_divisibility_expression_matches_q_integer_oracle(d, n):
 
 
 def test_inexact_divisibility_division_reads_as_fails(monkeypatch):
+    # A factor dropped from one term: f is no longer a Laurent polynomial,
+    # which the factor count refuses.
+    real_increments = verifier.divisibility_increments
+
+    def dropped(d, n):
+        increments = real_increments(d, n)
+        increments[2][0].pop()
+        return increments
+
+    monkeypatch.setattr(verifier, "divisibility_increments", dropped)
+    for result in (verify_divisibility(3, 5), run_check("thm13", {"d": 3, "n": 5})):
+        assert result.status is Status.FAILS
+        assert result.witness == (
+            "IntegralityError: term 2 has 11 factors 1 - q^e, fewer than 12")
+    monkeypatch.undo()
+
+    # q^low added to N: the fold sees no (1 - q^n)^2, and the witness's
+    # unfolded path finds that 1 - q no longer divides N.
     real = verifier.truncated_sum
 
-    def plus_one(step, increments, width):
-        num, den = real(step, increments, width)
-        return Packed(num.value + 1, num.low, num.bits, width), den  # + q^low
+    def plus_one(step, increments, width, fold=0):
+        num, den = real(step, increments, width, fold)
+        return Packed(num.value + 1, num.low, num.bits, width, fold), den
 
     monkeypatch.setattr(verifier, "truncated_sum", plus_one)
     with pytest.raises(IntegralityError):
         divisibility_expression(3, 5)
-    result = run_check("thm13", {"d": 3, "n": 5})
-    assert result.status is Status.FAILS
-    assert result.witness.startswith("IntegralityError")
+    for result in (verify_divisibility(3, 5), run_check("thm13", {"d": 3, "n": 5})):
+        assert result.status is Status.FAILS
+        assert result.witness.startswith("IntegralityError")
+
+
+@pytest.mark.parametrize("d,n", [(5, 24), (7, 20)])
+def test_divisibility_holds_past_the_grid(d, n):
+    assert verify_divisibility(d, n).status is Status.HOLDS
+
+
+def test_divisibility_reaches_no_division(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the HOLDS path divided or unpacked")
+
+    monkeypatch.setattr(verifier, "divrem", refuse)
+    monkeypatch.setattr(verifier, "divisibility_expression", refuse)
+    monkeypatch.setattr(Packed, "laurent", refuse)
+    for d, n in GRID_THM13 + ((4, 15), (6, 11)):
+        assert verify_divisibility(d, n).status is Status.HOLDS
+
+
+def _fold_theorem_verdict(check_id, d, n, r, mutation):
+    """verify_theorem's verdict from sums folded modulo (1 - q^n)^2.
+
+    A is 0 mod Phi_n^2 exactly when (1 - q^n)^2 divides C A, where
+    C = prod_{m | n, m < n} (1 - q^m)^2 is coprime to Phi_n and divisible by
+    the square of every other cyclotomic factor of 1 - q^n.  A is the
+    cross-multiplied difference N rden - sign q^s rnum D.
+    """
+    factors = numerator_factors(theorem_family(check_id), d, r)
+    increments = [([], [], [])] + [
+        ([e + d * (k - 1) for e, mult in factors for _ in range(mult)],
+         [d * k] * d, []) for k in range(1, n)]
+    cf = closed_form(check_id, d, n, r)
+    rnum, rden, sign, shift = [], [], 1, 0
+    if cf is not None:
+        cf = cf.mutated(mutation)
+        sign, shift = cf.sign, cf.q_exp
+        rnum = [e for e, mult in cf.unit_factors for _ in range(mult)]
+        for part, out in ((cf.poch_num, rnum), (cf.poch_den, rden)):
+            out.extend(base + step * j for base, step, length, mult in part
+                       for j in range(length) for _ in range(mult))
+    if any(e % n == 0 for _, b, _ in increments for e in b + rden):
+        return "FAILS"  # a denominator that is no unit mod Phi_n^2
+    c = [m for m in divisors(n) if m < n for _ in range(2)]
+    # Bounds follow from the operations alone, so a zero value at any width
+    # carries them ahead of the build.
+    num_bits, den_bits = sum_bounds(increments, d, n)
+    lhs_bits = Packed(0, 0, num_bits, 8, n).times_one_minus(rden + c).bits
+    rhs_bits = Packed(0, 0, den_bits, 8, n).times_one_minus(
+        rnum + c).shifted(shift).bits
+    width = packed_width(max(lhs_bits, rhs_bits) + 1)
+    num, den = truncated_sum(d, increments, width, fold=n)
+    lhs = num.times_one_minus(rden + c)
+    if cf is None:
+        return "HOLDS" if lhs.is_zero() else "FAILS"
+    rhs = den.times_one_minus(rnum + c).shifted(shift)
+    same = lhs == rhs if sign > 0 else (lhs + rhs).is_zero()
+    return "HOLDS" if same else "FAILS"
+
+
+def test_fold_reproduces_theorem_grid_verdicts():
+    for check_id, d, r, n in THEOREM_GRID:
+        statuses = tuple(_fold_theorem_verdict(check_id, d, n, r, mutation)
+                         for mutation in (None, "sign", "exponent"))
+        assert statuses == THEOREM_GRID_VERDICTS[check_id], (check_id, d, r, n)
 
 
 def test_r1_collapse_of_closed_forms():
