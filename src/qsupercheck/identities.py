@@ -8,7 +8,11 @@ collects the small exact identities the congruence proofs lean on: the
 two Pochhammer ratio shifts, the q-binomial rewriting with its integer
 exponent identity, the three-sum decomposition, the two Pochhammer
 splittings, the prefactor divisibility (by counting cyclotomic factors),
-and the cyclotomic factorization of [n].
+and the cyclotomic factorization of [n].  The ratio shifts, the
+q-binomial rewriting and the splittings are equalities of quotients
++-q^s prod (1 - q^e)^{+-1}, decided by comparing exponent-count normal
+forms; the one sum among them, 1 + ratio in the splittings, is checked
+as a packed three-term identity.
 """
 
 from __future__ import annotations
@@ -18,11 +22,11 @@ from fractions import Fraction
 from math import gcd as igcd
 
 from .cyclotomic import cyclotomic, divisors, q_integer
-from .laurent import Laurent, RatFunc
+from .laurent import Laurent
 from .poly import Poly, poly_prod
 from .qfuncs import (
-    inflate,
-    one_minus_product,
+    Packed,
+    one_minus_normal_form,
     packed_width,
     q_binomial,
     sum_bounds,
@@ -187,10 +191,6 @@ def _poch_parts(base: int, step: int, idx: int):
     return [], den
 
 
-def _sides_equal(lnum, lden, rnum, rden) -> bool:
-    return lnum * rden == rnum * lden
-
-
 def _central_band(d: int, r: int) -> range:
     return range((d - r - 1) // 2, (d + r - 1) // 2 + 1)
 
@@ -214,7 +214,9 @@ def _ratio_shift_pre(d, r, n, j, k, central: bool) -> str | None:
     return None
 
 
-def _check_ratio_shift(d, r, n, j, k, central: bool) -> str | None:
+def _ratio_shift_sides(d, r, n, j, k, central: bool):
+    """Both sides of the ratio shift as (sign, shift, num, den) exponent
+    lists of factors 1 - q^e."""
     m = (n + r) // d
     b = d - (d - 2 * j) * n
     top = d + r - (d - 2 * j - 1) * n
@@ -222,27 +224,32 @@ def _check_ratio_shift(d, r, n, j, k, central: bool) -> str | None:
     lden2, _ = _poch_parts(b, d, k)
     rnum, rden = _poch_parts(b + d * k, d, m - 2 if central else m)
     rden2, _ = _poch_parts(b, d, m)
-    lhs_num = one_minus_product(lnum)
-    lhs_den = one_minus_product(lden + lden2)
-    rhs_num = one_minus_product(rnum)
-    rhs_den = one_minus_product(rden + rden2)
-    if not _sides_equal(lhs_num, lhs_den, rhs_num, rhs_den):
+    return (1, 0, lnum, lden + lden2), (1, 0, rnum, rden + rden2)
+
+
+def _check_ratio_shift(d, r, n, j, k, central: bool) -> str | None:
+    lhs, rhs = _ratio_shift_sides(d, r, n, j, k, central)
+    if one_minus_normal_form(*lhs) != one_minus_normal_form(*rhs):
         return f"ratio shift differs at j={j}, k={k}"
     return None
 
 
-def _check_qbinom_rewrite(d, r, n, k) -> str | None:
-    m = (n + r) // d
-    top = n - 1 - m
-    lhs_num = one_minus_product(
-        [d + r - (d - 1) * n + d * t for t in range(k)]).shifted(d * k)
-    lhs_den = one_minus_product([d + d * t for t in range(k)])
+def _qbinom_rewrite_sides(d, r, n, k):
+    """q^{dk} (q^{d+r-(d-1)n}; q^d)_k / (q^d; q^d)_k and
+    (-1)^k q^{e} [top k]_{q^d}, top = n - 1 - (n + r)/d, as (sign, shift,
+    num, den); [top k]_{q^d} = prod_{t<k} (1 - q^{d(top-t)}) / (1 - q^{d(t+1)})
+    has the factor 1 - q^0 exactly when k > top."""
+    top = n - 1 - (n + r) // d
     exponent = d * k * (k - 1) // 2 + (n + 2 * d + r - d * n) * k
-    gauss = inflate(q_binomial(top, k), d)
-    rhs_num = Laurent(gauss, exponent)
-    if k % 2:
-        rhs_num = -rhs_num
-    if not _sides_equal(lhs_num, lhs_den, rhs_num, Laurent(Poly((1,)))):
+    den = [d + d * t for t in range(k)]
+    lhs = (1, d * k, [d + r - (d - 1) * n + d * t for t in range(k)], den)
+    rhs = ((-1) ** k, exponent, [d * (top - t) for t in range(k)], den)
+    return lhs, rhs
+
+
+def _check_qbinom_rewrite(d, r, n, k) -> str | None:
+    lhs, rhs = _qbinom_rewrite_sides(d, r, n, k)
+    if one_minus_normal_form(*lhs) != one_minus_normal_form(*rhs):
         return f"q-binomial rewrite differs at k={k}"
     return None
 
@@ -275,27 +282,37 @@ def _check_sum_decomposition(d, n) -> str | None:
     """s1 = [d] s2 - q [d-1] s3 over the common denominator, compared packed
     after multiplying through by 1 - q: (1 - q)[m] = 1 - q^m."""
     sums = _decomposition_increments(d, n)
-    width = packed_width(max(sum_bounds(inc)[0] for inc in sums) + 2)
-    s1, s2, s3 = (truncated_sum(d, inc, width)[0] for inc in sums)
+    width = packed_width(max(sum_bounds(inc) for inc in sums) + 2)
+    s1, s2, s3 = (truncated_sum(d, inc, width) for inc in sums)
     rhs = s2.times_one_minus([d]) - s3.times_one_minus([d - 1]).shifted(1)
     if s1.times_one_minus([1]) != rhs:
         return "three-sum decomposition differs"
     return None
 
 
+def _poch_split_sides(d, r, k):
+    """(q^{d+r}, q^{r-d}; q^d)_k = -q^r [d-r]/[r] (1 + B/A) (q^r; q^d)_k^2
+    with A = q^d (1 - q^{dk+r-d}) and B = 1 - q^d, as the left side and
+    the right side without 1 + B/A, each (sign, shift, num, den), and the
+    terms (A, B, C), each (shift, exponents), of the sum A + B = C with
+    C = 1 - q^{dk+r}, which makes 1 + B/A = C/A."""
+    lhs = (1, 0, [d + r + d * t for t in range(k)]
+           + [r - d + d * t for t in range(k)], [])
+    square = [r + d * t for t in range(k)] * 2
+    rest = (-1, r, [d - r] + square, [r])  # [d-r]/[r] = (1 - q^{d-r})/(1 - q^r)
+    terms = ((d, [d * k + r - d]), (0, [d]), (0, [d * k + r]))
+    return lhs, rest, terms
+
+
 def _check_poch_split(d, r, k) -> str | None:
-    lhs = RatFunc(one_minus_product(
-        [d + r + d * t for t in range(k)] + [r - d + d * t for t in range(k)]))
-    # 1 + (1 - q^d)/(q^d - q^{dk+r}), with the denominator written as
-    # q^d (1 - q^{dk+r-d}).
-    ratio = RatFunc(
-        one_minus_product([d]),
-        one_minus_product([d * k + r - d]).shifted(d),
-    )
-    brackets = RatFunc(Laurent(q_integer(d - r)), q_integer(r))
-    square = RatFunc(one_minus_product([r + d * t for t in range(k)])) ** 2
-    rhs = -Laurent.term(1, r) * brackets * (1 + ratio) * square
-    if lhs != rhs:
+    lhs, (sign, shift, num, den), terms = _poch_split_sides(d, r, k)
+    one = Packed.one(packed_width(max(len(e) for _, e in terms) + 1))
+    a, b, c = (one.times_one_minus(e).shifted(s) for s, e in terms)
+    if a + b != c:
+        return f"1 + ratio differs at d={d}, r={r}, k={k}"
+    (sa, ea), _, (sc, ec) = terms
+    rhs = (sign, shift + sc - sa, num + ec, den + ea)  # times C/A
+    if one_minus_normal_form(*lhs) != one_minus_normal_form(*rhs):
         return f"Pochhammer splitting differs at d={d}, r={r}, k={k}"
     return None
 
@@ -338,8 +355,10 @@ def verify_proof_step(step_id: str, params: dict) -> CheckResult:
     elif step_id in ("qbinom_rewrite", "exponent_identity") and p["d"] < 1:
         return skipped(step_id, p, "requires d >= 1")
     elif step_id == "qbinom_rewrite":
-        if (p["n"] + p["r"]) % p["d"] or p["k"] < 0 or p["n"] - 1 - (p["n"] + p["r"]) // p["d"] < 0:
+        if (p["n"] + p["r"]) % p["d"] or p["k"] < 0:
             return skipped(step_id, p, "requires n == -r (mod d), k >= 0")
+        if p["n"] - 1 - (p["n"] + p["r"]) // p["d"] < 0:
+            return skipped(step_id, p, "requires n - 1 - (n + r)/d >= 0")
         witness = _check_qbinom_rewrite(p["d"], p["r"], p["n"], p["k"])
     elif step_id == "exponent_identity":
         if (p["n"] + p["r"]) % p["d"]:

@@ -6,21 +6,15 @@ constant term unless the whole thing is zero).  A rational function keeps
 a Laurent numerator over a monic denominator polynomial with gcd 1 and
 nonzero constant term; any power of q in the denominator is folded into
 the numerator's offset, q being a unit among Laurent polynomials.
+``RatFunc`` has no caller in the package: the tests use it as an oracle,
+and the benchmark's tracer (``perfbench/tracer.py``) wraps it by name.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Poly, exact_div, format_terms, gcd, _scalar_inv, _sdiv
-
-
-class ZeroBaseError(ZeroDivisionError):
-    """Evaluation at 0 of a Laurent polynomial with negative exponents."""
-
-
-class PoleError(ZeroDivisionError):
-    """Evaluation of a rational function at a pole."""
+from .poly import Poly, exact_div, format_terms, gcd, _scalar_inv
 
 
 def _as_laurent(x):
@@ -55,20 +49,6 @@ class Laurent:
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("Laurent is immutable")
-
-    @staticmethod
-    def term(c, exp):
-        """c * q**exp with exp of either sign."""
-        return Laurent(Poly((c,)), exp)
-
-    @staticmethod
-    def one_minus(c, exp):
-        """1 - c*q**exp, the basic Pochhammer factor."""
-        if exp > 0:
-            return Laurent(Poly((1,) + (0,) * (exp - 1) + (-c,)), 0)
-        if exp == 0:
-            return Laurent(Poly((1 - c,)), 0)
-        return Laurent(Poly((-c,) + (0,) * (-exp - 1) + (1,)), exp)
 
     def is_zero(self):
         return self.body.is_zero()
@@ -137,26 +117,9 @@ class Laurent:
             raise ValueError("Laurent polynomial has negative exponents")
         return self.body.shift(self.min_exp)
 
-    def evaluate(self, x):
-        """Exact value at x; x = 0 demands no negative exponents."""
-        if self.min_exp < 0 and not x:
-            raise ZeroBaseError("negative q-exponent evaluated at 0")
-        val = self.body.evaluate(x)
-        if self.min_exp >= 0:
-            return val * x**self.min_exp
-        return val * _pow_signed(x, self.min_exp)
-
     def __repr__(self):
         terms = ((e + self.min_exp, c) for e, c in enumerate(self.body.coeffs))
         return f"Laurent('{format_terms(terms)}')"
-
-
-def _pow_signed(x, e):
-    if e >= 0:
-        return x**e
-    if isinstance(x, int):
-        return Fraction(1, x**-e)
-    return 1 / x**-e
 
 
 class RatFunc:
@@ -276,12 +239,6 @@ class RatFunc:
             return RatFunc(self.num**n, self.den**n)
         inv = 1 / self
         return inv ** (-n)
-
-    def evaluate(self, x):
-        dval = self.den.evaluate(x)
-        if not dval:
-            raise PoleError(f"denominator vanishes at {x}")
-        return _sdiv(self.num.evaluate(x), dval)
 
     def __repr__(self):
         return f"RatFunc({self.num!r} / {Poly.__repr__(self.den)})"

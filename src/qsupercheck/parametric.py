@@ -21,6 +21,7 @@ from math import gcd as igcd
 
 from .families import a_exponent
 from .qfuncs import (
+    Packed,
     one_minus_normal_form,
     packed_width,
     sum_bounds,
@@ -165,7 +166,7 @@ def _rhs_factors(check_id: str, d: int, r: int, n: int, s: int,
 
 def _reference_summand(check_id: str, d: int, r: int, k: int):
     """The non-parametric term the a = 1 collapse must reproduce, as
-    (q-shift, numerator exponents, denominator exponents)."""
+    (sign, q-shift, numerator exponents, denominator exponents)."""
     num_exps = [d + r + d * t for t in range(k)] * (d - r - 1)
     den_exps = [d + d * t for t in range(k)] * d
     if check_id in _SHIFTED_INDEX:
@@ -178,7 +179,7 @@ def _reference_summand(check_id: str, d: int, r: int, k: int):
         num_exps += [d * k - d + r] * r
     else:
         num_exps += [r + d * t for t in range(k)] * (r + 1)
-    return d * k, num_exps, den_exps
+    return 1, d * k, num_exps, den_exps
 
 
 def _collapse_at_one(check_id: str, d: int, r: int, n: int) -> str | None:
@@ -192,7 +193,7 @@ def _collapse_at_one(check_id: str, d: int, r: int, n: int) -> str | None:
         num += a
         den += b
         ref = one_minus_normal_form(*_reference_summand(check_id, d, r, k))
-        if one_minus_normal_form(d * k, num + c, den) != ref:
+        if one_minus_normal_form(1, d * k, num + c, den) != ref:
             return f"a = 1 collapse differs from reference summand at k = {k}"
     return None
 
@@ -206,21 +207,21 @@ def verify_parametric(check_id: str, d: int, r: int, n: int,
         return skipped(check_id, params, reason)
     for s in (1, -1):
         increments = _sum_increments(check_id, d, r, n, s)
-        num_bits, den_bits = sum_bounds(increments)
+        num_bits = sum_bounds(increments)
         if check_id in _VANISHING:
             if mutation is not None:
                 raise ValueError("vanishing right-hand sides have no mutation")
-            lhs_num, _ = truncated_sum(d, increments, packed_width(num_bits))
-            if not lhs_num.is_zero():
+            if not truncated_sum(d, increments, packed_width(num_bits)).is_zero():
                 return fails(check_id, params,
                              f"substituted sum nonzero at a = q^{s * n}")
             continue
         sign, shift, num, den = _rhs_factors(check_id, d, r, n, s, mutation)
+        lhs_den = [e for _, b, _ in increments for e in b]
         # Cross products N * den and D * num, each built by applying the
         # other side's factors, at one width wide enough for both.
-        width = packed_width(max(num_bits + len(den), len(num) + den_bits))
-        lhs_num, lhs_den = truncated_sum(d, increments, width)
-        rhs = lhs_den.times_one_minus(num).shifted(shift)
+        width = packed_width(max(num_bits + len(den), len(num) + len(lhs_den)))
+        lhs_num = truncated_sum(d, increments, width)
+        rhs = Packed.one(width).times_one_minus(lhs_den + num).shifted(shift)
         if lhs_num.times_one_minus(den) != (rhs if sign > 0 else -rhs):
             return fails(check_id, params, f"sides differ at a = q^{s * n}")
     witness = _collapse_at_one(check_id, d, r, n)

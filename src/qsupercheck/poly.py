@@ -200,13 +200,6 @@ class Poly:
     def __mod__(self, other):
         return divrem(self, other)[1]
 
-    def evaluate(self, x):
-        """Exact value at x (Horner)."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __repr__(self):
         return f"Poly('{format_terms(enumerate(self.coeffs))}')"
 

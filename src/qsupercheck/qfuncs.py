@@ -1,72 +1,45 @@
-"""q-shifted factorials and Gaussian binomial coefficients.
+"""Products of factors 1 - q^e: q-shifted factorials, Gaussian binomials,
+their exponent-count normal form, and the packed kernel that sums them.
 
-The q-shifted factorial (x; q^s)_k is a finite product for k >= 0.  For
-k < 0 it is the reciprocal product forced by the infinite-quotient
-definition, (x; q)_{-m} = prod_{j=1..m} (1 - x q^{-j})^{-1}, which is the
-unique extension satisfying (x;q)_a (x q^a;q)_b = (x;q)_{a+b} for all
+A q-shifted factorial (q^e; q^s)_k with monic base is the product of the
+factors 1 - q^{e + s t}, t < k, so the checks carry it as that exponent
+list.  For k < 0 it is the reciprocal product forced by the
+infinite-quotient definition, (x; q)_{-m} = prod_{j=1..m} (1 - x q^{-j})^{-1},
+the unique extension with (x;q)_a (x q^a;q)_b = (x;q)_{a+b} for all
 integers; the verification sums hit indices k-2 at k = 0, 1.
 
 ``Packed`` holds a Laurent polynomial with integer coefficients as its
 value at q = 2^B, one Python int: a factor 1 - q^e is one shift and one
 subtraction, and two values are compared as integers while a bound on
 their coefficients, carried along, fits the digit width B.
-``truncated_sum`` builds the truncated Laurent sums of the checks as
-packed (num, den) pairs and ``one_minus_product`` unpacks a packed product
+``truncated_sum`` builds the numerators of the truncated Laurent sums of
+the checks, packed, and ``one_minus_product`` unpacks a packed product
 of factors 1 - q^e; the width comes beforehand from factor counts
 (``sum_bounds``, ``packed_width``).  With ``fold = n`` the same kernel
 keeps a value modulo (1 - q^n)^2, as an int modulo (2^{n B} - 1)^2, so a
 divisibility by (1 - q^n)^2 is decided without unpacking.
 ``one_minus_normal_form`` reduces a quotient of such factors to exponent
-counts for comparison.
+counts, which decides equality of two quotients with no polynomial
+arithmetic.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 
-from .laurent import Laurent, RatFunc
-from .poly import Poly, exact_div, poly_prod, unpack
+from .laurent import Laurent
+from .poly import Poly, exact_div, unpack
 
 
 class DegenerateProductError(ZeroDivisionError):
     """A denominator, such as a reciprocal q-shifted factorial, vanishes."""
 
 
-@dataclass(frozen=True)
-class QMonomial:
-    """A single term c * q**e with c != 0; Pochhammer bases look like this."""
-
-    coeff: Fraction | int
-    exp: int
-
-    def __post_init__(self):
-        if not self.coeff:
-            raise ValueError("QMonomial coefficient must be nonzero")
-
-
-def q_pochhammer(x: QMonomial, step: int, k: int):
-    """(x; q**step)_k as a Laurent polynomial (k >= 0) or RatFunc (k < 0)."""
-    if step < 1:
-        raise ValueError("step must be >= 1")
-    shifts = range(k) if k >= 0 else range(-1, k - 1, -1)
-    factors = [Laurent.one_minus(x.coeff, x.exp + step * j) for j in shifts]
-    product = Laurent(poly_prod([f.body for f in factors]),
-                      sum(f.min_exp for f in factors))
-    if k >= 0:
-        return product
-    if product.is_zero():
-        raise DegenerateProductError(
-            f"a factor of (({x.coeff})q^{x.exp}; q^{step})_{k} vanishes")
-    return RatFunc(Laurent(Poly((1,))), product)
-
-
 def poch_power_base(e: int, step: int, k: int) -> Laurent:
     """(q**e; q**step)_k for k >= 0, the all-monic-base common case."""
     if k < 0:
-        raise ValueError("use q_pochhammer for negative indices")
+        raise ValueError("poch_power_base expects k >= 0")
     return one_minus_product([e + step * j for j in range(k)])
 
 
@@ -89,26 +62,14 @@ def q_binomial(n: int, k: int) -> Poly:
     return exact_div(q_factorial_poly(n), q_factorial_poly(k) * q_factorial_poly(n - k))
 
 
-def inflate(p: Poly, d: int) -> Poly:
-    """Substitute q -> q**d."""
-    if d < 1:
-        raise ValueError("inflate expects d >= 1")
-    if d == 1 or p.is_zero():
-        return p
-    out = [0] * (p.degree * d + 1)
-    for e, c in enumerate(p.coeffs):
-        out[e * d] = c
-    return Poly(out)
-
-
 def one_minus_product(exponents) -> Laurent:
     """prod (1 - q^e) over the exponent list, packed and unpacked once."""
     return Packed.one(packed_width(len(exponents))).times_one_minus(
         exponents).laurent()
 
 
-def one_minus_normal_form(shift: int, num, den):
-    """Normal form of q^shift prod_num (1 - q^e) / prod_den (1 - q^e).
+def one_minus_normal_form(sign: int, shift: int, num, den):
+    """Normal form of sign q^shift prod_num (1 - q^e) / prod_den (1 - q^e).
 
     Returns (sign, shift, counts) with counts the frozenset of (e, m), e > 0,
     m != 0 the net multiplicity of 1 - q^e; None when a numerator factor is
@@ -121,7 +82,6 @@ def one_minus_normal_form(shift: int, num, den):
         raise DegenerateProductError("denominator factor 1 - q^0")
     if 0 in num:
         return None
-    sign = 1
     counts = Counter()
     for exps, unit in ((num, 1), (den, -1)):
         for e in exps:
@@ -275,13 +235,11 @@ class Packed:
         return Laurent(Poly(unpack(value, self.width // 8)), self.low)
 
 
-def sum_bounds(increments, step: int = 0,
-               fold: int = 0) -> tuple[int, int]:
-    """(num_bits, den_bits) with ||N||_1 <= 2^num_bits and
-    ||D||_1 <= 2^den_bits for ``truncated_sum``'s (N, D): term k of N has
-    the factors of a_0..a_k, c_k and b_{k+1}..b_L.  With ``fold = n`` both
-    add the ``fold_bits`` of an exponent bound, step L plus every |e|."""
-    later = den_bits = sum(len(b) for _, b, _ in increments)
+def sum_bounds(increments, step: int = 0, fold: int = 0) -> int:
+    """Bits b with ||N||_1 <= 2^b for ``truncated_sum``'s N: term k of N
+    has the factors of a_0..a_k, c_k and b_{k+1}..b_L.  With ``fold = n``
+    it adds the ``fold_bits`` of an exponent bound, step L plus every |e|."""
+    later = sum(len(b) for _, b, _ in increments)
     ran = total = 0
     for a, b, c in increments:
         ran += len(a)
@@ -289,34 +247,32 @@ def sum_bounds(increments, step: int = 0,
         total += 1 << (ran + len(c) + later)
     grow = fold and fold_bits(abs(step) * len(increments) + sum(
         abs(e) for inc in increments for exps in inc for e in exps), fold)
-    return (total - 1).bit_length() + grow, den_bits + grow
+    return (total - 1).bit_length() + grow
 
 
-def truncated_sum(step: int, increments, width: int,
-                  fold: int = 0) -> tuple[Packed, Packed]:
-    """Sum_{k=0}^{L} T_k / prod_{j<=k} B_j as packed (N, D) with sum = N / D.
+def truncated_sum(step: int, increments, width: int, fold: int = 0) -> Packed:
+    """Numerator N of Sum_{k=0}^{L} T_k / prod_{j<=k} B_j = N / D, packed.
 
     ``increments[k] = (a_k, b_k, c_k)`` are lists of exponents e of factors
     1 - q^e, with B_k = prod_{b_k} (1 - q^e) and
     T_k = q^{step k} prod_{j<=k} prod_{a_j} (1 - q^e) prod_{c_k} (1 - q^e):
     a and b accumulate from term to term, c belongs to term k alone.  The
     forward recurrence N_k = N_{k-1} B_k + T_k gives
-    N = sum_k T_k prod_{j>k} B_j and D = prod_j B_j, both at digit width
-    ``width`` with the bounds of ``sum_bounds``, folded modulo
-    (1 - q^n)^2 with ``fold = n``.  A factor 1 - q^0 zeroes every later
-    term from a, only term k from c, and raises DegenerateProductError
-    from b.
+    N = sum_k T_k prod_{j>k} B_j over D = prod_j B_j, which a caller that
+    needs it builds as the product of every b.  N is at digit width
+    ``width`` with the bound of ``sum_bounds``, folded modulo (1 - q^n)^2
+    with ``fold = n``.  A factor 1 - q^0 zeroes every later term from a,
+    only term k from c, and raises DegenerateProductError from b.
     """
     if any(0 in b for _, b, _ in increments):
         raise DegenerateProductError("denominator factor 1 - q^0")
     num = Packed(0, 0, 0, width, fold)
-    den, run = Packed.one(width, fold), Packed.one(width, fold)
+    run = Packed.one(width, fold)
     for k, (a, b, c) in enumerate(increments):
         num = num.times_one_minus(b)
-        den = den.times_one_minus(b)
         run = run.times_one_minus(a)
         term = run.times_one_minus(c)
         if term.value:  # a zero term would only realign num
             num = num + term.shifted(step * k)
-    num.bits, den.bits = sum_bounds(increments, step, fold)  # built here
-    return num, den
+    num.bits = sum_bounds(increments, step, fold)  # built here
+    return num

@@ -1,6 +1,6 @@
-"""Quotient rings Q[q]/(M) for M = Phi_n(q)^2 or [n]^2.
+"""The quotient ring Z[q]/(Phi_n(q)^2) of the congruence checks.
 
-Both moduli are monic integer polynomials with constant term 1 for
+The modulus is a monic integer polynomial with constant term 1 for
 n >= 2.  Reducing by a monic modulus never divides a coefficient, so an
 integer polynomial stays integer in the ring, and q is a unit whose
 inverse -(M - 1)/q is an integer polynomial too: negative powers of q
@@ -12,12 +12,9 @@ Rings and their elements are immutable.
 
 from __future__ import annotations
 
-from .cyclotomic import cyclotomic, q_integer
+from .cyclotomic import cyclotomic
 from .laurent import Laurent
 from .poly import Poly, divrem, xgcd
-
-PHI_SQUARED = "phi_squared"
-BRACKET_SQUARED = "bracket_squared"
 
 
 class NonUnitError(ArithmeticError):
@@ -29,25 +26,17 @@ class NonUnitError(ArithmeticError):
 
 
 class ResidueRing:
-    """Q[q]/(M(q)) with M = Phi_n^2 or [n]^2, n >= 2."""
+    """Z[q]/(M(q)) with M = Phi_n^2, n >= 2."""
 
-    __slots__ = ("n", "kind", "modulus", "inv_q", "one", "zero")
+    __slots__ = ("n", "modulus", "inv_q", "one", "zero")
 
-    def __init__(self, n: int, kind: str = PHI_SQUARED):
+    def __init__(self, n: int):
         if n < 2:
             raise ValueError("residue rings require n >= 2")
-        if kind == PHI_SQUARED:
-            base = cyclotomic(n)
-        elif kind == BRACKET_SQUARED:
-            base = q_integer(n)
-        else:
-            raise ValueError(f"unknown ring kind {kind!r}")
+        base = cyclotomic(n)
         modulus = base * base
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "modulus", modulus)
-        if modulus.constant() != 1:
-            raise ValueError("modulus constant term must be 1")
         # M = 1 + q*T  ==>  q^(-1) = -T mod M.
         tail = Poly(modulus.coeffs[1:])
         inv_q = RingElement(self, -tail)
@@ -59,7 +48,7 @@ class ResidueRing:
         raise AttributeError("ResidueRing is immutable")
 
     def __repr__(self):
-        return f"ResidueRing(n={self.n}, kind={self.kind})"
+        return f"ResidueRing(n={self.n})"
 
     def element(self, f) -> "RingElement":
         """Canonical class of an int, Poly, or Laurent."""

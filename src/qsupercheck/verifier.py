@@ -18,9 +18,7 @@ kernel decides folded modulo (1 - q^n)^2 without unpacking.  The ring sum
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
-from math import prod
 
 from .cyclotomic import cyclotomic, q_integer
 from .families import (
@@ -34,7 +32,7 @@ from .families import (
 from .laurent import Laurent
 from .poly import Poly, divrem
 from .qfuncs import packed_width, poch_power_base, sum_bounds, truncated_sum
-from .residue import PHI_SQUARED, NonUnitError, ResidueRing, RingElement
+from .residue import NonUnitError, ResidueRing, RingElement
 from .results import CheckResult, fails, holds, skipped
 
 THEOREM_IDS = ("eq13", "eq14", "eq15", "thm11", "thm12", "lemma21", "eq22",
@@ -80,36 +78,6 @@ def lhs_sum(family: str, d: int, r: int, n: int, ring: ResidueRing) -> Fractiona
     return num, den
 
 
-def lhs_sum_whole(family: str, d: int, r: int, n: int,
-                  ring: ResidueRing) -> RingElement:
-    """One-shot oracle: build the sum as numerator over a common denominator,
-    reduce both once, and divide in the ring."""
-    factors = numerator_factors(family, d, r)
-    num_total = Laurent(Poly())
-    for k in range(n):
-        term = Laurent(Poly((1,))).shifted(d * k)
-        for e, mult in factors:
-            term = term * poch_power_base(e, d, k) ** mult
-        cofactor = poch_power_base(d * (k + 1), d, n - 1 - k) ** d
-        num_total = num_total + term * cofactor
-    den = poch_power_base(d, d, n - 1) ** d
-    return ring.element(num_total) * ring.element(den).invert()
-
-
-def rhs_for_family(family: str, d: int, r: int, n: int,
-                   ring: ResidueRing) -> Fractional:
-    """Family-keyed closed form; the parity of d picks the sign variant."""
-    check_id = {
-        "F1_GUO": "eq13",
-        "F2_MIXED": "eq14" if d % 2 else "thm11",
-        "F3_SQUARED": "thm12" if d % 2 else "eq15",
-        "F4_LEMMA": "lemma21",
-        "F5_THM41": "thm41",
-        "F6_THM42": "thm42",
-    }[family]
-    return rhs_closed_form(check_id, d, r, n, ring)
-
-
 def rhs_closed_form(check_id: str, d: int, r: int, n: int, ring: ResidueRing,
                     mutation: str | None = None) -> Fractional:
     """The check's closed form as a (num, den) pair; (0, 1) for the
@@ -148,7 +116,7 @@ def verify_theorem(check_id: str, d: int, n: int, r: int = 1,
     if check_id == "thm12" and n == 2:
         note = "boundary case n = 2: accepted, smallest admissible n"
     try:
-        ring = ResidueRing(n, PHI_SQUARED)
+        ring = ResidueRing(n)
         lhs_num, lhs_den = lhs_sum(theorem_family(check_id), d, r, n, ring)
         rhs_num, rhs_den = rhs_closed_form(check_id, d, r, n, ring, mutation)
     except (NonUnitError, IntegralityError) as exc:
@@ -196,8 +164,8 @@ def divisibility_expression(d: int, n: int) -> Laurent:
     only for the witness of a FAILS.
     """
     increments = divisibility_increments(d, n)
-    width = packed_width(sum_bounds(increments)[0])
-    num = truncated_sum(d, increments, width)[0].laurent()
+    width = packed_width(sum_bounds(increments))
+    num = truncated_sum(d, increments, width).laurent()
     body = list(num.body.coeffs)
     for _ in range(d * (n - 1)):
         if sum(body):
@@ -224,8 +192,8 @@ def verify_divisibility(d: int, n: int) -> CheckResult:
         increments = divisibility_increments(d, n)
         _require_integral(increments, d * (n - 1))
         increments[0][0].extend([1, 1])  # (1 - q)^2 N
-        width = packed_width(sum_bounds(increments, d, fold=n)[0])
-        if truncated_sum(d, increments, width, fold=n)[0].is_zero():
+        width = packed_width(sum_bounds(increments, d, fold=n))
+        if truncated_sum(d, increments, width, fold=n).is_zero():
             return holds("thm13", params)
         body = divisibility_expression(d, n).body  # drops q^min_exp, a unit
     except IntegralityError as exc:
@@ -234,32 +202,3 @@ def verify_divisibility(d: int, n: int) -> CheckResult:
     if rem.is_zero():
         raise RuntimeError("fold and divrem disagree on [n]^2 | f")
     return fails("thm13", params, f"remainder {rem!r}")
-
-
-def summand_value_at_one(num_factors: list[tuple[int, int]], d: int,
-                         k: int) -> Fraction:
-    """Exact value at q = 1 of one truncated-sum term.
-
-    Each factor 1 - q^e is (1 - q) times a polynomial worth e at q = 1, so
-    a term with as many factors above as below is worth prod e / prod e',
-    and one with more above vanishes.
-    """
-    num = [e + d * t for e, mult in num_factors for t in range(k)
-           for _ in range(mult)]
-    den = [d + d * t for t in range(k)] * d
-    if len(num) < len(den):
-        raise ArithmeticError("pole of the term at q = 1")
-    return Fraction(prod(num) if len(num) == len(den) else 0, prod(den))
-
-
-def family_sum_at_one_mod(family: str, d: int, r: int, p: int,
-                          precision: int = 2) -> int:
-    """Sum over k < p of the q = 1 term values, reduced mod p^precision."""
-    factors = numerator_factors(family, d, r)
-    total = Fraction(0)
-    for k in range(p):
-        total += summand_value_at_one(factors, d, k)
-    modulus = p**precision
-    if total.denominator % p == 0:
-        raise ZeroDivisionError("denominator divisible by p")
-    return total.numerator * pow(total.denominator, -1, modulus) % modulus

@@ -1,0 +1,77 @@
+"""Slow, direct implementations that the tests compare the engine against.
+
+Each one builds its value by dense Laurent or rational-function
+arithmetic, where the engine counts exponents or works on packed sums.
+"""
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from qsupercheck.families import numerator_factors
+from qsupercheck.laurent import Laurent, RatFunc
+from qsupercheck.poly import Poly, poly_prod
+from qsupercheck.qfuncs import DegenerateProductError, poch_power_base
+
+
+def one_minus(c, exp):
+    """1 - c*q**exp as a Laurent polynomial, exp of either sign."""
+    if exp > 0:
+        return Laurent(Poly((1,) + (0,) * (exp - 1) + (-c,)), 0)
+    if exp == 0:
+        return Laurent(Poly((1 - c,)), 0)
+    return Laurent(Poly((-c,) + (0,) * (-exp - 1) + (1,)), exp)
+
+
+@dataclass(frozen=True)
+class QMonomial:
+    """A single term c * q**e with c != 0; Pochhammer bases look like this."""
+
+    coeff: Fraction | int
+    exp: int
+
+    def __post_init__(self):
+        if not self.coeff:
+            raise ValueError("QMonomial coefficient must be nonzero")
+
+
+def q_pochhammer(x: QMonomial, step: int, k: int):
+    """(x; q**step)_k as a Laurent polynomial (k >= 0) or RatFunc (k < 0)."""
+    if step < 1:
+        raise ValueError("step must be >= 1")
+    shifts = range(k) if k >= 0 else range(-1, k - 1, -1)
+    factors = [one_minus(x.coeff, x.exp + step * j) for j in shifts]
+    product = Laurent(poly_prod([f.body for f in factors]),
+                      sum(f.min_exp for f in factors))
+    if k >= 0:
+        return product
+    if product.is_zero():
+        raise DegenerateProductError(
+            f"a factor of (({x.coeff})q^{x.exp}; q^{step})_{k} vanishes")
+    return RatFunc(Laurent(Poly((1,))), product)
+
+
+def inflate(p: Poly, d: int) -> Poly:
+    """Substitute q -> q**d."""
+    if d < 1:
+        raise ValueError("inflate expects d >= 1")
+    if d == 1 or p.is_zero():
+        return p
+    out = [0] * (p.degree * d + 1)
+    for e, c in enumerate(p.coeffs):
+        out[e * d] = c
+    return Poly(out)
+
+
+def lhs_sum_whole(family, d, r, n, ring):
+    """The congruence sum built as numerator over a common denominator,
+    both reduced once, and divided in the ring."""
+    factors = numerator_factors(family, d, r)
+    num_total = Laurent(Poly())
+    for k in range(n):
+        term = Laurent(Poly((1,))).shifted(d * k)
+        for e, mult in factors:
+            term = term * poch_power_base(e, d, k) ** mult
+        cofactor = poch_power_base(d * (k + 1), d, n - 1 - k) ** d
+        num_total = num_total + term * cofactor
+    den = poch_power_base(d, d, n - 1) ** d
+    return ring.element(num_total) * ring.element(den).invert()

@@ -6,6 +6,8 @@ congruence criterion demands exact ring or polynomial equality.
 """
 
 import contextlib
+from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -36,19 +38,15 @@ from qsupercheck.catalog import (
     paper_default_suite,
     run_check,
 )
-from qsupercheck.families import F5_THM41, F6_THM42
+from qsupercheck.families import F5_THM41, F6_THM42, numerator_factors
 from qsupercheck.padic import classical_lhs_sum
 from qsupercheck.parametric import verify_parametric
 from qsupercheck.report import Report, SweepPlan
-from qsupercheck.residue import PHI_SQUARED, ResidueRing
+from qsupercheck.residue import ResidueRing
 from qsupercheck.results import Status, canonical_params
-from qsupercheck.verifier import (
-    family_sum_at_one_mod,
-    lhs_sum,
-    lhs_sum_whole,
-    rhs_closed_form,
-    verify_theorem,
-)
+from qsupercheck.verifier import lhs_sum, rhs_closed_form, verify_theorem
+
+from oracles import lhs_sum_whole
 
 
 # `qsupercheck sweep --suite paper-default --format json` without its
@@ -176,7 +174,7 @@ def test_criterion_8a_r1_collapse():
                  (4, 7, "thm11", "eq15"), (5, 9, "eq14", "thm12"),
                  (4, 3, None, "eq15"), (3, 2, None, "thm12")]
         for d, n, mixed_id, squared_id in pairs:
-            ring = ResidueRing(n, PHI_SQUARED)
+            ring = ResidueRing(n)
             pairs = [("thm42", squared_id)]
             if mixed_id:
                 pairs.append(("thm41", mixed_id))
@@ -186,12 +184,37 @@ def test_criterion_8a_r1_collapse():
                 assert num2 * den1 == num1 * den2, (two_param, d, n)
 
 
+def _summand_value_at_one(num_factors, d, k):
+    """Exact value at q = 1 of one truncated-sum term.
+
+    Each factor 1 - q^e is (1 - q) times a polynomial worth e at q = 1, so
+    a term with as many factors above as below is worth prod e / prod e',
+    and one with more above vanishes.
+    """
+    num = [e + d * t for e, mult in num_factors for t in range(k)
+           for _ in range(mult)]
+    den = [d + d * t for t in range(k)] * d
+    if len(num) < len(den):
+        raise ArithmeticError("pole of the term at q = 1")
+    return Fraction(prod(num) if len(num) == len(den) else 0, prod(den))
+
+
+def _family_sum_at_one_mod(family, d, r, p, precision=2):
+    """Sum over k < p of the q = 1 term values, reduced mod p^precision."""
+    factors = numerator_factors(family, d, r)
+    total = sum(_summand_value_at_one(factors, d, k) for k in range(p))
+    modulus = p**precision
+    if total.denominator % p == 0:
+        raise ZeroDivisionError("denominator divisible by p")
+    return total.numerator * pow(total.denominator, -1, modulus) % modulus
+
+
 def test_criterion_8b_q1_specialization_matches_padic():
     with criterion("8b q = 1 specialization agrees with the mod-p^2 sums"):
         for d, r, p in ((3, 1, 5), (4, 1, 7), (5, 2, 13)):
-            assert family_sum_at_one_mod(F5_THM41, d, r, p) == \
+            assert _family_sum_at_one_mod(F5_THM41, d, r, p) == \
                 classical_lhs_sum("thm41", d, r, p)
-            assert family_sum_at_one_mod(F6_THM42, d, r, p) == \
+            assert _family_sum_at_one_mod(F6_THM42, d, r, p) == \
                 classical_lhs_sum("thm42", d, r, p)
 
 
@@ -213,7 +236,7 @@ def test_criterion_8c_incremental_vs_whole_sum_oracle():
             for d, r, n in grid:
                 if n > 10:
                     continue
-                ring = ResidueRing(n, PHI_SQUARED)
+                ring = ResidueRing(n)
                 num, den = lhs_sum(family, d, r, n, ring)
                 assert num == lhs_sum_whole(family, d, r, n, ring) * den, (
                     cid, d, r, n)

@@ -41,6 +41,16 @@ def test_verify_qbinom_rewrite_without_positive_d_is_skipped(capsys):
     assert out["status"] == "SKIPPED_PRECONDITION"
 
 
+def test_verify_qbinom_rewrite_skip_names_the_negative_top(capsys):
+    # n == -r (mod d) and k >= 0 both hold; top = n - 1 - (n + r)/d = -1.
+    code = main(["verify", "--check", "qbinom_rewrite", "--d", "3", "--r", "4",
+                 "--n", "2", "--k", "1"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["status"] == "SKIPPED_PRECONDITION"
+    assert out["note"] == "requires n - 1 - (n + r)/d >= 0"
+
+
 def test_verify_km_without_trials_is_skipped(capsys):
     code = main(["verify", "--check", "km", "--n-list", "1,2", "--trials", "0"])
     out = json.loads(capsys.readouterr().out)

@@ -5,13 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from qsupercheck.catalog import GRID_LEMMA21, run_check
+from qsupercheck import identities, qfuncs
+from qsupercheck.catalog import GRID_LEMMA21, paper_default_suite, run_check
 from qsupercheck.cyclotomic import cyclotomic, divisors, q_integer
 from qsupercheck.identities import (
+    _check_poch_split,
     _check_prefactor_divisibility,
+    _check_qbinom_rewrite,
+    _check_ratio_shift,
     _decomposition_increments,
     _km_degenerate,
     _km_sides,
+    _poch_parts,
+    _ratio_shift_pre,
     qbinom_alternating_sum,
     verify_karlsson_minton,
     verify_proof_step,
@@ -20,14 +26,15 @@ from qsupercheck.identities import (
 from qsupercheck.laurent import Laurent, RatFunc
 from qsupercheck.poly import Poly, divrem, poly_prod
 from qsupercheck.qfuncs import (
-    QMonomial,
     one_minus_product,
     packed_width,
-    q_pochhammer,
+    q_binomial,
     sum_bounds,
     truncated_sum,
 )
 from qsupercheck.results import Status
+
+from oracles import QMonomial, inflate, q_pochhammer
 
 
 def test_km_trivial_offsets_give_one():
@@ -166,8 +173,8 @@ def _decomposition_sums_per_term(d, n):
 def test_decomposition_sums_match_per_term_oracle(d, n):
     sums = []
     for increments in _decomposition_increments(d, n):
-        width = packed_width(sum_bounds(increments)[0])
-        sums.append(truncated_sum(d, increments, width)[0].laurent())
+        width = packed_width(sum_bounds(increments))
+        sums.append(truncated_sum(d, increments, width).laurent())
     assert sums == _decomposition_sums_per_term(d, n)
 
 
@@ -208,6 +215,200 @@ def test_qbinom_rewrite():
     result = verify_proof_step(
         "qbinom_rewrite", {"d": 5, "r": 2, "n": 8, "k": 4})
     assert result.status is Status.HOLDS
+
+
+# Oracles: the three counting checks by Laurent and rational-function
+# arithmetic, each returning a witness or None.
+
+def _ratio_shift_by_products(d, r, n, j, k, central):
+    m = (n + r) // d
+    b = d - (d - 2 * j) * n
+    top = d + r - (d - 2 * j - 1) * n
+    lnum, lden = _poch_parts(top, d, k - 2 if central else k)
+    lden2, _ = _poch_parts(b, d, k)
+    rnum, rden = _poch_parts(b + d * k, d, m - 2 if central else m)
+    rden2, _ = _poch_parts(b, d, m)
+    lhs_num = one_minus_product(lnum)
+    lhs_den = one_minus_product(lden + lden2)
+    rhs_num = one_minus_product(rnum)
+    rhs_den = one_minus_product(rden + rden2)
+    if lhs_num * rhs_den != rhs_num * lhs_den:
+        return f"ratio shift differs at j={j}, k={k}"
+    return None
+
+
+def _qbinom_rewrite_by_products(d, r, n, k):
+    top = n - 1 - (n + r) // d
+    lhs_num = one_minus_product(
+        [d + r - (d - 1) * n + d * t for t in range(k)]).shifted(d * k)
+    lhs_den = one_minus_product([d + d * t for t in range(k)])
+    exponent = d * k * (k - 1) // 2 + (n + 2 * d + r - d * n) * k
+    rhs_num = Laurent(inflate(q_binomial(top, k), d), exponent)
+    if k % 2:
+        rhs_num = -rhs_num
+    if lhs_num != rhs_num * lhs_den:
+        return f"q-binomial rewrite differs at k={k}"
+    return None
+
+
+def _poch_split_by_products(d, r, k):
+    lhs = RatFunc(one_minus_product(
+        [d + r + d * t for t in range(k)] + [r - d + d * t for t in range(k)]))
+    # 1 + (1 - q^d)/(q^d - q^{dk+r}), with the denominator written as
+    # q^d (1 - q^{dk+r-d}).
+    ratio = RatFunc(
+        one_minus_product([d]),
+        one_minus_product([d * k + r - d]).shifted(d),
+    )
+    brackets = RatFunc(Laurent(q_integer(d - r)), q_integer(r))
+    square = RatFunc(one_minus_product([r + d * t for t in range(k)])) ** 2
+    rhs = -Laurent(Poly((1,)), r) * brackets * (1 + ratio) * square
+    if lhs != rhs:
+        return f"Pochhammer splitting differs at d={d}, r={r}, k={k}"
+    return None
+
+
+def _verdict(check, *args):
+    """HOLDS, or FAILS for a witness or an arithmetic refusal, as
+    ``run_check`` would report it."""
+    try:
+        return Status.HOLDS if check(*args) is None else Status.FAILS
+    except ArithmeticError:
+        return Status.FAILS
+
+
+def _past_grid_cases():
+    """(counting check, oracle, arguments) for d 2..11, r 1..d-1, k 0..6
+    and every admissible n <= 40."""
+    cases = []
+    for d in range(2, 12):
+        for r, k in itertools.product(range(1, d), range(7)):
+            cases.append((_check_poch_split, _poch_split_by_products,
+                          (d, r, k)))
+            for n in range(1, 41):
+                if (n + r) % d == 0 and n - 1 - (n + r) // d >= 0:
+                    cases.append((_check_qbinom_rewrite,
+                                  _qbinom_rewrite_by_products, (d, r, n, k)))
+                for j, central in itertools.product(range(1, d), (False, True)):
+                    if _ratio_shift_pre(d, r, n, j, k, central) is None:
+                        cases.append((_check_ratio_shift,
+                                      _ratio_shift_by_products,
+                                      (d, r, n, j, k, central)))
+    return cases
+
+
+# The paper-default instances of the five steps that count exponents, as
+# (check, oracle, arguments).
+COUNTED_STEPS = {
+    "ratio_shift_generic": lambda p: (
+        _check_ratio_shift, _ratio_shift_by_products,
+        (p["d"], p["r"], p["n"], p["j"], p["k"], False)),
+    "ratio_shift_central": lambda p: (
+        _check_ratio_shift, _ratio_shift_by_products,
+        (p["d"], p["r"], p["n"], p["j"], p["k"], True)),
+    "qbinom_rewrite": lambda p: (
+        _check_qbinom_rewrite, _qbinom_rewrite_by_products,
+        (p["d"], p["r"], p["n"], p["k"])),
+    "pochhammer_split_r1": lambda p: (
+        _check_poch_split, _poch_split_by_products, (p["d"], 1, p["k"])),
+    "pochhammer_split_general": lambda p: (
+        _check_poch_split, _poch_split_by_products,
+        (p["d"], p["r"], p["k"])),
+}
+PAPER_STEPS = [(cid, params) for cid, params in paper_default_suite()
+               if cid in COUNTED_STEPS]
+
+
+def test_counted_steps_match_product_oracles_on_the_suite():
+    assert len(PAPER_STEPS) > 200
+    for cid, params in PAPER_STEPS:
+        check, oracle, args = COUNTED_STEPS[cid](params)
+        assert run_check(cid, params).status is Status.HOLDS, (cid, params)
+        assert _verdict(check, *args) is _verdict(oracle, *args) \
+            is Status.HOLDS, (cid, params)
+
+
+def test_counted_steps_match_product_oracles_past_the_grid():
+    cases = _past_grid_cases()
+    verdicts = [_verdict(check, *args) for check, _, args in cases]
+    assert verdicts == [_verdict(oracle, *args) for _, oracle, args in cases]
+    assert len(cases) > 3000 and Status.HOLDS in verdicts
+
+
+def _one_exponent_mutants(sides):
+    """The sides with one numerator or denominator exponent moved by +-1,
+    one mutant at a time."""
+    for i, side in enumerate(sides):
+        for part in (2, 3):
+            for at, delta in itertools.product(range(len(side[part])),
+                                               (1, -1)):
+                exps = list(side[part])
+                exps[at] += delta
+                mutant = list(sides)
+                mutant[i] = side[:part] + (exps,) + side[part + 1:]
+                yield mutant
+
+
+# (check id, params, the function giving its sides, that function's args)
+MUTATED_STEPS = [
+    ("ratio_shift_generic", {"d": 4, "r": 1, "n": 7, "j": 3, "k": 2},
+     "_ratio_shift_sides", (4, 1, 7, 3, 2, False)),
+    ("ratio_shift_central", {"d": 7, "r": 2, "n": 12, "j": 3, "k": 1},
+     "_ratio_shift_sides", (7, 2, 12, 3, 1, True)),
+    ("qbinom_rewrite", {"d": 5, "r": 2, "n": 8, "k": 3},
+     "_qbinom_rewrite_sides", (5, 2, 8, 3)),
+    ("pochhammer_split_r1", {"d": 3, "k": 4}, "_poch_split_sides", (3, 1, 4)),
+    ("pochhammer_split_general", {"d": 5, "r": 2, "k": 3},
+     "_poch_split_sides", (5, 2, 3)),
+]
+
+
+@pytest.mark.parametrize("check_id,params,name,args", MUTATED_STEPS)
+def test_one_exponent_mutants_of_counted_steps_fail(monkeypatch, check_id,
+                                                    params, name, args):
+    assert run_check(check_id, params).status is Status.HOLDS
+    sides = getattr(identities, name)(*args)
+    count = 0
+    # The splitting's third part is the 1 + ratio sum, mutated below.
+    for mutant in _one_exponent_mutants(sides[:2]):
+        monkeypatch.setattr(identities, name,
+                            lambda *_, m=mutant: (*m, *sides[2:]))
+        assert run_check(check_id, params).status is Status.FAILS, mutant
+        count += 1
+    assert count >= 4
+
+
+@pytest.mark.parametrize("term,delta", itertools.product(range(3), (1, -1)))
+def test_wrong_exponent_in_one_plus_ratio_fails(monkeypatch, term, delta):
+    real = identities._poch_split_sides
+
+    def wrong(d, r, k):
+        lhs, rest, terms = real(d, r, k)
+        shift, (e,) = terms[term]
+        terms = list(terms)
+        terms[term] = (shift, [e + delta])
+        return lhs, rest, tuple(terms)
+
+    monkeypatch.setattr(identities, "_poch_split_sides", wrong)
+    result = run_check("pochhammer_split_general", {"d": 5, "r": 2, "k": 3})
+    assert result.status is Status.FAILS
+    assert result.witness == "1 + ratio differs at d=5, r=2, k=3"
+
+
+def test_counted_steps_need_no_polynomial_arithmetic(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("polynomial arithmetic in a counted step")
+
+    for cls, attr in ((Laurent, "__mul__"), (Laurent, "__rmul__"),
+                      (RatFunc, "__init__")):
+        monkeypatch.setattr(cls, attr, refuse)
+    for module in (qfuncs, identities):
+        for attr in ("one_minus_product", "q_binomial"):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, refuse)
+    for cid, params in PAPER_STEPS:
+        assert verify_proof_step(cid, params).status is Status.HOLDS, (
+            cid, params)
 
 
 def test_bracket_factorization_12():

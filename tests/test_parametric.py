@@ -44,11 +44,12 @@ INSTANCES = sorted({(cid, d, r, n) for grid in (GRID_PARAMETRIC, PAST_GRID)
 
 
 def _sum_sides(check_id, d, r, n, s):
-    """The kernel's LHS (N, D) at a = q^{sn}, unpacked."""
+    """The kernel's LHS N at a = q^{sn} and D, the product of every b,
+    unpacked."""
     increments = _sum_increments(check_id, d, r, n, s)
-    width = packed_width(max(sum_bounds(increments)))
-    num, den = truncated_sum(d, increments, width)
-    return num.laurent(), den.laurent()
+    num = truncated_sum(d, increments, packed_width(sum_bounds(increments)))
+    return num.laurent(), one_minus_product(
+        [e for _, b, _ in increments for e in b])
 
 
 def _sum_sides_by_suffixes(check_id, d, r, n, s):
@@ -103,9 +104,9 @@ def test_vanishing_sum_without_last_term_is_nonzero():
     # Negative control: the vanishing check must not pass vacuously.
     for s in (1, -1):
         increments = _sum_increments("p1_24", 4, 1, 7, s)
-        width = packed_width(sum_bounds(increments)[0])
-        assert truncated_sum(4, increments, width)[0].is_zero()
-        assert not truncated_sum(4, increments[:-1], width)[0].is_zero()
+        width = packed_width(sum_bounds(increments))
+        assert truncated_sum(4, increments, width).is_zero()
+        assert not truncated_sum(4, increments[:-1], width).is_zero()
 
 
 def _collapsed_term_by_entries(check_id, d, r, k):
@@ -133,8 +134,8 @@ def test_collapse_counting_matches_polynomial_oracle(check_id, d, r, n):
         lhs_den = one_minus_product(den)
         oracle_num, oracle_den = _collapsed_term_by_entries(check_id, d, r, k)
         assert lhs_num * oracle_den == oracle_num * lhs_den
-        shift, ref_num, ref_den = _reference_summand(check_id, d, r, k)
-        ref_num = one_minus_product(ref_num).shifted(shift)
+        sign, shift, ref_num, ref_den = _reference_summand(check_id, d, r, k)
+        ref_num = one_minus_product(ref_num).shifted(shift) * sign
         ref_den = one_minus_product(ref_den)
         assert lhs_num * ref_den == ref_num * lhs_den
     assert _collapse_at_one(check_id, d, r, n) is None
@@ -142,8 +143,8 @@ def test_collapse_counting_matches_polynomial_oracle(check_id, d, r, n):
 
 def test_collapse_detects_a_wrong_exponent(monkeypatch):
     def off_by_one(check_id, d, r, k):
-        shift, num, den = _reference_summand(check_id, d, r, k)
-        return shift, num + [d * k + 1], den + [d * k + 2]
+        sign, shift, num, den = _reference_summand(check_id, d, r, k)
+        return sign, shift, num + [d * k + 1], den + [d * k + 2]
 
     monkeypatch.setattr(parametric, "_reference_summand", off_by_one)
     witness = _collapse_at_one("p7_45", 7, 3, 11)

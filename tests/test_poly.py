@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsupercheck.laurent import Laurent, PoleError, RatFunc, ZeroBaseError
+from qsupercheck.laurent import Laurent, RatFunc
 from qsupercheck.poly import (
     Poly,
     divrem,
@@ -70,25 +70,12 @@ def test_xgcd_cyclotomic_unit():
     assert s * phi5 + t * Q == Poly((1,))
 
 
-def test_eval_laurent_direct():
-    f = Laurent(Poly((1, 0, 1)), -1)  # q + q^-1
-    assert f.evaluate(2) == Fraction(5, 2)
-
-
-def test_eval_ratfunc_cancellation():
-    f = RatFunc(Laurent(Poly((-1, 0, 1))), Poly((-1, 1)))
-    assert f.evaluate(3) == 4
-
-
-def test_eval_zero_base_error():
-    with pytest.raises(ZeroBaseError):
-        Laurent(Poly((1,)), -1).evaluate(0)
-
-
-def test_eval_pole_error():
-    f = RatFunc(Laurent(Poly((1,))), Poly((-2, 1)))
-    with pytest.raises(PoleError):
-        f.evaluate(2)
+def _horner(f, x):
+    """Exact value of the polynomial f at x."""
+    acc = 0
+    for c in reversed(f.coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def _random_poly(rng, max_deg=8):
@@ -133,8 +120,8 @@ def test_eval_is_ring_homomorphism():
     for _ in range(200):
         f, g = _random_poly(rng, 6), _random_poly(rng, 6)
         x = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        assert (f * g).evaluate(x) == f.evaluate(x) * g.evaluate(x)
-        assert (f + g).evaluate(x) == f.evaluate(x) + g.evaluate(x)
+        assert _horner(f * g, x) == _horner(f, x) * _horner(g, x)
+        assert _horner(f + g, x) == _horner(f, x) + _horner(g, x)
 
 
 @given(st.lists(st.integers(-50, 50), max_size=7),
@@ -214,5 +201,5 @@ def _digits(draw):
 def test_pack_unpack_round_trip(case):
     coeffs, nbytes = case
     value = pack(coeffs, nbytes)
-    assert value == Poly(coeffs).evaluate(1 << (8 * nbytes))
+    assert value == _horner(Poly(coeffs), 1 << (8 * nbytes))
     assert Poly(unpack(value, nbytes)) == Poly(coeffs)

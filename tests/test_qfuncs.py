@@ -1,4 +1,4 @@
-"""q-shifted factorials and Gaussian binomials."""
+"""q-shifted factorials, Gaussian binomials and the packed kernel."""
 
 import functools
 import itertools
@@ -29,24 +29,29 @@ from qsupercheck.qfuncs import (
     DegenerateProductError,
     Packed,
     PackingOverflowError,
-    QMonomial,
-    inflate,
     one_minus_normal_form,
     one_minus_product,
     packed_width,
     q_binomial,
-    q_pochhammer,
     sum_bounds,
     truncated_sum,
 )
 from qsupercheck.results import Status
 
+from oracles import QMonomial, inflate, one_minus, q_pochhammer
+
+
+def _denominator(increments):
+    """Every b exponent of the increments: the factors of the sum's D."""
+    return [e for _, b, _ in increments for e in b]
+
 
 def _laurent_sum(step, increments):
-    """The kernel's (N, D) at the width of their own bounds, unpacked."""
-    width = packed_width(max(sum_bounds(increments)))
-    num, den = truncated_sum(step, increments, width)
-    return num.laurent(), den.laurent()
+    """The kernel's N and the product D of every b, each at the width of
+    its own bound, unpacked."""
+    den = _denominator(increments)
+    num = truncated_sum(step, increments, packed_width(sum_bounds(increments)))
+    return num.laurent(), one_minus_product(den)
 
 
 def test_pochhammer_two_factor_product():
@@ -161,12 +166,12 @@ def test_truncated_sum_two_terms_by_hand():
 
 @pytest.mark.parametrize("d", [2, 3, 4, 7])
 def test_truncated_sum_negative_exponent(d):
-    factor = Laurent.one_minus(1, 1 - d)  # -q^{1-d} (1 - q^{d-1})
+    factor = one_minus(1, 1 - d)  # -q^{1-d} (1 - q^{d-1})
     assert factor == Laurent(Poly((-1,) + (0,) * (d - 2) + (1,)), 1 - d)
     assert _laurent_sum(1, [([1 - d], [], [])]) == (factor, Laurent(Poly((1,))))
     assert _laurent_sum(1, [([], [1 - d], [])]) == (Laurent(Poly((1,))), factor)
     num, den = _laurent_sum(d, [([], [], []), ([1 - d], [d], [1 - d])])
-    assert num == one_minus_product([d]) + factor * factor * Laurent.term(1, d)
+    assert num == one_minus_product([d]) + (factor * factor).shifted(d)
     assert den == one_minus_product([d])
 
 
@@ -200,7 +205,7 @@ def test_denominator_zero_reads_as_fails(monkeypatch):
 
 def _laurent_product(exps):
     """Oracle: the factors multiplied one Laurent product at a time."""
-    return functools.reduce(operator.mul, (Laurent.one_minus(1, e) for e in exps),
+    return functools.reduce(operator.mul, (one_minus(1, e) for e in exps),
                             Laurent(Poly((1,))))
 
 
@@ -230,51 +235,54 @@ def test_truncated_sum_matches_rational_sum(step, increments):
     assert RatFunc(num, den) == total
 
 
-def _product(shift, num, den):
+def _product(sign, shift, num, den):
     """Oracle: the quotient as cross-multipliable Laurent products."""
-    return one_minus_product(num).shifted(shift), one_minus_product(den)
+    return one_minus_product(num).shifted(shift) * sign, one_minus_product(den)
+
+
+_signs = st.sampled_from([1, -1])
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(-4, 4), _exponents, _nonzero,
-       st.integers(-4, 4), _exponents, _nonzero)
-def test_normal_form_equality_matches_products(s1, num1, den1, s2, num2, den2):
-    n1, d1 = _product(s1, num1, den1)
-    n2, d2 = _product(s2, num2, den2)
-    same = one_minus_normal_form(s1, num1, den1) == one_minus_normal_form(
-        s2, num2, den2)
+@given(_signs, st.integers(-4, 4), _exponents, _nonzero,
+       _signs, st.integers(-4, 4), _exponents, _nonzero)
+def test_normal_form_equality_matches_products(g1, s1, num1, den1,
+                                               g2, s2, num2, den2):
+    n1, d1 = _product(g1, s1, num1, den1)
+    n2, d2 = _product(g2, s2, num2, den2)
+    same = one_minus_normal_form(g1, s1, num1, den1) == one_minus_normal_form(
+        g2, s2, num2, den2)
     assert same == (n1 * d2 == n2 * d1)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(-4, 4), _exponents, _nonzero,
+@given(_signs, st.integers(-4, 4), _exponents, _nonzero,
        st.randoms(use_true_random=False))
-def test_normal_form_sees_rearranged_quotients_equal(shift, num, den, rnd):
+def test_normal_form_sees_rearranged_quotients_equal(sign, shift, num, den,
+                                                     rnd):
     # The same quotient written another way: shuffled, with a common factor
     # on both sides and each negative exponent e as -q^e (1 - q^-e).
-    sign, extra = 1, 0
+    sign2, extra = sign, 0
     num2 = []
     for e in num:
         if e < 0:
-            sign, extra = -sign, extra + e
+            sign2, extra = -sign2, extra + e
         num2.append(abs(e))
     num2 += [5]
     den2 = den + [5]
     rnd.shuffle(num2)
-    form = one_minus_normal_form(shift, num, den)
-    other = one_minus_normal_form(shift + extra, num2, den2)
-    if form is None:
-        assert other is None
-    else:
-        assert form == (other[0] * sign, other[1], other[2])
+    form = one_minus_normal_form(sign, shift, num, den)
+    other = one_minus_normal_form(sign2, shift + extra, num2, den2)
+    assert form == other
 
 
 def test_normal_form_degenerate_factors():
-    assert one_minus_normal_form(3, [2, 0], [1]) is None
+    assert one_minus_normal_form(1, 3, [2, 0], [1]) is None
     with pytest.raises(DegenerateProductError):
-        one_minus_normal_form(0, [1], [0])
-    assert one_minus_normal_form(0, [-2], []) == (-1, -2, frozenset({(2, 1)}))
-    assert one_minus_normal_form(1, [6, 2], [2, 3]) == (
+        one_minus_normal_form(1, 0, [1], [0])
+    assert one_minus_normal_form(1, 0, [-2], []) == (-1, -2, frozenset({(2, 1)}))
+    assert one_minus_normal_form(-1, 0, [-2], []) == (1, -2, frozenset({(2, 1)}))
+    assert one_minus_normal_form(1, 1, [6, 2], [2, 3]) == (
         1, 1, frozenset({(6, 1), (3, -1)}))
 
 
@@ -372,13 +380,19 @@ def test_packed_kernel_matches_dense_oracle(monkeypatch):
         1 for cid, _ in KERNEL_INSTANCES if cid == "thm13")
     for step, increments, width, fold in calls:
         dense_num, dense_den = _dense_sum(step, increments)
+        # D as verify_parametric builds it: the product of every b, at the
+        # width its own bound asks for.
+        b = _denominator(increments)
+        bits = Packed(0, 0, 0, 8, fold).times_one_minus(b).bits
+        den = Packed.one(packed_width(bits), fold).times_one_minus(b)
+        num = real(step, increments, width, fold)
         if fold:  # thm13: both folded modulo (1 - q^fold)^2
-            num, den = real(step, increments, width, fold)
             assert num.laurent() == _fold_oracle(dense_num, fold)
             assert den.laurent() == _fold_oracle(dense_den, fold)
             continue
         # The vanishing checks pick a width for N alone.
-        assert real(step, increments, width)[0].laurent() == dense_num
+        assert num.laurent() == dense_num
+        assert den.laurent() == dense_den
         assert _laurent_sum(step, increments) == (dense_num, dense_den)
     for cid, params in KERNEL_INSTANCES:
         if cid in PARAMETRIC_IDS:
@@ -506,7 +520,7 @@ def test_fold_matches_division_by_one_minus_q_n_squared(n, coeffs, exps,
     start = Packed(sum(c * one.shifted(e).value for e, c in coeffs.items()),
                    0, bits, width, n)
     folded = start.times_one_minus(exps).shifted(shift)
-    value = sum((Laurent.term(c, e) for e, c in coeffs.items()),
+    value = sum((Laurent(Poly((c,)), e) for e, c in coeffs.items()),
                 Laurent(Poly()))
     value = (value * _laurent_product(exps)).shifted(shift)
     rep = _fold_oracle(value, n)

@@ -1,4 +1,4 @@
-"""Quotient rings mod Phi_n(q)^2 and [n]^2."""
+"""The quotient ring mod Phi_n(q)^2."""
 
 import random
 
@@ -7,27 +7,17 @@ import pytest
 from qsupercheck.cyclotomic import cyclotomic
 from qsupercheck.laurent import Laurent
 from qsupercheck.poly import Poly, divrem, xgcd
-from qsupercheck.residue import (
-    BRACKET_SQUARED,
-    PHI_SQUARED,
-    NonUnitError,
-    ResidueRing,
-)
+from qsupercheck.residue import NonUnitError, ResidueRing
 
 
 @pytest.fixture(scope="module")
 def ring5():
-    return ResidueRing(5, PHI_SQUARED)
+    return ResidueRing(5)
 
 
 def test_rejects_n_1():
     with pytest.raises(ValueError):
-        ResidueRing(1, PHI_SQUARED)
-
-
-def test_bracket_kind_modulus():
-    ring = ResidueRing(4, BRACKET_SQUARED)
-    assert ring.modulus == Poly((1, 1, 1, 1)) ** 2
+        ResidueRing(1)
 
 
 def test_class_of_q_pow_n_is_not_one(ring5):
@@ -96,7 +86,7 @@ def test_reduce_matches_brute_force_oracle(n):
     # Oracle path: clear the negative powers by hand, long-divide by the
     # modulus, then undo the shift with an inverse computed afresh by
     # extended Euclid rather than the ring's cached inverse of q.
-    ring = ResidueRing(n, PHI_SQUARED)
+    ring = ResidueRing(n)
     rng = random.Random(100 + n)
     for _ in range(20):
         f = _random_laurent(rng)

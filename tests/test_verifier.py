@@ -38,16 +38,17 @@ from qsupercheck.qfuncs import (
     sum_bounds,
     truncated_sum,
 )
-from qsupercheck.residue import PHI_SQUARED, NonUnitError, ResidueRing
+from qsupercheck.residue import NonUnitError, ResidueRing
 from qsupercheck.results import Status
 from qsupercheck.verifier import (
     lhs_sum,
     divisibility_expression,
-    lhs_sum_whole,
     rhs_closed_form,
     verify_divisibility,
     verify_theorem,
 )
+
+from oracles import lhs_sum_whole
 
 
 def _same_value(a, b):
@@ -57,7 +58,7 @@ def _same_value(a, b):
 
 def test_lhs_sum_two_term_by_hand():
     # d = 3, n = 2: 1 + T_1 / h_1 = (h_1 + T_1) / h_1.
-    ring = ResidueRing(2, PHI_SQUARED)
+    ring = ResidueRing(2)
     h1 = poch_power_base(3, 3, 1) ** 3
     t1 = (poch_power_base(4, 3, 1) * poch_power_base(1, 3, 1) ** 2
           * Laurent(Poly((1,)), 3))
@@ -67,19 +68,19 @@ def test_lhs_sum_two_term_by_hand():
 
 
 def test_lhs_sum_coefficients_stay_integral():
-    ring = ResidueRing(11, PHI_SQUARED)
+    ring = ResidueRing(11)
     for value in lhs_sum(F3_SQUARED, 3, 1, 11, ring):
         assert all(type(c) is int for c in value.rep.coeffs)
 
 
 def test_lhs_sum_matches_whole_sum_oracle():
-    ring = ResidueRing(3, PHI_SQUARED)
+    ring = ResidueRing(3)
     num, den = lhs_sum(F1_GUO, 2, 1, 3, ring)
     assert num == lhs_sum_whole(F1_GUO, 2, 1, 3, ring) * den
 
 
 def test_lemma_sum_vanishes():
-    ring = ResidueRing(7, PHI_SQUARED)
+    ring = ResidueRing(7)
     num, _ = lhs_sum(F4_LEMMA, 4, 1, 7, ring)
     assert num.is_zero()
 
@@ -87,14 +88,14 @@ def test_lemma_sum_vanishes():
 def test_lhs_sum_refuses_non_unit_denominator():
     # d = 2, n = 4: the k = 2 factor 1 - q^4 is divisible by Phi_4.
     with pytest.raises(NonUnitError) as err:
-        lhs_sum(F1_GUO, 2, 1, 4, ResidueRing(4, PHI_SQUARED))
+        lhs_sum(F1_GUO, 2, 1, 4, ResidueRing(4))
     assert err.value.witness == cyclotomic(4)
 
 
 def test_rhs_closed_form_refuses_non_unit_denominator():
     # thm12 at d = 3, n = 8 in the ring of n = 3: (q^3; q^3)_3 has 1 - q^3.
     with pytest.raises(NonUnitError):
-        rhs_closed_form("thm12", 3, 1, 8, ResidueRing(3, PHI_SQUARED))
+        rhs_closed_form("thm12", 3, 1, 8, ResidueRing(3))
 
 
 # Statuses of (no mutation, sign mutant, exponent mutant) per check id on
@@ -152,14 +153,14 @@ def test_a_exponent_values():
 
 def test_rhs_closed_form_first_family():
     # d = 2, n = 3: the two length-one Pochhammers cancel, leaving -q^2.
-    ring = ResidueRing(3, PHI_SQUARED)
+    ring = ResidueRing(3)
     num, den = rhs_closed_form("eq13", 2, 1, 3, ring)
     assert den == ring.element(poch_power_base(2, 2, 1))
     assert num == -ring.pow_q(2) * den
 
 
 def test_rhs_zero_for_vanishing_family():
-    ring = ResidueRing(7, PHI_SQUARED)
+    ring = ResidueRing(7)
     assert rhs_closed_form("lemma21", 4, 1, 7, ring) == (ring.zero, ring.one)
 
 
@@ -249,8 +250,8 @@ def test_inexact_divisibility_division_reads_as_fails(monkeypatch):
     real = verifier.truncated_sum
 
     def plus_one(step, increments, width, fold=0):
-        num, den = real(step, increments, width, fold)
-        return Packed(num.value + 1, num.low, num.bits, width, fold), den
+        num = real(step, increments, width, fold)
+        return Packed(num.value + 1, num.low, num.bits, width, fold)
 
     monkeypatch.setattr(verifier, "truncated_sum", plus_one)
     with pytest.raises(IntegralityError):
@@ -302,16 +303,16 @@ def _fold_theorem_verdict(check_id, d, n, r, mutation):
     c = [m for m in divisors(n) if m < n for _ in range(2)]
     # Bounds follow from the operations alone, so a zero value at any width
     # carries them ahead of the build.
-    num_bits, den_bits = sum_bounds(increments, d, n)
-    lhs_bits = Packed(0, 0, num_bits, 8, n).times_one_minus(rden + c).bits
-    rhs_bits = Packed(0, 0, den_bits, 8, n).times_one_minus(
-        rnum + c).shifted(shift).bits
+    lhs_bits = Packed(0, 0, sum_bounds(increments, d, n), 8, n).times_one_minus(
+        rden + c).bits
+    lhs_den = [e for _, b, _ in increments for e in b]
+    rhs_bits = Packed(0, 0, 0, 8, n).times_one_minus(
+        lhs_den + rnum + c).shifted(shift).bits
     width = packed_width(max(lhs_bits, rhs_bits) + 1)
-    num, den = truncated_sum(d, increments, width, fold=n)
-    lhs = num.times_one_minus(rden + c)
+    lhs = truncated_sum(d, increments, width, fold=n).times_one_minus(rden + c)
     if cf is None:
         return "HOLDS" if lhs.is_zero() else "FAILS"
-    rhs = den.times_one_minus(rnum + c).shifted(shift)
+    rhs = Packed.one(width, n).times_one_minus(lhs_den + rnum + c).shifted(shift)
     same = lhs == rhs if sign > 0 else (lhs + rhs).is_zero()
     return "HOLDS" if same else "FAILS"
 
@@ -332,23 +333,11 @@ def test_r1_collapse_of_closed_forms():
         (4, 7, "thm11", "eq15"),
         (5, 9, "eq14", "thm12"),
     ):
-        ring = ResidueRing(n, PHI_SQUARED)
+        ring = ResidueRing(n)
         assert _same_value(rhs_closed_form("thm41", d, 1, n, ring),
                            rhs_closed_form(flavor_mixed, d, 1, n, ring))
         assert _same_value(rhs_closed_form("thm42", d, 1, n, ring),
                            rhs_closed_form(flavor_squared, d, 1, n, ring))
-
-
-def test_family_keyed_rhs_dispatch():
-    from qsupercheck.verifier import rhs_for_family
-
-    ring5 = ResidueRing(5, PHI_SQUARED)
-    ring7 = ResidueRing(7, PHI_SQUARED)
-    assert rhs_for_family("F2_MIXED", 3, 1, 5, ring5) == rhs_closed_form(
-        "eq14", 3, 1, 5, ring5)
-    assert rhs_for_family("F2_MIXED", 4, 1, 7, ring7) == rhs_closed_form(
-        "thm11", 4, 1, 7, ring7)
-    assert rhs_for_family("F4_LEMMA", 4, 1, 7, ring7)[0].is_zero()
 
 
 @pytest.mark.parametrize("check_id,d,r,n", [
