@@ -150,6 +150,7 @@ def verify_qbinomial_vanishing(n: int, j: int | None = None,
     Without j, every exponent 0..n-1 must give the zero polynomial.  With
     an explicit j the expectation defaults to zero inside that range and
     to nonzero outside it (diagnostic mode); pass ``expect`` to override.
+    ``expect`` without j is refused as a precondition.
     """
     params = {"n": n}
     if j is not None:
@@ -158,6 +159,8 @@ def verify_qbinomial_vanishing(n: int, j: int | None = None,
         params["expect"] = expect
     if n < 1:
         return skipped("qbinom_vanish", params, "requires n >= 1")
+    if j is None and expect is not None:
+        return skipped("qbinom_vanish", params, "requires j with expect")
     if j is None:
         targets = [(jj, "zero") for jj in range(n)]
         note = None

@@ -6,9 +6,13 @@ band of bases carrying the low q-power (or a shifted Pochhammer index),
 and the fixed denominator bases {q^d} + {a^j q^d : j = d-2, d-4, ..., 2-d}.
 Substituting a = q^{+-n} makes everything univariate; the congruence
 modulo (1 - a q^n)(a - q^n) is certified by exact rational-function
-equality at both substitution points: each sum is one packed
-``truncated_sum``, the closed form's factors 1 - q^e are applied to it
-crosswise, and the two cross products are compared as integers.
+equality at both substitution points.  After the substitution most
+numerator factors 1 - q^e of a term reappear in the denominator of the
+same or a later term; ``cancel_increments`` cancels them by counting, and
+the closed form's denominator is cancelled against what is left.  Each
+sum is then one packed ``truncated_sum``, the closed form's factors are
+applied to it crosswise, and the two cross products are compared as
+integers at a width counted from the cancelled factors.
 Substituting a = 1 into the same increments must reproduce the
 corresponding non-parametric summand term by term, which pins down the
 reconstruction of the displayed exponent patterns; the terms are compared
@@ -22,6 +26,7 @@ from math import gcd as igcd
 from .families import a_exponent
 from .qfuncs import (
     Packed,
+    cancel_increments,
     one_minus_normal_form,
     packed_width,
     sum_bounds,
@@ -198,6 +203,18 @@ def _collapse_at_one(check_id: str, d: int, r: int, n: int) -> str | None:
     return None
 
 
+def _cancel_common(lhs_den: list[int], den: list[int]):
+    """Both denominators less their common factors 1 - q^e, e != 0 (a
+    multiset intersection; the lists are short)."""
+    kept = []
+    for e in den:
+        if e and e in lhs_den:
+            lhs_den.remove(e)
+        else:
+            kept.append(e)
+    return lhs_den, kept
+
+
 def verify_parametric(check_id: str, d: int, r: int, n: int,
                       mutation: str | None = None) -> CheckResult:
     """Exact equality at a = q^{+-n} plus the a = 1 termwise collapse."""
@@ -206,7 +223,7 @@ def verify_parametric(check_id: str, d: int, r: int, n: int,
     if reason is not None:
         return skipped(check_id, params, reason)
     for s in (1, -1):
-        increments = _sum_increments(check_id, d, r, n, s)
+        increments = cancel_increments(_sum_increments(check_id, d, r, n, s))
         num_bits = sum_bounds(increments)
         if check_id in _VANISHING:
             if mutation is not None:
@@ -216,7 +233,8 @@ def verify_parametric(check_id: str, d: int, r: int, n: int,
                              f"substituted sum nonzero at a = q^{s * n}")
             continue
         sign, shift, num, den = _rhs_factors(check_id, d, r, n, s, mutation)
-        lhs_den = [e for _, b, _ in increments for e in b]
+        lhs_den, den = _cancel_common(
+            [e for _, b, _ in increments for e in b], den)
         # Cross products N * den and D * num, each built by applying the
         # other side's factors, at one width wide enough for both.
         width = packed_width(max(num_bits + len(den), len(num) + len(lhs_den)))

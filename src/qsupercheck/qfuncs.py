@@ -15,7 +15,9 @@ their coefficients, carried along, fits the digit width B.
 ``truncated_sum`` builds the numerators of the truncated Laurent sums of
 the checks, packed, and ``one_minus_product`` unpacks a packed product
 of factors 1 - q^e; the width comes beforehand from factor counts
-(``sum_bounds``, ``packed_width``).  With ``fold = n`` the same kernel
+(``sum_bounds``, ``packed_width``).  ``cancel_increments`` rewrites a
+sum's increments, by exponent counting, into the same sum over a smaller
+denominator, which tightens that count.  With ``fold = n`` the same kernel
 keeps a value modulo (1 - q^n)^2, as an int modulo (2^{n B} - 1)^2, so a
 divisibility by (1 - q^n)^2 is decided without unpacking.
 ``one_minus_normal_form`` reduces a quotient of such factors to exponent
@@ -248,6 +250,38 @@ def sum_bounds(increments, step: int = 0, fold: int = 0) -> int:
     grow = fold and fold_bits(abs(step) * len(increments) + sum(
         abs(e) for inc in increments for exps in inc for e in exps), fold)
     return (total - 1).bit_length() + grow
+
+
+def cancel_increments(increments) -> list[tuple[list, list, list]]:
+    """The same sum as ``truncated_sum``'s increments over a smaller D.
+
+    Walking k upward, an exponent e of b_k that equals a still unmatched
+    exponent of some a_j, j <= k, is paired with the latest such j: the
+    factor 1 - q^e leaves a_j and b_k, and joins c_t for j <= t < k.
+    Terms t >= k lose it from numerator and denominator alike, terms
+    j <= t < k keep it through c_t, and D loses it: every term keeps its
+    value, and the bound of ``sum_bounds`` halves with each pair.  Only
+    equal nonzero exponents pair, so 1 - q^0 is refused or zeroes terms as
+    before, and e never pairs with its associate -e.
+    """
+    out = [(list(a), [], list(c)) for a, _, c in increments]
+    open_at = {}  # e -> the j of each a_j holding an unmatched e, in order
+    for k, (a, b, _) in enumerate(increments):
+        for e in a:
+            if e in open_at:
+                open_at[e].append(k)
+            else:
+                open_at[e] = [k]
+        for e in b:
+            js = open_at.get(e)
+            if e and js:
+                j = js.pop()
+                out[j][0].remove(e)
+                for t in range(j, k):
+                    out[t][2].append(e)
+            else:
+                out[k][1].append(e)
+    return out
 
 
 def truncated_sum(step: int, increments, width: int, fold: int = 0) -> Packed:

@@ -51,6 +51,18 @@ def test_verify_qbinom_rewrite_skip_names_the_negative_top(capsys):
     assert out["note"] == "requires n - 1 - (n + r)/d >= 0"
 
 
+def test_verify_qbinom_vanish_expect_without_j_is_skipped(capsys):
+    # Every j in 0..4 vanishes, so a silently dropped expectation would
+    # read as HOLDS.
+    code = main(["verify", "--check", "qbinom_vanish", "--n", "5",
+                 "--expect", "nonzero"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["status"] == "SKIPPED_PRECONDITION"
+    assert out["note"] == "requires j with expect"
+    assert out["params"] == {"n": 5, "expect": "nonzero"}
+
+
 def test_verify_km_without_trials_is_skipped(capsys):
     code = main(["verify", "--check", "km", "--n-list", "1,2", "--trials", "0"])
     out = json.loads(capsys.readouterr().out)

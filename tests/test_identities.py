@@ -89,6 +89,14 @@ def test_qbinom_negative_j_is_nonvanishing():
     assert forced.status is Status.FAILS
 
 
+@pytest.mark.parametrize("expect", ["zero", "nonzero"])
+def test_qbinom_expect_without_j_is_refused(expect):
+    for result in (verify_qbinomial_vanishing(5, expect=expect),
+                   run_check("qbinom_vanish", {"n": 5, "expect": expect})):
+        assert result.status is Status.SKIPPED_PRECONDITION
+        assert result.note == "requires j with expect"
+
+
 def test_qbinom_vanishing_small():
     assert verify_qbinomial_vanishing(1).status is Status.HOLDS
     assert verify_qbinomial_vanishing(5).status is Status.HOLDS
@@ -252,18 +260,18 @@ def _qbinom_rewrite_by_products(d, r, n, k):
 
 
 def _poch_split_by_products(d, r, k):
-    lhs = RatFunc(one_minus_product(
-        [d + r + d * t for t in range(k)] + [r - d + d * t for t in range(k)]))
-    # 1 + (1 - q^d)/(q^d - q^{dk+r}), with the denominator written as
-    # q^d (1 - q^{dk+r-d}).
-    ratio = RatFunc(
-        one_minus_product([d]),
-        one_minus_product([d * k + r - d]).shifted(d),
-    )
-    brackets = RatFunc(Laurent(q_integer(d - r)), q_integer(r))
-    square = RatFunc(one_minus_product([r + d * t for t in range(k)])) ** 2
-    rhs = -Laurent(Poly((1,)), r) * brackets * (1 + ratio) * square
-    if lhs != rhs:
+    lhs = one_minus_product(
+        [d + r + d * t for t in range(k)] + [r - d + d * t for t in range(k)])
+    # 1 + (1 - q^d)/(q^d - q^{dk+r}) = (p + (1 - q^d)) / p with
+    # p = q^d (1 - q^{dk+r-d}), so the splitting cross-multiplied by its
+    # denominators [r] p reads lhs [r] p = -q^r [d-r] (p + 1 - q^d) square.
+    p = one_minus_product([d * k + r - d]).shifted(d)
+    den = p * Laurent(q_integer(r))
+    if den.is_zero():
+        raise ZeroDivisionError("zero denominator")
+    square = one_minus_product([r + d * t for t in range(k)]) ** 2
+    rhs = -Laurent(q_integer(d - r), r) * (p + one_minus_product([d])) * square
+    if lhs * den != rhs:
         return f"Pochhammer splitting differs at d={d}, r={r}, k={k}"
     return None
 

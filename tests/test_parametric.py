@@ -100,6 +100,21 @@ def test_sum_sides_match_suffix_product_oracle(check_id, d, r, n):
             check_id, d, r, n, s)
 
 
+def test_cancelled_cross_product_packs_at_32_bit_digits(monkeypatch):
+    # Factor counts alone packed p7_45 (7, 3, 11) at 88-bit digits for
+    # 27-bit coefficients; after the counted cancellation 32 bits suffice.
+    widths = []
+    real = parametric.truncated_sum
+
+    def spy(step, increments, width, fold=0):
+        widths.append(width)
+        return real(step, increments, width, fold)
+
+    monkeypatch.setattr(parametric, "truncated_sum", spy)
+    assert verify_parametric("p7_45", 7, 3, 11).status is Status.HOLDS
+    assert len(widths) == 2 and max(widths) <= 32
+
+
 def test_vanishing_sum_without_last_term_is_nonzero():
     # Negative control: the vanishing check must not pass vacuously.
     for s in (1, -1):

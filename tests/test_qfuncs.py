@@ -4,6 +4,7 @@ import functools
 import itertools
 import operator
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from qsupercheck.qfuncs import (
     DegenerateProductError,
     Packed,
     PackingOverflowError,
+    cancel_increments,
     one_minus_normal_form,
     one_minus_product,
     packed_width,
@@ -235,6 +237,67 @@ def test_truncated_sum_matches_rational_sum(step, increments):
     assert RatFunc(num, den) == total
 
 
+def _assert_cancels_exactly(step, increments):
+    """``cancel_increments`` keeps the sum: its D' is a sub-multiset of D,
+    N' prod(D minus D') == N, and its bound is no larger."""
+    before = [tuple(list(part) for part in inc) for inc in increments]
+    rewritten = cancel_increments(increments)
+    assert [tuple(inc) for inc in increments] == before  # a pure function
+    den, den2 = Counter(_denominator(increments)), Counter(_denominator(rewritten))
+    assert not den2 - den
+    gone = list((den - den2).elements())
+    bits, bits2 = sum_bounds(increments, step), sum_bounds(rewritten, step)
+    assert bits2 <= bits
+    width = packed_width(max(bits, bits2 + len(gone)))
+    assert truncated_sum(step, rewritten, width).times_one_minus(
+        gone) == truncated_sum(step, increments, width)
+
+
+def test_cancel_increments_by_hand():
+    # 1 - q^3 from a_1 meets b_2: term 1 keeps it through c_1.
+    assert cancel_increments([([], [], []), ([3], [2], []), ([5], [3], [1])]) \
+        == [([], [], []), ([], [2], [3]), ([5], [], [1])]
+    # The latest unmatched a_j pairs, so the fewest terms take it into c.
+    assert cancel_increments([([2], [], []), ([2], [], []), ([], [2], [])]) \
+        == [([2], [], []), ([], [], [2]), ([], [], [])]
+    # A match inside one increment moves nothing into c.
+    assert cancel_increments([([4, 1], [1], [])]) == [([4], [], [])]
+    # A later a_j, an associate -e and 1 - q^0 never pair, so the kernel
+    # still zeroes later terms by 1 - q^0 or refuses it.
+    for fixed in ([([], [5], []), ([5], [], [])], [([-2, 0], [2, 0], [])]):
+        assert cancel_increments(fixed) == fixed
+    with pytest.raises(DegenerateProductError):
+        truncated_sum(1, cancel_increments([([0], [0], [])]), 8)
+
+
+_small = st.lists(st.integers(-4, 4), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-3, 3), st.lists(st.tuples(_small, _small, _small),
+                                    min_size=1, max_size=6))
+def test_cancel_increments_keeps_the_sum(step, increments):
+    if any(0 in b for _, b, _ in increments):
+        with pytest.raises(DegenerateProductError):
+            truncated_sum(step, cancel_increments(increments), 8)
+        return
+    _assert_cancels_exactly(step, increments)
+
+
+def test_cancel_increments_fixes_thm13_and_decomposition_sums():
+    # Their terms share no factor 1 - q^e, so there is nothing to cancel.
+    cases = []
+    for cid, p in KERNEL_INSTANCES:
+        if cid == "thm13":
+            cases.append(verifier.divisibility_increments(p["d"], p["n"]))
+        elif cid == "sum_decomposition":
+            cases += identities._decomposition_increments(p["d"], p["n"])
+    assert len(cases) > 20
+    for increments in cases:
+        as_lists = [tuple(list(part) for part in inc) for inc in increments]
+        assert cancel_increments(increments) == as_lists
+
+
 def _product(sign, shift, num, den):
     """Oracle: the quotient as cross-multipliable Laurent products."""
     return one_minus_product(num).shifted(shift) * sign, one_minus_product(den)
@@ -401,6 +464,17 @@ def test_packed_kernel_matches_dense_oracle(monkeypatch):
                                               params["n"], s, None)
                 assert one_minus_product(num) == _dense_product(num)
                 assert one_minus_product(den) == _dense_product(den)
+
+
+def test_cancel_increments_keeps_every_parametric_sum():
+    # The catalog grid and the laurent-products instances past it.
+    instances = {(cid, p["d"], p["r"], p["n"]) for cid, p in KERNEL_INSTANCES
+                 if cid in PARAMETRIC_IDS}
+    assert len(instances) == 32
+    for cid, d, r, n in sorted(instances):
+        for s in (1, -1):
+            _assert_cancels_exactly(
+                d, parametric._sum_increments(cid, d, r, n, s))
 
 
 def _oracle_verdict(check_id, d, r, n, increments):
