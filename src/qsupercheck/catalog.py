@@ -100,15 +100,16 @@ def build_registry() -> dict[str, CheckSpec]:
         "alternating q-binomial sum vanishes for 0 <= j <= n-1")
     step_desc = {
         "ratio_shift_generic": "Pochhammer ratio shift outside the central "
-                               "band, exact rational function identity",
+                               "band, by exponent counting",
         "ratio_shift_central": "Pochhammer ratio shift on the central band "
-                               "with indices k-2 and (n+r)/d-2",
+                               "with indices k-2 and (n+r)/d-2, by exponent "
+                               "counting",
         "qbinom_rewrite": "terminating Pochhammer quotient as signed "
                           "q-binomial times a q-power",
         "exponent_identity": "integer identity between the two q-power "
                              "exponent forms",
-        "sum_decomposition": "three-sum bracket decomposition as exact "
-                             "rational functions",
+        "sum_decomposition": "three-sum bracket decomposition, term by "
+                             "term on the factors the terms do not share",
         "pochhammer_split_r1": "splitting of (q^(d+1),q^(1-d);q^d)_k into "
                                "-q[d-1](1 + ...)(q;q^d)_k^2",
         "pochhammer_split_general": "splitting of (q^(d+r),q^(r-d);q^d)_k "

@@ -132,7 +132,27 @@ def _collect_params(args, check_id: str, grid: bool):
     return instances
 
 
+def _km_grid_flags(args) -> bool:
+    """Whether the sweep asks for the km grid of --m-max and --nj-max; a
+    usage error wherever those flags, or flags beside them, would be
+    dropped."""
+    given = [f"--{flag.replace('_', '-')}" for flag in ("m_max", "nj_max")
+             if getattr(args, flag) is not None]
+    if not given:
+        return False
+    if args.plan or args.suite or args.check != "km":
+        raise UsageError(f"{given[0]} applies only to sweep --check km")
+    if args.m_max is None:
+        raise UsageError("--nj-max needs --m-max")
+    for flag in _INT_FLAGS + ("n_list", "expect"):
+        if getattr(args, flag) is not None:
+            raise UsageError(
+                f"--{flag.replace('_', '-')} does not combine with --m-max")
+    return True
+
+
 def _plan_from_args(args) -> SweepPlan:
+    km_grid = _km_grid_flags(args)
     if args.plan:
         try:
             with open(args.plan, "r", encoding="utf-8") as fh:
@@ -156,7 +176,7 @@ def _plan_from_args(args) -> SweepPlan:
         return SweepPlan(checks, args.seed, args.trials, suite=args.suite)
     if not args.check:
         raise UsageError("sweep needs --suite, --plan, or --check")
-    if args.check == "km" and args.m_max is not None:
+    if km_grid:
         offsets = km_offset_lists(args.m_max, args.nj_max or 0)
         checks = [("km", {"m": len(t), "n_list": t, "trials": args.trials,
                           "seed": args.seed}) for t in offsets]

@@ -12,7 +12,11 @@ and the cyclotomic factorization of [n].  The ratio shifts, the
 q-binomial rewriting and the splittings are equalities of quotients
 +-q^s prod (1 - q^e)^{+-1}, decided by comparing exponent-count normal
 forms; the one sum among them, 1 + ratio in the splittings, is checked
-as a packed three-term identity.
+as a packed three-term identity.  The three-sum decomposition holds for
+every upper limit, so it is checked term by term: the factors all three
+terms share are set aside by counting, and each term's identity on the
+few factors left is compared packed; the whole packed sums decide only
+when some term differs.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .qfuncs import (
     packed_width,
     q_binomial,
     sum_bounds,
+    tally,
     truncated_sum,
 )
 from .results import CheckResult, fails, holds, skipped
@@ -281,10 +286,48 @@ def _decomposition_increments(d, n) -> list[list]:
     return sums
 
 
+def _decomposes_termwise(d, sums) -> bool:
+    """Whether term k of s1 = [d] s2 - q [d-1] s3 holds for every k.
+
+    The runs share their denominators, so term k of run i is q^{dk} X R_i
+    with X the factors all three share and R_i the rest, a product of
+    factors 1 - q^e.  Runs 2 and 3 are kept as exponent counts relative to
+    run 1, which telescope to a few exponents; at each k, X takes the
+    smallest count of each exponent, and (1 - q) R1 = (1 - q^d) R2 -
+    q (1 - q^{d-1}) R3 is compared packed at a width counted from the R_i.
+    Equal terms prove the sums equal over their common denominator; False
+    means only that some term differs, or that the runs' denominators
+    differ or vanish, and leaves the verdict to the whole sums.
+    """
+    diffs = ({}, {})  # exponent -> count in run 2 (run 3) minus run 1
+    for (a1, b1, c1), *rest in zip(*sums):
+        if 0 in b1 or any(b != b1 for _, b, _ in rest):
+            return False
+        for diff, (a, _, _) in zip(diffs, rest):
+            tally(tally(diff, a, 1), a1, -1)
+        rel = [tally(tally(dict(diff), c, 1), c1, -1)
+               for diff, (_, _, c) in zip(diffs, rest)]
+        terms = ([], [], [])
+        for e in {*rel[0], *rel[1]}:
+            counts = (0, rel[0].get(e, 0), rel[1].get(e, 0))
+            low = min(counts)
+            for exps, m in zip(terms, counts):
+                exps += [e] * (m - low)
+        one = Packed.one(packed_width(max(map(len, terms)) + 2))
+        r1, r2, r3 = (one.times_one_minus(t) for t in terms)
+        rhs = r2.times_one_minus([d]) - r3.times_one_minus([d - 1]).shifted(1)
+        if r1.times_one_minus([1]) != rhs:
+            return False
+    return True
+
+
 def _check_sum_decomposition(d, n) -> str | None:
-    """s1 = [d] s2 - q [d-1] s3 over the common denominator, compared packed
-    after multiplying through by 1 - q: (1 - q)[m] = 1 - q^m."""
+    """s1 = [d] s2 - q [d-1] s3 over the common denominator, term by term
+    and, when a term differs, compared packed as whole sums after
+    multiplying through by 1 - q: (1 - q)[m] = 1 - q^m."""
     sums = _decomposition_increments(d, n)
+    if _decomposes_termwise(d, sums):
+        return None
     width = packed_width(max(sum_bounds(inc) for inc in sums) + 2)
     s1, s2, s3 = (truncated_sum(d, inc, width) for inc in sums)
     rhs = s2.times_one_minus([d]) - s3.times_one_minus([d - 1]).shifted(1)

@@ -15,8 +15,12 @@ applied to it crosswise, and the two cross products are compared as
 integers at a width counted from the cancelled factors.
 Substituting a = 1 into the same increments must reproduce the
 corresponding non-parametric summand term by term, which pins down the
-reconstruction of the displayed exponent patterns; the terms are compared
-by exponent counting, with no polynomial arithmetic.
+reconstruction of the displayed exponent patterns.  The reference
+summand is written as increments too, and one running count of the
+sum's exponents minus the reference's, with the sign and q-shift of the
+negative exponents next to it, is updated by each increment: term k
+matches when the count is empty and the sign and shift agree, with no
+polynomial arithmetic and each factor counted once.
 """
 
 from __future__ import annotations
@@ -25,11 +29,12 @@ from math import gcd as igcd
 
 from .families import a_exponent
 from .qfuncs import (
+    DegenerateProductError,
     Packed,
     cancel_increments,
-    one_minus_normal_form,
     packed_width,
     sum_bounds,
+    tally,
     truncated_sum,
 )
 from .results import CheckResult, fails, holds, skipped
@@ -169,22 +174,69 @@ def _rhs_factors(check_id: str, d: int, r: int, n: int, s: int,
     return sign, shift, num, den
 
 
-def _reference_summand(check_id: str, d: int, r: int, k: int):
-    """The non-parametric term the a = 1 collapse must reproduce, as
-    (sign, q-shift, numerator exponents, denominator exponents)."""
-    num_exps = [d + r + d * t for t in range(k)] * (d - r - 1)
-    den_exps = [d + d * t for t in range(k)] * d
-    if check_id in _SHIFTED_INDEX:
-        if k >= 2:
-            num_exps += [d + r + d * t for t in range(k - 2)] * (r + 1)
-        elif k == 1:
-            den_exps += [r] * (r + 1)
-        else:
-            den_exps += [r, r - d] * (r + 1)
-        num_exps += [d * k - d + r] * r
-    else:
-        num_exps += [r + d * t for t in range(k)] * (r + 1)
-    return 1, d * k, num_exps, den_exps
+def _reference_increments(check_id: str, d: int, r: int, n: int):
+    """The non-parametric summand the a = 1 collapse must reproduce, as
+    ``truncated_sum`` increments (a_k, b_k, c_k), k = 0..limit.
+
+    Term k is q^{dk} (q^{d+r}; q^d)_k^{d-r-1} (q^c; q^d)_k^{r+1} / (q^d; q^d)_k^d
+    with c = r; the shifted index takes c = r - d and divides by
+    ((1 - q^{r-d})(1 - q^r))^{r+1}, since (q^{d+r}; q^d)_{k-2} is
+    (q^{r-d}; q^d)_k over those two factors, and multiplies term k by
+    (1 - q^{dk-d+r})^r.
+    """
+    shifted = check_id in _SHIFTED_INDEX
+    low = r - d if shifted else r
+    increments = [([], [r - d, r] * (r + 1) if shifted else [],
+                   [r - d] * r if shifted else [])]
+    for k in range(1, _upper_limit(check_id, d, r, n) + 1):
+        increments.append(([d + r + d * (k - 1)] * (d - r - 1)
+                           + [low + d * (k - 1)] * (r + 1),
+                           [d * k] * d,
+                           [d * k - d + r] * r if shifted else []))
+    return increments
+
+
+def _first_differing_term(lhs, rhs) -> int | None:
+    """The first k at which term k of two increment lists over the same
+    step differ, as their ``one_minus_normal_form`` decides; None if none.
+
+    One running count holds the exponents of lhs minus those of rhs, with
+    the sign flips and q-shift of the negative exponents next to it
+    (1 - q^e = -q^e (1 - q^-e)), so each factor is counted once.  A
+    numerator 1 - q^0 makes a side's term zero (normal form None) from a_k
+    on, or for c_k alone; a denominator one raises DegenerateProductError,
+    as the normal form does.
+    """
+    count: dict[int, int] = {}
+    flips = shift = 0
+
+    def add(exps, unit):
+        nonlocal flips, shift
+        negative = [e for e in exps if e < 0]
+        flips += len(negative)
+        shift += unit * sum(negative)
+        tally(count, map(abs, exps), unit)
+
+    zero = (False, False)
+    for k, ((la, lb, lc), (ra, rb, rc)) in enumerate(zip(lhs, rhs)):
+        if 0 in lb or 0 in rb:
+            raise DegenerateProductError("denominator factor 1 - q^0")
+        for exps, unit in ((la, 1), (lb, -1), (ra, -1), (rb, 1)):
+            add(exps, unit)
+        zero = (zero[0] or 0 in la, zero[1] or 0 in ra)
+        none = (zero[0] or 0 in lc, zero[1] or 0 in rc)
+        if none[0] or none[1]:
+            if none[0] != none[1]:
+                return k
+            continue
+        add(lc, 1)
+        add(rc, -1)
+        equal = not count and flips % 2 == 0 and shift == 0
+        add(lc, -1)
+        add(rc, 1)
+        if not equal:
+            return k
+    return None
 
 
 def _collapse_at_one(check_id: str, d: int, r: int, n: int) -> str | None:
@@ -193,14 +245,11 @@ def _collapse_at_one(check_id: str, d: int, r: int, n: int) -> str | None:
     Term k of the sum at a = 1 is q^{dk} prod_{j<=k} a_j c_k / prod_{j<=k} b_j
     over the same increments the substituted sums are built from.
     """
-    num, den = [], []
-    for k, (a, b, c) in enumerate(_sum_increments(check_id, d, r, n, 0)):
-        num += a
-        den += b
-        ref = one_minus_normal_form(*_reference_summand(check_id, d, r, k))
-        if one_minus_normal_form(1, d * k, num + c, den) != ref:
-            return f"a = 1 collapse differs from reference summand at k = {k}"
-    return None
+    k = _first_differing_term(_sum_increments(check_id, d, r, n, 0),
+                              _reference_increments(check_id, d, r, n))
+    if k is None:
+        return None
+    return f"a = 1 collapse differs from reference summand at k = {k}"
 
 
 def _cancel_common(lhs_den: list[int], den: list[int]):

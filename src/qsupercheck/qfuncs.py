@@ -22,7 +22,7 @@ keeps a value modulo (1 - q^n)^2, as an int modulo (2^{n B} - 1)^2, so a
 divisibility by (1 - q^n)^2 is decided without unpacking.
 ``one_minus_normal_form`` reduces a quotient of such factors to exponent
 counts, which decides equality of two quotients with no polynomial
-arithmetic.
+arithmetic; ``tally`` keeps such counts running from term to term.
 """
 
 from __future__ import annotations
@@ -91,6 +91,18 @@ def one_minus_normal_form(sign: int, shift: int, num, den):
                 sign, shift, e = -sign, shift + unit * e, -e
             counts[e] += unit
     return sign, shift, frozenset((e, m) for e, m in counts.items() if m)
+
+
+def tally(count: dict, exps, unit: int) -> dict:
+    """Add ``unit`` to count[e] for each exponent e and drop the entries
+    that reach 0, so an empty count means that every factor cancelled."""
+    for e in exps:
+        m = count.get(e, 0) + unit
+        if m:
+            count[e] = m
+        else:
+            del count[e]
+    return count
 
 
 class PackingOverflowError(RuntimeError):

@@ -9,8 +9,13 @@ from fractions import Fraction
 
 from qsupercheck.families import numerator_factors
 from qsupercheck.laurent import Laurent, RatFunc
+from qsupercheck.parametric import _SHIFTED_INDEX, _sum_increments
 from qsupercheck.poly import Poly, poly_prod
-from qsupercheck.qfuncs import DegenerateProductError, poch_power_base
+from qsupercheck.qfuncs import (
+    DegenerateProductError,
+    one_minus_normal_form,
+    poch_power_base,
+)
 
 
 def one_minus(c, exp):
@@ -75,3 +80,47 @@ def lhs_sum_whole(family, d, r, n, ring):
         num_total = num_total + term * cofactor
     den = poch_power_base(d, d, n - 1) ** d
     return ring.element(num_total) * ring.element(den).invert()
+
+
+def reference_summand(check_id, d, r, k):
+    """The non-parametric term the a = 1 collapse must reproduce, as
+    (sign, q-shift, numerator exponents, denominator exponents), written
+    out whole for one k."""
+    num_exps = [d + r + d * t for t in range(k)] * (d - r - 1)
+    den_exps = [d + d * t for t in range(k)] * d
+    if check_id in _SHIFTED_INDEX:
+        if k >= 2:
+            num_exps += [d + r + d * t for t in range(k - 2)] * (r + 1)
+        elif k == 1:
+            den_exps += [r] * (r + 1)
+        else:
+            den_exps += [r, r - d] * (r + 1)
+        num_exps += [d * k - d + r] * r
+    else:
+        num_exps += [r + d * t for t in range(k)] * (r + 1)
+    return 1, d * k, num_exps, den_exps
+
+
+def collapse_at_one(check_id, d, r, n):
+    """The a = 1 collapse with every term's normal form rebuilt from all
+    its factors at every k, against ``reference_summand``: quadratic."""
+    num, den = [], []
+    for k, (a, b, c) in enumerate(_sum_increments(check_id, d, r, n, 0)):
+        num += a
+        den += b
+        ref = one_minus_normal_form(*reference_summand(check_id, d, r, k))
+        if one_minus_normal_form(1, d * k, num + c, den) != ref:
+            return f"a = 1 collapse differs from reference summand at k = {k}"
+    return None
+
+
+def first_differing_term(lhs, rhs):
+    """The first k at which term k of two increment lists differ, each
+    term's normal form rebuilt from all its factors."""
+    lnum, lden, rnum, rden = [], [], [], []
+    for k, ((la, lb, lc), (ra, rb, rc)) in enumerate(zip(lhs, rhs)):
+        lnum, lden, rnum, rden = lnum + la, lden + lb, rnum + ra, rden + rb
+        ref = one_minus_normal_form(1, 0, rnum + rc, rden)
+        if one_minus_normal_form(1, 0, lnum + lc, lden) != ref:
+            return k
+    return None

@@ -114,6 +114,25 @@ def test_sweep_reports_are_reproducible(tmp_path):
     assert json.dumps(report_a, sort_keys=True) == json.dumps(report_b, sort_keys=True)
 
 
+def test_sweep_m_max_on_another_check_is_a_usage_error(capsys):
+    code = main(["sweep", "--check", "p4_33", "--d", "3", "--r", "1",
+                 "--n", "5", "--m-max", "3"])
+    assert code == 2
+    assert "--m-max applies only to sweep --check km" in capsys.readouterr().err
+
+
+def test_sweep_nj_max_without_m_max_is_a_usage_error(capsys):
+    code = main(["sweep", "--check", "km", "--n-list", "1,2", "--nj-max", "2"])
+    assert code == 2
+    assert "--nj-max needs --m-max" in capsys.readouterr().err
+
+
+def test_sweep_n_list_with_m_max_is_a_usage_error(capsys):
+    code = main(["sweep", "--check", "km", "--m-max", "2", "--n-list", "1,2"])
+    assert code == 2
+    assert "--n-list does not combine with --m-max" in capsys.readouterr().err
+
+
 def test_sweep_plan_file_and_failure_exit(tmp_path, capsys):
     plan = {"checks": [
         {"id": "thm12", "params": {"d": 3, "n": 5}},

@@ -13,6 +13,8 @@ from qsupercheck.identities import (
     _check_prefactor_divisibility,
     _check_qbinom_rewrite,
     _check_ratio_shift,
+    _check_sum_decomposition,
+    _decomposes_termwise,
     _decomposition_increments,
     _km_degenerate,
     _km_sides,
@@ -202,6 +204,59 @@ def test_decomposition_with_a_wrong_exponent_fails(monkeypatch):
     result = verify_proof_step("sum_decomposition", {"d": 3, "n": 5})
     assert result.status is Status.FAILS
     assert result.witness == "three-sum decomposition differs"
+
+
+def _by_three_sums(monkeypatch, d, n):
+    """The decomposition's witness from the whole packed sums alone."""
+    with monkeypatch.context() as patch:
+        patch.setattr(identities, "_decomposes_termwise", lambda d, sums: False)
+        return _check_sum_decomposition(d, n)
+
+
+def test_termwise_decomposition_matches_three_sum_oracle(monkeypatch):
+    # Every term matches on the whole range; the whole sums, whose cost
+    # grows like (dn)^3, are compared where d n <= 120 (221 of 400 cells).
+    for d in range(2, 12):
+        for n in range(1, 41):
+            assert _decomposes_termwise(d, _decomposition_increments(d, n))
+            if d * n <= 120:
+                assert _by_three_sums(monkeypatch, d, n) is None
+
+
+def test_failing_termwise_step_falls_back_to_the_sums(monkeypatch):
+    monkeypatch.setattr(identities, "_decomposes_termwise", lambda d, sums: False)
+    for d, n in ((2, 1), (3, 5), (7, 12)):
+        result = verify_proof_step("sum_decomposition", {"d": d, "n": n})
+        assert result.status is Status.HOLDS
+
+
+@pytest.mark.parametrize("d,n", [(2, 4), (3, 5), (5, 4)])
+def test_decomposition_mutants_keep_the_three_sum_verdict(monkeypatch, d, n):
+    # Each +-1 change of one exponent of one run, denominators included:
+    # the termwise step may only prove what the whole sums prove.
+    sums = _decomposition_increments(d, n)
+    mutants = 0
+    for i, increments in enumerate(sums):
+        for k, parts in enumerate(increments):
+            for p, exps in enumerate(parts):
+                for j in range(len(exps)):
+                    for delta in (1, -1):
+                        def mutant(d, n, at=(i, k, p, j), delta=delta):
+                            out = [[tuple(list(part) for part in inc)
+                                     for inc in run] for run in sums]
+                            i, k, p, j = at
+                            out[i][k][p][j] += delta
+                            return out
+
+                        with monkeypatch.context() as patch:
+                            patch.setattr(identities,
+                                          "_decomposition_increments", mutant)
+                            termwise = _decomposes_termwise(d, mutant(d, n))
+                            witness = _check_sum_decomposition(d, n)
+                            assert witness == _by_three_sums(patch, d, n)
+                        assert not termwise or witness is None
+                        mutants += 1
+    assert mutants > 40
 
 
 def test_ratio_shifts():

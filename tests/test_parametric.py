@@ -2,14 +2,17 @@
 
 import pytest
 
+from oracles import collapse_at_one, first_differing_term, reference_summand
 from qsupercheck import parametric
 from qsupercheck.catalog import GRID_PARAMETRIC
 from qsupercheck.laurent import Laurent
 from qsupercheck.parametric import (
+    PARAMETRIC_IDS,
     DegenerateSubstitutionError,
     _collapse_at_one,
     _den_core,
-    _reference_summand,
+    _first_differing_term,
+    _reference_increments,
     _SHIFTED_INDEX,
     _sum_increments,
     _upper_limit,
@@ -20,6 +23,7 @@ from qsupercheck.parametric import (
 )
 from qsupercheck.poly import Poly
 from qsupercheck.qfuncs import (
+    one_minus_normal_form,
     one_minus_product,
     packed_width,
     sum_bounds,
@@ -141,29 +145,110 @@ def _collapsed_term_by_entries(check_id, d, r, k):
 
 @pytest.mark.parametrize("check_id,d,r,n", INSTANCES)
 def test_collapse_counting_matches_polynomial_oracle(check_id, d, r, n):
-    num, den = [], []
-    for k, (a, b, c) in enumerate(_sum_increments(check_id, d, r, n, 0)):
-        num += a
-        den += b
+    num, den, ref_num, ref_den = [], [], [], []
+    for k, ((a, b, c), (ra, rb, rc)) in enumerate(zip(
+            _sum_increments(check_id, d, r, n, 0),
+            _reference_increments(check_id, d, r, n))):
+        num, den = num + a, den + b
+        ref_num, ref_den = ref_num + ra, ref_den + rb
         lhs_num = one_minus_product(num + c).shifted(d * k)
         lhs_den = one_minus_product(den)
         oracle_num, oracle_den = _collapsed_term_by_entries(check_id, d, r, k)
         assert lhs_num * oracle_den == oracle_num * lhs_den
-        sign, shift, ref_num, ref_den = _reference_summand(check_id, d, r, k)
-        ref_num = one_minus_product(ref_num).shifted(shift) * sign
-        ref_den = one_minus_product(ref_den)
-        assert lhs_num * ref_den == ref_num * lhs_den
+        ref = one_minus_product(ref_num + rc).shifted(d * k)
+        assert lhs_num * one_minus_product(ref_den) == ref * lhs_den
     assert _collapse_at_one(check_id, d, r, n) is None
 
 
 def test_collapse_detects_a_wrong_exponent(monkeypatch):
-    def off_by_one(check_id, d, r, k):
-        sign, shift, num, den = _reference_summand(check_id, d, r, k)
-        return sign, shift, num + [d * k + 1], den + [d * k + 2]
+    def off_by_one(check_id, d, r, n):
+        (a, b, c), *rest = _reference_increments(check_id, d, r, n)
+        return [(a + [1], b + [2], c)] + rest
 
-    monkeypatch.setattr(parametric, "_reference_summand", off_by_one)
+    monkeypatch.setattr(parametric, "_reference_increments", off_by_one)
     witness = _collapse_at_one("p7_45", 7, 3, 11)
     assert witness == "a = 1 collapse differs from reference summand at k = 0"
+
+
+ADMISSIBLE = [(cid, d, r, n) for cid in PARAMETRIC_IDS for d in range(2, 12)
+              for r in range(1, d) for n in range(40)
+              if parametric_precondition(cid, d, r, n) is None]
+
+
+def test_reference_increments_match_the_written_out_summands():
+    for cid, d, r, n in ADMISSIBLE:
+        num, den = [], []
+        for k, (a, b, c) in enumerate(_reference_increments(cid, d, r, n)):
+            num, den = num + a, den + b
+            assert one_minus_normal_form(1, d * k, num + c, den) == \
+                one_minus_normal_form(*reference_summand(cid, d, r, k))
+
+
+def test_running_collapse_matches_the_quadratic_oracle():
+    assert len(ADMISSIBLE) == 365
+    for cid, d, r, n in ADMISSIBLE:
+        assert _collapse_at_one(cid, d, r, n) == collapse_at_one(
+            cid, d, r, n) is None
+
+
+def _outcome(first_differing, lhs, rhs):
+    try:
+        return first_differing(lhs, rhs)
+    except ZeroDivisionError as exc:
+        return type(exc), str(exc)
+
+
+def _exponent_mutants(increments):
+    """Each +-1 change of one exponent, and each negation of one or two
+    exponents of one part: 1 - q^-e = -q^-e (1 - q^e) keeps the counts
+    and moves only the sign, or with two only the q-shift."""
+    def changed(k, p, change):
+        mutant = [tuple(list(part) for part in inc) for inc in increments]
+        change(mutant[k][p])
+        return mutant
+
+    for k, parts in enumerate(increments):
+        for p, exps in enumerate(parts):
+            for i in range(len(exps)):
+                for delta in (1, -1):
+                    def shift(e, delta=delta):
+                        e[i] += delta
+                    yield changed(k, p, shift)
+                for j in range(i, len(exps)):
+                    def negate(e):
+                        e[i] = -e[i]
+                        if j > i:
+                            e[j] = -e[j]
+                    yield changed(k, p, negate)
+
+
+@pytest.mark.parametrize("check_id,d,r,n", [
+    ("p1_24", 4, 1, 7), ("p1_24", 5, 2, 8), ("p2_25", 7, 3, 11),
+    ("p3_32", 5, 1, 9), ("p4_33", 3, 1, 8), ("p5_43", 5, 2, 8),
+    ("p6_44", 2, 1, 3), ("p6_44", 4, 3, 5), ("p7_45", 7, 3, 11),
+    ("p8_46", 5, 3, 7)])
+def test_collapse_mutants_match_the_quadratic_oracle(check_id, d, r, n):
+    # Every mutant of either side gives the oracle's first differing k or
+    # its DegenerateProductError.
+    lhs = _sum_increments(check_id, d, r, n, 0)
+    rhs = _reference_increments(check_id, d, r, n)
+    pairs = [(m, rhs) for m in _exponent_mutants(lhs)]
+    pairs += [(lhs, m) for m in _exponent_mutants(rhs)]
+    for pair in pairs:
+        assert _outcome(_first_differing_term, *pair) == _outcome(
+            first_differing_term, *pair)
+
+
+@pytest.mark.parametrize("lhs,rhs,k", [
+    # Equal counts and q-shift, opposite signs: q^-3 P against -q^-3 P.
+    ([([], [], []), ([-1, -2, 3], [4], [])],
+     [([], [], []), ([1, 2, -3], [4], [])], 1),
+    # Equal counts and sign, q-shifts -3 and 0.
+    ([([-1, -2], [], [])], [([1, 2], [], [])], 0),
+    ([([-1, 5], [2], [-4])], [([-1, 5], [2], [-4])], None),
+])
+def test_first_differing_term_tracks_sign_and_shift(lhs, rhs, k):
+    assert _first_differing_term(lhs, rhs) == first_differing_term(lhs, rhs) == k
 
 
 def test_substituted_sums_vanish_exactly():

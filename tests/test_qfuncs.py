@@ -193,13 +193,16 @@ def test_truncated_sum_denominator_zero_raises():
 
 
 def test_denominator_zero_reads_as_fails(monkeypatch):
-    real = identities.truncated_sum
+    real = identities._decomposition_increments
 
-    def with_zero(step, increments, width):
-        *head, (a, b, c) = increments
-        return real(step, head + [(a, b + [0], c)], width)
+    def with_zero(d, n):
+        sums = real(d, n)
+        for increments in sums:
+            *head, (a, b, c) = increments
+            increments[-1] = (a, b + [0], c)
+        return sums
 
-    monkeypatch.setattr(identities, "truncated_sum", with_zero)
+    monkeypatch.setattr(identities, "_decomposition_increments", with_zero)
     result = run_check("sum_decomposition", {"d": 3, "n": 4})
     assert result.status is Status.FAILS
     assert result.witness.startswith("DegenerateProductError")
@@ -438,7 +441,10 @@ def test_packed_kernel_matches_dense_oracle(monkeypatch):
         monkeypatch.setattr(module, "truncated_sum", spy)
     for cid, params in KERNEL_INSTANCES:
         assert run_check(cid, params).status is Status.HOLDS, (cid, params)
-    assert len(calls) > 2 * len(KERNEL_INSTANCES)
+    # Two sums per parametric check and one folded sum per thm13; the
+    # decomposition, proved term by term, builds none.
+    assert len(calls) == sum({"thm13": 1, "sum_decomposition": 0}.get(cid, 2)
+                             for cid, _ in KERNEL_INSTANCES)
     assert sum(1 for *_, fold in calls if fold) == sum(
         1 for cid, _ in KERNEL_INSTANCES if cid == "thm13")
     for step, increments, width, fold in calls:
@@ -614,7 +620,8 @@ def test_fold_matches_division_by_one_minus_q_n_squared(n, coeffs, exps,
 def test_undersized_width_is_error_not_a_verdict(monkeypatch, module,
                                                  check_id, params):
     assert run_check(check_id, params).status is Status.HOLDS
-    monkeypatch.setattr(module, "packed_width", lambda bits: 8)
+    # One bit short of the bits + 2 that a bound of 2^bits needs.
+    monkeypatch.setattr(module, "packed_width", lambda bits: bits + 1)
     result = run_check(check_id, params)
     assert result.status is Status.ERROR
     assert result.witness.startswith("PackingOverflowError")
