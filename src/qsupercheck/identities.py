@@ -13,10 +13,8 @@ q-binomial rewriting and the splittings are equalities of quotients
 +-q^s prod (1 - q^e)^{+-1}, decided by comparing exponent-count normal
 forms; the one sum among them, 1 + ratio in the splittings, is checked
 as a packed three-term identity.  The three-sum decomposition holds for
-every upper limit, so it is checked term by term: the factors all three
-terms share are set aside by counting, and each term's identity on the
-few factors left is compared packed; the whole packed sums decide only
-when some term differs.
+every upper limit, so it is proved term by term, on the factors the
+three terms do not share.
 """
 
 from __future__ import annotations

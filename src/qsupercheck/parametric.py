@@ -16,11 +16,8 @@ integers at a width counted from the cancelled factors.
 Substituting a = 1 into the same increments must reproduce the
 corresponding non-parametric summand term by term, which pins down the
 reconstruction of the displayed exponent patterns.  The reference
-summand is written as increments too, and one running count of the
-sum's exponents minus the reference's, with the sign and q-shift of the
-negative exponents next to it, is updated by each increment: term k
-matches when the count is empty and the sign and shift agree, with no
-polynomial arithmetic and each factor counted once.
+summand is written as increments too, and one running exponent count of
+the difference decides every term, each factor counted once.
 """
 
 from __future__ import annotations
@@ -178,8 +175,8 @@ def _reference_increments(check_id: str, d: int, r: int, n: int):
     """The non-parametric summand the a = 1 collapse must reproduce, as
     ``truncated_sum`` increments (a_k, b_k, c_k), k = 0..limit.
 
-    Term k is q^{dk} (q^{d+r}; q^d)_k^{d-r-1} (q^c; q^d)_k^{r+1} / (q^d; q^d)_k^d
-    with c = r; the shifted index takes c = r - d and divides by
+    Term k is q^{dk} (q^{d+r}; q^d)_k^{d-r-1} (q^c; q^d)_k^{r+1} over
+    (q^d; q^d)_k^d with c = r; the shifted index takes c = r - d, divides by
     ((1 - q^{r-d})(1 - q^r))^{r+1}, since (q^{d+r}; q^d)_{k-2} is
     (q^{r-d}; q^d)_k over those two factors, and multiplies term k by
     (1 - q^{dk-d+r})^r.

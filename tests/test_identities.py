@@ -230,33 +230,31 @@ def test_failing_termwise_step_falls_back_to_the_sums(monkeypatch):
         assert result.status is Status.HOLDS
 
 
-@pytest.mark.parametrize("d,n", [(2, 4), (3, 5), (5, 4)])
-def test_decomposition_mutants_keep_the_three_sum_verdict(monkeypatch, d, n):
-    # Each +-1 change of one exponent of one run, denominators included:
-    # the termwise step may only prove what the whole sums prove.
-    sums = _decomposition_increments(d, n)
-    mutants = 0
-    for i, increments in enumerate(sums):
-        for k, parts in enumerate(increments):
+def _decomposition_mutants(sums):
+    """Each +-1 change of one exponent of one run, denominators included."""
+    for i, run in enumerate(sums):
+        for k, parts in enumerate(run):
             for p, exps in enumerate(parts):
                 for j in range(len(exps)):
                     for delta in (1, -1):
-                        def mutant(d, n, at=(i, k, p, j), delta=delta):
-                            out = [[tuple(list(part) for part in inc)
-                                     for inc in run] for run in sums]
-                            i, k, p, j = at
-                            out[i][k][p][j] += delta
-                            return out
+                        mutant = [[tuple(list(part) for part in inc)
+                                   for inc in increments]
+                                  for increments in sums]
+                        mutant[i][k][p][j] += delta
+                        yield mutant
 
-                        with monkeypatch.context() as patch:
-                            patch.setattr(identities,
-                                          "_decomposition_increments", mutant)
-                            termwise = _decomposes_termwise(d, mutant(d, n))
-                            witness = _check_sum_decomposition(d, n)
-                            assert witness == _by_three_sums(patch, d, n)
-                        assert not termwise or witness is None
-                        mutants += 1
-    assert mutants > 40
+
+@pytest.mark.parametrize("d,n", [(2, 4), (3, 5), (5, 4)])
+def test_decomposition_mutants_keep_the_three_sum_verdict(monkeypatch, d, n):
+    # The termwise step may only prove what the whole sums prove.
+    mutants = list(_decomposition_mutants(_decomposition_increments(d, n)))
+    assert len(mutants) > 40
+    for sums in mutants:
+        monkeypatch.setattr(identities, "_decomposition_increments",
+                            lambda d, n, sums=sums: sums)
+        witness = _check_sum_decomposition(d, n)
+        assert witness == _by_three_sums(monkeypatch, d, n)
+        assert not _decomposes_termwise(d, sums) or witness is None
 
 
 def test_ratio_shifts():

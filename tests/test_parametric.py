@@ -202,24 +202,18 @@ def _exponent_mutants(increments):
     """Each +-1 change of one exponent, and each negation of one or two
     exponents of one part: 1 - q^-e = -q^-e (1 - q^e) keeps the counts
     and moves only the sign, or with two only the q-shift."""
-    def changed(k, p, change):
-        mutant = [tuple(list(part) for part in inc) for inc in increments]
-        change(mutant[k][p])
-        return mutant
-
     for k, parts in enumerate(increments):
         for p, exps in enumerate(parts):
-            for i in range(len(exps)):
-                for delta in (1, -1):
-                    def shift(e, delta=delta):
-                        e[i] += delta
-                    yield changed(k, p, shift)
-                for j in range(i, len(exps)):
-                    def negate(e):
-                        e[i] = -e[i]
-                        if j > i:
-                            e[j] = -e[j]
-                    yield changed(k, p, negate)
+            changes = [{i: exps[i] + delta} for i in range(len(exps))
+                       for delta in (1, -1)]
+            changes += [{i: -exps[i], j: -exps[j]} for i in range(len(exps))
+                        for j in range(i, len(exps))]
+            for change in changes:
+                mutant = [tuple(list(part) for part in inc)
+                          for inc in increments]
+                for i, e in change.items():
+                    mutant[k][p][i] = e
+                yield mutant
 
 
 @pytest.mark.parametrize("check_id,d,r,n", [
