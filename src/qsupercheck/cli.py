@@ -33,6 +33,7 @@ EXIT_WRITE = 3
 EXIT_ERROR = 4
 
 _INT_FLAGS = ("d", "r", "n", "j", "k", "p", "m")
+_OPTIONAL_PARAMS = ("j", "expect", "m", "trials", "seed")
 
 
 class UsageError(Exception):
@@ -85,18 +86,32 @@ def _parse_int_values(text: str, flag: str) -> list[int]:
         raise UsageError(f"--{flag} expects integers, got {text!r}")
 
 
-def _collect_params(args, check_id: str, grid: bool):
+def _check_names(check_id: str, names, label) -> None:
+    """Usage error unless the check is known, each name is one of its
+    parameters, and every parameter but the optional ones is named;
+    ``label`` renders a name for the message."""
     spec = REGISTRY.get(check_id)
     if spec is None:
         raise UsageError(f"unknown check id {check_id!r}")
+    for name in names:
+        if name not in spec.param_names:
+            raise UsageError(f"{label(name)} does not apply to {check_id}")
+    missing = [label(name) for name in spec.param_names
+               if name not in names and name not in _OPTIONAL_PARAMS]
+    if missing:
+        raise UsageError(f"{check_id} needs " + ", ".join(missing))
+
+
+def _collect_params(args, check_id: str, grid: bool):
+    _check_names(check_id, [flag for flag in _INT_FLAGS + ("n_list", "expect")
+                            if getattr(args, flag) is not None],
+                 lambda name: f"--{name.replace('_', '-')}")
     fixed: dict[str, object] = {}
     ranges: dict[str, list[int]] = {}
     for flag in _INT_FLAGS:
         raw = getattr(args, flag)
         if raw is None:
             continue
-        if flag not in spec.param_names:
-            raise UsageError(f"--{flag} does not apply to {check_id}")
         values = _parse_int_values(raw, flag)
         if len(values) == 1:
             fixed[flag] = values[0]
@@ -105,26 +120,13 @@ def _collect_params(args, check_id: str, grid: bool):
         else:
             raise UsageError(f"--{flag} takes one value under verify")
     if args.n_list is not None:
-        if "n_list" not in spec.param_names:
-            raise UsageError(f"--n-list does not apply to {check_id}")
         fixed["n_list"] = tuple(_parse_int_values(args.n_list, "n-list"))
     if args.expect is not None:
-        if "expect" not in spec.param_names:
-            raise UsageError(f"--expect does not apply to {check_id}")
         fixed["expect"] = args.expect
     if check_id == "km":
         fixed.setdefault("trials", args.trials)
         fixed.setdefault("seed", args.seed)
-        if "n_list" in fixed:
-            fixed.setdefault("m", len(fixed["n_list"]))
-    missing = [name for name in spec.param_names
-               if name not in fixed and name not in ranges
-               and name not in ("j", "expect", "m", "n_list")]
-    if check_id == "km" and "n_list" not in fixed:
-        missing.append("n-list (or --m-max under sweep)")
-    if missing:
-        raise UsageError(
-            f"{check_id} needs --" + ", --".join(missing))
+        fixed.setdefault("m", len(fixed["n_list"]))
     instances = [fixed]
     for flag, values in ranges.items():
         instances = [dict(inst, **{flag: v}) for inst in instances
@@ -144,6 +146,10 @@ def _km_grid_flags(args) -> bool:
         raise UsageError(f"{given[0]} applies only to sweep --check km")
     if args.m_max is None:
         raise UsageError("--nj-max needs --m-max")
+    if args.m_max < 1:
+        raise UsageError(f"--m-max must be at least 1, got {args.m_max}")
+    if args.nj_max is not None and args.nj_max < 0:
+        raise UsageError(f"--nj-max must be at least 0, got {args.nj_max}")
     for flag in _INT_FLAGS + ("n_list", "expect"):
         if getattr(args, flag) is not None:
             raise UsageError(
@@ -162,12 +168,11 @@ def _plan_from_args(args) -> SweepPlan:
         checks = []
         for entry in raw.get("checks", []):
             cid = entry.get("id")
-            if cid not in REGISTRY:
-                raise UsageError(f"unknown check id {cid!r} in plan")
             params = {
                 k: tuple(v) if isinstance(v, list) else v
                 for k, v in entry.get("params", {}).items()
             }
+            _check_names(cid, params, lambda name: f"plan parameter {name!r}")
             checks.append((cid, params))
         return SweepPlan(checks, raw.get("seed", args.seed),
                          raw.get("trials", args.trials))

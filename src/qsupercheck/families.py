@@ -5,15 +5,17 @@ Every left-hand side in the catalog is a sum over k of
     prod_i (q^{e_i}; q^d)_k^{m_i} * q^{dk} / (q^d; q^d)_k^d
 
 and the family is pinned down by its list of (base exponent, multiplicity)
-pairs.  Right-hand sides share one shape as well: a sign, a few explicit
-(1 - q^e) factors, a quotient of (q^d; q^d)_L Pochhammers, and a power of
-q whose exponent is an integer-valued formula of (d, n, r); integrality is
-asserted at build time.
+pairs; ``family_increments`` writes the sum as ``truncated_sum``
+increments.  Right-hand sides share one shape as well: a sign, a few
+explicit (1 - q^e) factors, a quotient of (q^d; q^d)_L Pochhammers, and a
+power of q whose exponent is an integer-valued formula of (d, n, r);
+integrality is asserted at build time.  ``closed_form`` returns it as the
+exponent lists (sign, shift, num, den) that every quotient of factors
+1 - q^e is carried as, and ``mutated`` derives the negative controls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd as igcd
 
 
@@ -72,88 +74,63 @@ def one_parameter_exponent(d: int, n: int) -> int:
     return _exact_quotient(d * (d + n) * (n + 1) - (n + 1) ** 2, 2 * d)
 
 
-@dataclass(frozen=True)
-class ClosedForm:
-    """sign * prod (1-q^e)^m * prod poch / prod poch * q^q_exp."""
-
-    sign: int
-    unit_factors: tuple[tuple[int, int], ...]  # (exponent e, multiplicity)
-    poch_num: tuple[tuple[int, int, int, int], ...]  # (base, step, length, mult)
-    poch_den: tuple[tuple[int, int, int, int], ...]
-    q_exp: int
-
-    def mutated(self, mutation: str | None) -> "ClosedForm":
-        if mutation is None:
-            return self
-        if mutation == "sign":
-            return ClosedForm(-self.sign, self.unit_factors, self.poch_num,
-                              self.poch_den, self.q_exp)
-        if mutation == "exponent":
-            return ClosedForm(self.sign, self.unit_factors, self.poch_num,
-                              self.poch_den, self.q_exp + 1)
-        raise ValueError(f"unknown mutation {mutation!r}")
+def family_increments(family: str, d: int, r: int, limit: int) -> list[tuple]:
+    """``truncated_sum`` increments (a_k, b_k, c_k), k = 0..limit, of the
+    family's sum over the denominator (q^d; q^d)_limit^d."""
+    factors = numerator_factors(family, d, r)
+    return [([], [], [])] + [
+        ([e + d * (k - 1) for e, mult in factors for _ in range(mult)],
+         [d * k] * d, []) for k in range(1, limit + 1)]
 
 
-ZERO_RHS = None  # sentinel: the closed form is identically zero
+def closed_form(check_id: str, d: int, n: int, r: int = 1):
+    """Right-hand side of a catalog congruence as (sign, shift, num, den),
+    the quotient sign q^shift prod_num (1 - q^e) / prod_den (1 - q^e); None
+    when it is zero.
 
-
-def closed_form(check_id: str, d: int, n: int, r: int = 1) -> ClosedForm | None:
-    """Right-hand side of a catalog congruence; None when it is zero."""
-    if check_id == "eq13":
-        t = _exact_quotient(n - 1, d)
-        return ClosedForm(
-            sign=-1 if ((d - 1) * t) % 2 else 1,
-            unit_factors=(),
-            poch_num=((d, d, (d - 1) * t, 1),),
-            poch_den=((d, d, t, d - 1),),
-            q_exp=_exact_quotient((d - 1) * (n - 1) * (d + n - 1), 2 * d),
-        )
-    if check_id in ("eq14", "thm11"):
-        m = _exact_quotient(n + 1, d)
-        sign = -1
-        if check_id == "thm11" and m % 2:
-            sign = 1
-        return ClosedForm(
-            sign=sign,
-            unit_factors=((1, 1), (d - 1, 1)),
-            poch_num=((d, d, n - 1 - m, 1),),
-            poch_den=((d, d, m, d - 1),),
-            q_exp=one_parameter_exponent(d, n) - 1,
-        )
-    if check_id in ("eq15", "thm12"):
-        m = _exact_quotient(n + 1, d)
-        sign = 1
-        if check_id == "eq15" and m % 2:
-            sign = -1
-        return ClosedForm(
-            sign=sign,
-            unit_factors=((1, 2),),
-            poch_num=((d, d, n - 1 - m, 1),),
-            poch_den=((d, d, m, d - 1),),
-            q_exp=one_parameter_exponent(d, n) - 2,
-        )
+    num is the explicit factors followed by (q^d; q^d)_{n-1-m}, den is
+    (q^d; q^d)_m repeated d - 1 times, and the sign is (-1)^parity.
+    """
     if check_id in ("lemma21", "eq22"):
-        return ZERO_RHS
-    if check_id == "thm41":
+        return None
+    if check_id == "eq13":
+        m = _exact_quotient(n - 1, d)
+        parity, units = n - 1 - m, []
+        shift = _exact_quotient((d - 1) * (n - 1) * (d + n - 1), 2 * d)
+    elif check_id in ("eq14", "thm11", "eq15", "thm12"):
+        m = _exact_quotient(n + 1, d)
+        mixed = check_id in ("eq14", "thm11")
+        parity = mixed + (m if check_id in ("thm11", "eq15") else 0)
+        shift = one_parameter_exponent(d, n) - (1 if mixed else 2)
+        units = [1, d - 1] if mixed else [1, 1]
+    elif check_id == "thm41":
         m = _exact_quotient(n + r, d)
-        sign = -1 if (n - 1 - m) % 2 == 0 else 1  # -(-1)^(n-1-m)
-        return ClosedForm(
-            sign=sign,
-            unit_factors=((r, r), (d - r, 1)),
-            poch_num=((d, d, n - 1 - m, 1),),
-            poch_den=((d, d, m, d - 1),),
-            q_exp=a_exponent(d, n, r),
-        )
-    if check_id == "thm42":
+        parity, shift, units = n - m, a_exponent(d, n, r), [r] * r + [d - r]
+    elif check_id == "thm42":
         m = _exact_quotient(n + r, d)
-        return ClosedForm(
-            sign=1 if (n - 1 - m) % 2 == 0 else -1,
-            unit_factors=((r, r + 1),),
-            poch_num=((d, d, n - 1 - m, 1),),
-            poch_den=((d, d, m, d - 1),),
-            q_exp=a_exponent(d, n, r) - r,
-        )
-    raise ValueError(f"no closed form for check {check_id!r}")
+        parity, shift = n - 1 - m, a_exponent(d, n, r) - r
+        units = [r] * (r + 1)
+    else:
+        raise ValueError(f"no closed form for check {check_id!r}")
+    num = units + [d * (t + 1) for t in range(n - 1 - m)]
+    den = [d * (t + 1) for t in range(m)] * (d - 1)
+    return (-1) ** (parity % 2), shift, num, den
+
+
+def mutated(quotient, mutation: str | None):
+    """The quotient (sign, shift, num, den) with its sign flipped
+    (``"sign"``) or its q-power raised by one (``"exponent"``); a zero
+    right-hand side, None, has no mutation."""
+    if mutation is None:
+        return quotient
+    if quotient is None:
+        raise ValueError("vanishing right-hand sides have no mutation")
+    sign, shift, num, den = quotient
+    if mutation == "sign":
+        return -sign, shift, num, den
+    if mutation == "exponent":
+        return sign, shift + 1, num, den
+    raise ValueError(f"unknown mutation {mutation!r}")
 
 
 def theorem_family(check_id: str) -> str:

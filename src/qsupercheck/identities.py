@@ -12,9 +12,10 @@ and the cyclotomic factorization of [n].  The ratio shifts, the
 q-binomial rewriting and the splittings are equalities of quotients
 +-q^s prod (1 - q^e)^{+-1}, decided by comparing exponent-count normal
 forms; the one sum among them, 1 + ratio in the splittings, is checked
-as a packed three-term identity.  The three-sum decomposition holds for
-every upper limit, so it is proved term by term, on the factors the
-three terms do not share.
+as a packed three-term identity.  The three-sum decomposition,
+mixed = [d] divisibility - q [d-1] squared over the families' own
+increments, holds for every upper limit, so it is proved term by term, on
+the factors the three terms do not share.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from fractions import Fraction
 from math import gcd as igcd
 
 from .cyclotomic import cyclotomic, divisors, q_integer
+from .families import F2_MIXED, F3_SQUARED, F7_DIVISIBILITY, family_increments
 from .laurent import Laurent
 from .poly import Poly, poly_prod
 from .qfuncs import (
@@ -272,16 +274,10 @@ def _check_exponent_identity(d, r, n, k) -> str | None:
 
 def _decomposition_increments(d, n) -> list[list]:
     """``truncated_sum`` increments of the three sums of the decomposition,
-    each over the common denominator (q^d; q^d)_{n-1}^d."""
-    sums = []
-    for high, one, neg in ((d - 1, 0, 1), (d - 2, 1, 1), (d - 2, 2, 0)):
-        increments = [([], [], [])]
-        for k in range(1, n):
-            e = d * k + 1
-            num = [e] * high + [e - d] * one + [e - 2 * d] * neg
-            increments.append((num, [d * k] * d, []))
-        sums.append(increments)
-    return sums
+    mixed = [d] divisibility - q [d-1] squared, each over the common
+    denominator (q^d; q^d)_{n-1}^d."""
+    return [family_increments(f, d, 1, n - 1)
+            for f in (F2_MIXED, F7_DIVISIBILITY, F3_SQUARED)]
 
 
 def _decomposes_termwise(d, sums) -> bool:

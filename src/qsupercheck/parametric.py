@@ -9,22 +9,24 @@ modulo (1 - a q^n)(a - q^n) is certified by exact rational-function
 equality at both substitution points.  After the substitution most
 numerator factors 1 - q^e of a term reappear in the denominator of the
 same or a later term; ``cancel_increments`` cancels them by counting, and
-the closed form's denominator is cancelled against what is left.  Each
-sum is then one packed ``truncated_sum``, the closed form's factors are
-applied to it crosswise, and the two cross products are compared as
-integers at a width counted from the cancelled factors.
+the closed form's denominator, exponent lists as ``families.closed_form``
+gives them, is cancelled against what is left.  Each sum is then one
+packed ``truncated_sum``, the closed form's factors are applied to it
+crosswise, and the two cross products are compared as integers at a
+width counted from the cancelled factors.
 Substituting a = 1 into the same increments must reproduce the
 corresponding non-parametric summand term by term, which pins down the
 reconstruction of the displayed exponent patterns.  The reference
-summand is written as increments too, and one running exponent count of
-the difference decides every term, each factor counted once.
+summand is written as increments too, the thm42 family's own unless the
+index is shifted, and one running exponent count of the difference decides
+every term, each factor counted once.
 """
 
 from __future__ import annotations
 
 from math import gcd as igcd
 
-from .families import a_exponent
+from .families import F6_THM42, a_exponent, family_increments, mutated
 from .qfuncs import (
     DegenerateProductError,
     Packed,
@@ -159,37 +161,30 @@ def _rhs_factors(check_id: str, d: int, r: int, n: int, s: int,
     m = (n + r) // d
     shift = a_exponent(d, n, r) - r
     sign = 1 if (n - 1 - m) % 2 == 0 else -1
-    if mutation == "sign":
-        sign = -sign
-    elif mutation == "exponent":
-        shift += 1
-    elif mutation is not None:
-        raise ValueError(f"unknown mutation {mutation!r}")
     num = [j * s * n + r for j in rhs_band(check_id, d, r)]
     num += [d * t for t in range(1, n - m)]
     den = [j * s * n + d + d * t for j in _den_core(d) for t in range(m)]
-    return sign, shift, num, den
+    return mutated((sign, shift, num, den), mutation)
 
 
 def _reference_increments(check_id: str, d: int, r: int, n: int):
     """The non-parametric summand the a = 1 collapse must reproduce, as
     ``truncated_sum`` increments (a_k, b_k, c_k), k = 0..limit.
 
-    Term k is q^{dk} (q^{d+r}; q^d)_k^{d-r-1} (q^c; q^d)_k^{r+1} over
-    (q^d; q^d)_k^d with c = r; the shifted index takes c = r - d, divides by
-    ((1 - q^{r-d})(1 - q^r))^{r+1}, since (q^{d+r}; q^d)_{k-2} is
-    (q^{r-d}; q^d)_k over those two factors, and multiplies term k by
-    (1 - q^{dk-d+r})^r.
+    Without the shifted index it is the thm42 summand.  The shifted index
+    writes term k as q^{dk} (q^{d+r}; q^d)_k^{d-r-1} (q^{r-d}; q^d)_k^{r+1}
+    over (q^d; q^d)_k^d, divided by ((1 - q^{r-d})(1 - q^r))^{r+1}, since
+    (q^{d+r}; q^d)_{k-2} is (q^{r-d}; q^d)_k over those two factors, and
+    multiplied by (1 - q^{dk-d+r})^r.
     """
-    shifted = check_id in _SHIFTED_INDEX
-    low = r - d if shifted else r
-    increments = [([], [r - d, r] * (r + 1) if shifted else [],
-                   [r - d] * r if shifted else [])]
-    for k in range(1, _upper_limit(check_id, d, r, n) + 1):
+    limit = _upper_limit(check_id, d, r, n)
+    if check_id not in _SHIFTED_INDEX:
+        return family_increments(F6_THM42, d, r, limit)
+    increments = [([], [r - d, r] * (r + 1), [r - d] * r)]
+    for k in range(1, limit + 1):
         increments.append(([d + r + d * (k - 1)] * (d - r - 1)
-                           + [low + d * (k - 1)] * (r + 1),
-                           [d * k] * d,
-                           [d * k - d + r] * r if shifted else []))
+                           + [r - d + d * (k - 1)] * (r + 1),
+                           [d * k] * d, [d * k - d + r] * r))
     return increments
 
 
@@ -272,8 +267,7 @@ def verify_parametric(check_id: str, d: int, r: int, n: int,
         increments = cancel_increments(_sum_increments(check_id, d, r, n, s))
         num_bits = sum_bounds(increments)
         if check_id in _VANISHING:
-            if mutation is not None:
-                raise ValueError("vanishing right-hand sides have no mutation")
+            mutated(None, mutation)  # refuses every mutation
             if not truncated_sum(d, increments, packed_width(num_bits)).is_zero():
                 return fails(check_id, params,
                              f"substituted sum nonzero at a = q^{s * n}")

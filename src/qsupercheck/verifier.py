@@ -5,15 +5,18 @@ denominators are products of factors 1 - q^e.  Each side is kept as a
 (numerator, denominator) pair of elements of Z[q]/(Phi_n^2), and the
 check compares the cross products.  The modulus is monic with integer
 coefficients, so every coefficient stays an integer and nothing is
-inverted.  Cross-multiplying is valid only when both denominators are
-units; 1 - q^e is divisible by Phi_n exactly when n divides e, so each
+inverted.  The closed form comes from ``families.closed_form`` as exponent
+lists, and each list is one product of factors 1 - q^e reduced into the
+ring.  Cross-multiplying is valid only when both denominators are units;
+1 - q^e is divisible by Phi_n exactly when n divides e, so each
 denominator factor is checked by counting and a non-unit raises
 ``NonUnitError``.  The divisibility family is different in kind: its
 prefactor cancels every denominator exactly, which is proved by counting
 factors 1 - q^e, and [n]^2 divides the result exactly when (1 - q^n)^2
-divides (1 - q)^2 times the numerator from ``truncated_sum``, which the
-kernel decides folded modulo (1 - q^n)^2 without unpacking.  The ring sum
-``lhs_sum`` keeps its own recurrence on ring elements.
+divides (1 - q)^2 times the numerator from ``truncated_sum`` over the
+family's increments, which the kernel decides folded modulo (1 - q^n)^2
+without unpacking.  The ring sum ``lhs_sum`` keeps its own recurrence on
+ring elements.
 """
 
 from __future__ import annotations
@@ -25,13 +28,15 @@ from .families import (
     F7_DIVISIBILITY,
     IntegralityError,
     closed_form,
+    family_increments,
+    mutated,
     numerator_factors,
     theorem_family,
     theorem_precondition,
 )
 from .laurent import Laurent
 from .poly import Poly, divrem
-from .qfuncs import packed_width, poch_power_base, sum_bounds, truncated_sum
+from .qfuncs import one_minus_product, packed_width, sum_bounds, truncated_sum
 from .residue import NonUnitError, ResidueRing, RingElement
 from .results import CheckResult, fails, holds, skipped
 
@@ -82,23 +87,14 @@ def rhs_closed_form(check_id: str, d: int, r: int, n: int, ring: ResidueRing,
                     mutation: str | None = None) -> Fractional:
     """The check's closed form as a (num, den) pair; (0, 1) for the
     vanishing ones.  Every factor of den is checked to be a unit."""
-    cf = closed_form(check_id, d, n, r)
-    if cf is None:
+    quotient = mutated(closed_form(check_id, d, n, r), mutation)
+    if quotient is None:
         return ring.zero, ring.one
-    cf = cf.mutated(mutation)
-    num = ring.pow_q(cf.q_exp)
-    if cf.sign < 0:
-        num = -num
-    for e, mult in cf.unit_factors:
-        num = num * (ring.one - ring.pow_q(e)) ** mult
-    for base, step, length, mult in cf.poch_num:
-        num = num * ring.element(poch_power_base(base, step, length)) ** mult
-    den = ring.one
-    for base, step, length, mult in cf.poch_den:
-        for j in range(length):
-            _require_unit(ring, base + step * j)
-        den = den * ring.element(poch_power_base(base, step, length)) ** mult
-    return num, den
+    sign, shift, num, den = quotient
+    for e in den:
+        _require_unit(ring, e)
+    rhs = ring.pow_q(shift) * ring.element(one_minus_product(num))
+    return (rhs if sign > 0 else -rhs), ring.element(one_minus_product(den))
 
 
 def verify_theorem(check_id: str, d: int, n: int, r: int = 1,
@@ -128,15 +124,6 @@ def verify_theorem(check_id: str, d: int, n: int, r: int = 1,
                  f"cross-multiplied difference {difference.rep!r}")
 
 
-def divisibility_increments(d: int, n: int) -> list[tuple]:
-    """``truncated_sum`` increments of the mixed sum of the divisibility
-    statement over the denominator (q^d;q^d)_{n-1}^d."""
-    factors = numerator_factors(F7_DIVISIBILITY, d, 1)
-    return [([], [], [])] + [
-        ([e + d * (k - 1) for e, mult in factors for _ in range(mult)],
-         [d * k] * d, []) for k in range(1, n)]
-
-
 def _require_integral(increments, order: int) -> None:
     """Raise IntegralityError unless every nonzero term of
     ``truncated_sum``'s N has at least ``order`` factors 1 - q^e with
@@ -163,7 +150,7 @@ def divisibility_expression(d: int, n: int) -> Laurent:
     division raises IntegralityError.  ``verify_divisibility`` needs this
     only for the witness of a FAILS.
     """
-    increments = divisibility_increments(d, n)
+    increments = family_increments(F7_DIVISIBILITY, d, 1, n - 1)
     width = packed_width(sum_bounds(increments))
     num = truncated_sum(d, increments, width).laurent()
     body = list(num.body.coeffs)
@@ -189,7 +176,7 @@ def verify_divisibility(d: int, n: int) -> CheckResult:
     if reason is not None:
         return skipped("thm13", params, reason)
     try:
-        increments = divisibility_increments(d, n)
+        increments = family_increments(F7_DIVISIBILITY, d, 1, n - 1)
         _require_integral(increments, d * (n - 1))
         increments[0][0].extend([1, 1])  # (1 - q)^2 N
         width = packed_width(sum_bounds(increments, d, fold=n))

@@ -4,10 +4,15 @@ Each one builds its value by dense Laurent or rational-function
 arithmetic, where the engine counts exponents or works on packed sums.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from qsupercheck.families import numerator_factors
+from qsupercheck.families import (
+    a_exponent,
+    numerator_factors,
+    one_parameter_exponent,
+)
 from qsupercheck.laurent import Laurent, RatFunc
 from qsupercheck.parametric import _SHIFTED_INDEX, _sum_increments
 from qsupercheck.poly import Poly, poly_prod
@@ -65,6 +70,62 @@ def inflate(p: Poly, d: int) -> Poly:
     for e, c in enumerate(p.coeffs):
         out[e * d] = c
     return Poly(out)
+
+
+def _exact(num, den):
+    assert num % den == 0, (num, den)
+    return num // den
+
+
+def written_out_closed_form(check_id, d, n, r=1):
+    """The closed form as the paper displays it: (sign, q-power, unit
+    factors (e, multiplicity), numerator and denominator Pochhammers
+    (base, step, length, multiplicity)); None when it is zero."""
+    if check_id == "eq13":
+        t = _exact(n - 1, d)
+        return (-1 if ((d - 1) * t) % 2 else 1,
+                _exact((d - 1) * (n - 1) * (d + n - 1), 2 * d),
+                (), ((d, d, (d - 1) * t, 1),), ((d, d, t, d - 1),))
+    if check_id in ("eq14", "thm11"):
+        m = _exact(n + 1, d)
+        sign = 1 if check_id == "thm11" and m % 2 else -1
+        return (sign, one_parameter_exponent(d, n) - 1, ((1, 1), (d - 1, 1)),
+                ((d, d, n - 1 - m, 1),), ((d, d, m, d - 1),))
+    if check_id in ("eq15", "thm12"):
+        m = _exact(n + 1, d)
+        sign = -1 if check_id == "eq15" and m % 2 else 1
+        return (sign, one_parameter_exponent(d, n) - 2, ((1, 2),),
+                ((d, d, n - 1 - m, 1),), ((d, d, m, d - 1),))
+    if check_id in ("lemma21", "eq22"):
+        return None
+    m = _exact(n + r, d)
+    if check_id == "thm41":  # -(-1)^(n-1-m)
+        return (-1 if (n - 1 - m) % 2 == 0 else 1, a_exponent(d, n, r),
+                ((r, r), (d - r, 1)), ((d, d, n - 1 - m, 1),),
+                ((d, d, m, d - 1),))
+    assert check_id == "thm42", check_id
+    return (1 if (n - 1 - m) % 2 == 0 else -1, a_exponent(d, n, r) - r,
+            ((r, r + 1),), ((d, d, n - 1 - m, 1),), ((d, d, m, d - 1),))
+
+
+def written_out_counts(check_id, d, n, r, mutation):
+    """``written_out_closed_form`` with its sign flipped or its q-power
+    raised for a mutation, as (sign, shift, numerator exponent counts,
+    denominator exponent counts)."""
+    sign, shift, units, poch_num, poch_den = written_out_closed_form(
+        check_id, d, n, r)
+    if mutation == "sign":
+        sign = -sign
+    elif mutation == "exponent":
+        shift += 1
+    num, den = Counter(), Counter()
+    for e, mult in units:
+        num[e] += mult
+    for pochs, counts in ((poch_num, num), (poch_den, den)):
+        for base, step, length, mult in pochs:
+            for j in range(length):
+                counts[base + step * j] += mult
+    return sign, shift, num, den
 
 
 def lhs_sum_whole(family, d, r, n, ring):

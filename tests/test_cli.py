@@ -133,6 +133,36 @@ def test_sweep_n_list_with_m_max_is_a_usage_error(capsys):
     assert "--n-list does not combine with --m-max" in capsys.readouterr().err
 
 
+def test_sweep_m_max_below_one_is_a_usage_error(capsys):
+    # An empty km grid would otherwise run nothing and exit 0.
+    for value in ("0", "-2"):
+        code = main(["sweep", "--check", "km", "--m-max", value])
+        assert code == 2
+        assert "--m-max must be at least 1" in capsys.readouterr().err
+
+
+def test_sweep_negative_nj_max_is_a_usage_error(capsys):
+    code = main(["sweep", "--check", "km", "--m-max", "2", "--nj-max", "-3"])
+    assert code == 2
+    assert "--nj-max must be at least 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry,message", [
+    ({"id": "thm12", "params": {"d": 3}}, "thm12 needs plan parameter 'n'"),
+    ({"id": "thm41", "params": {"d": 4, "n": 7}},
+     "thm41 needs plan parameter 'r'"),
+    ({"id": "thm12", "params": {"d": 3, "n": 5, "x": 1}},
+     "plan parameter 'x' does not apply to thm12"),
+    ({"id": "km", "params": {"trials": 2}}, "km needs plan parameter 'n_list'"),
+])
+def test_plan_entry_names_follow_the_flag_rule(tmp_path, capsys, entry,
+                                               message):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({"checks": [entry]}))
+    assert main(["sweep", "--plan", str(plan_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_sweep_plan_file_and_failure_exit(tmp_path, capsys):
     plan = {"checks": [
         {"id": "thm12", "params": {"d": 3, "n": 5}},

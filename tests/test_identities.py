@@ -188,6 +188,23 @@ def test_decomposition_sums_match_per_term_oracle(d, n):
     assert sums == _decomposition_sums_per_term(d, n)
 
 
+def test_decomposition_runs_are_the_written_out_sums():
+    # Term k of the three runs has the factors 1 - q^e, 1 - q^{e-d} and
+    # 1 - q^{e-2d}, e = dk + 1, (high, one, neg) times each.
+    for d in range(2, 12):
+        shapes = ((d - 1, 0, 1), (d - 2, 1, 1), (d - 2, 2, 0))
+        for n in range(1, 41):
+            runs = _decomposition_increments(d, n)
+            assert len(runs) == 3
+            for run, (high, one, neg) in zip(runs, shapes):
+                assert len(run) == n and run[0] == ([], [], [])
+                for k, (a, b, c) in enumerate(run[1:], 1):
+                    e = d * k + 1
+                    written = [e] * high + [e - d] * one + [e - 2 * d] * neg
+                    assert sorted(a) == sorted(written), (d, n, k)
+                    assert (b, c) == ([d * k] * d, [])
+
+
 def test_decomposition_with_a_wrong_exponent_fails(monkeypatch):
     import qsupercheck.identities as ident
 

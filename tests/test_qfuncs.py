@@ -19,6 +19,7 @@ from qsupercheck.catalog import (
     run_check,
 )
 from qsupercheck.cyclotomic import q_integer
+from qsupercheck.families import F7_DIVISIBILITY, family_increments
 from qsupercheck.laurent import Laurent, RatFunc
 from qsupercheck.parametric import (
     PARAMETRIC_IDS,
@@ -292,7 +293,8 @@ def test_cancel_increments_fixes_thm13_and_decomposition_sums():
     cases = []
     for cid, p in KERNEL_INSTANCES:
         if cid == "thm13":
-            cases.append(verifier.divisibility_increments(p["d"], p["n"]))
+            cases.append(family_increments(F7_DIVISIBILITY, p["d"], 1,
+                                           p["n"] - 1))
         elif cid == "sum_decomposition":
             cases += identities._decomposition_increments(p["d"], p["n"])
     assert len(cases) > 20
@@ -546,11 +548,10 @@ def _divisibility_oracle_verdict(d, n, increments):
 
 def test_divisibility_exponent_mutants_agree_with_dense_oracle(monkeypatch):
     rng = random.Random(13)
-    real = verifier.divisibility_increments
     verdicts = []
     for _ in range(70):
         d, n = rng.choice(GRID_THM13)
-        increments = real(d, n)
+        increments = family_increments(F7_DIVISIBILITY, d, 1, n - 1)
         k, part = rng.choice([(k, p) for k in range(n) for p in range(2)
                               if increments[k][p]])
         exps = increments[k][part]
@@ -560,8 +561,8 @@ def test_divisibility_exponent_mutants_agree_with_dense_oracle(monkeypatch):
             delta = -delta
         exps[i] += delta
         monkeypatch.setattr(
-            verifier, "divisibility_increments",
-            lambda d_, n_, inc=increments: [tuple(map(list, t)) for t in inc])
+            verifier, "family_increments",
+            lambda *args, inc=increments: [tuple(map(list, t)) for t in inc])
         packed = verifier.verify_divisibility(d, n).status
         assert packed is _divisibility_oracle_verdict(d, n, increments), (
             d, n, k, part, i, delta)

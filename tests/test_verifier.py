@@ -1,5 +1,7 @@
 """Truncated-sum congruence checks against their closed forms."""
 
+from collections import Counter
+
 import pytest
 
 from qsupercheck import verifier
@@ -25,9 +27,12 @@ from qsupercheck.families import (
     IntegralityError,
     a_exponent,
     closed_form,
+    family_increments,
+    mutated,
     numerator_factors,
     one_parameter_exponent,
     theorem_family,
+    theorem_precondition,
 )
 from qsupercheck.laurent import Laurent
 from qsupercheck.poly import Poly, poly_prod
@@ -43,12 +48,26 @@ from qsupercheck.results import Status
 from qsupercheck.verifier import (
     lhs_sum,
     divisibility_expression,
+    THEOREM_IDS,
     rhs_closed_form,
     verify_divisibility,
     verify_theorem,
 )
 
-from oracles import lhs_sum_whole
+from oracles import (
+    lhs_sum_whole,
+    one_minus,
+    written_out_closed_form,
+    written_out_counts,
+)
+
+
+def _dense_product(exponents):
+    """prod (1 - q^e) by dense Laurent multiplication."""
+    product = Laurent(Poly((1,)))
+    for e in exponents:
+        product = product * one_minus(1, e)
+    return product
 
 
 def _same_value(a, b):
@@ -100,15 +119,16 @@ def test_rhs_closed_form_refuses_non_unit_denominator():
 
 # Statuses of (no mutation, sign mutant, exponent mutant) per check id on
 # its catalog grid, recorded from the ring-inversion implementation.  The
-# vanishing families have no closed form to mutate.
+# vanishing families have no closed form to mutate, and a mutation of
+# theirs is refused with ValueError.
 THEOREM_GRID_VERDICTS = {
     "eq13": ("HOLDS", "FAILS", "FAILS"),
     "eq14": ("HOLDS", "FAILS", "FAILS"),
     "eq15": ("HOLDS", "FAILS", "FAILS"),
     "thm11": ("HOLDS", "FAILS", "FAILS"),
     "thm12": ("HOLDS", "FAILS", "FAILS"),
-    "lemma21": ("HOLDS", "HOLDS", "HOLDS"),
-    "eq22": ("HOLDS", "HOLDS", "HOLDS"),
+    "lemma21": ("HOLDS", "ValueError", "ValueError"),
+    "eq22": ("HOLDS", "ValueError", "ValueError"),
     "thm41": ("HOLDS", "FAILS", "FAILS"),
     "thm42": ("HOLDS", "FAILS", "FAILS"),
 }
@@ -125,6 +145,14 @@ THEOREM_GRID = (
 )
 
 
+def _outcome(verdict):
+    """What ``verdict()`` returns, or "ValueError" when it raises one."""
+    try:
+        return verdict()
+    except ValueError:
+        return "ValueError"
+
+
 def test_theorem_grid_verdicts_without_inversion(monkeypatch):
     import qsupercheck.poly
     import qsupercheck.residue
@@ -138,7 +166,8 @@ def test_theorem_grid_verdicts_without_inversion(monkeypatch):
     assert len(THEOREM_GRID) == 50
     for check_id, d, r, n in THEOREM_GRID:
         statuses = tuple(
-            verify_theorem(check_id, d, n, r, mutation=mutation).status.value
+            _outcome(lambda: verify_theorem(check_id, d, n, r,
+                                            mutation=mutation).status.value)
             for mutation in (None, "sign", "exponent"))
         assert statuses == THEOREM_GRID_VERDICTS[check_id], (check_id, d, r, n)
 
@@ -162,6 +191,13 @@ def test_rhs_closed_form_first_family():
 def test_rhs_zero_for_vanishing_family():
     ring = ResidueRing(7)
     assert rhs_closed_form("lemma21", 4, 1, 7, ring) == (ring.zero, ring.one)
+
+
+def test_vanishing_families_reject_mutation():
+    # The refusal of the parametric vanishing sums, unknown mutations too.
+    for check_id, mutation in (("lemma21", "sign"), ("eq22", "bogus")):
+        with pytest.raises(ValueError, match="vanishing right-hand sides"):
+            verify_theorem(check_id, 4, 7, 1, mutation=mutation)
 
 
 def test_verify_theorem_examples():
@@ -231,14 +267,14 @@ def test_divisibility_expression_matches_q_integer_oracle(d, n):
 def test_inexact_divisibility_division_reads_as_fails(monkeypatch):
     # A factor dropped from one term: f is no longer a Laurent polynomial,
     # which the factor count refuses.
-    real_increments = verifier.divisibility_increments
+    real_increments = verifier.family_increments
 
-    def dropped(d, n):
-        increments = real_increments(d, n)
+    def dropped(family, d, r, limit):
+        increments = real_increments(family, d, r, limit)
         increments[2][0].pop()
         return increments
 
-    monkeypatch.setattr(verifier, "divisibility_increments", dropped)
+    monkeypatch.setattr(verifier, "family_increments", dropped)
     for result in (verify_divisibility(3, 5), run_check("thm13", {"d": 3, "n": 5})):
         assert result.status is Status.FAILS
         assert result.witness == (
@@ -285,19 +321,9 @@ def _fold_theorem_verdict(check_id, d, n, r, mutation):
     the square of every other cyclotomic factor of 1 - q^n.  A is the
     cross-multiplied difference N rden - sign q^s rnum D.
     """
-    factors = numerator_factors(theorem_family(check_id), d, r)
-    increments = [([], [], [])] + [
-        ([e + d * (k - 1) for e, mult in factors for _ in range(mult)],
-         [d * k] * d, []) for k in range(1, n)]
-    cf = closed_form(check_id, d, n, r)
-    rnum, rden, sign, shift = [], [], 1, 0
-    if cf is not None:
-        cf = cf.mutated(mutation)
-        sign, shift = cf.sign, cf.q_exp
-        rnum = [e for e, mult in cf.unit_factors for _ in range(mult)]
-        for part, out in ((cf.poch_num, rnum), (cf.poch_den, rden)):
-            out.extend(base + step * j for base, step, length, mult in part
-                       for j in range(length) for _ in range(mult))
+    increments = family_increments(theorem_family(check_id), d, r, n - 1)
+    quotient = mutated(closed_form(check_id, d, n, r), mutation)
+    sign, shift, rnum, rden = quotient or (1, 0, [], [])
     if any(e % n == 0 for _, b, _ in increments for e in b + rden):
         return "FAILS"  # a denominator that is no unit mod Phi_n^2
     c = [m for m in divisors(n) if m < n for _ in range(2)]
@@ -310,7 +336,7 @@ def _fold_theorem_verdict(check_id, d, n, r, mutation):
         lhs_den + rnum + c).shifted(shift).bits
     width = packed_width(max(lhs_bits, rhs_bits) + 1)
     lhs = truncated_sum(d, increments, width, fold=n).times_one_minus(rden + c)
-    if cf is None:
+    if quotient is None:
         return "HOLDS" if lhs.is_zero() else "FAILS"
     rhs = Packed.one(width, n).times_one_minus(lhs_den + rnum + c).shifted(shift)
     same = lhs == rhs if sign > 0 else (lhs + rhs).is_zero()
@@ -319,9 +345,34 @@ def _fold_theorem_verdict(check_id, d, n, r, mutation):
 
 def test_fold_reproduces_theorem_grid_verdicts():
     for check_id, d, r, n in THEOREM_GRID:
-        statuses = tuple(_fold_theorem_verdict(check_id, d, n, r, mutation)
-                         for mutation in (None, "sign", "exponent"))
+        statuses = tuple(
+            _outcome(lambda: _fold_theorem_verdict(check_id, d, n, r, mutation))
+            for mutation in (None, "sign", "exponent"))
         assert statuses == THEOREM_GRID_VERDICTS[check_id], (check_id, d, r, n)
+
+
+def test_closed_forms_match_the_written_out_pochhammers():
+    # Every admissible instance with d <= 12 and n <= 200: the same sign,
+    # q-power and exponent multisets as the displayed formulas, mutants too.
+    seen = 0
+    for check_id in THEOREM_IDS:
+        two_parameter = check_id in ("lemma21", "thm41", "thm42")
+        for d in range(2, 13):
+            for r in range(1, d) if two_parameter else (1,):
+                for n in range(2, 201):
+                    if theorem_precondition(check_id, d, n, r) is not None:
+                        continue
+                    quotient = closed_form(check_id, d, n, r)
+                    if written_out_closed_form(check_id, d, n, r) is None:
+                        assert quotient is None
+                        continue
+                    for mutation in (None, "sign", "exponent"):
+                        sign, shift, num, den = mutated(quotient, mutation)
+                        assert (sign, shift, Counter(num), Counter(den)) == (
+                            written_out_counts(check_id, d, n, r, mutation)), (
+                            check_id, d, r, n, mutation)
+                    seen += 1
+    assert seen > 2500
 
 
 def test_r1_collapse_of_closed_forms():
@@ -348,7 +399,6 @@ def test_r1_collapse_of_closed_forms():
 def test_congruence_by_polynomial_divisibility_oracle(check_id, d, r, n):
     # Third route, no ring reduction: clear all denominators of LHS - RHS
     # and check Phi_n(q)^2 divides the resulting Laurent polynomial.
-    from qsupercheck.families import closed_form, numerator_factors, theorem_family
     from qsupercheck.poly import divrem
 
     factors = numerator_factors(theorem_family(check_id), d, r)
@@ -361,15 +411,9 @@ def test_congruence_by_polynomial_divisibility_oracle(check_id, d, r, n):
         lhs_num = lhs_num + term
     lhs_den = poch_power_base(d, d, n - 1) ** d
 
-    cf = closed_form(check_id, d, n, r)
-    rhs_num = Laurent(Poly((1,))).shifted(cf.q_exp) * cf.sign
-    for e, mult in cf.unit_factors:
-        rhs_num = rhs_num * poch_power_base(e, 1, 1) ** mult
-    for base, step, length, mult in cf.poch_num:
-        rhs_num = rhs_num * poch_power_base(base, step, length) ** mult
-    rhs_den = Laurent(Poly((1,)))
-    for base, step, length, mult in cf.poch_den:
-        rhs_den = rhs_den * poch_power_base(base, step, length) ** mult
+    sign, shift, num, den = closed_form(check_id, d, n, r)
+    rhs_num = _dense_product(num).shifted(shift) * sign
+    rhs_den = _dense_product(den)
 
     difference = lhs_num * rhs_den - rhs_num * lhs_den
     modulus = cyclotomic(n) ** 2
