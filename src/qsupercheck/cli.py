@@ -165,12 +165,18 @@ def _plan_from_args(args) -> SweepPlan:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"unreadable plan {args.plan}: {exc}")
+        entries = raw.get("checks") if isinstance(raw, dict) else None
+        if not isinstance(entries, list) or not all(
+                isinstance(e, dict) and isinstance(e.get("params"), dict)
+                for e in entries):
+            raise UsageError(f"plan {args.plan} must be an object whose "
+                             "checks list has an object params in each entry")
         checks = []
-        for entry in raw.get("checks", []):
+        for entry in entries:
             cid = entry.get("id")
             params = {
                 k: tuple(v) if isinstance(v, list) else v
-                for k, v in entry.get("params", {}).items()
+                for k, v in entry["params"].items()
             }
             _check_names(cid, params, lambda name: f"plan parameter {name!r}")
             checks.append((cid, params))

@@ -1,19 +1,24 @@
 """Slow, direct implementations that the tests compare the engine against.
 
 Each one builds its value by dense Laurent or rational-function
-arithmetic, where the engine counts exponents or works on packed sums.
+arithmetic, where the engine counts exponents or works on packed sums,
+or writes out by hand what the engine derives from the families.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
+from math import gcd as igcd
 
 from qsupercheck.families import (
     a_exponent,
     numerator_factors,
     one_parameter_exponent,
 )
+from qsupercheck.cyclotomic import is_prime
 from qsupercheck.laurent import Laurent, RatFunc
+from qsupercheck.padic import padic_gamma, rational_residue
 from qsupercheck.parametric import _SHIFTED_INDEX, _sum_increments
 from qsupercheck.poly import Poly, poly_prod
 from qsupercheck.qfuncs import (
@@ -21,6 +26,7 @@ from qsupercheck.qfuncs import (
     one_minus_normal_form,
     poch_power_base,
 )
+from qsupercheck.results import Status
 
 
 def one_minus(c, exp):
@@ -185,3 +191,119 @@ def first_differing_term(lhs, rhs):
         if one_minus_normal_form(1, 0, lnum + lc, lden) != ref:
             return k
     return None
+
+
+def rising_factorial_mod(x, j, p, k=2):
+    """(x)_j = x (x+1) ... (x+j-1) reduced mod p**k, term by term."""
+    if j < 0:
+        raise ValueError("rising factorial index must be >= 0")
+    x = Fraction(x)
+    if x.denominator % p == 0:
+        raise ZeroDivisionError(f"denominator of {x} divisible by {p}")
+    modulus = p**k
+    num = 1
+    a, b = x.numerator, x.denominator
+    for i in range(j):
+        num = num * (a + i * b) % modulus
+    return num * pow(b, -j, modulus) % modulus if j else 1
+
+
+def _hypergeometric_sum_mod(numerators, d, p):
+    """sum_{k<p} prod (x)_k^mult / k!^d mod p^2, with x and mult listed."""
+    modulus = p * p
+    total = 0
+    fact = 1
+    for k in range(p):
+        if k:
+            fact = fact * k % modulus
+        term = pow(pow(fact, -1, modulus), d, modulus)
+        for x, mult in numerators:
+            term = term * pow(rising_factorial_mod(x, k, p), mult,
+                              modulus) % modulus
+        total = (total + term) % modulus
+    return total
+
+
+def classical_lhs_sum(kind, d, r, p):
+    """The q -> 1 shadow of the two-parameter sums, mod p^2, with the
+    rising factorials written out by hand."""
+    if kind == "thm41":
+        numerators = [(Fraction(d + r, d), d - r), (Fraction(r, d), r - 1),
+                      (Fraction(r - d, d), 1)]
+    elif kind == "thm42":
+        numerators = [(Fraction(d + r, d), d - r - 1), (Fraction(r, d), r + 1)]
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    numerators = [(x, m) for x, m in numerators if m > 0]
+    return _hypergeometric_sum_mod(numerators, d, p)
+
+
+def wlt_integrality_value(d, n):
+    """(n-1)!^d d^(dn-d) n^-2 times the mixed classical sum, as a Fraction
+    summed term by term."""
+    total = Fraction(0)
+    for k in range(n):
+        term = Fraction(1, factorial(k) ** d)
+        for x, mult in ((Fraction(d + 1, d), d - 2), (Fraction(1, d), 1),
+                        (Fraction(1 - d, d), 1)):
+            value = Fraction(1)
+            for i in range(k):
+                value *= x + i
+            if mult > 0:
+                term *= value**mult
+        total += term
+    return Fraction(factorial(n - 1) ** d * d ** (d * n - d), n * n) * total
+
+
+def written_out_classical(check_id, params):
+    """(status, witness) of a classical check with each admissibility rule
+    and each left-hand side written out by hand; a skip has no witness.
+    gamma_factorial leaves out the gcd(d, r) = 1 of thm42, as these rules
+    once did, so it reads FAILS at (d, r, p) = (10, 5, 5)."""
+    d, r, prime = params.get("d"), params.get("r"), params.get("p")
+    square = (prime or 0) ** 2
+    if check_id == "rv_11":
+        if not is_prime(prime) or prime == 2:
+            return Status.SKIPPED_PRECONDITION, None
+        lhs = _hypergeometric_sum_mod([(Fraction(1, 2), 2)], 2, prime)
+        rhs = (-1) ** ((prime - 1) // 2) % square
+    elif check_id == "deines_12":
+        if d < 2 or not is_prime(prime) or prime % d != 1:
+            return Status.SKIPPED_PRECONDITION, None
+        lhs = _hypergeometric_sum_mod([(Fraction(d - 1, d), d)], d, prime)
+        rhs = -padic_gamma(prime, 2, Fraction(1, d)) ** d % square
+    elif check_id == "cor41_i":
+        if (r < 1 or d < r + 3 or igcd(d, r) != 1 or not is_prime(prime)
+                or prime < 2 * d - r or (prime + r) % d):
+            return Status.SKIPPED_PRECONDITION, None
+        lhs = classical_lhs_sum("thm41", d, r, prime)
+        rhs = rational_residue(Fraction(d - r, d) * Fraction(r, d) ** r, prime)
+        rhs = rhs * padic_gamma(prime, 2, Fraction(-r, d)) ** d % square
+    elif check_id == "cor41_ii":
+        if (not d > r >= 1 or igcd(d, r) != 1 or not is_prime(prime)
+                or prime < 5 or (prime + r) % d):
+            return Status.SKIPPED_PRECONDITION, None
+        lhs = classical_lhs_sum("thm42", d, r, prime)
+        rhs = -rational_residue(Fraction(r, d) ** (r + 1), prime)
+        rhs = rhs * padic_gamma(prime, 2, Fraction(-r, d)) ** d % square
+    elif check_id == "gamma_factorial":  # without gcd(d, r) = 1
+        if (not d > r >= 1 or not is_prime(prime) or prime < 5
+                or (prime + r) % d):
+            return Status.SKIPPED_PRECONDITION, None
+        m = (prime + r) // d
+        lhs = Fraction(factorial(prime - 1 - m), factorial(m) ** (d - 1))
+        lhs = rational_residue(lhs, prime)
+        rhs = -((-1) ** m) * padic_gamma(prime, 2, Fraction(-r, d)) ** d
+        rhs %= square
+    else:
+        assert check_id == "wlt_integrality", check_id
+        n = params["n"]
+        if d < 2 or (n + 1) % d or n < 2 * d - 1:
+            return Status.SKIPPED_PRECONDITION, None
+        value = wlt_integrality_value(d, n)
+        if value.denominator != 1:
+            return Status.FAILS, f"non-integer value {value}"
+        return Status.HOLDS, None
+    if lhs != rhs:
+        return Status.FAILS, f"{lhs} != {rhs} (mod {prime}^2)"
+    return Status.HOLDS, None

@@ -39,14 +39,14 @@ from qsupercheck.catalog import (
     run_check,
 )
 from qsupercheck.families import F5_THM41, F6_THM42, numerator_factors
-from qsupercheck.padic import classical_lhs_sum
+from qsupercheck.padic import shadow_sum
 from qsupercheck.parametric import verify_parametric
 from qsupercheck.report import Report, SweepPlan
 from qsupercheck.residue import ResidueRing
 from qsupercheck.results import Status, canonical_params
 from qsupercheck.verifier import lhs_sum, rhs_closed_form, verify_theorem
 
-from oracles import lhs_sum_whole
+from oracles import classical_lhs_sum, lhs_sum_whole
 
 
 # `qsupercheck sweep --suite paper-default --format json` without its
@@ -212,10 +212,11 @@ def _family_sum_at_one_mod(family, d, r, p, precision=2):
 def test_criterion_8b_q1_specialization_matches_padic():
     with criterion("8b q = 1 specialization agrees with the mod-p^2 sums"):
         for d, r, p in ((3, 1, 5), (4, 1, 7), (5, 2, 13)):
-            assert _family_sum_at_one_mod(F5_THM41, d, r, p) == \
-                classical_lhs_sum("thm41", d, r, p)
-            assert _family_sum_at_one_mod(F6_THM42, d, r, p) == \
-                classical_lhs_sum("thm42", d, r, p)
+            for family, kind in ((F5_THM41, "thm41"), (F6_THM42, "thm42")):
+                at_one = _family_sum_at_one_mod(family, d, r, p)
+                assert at_one == classical_lhs_sum(kind, d, r, p)
+                num, den = shadow_sum(family, d, r, p - 1)
+                assert at_one == num * pow(den, -1, p * p) % (p * p)
 
 
 def test_criterion_8c_incremental_vs_whole_sum_oracle():

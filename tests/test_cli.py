@@ -154,6 +154,8 @@ def test_sweep_negative_nj_max_is_a_usage_error(capsys):
     ({"id": "thm12", "params": {"d": 3, "n": 5, "x": 1}},
      "plan parameter 'x' does not apply to thm12"),
     ({"id": "km", "params": {"trials": 2}}, "km needs plan parameter 'n_list'"),
+    ({"id": "thm12", "params": [1]}, "has an object params in each entry"),
+    ({"id": "thm12"}, "has an object params in each entry"),
 ])
 def test_plan_entry_names_follow_the_flag_rule(tmp_path, capsys, entry,
                                                message):
@@ -161,6 +163,15 @@ def test_plan_entry_names_follow_the_flag_rule(tmp_path, capsys, entry,
     plan_path.write_text(json.dumps({"checks": [entry]}))
     assert main(["sweep", "--plan", str(plan_path)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("plan", [[1], {"checks": 5}, {"seed": 1},
+                                  {"checks": [7]}])
+def test_plan_of_the_wrong_shape_is_a_usage_error(tmp_path, capsys, plan):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    assert main(["sweep", "--plan", str(plan_path)]) == 2
+    assert "has an object params in each entry" in capsys.readouterr().err
 
 
 def test_sweep_plan_file_and_failure_exit(tmp_path, capsys):
