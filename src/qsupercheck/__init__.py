@@ -19,7 +19,6 @@ from .catalog import (
     DEFAULT_TRIALS,
     REGISTRY,
     SUITES,
-    RunOptions,
     km_offset_lists,
     run_check,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "DEFAULT_TRIALS",
     "REGISTRY",
     "Report",
-    "RunOptions",
     "SUITES",
     "Status",
     "SweepPlan",

@@ -1,6 +1,6 @@
 """Check registry, parameter grids, and the built-in sweep suites.
 
-Every check is a pure function of (id, params, options), so sweeps can
+Every check is a pure function of (id, params), so sweeps can
 run instances in any order or concurrently and merge deterministically by
 sorting on (id, canonical parameter string).  ``run_check`` is the one
 place a check is timed, and it keeps sweeps total: an arithmetic
@@ -26,12 +26,6 @@ from .verifier import THEOREM_IDS, verify_divisibility, verify_theorem
 
 DEFAULT_SEED = 42
 DEFAULT_TRIALS = 5
-
-
-@dataclass(frozen=True)
-class RunOptions:
-    seed: int = DEFAULT_SEED
-    trials: int = DEFAULT_TRIALS
 
 
 # --------------------------------------------------------------------------
@@ -161,7 +155,7 @@ def build_registry() -> dict[str, CheckSpec]:
 REGISTRY = build_registry()
 
 
-def _dispatch(check_id: str, params: dict, options: RunOptions) -> CheckResult:
+def _dispatch(check_id: str, params: dict) -> CheckResult:
     if check_id in THEOREM_IDS:
         return verify_theorem(check_id, params["d"], params["n"],
                               params.get("r", 1))
@@ -172,8 +166,8 @@ def _dispatch(check_id: str, params: dict, options: RunOptions) -> CheckResult:
                                  params["n"])
     if check_id == "km":
         return verify_karlsson_minton(params["n_list"],
-                                      params.get("trials", options.trials),
-                                      params.get("seed", options.seed),
+                                      params.get("trials", DEFAULT_TRIALS),
+                                      params.get("seed", DEFAULT_SEED),
                                       params.get("m"))
     if check_id == "qbinom_vanish":
         return verify_qbinomial_vanishing(params["n"], params.get("j"),
@@ -185,14 +179,13 @@ def _dispatch(check_id: str, params: dict, options: RunOptions) -> CheckResult:
     raise ValueError(f"unknown check id {check_id!r}")
 
 
-def run_check(check_id: str, params: dict,
-              options: RunOptions = RunOptions()) -> CheckResult:
+def run_check(check_id: str, params: dict) -> CheckResult:
     """Run and time one check; never raises for a known check id."""
     if check_id not in REGISTRY:
         raise ValueError(f"unknown check id {check_id!r}")
     start = time.perf_counter()
     try:
-        result = _dispatch(check_id, params, options)
+        result = _dispatch(check_id, params)
     except ArithmeticError as exc:  # non-unit, pole, non-integral exponent
         result = fails(check_id, params, f"{type(exc).__name__}: {exc}")
     except Exception as exc:  # sweeps must stay total

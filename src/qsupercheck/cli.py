@@ -18,7 +18,6 @@ from .catalog import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
     REGISTRY,
-    RunOptions,
     SUITES,
     km_offset_lists,
     run_check,
@@ -198,14 +197,16 @@ def _plan_from_args(args) -> SweepPlan:
 
 
 def _run_instance(task):
-    check_id, params, options = task
-    return run_check(check_id, params, options)
+    return run_check(*task)
 
 
 def _execute_plan(plan: SweepPlan, jobs: int) -> Report:
-    options = RunOptions(seed=plan.seed, trials=plan.trials)
+    """Run the plan's checks; a km entry without its own seed or trials
+    takes the plan's."""
     start = time.perf_counter()
-    tasks = [(cid, params, options) for cid, params in plan.checks]
+    km = {"seed": plan.seed, "trials": plan.trials}
+    tasks = [(cid, dict(km, **params) if cid == "km" else params)
+             for cid, params in plan.checks]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -219,8 +220,7 @@ def _execute_plan(plan: SweepPlan, jobs: int) -> Report:
 
 def _cmd_verify(args) -> int:
     instances = _collect_params(args, args.check, grid=False)
-    options = RunOptions(seed=args.seed, trials=args.trials)
-    result = run_check(args.check, instances[0], options)
+    result = run_check(args.check, instances[0])
     print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
     if result.status is Status.ERROR:
         return EXIT_ERROR

@@ -14,27 +14,27 @@ q-binomial rewriting and the splittings are equalities of quotients
 forms; the one sum among them, 1 + ratio in the splittings, is checked
 as a packed three-term identity.  The three-sum decomposition,
 mixed = [d] divisibility - q [d-1] squared over the families' own
-increments, holds for every upper limit, so it is proved term by term, on
-the factors the three terms do not share.
+increments, holds for every upper limit, so ``first_failing_term`` proves
+it term by term, on the factors the three terms do not share.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd as igcd
 
 from .cyclotomic import cyclotomic, divisors, q_integer
 from .families import F2_MIXED, F3_SQUARED, F7_DIVISIBILITY, family_increments
 from .laurent import Laurent
+from .parametric import parametric_precondition
 from .poly import Poly, poly_prod
 from .qfuncs import (
     Packed,
+    first_failing_term,
     one_minus_normal_form,
     packed_width,
     q_binomial,
     sum_bounds,
-    tally,
     truncated_sum,
 )
 from .results import CheckResult, fails, holds, skipped
@@ -105,7 +105,7 @@ def verify_karlsson_minton(n_list, trials: int = 5, seed: int = 0,
         m = len(ns)
     params = {"m": m, "n_list": tuple(ns), "trials": trials, "seed": seed}
     if m < 1 or m != len(ns) or any(nj < 0 for nj in ns):
-        return skipped("km", params, "requires m >= 1 nonnegative offsets")
+        return skipped("km", params, "requires m = len(n_list) >= 1, n_j >= 0")
     if trials < 1:  # no trial would check anything
         return skipped("km", params, "requires trials >= 1")
     rng = random.Random(seed)
@@ -155,8 +155,11 @@ def verify_qbinomial_vanishing(n: int, j: int | None = None,
     Without j, every exponent 0..n-1 must give the zero polynomial.  With
     an explicit j the expectation defaults to zero inside that range and
     to nonzero outside it (diagnostic mode); pass ``expect`` to override.
-    ``expect`` without j is refused as a precondition.
+    ``expect`` without j is refused as a precondition, and any ``expect``
+    but ``"zero"`` or ``"nonzero"`` raises ValueError.
     """
+    if expect not in (None, "zero", "nonzero"):
+        raise ValueError(f"expect must be 'zero' or 'nonzero', not {expect!r}")
     params = {"n": n}
     if j is not None:
         params["j"] = j
@@ -204,12 +207,11 @@ def _central_band(d: int, r: int) -> range:
 
 
 def _ratio_shift_pre(d, r, n, j, k, central: bool) -> str | None:
-    if r < 1 or d < r + 3 or igcd(d, r) != 1:
-        return "requires gcd(d, r) = 1 and d >= r + 3"
-    if (d + r) % 2 == 0:
-        return "requires d + r odd"
-    if (n + r) % d or n < 2 * d - r:
-        return "requires n == -r (mod d) and n >= 2d - r"
+    """p1_24's precondition, whose summand the ratio shifts rewrite, then
+    the index rules."""
+    reason = parametric_precondition("p1_24", d, r, n)
+    if reason:
+        return reason
     if k < 0:
         return "requires k >= 0"
     if not 1 <= j <= d - 1:
@@ -280,47 +282,19 @@ def _decomposition_increments(d, n) -> list[list]:
             for f in (F2_MIXED, F7_DIVISIBILITY, F3_SQUARED)]
 
 
-def _decomposes_termwise(d, sums) -> bool:
-    """Whether term k of s1 = [d] s2 - q [d-1] s3 holds for every k.
-
-    The runs share their denominators, so term k of run i is q^{dk} X R_i
-    with X the factors all three share and R_i the rest, a product of
-    factors 1 - q^e.  Runs 2 and 3 are kept as exponent counts relative to
-    run 1, which telescope to a few exponents; at each k, X takes the
-    smallest count of each exponent, and (1 - q) R1 = (1 - q^d) R2 -
-    q (1 - q^{d-1}) R3 is compared packed at a width counted from the R_i.
-    Equal terms prove the sums equal over their common denominator; False
-    means only that some term differs, or that the runs' denominators
-    differ or vanish, and leaves the verdict to the whole sums.
-    """
-    diffs = ({}, {})  # exponent -> count in run 2 (run 3) minus run 1
-    for (a1, b1, c1), *rest in zip(*sums):
-        if 0 in b1 or any(b != b1 for _, b, _ in rest):
-            return False
-        for diff, (a, _, _) in zip(diffs, rest):
-            tally(tally(diff, a, 1), a1, -1)
-        rel = [tally(tally(dict(diff), c, 1), c1, -1)
-               for diff, (_, _, c) in zip(diffs, rest)]
-        terms = ([], [], [])
-        for e in {*rel[0], *rel[1]}:
-            counts = (0, rel[0].get(e, 0), rel[1].get(e, 0))
-            low = min(counts)
-            for exps, m in zip(terms, counts):
-                exps += [e] * (m - low)
-        one = Packed.one(packed_width(max(map(len, terms)) + 2))
-        r1, r2, r3 = (one.times_one_minus(t) for t in terms)
-        rhs = r2.times_one_minus([d]) - r3.times_one_minus([d - 1]).shifted(1)
-        if r1.times_one_minus([1]) != rhs:
-            return False
-    return True
+def _decomposition_relation(d):
+    """(1 - q) s1 - (1 - q^d) s2 + q (1 - q^{d-1}) s3, zero termwise."""
+    return (1, 0, [1]), (-1, 0, [d]), (1, 1, [d - 1])
 
 
 def _check_sum_decomposition(d, n) -> str | None:
-    """s1 = [d] s2 - q [d-1] s3 over the common denominator, term by term
-    and, when a term differs, compared packed as whole sums after
-    multiplying through by 1 - q: (1 - q)[m] = 1 - q^m."""
+    """s1 = [d] s2 - q [d-1] s3, term by term when the runs share their
+    denominators; otherwise, or when a term differs, the whole packed sums
+    times 1 - q are compared: (1 - q)[m] = 1 - q^m."""
     sums = _decomposition_increments(d, n)
-    if _decomposes_termwise(d, sums):
+    shared = all(b == b1 for (_, b1, _), *rest in zip(*sums)
+                 for _, b, _ in rest)
+    if shared and first_failing_term(sums, _decomposition_relation(d)) is None:
         return None
     width = packed_width(max(sum_bounds(inc) for inc in sums) + 2)
     s1, s2, s3 = (truncated_sum(d, inc, width) for inc in sums)

@@ -18,31 +18,47 @@ Substituting a = 1 into the same increments must reproduce the
 corresponding non-parametric summand term by term, which pins down the
 reconstruction of the displayed exponent patterns.  The reference
 summand is written as increments too, the thm42 family's own unless the
-index is shifted, and one running exponent count of the difference decides
-every term, each factor counted once.
+index is shifted, and ``first_failing_term`` decides every term of the
+difference, each factor counted once.  Each family deforms a q-statement
+of the catalog, lemma21 or thm42, and is admissible where that statement
+is and its own condition on (d, r) holds.
 """
 
 from __future__ import annotations
 
-from math import gcd as igcd
-
-from .families import F6_THM42, a_exponent, family_increments, mutated
+from .families import (F6_THM42, a_exponent, family_increments, mutated,
+                       theorem_precondition)
 from .qfuncs import (
-    DegenerateProductError,
     Packed,
     cancel_increments,
+    first_failing_term,
     packed_width,
     sum_bounds,
-    tally,
     truncated_sum,
 )
 from .results import CheckResult, fails, holds, skipped
 
-PARAMETRIC_IDS = ("p1_24", "p2_25", "p3_32", "p4_33", "p5_43", "p6_44",
-                  "p7_45", "p8_46")
-
-_VANISHING = ("p1_24", "p2_25")  # right-hand side identically zero
-_SHIFTED_INDEX = ("p1_24", "p2_25")  # central band uses index k - 2
+# Family -> (the q-statement it deforms, its condition on (d, r), that
+# condition in words).  The lemma21 deformations vanish, as lemma21 does,
+# and use index k - 2 on their central band.
+_DEFORMS = {
+    "p1_24": ("lemma21", lambda d, r: (d + r) % 2, "d + r odd"),
+    "p2_25": ("lemma21", lambda d, r: d % 2 and r % 2, "d, r odd"),
+    "p3_32": ("thm42", lambda d, r: d % 2 and d > 3 and r == 1,
+              "odd d > 3 and r = 1"),
+    "p4_33": ("thm42", lambda d, r: d == 3 and r == 1, "d = 3 and r = 1"),
+    "p5_43": ("thm42", lambda d, r: (d + r) % 2 and d - r >= 3,
+              "d + r odd and d - r >= 3"),
+    "p6_44": ("thm42", lambda d, r: (d + r) % 2 and d - r == 1,
+              "d + r odd and d - r = 1"),
+    "p7_45": ("thm42", lambda d, r: d % 2 and r % 2 and d - r >= 4,
+              "d, r odd and d - r >= 4"),
+    "p8_46": ("thm42", lambda d, r: d % 2 and r % 2 and d - r == 2,
+              "d, r odd and d - r = 2"),
+}
+PARAMETRIC_IDS = tuple(_DEFORMS)
+_SHIFTED_INDEX = tuple(cid for cid, (statement, _, _) in _DEFORMS.items()
+                       if statement == "lemma21")
 
 
 class DegenerateSubstitutionError(ZeroDivisionError):
@@ -80,45 +96,14 @@ def rhs_band(check_id: str, d: int, r: int) -> list[int]:
 
 
 def parametric_precondition(check_id: str, d: int, r: int, n: int) -> str | None:
-    if r < 1 or d < 2:
-        return "requires d >= 2 and r >= 1"
-    if igcd(d, r) != 1:
-        return "requires gcd(d, r) = 1"
-    if (n + r) % d:
-        return "requires n == -r (mod d)"
-    if check_id == "p1_24":
-        if (d + r) % 2 == 0 or d < r + 3:
-            return "requires d + r odd and d >= r + 3"
-        if n < 2 * d - r:
-            return "requires n >= 2d - r"
-    elif check_id == "p2_25":
-        if d % 2 == 0 or r % 2 == 0 or d < r + 3:
-            return "requires d, r odd and d >= r + 3"
-        if n < 2 * d - r:
-            return "requires n >= 2d - r"
-    elif check_id == "p3_32":
-        if d % 2 == 0 or d <= 3 or r != 1:
-            return "requires odd d > 3 and r = 1"
-    elif check_id == "p4_33":
-        if d != 3 or r != 1:
-            return "requires d = 3 and r = 1"
-    elif check_id == "p5_43":
-        if (d + r) % 2 == 0 or d - r < 3:
-            return "requires d + r odd and d - r >= 3"
-    elif check_id == "p6_44":
-        if (d + r) % 2 == 0 or d - r != 1:
-            return "requires d + r odd and d - r = 1"
-    elif check_id == "p7_45":
-        if d % 2 == 0 or r % 2 == 0 or d - r < 4:
-            return "requires d, r odd and d - r >= 4"
-    elif check_id == "p8_46":
-        if d % 2 == 0 or r % 2 == 0 or d - r != 2:
-            return "requires d, r odd and d - r = 2"
-    else:
+    """None when (d, r, n) is admissible, else a short reason to skip."""
+    if check_id not in _DEFORMS:
         raise ValueError(f"unknown parametric id {check_id!r}")
-    if check_id not in _SHIFTED_INDEX and n < 2:
-        return "requires n > 1"
-    return None
+    statement, condition, words = _DEFORMS[check_id]
+    reason = theorem_precondition(statement, d, n, r)
+    if reason:
+        return f"as {statement}: {reason}"
+    return None if condition(d, r) else f"requires {words}"
 
 
 def _upper_limit(check_id: str, d: int, r: int, n: int) -> int:
@@ -188,57 +173,15 @@ def _reference_increments(check_id: str, d: int, r: int, n: int):
     return increments
 
 
-def _first_differing_term(lhs, rhs) -> int | None:
-    """The first k at which term k of two increment lists over the same
-    step differ, as their ``one_minus_normal_form`` decides; None if none.
-
-    One running count holds the exponents of lhs minus those of rhs, with
-    the sign flips and q-shift of the negative exponents next to it
-    (1 - q^e = -q^e (1 - q^-e)), so each factor is counted once.  A
-    numerator 1 - q^0 makes a side's term zero (normal form None) from a_k
-    on, or for c_k alone; a denominator one raises DegenerateProductError,
-    as the normal form does.
-    """
-    count: dict[int, int] = {}
-    flips = shift = 0
-
-    def add(exps, unit):
-        nonlocal flips, shift
-        negative = [e for e in exps if e < 0]
-        flips += len(negative)
-        shift += unit * sum(negative)
-        tally(count, map(abs, exps), unit)
-
-    zero = (False, False)
-    for k, ((la, lb, lc), (ra, rb, rc)) in enumerate(zip(lhs, rhs)):
-        if 0 in lb or 0 in rb:
-            raise DegenerateProductError("denominator factor 1 - q^0")
-        for exps, unit in ((la, 1), (lb, -1), (ra, -1), (rb, 1)):
-            add(exps, unit)
-        zero = (zero[0] or 0 in la, zero[1] or 0 in ra)
-        none = (zero[0] or 0 in lc, zero[1] or 0 in rc)
-        if none[0] or none[1]:
-            if none[0] != none[1]:
-                return k
-            continue
-        add(lc, 1)
-        add(rc, -1)
-        equal = not count and flips % 2 == 0 and shift == 0
-        add(lc, -1)
-        add(rc, 1)
-        if not equal:
-            return k
-    return None
-
-
 def _collapse_at_one(check_id: str, d: int, r: int, n: int) -> str | None:
     """Termwise a = 1 consistency by exponent counting; a witness on failure.
 
     Term k of the sum at a = 1 is q^{dk} prod_{j<=k} a_j c_k / prod_{j<=k} b_j
     over the same increments the substituted sums are built from.
     """
-    k = _first_differing_term(_sum_increments(check_id, d, r, n, 0),
-                              _reference_increments(check_id, d, r, n))
+    k = first_failing_term((_sum_increments(check_id, d, r, n, 0),
+                            _reference_increments(check_id, d, r, n)),
+                           ((1, 0, []), (-1, 0, [])))
     if k is None:
         return None
     return f"a = 1 collapse differs from reference summand at k = {k}"
@@ -266,7 +209,7 @@ def verify_parametric(check_id: str, d: int, r: int, n: int,
     for s in (1, -1):
         increments = cancel_increments(_sum_increments(check_id, d, r, n, s))
         num_bits = sum_bounds(increments)
-        if check_id in _VANISHING:
+        if check_id in _SHIFTED_INDEX:  # vanishes, as lemma21 does
             mutated(None, mutation)  # refuses every mutation
             if not truncated_sum(d, increments, packed_width(num_bits)).is_zero():
                 return fails(check_id, params,

@@ -22,7 +22,8 @@ keeps a value modulo (1 - q^n)^2, as an int modulo (2^{n B} - 1)^2, so a
 divisibility by (1 - q^n)^2 is decided without unpacking.
 ``one_minus_normal_form`` reduces a quotient of such factors to exponent
 counts, which decides equality of two quotients with no polynomial
-arithmetic; ``tally`` keeps such counts running from term to term.
+arithmetic, and ``first_failing_term`` decides a relation between sums
+term by term on running counts of the factors their terms do not share.
 """
 
 from __future__ import annotations
@@ -322,3 +323,53 @@ def truncated_sum(step: int, increments, width: int, fold: int = 0) -> Packed:
             num = num + term.shifted(step * k)
     num.bits = sum_bounds(increments, step, fold)  # built here
     return num
+
+
+def first_failing_term(runs, relation) -> int | None:
+    """The first k with sum_i relation_i term_k(runs[i]) != 0, or None.
+
+    ``runs`` are ``truncated_sum`` increment lists over one step, and
+    ``relation[i] = (sign, shift, exps)`` is sign q^shift prod (1 - q^e).
+    Runs 1, 2, ... are counts of signed exponents relative to run 0, a
+    denominator factor counting -1, so shared factors cancel as they come.
+    Term k of run i is q^{step k} X R_i, X the least count of each
+    exponent: the relation holds where X holds 1 - q^0, which run 0's count
+    of it tells, or where sum_i relation_i R_i vanishes, computed once for
+    equal counts.  A denominator 1 - q^0 raises DegenerateProductError.
+    """
+    rel = [{} for _ in runs[1:]]
+    held = 0  # factors 1 - q^0 in run 0's running numerator
+    equal = _relation_vanishes(relation, [[]] * len(runs))
+    for k, ((a0, b0, c0), *rest) in enumerate(zip(*runs)):
+        if 0 in b0 or any(0 in b for _, b, _ in rest):
+            raise DegenerateProductError("denominator factor 1 - q^0")
+        held += a0.count(0)
+        counts, left = [], [[] for _ in runs]
+        for count, (a, b, c) in zip(rel, rest):
+            tally(tally(count, a, 1), a0, -1)
+            if b != b0:
+                tally(tally(count, b, -1), b0, 1)
+            counts.append(tally(tally(dict(count), c, 1), c0, -1)
+                          if c or c0 else count)
+        for e in set().union(*counts):
+            ms = [0] + [count.get(e, 0) for count in counts]
+            low = min(ms)
+            for exps, m in zip(left, ms):
+                exps += [e] * (m - low)
+        zero = held + c0.count(0) + min([0] + [c.get(0, 0) for c in counts])
+        if zero <= 0 and not (_relation_vanishes(relation, left)
+                              if any(counts) else equal):
+            return k
+    return None
+
+
+def _relation_vanishes(relation, leftovers) -> bool:
+    """Whether sum_i relation_i prod_{leftovers[i]} (1 - q^e) is zero."""
+    terms = [(sign, shift, exps + left)
+             for (sign, shift, exps), left in zip(relation, leftovers)]
+    bits = (sum(1 << len(exps) for _, _, exps in terms) - 1).bit_length()
+    width = packed_width(bits)
+    total = sum((Packed(sign, 0, 0, width).times_one_minus(exps).shifted(shift)
+                 for sign, shift, exps in terms), Packed(0, 0, 0, width))
+    total.bits = bits  # ||term i||_1 <= 2^{its factor count}
+    return total.is_zero()

@@ -33,7 +33,6 @@ from qsupercheck.catalog import (
     GRID_THM42,
     GRID_WLT,
     QBINOM_MAX_N,
-    RunOptions,
     km_offset_lists,
     paper_default_suite,
     run_check,
@@ -59,8 +58,7 @@ def exact_results():
     plan = paper_default_suite()
     results = {}
     for cid, params in plan:
-        results[(cid, canonical_params(params))] = run_check(
-            cid, params, RunOptions())
+        results[(cid, canonical_params(params))] = run_check(cid, params)
     return results
 
 

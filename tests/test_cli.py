@@ -188,6 +188,24 @@ def test_sweep_plan_file_and_failure_exit(tmp_path, capsys):
     assert report["summary"] == {"holds": 1, "fails": 1, "skipped": 0}
 
 
+def test_plan_km_entries_take_the_plan_seed_and_trials(tmp_path, capsys):
+    # An entry without its own seed or trials lists the ones it ran with,
+    # whatever its status; the echoed plan stays as written.
+    checks = [{"id": "km", "params": {"n_list": [1, 2]}},
+              {"id": "km", "params": {"n_list": [1], "trials": "5"}}]
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({"checks": checks, "seed": 7}))
+    out_path = tmp_path / "report.json"
+    assert main(["sweep", "--plan", str(plan_path), "--trials", "3",
+                 "--out", str(out_path)]) == 4
+    report = json.loads(out_path.read_text())
+    params = {r["status"]: r["params"] for r in report["results"]}
+    assert params["HOLDS"] == {"m": 2, "n_list": [1, 2], "seed": 7,
+                               "trials": 3}
+    assert params["ERROR"] == {"n_list": [1], "seed": 7, "trials": "5"}
+    assert report["plan"]["checks"] == checks
+
+
 def test_sweep_empty_plan(tmp_path, capsys):
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps({"checks": []}))
@@ -285,6 +303,9 @@ def test_engine_error_exit_four(tmp_path, capsys):
         {"id": "thm12", "params": {"d": 3, "n": 5}},
         {"id": "qbinom_vanish", "params": {"n": 2, "j": 2, "expect": "zero"}},
         {"id": "thm12", "params": {"d": 3, "n": "x"}},
+        # An expectation other than zero or nonzero would check nothing.
+        {"id": "qbinom_vanish", "params": {"n": 4, "j": 9, "expect": "zer0"}},
+        {"id": "qbinom_vanish", "params": {"n": 4, "j": 1, "expect": "maybe"}},
     ]}
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps(plan))
@@ -293,6 +314,7 @@ def test_engine_error_exit_four(tmp_path, capsys):
     assert code == 4
     report = json.loads(out_path.read_text())
     assert report["summary"] == {"holds": 1, "fails": 1, "skipped": 0,
-                                 "errors": 1}
+                                 "errors": 3}
     error = [r for r in report["results"] if r["status"] == "ERROR"]
-    assert error[0]["witness"].startswith("TypeError")
+    assert [r["witness"].split(":")[0] for r in error] == [
+        "ValueError", "ValueError", "TypeError"]

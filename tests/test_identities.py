@@ -14,8 +14,8 @@ from qsupercheck.identities import (
     _check_qbinom_rewrite,
     _check_ratio_shift,
     _check_sum_decomposition,
-    _decomposes_termwise,
     _decomposition_increments,
+    _decomposition_relation,
     _km_degenerate,
     _km_sides,
     _poch_parts,
@@ -28,6 +28,7 @@ from qsupercheck.identities import (
 from qsupercheck.laurent import Laurent, RatFunc
 from qsupercheck.poly import Poly, divrem, poly_prod
 from qsupercheck.qfuncs import (
+    first_failing_term,
     one_minus_product,
     packed_width,
     q_binomial,
@@ -63,7 +64,9 @@ def test_km_degeneracy_detection():
 
 def test_km_bad_arguments_skip():
     assert verify_karlsson_minton([], m=0).status is Status.SKIPPED_PRECONDITION
-    assert verify_karlsson_minton([1], m=2).status is Status.SKIPPED_PRECONDITION
+    mismatch = verify_karlsson_minton([1], m=2)
+    assert mismatch.status is Status.SKIPPED_PRECONDITION
+    assert mismatch.note == "requires m = len(n_list) >= 1, n_j >= 0"
 
 
 @pytest.mark.parametrize("trials", [0, -3])
@@ -226,7 +229,7 @@ def test_decomposition_with_a_wrong_exponent_fails(monkeypatch):
 def _by_three_sums(monkeypatch, d, n):
     """The decomposition's witness from the whole packed sums alone."""
     with monkeypatch.context() as patch:
-        patch.setattr(identities, "_decomposes_termwise", lambda d, sums: False)
+        patch.setattr(identities, "first_failing_term", lambda runs, rel: 0)
         return _check_sum_decomposition(d, n)
 
 
@@ -235,13 +238,14 @@ def test_termwise_decomposition_matches_three_sum_oracle(monkeypatch):
     # grows like (dn)^3, are compared where d n <= 120 (221 of 400 cells).
     for d in range(2, 12):
         for n in range(1, 41):
-            assert _decomposes_termwise(d, _decomposition_increments(d, n))
+            assert first_failing_term(_decomposition_increments(d, n),
+                                      _decomposition_relation(d)) is None
             if d * n <= 120:
                 assert _by_three_sums(monkeypatch, d, n) is None
 
 
 def test_failing_termwise_step_falls_back_to_the_sums(monkeypatch):
-    monkeypatch.setattr(identities, "_decomposes_termwise", lambda d, sums: False)
+    monkeypatch.setattr(identities, "first_failing_term", lambda runs, rel: 0)
     for d, n in ((2, 1), (3, 5), (7, 12)):
         result = verify_proof_step("sum_decomposition", {"d": d, "n": n})
         assert result.status is Status.HOLDS
@@ -271,7 +275,11 @@ def test_decomposition_mutants_keep_the_three_sum_verdict(monkeypatch, d, n):
                             lambda d, n, sums=sums: sums)
         witness = _check_sum_decomposition(d, n)
         assert witness == _by_three_sums(monkeypatch, d, n)
-        assert not _decomposes_termwise(d, sums) or witness is None
+        # The check runs the termwise step where the denominators agree.
+        if all(b == b1 for (_, b1, _), *rest in zip(*sums)
+               for _, b, _ in rest):
+            assert first_failing_term(sums, _decomposition_relation(d)) \
+                is not None or witness is None
 
 
 def test_ratio_shifts():

@@ -11,7 +11,6 @@ from qsupercheck.parametric import (
     DegenerateSubstitutionError,
     _collapse_at_one,
     _den_core,
-    _first_differing_term,
     _reference_increments,
     _SHIFTED_INDEX,
     _sum_increments,
@@ -23,6 +22,8 @@ from qsupercheck.parametric import (
 )
 from qsupercheck.poly import Poly
 from qsupercheck.qfuncs import (
+    DegenerateProductError,
+    first_failing_term,
     one_minus_normal_form,
     one_minus_product,
     packed_width,
@@ -191,6 +192,11 @@ def test_running_collapse_matches_the_quadratic_oracle():
             cid, d, r, n) is None
 
 
+def _collapse_term(lhs, rhs):
+    """``first_failing_term`` with the collapse's relation, lhs - rhs."""
+    return first_failing_term((lhs, rhs), ((1, 0, []), (-1, 0, [])))
+
+
 def _outcome(first_differing, lhs, rhs):
     try:
         return first_differing(lhs, rhs)
@@ -229,7 +235,7 @@ def test_collapse_mutants_match_the_quadratic_oracle(check_id, d, r, n):
     pairs = [(m, rhs) for m in _exponent_mutants(lhs)]
     pairs += [(lhs, m) for m in _exponent_mutants(rhs)]
     for pair in pairs:
-        assert _outcome(_first_differing_term, *pair) == _outcome(
+        assert _outcome(_collapse_term, *pair) == _outcome(
             first_differing_term, *pair)
 
 
@@ -240,9 +246,21 @@ def test_collapse_mutants_match_the_quadratic_oracle(check_id, d, r, n):
     # Equal counts and sign, q-shifts -3 and 0.
     ([([-1, -2], [], [])], [([1, 2], [], [])], 0),
     ([([-1, 5], [2], [-4])], [([-1, 5], [2], [-4])], None),
+    # A factor 1 - q^0 held by both runs makes both terms zero: equal.
+    ([([], [], []), ([0, 2], [3], [])], [([], [], []), ([0, -3], [3], [])],
+     None),
+    # Held by one run only, the terms differ from there on.
+    ([([], [], []), ([2], [3], [0])], [([], [], []), ([2], [3], [])], 1),
+    # A denominator 1 - q^0 is refused.
+    ([([1], [0], [])], [([1], [1], [])], DegenerateProductError),
 ])
 def test_first_differing_term_tracks_sign_and_shift(lhs, rhs, k):
-    assert _first_differing_term(lhs, rhs) == first_differing_term(lhs, rhs) == k
+    outcome = _outcome(_collapse_term, lhs, rhs)
+    assert outcome == _outcome(first_differing_term, lhs, rhs)
+    if isinstance(outcome, tuple):
+        assert outcome == (k, "denominator factor 1 - q^0")
+    else:
+        assert outcome == k
 
 
 def test_substituted_sums_vanish_exactly():

@@ -621,8 +621,10 @@ def test_fold_matches_division_by_one_minus_q_n_squared(n, coeffs, exps,
 def test_undersized_width_is_error_not_a_verdict(monkeypatch, module,
                                                  check_id, params):
     assert run_check(check_id, params).status is Status.HOLDS
-    # One bit short of the bits + 2 that a bound of 2^bits needs.
-    monkeypatch.setattr(module, "packed_width", lambda bits: bits + 1)
+    # One bit short of the bits + 2 that a bound of 2^bits needs, in the
+    # check's module and in qfuncs, which sizes the termwise leftovers.
+    for patched in (module, qfuncs):
+        monkeypatch.setattr(patched, "packed_width", lambda bits: bits + 1)
     result = run_check(check_id, params)
     assert result.status is Status.ERROR
     assert result.witness.startswith("PackingOverflowError")

@@ -1,11 +1,10 @@
 """Rectangular sweeps are total: every instance yields a status, never a crash."""
 
-from qsupercheck.catalog import REGISTRY, RunOptions, run_check
+from qsupercheck.catalog import REGISTRY, run_check
 from qsupercheck.results import Status
 
 
 def test_rectangular_grid_is_total():
-    options = RunOptions()
     ids = ["eq13", "eq14", "eq15", "thm11", "thm12", "lemma21", "thm41",
            "thm42", "thm13", "p1_24", "p4_33", "p6_44", "p8_46"]
     statuses = set()
@@ -17,7 +16,7 @@ def test_rectangular_grid_is_total():
                     params = {"d": d, "n": n}
                     if needs_r:
                         params["r"] = r
-                    result = run_check(cid, params, options)
+                    result = run_check(cid, params)
                     statuses.add(result.status)
                     assert result.status in (Status.HOLDS,
                                              Status.SKIPPED_PRECONDITION), (
@@ -35,7 +34,7 @@ def test_out_of_catalog_instances_also_hold():
              ("p5_43", {"d": 6, "r": 1, "n": 5}),
              ("km", {"n_list": (3, 2), "trials": 2, "seed": 5})]
     for cid, params in cases:
-        result = run_check(cid, params, RunOptions())
+        result = run_check(cid, params)
         assert result.status is Status.HOLDS, (cid, params, result.witness,
                                                result.note)
 
