@@ -10,22 +10,22 @@ any other exception is an engine fault and reads as ERROR.
 
 from __future__ import annotations
 
+import itertools
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .identities import (
-    PROOF_STEP_IDS,
+    DEFAULT_SEED,
+    DEFAULT_TRIALS,
     verify_karlsson_minton,
     verify_proof_step,
     verify_qbinomial_vanishing,
 )
-from .padic import CLASSICAL_IDS, verify_classical
-from .parametric import PARAMETRIC_IDS, verify_parametric
+from .padic import verify_classical
+from .parametric import verify_parametric
 from .results import CheckResult, errored, fails
-from .verifier import THEOREM_IDS, verify_divisibility, verify_theorem
-
-DEFAULT_SEED = 42
-DEFAULT_TRIALS = 5
+from .verifier import verify_divisibility, verify_theorem
 
 
 # --------------------------------------------------------------------------
@@ -37,155 +37,119 @@ class CheckSpec:
     check_id: str
     param_names: tuple[str, ...]
     description: str
+    runner: Callable[[str, dict], CheckResult]
+
+    def run(self, params: dict) -> CheckResult:
+        return self.runner(self.check_id, params)
 
 
-def _theorem_descriptions() -> dict[str, str]:
-    return {
-        "eq13": "sum (q^(d-1);q^d)_k^d q^(dk) / (q^d;q^d)_k^d vs closed form, "
-                "mod Phi_n(q)^2, n == 1 (mod d)",
-        "eq14": "mixed sum (q^(d+1);q^d)_k^(d-1)(q^(1-d);q^d)_k, odd d, "
-                "vs closed form mod Phi_n(q)^2",
-        "eq15": "squared sum (q^(d+1);q^d)_k^(d-2)(q;q^d)_k^2, even d, "
-                "vs closed form mod Phi_n(q)^2",
-        "thm11": "mixed sum as eq14 but even d, sign (-1)^((n+1)/d)",
-        "thm12": "squared sum as eq15 but odd d, positive sign",
-        "lemma21": "two-parameter sum with (q^r;q^d)_k^r (q^(r-d);q^d)_k "
-                   "vanishing mod Phi_n(q)^2",
-        "eq22": "lemma21 at r = 1: (q^(d+1);q^d)_k^(d-2)(q,q^(1-d);q^d)_k "
-                "vanishes mod Phi_n(q)^2",
-        "thm41": "two-parameter mixed sum vs closed form with exponent "
-                 "A(d,n,r), mod Phi_n(q)^2",
-        "thm42": "two-parameter squared sum vs closed form with exponent "
-                 "A(d,n,r)-r, mod Phi_n(q)^2",
-    }
+# Runners take (check id, params) and look each verifier up by its name in
+# this module when they run, so a wrapper patched over that name sees every
+# call.
+_theorem = lambda cid, p: verify_theorem(cid, p["d"], p["n"], p.get("r", 1))
+_parametric = lambda cid, p: verify_parametric(cid, p["d"], p["r"], p["n"])
+_proof_step = lambda cid, p: verify_proof_step(cid, p)
+_classical = lambda cid, p: verify_classical(cid, p)
 
+_DN, _DNR, _DRN = ("d", "n"), ("d", "n", "r"), ("d", "r", "n")
+_DRP, _DRNK = ("d", "r", "p"), ("d", "r", "n", "k")
+_DRNJK = ("d", "r", "n", "j", "k")
+# The tail every parametric description shares.
+_SUBS = "; exact equality at a = q^n and a = q^-n plus termwise a = 1 collapse"
 
-def build_registry() -> dict[str, CheckSpec]:
-    registry: dict[str, CheckSpec] = {}
-    descriptions = _theorem_descriptions()
-    for cid in THEOREM_IDS:
-        names = ("d", "n", "r") if cid in ("lemma21", "thm41", "thm42") else ("d", "n")
-        registry[cid] = CheckSpec(cid, names, descriptions[cid])
-    registry["thm13"] = CheckSpec(
-        "thm13", ("d", "n"),
-        "(q^d;q^d)_(n-1)^d/(1-q)^(dn-d) times the mixed sum is divisible "
-        "by [n]^2 as a polynomial")
-    param_desc = {
-        "p1_24": "parametric vanishing sum, d + r odd, index k-2 central band",
-        "p2_25": "parametric vanishing sum, d and r odd, index k-2 central band",
-        "p3_32": "parametric squared-sum congruence, odd d > 3, r = 1",
-        "p4_33": "parametric squared-sum congruence at d = 3, r = 1",
-        "p5_43": "parametric closed form B_q, d + r odd, d - r >= 3",
-        "p6_44": "parametric closed form B_q at d - r = 1",
-        "p7_45": "parametric closed form C_q, d and r odd, d - r >= 4",
-        "p8_46": "parametric closed form C_q at d - r = 2",
-    }
-    for cid in PARAMETRIC_IDS:
-        registry[cid] = CheckSpec(
-            cid, ("d", "r", "n"),
-            param_desc[cid] + "; exact equality at a = q^n and a = q^-n "
-            "plus termwise a = 1 collapse")
-    registry["km"] = CheckSpec(
-        "km", ("m", "n_list", "trials", "seed"),
-        "terminating Karlsson-Minton summation, exact random rational "
-        "evaluation")
-    registry["qbinom_vanish"] = CheckSpec(
-        "qbinom_vanish", ("n", "j", "expect"),
-        "alternating q-binomial sum vanishes for 0 <= j <= n-1")
-    step_desc = {
-        "ratio_shift_generic": "Pochhammer ratio shift outside the central "
-                               "band, by exponent counting",
-        "ratio_shift_central": "Pochhammer ratio shift on the central band "
-                               "with indices k-2 and (n+r)/d-2, by exponent "
-                               "counting",
-        "qbinom_rewrite": "terminating Pochhammer quotient as signed "
-                          "q-binomial times a q-power",
-        "exponent_identity": "integer identity between the two q-power "
-                             "exponent forms",
-        "sum_decomposition": "three-sum bracket decomposition, term by "
-                             "term on the factors the terms do not share",
-        "pochhammer_split_r1": "splitting of (q^(d+1),q^(1-d);q^d)_k into "
-                               "-q[d-1](1 + ...)(q;q^d)_k^2",
-        "pochhammer_split_general": "splitting of (q^(d+r),q^(r-d);q^d)_k "
-                                    "into -q^r([d-r]/[r])(1 + ...)(q^r;q^d)_k^2",
-        "prefactor_divisibility": "prod [md]^d divisible by the squared "
-                                  "cyclotomic divisors of n",
-        "bracket_factorization": "[n] equals Phi_n times the proper "
-                                 "cyclotomic divisors",
-    }
-    step_params = {
-        "ratio_shift_generic": ("d", "r", "n", "j", "k"),
-        "ratio_shift_central": ("d", "r", "n", "j", "k"),
-        "qbinom_rewrite": ("d", "r", "n", "k"),
-        "exponent_identity": ("d", "r", "n", "k"),
-        "sum_decomposition": ("d", "n"),
-        "pochhammer_split_r1": ("d", "k"),
-        "pochhammer_split_general": ("d", "r", "k"),
-        "prefactor_divisibility": ("d", "n"),
-        "bracket_factorization": ("n",),
-    }
-    for cid in PROOF_STEP_IDS:
-        registry[cid] = CheckSpec(cid, step_params[cid], step_desc[cid])
-    classical_desc = {
-        "rv_11": "sum (1/2)_k^2/k!^2 == (-1)^((p-1)/2) mod p^2",
-        "deines_12": "sum ((d-1)/d)_k^d/k!^d == -Gamma_p(1/d)^d mod p^2",
-        "cor41_i": "two-parameter mixed classical sum vs "
-                   "(d-r)/d (r/d)^r Gamma_p(-r/d)^d mod p^2",
-        "cor41_ii": "two-parameter squared classical sum vs "
-                    "-(r/d)^(r+1) Gamma_p(-r/d)^d mod p^2",
-        "gamma_factorial": "(p-1-(p+r)/d)!/((p+r)/d)!^(d-1) vs "
-                           "-(-1)^((p+r)/d) Gamma_p(-r/d)^d mod p^2",
-        "wlt_integrality": "(n-1)!^d d^(dn-d) n^-2 times the mixed classical "
-                           "sum is an integer",
-    }
-    classical_params = {
-        "rv_11": ("p",),
-        "deines_12": ("d", "p"),
-        "cor41_i": ("d", "r", "p"),
-        "cor41_ii": ("d", "r", "p"),
-        "gamma_factorial": ("d", "r", "p"),
-        "wlt_integrality": ("d", "n"),
-    }
-    for cid in CLASSICAL_IDS:
-        registry[cid] = CheckSpec(cid, classical_params[cid],
-                                  classical_desc[cid])
-    return registry
+# check id -> (parameter names, description, runner)
+_CHECKS = {
+    "eq13": (_DN, "sum (q^(d-1);q^d)_k^d q^(dk) / (q^d;q^d)_k^d vs closed "
+             "form, mod Phi_n(q)^2, n == 1 (mod d)", _theorem),
+    "eq14": (_DN, "mixed sum (q^(d+1);q^d)_k^(d-1)(q^(1-d);q^d)_k, odd d, "
+             "vs closed form mod Phi_n(q)^2", _theorem),
+    "eq15": (_DN, "squared sum (q^(d+1);q^d)_k^(d-2)(q;q^d)_k^2, even d, "
+             "vs closed form mod Phi_n(q)^2", _theorem),
+    "thm11": (_DN, "mixed sum as eq14 but even d, sign (-1)^((n+1)/d)",
+              _theorem),
+    "thm12": (_DN, "squared sum as eq15 but odd d, positive sign", _theorem),
+    "lemma21": (_DNR, "two-parameter sum with (q^r;q^d)_k^r (q^(r-d);q^d)_k "
+                "vanishing mod Phi_n(q)^2", _theorem),
+    "eq22": (_DN, "lemma21 at r = 1: (q^(d+1);q^d)_k^(d-2)(q,q^(1-d);q^d)_k "
+             "vanishes mod Phi_n(q)^2", _theorem),
+    "thm41": (_DNR, "two-parameter mixed sum vs closed form with exponent "
+              "A(d,n,r), mod Phi_n(q)^2", _theorem),
+    "thm42": (_DNR, "two-parameter squared sum vs closed form with exponent "
+              "A(d,n,r)-r, mod Phi_n(q)^2", _theorem),
+    "thm13": (_DN, "(q^d;q^d)_(n-1)^d/(1-q)^(dn-d) times the mixed sum is "
+              "divisible by [n]^2 as a polynomial",
+              lambda cid, p: verify_divisibility(p["d"], p["n"])),
+    "p1_24": (_DRN, "parametric vanishing sum, d + r odd, index k-2 central "
+              "band" + _SUBS, _parametric),
+    "p2_25": (_DRN, "parametric vanishing sum, d and r odd, index k-2 central "
+              "band" + _SUBS, _parametric),
+    "p3_32": (_DRN, "parametric squared-sum congruence, odd d > 3, r = 1"
+              + _SUBS, _parametric),
+    "p4_33": (_DRN, "parametric squared-sum congruence at d = 3, r = 1"
+              + _SUBS, _parametric),
+    "p5_43": (_DRN, "parametric closed form B_q, d + r odd, d - r >= 3"
+              + _SUBS, _parametric),
+    "p6_44": (_DRN, "parametric closed form B_q at d - r = 1" + _SUBS,
+              _parametric),
+    "p7_45": (_DRN, "parametric closed form C_q, d and r odd, d - r >= 4"
+              + _SUBS, _parametric),
+    "p8_46": (_DRN, "parametric closed form C_q at d - r = 2" + _SUBS,
+              _parametric),
+    "km": (("m", "n_list", "trials", "seed"), "terminating Karlsson-Minton "
+           "summation, exact random rational evaluation",
+           lambda cid, p: verify_karlsson_minton(
+               p["n_list"], p.get("trials", DEFAULT_TRIALS),
+               p.get("seed", DEFAULT_SEED), p.get("m"))),
+    "qbinom_vanish": (("n", "j", "expect"), "alternating q-binomial sum "
+                      "vanishes for 0 <= j <= n-1",
+                      lambda cid, p: verify_qbinomial_vanishing(
+                          p["n"], p.get("j"), p.get("expect"))),
+    "ratio_shift_generic": (_DRNJK, "Pochhammer ratio shift outside the "
+                            "central band, by exponent counting", _proof_step),
+    "ratio_shift_central": (_DRNJK, "Pochhammer ratio shift on the central "
+                            "band with indices k-2 and (n+r)/d-2, by exponent "
+                            "counting", _proof_step),
+    "qbinom_rewrite": (_DRNK, "terminating Pochhammer quotient as signed "
+                       "q-binomial times a q-power", _proof_step),
+    "exponent_identity": (_DRNK, "integer identity between the two q-power "
+                          "exponent forms", _proof_step),
+    "sum_decomposition": (_DN, "three-sum bracket decomposition, term by "
+                          "term on the factors the terms do not share",
+                          _proof_step),
+    "pochhammer_split_r1": (("d", "k"), "splitting of (q^(d+1),q^(1-d);q^d)_k "
+                            "into -q[d-1](1 + ...)(q;q^d)_k^2", _proof_step),
+    "pochhammer_split_general": (("d", "r", "k"), "splitting of (q^(d+r),"
+                                 "q^(r-d);q^d)_k into -q^r([d-r]/[r])"
+                                 "(1 + ...)(q^r;q^d)_k^2", _proof_step),
+    "prefactor_divisibility": (_DN, "prod [md]^d divisible by the squared "
+                               "cyclotomic divisors of n", _proof_step),
+    "bracket_factorization": (("n",), "[n] equals Phi_n times the proper "
+                              "cyclotomic divisors", _proof_step),
+    "rv_11": (("p",), "sum (1/2)_k^2/k!^2 == (-1)^((p-1)/2) mod p^2",
+              _classical),
+    "deines_12": (("d", "p"), "sum ((d-1)/d)_k^d/k!^d == -Gamma_p(1/d)^d "
+                  "mod p^2", _classical),
+    "cor41_i": (_DRP, "two-parameter mixed classical sum vs (d-r)/d (r/d)^r "
+                "Gamma_p(-r/d)^d mod p^2", _classical),
+    "cor41_ii": (_DRP, "two-parameter squared classical sum vs -(r/d)^(r+1) "
+                 "Gamma_p(-r/d)^d mod p^2", _classical),
+    "gamma_factorial": (_DRP, "(p-1-(p+r)/d)!/((p+r)/d)!^(d-1) vs "
+                        "-(-1)^((p+r)/d) Gamma_p(-r/d)^d mod p^2", _classical),
+    "wlt_integrality": (_DN, "(n-1)!^d d^(dn-d) n^-2 times the mixed "
+                        "classical sum is an integer", _classical),
+}
 
-
-REGISTRY = build_registry()
-
-
-def _dispatch(check_id: str, params: dict) -> CheckResult:
-    if check_id in THEOREM_IDS:
-        return verify_theorem(check_id, params["d"], params["n"],
-                              params.get("r", 1))
-    if check_id == "thm13":
-        return verify_divisibility(params["d"], params["n"])
-    if check_id in PARAMETRIC_IDS:
-        return verify_parametric(check_id, params["d"], params["r"],
-                                 params["n"])
-    if check_id == "km":
-        return verify_karlsson_minton(params["n_list"],
-                                      params.get("trials", DEFAULT_TRIALS),
-                                      params.get("seed", DEFAULT_SEED),
-                                      params.get("m"))
-    if check_id == "qbinom_vanish":
-        return verify_qbinomial_vanishing(params["n"], params.get("j"),
-                                          params.get("expect"))
-    if check_id in PROOF_STEP_IDS:
-        return verify_proof_step(check_id, params)
-    if check_id in CLASSICAL_IDS:
-        return verify_classical(check_id, params)
-    raise ValueError(f"unknown check id {check_id!r}")
+REGISTRY = {cid: CheckSpec(cid, *row) for cid, row in _CHECKS.items()}
 
 
 def run_check(check_id: str, params: dict) -> CheckResult:
     """Run and time one check; never raises for a known check id."""
-    if check_id not in REGISTRY:
+    spec = REGISTRY.get(check_id)
+    if spec is None:
         raise ValueError(f"unknown check id {check_id!r}")
     start = time.perf_counter()
     try:
-        result = _dispatch(check_id, params)
+        result = spec.run(params)
     except ArithmeticError as exc:  # non-unit, pole, non-integral exponent
         result = fails(check_id, params, f"{type(exc).__name__}: {exc}")
     except Exception as exc:  # sweeps must stay total
@@ -236,13 +200,21 @@ KM_MAX_NJ = 4
 
 def km_offset_lists(max_m: int = KM_MAX_M, max_nj: int = KM_MAX_NJ):
     """Every (n_1..n_m) with 1 <= m <= max_m and 0 <= n_j <= max_nj."""
-    out = []
-    for m in range(1, max_m + 1):
-        stack = [()]
-        for _ in range(m):
-            stack = [t + (v,) for t in stack for v in range(max_nj + 1)]
-        out.extend(stack)
-    return out
+    return [t for m in range(1, max_m + 1)
+            for t in itertools.product(range(max_nj + 1), repeat=m)]
+
+
+def km_instances(seed: int, trials: int, max_m: int = KM_MAX_M,
+                 max_nj: int = KM_MAX_NJ):
+    """One km instance for each offset list of ``km_offset_lists``."""
+    return [("km", {"m": len(t), "n_list": t, "trials": trials, "seed": seed})
+            for t in km_offset_lists(max_m, max_nj)]
+
+
+def _grid_instances(rows):
+    """(check id, params) for each point of each (id, names, grid) row."""
+    return [(cid, dict(zip(names, point)))
+            for cid, names, grid in rows for point in grid]
 
 
 def _proof_step_instances():
@@ -261,66 +233,49 @@ def _proof_step_instances():
                     instances.append((step, {"d": d, "r": r, "n": n,
                                              "j": j, "k": k}))
         instances.append(("sum_decomposition", {"d": d, "n": n}))
-    for d, n in GRID_PREFACTOR:
-        instances.append(("prefactor_divisibility", {"d": d, "n": n}))
-    for n in range(2, BRACKET_MAX_N + 1):
-        instances.append(("bracket_factorization", {"n": n}))
-    seen = set()
-    unique = []
-    for cid, params in instances:
-        key = (cid, tuple(sorted(params.items())))
-        if key not in seen:
-            seen.add(key)
-            unique.append((cid, params))
-    return unique
+    instances += _grid_instances((
+        ("prefactor_divisibility", _DN, GRID_PREFACTOR),
+        ("bracket_factorization", ("n",),
+         [(n,) for n in range(2, BRACKET_MAX_N + 1)]),
+    ))
+    # Equal instances share a key; the dict keeps the first one's place.
+    unique = {(cid, tuple(sorted(params.items()))): (cid, params)
+              for cid, params in instances}
+    return list(unique.values())
+
+
+# (check id, parameter names, grid) rows of the suite before and after the
+# km, q-binomial and proof-step instances, in suite order.
+_Q_ROWS = (
+    ("eq13", _DN, GRID_EQ13),
+    ("eq14", _DN, GRID_EQ14),
+    ("eq15", _DN, GRID_EQ15),
+    ("thm11", _DN, GRID_THM11),
+    ("thm12", _DN, GRID_THM12),
+    ("lemma21", _DRN, GRID_LEMMA21),
+    ("eq22", _DN, GRID_EQ22),
+    ("thm41", _DRN, GRID_THM41),
+    ("thm42", _DRN, GRID_THM42),
+    ("thm13", _DN, GRID_THM13),
+    *((cid, _DRN, grid) for cid, grid in GRID_PARAMETRIC.items()),
+)
+_CLASSICAL_ROWS = (
+    ("rv_11", ("p",), [(p,) for p in GRID_RV11_PRIMES]),
+    ("deines_12", ("d", "p"), GRID_DEINES),
+    ("cor41_i", _DRP, GRID_COR41_I),
+    ("cor41_ii", _DRP, GRID_COR41_II),
+    ("gamma_factorial", _DRP,
+     sorted(set(GRID_COR41_I) | set(GRID_COR41_II))),
+    ("wlt_integrality", _DN, GRID_WLT),
+)
 
 
 def paper_default_suite(seed: int = DEFAULT_SEED,
                         trials: int = DEFAULT_TRIALS):
     """The built-in acceptance grid as (check id, params) instances."""
-    plan: list[tuple[str, dict]] = []
-    for d, n in GRID_EQ13:
-        plan.append(("eq13", {"d": d, "n": n}))
-    for d, n in GRID_EQ14:
-        plan.append(("eq14", {"d": d, "n": n}))
-    for d, n in GRID_EQ15:
-        plan.append(("eq15", {"d": d, "n": n}))
-    for d, n in GRID_THM11:
-        plan.append(("thm11", {"d": d, "n": n}))
-    for d, n in GRID_THM12:
-        plan.append(("thm12", {"d": d, "n": n}))
-    for d, r, n in GRID_LEMMA21:
-        plan.append(("lemma21", {"d": d, "n": n, "r": r}))
-    for d, n in GRID_EQ22:
-        plan.append(("eq22", {"d": d, "n": n}))
-    for d, r, n in GRID_THM41:
-        plan.append(("thm41", {"d": d, "n": n, "r": r}))
-    for d, r, n in GRID_THM42:
-        plan.append(("thm42", {"d": d, "n": n, "r": r}))
-    for d, n in GRID_THM13:
-        plan.append(("thm13", {"d": d, "n": n}))
-    for cid, grid in GRID_PARAMETRIC.items():
-        for d, r, n in grid:
-            plan.append((cid, {"d": d, "n": n, "r": r}))
-    for n_list in km_offset_lists():
-        plan.append(("km", {"m": len(n_list), "n_list": n_list,
-                            "trials": trials, "seed": seed}))
-    for n in range(1, QBINOM_MAX_N + 1):
-        plan.append(("qbinom_vanish", {"n": n}))
-    plan.extend(_proof_step_instances())
-    for prime in GRID_RV11_PRIMES:
-        plan.append(("rv_11", {"p": prime}))
-    for d, prime in GRID_DEINES:
-        plan.append(("deines_12", {"d": d, "p": prime}))
-    for d, r, prime in GRID_COR41_I:
-        plan.append(("cor41_i", {"d": d, "p": prime, "r": r}))
-    for d, r, prime in GRID_COR41_II:
-        plan.append(("cor41_ii", {"d": d, "p": prime, "r": r}))
-    for d, r, prime in sorted(set(GRID_COR41_I) | set(GRID_COR41_II)):
-        plan.append(("gamma_factorial", {"d": d, "p": prime, "r": r}))
-    for d, n in GRID_WLT:
-        plan.append(("wlt_integrality", {"d": d, "n": n}))
-    return plan
+    return (_grid_instances(_Q_ROWS) + km_instances(seed, trials)
+            + [("qbinom_vanish", {"n": n}) for n in range(1, QBINOM_MAX_N + 1)]
+            + _proof_step_instances() + _grid_instances(_CLASSICAL_ROWS))
 
 
 SUITES = {"paper-default": paper_default_suite}

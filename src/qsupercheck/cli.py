@@ -8,6 +8,7 @@ check ends in ERROR (the engine raised), which takes precedence over 1.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ from .catalog import (
     DEFAULT_TRIALS,
     REGISTRY,
     SUITES,
-    km_offset_lists,
+    km_instances,
     run_check,
 )
 from .report import Report, SweepPlan
@@ -32,6 +33,7 @@ EXIT_WRITE = 3
 EXIT_ERROR = 4
 
 _INT_FLAGS = ("d", "r", "n", "j", "k", "p", "m")
+_CHECK_FLAGS = _INT_FLAGS + ("n_list", "expect")
 _OPTIONAL_PARAMS = ("j", "expect", "m", "trials", "seed")
 
 
@@ -80,7 +82,7 @@ def _add_check_flags(cmd: argparse.ArgumentParser) -> None:
 
 def _parse_int_values(text: str, flag: str) -> list[int]:
     try:
-        return [int(v) for v in text.split(",") if v != ""]
+        return [int(v) for v in text.split(",")]
     except ValueError:
         raise UsageError(f"--{flag} expects integers, got {text!r}")
 
@@ -102,35 +104,31 @@ def _check_names(check_id: str, names, label) -> None:
 
 
 def _collect_params(args, check_id: str, grid: bool):
-    _check_names(check_id, [flag for flag in _INT_FLAGS + ("n_list", "expect")
+    _check_names(check_id, [flag for flag in _CHECK_FLAGS
                             if getattr(args, flag) is not None],
                  lambda name: f"--{name.replace('_', '-')}")
-    fixed: dict[str, object] = {}
-    ranges: dict[str, list[int]] = {}
-    for flag in _INT_FLAGS:
-        raw = getattr(args, flag)
-        if raw is None:
-            continue
-        values = _parse_int_values(raw, flag)
-        if len(values) == 1:
-            fixed[flag] = values[0]
-        elif grid:
-            ranges[flag] = values
-        else:
+    ranges = {flag: _parse_int_values(getattr(args, flag), flag)
+              for flag in _INT_FLAGS if getattr(args, flag) is not None}
+    for flag, values in ranges.items():
+        if len(values) > 1 and not grid:
             raise UsageError(f"--{flag} takes one value under verify")
+    fixed: dict[str, object] = {}
     if args.n_list is not None:
         fixed["n_list"] = tuple(_parse_int_values(args.n_list, "n-list"))
     if args.expect is not None:
         fixed["expect"] = args.expect
     if check_id == "km":
-        fixed.setdefault("trials", args.trials)
-        fixed.setdefault("seed", args.seed)
-        fixed.setdefault("m", len(fixed["n_list"]))
-    instances = [fixed]
-    for flag, values in ranges.items():
-        instances = [dict(inst, **{flag: v}) for inst in instances
-                     for v in values]
-    return instances
+        fixed.update(trials=args.trials, seed=args.seed,
+                     m=len(fixed["n_list"]))
+    return [dict(fixed, **dict(zip(ranges, point)))
+            for point in itertools.product(*ranges.values())]
+
+
+def _refuse_flags(args, names, beside: str) -> None:
+    for name in names:
+        if getattr(args, name) is not None:
+            raise UsageError(
+                f"--{name.replace('_', '-')} does not combine with {beside}")
 
 
 def _km_grid_flags(args) -> bool:
@@ -141,7 +139,7 @@ def _km_grid_flags(args) -> bool:
              if getattr(args, flag) is not None]
     if not given:
         return False
-    if args.plan or args.suite or args.check != "km":
+    if args.check != "km":
         raise UsageError(f"{given[0]} applies only to sweep --check km")
     if args.m_max is None:
         raise UsageError("--nj-max needs --m-max")
@@ -149,16 +147,16 @@ def _km_grid_flags(args) -> bool:
         raise UsageError(f"--m-max must be at least 1, got {args.m_max}")
     if args.nj_max is not None and args.nj_max < 0:
         raise UsageError(f"--nj-max must be at least 0, got {args.nj_max}")
-    for flag in _INT_FLAGS + ("n_list", "expect"):
-        if getattr(args, flag) is not None:
-            raise UsageError(
-                f"--{flag.replace('_', '-')} does not combine with --m-max")
+    _refuse_flags(args, _CHECK_FLAGS, "--m-max")
     return True
 
 
 def _plan_from_args(args) -> SweepPlan:
-    km_grid = _km_grid_flags(args)
-    if args.plan:
+    """The instances of --plan, --suite or --check, whichever is given; a
+    usage error wherever a flag beside them would be dropped."""
+    beside_source = ("check", "m_max", "nj_max") + _CHECK_FLAGS
+    if args.plan is not None:
+        _refuse_flags(args, ("suite",) + beside_source, "--plan")
         try:
             with open(args.plan, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
@@ -181,15 +179,15 @@ def _plan_from_args(args) -> SweepPlan:
             checks.append((cid, params))
         return SweepPlan(checks, raw.get("seed", args.seed),
                          raw.get("trials", args.trials))
-    if args.suite:
+    if args.suite is not None:
+        _refuse_flags(args, beside_source, "--suite")
         checks = SUITES[args.suite](args.seed, args.trials)
         return SweepPlan(checks, args.seed, args.trials, suite=args.suite)
     if not args.check:
         raise UsageError("sweep needs --suite, --plan, or --check")
-    if km_grid:
-        offsets = km_offset_lists(args.m_max, args.nj_max or 0)
-        checks = [("km", {"m": len(t), "n_list": t, "trials": args.trials,
-                          "seed": args.seed}) for t in offsets]
+    if _km_grid_flags(args):
+        checks = km_instances(args.seed, args.trials, args.m_max,
+                              args.nj_max or 0)
         return SweepPlan(checks, args.seed, args.trials)
     instances = _collect_params(args, args.check, grid=True)
     return SweepPlan([(args.check, inst) for inst in instances],

@@ -56,6 +56,11 @@ PROOF_STEP_IDS = (
 # Karlsson-Minton type summation
 # ---------------------------------------------------------------------------
 
+# The sampling every km entry point uses unless told otherwise.
+DEFAULT_TRIALS = 5
+DEFAULT_SEED = 42
+
+
 class SampleExhaustionError(RuntimeError):
     """Too many consecutive degenerate random samples."""
 
@@ -97,7 +102,8 @@ def _km_degenerate(q: Fraction, bs: list[Fraction], total_n: int) -> bool:
     return False
 
 
-def verify_karlsson_minton(n_list, trials: int = 5, seed: int = 0,
+def verify_karlsson_minton(n_list, trials: int = DEFAULT_TRIALS,
+                           seed: int = DEFAULT_SEED,
                            m: int | None = None) -> CheckResult:
     """Exact random-point check of the terminating summation formula."""
     ns = list(n_list)

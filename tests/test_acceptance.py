@@ -6,6 +6,7 @@ congruence criterion demands exact ring or polynomial equality.
 """
 
 import contextlib
+import json
 from fractions import Fraction
 from math import prod
 from pathlib import Path
@@ -51,6 +52,9 @@ from oracles import classical_lhs_sum, lhs_sum_whole
 # `qsupercheck sweep --suite paper-default --format json` without its
 # elapsed_ms lines.
 GOLDEN_REPORT = Path(__file__).parent / "data" / "paper_default_report.json"
+# The benchmark's pinned paper-default instance list.
+PINNED_SUITE = (Path(__file__).parent.parent / "perfbench"
+                / "paper_default_suite.json")
 
 
 @pytest.fixture(scope="module")
@@ -270,3 +274,9 @@ def test_criterion_10_report_identical_apart_from_timing(exact_results):
         untimed = "".join(line for line in report.splitlines(keepends=True)
                           if "elapsed_ms" not in line)
         assert untimed == GOLDEN_REPORT.read_text(encoding="utf-8")
+
+
+def test_paper_default_suite_matches_the_benchmark_pin():
+    pinned = json.loads(PINNED_SUITE.read_text(encoding="utf-8"))
+    suite = paper_default_suite(pinned["km_seed"])
+    assert json.loads(json.dumps(suite)) == pinned["instances"]

@@ -2,6 +2,7 @@
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +140,56 @@ def test_sweep_m_max_below_one_is_a_usage_error(capsys):
         code = main(["sweep", "--check", "km", "--m-max", value])
         assert code == 2
         assert "--m-max must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["--suite", "--plan"])
+@pytest.mark.parametrize("flag, value", [
+    ("--check", "thm12"), ("--d", "3"), ("--r", "1"), ("--n", "5"),
+    ("--j", "1"), ("--k", "2"), ("--p", "7"), ("--m", "2"),
+    ("--n-list", "1,2"), ("--expect", "zero"), ("--m-max", "2"),
+    ("--nj-max", "1")])
+def test_flags_beside_a_suite_or_plan_are_usage_errors(tmp_path, capsys,
+                                                       source, flag, value):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({"checks": []}))
+    given = "paper-default" if source == "--suite" else str(plan_path)
+    assert main(["sweep", source, given, flag, value]) == 2
+    err = capsys.readouterr().err
+    assert f"{flag} does not combine with {source}" in err
+    assert "running" not in err
+
+
+def test_suite_and_plan_together_are_a_usage_error(tmp_path, capsys):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({"checks": []}))
+    assert main(["sweep", "--plan", str(plan_path), "--suite",
+                 "paper-default"]) == 2
+    assert "--suite does not combine with --plan" in capsys.readouterr().err
+
+
+def test_run_flags_stay_allowed_beside_a_plan(tmp_path, capsys):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({"checks": [
+        {"id": "km", "params": {"n_list": [1]}}]}))
+    out_path = tmp_path / "report.csv"
+    assert main(["sweep", "--plan", str(plan_path), "--seed", "3",
+                 "--trials", "2", "--jobs", "1", "--format", "csv",
+                 "--out", str(out_path)]) == 0
+    lines = out_path.read_text().splitlines()
+    assert lines[1].startswith("km,m=1;n_list=1;seed=3;trials=2,HOLDS")
+
+
+@pytest.mark.parametrize("argv, flag, text", [
+    (["sweep", "--check", "thm12", "--d", "", "--n", "5"], "--d", "''"),
+    (["sweep", "--check", "thm12", "--d", "1,,3", "--n", "5"], "--d",
+     "'1,,3'"),
+    (["verify", "--check", "thm12", "--d", "", "--n", "5"], "--d", "''"),
+    (["sweep", "--check", "km", "--n-list", ""], "--n-list", "''"),
+    (["verify", "--check", "km", "--n-list", ""], "--n-list", "''"),
+])
+def test_empty_integer_items_are_usage_errors(capsys, argv, flag, text):
+    assert main(argv) == 2
+    assert f"{flag} expects integers, got {text}" in capsys.readouterr().err
 
 
 def test_sweep_negative_nj_max_is_a_usage_error(capsys):
@@ -292,6 +343,12 @@ def test_list_prints_catalog(capsys):
     out = capsys.readouterr().out
     for cid in ("eq13", "thm42", "p1_24", "km", "rv_11", "bracket_factorization"):
         assert cid in out
+
+
+def test_list_matches_the_golden_catalog(capsys):
+    golden = Path(__file__).parent / "data" / "list.txt"
+    assert main(["list"]) == 0
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 def test_fast_mode_flag_is_a_usage_error(capsys):

@@ -62,6 +62,15 @@ def test_km_degeneracy_detection():
     assert not _km_degenerate(Fraction(2, 3), [Fraction(5, 7)], 3)
 
 
+def test_km_direct_call_samples_like_run_check():
+    direct = verify_karlsson_minton([1, 2])
+    assert direct.params == {"m": 2, "n_list": (1, 2), "trials": 5,
+                             "seed": 42}
+    via_catalog = run_check("km", {"n_list": (1, 2)})
+    assert (direct.status, direct.params) == (via_catalog.status,
+                                              via_catalog.params)
+
+
 def test_km_bad_arguments_skip():
     assert verify_karlsson_minton([], m=0).status is Status.SKIPPED_PRECONDITION
     mismatch = verify_karlsson_minton([1], m=2)
