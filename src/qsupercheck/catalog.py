@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .identities import (
     DEFAULT_SEED,
@@ -32,12 +31,12 @@ from .verifier import verify_divisibility, verify_theorem
 # Registry
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckSpec:
-    check_id: str
-    param_names: tuple[str, ...]
-    description: str
-    runner: Callable[[str, dict], CheckResult]
+class CheckSpec(namedtuple("CheckSpec",
+                           "check_id param_names description runner")):
+    """A check's id, parameter names, description, and its runner, which
+    takes (check id, params)."""
+
+    __slots__ = ()
 
     def run(self, params: dict) -> CheckResult:
         return self.runner(self.check_id, params)

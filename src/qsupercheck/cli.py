@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .catalog import (
     DEFAULT_SEED,
@@ -76,8 +75,16 @@ def _add_check_flags(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--n-list", type=str,
                      help="comma-separated offsets for the km check")
     cmd.add_argument("--expect", choices=("zero", "nonzero"))
-    cmd.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    cmd.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    cmd.add_argument("--seed", type=int,
+                     help=f"km sampling seed (default {DEFAULT_SEED})")
+    cmd.add_argument("--trials", type=int,
+                     help=f"km sampling trials (default {DEFAULT_TRIALS})")
+
+
+def _seed_trials(args) -> tuple[int, int]:
+    """--seed and --trials, each its default when not given."""
+    return (DEFAULT_SEED if args.seed is None else args.seed,
+            DEFAULT_TRIALS if args.trials is None else args.trials)
 
 
 def _parse_int_values(text: str, flag: str) -> list[int]:
@@ -104,7 +111,9 @@ def _check_names(check_id: str, names, label) -> None:
 
 
 def _collect_params(args, check_id: str, grid: bool):
-    _check_names(check_id, [flag for flag in _CHECK_FLAGS
+    """One params dict per point of the flags' grid; --seed and --trials
+    are km parameters, so on any other check they are usage errors."""
+    _check_names(check_id, [flag for flag in _CHECK_FLAGS + ("seed", "trials")
                             if getattr(args, flag) is not None],
                  lambda name: f"--{name.replace('_', '-')}")
     ranges = {flag: _parse_int_values(getattr(args, flag), flag)
@@ -118,8 +127,8 @@ def _collect_params(args, check_id: str, grid: bool):
     if args.expect is not None:
         fixed["expect"] = args.expect
     if check_id == "km":
-        fixed.update(trials=args.trials, seed=args.seed,
-                     m=len(fixed["n_list"]))
+        seed, trials = _seed_trials(args)
+        fixed.update(trials=trials, seed=seed, m=len(fixed["n_list"]))
     return [dict(fixed, **dict(zip(ranges, point)))
             for point in itertools.product(*ranges.values())]
 
@@ -155,6 +164,7 @@ def _plan_from_args(args) -> SweepPlan:
     """The instances of --plan, --suite or --check, whichever is given; a
     usage error wherever a flag beside them would be dropped."""
     beside_source = ("check", "m_max", "nj_max") + _CHECK_FLAGS
+    seed, trials = _seed_trials(args)
     if args.plan is not None:
         _refuse_flags(args, ("suite",) + beside_source, "--plan")
         try:
@@ -177,21 +187,19 @@ def _plan_from_args(args) -> SweepPlan:
             }
             _check_names(cid, params, lambda name: f"plan parameter {name!r}")
             checks.append((cid, params))
-        return SweepPlan(checks, raw.get("seed", args.seed),
-                         raw.get("trials", args.trials))
+        return SweepPlan(checks, raw.get("seed", seed),
+                         raw.get("trials", trials))
     if args.suite is not None:
         _refuse_flags(args, beside_source, "--suite")
-        checks = SUITES[args.suite](args.seed, args.trials)
-        return SweepPlan(checks, args.seed, args.trials, suite=args.suite)
+        checks = SUITES[args.suite](seed, trials)
+        return SweepPlan(checks, seed, trials, suite=args.suite)
     if not args.check:
         raise UsageError("sweep needs --suite, --plan, or --check")
     if _km_grid_flags(args):
-        checks = km_instances(args.seed, args.trials, args.m_max,
-                              args.nj_max or 0)
-        return SweepPlan(checks, args.seed, args.trials)
+        checks = km_instances(seed, trials, args.m_max, args.nj_max or 0)
+        return SweepPlan(checks, seed, trials)
     instances = _collect_params(args, args.check, grid=True)
-    return SweepPlan([(args.check, inst) for inst in instances],
-                     args.seed, args.trials)
+    return SweepPlan([(args.check, inst) for inst in instances], seed, trials)
 
 
 def _run_instance(task):
@@ -206,7 +214,8 @@ def _execute_plan(plan: SweepPlan, jobs: int) -> Report:
     tasks = [(cid, dict(km, **params) if cid == "km" else params)
              for cid, params in plan.checks]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
+    if workers > 1:  # the pool's modules load only when a sweep asks for it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_instance, tasks, chunksize=4))
     else:

@@ -3,7 +3,11 @@
 The Karlsson-Minton style summation is verified by exact random-point
 evaluation: with rational q and b_j, both sides are exact rationals and a
 single non-degenerate agreement is overwhelming evidence; five seeded
-trials make the check deterministic in practice.  The proof-step catalog
+trials make the check deterministic in practice.  The terminating
+q-binomial vanishing builds the row [n k], k = 0..n, once by the
+q-Pascal rule on ints packed at q = 2^B; each alternating sum is n + 1
+shifted adds of that row, decided by ``Packed.is_zero``, and B fits
+2^n, the sum of the row's L1 norms.  The proof-step catalog
 collects the small exact identities the congruence proofs lean on: the
 two Pochhammer ratio shifts, the q-binomial rewriting with its integer
 exponent identity, the three-sum decomposition, the two Pochhammer
@@ -25,15 +29,13 @@ from fractions import Fraction
 
 from .cyclotomic import cyclotomic, divisors, q_integer
 from .families import F2_MIXED, F3_SQUARED, F7_DIVISIBILITY, family_increments
-from .laurent import Laurent
 from .parametric import parametric_precondition
-from .poly import Poly, poly_prod
+from .poly import poly_prod
 from .qfuncs import (
     Packed,
     first_failing_term,
     one_minus_normal_form,
     packed_width,
-    q_binomial,
     sum_bounds,
     truncated_sum,
 )
@@ -139,19 +141,30 @@ def verify_karlsson_minton(n_list, trials: int = DEFAULT_TRIALS,
 # Terminating q-binomial vanishing
 # ---------------------------------------------------------------------------
 
-def qbinom_alternating_sum(n: int, j: int) -> Laurent:
-    """sum_k (-1)^k [n k] q^{C(n-k,2) + jk}, zero exactly for 0 <= j <= n-1.
+def qbinomial_row(n: int, width: int) -> list[int]:
+    """[n k], k = 0..n, each packed at q = 2^width, by the q-Pascal rule
+    [m k] = [m-1 k-1] + q^k [m-1 k].  The coefficients of [n k] are
+    nonnegative and sum to C(n, k), so the rows' L1 norms sum to 2^n."""
+    row = [1]
+    for m in range(1, n + 1):
+        row = [1, *(row[k - 1] + (row[k] << k * width)
+                    for k in range(1, m)), 1]
+    return row
 
-    A negative j gives negative exponents, so the sum is built offset by
-    its smallest shift.
-    """
+
+def _alternating_sum(row: list[int], j: int, width: int) -> Packed:
+    """sum_k (-1)^k [n k] q^{C(n-k,2) + jk}, zero exactly for 0 <= j <= n-1,
+    packed from ``qbinomial_row``: n + 1 shifted adds, of L1 norm at most
+    2^n.  A negative j gives negative exponents, so the sum is built
+    offset by its smallest shift."""
+    n = len(row) - 1
     shifts = [(n - k) * (n - k - 1) // 2 + j * k for k in range(n + 1)]
     low = min(shifts)
-    total = Poly()
-    for k, shift in enumerate(shifts):
-        term = q_binomial(n, k).shift(shift - low)
-        total = total + (term if k % 2 == 0 else -term)
-    return Laurent(total, low)
+    value = 0
+    for k, (term, shift) in enumerate(zip(row, shifts)):
+        term <<= (shift - low) * width
+        value += -term if k % 2 else term
+    return Packed(value, low, n, width)
 
 
 def verify_qbinomial_vanishing(n: int, j: int | None = None,
@@ -183,11 +196,13 @@ def verify_qbinomial_vanishing(n: int, j: int | None = None,
         targets = [(j, expectation)]
         note = ("expected-nonvanishing outside stated range"
                 if expectation == "nonzero" else None)
+    width = packed_width(n)
+    row = qbinomial_row(n, width)
     for jj, expectation in targets:
-        value = qbinom_alternating_sum(n, jj)
+        value = _alternating_sum(row, jj, width)
         if expectation == "zero" and not value.is_zero():
-            return fails("qbinom_vanish", params,
-                         f"nonzero polynomial at j = {jj}: {value!r}")
+            return fails("qbinom_vanish", params, "nonzero polynomial at"
+                         f" j = {jj}: {value.laurent()!r}")
         if expectation == "nonzero" and value.is_zero():
             return fails("qbinom_vanish", params,
                          f"unexpected vanishing at j = {jj}")

@@ -48,7 +48,7 @@ def poch_power_base(e: int, step: int, k: int) -> Laurent:
 
 @functools.lru_cache(maxsize=None)
 def q_factorial_poly(n: int) -> Poly:
-    """(q; q)_n as a dense polynomial."""
+    """(q; q)_n as a dense polynomial, for ``q_binomial``."""
     return one_minus_product(range(1, n + 1)).to_poly()
 
 
@@ -56,7 +56,9 @@ def q_factorial_poly(n: int) -> Poly:
 def q_binomial(n: int, k: int) -> Poly:
     """Gaussian binomial (q;q)_n / ((q;q)_k (q;q)_{n-k}) by exact division.
 
-    Returns the zero polynomial for k outside 0..n.
+    Returns the zero polynomial for k outside 0..n.  It has no caller in
+    the package: the tests use it as an oracle, and the benchmark's tracer
+    (``perfbench/tracer.py``) wraps it by name.
     """
     if n < 0:
         raise ValueError("q_binomial expects n >= 0")

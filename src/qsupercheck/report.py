@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
 
 from . import __version__
 from .results import CheckResult, Status, canonical_params
@@ -20,13 +19,17 @@ _SUMMARY_KEYS = {Status.HOLDS: "holds", Status.FAILS: "fails",
                  Status.SKIPPED_PRECONDITION: "skipped", Status.ERROR: "errors"}
 
 
-@dataclass
 class SweepPlan:
-    checks: list[tuple[str, dict]]
-    seed: int
-    trials: int
-    fast_mode: bool = False  # always False; kept so report headers keep the key
-    suite: str | None = None
+    """The instances of a sweep and the settings its report header shows;
+    ``fast_mode`` is always False, kept so report headers keep the key."""
+
+    __slots__ = ("checks", "seed", "trials", "fast_mode", "suite")
+
+    def __init__(self, checks: list[tuple[str, dict]], seed: int,
+                 trials: int, fast_mode: bool = False,
+                 suite: str | None = None):
+        self.checks, self.seed, self.trials = checks, seed, trials
+        self.fast_mode, self.suite = fast_mode, suite
 
     def instance_count(self) -> int:
         return len(self.checks)
@@ -49,11 +52,12 @@ class SweepPlan:
         return plan
 
 
-@dataclass
 class Report:
-    plan: SweepPlan
-    results: list[CheckResult] = field(default_factory=list)
-    total_elapsed_ms: float = 0.0
+    __slots__ = ("plan", "results", "total_elapsed_ms")
+
+    def __init__(self, plan: SweepPlan, results: list[CheckResult]):
+        self.plan, self.results = plan, results
+        self.total_elapsed_ms = 0.0
 
     def sorted_results(self) -> list[CheckResult]:
         return sorted(self.results, key=CheckResult.sort_key)

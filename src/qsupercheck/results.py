@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 
 class Status(enum.Enum):
@@ -13,7 +12,6 @@ class Status(enum.Enum):
     ERROR = "ERROR"  # the engine raised; says nothing about the mathematics
 
 
-@dataclass
 class CheckResult:
     """One verification outcome.
 
@@ -22,16 +20,21 @@ class CheckResult:
     boundary cases accepted outside the documented parameter range.
     """
 
-    check_id: str
-    params: dict
-    status: Status
-    witness: str | None = None
-    note: str | None = None
-    elapsed_ms: float = 0.0
+    __slots__ = ("check_id", "params", "status", "witness", "note",
+                 "elapsed_ms")
 
-    def __post_init__(self):
-        if self.status in (Status.FAILS, Status.ERROR) and self.witness is None:
-            raise ValueError(f"{self.status.value} results must carry a witness")
+    def __init__(self, check_id: str, params: dict, status: Status,
+                 witness: str | None = None, note: str | None = None,
+                 elapsed_ms: float = 0.0):
+        if status in (Status.FAILS, Status.ERROR) and witness is None:
+            raise ValueError(f"{status.value} results must carry a witness")
+        self.check_id, self.params, self.status = check_id, params, status
+        self.witness, self.note, self.elapsed_ms = witness, note, elapsed_ms
+
+    def __repr__(self) -> str:
+        return (f"CheckResult({self.check_id!r}, {self.params!r},"
+                f" {self.status}, witness={self.witness!r},"
+                f" note={self.note!r})")
 
     def params_key(self) -> str:
         return canonical_params(self.params)

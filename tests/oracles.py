@@ -25,6 +25,7 @@ from qsupercheck.qfuncs import (
     DegenerateProductError,
     one_minus_normal_form,
     poch_power_base,
+    q_binomial,
 )
 from qsupercheck.results import Status
 
@@ -76,6 +77,19 @@ def inflate(p: Poly, d: int) -> Poly:
     for e, c in enumerate(p.coeffs):
         out[e * d] = c
     return Poly(out)
+
+
+def qbinom_alternating_sum(n: int, j: int) -> Laurent:
+    """sum_k (-1)^k [n k] q^{C(n-k,2) + jk}, each [n k] by dividing
+    factorial polynomials and the sum added as Polys, offset by its
+    smallest shift."""
+    shifts = [(n - k) * (n - k - 1) // 2 + j * k for k in range(n + 1)]
+    low = min(shifts)
+    total = Poly()
+    for k, shift in enumerate(shifts):
+        term = q_binomial(n, k).shift(shift - low)
+        total = total + (term if k % 2 == 0 else -term)
+    return Laurent(total, low)
 
 
 def _exact(num, den):

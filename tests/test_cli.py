@@ -2,6 +2,9 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -113,6 +116,39 @@ def test_sweep_reports_are_reproducible(tmp_path):
     report_a = _strip_timing(json.loads(path_a.read_text()))
     report_b = _strip_timing(json.loads(path_b.read_text()))
     assert json.dumps(report_a, sort_keys=True) == json.dumps(report_b, sort_keys=True)
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--trials", "9"]])
+def test_sampling_flags_on_another_check_are_usage_errors(command, flag,
+                                                          capsys):
+    # Only km samples; thm12 would drop the flag and report HOLDS.
+    code = main([command, "--check", "thm12", "--d", "3", "--n", "5", *flag])
+    assert code == 2
+    assert f"{flag[0]} does not apply to thm12" in capsys.readouterr().err
+
+
+def test_km_sampling_flags_default_when_not_given(capsys):
+    assert main(["verify", "--check", "km", "--n-list", "1,2"]) == 0
+    params = json.loads(capsys.readouterr().out)["params"]
+    assert (params["seed"], params["trials"]) == (42, 5)
+
+
+@pytest.mark.parametrize("module, absent", [
+    ("qsupercheck", ("dataclasses", "inspect")),
+    ("qsupercheck.cli", ("dataclasses", "inspect", "multiprocessing",
+                         "concurrent.futures")),
+])
+def test_import_leaves_heavy_modules_unloaded(module, absent):
+    # The process pool loads only under --jobs > 1, and dataclasses
+    # would bring inspect, ast, dis and tokenize to every process.
+    src = str(Path(cli.__file__).parents[1])
+    code = (f"import sys, {module}; "
+            f"print(*[m for m in {absent!r} if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []
 
 
 def test_sweep_m_max_on_another_check_is_a_usage_error(capsys):
@@ -291,7 +327,7 @@ def test_sweep_csv_format(tmp_path):
 
 def test_sweep_parallel_jobs_match_serial(tmp_path):
     args = ["sweep", "--check", "thm41", "--d", "2", "--r", "1",
-            "--n", "3,5,7", "--seed", "42"]
+            "--n", "3,5,7"]
     serial, parallel = tmp_path / "s.json", tmp_path / "p.json"
     assert main(args + ["--out", str(serial)]) == 0
     assert main(args + ["--jobs", "2", "--out", str(parallel)]) == 0
@@ -326,7 +362,9 @@ def test_sweep_jobs_capped_by_cpus_and_instances(monkeypatch, tmp_path):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # The sweep imports the pool class only when it starts a pool.
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     out = str(tmp_path / "r.json")
     base = ["sweep", "--check", "bracket_factorization", "--out", out]

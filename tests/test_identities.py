@@ -20,7 +20,7 @@ from qsupercheck.identities import (
     _km_sides,
     _poch_parts,
     _ratio_shift_pre,
-    qbinom_alternating_sum,
+    qbinomial_row,
     verify_karlsson_minton,
     verify_proof_step,
     verify_qbinomial_vanishing,
@@ -28,6 +28,7 @@ from qsupercheck.identities import (
 from qsupercheck.laurent import Laurent, RatFunc
 from qsupercheck.poly import Poly, divrem, poly_prod
 from qsupercheck.qfuncs import (
+    Packed,
     first_failing_term,
     one_minus_product,
     packed_width,
@@ -37,7 +38,7 @@ from qsupercheck.qfuncs import (
 )
 from qsupercheck.results import Status
 
-from oracles import QMonomial, inflate, q_pochhammer
+from oracles import QMonomial, inflate, q_pochhammer, qbinom_alternating_sum
 
 
 def test_km_trivial_offsets_give_one():
@@ -123,6 +124,48 @@ def test_qbinom_diagnostic_out_of_range():
     assert not qbinom_alternating_sum(2, 2).is_zero()
     forced = verify_qbinomial_vanishing(2, j=2, expect="zero")
     assert forced.status is Status.FAILS
+
+
+def test_qbinomial_rows_unpack_to_the_division_oracle():
+    for n in range(31):
+        width = packed_width(n)
+        row = qbinomial_row(n, width)
+        assert [Packed(v, 0, n, width).laurent() for v in row] == [
+            Laurent(q_binomial(n, k)) for k in range(n + 1)], n
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_qbinom_vanishing_matches_the_division_oracle(n):
+    for j in range(-3, n + 4):
+        value = qbinom_alternating_sum(n, j)
+        for expect in (None, "zero", "nonzero"):
+            expectation = expect or ("zero" if 0 <= j <= n - 1 else "nonzero")
+            if expectation == "zero" and not value.is_zero():
+                want = (Status.FAILS,
+                        f"nonzero polynomial at j = {j}: {value!r}")
+            elif expectation == "nonzero" and value.is_zero():
+                want = (Status.FAILS, f"unexpected vanishing at j = {j}")
+            else:
+                want = (Status.HOLDS, None)
+            result = verify_qbinomial_vanishing(n, j, expect)
+            assert (result.status, result.witness) == want, (j, expect)
+
+
+@pytest.mark.parametrize("n, k, c", [(1, 0, 0), (4, 2, 3), (9, 9, 0),
+                                     (17, 5, 40), (30, 15, 225)])
+def test_qbinom_bumped_row_fails(monkeypatch, n, k, c):
+    # One coefficient of [n k] off by one: the sum at j = 0 is that
+    # coefficient's term alone, (-1)^k q^{C(n-k,2) + c}.
+    def bumped(n, width):
+        row = qbinomial_row(n, width)
+        row[k] += 1 << c * width
+        return row
+
+    monkeypatch.setattr(identities, "qbinomial_row", bumped)
+    result = verify_qbinomial_vanishing(n)
+    term = Laurent(Poly(((-1) ** k,)), (n - k) * (n - k - 1) // 2 + c)
+    assert result.status is Status.FAILS
+    assert result.witness == f"nonzero polynomial at j = 0: {term!r}"
 
 
 def _binom2(x):
