@@ -178,6 +178,10 @@ def _plan_from_args(args) -> SweepPlan:
                 for e in entries):
             raise UsageError(f"plan {args.plan} must be an object whose "
                              "checks list has an object params in each entry")
+        for key in ("seed", "trials"):
+            if key in raw and getattr(args, key) is not None:
+                raise UsageError(f"--{key} does not combine with a plan that"
+                                 f" sets {key}")
         checks = []
         for entry in entries:
             cid = entry.get("id")

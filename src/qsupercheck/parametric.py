@@ -6,10 +6,16 @@ band of bases carrying the low q-power (or a shifted Pochhammer index),
 and the fixed denominator bases {q^d} + {a^j q^d : j = d-2, d-4, ..., 2-d}.
 Substituting a = q^{+-n} makes everything univariate; the congruence
 modulo (1 - a q^n)(a - q^n) is certified by exact rational-function
-equality at both substitution points.  After the substitution most
-numerator factors 1 - q^e of a term reappear in the denominator of the
-same or a later term; ``cancel_increments`` cancels them by counting, and
-the closed form's denominator, exponent lists as ``families.closed_form``
+equality at both substitution points.  The a-exponents run symmetrically
+and the central band depends only on |j|, so a = q^{-n} gives the same
+exponent lists as a = q^n, up to the order of factors that commute: each
+point's identity (every term's increments and the closed form's sign,
+shift and factor lists, sorted) is compared by counting, and each
+distinct identity is certified once, so a point whose lists differ still
+gets its own exact check.  After the substitution most numerator
+factors 1 - q^e of a term reappear in the denominator of the same or a
+later term; ``cancel_increments`` cancels them by counting, and the
+closed form's denominator, exponent lists as ``families.closed_form``
 gives them, is cancelled against what is left.  Each sum is then one
 packed ``truncated_sum``, the closed form's factors are applied to it
 crosswise, and the two cross products are compared as integers at a
@@ -199,6 +205,18 @@ def _cancel_common(lhs_den: list[int], den: list[int]):
     return lhs_den, kept
 
 
+def _identity(increments, closed):
+    """The substituted identity up to the order of its factors 1 - q^e,
+    which commute: each term's increments and the closed form's factor
+    lists, sorted, with the closed form's sign and shift."""
+    terms = tuple(tuple(tuple(sorted(exps)) for exps in inc)
+                  for inc in increments)
+    if closed is None:
+        return terms
+    sign, shift, num, den = closed
+    return terms, sign, shift, tuple(sorted(num)), tuple(sorted(den))
+
+
 def verify_parametric(check_id: str, d: int, r: int, n: int,
                       mutation: str | None = None) -> CheckResult:
     """Exact equality at a = q^{+-n} plus the a = 1 termwise collapse."""
@@ -206,16 +224,25 @@ def verify_parametric(check_id: str, d: int, r: int, n: int,
     reason = parametric_precondition(check_id, d, r, n)
     if reason is not None:
         return skipped(check_id, params, reason)
+    certified = set()
     for s in (1, -1):
-        increments = cancel_increments(_sum_increments(check_id, d, r, n, s))
+        raw = _sum_increments(check_id, d, r, n, s)
+        # None for a sum that vanishes, as lemma21's does; it refuses
+        # every mutation.
+        closed = (mutated(None, mutation) if check_id in _SHIFTED_INDEX
+                  else _rhs_factors(check_id, d, r, n, s, mutation))
+        identity = _identity(raw, closed)
+        if identity in certified:  # the same identity as at a = q^n
+            continue
+        certified.add(identity)
+        increments = cancel_increments(raw)
         num_bits = sum_bounds(increments)
-        if check_id in _SHIFTED_INDEX:  # vanishes, as lemma21 does
-            mutated(None, mutation)  # refuses every mutation
+        if closed is None:
             if not truncated_sum(d, increments, packed_width(num_bits)).is_zero():
                 return fails(check_id, params,
                              f"substituted sum nonzero at a = q^{s * n}")
             continue
-        sign, shift, num, den = _rhs_factors(check_id, d, r, n, s, mutation)
+        sign, shift, num, den = closed
         lhs_den, den = _cancel_common(
             [e for _, b, _ in increments for e in b], den)
         # Cross products N * den and D * num, each built by applying the

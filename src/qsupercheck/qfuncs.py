@@ -178,10 +178,14 @@ class Packed:
     def times_one_minus(self, exps) -> "Packed":
         """Multiply by prod (1 - q^e) over the exponent list."""
         value, low, width = self.value, self.low, self.width
-        for e in exps:
-            if self.fold:
+        bits = self.bits + len(exps)
+        if self.fold:
+            for e in exps:
                 value -= self._times_q(value, e)
-            elif e > 0:
+            bits += self._fold_bits(sum(map(abs, exps)))
+            return Packed(value, low, bits, width, self.fold)
+        for e in exps:
+            if e > 0:
                 value -= value << (e * width)
             elif e < 0:  # 1 - q^e = -q^e (1 - q^-e)
                 value = (value << (-e * width)) - value
@@ -189,8 +193,7 @@ class Packed:
             else:  # 1 - q^0 = 0
                 value = 0
                 break
-        bits = self.bits + len(exps) + self._fold_bits(sum(map(abs, exps)))
-        return Packed(value, low, bits, width, self.fold)
+        return Packed(value, low, bits, width)
 
     def shifted(self, k: int) -> "Packed":
         """Multiply by q**k."""

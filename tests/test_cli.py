@@ -215,6 +215,19 @@ def test_run_flags_stay_allowed_beside_a_plan(tmp_path, capsys):
     assert lines[1].startswith("km,m=1;n_list=1;seed=3;trials=2,HOLDS")
 
 
+@pytest.mark.parametrize("key, flag", [("seed", "--seed"),
+                                       ("trials", "--trials")])
+def test_sampling_flag_beside_a_plan_that_sets_it_is_a_usage_error(
+        tmp_path, capsys, key, flag):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({"checks": [
+        {"id": "km", "params": {"n_list": [1]}}], key: 7}))
+    assert main(["sweep", "--plan", str(plan_path), flag, "3"]) == 2
+    err = capsys.readouterr().err
+    assert f"{flag} does not combine with a plan that sets {key}" in err
+    assert "running" not in err
+
+
 @pytest.mark.parametrize("argv, flag, text", [
     (["sweep", "--check", "thm12", "--d", "", "--n", "5"], "--d", "''"),
     (["sweep", "--check", "thm12", "--d", "1,,3", "--n", "5"], "--d",

@@ -1,5 +1,7 @@
 """Parametric congruences at a = q^n, a = q^-n, and the a = 1 collapse."""
 
+from collections import Counter
+
 import pytest
 
 from oracles import collapse_at_one, first_differing_term, reference_summand
@@ -12,6 +14,7 @@ from qsupercheck.parametric import (
     _collapse_at_one,
     _den_core,
     _reference_increments,
+    _rhs_factors,
     _SHIFTED_INDEX,
     _sum_increments,
     _upper_limit,
@@ -117,7 +120,76 @@ def test_cancelled_cross_product_packs_at_32_bit_digits(monkeypatch):
 
     monkeypatch.setattr(parametric, "truncated_sum", spy)
     assert verify_parametric("p7_45", 7, 3, 11).status is Status.HOLDS
-    assert len(widths) == 2 and max(widths) <= 32
+    # a = q^-n gives the same identity as a = q^n, so one sum is built.
+    assert len(widths) == 1 and max(widths) <= 32
+
+
+ADMISSIBLE_TO_40 = [(cid, d, r, n) for cid in PARAMETRIC_IDS
+                    for d in range(2, 12) for r in range(1, 10)
+                    for n in range(2, 41)
+                    if parametric_precondition(cid, d, r, n) is None]
+
+
+def _multisets(increments):
+    return [[Counter(exps) for exps in inc] for inc in increments]
+
+
+def test_both_points_give_the_same_exponent_lists():
+    # verify_parametric certifies a = q^-n by finding its identity equal to
+    # a = q^n's; this pins that the two points coincide on the whole range.
+    assert len(ADMISSIBLE_TO_40) == 369
+    for cid, d, r, n in ADMISSIBLE_TO_40:
+        assert _multisets(_sum_increments(cid, d, r, n, 1)) == _multisets(
+            _sum_increments(cid, d, r, n, -1)), (cid, d, r, n)
+        if cid in _SHIFTED_INDEX:
+            continue
+        (sign, shift, num, den), (sign2, shift2, num2, den2) = (
+            _rhs_factors(cid, d, r, n, s, None) for s in (1, -1))
+        assert (sign, shift, Counter(num), Counter(den)) == (
+            sign2, shift2, Counter(num2), Counter(den2)), (cid, d, r, n)
+
+
+def _bumped_at_minus_n(real):
+    """``real`` with one exponent raised by one at a = q^-n only: the
+    closed form's first numerator factor, or the first of term 1's a."""
+    def bumped(check_id, d, r, n, s, *rest):
+        out = real(check_id, d, r, n, s, *rest)
+        if s != -1:
+            return out
+        if real is _rhs_factors:
+            sign, shift, num, den = out
+            return sign, shift, [num[0] + 1] + num[1:], den
+        out[1][0][0] += 1
+        return out
+    return bumped
+
+
+@pytest.mark.parametrize("check_id,d,r,n,target,witness", [
+    ("p1_24", 7, 2, 12, "_sum_increments", "substituted sum nonzero"),
+    ("p2_25", 7, 3, 11, "_sum_increments", "substituted sum nonzero"),
+    ("p5_43", 5, 2, 13, "_sum_increments", "sides differ"),
+    ("p7_45", 7, 3, 11, "_rhs_factors", "sides differ"),
+    ("p8_46", 5, 3, 12, "_rhs_factors", "sides differ"),
+])
+def test_a_change_at_minus_n_alone_is_certified_and_fails(
+        monkeypatch, check_id, d, r, n, target, witness):
+    # Negative control: the second point is compared, not assumed equal.
+    calls = []
+    real = parametric.truncated_sum
+
+    def spy(step, increments, width, fold=0):
+        calls.append(width)
+        return real(step, increments, width, fold)
+
+    monkeypatch.setattr(parametric, "truncated_sum", spy)
+    assert verify_parametric(check_id, d, r, n).status is Status.HOLDS
+    assert len(calls) == 1
+    monkeypatch.setattr(parametric, target,
+                        _bumped_at_minus_n(getattr(parametric, target)))
+    result = verify_parametric(check_id, d, r, n)
+    assert result.status is Status.FAILS
+    assert result.witness == f"{witness} at a = q^-{n}"
+    assert len(calls) == 3
 
 
 def test_vanishing_sum_without_last_term_is_nonzero():

@@ -443,9 +443,10 @@ def test_packed_kernel_matches_dense_oracle(monkeypatch):
         monkeypatch.setattr(module, "truncated_sum", spy)
     for cid, params in KERNEL_INSTANCES:
         assert run_check(cid, params).status is Status.HOLDS, (cid, params)
-    # Two sums per parametric check and one folded sum per thm13; the
-    # decomposition, proved term by term, builds none.
-    assert len(calls) == sum({"thm13": 1, "sum_decomposition": 0}.get(cid, 2)
+    # One sum per parametric check, whose a = q^-n identity equals its
+    # a = q^n one, and one folded sum per thm13; the decomposition, proved
+    # term by term, builds none.
+    assert len(calls) == sum({"thm13": 1, "sum_decomposition": 0}.get(cid, 1)
                              for cid, _ in KERNEL_INSTANCES)
     assert sum(1 for *_, fold in calls if fold) == sum(
         1 for cid, _ in KERNEL_INSTANCES if cid == "thm13")
