@@ -15,8 +15,8 @@ splittings, the prefactor divisibility (by counting cyclotomic factors),
 and the cyclotomic factorization of [n].  The ratio shifts, the
 q-binomial rewriting and the splittings are equalities of quotients
 +-q^s prod (1 - q^e)^{+-1}, decided by comparing exponent-count normal
-forms; the one sum among them, 1 + ratio in the splittings, is checked
-as a packed three-term identity.  The three-sum decomposition,
+forms; the one sum among them, 1 + ratio in the splittings, is decided
+by ``relation_vanishes`` as A + B - C.  The three-sum decomposition,
 mixed = [d] divisibility - q [d-1] squared over the families' own
 increments, holds for every upper limit, so ``first_failing_term`` proves
 it term by term, on the factors the three terms do not share.
@@ -36,8 +36,7 @@ from .qfuncs import (
     first_failing_term,
     one_minus_normal_form,
     packed_width,
-    sum_bounds,
-    truncated_sum,
+    relation_vanishes,
 )
 from .results import CheckResult, fails, holds, skipped
 
@@ -310,17 +309,15 @@ def _decomposition_relation(d):
 
 def _check_sum_decomposition(d, n) -> str | None:
     """s1 = [d] s2 - q [d-1] s3, term by term when the runs share their
-    denominators; otherwise, or when a term differs, the whole packed sums
-    times 1 - q are compared: (1 - q)[m] = 1 - q^m."""
+    denominators; otherwise, or when a term differs, the relation times
+    1 - q on the whole sums: (1 - q)[m] = 1 - q^m."""
     sums = _decomposition_increments(d, n)
     shared = all(b == b1 for (_, b1, _), *rest in zip(*sums)
                  for _, b, _ in rest)
     if shared and first_failing_term(sums, _decomposition_relation(d)) is None:
         return None
-    width = packed_width(max(sum_bounds(inc) for inc in sums) + 2)
-    s1, s2, s3 = (truncated_sum(d, inc, width) for inc in sums)
-    rhs = s2.times_one_minus([d]) - s3.times_one_minus([d - 1]).shifted(1)
-    if s1.times_one_minus([1]) != rhs:
+    if not relation_vanishes(d, [(*part, inc) for part, inc
+                                 in zip(_decomposition_relation(d), sums)]):
         return "three-sum decomposition differs"
     return None
 
@@ -341,11 +338,10 @@ def _poch_split_sides(d, r, k):
 
 def _check_poch_split(d, r, k) -> str | None:
     lhs, (sign, shift, num, den), terms = _poch_split_sides(d, r, k)
-    one = Packed.one(packed_width(max(len(e) for _, e in terms) + 1))
-    a, b, c = (one.times_one_minus(e).shifted(s) for s, e in terms)
-    if a + b != c:
+    (sa, ea), (sb, eb), (sc, ec) = terms
+    if not relation_vanishes(0, [(1, sa, ea, None), (1, sb, eb, None),
+                                 (-1, sc, ec, None)]):
         return f"1 + ratio differs at d={d}, r={r}, k={k}"
-    (sa, ea), _, (sc, ec) = terms
     rhs = (sign, shift + sc - sa, num + ec, den + ea)  # times C/A
     if one_minus_normal_form(*lhs) != one_minus_normal_form(*rhs):
         return f"Pochhammer splitting differs at d={d}, r={r}, k={k}"

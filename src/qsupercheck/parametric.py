@@ -16,10 +16,8 @@ gets its own exact check.  After the substitution most numerator
 factors 1 - q^e of a term reappear in the denominator of the same or a
 later term; ``cancel_increments`` cancels them by counting, and the
 closed form's denominator, exponent lists as ``families.closed_form``
-gives them, is cancelled against what is left.  Each sum is then one
-packed ``truncated_sum``, the closed form's factors are applied to it
-crosswise, and the two cross products are compared as integers at a
-width counted from the cancelled factors.
+gives them, is cancelled against what is left.  The cross products
+N den = sign q^shift D num, or N = 0, are one ``relation_vanishes`` call.
 Substituting a = 1 into the same increments must reproduce the
 corresponding non-parametric summand term by term, which pins down the
 reconstruction of the displayed exponent patterns.  The reference
@@ -34,14 +32,7 @@ from __future__ import annotations
 
 from .families import (F6_THM42, a_exponent, family_increments, mutated,
                        theorem_precondition)
-from .qfuncs import (
-    Packed,
-    cancel_increments,
-    first_failing_term,
-    packed_width,
-    sum_bounds,
-    truncated_sum,
-)
+from .qfuncs import cancel_increments, first_failing_term, relation_vanishes
 from .results import CheckResult, fails, holds, skipped
 
 # Family -> (the q-statement it deforms, its condition on (d, r), that
@@ -236,21 +227,16 @@ def verify_parametric(check_id: str, d: int, r: int, n: int,
             continue
         certified.add(identity)
         increments = cancel_increments(raw)
-        num_bits = sum_bounds(increments)
         if closed is None:
-            if not truncated_sum(d, increments, packed_width(num_bits)).is_zero():
+            if not relation_vanishes(d, [(1, 0, [], increments)]):
                 return fails(check_id, params,
                              f"substituted sum nonzero at a = q^{s * n}")
             continue
         sign, shift, num, den = closed
         lhs_den, den = _cancel_common(
             [e for _, b, _ in increments for e in b], den)
-        # Cross products N * den and D * num, each built by applying the
-        # other side's factors, at one width wide enough for both.
-        width = packed_width(max(num_bits + len(den), len(num) + len(lhs_den)))
-        lhs_num = truncated_sum(d, increments, width)
-        rhs = Packed.one(width).times_one_minus(lhs_den + num).shifted(shift)
-        if lhs_num.times_one_minus(den) != (rhs if sign > 0 else -rhs):
+        if not relation_vanishes(d, [(1, 0, den, increments),
+                                     (-sign, shift, lhs_den + num, None)]):
             return fails(check_id, params, f"sides differ at a = q^{s * n}")
     witness = _collapse_at_one(check_id, d, r, n)
     if witness is not None:

@@ -14,16 +14,18 @@ subtraction, and two values are compared as integers while a bound on
 their coefficients, carried along, fits the digit width B.
 ``truncated_sum`` builds the numerators of the truncated Laurent sums of
 the checks, packed, and ``one_minus_product`` unpacks a packed product
-of factors 1 - q^e; the width comes beforehand from factor counts
-(``sum_bounds``, ``packed_width``).  ``cancel_increments`` rewrites a
-sum's increments, by exponent counting, into the same sum over a smaller
-denominator, which tightens that count.  With ``fold = n`` the same kernel
-keeps a value modulo (1 - q^n)^2, as an int modulo (2^{n B} - 1)^2, so a
-divisibility by (1 - q^n)^2 is decided without unpacking.
-``one_minus_normal_form`` reduces a quotient of such factors to exponent
-counts, which decides equality of two quotients with no polynomial
-arithmetic, and ``first_failing_term`` decides a relation between sums
-term by term on running counts of the factors their terms do not share.
+of factors 1 - q^e.  ``relation_vanishes`` decides whether a signed sum
+of such products and sums is zero, the one place that picks a width
+for it, from factor counts (``sum_bounds``, ``grown_bits``).
+``cancel_increments`` rewrites a sum's increments, by exponent counting,
+into the same sum over a smaller denominator, which tightens that count.
+With ``fold = n`` the same kernel keeps a value modulo (1 - q^n)^2, as
+an int modulo (2^{n B} - 1)^2, so a divisibility by (1 - q^n)^2 is
+decided without unpacking.  ``one_minus_normal_form`` reduces a quotient
+of such factors to exponent counts, which decides equality of two
+quotients with no polynomial arithmetic, and ``first_failing_term``
+decides a relation between sums term by term on running counts of the
+factors their terms do not share.
 """
 
 from __future__ import annotations
@@ -126,6 +128,15 @@ def fold_bits(span: int, n: int) -> int:
     return (2 * (span // n + 1)).bit_length()
 
 
+def grown_bits(bits: int, exps, fold: int = 0, shift: int = 0) -> int:
+    """Bound of q^shift prod_{exps} (1 - q^e) P, ||P||_1 <= 2^bits: a bit per
+    factor; with ``fold = n``, P of degree < 2n, the span's ``fold_bits``."""
+    bits += len(exps)
+    if fold:
+        bits += fold_bits(2 * fold + sum(map(abs, exps)) + abs(shift), fold)
+    return bits
+
+
 class Packed:
     """q^low P(q) held as the integer P(2^width), with ||P||_1 <= 2^bits.
 
@@ -137,8 +148,8 @@ class Packed:
     when their integers are, and the coefficients are the value's balanced
     digits.  A comparison or unpacking beyond that raises
     PackingOverflowError.  Every factor 1 - q^e at most doubles the L1
-    norm and a sum at most adds the norms; ``bits`` follows those rules,
-    and callers choose the width from the same counts before building.
+    norm and a sum at most adds the norms; ``bits`` follows those rules
+    (``grown_bits``), and a width is chosen from them before building.
 
     With ``fold = n`` the value is held modulo M = (X - 1)^2, X = 2^{n
     width}, the image of Z[q]/((1 - q^n)^2) at q = 2^width, and low is 0:
@@ -170,19 +181,13 @@ class Packed:
             value += (high << n * width + 1) - high - (high << 2 * n * width)
         return value
 
-    def _fold_bits(self, span: int) -> int:
-        """fold_bits of a product of P (degree < 2n) and exponents of
-        absolute value at most span in all."""
-        return self.fold and fold_bits(2 * self.fold + span, self.fold)
-
     def times_one_minus(self, exps) -> "Packed":
         """Multiply by prod (1 - q^e) over the exponent list."""
         value, low, width = self.value, self.low, self.width
-        bits = self.bits + len(exps)
+        bits = grown_bits(self.bits, exps, self.fold)
         if self.fold:
             for e in exps:
                 value -= self._times_q(value, e)
-            bits += self._fold_bits(sum(map(abs, exps)))
             return Packed(value, low, bits, width, self.fold)
         for e in exps:
             if e > 0:
@@ -199,7 +204,7 @@ class Packed:
         """Multiply by q**k."""
         if self.fold:
             return Packed(self._times_q(self.value, k), 0,
-                          self.bits + self._fold_bits(abs(k)), self.width,
+                          grown_bits(self.bits, (), self.fold, k), self.width,
                           self.fold)
         return Packed(self.value, self.low + k, self.bits, self.width)
 
@@ -224,16 +229,14 @@ class Packed:
             b <<= (other.low - low) * self.width
         return a, b, low
 
-    def __neg__(self) -> "Packed":
-        return Packed(-self.value, self.low, self.bits, self.width, self.fold)
-
     def __add__(self, other: "Packed") -> "Packed":
         a, b, low = self._aligned(other)
         return Packed(a + b, low, max(self.bits, other.bits) + 1, self.width,
                       self.fold)
 
     def __sub__(self, other: "Packed") -> "Packed":
-        return self + -other
+        return self + Packed(-other.value, other.low, other.bits, other.width,
+                             other.fold)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Packed):
@@ -330,6 +333,34 @@ def truncated_sum(step: int, increments, width: int, fold: int = 0) -> Packed:
     return num
 
 
+def relation_vanishes(step: int, terms, fold: int = 0) -> bool:
+    """Whether sum_i sign_i q^shift_i prod_{exps_i} (1 - q^e) N_i is zero,
+    modulo (1 - q^n)^2 with ``fold = n``.
+
+    ``terms[i] = (sign, shift, exps, increments)`` with sign 1, -1 or 0;
+    N_i is ``truncated_sum``'s numerator of the increments, 1 for None.
+    Term i's bound b_i is its ``sum_bounds`` grown by ``grown_bits``, and
+    the width fits the total's, the bit length of sum_i 2^{b_i} - 1.
+    """
+    bound = 0
+    for _, shift, exps, inc in terms:
+        bound += 1 << grown_bits(0 if inc is None else sum_bounds(
+            inc, step, fold), exps, fold, shift)
+    bits = (bound - 1).bit_length()
+    width = packed_width(bits)
+    total = None
+    for sign, shift, exps, inc in terms:
+        if inc is None:
+            value = Packed(sign, 0, 0, width, fold)
+        else:
+            value = truncated_sum(step, inc, width, fold)
+            value.value *= sign
+        value = value.times_one_minus(exps).shifted(shift)
+        total = value if total is None else total + value
+    total.bits = bits  # the bound of the whole relation
+    return total.is_zero()
+
+
 def first_failing_term(runs, relation) -> int | None:
     """The first k with sum_i relation_i term_k(runs[i]) != 0, or None.
 
@@ -344,7 +375,7 @@ def first_failing_term(runs, relation) -> int | None:
     """
     rel = [{} for _ in runs[1:]]
     held = 0  # factors 1 - q^0 in run 0's running numerator
-    equal = _relation_vanishes(relation, [[]] * len(runs))
+    equal = relation_vanishes(0, [(*part, None) for part in relation])
     for k, ((a0, b0, c0), *rest) in enumerate(zip(*runs)):
         if 0 in b0 or any(0 in b for _, b, _ in rest):
             raise DegenerateProductError("denominator factor 1 - q^0")
@@ -362,19 +393,8 @@ def first_failing_term(runs, relation) -> int | None:
             for exps, m in zip(left, ms):
                 exps += [e] * (m - low)
         zero = held + c0.count(0) + min([0] + [c.get(0, 0) for c in counts])
-        if zero <= 0 and not (_relation_vanishes(relation, left)
-                              if any(counts) else equal):
+        if zero <= 0 and not (relation_vanishes(0, [
+                (sign, shift, exps + extra, None) for (sign, shift, exps),
+                extra in zip(relation, left)]) if any(counts) else equal):
             return k
     return None
-
-
-def _relation_vanishes(relation, leftovers) -> bool:
-    """Whether sum_i relation_i prod_{leftovers[i]} (1 - q^e) is zero."""
-    terms = [(sign, shift, exps + left)
-             for (sign, shift, exps), left in zip(relation, leftovers)]
-    bits = (sum(1 << len(exps) for _, _, exps in terms) - 1).bit_length()
-    width = packed_width(bits)
-    total = sum((Packed(sign, 0, 0, width).times_one_minus(exps).shifted(shift)
-                 for sign, shift, exps in terms), Packed(0, 0, 0, width))
-    total.bits = bits  # ||term i||_1 <= 2^{its factor count}
-    return total.is_zero()

@@ -13,10 +13,10 @@ denominator factor is checked by counting and a non-unit raises
 ``NonUnitError``.  The divisibility family is different in kind: its
 prefactor cancels every denominator exactly, which is proved by counting
 factors 1 - q^e, and [n]^2 divides the result exactly when (1 - q^n)^2
-divides (1 - q)^2 times the numerator from ``truncated_sum`` over the
-family's increments, which the kernel decides folded modulo (1 - q^n)^2
-without unpacking.  The ring sum ``lhs_sum`` keeps its own recurrence on
-ring elements.
+divides (1 - q)^2 times the numerator of the family's sum, which
+``relation_vanishes`` decides folded modulo (1 - q^n)^2; only a FAILS
+unpacks that numerator, for its witness.  The ring sum ``lhs_sum`` keeps
+its own recurrence on ring elements.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from .families import (
 )
 from .laurent import Laurent
 from .poly import Poly, divrem
-from .qfuncs import one_minus_product, packed_width, sum_bounds, truncated_sum
+from .qfuncs import (one_minus_product, packed_width, relation_vanishes,
+                     sum_bounds, truncated_sum)
 from .residue import NonUnitError, ResidueRing, RingElement
 from .results import CheckResult, fails, holds, skipped
 
@@ -168,8 +169,7 @@ def verify_divisibility(d: int, n: int) -> CheckResult:
     f is a Laurent polynomial because every nonzero term of N has d(n-1)
     factors 1 - q^e with e != 0, counted on the increments.  [n] is coprime
     to 1 - q, so [n]^2 | f exactly when (1 - q^n)^2 = (1 - q)^2 [n]^2
-    divides (1 - q)^2 N, and that is one ``truncated_sum`` folded modulo
-    (1 - q^n)^2 with (1 - q)^2 put in front of every term.
+    divides (1 - q)^2 N, one ``relation_vanishes`` folded modulo (1 - q^n)^2.
     """
     params = {"d": d, "n": n}
     reason = theorem_precondition("thm13", d, n, 1)
@@ -178,9 +178,7 @@ def verify_divisibility(d: int, n: int) -> CheckResult:
     try:
         increments = family_increments(F7_DIVISIBILITY, d, 1, n - 1)
         _require_integral(increments, d * (n - 1))
-        increments[0][0].extend([1, 1])  # (1 - q)^2 N
-        width = packed_width(sum_bounds(increments, d, fold=n))
-        if truncated_sum(d, increments, width, fold=n).is_zero():
+        if relation_vanishes(d, [(1, 0, [1, 1], increments)], fold=n):
             return holds("thm13", params)
         body = divisibility_expression(d, n).body  # drops q^min_exp, a unit
     except IntegralityError as exc:

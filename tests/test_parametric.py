@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from oracles import collapse_at_one, first_differing_term, reference_summand
-from qsupercheck import parametric
+from qsupercheck import parametric, qfuncs
 from qsupercheck.catalog import GRID_PARAMETRIC
 from qsupercheck.laurent import Laurent
 from qsupercheck.parametric import (
@@ -112,13 +112,13 @@ def test_cancelled_cross_product_packs_at_32_bit_digits(monkeypatch):
     # Factor counts alone packed p7_45 (7, 3, 11) at 88-bit digits for
     # 27-bit coefficients; after the counted cancellation 32 bits suffice.
     widths = []
-    real = parametric.truncated_sum
+    real = qfuncs.truncated_sum
 
     def spy(step, increments, width, fold=0):
         widths.append(width)
         return real(step, increments, width, fold)
 
-    monkeypatch.setattr(parametric, "truncated_sum", spy)
+    monkeypatch.setattr(qfuncs, "truncated_sum", spy)
     assert verify_parametric("p7_45", 7, 3, 11).status is Status.HOLDS
     # a = q^-n gives the same identity as a = q^n, so one sum is built.
     assert len(widths) == 1 and max(widths) <= 32
@@ -175,13 +175,13 @@ def test_a_change_at_minus_n_alone_is_certified_and_fails(
         monkeypatch, check_id, d, r, n, target, witness):
     # Negative control: the second point is compared, not assumed equal.
     calls = []
-    real = parametric.truncated_sum
+    real = qfuncs.truncated_sum
 
     def spy(step, increments, width, fold=0):
         calls.append(width)
         return real(step, increments, width, fold)
 
-    monkeypatch.setattr(parametric, "truncated_sum", spy)
+    monkeypatch.setattr(qfuncs, "truncated_sum", spy)
     assert verify_parametric(check_id, d, r, n).status is Status.HOLDS
     assert len(calls) == 1
     monkeypatch.setattr(parametric, target,

@@ -1,5 +1,6 @@
 """q-shifted factorials, Gaussian binomials and the packed kernel."""
 
+import copy
 import functools
 import itertools
 import operator
@@ -36,6 +37,7 @@ from qsupercheck.qfuncs import (
     one_minus_product,
     packed_width,
     q_binomial,
+    relation_vanishes,
     sum_bounds,
     truncated_sum,
 )
@@ -439,8 +441,7 @@ def test_packed_kernel_matches_dense_oracle(monkeypatch):
         calls.append((step, increments, width, fold))
         return real(step, increments, width, fold)
 
-    for module in (parametric, identities, verifier):
-        monkeypatch.setattr(module, "truncated_sum", spy)
+    monkeypatch.setattr(qfuncs, "truncated_sum", spy)
     for cid, params in KERNEL_INSTANCES:
         assert run_check(cid, params).status is Status.HOLDS, (cid, params)
     # One sum per parametric check, whose a = q^-n identity equals its
@@ -613,19 +614,101 @@ def test_fold_matches_division_by_one_minus_q_n_squared(n, coeffs, exps,
     assert folded == start.shifted(shift).times_one_minus(exps)
 
 
+def _dense_relation(step, terms, fold):
+    """Oracle for ``relation_vanishes``: the relation summed on dense
+    lists, reduced modulo (1 - q^fold)^2 by division when fold is set."""
+    total = Laurent(Poly())
+    for sign, shift, exps, increments in terms:
+        num = (Laurent(Poly((1,))) if increments is None
+               else _dense_sum(step, increments)[0])
+        total = total + (num * _laurent_product(exps)).shifted(shift) * sign
+    return _fold_oracle(total, fold) if fold else total
+
+
+def _cancelled_twin(term):
+    """A term of the opposite sign and the same value: a sum's twin runs
+    over ``cancel_increments``' smaller denominator, times what left it."""
+    sign, shift, exps, increments = term
+    if increments is None:
+        return -sign, shift, exps[::-1], None
+    cancelled = cancel_increments(increments)
+    gone = Counter(_denominator(increments)) - Counter(_denominator(cancelled))
+    return -sign, shift, exps + list(gone.elements()), cancelled
+
+
+_relation_terms = st.lists(st.tuples(
+    st.sampled_from((1, -1)), st.integers(-6, 6), _exponents,
+    st.none() | st.lists(st.tuples(_exponents, _nonzero, _exponents),
+                         min_size=1, max_size=3)), min_size=1, max_size=4)
+
+
+def _exponent_lists(term):
+    """The term's factor list, then every a, b and c list of its sum."""
+    _, _, exps, increments = term
+    return [exps] + [part for parts in increments or () for part in parts]
+
+
+def test_relation_vanishes_matches_dense_oracle():
+    raised = []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-3, 3), _relation_terms, st.sampled_from((0, 1, 2, 5)),
+           st.data())
+    def check(step, terms, fold, data):
+        # Any verdict comes from a width wide enough: no PackingOverflowError.
+        assert relation_vanishes(step, terms, fold) is _dense_relation(
+            step, terms, fold).is_zero()
+        vanishing = terms + [_cancelled_twin(term) for term in terms]
+        assert relation_vanishes(step, vanishing, fold)
+        # Negative control: one exponent raised; a b list (p = 2 mod 3)
+        # never reaches 1 - q^0.
+        spots = [(i, p, j) for i, term in enumerate(vanishing)
+                 for p, exps in enumerate(_exponent_lists(term))
+                 for j, e in enumerate(exps) if p % 3 != 2 or e != -1]
+        if not spots:
+            return
+        i, p, j = data.draw(st.sampled_from(spots))
+        mutant = copy.deepcopy(vanishing)
+        _exponent_lists(mutant[i])[p][j] += 1
+        verdict = relation_vanishes(step, mutant, fold)
+        assert verdict is _dense_relation(step, mutant, fold).is_zero()
+        raised.append(verdict)
+
+    check()
+    # About half the raised exponents change the relation (the rest sit in
+    # a term that 1 - q^0 or the fold already zeroes), each one refused.
+    assert raised.count(False) > len(raised) // 4
+
+
+def test_relation_width_fits_the_whole_sum():
+    # A sum of m terms 1 is the constant m.  256 - q is 0 at q = 2^8,
+    # which each term alone would fit: the sum's bound, 2^9, asks for more.
+    ones = [(1, 0, [], None)] * 256
+    assert not relation_vanishes(0, ones + [(-1, 1, [], None)])
+    assert relation_vanishes(0, ones + [(-1, 0, [], [([], [], [])] * 256)])
+    # Folded modulo (1 - q^3)^2, q^{-255 * 3} = 256 - 255 q^3.
+    for m, holds in ((255, True), (254, False)):
+        assert relation_vanishes(0, [(1, -255 * 3, [], None),
+                                     (-1, 0, [], [([], [], [])] * 256),
+                                     (1, 3, [], [([], [], [])] * m)],
+                                 fold=3) is holds
+
+
 @pytest.mark.parametrize("module,check_id,params", [
     (parametric, "p7_45", {"d": 7, "n": 11, "r": 3}),
     (parametric, "p1_24", {"d": 4, "n": 7, "r": 1}),
     (identities, "sum_decomposition", {"d": 3, "n": 4}),
     (verifier, "thm13", {"d": 3, "n": 5}),
+    (identities, "pochhammer_split_general", {"d": 5, "r": 2, "k": 3}),
 ])
 def test_undersized_width_is_error_not_a_verdict(monkeypatch, module,
                                                  check_id, params):
     assert run_check(check_id, params).status is Status.HOLDS
-    # One bit short of the bits + 2 that a bound of 2^bits needs, in the
-    # check's module and in qfuncs, which sizes the termwise leftovers.
-    for patched in (module, qfuncs):
-        monkeypatch.setattr(patched, "packed_width", lambda bits: bits + 1)
+    # The check's module decides through qfuncs, so one bit short of the
+    # bits + 2 that a bound of 2^bits needs, patched there alone, reaches
+    # every width the check picks.
+    assert module.relation_vanishes is qfuncs.relation_vanishes
+    monkeypatch.setattr(qfuncs, "packed_width", lambda bits: bits + 1)
     result = run_check(check_id, params)
     assert result.status is Status.ERROR
     assert result.witness.startswith("PackingOverflowError")

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from qsupercheck import verifier
+from qsupercheck import qfuncs, verifier
 from qsupercheck.catalog import (
     GRID_EQ13,
     GRID_EQ14,
@@ -36,13 +36,7 @@ from qsupercheck.families import (
 )
 from qsupercheck.laurent import Laurent
 from qsupercheck.poly import Poly, poly_prod
-from qsupercheck.qfuncs import (
-    Packed,
-    packed_width,
-    poch_power_base,
-    sum_bounds,
-    truncated_sum,
-)
+from qsupercheck.qfuncs import Packed, poch_power_base, relation_vanishes
 from qsupercheck.residue import NonUnitError, ResidueRing
 from qsupercheck.results import Status
 from qsupercheck.verifier import (
@@ -283,13 +277,14 @@ def test_inexact_divisibility_division_reads_as_fails(monkeypatch):
 
     # q^low added to N: the fold sees no (1 - q^n)^2, and the witness's
     # unfolded path finds that 1 - q no longer divides N.
-    real = verifier.truncated_sum
+    real = qfuncs.truncated_sum
 
     def plus_one(step, increments, width, fold=0):
         num = real(step, increments, width, fold)
         return Packed(num.value + 1, num.low, num.bits, width, fold)
 
-    monkeypatch.setattr(verifier, "truncated_sum", plus_one)
+    for module in (qfuncs, verifier):
+        monkeypatch.setattr(module, "truncated_sum", plus_one)
     with pytest.raises(IntegralityError):
         divisibility_expression(3, 5)
     for result in (verify_divisibility(3, 5), run_check("thm13", {"d": 3, "n": 5})):
@@ -319,27 +314,19 @@ def _fold_theorem_verdict(check_id, d, n, r, mutation):
     A is 0 mod Phi_n^2 exactly when (1 - q^n)^2 divides C A, where
     C = prod_{m | n, m < n} (1 - q^m)^2 is coprime to Phi_n and divisible by
     the square of every other cyclotomic factor of 1 - q^n.  A is the
-    cross-multiplied difference N rden - sign q^s rnum D.
+    cross-multiplied difference N rden - sign q^s rnum D, and a vanishing
+    closed form has sign 0.
     """
     increments = family_increments(theorem_family(check_id), d, r, n - 1)
     quotient = mutated(closed_form(check_id, d, n, r), mutation)
-    sign, shift, rnum, rden = quotient or (1, 0, [], [])
-    if any(e % n == 0 for _, b, _ in increments for e in b + rden):
+    sign, shift, rnum, rden = quotient or (0, 0, [], [])
+    lhs_den = [e for _, b, _ in increments for e in b]
+    if any(e % n == 0 for e in lhs_den + rden):
         return "FAILS"  # a denominator that is no unit mod Phi_n^2
     c = [m for m in divisors(n) if m < n for _ in range(2)]
-    # Bounds follow from the operations alone, so a zero value at any width
-    # carries them ahead of the build.
-    lhs_bits = Packed(0, 0, sum_bounds(increments, d, n), 8, n).times_one_minus(
-        rden + c).bits
-    lhs_den = [e for _, b, _ in increments for e in b]
-    rhs_bits = Packed(0, 0, 0, 8, n).times_one_minus(
-        lhs_den + rnum + c).shifted(shift).bits
-    width = packed_width(max(lhs_bits, rhs_bits) + 1)
-    lhs = truncated_sum(d, increments, width, fold=n).times_one_minus(rden + c)
-    if quotient is None:
-        return "HOLDS" if lhs.is_zero() else "FAILS"
-    rhs = Packed.one(width, n).times_one_minus(lhs_den + rnum + c).shifted(shift)
-    same = lhs == rhs if sign > 0 else (lhs + rhs).is_zero()
+    same = relation_vanishes(d, [(1, 0, rden + c, increments),
+                                 (-sign, shift, lhs_den + rnum + c, None)],
+                             fold=n)
     return "HOLDS" if same else "FAILS"
 
 
