@@ -312,7 +312,7 @@ def _check_sum_decomposition(d, n) -> str | None:
     denominators; otherwise, or when a term differs, the relation times
     1 - q on the whole sums: (1 - q)[m] = 1 - q^m."""
     sums = _decomposition_increments(d, n)
-    shared = all(b == b1 for (_, b1, _), *rest in zip(*sums)
+    shared = all(b == b1 for (_, b1, _), *rest in zip(*sums, strict=True)
                  for _, b, _ in rest)
     if shared and first_failing_term(sums, _decomposition_relation(d)) is None:
         return None

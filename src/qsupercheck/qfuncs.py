@@ -16,7 +16,8 @@ their coefficients, carried along, fits the digit width B.
 the checks, packed, and ``one_minus_product`` unpacks a packed product
 of factors 1 - q^e.  ``relation_vanishes`` decides whether a signed sum
 of such products and sums is zero, the one place that picks a width
-for it, from factor counts (``sum_bounds``, ``grown_bits``).
+for it, from factor counts (``sum_bounds``, ``grown_bits``).  Both loop
+on the plain pair (value, low) and wrap one ``Packed`` at the end.
 ``cancel_increments`` rewrites a sum's increments, by exponent counting,
 into the same sum over a smaller denominator, which tightens that count.
 With ``fold = n`` the same kernel keeps a value modulo (1 - q^n)^2, as
@@ -137,6 +138,46 @@ def grown_bits(bits: int, exps, fold: int = 0, shift: int = 0) -> int:
     return bits
 
 
+def _times_q(value: int, e: int, n: int, width: int) -> int:
+    """q^e value mod (X - 1)^2, X = 2^{n width}, folded into [0, X^2)."""
+    j, s = divmod(e, n)
+    value <<= s * width
+    value += j * ((value << n * width) - value)
+    while high := value >> 2 * n * width:  # X^2 = 2X - 1
+        value += (high << n * width + 1) - high - (high << 2 * n * width)
+    return value
+
+
+def _times_one_minus(value: int, low: int, exps, width: int, fold: int = 0):
+    """The packed pair (value, low) times prod (1 - q^e) over the exponent
+    list, folded modulo (1 - q^n)^2 with ``fold = n``."""
+    if fold:
+        for e in exps:
+            value -= _times_q(value, e, fold, width)
+        return value, low
+    for e in exps:
+        if e > 0:
+            value -= value << (e * width)
+        elif e < 0:  # 1 - q^e = -q^e (1 - q^-e)
+            value = (value << (-e * width)) - value
+            low += e
+        else:  # 1 - q^0 = 0
+            return 0, low
+    return value, low
+
+
+def _plus_shifted(value: int, low: int, term: int, term_low: int, k: int,
+                  width: int, fold: int = 0):
+    """The packed pair (value, low) plus q^k (term, term_low), over the
+    lower of the two offsets; with ``fold = n`` every offset is 0."""
+    if fold:
+        return value + _times_q(term, k, fold, width), 0
+    k += term_low
+    if k < low:
+        return (value << (low - k) * width) + term, k
+    return value + (term << (k - low) * width), low
+
+
 class Packed:
     """q^low P(q) held as the integer P(2^width), with ||P||_1 <= 2^bits.
 
@@ -150,6 +191,8 @@ class Packed:
     PackingOverflowError.  Every factor 1 - q^e at most doubles the L1
     norm and a sum at most adds the norms; ``bits`` follows those rules
     (``grown_bits``), and a width is chosen from them before building.
+    The arithmetic is ``_times_one_minus`` and ``_plus_shifted`` on the
+    pair (value, low), which the kernel's loops call on plain ints.
 
     With ``fold = n`` the value is held modulo M = (X - 1)^2, X = 2^{n
     width}, the image of Z[q]/((1 - q^n)^2) at q = 2^width, and low is 0:
@@ -171,42 +214,19 @@ class Packed:
     def one(cls, width: int, fold: int = 0) -> "Packed":
         return cls(1, 0, 0, width, fold)
 
-    def _times_q(self, value: int, e: int) -> int:
-        """q^e value mod M, folded into [0, X^2)."""
-        n, width = self.fold, self.width
-        j, s = divmod(e, n)
-        value <<= s * width
-        value += j * ((value << n * width) - value)
-        while high := value >> 2 * n * width:  # X^2 = 2X - 1 mod M
-            value += (high << n * width + 1) - high - (high << 2 * n * width)
-        return value
-
     def times_one_minus(self, exps) -> "Packed":
         """Multiply by prod (1 - q^e) over the exponent list."""
-        value, low, width = self.value, self.low, self.width
-        bits = grown_bits(self.bits, exps, self.fold)
-        if self.fold:
-            for e in exps:
-                value -= self._times_q(value, e)
-            return Packed(value, low, bits, width, self.fold)
-        for e in exps:
-            if e > 0:
-                value -= value << (e * width)
-            elif e < 0:  # 1 - q^e = -q^e (1 - q^-e)
-                value = (value << (-e * width)) - value
-                low += e
-            else:  # 1 - q^0 = 0
-                value = 0
-                break
-        return Packed(value, low, bits, width)
+        value, low = _times_one_minus(self.value, self.low, exps, self.width,
+                                      self.fold)
+        return Packed(value, low, grown_bits(self.bits, exps, self.fold),
+                      self.width, self.fold)
 
     def shifted(self, k: int) -> "Packed":
-        """Multiply by q**k."""
-        if self.fold:
-            return Packed(self._times_q(self.value, k), 0,
-                          grown_bits(self.bits, (), self.fold, k), self.width,
-                          self.fold)
-        return Packed(self.value, self.low + k, self.bits, self.width)
+        """Multiply by q**k: 0 plus q^k self, at self's offset plus k."""
+        value, low = _plus_shifted(0, self.low + k, self.value, self.low, k,
+                                   self.width, self.fold)
+        return Packed(value, low, grown_bits(self.bits, (), self.fold, k),
+                      self.width, self.fold)
 
     def _modulus(self) -> int:
         return ((1 << self.fold * self.width) - 1) ** 2
@@ -216,34 +236,29 @@ class Packed:
             raise PackingOverflowError(f"coefficient bound 2^{bits} does not"
                                        f" fit {self.width}-bit digits")
 
-    def _aligned(self, other: "Packed"):
-        """Both values over the common offset min(low), and that offset."""
+    def _plus(self, other: "Packed", sign: int) -> tuple[int, int]:
+        """The pair (value, low) of self + sign other."""
         if (other.width, other.fold) != (self.width, self.fold):
             raise ValueError(
                 f"digit widths {self.width} and {other.width} or folds"
                 f" {self.fold} and {other.fold} differ")
-        a, b, low = self.value, other.value, min(self.low, other.low)
-        if self.low > low:
-            a <<= (self.low - low) * self.width
-        if other.low > low:
-            b <<= (other.low - low) * self.width
-        return a, b, low
+        return _plus_shifted(self.value, self.low, sign * other.value,
+                             other.low, 0, self.width, self.fold)
 
     def __add__(self, other: "Packed") -> "Packed":
-        a, b, low = self._aligned(other)
-        return Packed(a + b, low, max(self.bits, other.bits) + 1, self.width,
-                      self.fold)
+        return Packed(*self._plus(other, 1), max(self.bits, other.bits) + 1,
+                      self.width, self.fold)
 
     def __sub__(self, other: "Packed") -> "Packed":
-        return self + Packed(-other.value, other.low, other.bits, other.width,
-                             other.fold)
+        return Packed(*self._plus(other, -1), max(self.bits, other.bits) + 1,
+                      self.width, self.fold)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Packed):
             return NotImplemented
         self._exact(max(self.bits, other.bits))
-        a, b, _ = self._aligned(other)
-        return not ((a - b) % self._modulus() if self.fold else a - b)
+        diff, _ = self._plus(other, -1)
+        return not (diff % self._modulus() if self.fold else diff)
 
     def is_zero(self) -> bool:
         self._exact(self.bits)
@@ -305,6 +320,22 @@ def cancel_increments(increments) -> list[tuple[list, list, list]]:
     return out
 
 
+def _numerator(step: int, increments, width: int, fold: int = 0):
+    """``truncated_sum``'s N as the packed pair (value, low), on plain ints."""
+    if any(0 in b for _, b, _ in increments):
+        raise DegenerateProductError("denominator factor 1 - q^0")
+    num = low = run_low = 0
+    run = 1
+    for k, (a, b, c) in enumerate(increments):
+        num, low = _times_one_minus(num, low, b, width, fold)
+        run, run_low = _times_one_minus(run, run_low, a, width, fold)
+        term, term_low = _times_one_minus(run, run_low, c, width, fold)
+        if term:  # a zero term would only realign num
+            num, low = _plus_shifted(num, low, term, term_low, step * k,
+                                     width, fold)
+    return num, low
+
+
 def truncated_sum(step: int, increments, width: int, fold: int = 0) -> Packed:
     """Numerator N of Sum_{k=0}^{L} T_k / prod_{j<=k} B_j = N / D, packed.
 
@@ -319,18 +350,8 @@ def truncated_sum(step: int, increments, width: int, fold: int = 0) -> Packed:
     with ``fold = n``.  A factor 1 - q^0 zeroes every later term from a,
     only term k from c, and raises DegenerateProductError from b.
     """
-    if any(0 in b for _, b, _ in increments):
-        raise DegenerateProductError("denominator factor 1 - q^0")
-    num = Packed(0, 0, 0, width, fold)
-    run = Packed.one(width, fold)
-    for k, (a, b, c) in enumerate(increments):
-        num = num.times_one_minus(b)
-        run = run.times_one_minus(a)
-        term = run.times_one_minus(c)
-        if term.value:  # a zero term would only realign num
-            num = num + term.shifted(step * k)
-    num.bits = sum_bounds(increments, step, fold)  # built here
-    return num
+    return Packed(*_numerator(step, increments, width, fold),
+                  sum_bounds(increments, step, fold), width, fold)
 
 
 def relation_vanishes(step: int, terms, fold: int = 0) -> bool:
@@ -340,7 +361,8 @@ def relation_vanishes(step: int, terms, fold: int = 0) -> bool:
     ``terms[i] = (sign, shift, exps, increments)`` with sign 1, -1 or 0;
     N_i is ``truncated_sum``'s numerator of the increments, 1 for None.
     Term i's bound b_i is its ``sum_bounds`` grown by ``grown_bits``, and
-    the width fits the total's, the bit length of sum_i 2^{b_i} - 1.
+    the width fits the total's, the bit length of sum_i 2^{b_i} - 1.  The
+    total is summed on plain ints and packed once, to be decided.
     """
     bound = 0
     for _, shift, exps, inc in terms:
@@ -348,31 +370,41 @@ def relation_vanishes(step: int, terms, fold: int = 0) -> bool:
             inc, step, fold), exps, fold, shift)
     bits = (bound - 1).bit_length()
     width = packed_width(bits)
-    total = None
+    total = low = 0
     for sign, shift, exps, inc in terms:
         if inc is None:
-            value = Packed(sign, 0, 0, width, fold)
+            value, at = sign, 0
         else:
-            value = truncated_sum(step, inc, width, fold)
-            value.value *= sign
-        value = value.times_one_minus(exps).shifted(shift)
-        total = value if total is None else total + value
-    total.bits = bits  # the bound of the whole relation
-    return total.is_zero()
+            value, at = _numerator(step, inc, width, fold)
+            value *= sign
+        value, at = _times_one_minus(value, at, exps, width, fold)
+        total, low = _plus_shifted(total, low, value, at, shift, width, fold)
+    return Packed(total, low, bits, width, fold).is_zero()
+
+
+def _same(x, y) -> bool:
+    """Whether two exponent lists are equal as multisets."""
+    return x == y or (len(x) == len(y) and sorted(x) == sorted(y))
 
 
 def first_failing_term(runs, relation) -> int | None:
     """The first k with sum_i relation_i term_k(runs[i]) != 0, or None.
 
-    ``runs`` are ``truncated_sum`` increment lists over one step, and
-    ``relation[i] = (sign, shift, exps)`` is sign q^shift prod (1 - q^e).
-    Runs 1, 2, ... are counts of signed exponents relative to run 0, a
-    denominator factor counting -1, so shared factors cancel as they come.
-    Term k of run i is q^{step k} X R_i, X the least count of each
-    exponent: the relation holds where X holds 1 - q^0, which run 0's count
-    of it tells, or where sum_i relation_i R_i vanishes, computed once for
-    equal counts.  A denominator 1 - q^0 raises DegenerateProductError.
+    ``runs`` are ``truncated_sum`` increment lists of one length over one
+    step, and ``relation[i] = (sign, shift, exps)`` is
+    sign q^shift prod (1 - q^e), one for each run; other lengths raise
+    ValueError.  Runs 1, 2, ... are counts of signed exponents relative to
+    run 0, a denominator factor counting -1, so shared factors cancel as
+    they come, and a run whose a_k, b_k and c_k equal run 0's as multisets
+    adds none.  Term k of run i is q^{step k} X R_i, X the least count of
+    each exponent: the relation holds where X holds 1 - q^0, which run 0's
+    count of it tells, or where sum_i relation_i R_i vanishes.  Where no run
+    holds a count that sum is the relation's own, decided once as
+    ``equal``.  A denominator 1 - q^0 raises DegenerateProductError.
     """
+    if len(relation) != len(runs) or len({len(run) for run in runs}) != 1:
+        raise ValueError(f"runs of lengths {[len(run) for run in runs]} for"
+                         f" a relation of {len(relation)} parts")
     rel = [{} for _ in runs[1:]]
     held = 0  # factors 1 - q^0 in run 0's running numerator
     equal = relation_vanishes(0, [(*part, None) for part in relation])
@@ -380,21 +412,28 @@ def first_failing_term(runs, relation) -> int | None:
         if 0 in b0 or any(0 in b for _, b, _ in rest):
             raise DegenerateProductError("denominator factor 1 - q^0")
         held += a0.count(0)
-        counts, left = [], [[] for _ in runs]
+        counts = []
         for count, (a, b, c) in zip(rel, rest):
-            tally(tally(count, a, 1), a0, -1)
-            if b != b0:
+            if not _same(a, a0):
+                tally(tally(count, a, 1), a0, -1)
+            if not _same(b, b0):
                 tally(tally(count, b, -1), b0, 1)
-            counts.append(tally(tally(dict(count), c, 1), c0, -1)
-                          if c or c0 else count)
+            counts.append(count if _same(c, c0)
+                          else tally(tally(dict(count), c, 1), c0, -1))
+        zero = held + c0.count(0)
+        if not any(counts):
+            if zero <= 0 and not equal:
+                return k
+            continue
+        left = [[] for _ in runs]
         for e in set().union(*counts):
             ms = [0] + [count.get(e, 0) for count in counts]
             low = min(ms)
             for exps, m in zip(left, ms):
                 exps += [e] * (m - low)
-        zero = held + c0.count(0) + min([0] + [c.get(0, 0) for c in counts])
-        if zero <= 0 and not (relation_vanishes(0, [
+        zero += min([0] + [count.get(0, 0) for count in counts])
+        if zero <= 0 and not relation_vanishes(0, [
                 (sign, shift, exps + extra, None) for (sign, shift, exps),
-                extra in zip(relation, left)]) if any(counts) else equal):
+                extra in zip(relation, left)]):
             return k
     return None

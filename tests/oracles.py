@@ -23,9 +23,13 @@ from qsupercheck.parametric import _SHIFTED_INDEX, _sum_increments
 from qsupercheck.poly import Poly, poly_prod
 from qsupercheck.qfuncs import (
     DegenerateProductError,
+    Packed,
     one_minus_normal_form,
     poch_power_base,
     q_binomial,
+    relation_vanishes,
+    sum_bounds,
+    tally,
 )
 from qsupercheck.results import Status
 
@@ -203,6 +207,51 @@ def first_differing_term(lhs, rhs):
         lnum, lden, rnum, rden = lnum + la, lden + lb, rnum + ra, rden + rb
         ref = one_minus_normal_form(1, 0, rnum + rc, rden)
         if one_minus_normal_form(1, 0, lnum + lc, lden) != ref:
+            return k
+    return None
+
+
+def packed_truncated_sum(step, increments, width, fold=0):
+    """``truncated_sum`` on ``Packed`` objects, one per factor list, the
+    loop that the kernel's loop on plain ints replaced."""
+    if any(0 in b for _, b, _ in increments):
+        raise DegenerateProductError("denominator factor 1 - q^0")
+    num = Packed(0, 0, 0, width, fold)
+    run = Packed.one(width, fold)
+    for k, (a, b, c) in enumerate(increments):
+        num = num.times_one_minus(b)
+        run = run.times_one_minus(a)
+        term = run.times_one_minus(c)
+        if term.value:
+            num = num + term.shifted(step * k)
+    num.bits = sum_bounds(increments, step, fold)
+    return num
+
+
+def counting_first_failing_term(runs, relation):
+    """``first_failing_term`` with every run counted at every term, equal
+    factors or not, and leftover lists built at every term."""
+    rel = [{} for _ in runs[1:]]
+    held = 0
+    equal = relation_vanishes(0, [(*part, None) for part in relation])
+    for k, ((a0, b0, c0), *rest) in enumerate(zip(*runs)):
+        if 0 in b0 or any(0 in b for _, b, _ in rest):
+            raise DegenerateProductError("denominator factor 1 - q^0")
+        held += a0.count(0)
+        counts, left = [], [[] for _ in runs]
+        for count, (a, b, c) in zip(rel, rest):
+            tally(tally(count, a, 1), a0, -1)
+            tally(tally(count, b, -1), b0, 1)
+            counts.append(tally(tally(dict(count), c, 1), c0, -1))
+        for e in set().union(*counts):
+            ms = [0] + [count.get(e, 0) for count in counts]
+            low = min(ms)
+            for exps, m in zip(left, ms):
+                exps += [e] * (m - low)
+        zero = held + c0.count(0) + min([0] + [c.get(0, 0) for c in counts])
+        if zero <= 0 and not (relation_vanishes(0, [
+                (sign, shift, exps + extra, None) for (sign, shift, exps),
+                extra in zip(relation, left)]) if any(counts) else equal):
             return k
     return None
 

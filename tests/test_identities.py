@@ -278,6 +278,21 @@ def test_decomposition_with_a_wrong_exponent_fails(monkeypatch):
     assert result.witness == "three-sum decomposition differs"
 
 
+def test_decomposition_runs_of_unequal_length_are_an_error(monkeypatch):
+    # The runs share every denominator, so comparing along zip alone would
+    # have certified the first n - 2 terms of s3 as the whole of it.
+    real = identities._decomposition_increments
+
+    def short(d, n):
+        sums = real(d, n)
+        return sums[:2] + [sums[2][:-1]]
+
+    monkeypatch.setattr(identities, "_decomposition_increments", short)
+    result = run_check("sum_decomposition", {"d": 3, "n": 4})
+    assert result.status is Status.ERROR
+    assert result.witness.startswith("ValueError")
+
+
 def _by_three_sums(monkeypatch, d, n):
     """The decomposition's witness from the whole packed sums alone."""
     with monkeypatch.context() as patch:

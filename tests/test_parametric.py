@@ -4,9 +4,14 @@ from collections import Counter
 
 import pytest
 
-from oracles import collapse_at_one, first_differing_term, reference_summand
+from oracles import (
+    collapse_at_one,
+    counting_first_failing_term,
+    first_differing_term,
+    reference_summand,
+)
 from qsupercheck import parametric, qfuncs
-from qsupercheck.catalog import GRID_PARAMETRIC
+from qsupercheck.catalog import GRID_PARAMETRIC, run_check
 from qsupercheck.laurent import Laurent
 from qsupercheck.parametric import (
     PARAMETRIC_IDS,
@@ -112,13 +117,13 @@ def test_cancelled_cross_product_packs_at_32_bit_digits(monkeypatch):
     # Factor counts alone packed p7_45 (7, 3, 11) at 88-bit digits for
     # 27-bit coefficients; after the counted cancellation 32 bits suffice.
     widths = []
-    real = qfuncs.truncated_sum
+    real = qfuncs._numerator
 
     def spy(step, increments, width, fold=0):
         widths.append(width)
         return real(step, increments, width, fold)
 
-    monkeypatch.setattr(qfuncs, "truncated_sum", spy)
+    monkeypatch.setattr(qfuncs, "_numerator", spy)
     assert verify_parametric("p7_45", 7, 3, 11).status is Status.HOLDS
     # a = q^-n gives the same identity as a = q^n, so one sum is built.
     assert len(widths) == 1 and max(widths) <= 32
@@ -175,13 +180,13 @@ def test_a_change_at_minus_n_alone_is_certified_and_fails(
         monkeypatch, check_id, d, r, n, target, witness):
     # Negative control: the second point is compared, not assumed equal.
     calls = []
-    real = qfuncs.truncated_sum
+    real = qfuncs._numerator
 
     def spy(step, increments, width, fold=0):
         calls.append(width)
         return real(step, increments, width, fold)
 
-    monkeypatch.setattr(qfuncs, "truncated_sum", spy)
+    monkeypatch.setattr(qfuncs, "_numerator", spy)
     assert verify_parametric(check_id, d, r, n).status is Status.HOLDS
     assert len(calls) == 1
     monkeypatch.setattr(parametric, target,
@@ -269,6 +274,11 @@ def _collapse_term(lhs, rhs):
     return first_failing_term((lhs, rhs), ((1, 0, []), (-1, 0, [])))
 
 
+def _counted_term(lhs, rhs):
+    """The counting oracle with the collapse's relation, lhs - rhs."""
+    return counting_first_failing_term((lhs, rhs), ((1, 0, []), (-1, 0, [])))
+
+
 def _outcome(first_differing, lhs, rhs):
     try:
         return first_differing(lhs, rhs)
@@ -309,6 +319,61 @@ def test_collapse_mutants_match_the_quadratic_oracle(check_id, d, r, n):
     for pair in pairs:
         assert _outcome(_collapse_term, *pair) == _outcome(
             first_differing_term, *pair)
+
+
+COLLAPSE = ((1, 0, []), (-1, 0, []))
+
+
+def test_collapse_without_counts_matches_the_counting_oracle():
+    # Both sides carry the same factors as multisets at every term, so no
+    # term is counted; the oracle counts every term.
+    assert len(ADMISSIBLE_TO_40) == 369
+    for cid, d, r, n in ADMISSIBLE_TO_40:
+        runs = (_sum_increments(cid, d, r, n, 0),
+                _reference_increments(cid, d, r, n))
+        assert first_failing_term(runs, COLLAPSE) is None
+        assert counting_first_failing_term(runs, COLLAPSE) is None
+
+
+def _raised_or_lowered(increments):
+    """Each +-1 change of one exponent."""
+    for k, parts in enumerate(increments):
+        for p, exps in enumerate(parts):
+            for i in range(len(exps)):
+                for delta in (1, -1):
+                    mutant = [tuple(list(part) for part in inc)
+                              for inc in increments]
+                    mutant[k][p][i] += delta
+                    yield mutant
+
+
+@pytest.mark.parametrize("check_id,d,r,n", INSTANCES)
+def test_collapse_mutants_match_the_counting_oracle(check_id, d, r, n):
+    # A mutant counts from its changed term on and matches elsewhere: both
+    # paths decide it, and each k or DegenerateProductError is the oracle's.
+    rhs = _reference_increments(check_id, d, r, n)
+    mutants = list(_raised_or_lowered(_sum_increments(check_id, d, r, n, 0)))
+    outcomes = [_outcome(_collapse_term, lhs, rhs) for lhs in mutants]
+    assert outcomes == [_outcome(_counted_term, lhs, rhs) for lhs in mutants]
+    assert any(isinstance(k, int) for k in outcomes)
+
+
+def test_runs_of_unequal_length_are_refused(monkeypatch):
+    lhs = _sum_increments("p3_32", 5, 1, 14, 0)
+    rhs = _reference_increments("p3_32", 5, 1, 14)
+    # Counting along zip alone, 5 of 14 terms compared read as agreement.
+    assert counting_first_failing_term((lhs, rhs[:5]), COLLAPSE) is None
+    for runs, relation in (((lhs, rhs[:5]), COLLAPSE),
+                           ((lhs[:5], rhs), COLLAPSE),
+                           ((lhs, rhs), COLLAPSE + ((1, 0, []),)),
+                           ((lhs, rhs), COLLAPSE[:1])):
+        with pytest.raises(ValueError):
+            first_failing_term(runs, relation)
+    monkeypatch.setattr(parametric, "_reference_increments",
+                        lambda *args: rhs[:5])
+    result = run_check("p3_32", {"d": 5, "n": 14, "r": 1})
+    assert result.status is Status.ERROR
+    assert result.witness.startswith("ValueError")
 
 
 @pytest.mark.parametrize("lhs,rhs,k", [

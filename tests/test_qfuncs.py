@@ -9,7 +9,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsupercheck import identities, parametric, qfuncs, verifier
@@ -43,7 +43,14 @@ from qsupercheck.qfuncs import (
 )
 from qsupercheck.results import Status
 
-from oracles import QMonomial, inflate, one_minus, q_pochhammer
+from oracles import (
+    QMonomial,
+    counting_first_failing_term,
+    inflate,
+    one_minus,
+    packed_truncated_sum,
+    q_pochhammer,
+)
 
 
 def _denominator(increments):
@@ -243,6 +250,27 @@ def test_truncated_sum_matches_rational_sum(step, increments):
     assert RatFunc(num, den) == total
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-3, 3),
+       st.lists(st.tuples(_exponents, _nonzero, _exponents), min_size=1,
+                max_size=5),
+       st.sampled_from((0, 1, 2, 3, 5)))
+@example(2, [([], [3], []), ([0, 2], [-1], [1]), ([4], [2], [])], 0)
+@example(1, [([2], [-3], [0]), ([-2], [], [1, -1]), ([1], [1], [])], 0)
+@example(-2, [([-1], [2], [3]), ([4, -5], [-3], []), ([], [1], [2])], 0)
+@example(-3, [([1], [-2], [0]), ([0], [3], [-4]), ([-1], [1], [2])], 2)
+@example(3, [([-2, 2], [4], []), ([3], [-1], [0]), ([5], [2], [-3])], 5)
+def test_int_kernel_matches_the_packed_object_loop(step, increments, fold):
+    # Negative exponents, 1 - q^0 in a and in c, negative steps, fold 0
+    # and fold n: the value, offset and bound are the object loop's.
+    width = packed_width(sum_bounds(increments, step, fold))
+    num = truncated_sum(step, increments, width, fold)
+    old = packed_truncated_sum(step, increments, width, fold)
+    assert (num.value, num.low, num.bits) == (old.value, old.low, old.bits)
+    assert qfuncs._numerator(step, increments, width, fold) == (num.value,
+                                                                num.low)
+
+
 def _assert_cancels_exactly(step, increments):
     """``cancel_increments`` keeps the sum: its D' is a sub-multiset of D,
     N' prod(D minus D') == N, and its bound is no larger."""
@@ -435,15 +463,16 @@ KERNEL_INSTANCES = [(cid, params) for cid, params in paper_default_suite()
 
 def test_packed_kernel_matches_dense_oracle(monkeypatch):
     calls = []
-    real = qfuncs.truncated_sum
+    real = qfuncs._numerator
 
     def spy(step, increments, width, fold=0):
         calls.append((step, increments, width, fold))
         return real(step, increments, width, fold)
 
-    monkeypatch.setattr(qfuncs, "truncated_sum", spy)
+    monkeypatch.setattr(qfuncs, "_numerator", spy)
     for cid, params in KERNEL_INSTANCES:
         assert run_check(cid, params).status is Status.HOLDS, (cid, params)
+    monkeypatch.undo()
     # One sum per parametric check, whose a = q^-n identity equals its
     # a = q^n one, and one folded sum per thm13; the decomposition, proved
     # term by term, builds none.
@@ -458,7 +487,7 @@ def test_packed_kernel_matches_dense_oracle(monkeypatch):
         b = _denominator(increments)
         bits = Packed(0, 0, 0, 8, fold).times_one_minus(b).bits
         den = Packed.one(packed_width(bits), fold).times_one_minus(b)
-        num = real(step, increments, width, fold)
+        num = truncated_sum(step, increments, width, fold)
         if fold:  # thm13: both folded modulo (1 - q^fold)^2
             assert num.laurent() == _fold_oracle(dense_num, fold)
             assert den.laurent() == _fold_oracle(dense_den, fold)
@@ -678,6 +707,60 @@ def test_relation_vanishes_matches_dense_oracle():
     # About half the raised exponents change the relation (the rest sit in
     # a term that 1 - q^0 or the fold already zeroes), each one refused.
     assert raised.count(False) > len(raised) // 4
+
+
+def test_each_sum_is_bounded_once(monkeypatch):
+    # relation_vanishes sizes the width from sum_bounds and builds N with
+    # no second bound: one call for the one sum of each check.
+    calls = []
+    real = qfuncs.sum_bounds
+
+    def spy(increments, step=0, fold=0):
+        calls.append(fold)
+        return real(increments, step, fold)
+
+    monkeypatch.setattr(qfuncs, "sum_bounds", spy)
+    assert verify_parametric("p7_45", 7, 3, 11).status is Status.HOLDS
+    assert run_check("thm13", {"d": 3, "n": 5}).status is Status.HOLDS
+    assert calls == [0, 5]
+
+
+def _first_failing(decide, runs, relation):
+    try:
+        return decide(runs, relation)
+    except ZeroDivisionError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_exponents, _nonzero, _exponents), min_size=1,
+                max_size=4), st.integers(1, 2), st.booleans(), st.data())
+def test_first_failing_term_matches_the_counting_oracle(run, others,
+                                                        vanishing, data):
+    # Runs 1, 2, ... are run 0 with every list reordered, so most terms
+    # take the path without counts, and sometimes one exponent changed, so
+    # the rest are counted.  A vanishing relation pairs one part with its
+    # negation; 1 - q^0 in a or c leaves terms that hold either way.
+    runs = [run]
+    for _ in range(others):
+        copy_ = [tuple(list(data.draw(st.permutations(part))) for part in inc)
+                 for inc in run]
+        if data.draw(st.booleans()):
+            spots = [(k, p, i) for k, inc in enumerate(copy_)
+                     for p, part in enumerate(inc) for i in range(len(part))]
+            if spots:
+                k, p, i = data.draw(st.sampled_from(spots))
+                copy_[k][p][i] += 1
+        runs.append(copy_)
+    part = st.tuples(st.sampled_from((1, -1)), st.integers(-2, 2), _exponents)
+    relation = data.draw(st.lists(part, min_size=len(runs),
+                                  max_size=len(runs)))
+    if vanishing:  # the first part, its negation, and parts of sign 0
+        sign, shift, exps = relation[0]
+        relation = [relation[0], (-sign, shift, exps[::-1])] + [
+            (0, 0, [])] * (len(runs) - 2)
+    assert _first_failing(qfuncs.first_failing_term, runs, relation) == \
+        _first_failing(counting_first_failing_term, runs, relation)
 
 
 def test_relation_width_fits_the_whole_sum():

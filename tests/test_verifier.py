@@ -277,14 +277,14 @@ def test_inexact_divisibility_division_reads_as_fails(monkeypatch):
 
     # q^low added to N: the fold sees no (1 - q^n)^2, and the witness's
     # unfolded path finds that 1 - q no longer divides N.
-    real = qfuncs.truncated_sum
+    # The fold and ``truncated_sum`` both take N from ``qfuncs._numerator``.
+    real = qfuncs._numerator
 
     def plus_one(step, increments, width, fold=0):
-        num = real(step, increments, width, fold)
-        return Packed(num.value + 1, num.low, num.bits, width, fold)
+        value, low = real(step, increments, width, fold)
+        return value + 1, low
 
-    for module in (qfuncs, verifier):
-        monkeypatch.setattr(module, "truncated_sum", plus_one)
+    monkeypatch.setattr(qfuncs, "_numerator", plus_one)
     with pytest.raises(IntegralityError):
         divisibility_expression(3, 5)
     for result in (verify_divisibility(3, 5), run_check("thm13", {"d": 3, "n": 5})):
