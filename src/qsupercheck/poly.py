@@ -10,7 +10,7 @@ Large products are multiplied through Kronecker substitution: coefficients
 packed into one big integer, multiplied with CPython's native bignum
 arithmetic, and unpacked.  Everything else is schoolbook.  ``pack`` and
 ``unpack`` are the one conversion between coefficient lists and values at
-q = 2^B; ``qfuncs.Packed`` computes on such values directly.
+q = 2^B; the packed kernel in ``qfuncs`` computes on such values directly.
 """
 
 from __future__ import annotations

@@ -8,16 +8,18 @@ infinite-quotient definition, (x; q)_{-m} = prod_{j=1..m} (1 - x q^{-j})^{-1},
 the unique extension with (x;q)_a (x q^a;q)_b = (x;q)_{a+b} for all
 integers; the verification sums hit indices k-2 at k = 0, 1.
 
-``Packed`` holds a Laurent polynomial with integer coefficients as its
-value at q = 2^B, one Python int: a factor 1 - q^e is one shift and one
-subtraction, and two values are compared as integers while a bound on
-their coefficients, carried along, fits the digit width B.
-``truncated_sum`` builds the numerators of the truncated Laurent sums of
-the checks, packed, and ``one_minus_product`` unpacks a packed product
-of factors 1 - q^e.  ``relation_vanishes`` decides whether a signed sum
-of such products and sums is zero, the one place that picks a width
-for it, from factor counts (``sum_bounds``, ``grown_bits``).  Both loop
-on the plain pair (value, low) and wrap one ``Packed`` at the end.
+The packed kernel holds a Laurent polynomial with integer coefficients
+as its value at q = 2^B, one Python int, on the plain pair (value, low):
+a factor 1 - q^e is one shift and one subtraction (``_times_one_minus``),
+and a shifted sum one shift and one addition (``_plus_shifted``).
+``Packed`` is only the result, wrapped once with a bound on its
+coefficients counted from the factors (``sum_bounds``, ``grown_bits``):
+it decides zero or unpacks while that bound fits the digit width B.
+``one_minus_product`` unpacks a packed product of factors 1 - q^e, and
+``truncated_sum`` packs the numerator of a truncated Laurent sum of the
+checks, each at the width of its own bound.  ``relation_vanishes``
+decides whether a signed sum of such products and sums is zero, at the
+width of the whole sum's bound.
 ``cancel_increments`` rewrites a sum's increments, by exponent counting,
 into the same sum over a smaller denominator, which tightens that count.
 With ``fold = n`` the same kernel keeps a value modulo (1 - q^n)^2, as
@@ -72,8 +74,9 @@ def q_binomial(n: int, k: int) -> Poly:
 
 def one_minus_product(exponents) -> Laurent:
     """prod (1 - q^e) over the exponent list, packed and unpacked once."""
-    return Packed.one(packed_width(len(exponents))).times_one_minus(
-        exponents).laurent()
+    width = packed_width(len(exponents))
+    return Packed(*_times_one_minus(1, 0, exponents, width),
+                  len(exponents), width).laurent()
 
 
 def one_minus_normal_form(sign: int, shift: int, num, den):
@@ -179,20 +182,20 @@ def _plus_shifted(value: int, low: int, term: int, term_low: int, k: int,
 
 
 class Packed:
-    """q^low P(q) held as the integer P(2^width), with ||P||_1 <= 2^bits.
+    """q^low P(q) held as the integer P(2^width), with ||P||_1 <= 2^bits:
+    the checked result of the packed kernel.
 
     Evaluation at q = 2^width is a ring homomorphism from Z[q], so sums,
     shifts and factors 1 - q^e (one shift and one subtraction) are exact
-    integer operations on the value, whatever the coefficients.  It is
-    injective on polynomials with coefficients below 2^width in
-    absolute value: while bits + 2 <= width, two values are equal exactly
-    when their integers are, and the coefficients are the value's balanced
-    digits.  A comparison or unpacking beyond that raises
-    PackingOverflowError.  Every factor 1 - q^e at most doubles the L1
-    norm and a sum at most adds the norms; ``bits`` follows those rules
-    (``grown_bits``), and a width is chosen from them before building.
-    The arithmetic is ``_times_one_minus`` and ``_plus_shifted`` on the
-    pair (value, low), which the kernel's loops call on plain ints.
+    integer operations on the value, whatever the coefficients.  The
+    kernel runs them on the plain pair (value, low), in
+    ``_times_one_minus`` and ``_plus_shifted``, and wraps the result here
+    once, with a bound counted from the factors (``sum_bounds``,
+    ``grown_bits``) from which the width was chosen before building.
+    Evaluation is injective on polynomials with coefficients below 2^width
+    in absolute value: while bits + 2 <= width, the value is zero exactly
+    when P is, and the coefficients are its balanced digits.  Deciding or
+    unpacking beyond that raises PackingOverflowError.
 
     With ``fold = n`` the value is held modulo M = (X - 1)^2, X = 2^{n
     width}, the image of Z[q]/((1 - q^n)^2) at q = 2^width, and low is 0:
@@ -210,63 +213,21 @@ class Packed:
         self.value, self.low, self.bits = value, low, bits
         self.width, self.fold = width, fold
 
-    @classmethod
-    def one(cls, width: int, fold: int = 0) -> "Packed":
-        return cls(1, 0, 0, width, fold)
-
-    def times_one_minus(self, exps) -> "Packed":
-        """Multiply by prod (1 - q^e) over the exponent list."""
-        value, low = _times_one_minus(self.value, self.low, exps, self.width,
-                                      self.fold)
-        return Packed(value, low, grown_bits(self.bits, exps, self.fold),
-                      self.width, self.fold)
-
-    def shifted(self, k: int) -> "Packed":
-        """Multiply by q**k: 0 plus q^k self, at self's offset plus k."""
-        value, low = _plus_shifted(0, self.low + k, self.value, self.low, k,
-                                   self.width, self.fold)
-        return Packed(value, low, grown_bits(self.bits, (), self.fold, k),
-                      self.width, self.fold)
-
     def _modulus(self) -> int:
         return ((1 << self.fold * self.width) - 1) ** 2
 
-    def _exact(self, bits: int) -> None:
-        if bits + 2 > self.width:
-            raise PackingOverflowError(f"coefficient bound 2^{bits} does not"
-                                       f" fit {self.width}-bit digits")
-
-    def _plus(self, other: "Packed", sign: int) -> tuple[int, int]:
-        """The pair (value, low) of self + sign other."""
-        if (other.width, other.fold) != (self.width, self.fold):
-            raise ValueError(
-                f"digit widths {self.width} and {other.width} or folds"
-                f" {self.fold} and {other.fold} differ")
-        return _plus_shifted(self.value, self.low, sign * other.value,
-                             other.low, 0, self.width, self.fold)
-
-    def __add__(self, other: "Packed") -> "Packed":
-        return Packed(*self._plus(other, 1), max(self.bits, other.bits) + 1,
-                      self.width, self.fold)
-
-    def __sub__(self, other: "Packed") -> "Packed":
-        return Packed(*self._plus(other, -1), max(self.bits, other.bits) + 1,
-                      self.width, self.fold)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Packed):
-            return NotImplemented
-        self._exact(max(self.bits, other.bits))
-        diff, _ = self._plus(other, -1)
-        return not (diff % self._modulus() if self.fold else diff)
+    def _exact(self) -> None:
+        if self.bits + 2 > self.width:
+            raise PackingOverflowError(f"coefficient bound 2^{self.bits} does"
+                                       f" not fit {self.width}-bit digits")
 
     def is_zero(self) -> bool:
-        self._exact(self.bits)
+        self._exact()
         return not (self.value % self._modulus() if self.fold else self.value)
 
     def laurent(self) -> Laurent:
         """The coefficients of P, unpacked."""
-        self._exact(self.bits)
+        self._exact()
         value, half = self.value, self.fold and self._modulus() >> 1
         if half:  # the balanced residue
             value = (value + half) % (2 * half + 1) - half
@@ -336,7 +297,7 @@ def _numerator(step: int, increments, width: int, fold: int = 0):
     return num, low
 
 
-def truncated_sum(step: int, increments, width: int, fold: int = 0) -> Packed:
+def truncated_sum(step: int, increments) -> Packed:
     """Numerator N of Sum_{k=0}^{L} T_k / prod_{j<=k} B_j = N / D, packed.
 
     ``increments[k] = (a_k, b_k, c_k)`` are lists of exponents e of factors
@@ -345,13 +306,14 @@ def truncated_sum(step: int, increments, width: int, fold: int = 0) -> Packed:
     a and b accumulate from term to term, c belongs to term k alone.  The
     forward recurrence N_k = N_{k-1} B_k + T_k gives
     N = sum_k T_k prod_{j>k} B_j over D = prod_j B_j, which a caller that
-    needs it builds as the product of every b.  N is at digit width
-    ``width`` with the bound of ``sum_bounds``, folded modulo (1 - q^n)^2
-    with ``fold = n``.  A factor 1 - q^0 zeroes every later term from a,
-    only term k from c, and raises DegenerateProductError from b.
+    needs it builds as the product of every b.  N is packed at the width
+    of its own bound, ``sum_bounds``.  A factor 1 - q^0 zeroes every later
+    term from a, only term k from c, and raises DegenerateProductError
+    from b.
     """
-    return Packed(*_numerator(step, increments, width, fold),
-                  sum_bounds(increments, step, fold), width, fold)
+    bits = sum_bounds(increments, step)
+    width = packed_width(bits)
+    return Packed(*_numerator(step, increments, width), bits, width)
 
 
 def relation_vanishes(step: int, terms, fold: int = 0) -> bool:

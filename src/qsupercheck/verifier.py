@@ -36,8 +36,7 @@ from .families import (
 )
 from .laurent import Laurent
 from .poly import Poly, divrem
-from .qfuncs import (one_minus_product, packed_width, relation_vanishes,
-                     sum_bounds, truncated_sum)
+from .qfuncs import one_minus_product, relation_vanishes, truncated_sum
 from .residue import NonUnitError, ResidueRing, RingElement
 from .results import CheckResult, fails, holds, skipped
 
@@ -146,14 +145,13 @@ def divisibility_expression(d: int, n: int) -> Laurent:
     one Laurent polynomial with integer coefficients.
 
     ``truncated_sum`` gives the sum's numerator N over the denominator
-    (q^d;q^d)_{n-1}^d, packed at the width of N's bound and unpacked;
+    (q^d;q^d)_{n-1}^d, packed at the width of its own bound and unpacked;
     N is divided by 1 - q d(n-1) times, one running sum each.  An inexact
     division raises IntegralityError.  ``verify_divisibility`` needs this
     only for the witness of a FAILS.
     """
     increments = family_increments(F7_DIVISIBILITY, d, 1, n - 1)
-    width = packed_width(sum_bounds(increments))
-    num = truncated_sum(d, increments, width).laurent()
+    num = truncated_sum(d, increments).laurent()
     body = list(num.body.coeffs)
     for _ in range(d * (n - 1)):
         if sum(body):

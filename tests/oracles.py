@@ -5,9 +5,11 @@ arithmetic, where the engine counts exponents or works on packed sums,
 or writes out by hand what the engine derives from the families.
 """
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import factorial
 from math import gcd as igcd
 
@@ -20,10 +22,9 @@ from qsupercheck.cyclotomic import is_prime
 from qsupercheck.laurent import Laurent, RatFunc
 from qsupercheck.padic import padic_gamma, rational_residue
 from qsupercheck.parametric import _SHIFTED_INDEX, _sum_increments
-from qsupercheck.poly import Poly, poly_prod
+from qsupercheck.poly import Poly, pack, poly_prod
 from qsupercheck.qfuncs import (
     DegenerateProductError,
-    Packed,
     one_minus_normal_form,
     poch_power_base,
     q_binomial,
@@ -211,21 +212,112 @@ def first_differing_term(lhs, rhs):
     return None
 
 
+class _Dense:
+    """Oracle: sign * q^low * sum_i coeffs[i] q^i on a dense integer list,
+    updated in place, one pass over the list per factor 1 - q^e."""
+
+    __slots__ = ("coeffs", "low", "sign")
+
+    def __init__(self, coeffs, low=0, sign=1):
+        self.coeffs, self.low, self.sign = coeffs, low, sign
+
+    def times_one_minus(self, exps):
+        f = self.coeffs
+        for e in exps:
+            if not e:  # 1 - q^0 = 0
+                f.clear()
+            if not f:
+                break
+            if e < 0:  # 1 - q^e = -q^e (1 - q^-e)
+                e, self.low, self.sign = -e, self.low + e, -self.sign
+            f.extend([0] * e)
+            f[e:] = map(operator.sub, f[e:], f[:-e])
+        return self
+
+    def add(self, other, shift):
+        """self += other * q^shift."""
+        if not other.coeffs:
+            return
+        low = other.low + shift
+        if low < self.low:
+            self.coeffs[:0] = [0] * (self.low - low)
+            self.low = low
+        f, g = self.coeffs, other.coeffs
+        at = low - self.low
+        f.extend([0] * (at + len(g) - len(f)))
+        op = operator.add if other.sign == self.sign else operator.sub
+        f[at:at + len(g)] = map(op, f[at:at + len(g)], g)
+
+    def laurent(self):
+        body = self.coeffs if self.sign > 0 else [-c for c in self.coeffs]
+        return Laurent(Poly(body), self.low)
+
+
+def dense_sum(step, increments):
+    """``truncated_sum``'s N and the product D of every b, by the same
+    recurrence on dense lists, as Laurent polynomials."""
+    num, den, run = _Dense([]), _Dense([1]), _Dense([1])
+    for k, (a, b, c) in enumerate(increments):
+        num.times_one_minus(b)
+        den.times_one_minus(b)
+        run.times_one_minus(a)
+        term = _Dense(list(run.coeffs), run.low, run.sign) if c else run
+        num.add(term.times_one_minus(c), step * k)
+    return num.laurent(), den.laurent()
+
+
+def dense_product(exps):
+    """prod (1 - q^e) on a dense list, one pass per factor."""
+    return _Dense([1]).times_one_minus(exps).laurent()
+
+
 def packed_truncated_sum(step, increments, width, fold=0):
-    """``truncated_sum`` on ``Packed`` objects, one per factor list, the
-    loop that the kernel's loop on plain ints replaced."""
+    """``truncated_sum``'s N as (value, low, bits): the forward recurrence
+    on dense coefficient lists at the kernel's offsets, packed once at
+    ``width``, with the bound of ``sum_bounds``.  With ``fold = n`` every
+    product is reduced onto degree < 2n by q^{jn+s} = (1 - j) q^s +
+    j q^{n+s}, and the offset is 0."""
     if any(0 in b for _, b, _ in increments):
         raise DegenerateProductError("denominator factor 1 - q^0")
-    num = Packed(0, 0, 0, width, fold)
-    run = Packed.one(width, fold)
+
+    def plus(f, g, sign=1):
+        return [x + sign * y for x, y in zip_longest(f, g, fillvalue=0)]
+
+    def reduced(f, e):  # q^e f modulo (1 - q^fold)^2
+        g = [0] * (2 * fold)
+        for i, c in enumerate(f):
+            j, s = divmod(i + e, fold)
+            g[s] += (1 - j) * c
+            g[fold + s] += j * c
+        return g
+
+    def times(f, low, exps):
+        for e in exps:
+            if fold:
+                f = plus(f, reduced(f, e), -1)
+            elif e > 0:
+                f = plus(f, [0] * e + f, -1)
+            elif e < 0:  # 1 - q^e = -q^e (1 - q^-e)
+                f, low = plus([0] * -e + f, f, -1), low + e
+            else:
+                f = []
+        return f, low
+
+    num, low, run, run_low = [], 0, [1], 0
     for k, (a, b, c) in enumerate(increments):
-        num = num.times_one_minus(b)
-        run = run.times_one_minus(a)
-        term = run.times_one_minus(c)
-        if term.value:
-            num = num + term.shifted(step * k)
-    num.bits = sum_bounds(increments, step, fold)
-    return num
+        num, low = times(num, low, b)
+        run, run_low = times(run, run_low, a)
+        term, at = times(run, run_low, c)
+        if not any(term):
+            continue
+        if fold:
+            num = plus(num, reduced(term, step * k))
+            continue
+        at += step * k
+        if at < low:
+            num, low = [0] * (low - at) + num, at
+        num = plus(num, [0] * (at - low) + term)
+    return pack(num, width // 8), low, sum_bounds(increments, step, fold)
 
 
 def counting_first_failing_term(runs, relation):

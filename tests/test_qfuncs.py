@@ -46,6 +46,8 @@ from qsupercheck.results import Status
 from oracles import (
     QMonomial,
     counting_first_failing_term,
+    dense_product,
+    dense_sum,
     inflate,
     one_minus,
     packed_truncated_sum,
@@ -62,8 +64,7 @@ def _laurent_sum(step, increments):
     """The kernel's N and the product D of every b, each at the width of
     its own bound, unpacked."""
     den = _denominator(increments)
-    num = truncated_sum(step, increments, packed_width(sum_bounds(increments)))
-    return num.laurent(), one_minus_product(den)
+    return truncated_sum(step, increments).laurent(), one_minus_product(den)
 
 
 def test_pochhammer_two_factor_product():
@@ -199,7 +200,7 @@ def test_truncated_sum_numerator_zero_ends_the_sum():
 
 def test_truncated_sum_denominator_zero_raises():
     with pytest.raises(DegenerateProductError):
-        truncated_sum(1, [([], [], []), ([1], [0], [])], 8)
+        truncated_sum(1, [([], [], []), ([1], [0], [])])
 
 
 def test_denominator_zero_reads_as_fails(monkeypatch):
@@ -262,13 +263,21 @@ def test_truncated_sum_matches_rational_sum(step, increments):
 @example(3, [([-2, 2], [4], []), ([3], [-1], [0]), ([5], [2], [-3])], 5)
 def test_int_kernel_matches_the_packed_object_loop(step, increments, fold):
     # Negative exponents, 1 - q^0 in a and in c, negative steps, fold 0
-    # and fold n: the value, offset and bound are the object loop's.
+    # and fold n: the value and offset are those of the recurrence on
+    # dense lists, packed once (folded, the value's class modulo
+    # (2^{n width} - 1)^2), and the bound holds the unpacked coefficients.
     width = packed_width(sum_bounds(increments, step, fold))
-    num = truncated_sum(step, increments, width, fold)
-    old = packed_truncated_sum(step, increments, width, fold)
-    assert (num.value, num.low, num.bits) == (old.value, old.low, old.bits)
-    assert qfuncs._numerator(step, increments, width, fold) == (num.value,
-                                                                num.low)
+    value, low = qfuncs._numerator(step, increments, width, fold)
+    want, want_low, bits = packed_truncated_sum(step, increments, width, fold)
+    if fold:
+        modulus = ((1 << fold * width) - 1) ** 2
+        value, want = value % modulus, want % modulus
+    else:
+        num = truncated_sum(step, increments)
+        assert (num.value, num.low, num.bits) == (want, want_low, bits)
+    assert (value, low) == (want, want_low)
+    coeffs = Packed(value, low, bits, width, fold).laurent().body.coeffs
+    assert sum(map(abs, coeffs)) <= 1 << bits
 
 
 def _assert_cancels_exactly(step, increments):
@@ -280,11 +289,10 @@ def _assert_cancels_exactly(step, increments):
     den, den2 = Counter(_denominator(increments)), Counter(_denominator(rewritten))
     assert not den2 - den
     gone = list((den - den2).elements())
-    bits, bits2 = sum_bounds(increments, step), sum_bounds(rewritten, step)
-    assert bits2 <= bits
-    width = packed_width(max(bits, bits2 + len(gone)))
-    assert truncated_sum(step, rewritten, width).times_one_minus(
-        gone) == truncated_sum(step, increments, width)
+    assert sum_bounds(rewritten, step) <= sum_bounds(increments, step)
+    num, _ = dense_sum(step, increments)
+    assert truncated_sum(step, rewritten).laurent() * dense_product(
+        gone) == num
 
 
 def test_cancel_increments_by_hand():
@@ -301,7 +309,7 @@ def test_cancel_increments_by_hand():
     for fixed in ([([], [5], []), ([5], [], [])], [([-2, 0], [2, 0], [])]):
         assert cancel_increments(fixed) == fixed
     with pytest.raises(DegenerateProductError):
-        truncated_sum(1, cancel_increments([([0], [0], [])]), 8)
+        truncated_sum(1, cancel_increments([([0], [0], [])]))
 
 
 _small = st.lists(st.integers(-4, 4), max_size=4)
@@ -313,7 +321,7 @@ _small = st.lists(st.integers(-4, 4), max_size=4)
 def test_cancel_increments_keeps_the_sum(step, increments):
     if any(0 in b for _, b, _ in increments):
         with pytest.raises(DegenerateProductError):
-            truncated_sum(step, cancel_increments(increments), 8)
+            truncated_sum(step, cancel_increments(increments))
         return
     _assert_cancels_exactly(step, increments)
 
@@ -384,63 +392,6 @@ def test_normal_form_degenerate_factors():
         1, 1, frozenset({(6, 1), (3, -1)}))
 
 
-class _Dense:
-    """Oracle: sign * q^low * sum_i coeffs[i] q^i on a dense integer list,
-    updated in place, one pass over the list per factor 1 - q^e."""
-
-    __slots__ = ("coeffs", "low", "sign")
-
-    def __init__(self, coeffs, low=0, sign=1):
-        self.coeffs, self.low, self.sign = coeffs, low, sign
-
-    def times_one_minus(self, exps):
-        f = self.coeffs
-        for e in exps:
-            if not e:  # 1 - q^0 = 0
-                f.clear()
-            if not f:
-                break
-            if e < 0:  # 1 - q^e = -q^e (1 - q^-e)
-                e, self.low, self.sign = -e, self.low + e, -self.sign
-            f.extend([0] * e)
-            f[e:] = map(operator.sub, f[e:], f[:-e])
-        return self
-
-    def add(self, other, shift):
-        """self += other * q^shift."""
-        if not other.coeffs:
-            return
-        low = other.low + shift
-        if low < self.low:
-            self.coeffs[:0] = [0] * (self.low - low)
-            self.low = low
-        f, g = self.coeffs, other.coeffs
-        at = low - self.low
-        f.extend([0] * (at + len(g) - len(f)))
-        op = operator.add if other.sign == self.sign else operator.sub
-        f[at:at + len(g)] = map(op, f[at:at + len(g)], g)
-
-    def laurent(self):
-        body = self.coeffs if self.sign > 0 else [-c for c in self.coeffs]
-        return Laurent(Poly(body), self.low)
-
-
-def _dense_sum(step, increments):
-    """Oracle for ``truncated_sum``: the same recurrence on dense lists."""
-    num, den, run = _Dense([]), _Dense([1]), _Dense([1])
-    for k, (a, b, c) in enumerate(increments):
-        num.times_one_minus(b)
-        den.times_one_minus(b)
-        run.times_one_minus(a)
-        term = _Dense(list(run.coeffs), run.low, run.sign) if c else run
-        num.add(term.times_one_minus(c), step * k)
-    return num.laurent(), den.laurent()
-
-
-def _dense_product(exps):
-    return _Dense([1]).times_one_minus(exps).laurent()
-
-
 # The instances of the laurent-products benchmark workload, past the grid.
 LAURENT_PRODUCTS = (
     [(cid, {"d": d, "n": n, "r": r}) for cid, grid in {
@@ -481,28 +432,30 @@ def test_packed_kernel_matches_dense_oracle(monkeypatch):
     assert sum(1 for *_, fold in calls if fold) == sum(
         1 for cid, _ in KERNEL_INSTANCES if cid == "thm13")
     for step, increments, width, fold in calls:
-        dense_num, dense_den = _dense_sum(step, increments)
-        # D as verify_parametric builds it: the product of every b, at the
-        # width its own bound asks for.
-        b = _denominator(increments)
-        bits = Packed(0, 0, 0, 8, fold).times_one_minus(b).bits
-        den = Packed.one(packed_width(bits), fold).times_one_minus(b)
-        num = truncated_sum(step, increments, width, fold)
-        if fold:  # thm13: both folded modulo (1 - q^fold)^2
+        dense_num, dense_den = dense_sum(step, increments)
+        # N at the width the decision picked, with its own bound.
+        num = Packed(*qfuncs._numerator(step, increments, width, fold),
+                     sum_bounds(increments, step, fold), width, fold)
+        if fold:  # thm13: N and D folded modulo (1 - q^fold)^2
             assert num.laurent() == _fold_oracle(dense_num, fold)
+            b = _denominator(increments)
+            bits = qfuncs.grown_bits(0, b, fold)
+            w = packed_width(bits)
+            den = Packed(*qfuncs._times_one_minus(1, 0, b, w, fold), bits, w,
+                         fold)
             assert den.laurent() == _fold_oracle(dense_den, fold)
             continue
-        # The vanishing checks pick a width for N alone.
         assert num.laurent() == dense_num
-        assert den.laurent() == dense_den
+        # truncated_sum at the width of N's bound alone, and D as
+        # verify_parametric builds it: the product of every b.
         assert _laurent_sum(step, increments) == (dense_num, dense_den)
     for cid, params in KERNEL_INSTANCES:
         if cid in PARAMETRIC_IDS:
             for s in (1, -1):
                 _, _, num, den = _rhs_factors(cid, params["d"], params["r"],
                                               params["n"], s, None)
-                assert one_minus_product(num) == _dense_product(num)
-                assert one_minus_product(den) == _dense_product(den)
+                assert one_minus_product(num) == dense_product(num)
+                assert one_minus_product(den) == dense_product(den)
 
 
 def test_cancel_increments_keeps_every_parametric_sum():
@@ -520,13 +473,13 @@ def _oracle_verdict(check_id, d, r, n, increments):
     """HOLDS when both substituted sums, built on dense lists, equal their
     closed forms by Laurent cross-multiplication."""
     for s in (1, -1):
-        num, den = _dense_sum(d, increments[s])
+        num, den = dense_sum(d, increments[s])
         if check_id in ("p1_24", "p2_25"):
             same = num.is_zero()
         else:
             sign, shift, rnum, rden = _rhs_factors(check_id, d, r, n, s, None)
-            rhs = _dense_product(rnum).shifted(shift) * den * sign
-            same = num * _dense_product(rden) == rhs
+            rhs = dense_product(rnum).shifted(shift) * den * sign
+            same = num * dense_product(rden) == rhs
         if not same:
             return Status.FAILS
     return Status.HOLDS
@@ -567,7 +520,7 @@ def test_single_exponent_mutants_agree_with_dense_oracle(monkeypatch):
 def _divisibility_oracle_verdict(d, n, increments):
     """FAILS unless (1 - q)^{d(n-1)} divides the dense N and [n]^2 divides
     the quotient, by running sums and polynomial division."""
-    num, _ = _dense_sum(d, increments)
+    num, _ = dense_sum(d, increments)
     body = list(num.body.coeffs)
     for _ in range(d * (n - 1)):
         if sum(body):
@@ -624,23 +577,27 @@ def test_fold_matches_division_by_one_minus_q_n_squared(n, coeffs, exps,
         exps = exps + [n, -n]
     bits = (sum(map(abs, coeffs.values())).bit_length()
             + qfuncs.fold_bits(40, n))
-    # Bounds follow from the operations alone, so a zero value at any width
-    # carries them ahead of the build.
-    width = packed_width(
-        Packed(0, 0, bits, 8, n).times_one_minus(exps).shifted(shift).bits)
-    one = Packed.one(width, fold=n)
-    start = Packed(sum(c * one.shifted(e).value for e, c in coeffs.items()),
-                   0, bits, width, n)
-    folded = start.times_one_minus(exps).shifted(shift)
-    value = sum((Laurent(Poly((c,)), e) for e, c in coeffs.items()),
-                Laurent(Poly()))
-    value = (value * _laurent_product(exps)).shifted(shift)
-    rep = _fold_oracle(value, n)
+    # The bound follows from the factor counts alone, ahead of the build.
+    grown = qfuncs.grown_bits(bits, exps, n, shift)
+    width = packed_width(grown)
+    start = 0
+    for e, c in coeffs.items():
+        start, _ = qfuncs._plus_shifted(start, 0, c, 0, e, width, n)
+    value, _ = qfuncs._times_one_minus(start, 0, exps, width, n)
+    value, _ = qfuncs._plus_shifted(0, 0, value, 0, shift, width, n)
+    folded = Packed(value, 0, grown, width, n)
+    expected = sum((Laurent(Poly((c,)), e) for e, c in coeffs.items()),
+                   Laurent(Poly()))
+    expected = (expected * _laurent_product(exps)).shifted(shift)
+    rep = _fold_oracle(expected, n)
     assert folded.laurent() == rep
     assert not rep.body.coeffs or rep.min_exp + rep.body.degree < 2 * n
     assert folded.is_zero() is rep.is_zero()
     assert folded.is_zero() or not divisible
-    assert folded == start.shifted(shift).times_one_minus(exps)
+    # The shift and the factors commute in the fold, as in Z[q].
+    other, _ = qfuncs._plus_shifted(0, 0, start, 0, shift, width, n)
+    other, _ = qfuncs._times_one_minus(other, 0, exps, width, n)
+    assert (value - other) % folded._modulus() == 0
 
 
 def _dense_relation(step, terms, fold):
@@ -649,7 +606,7 @@ def _dense_relation(step, terms, fold):
     total = Laurent(Poly())
     for sign, shift, exps, increments in terms:
         num = (Laurent(Poly((1,))) if increments is None
-               else _dense_sum(step, increments)[0])
+               else dense_sum(step, increments)[0])
         total = total + (num * _laurent_product(exps)).shifted(shift) * sign
     return _fold_oracle(total, fold) if fold else total
 
@@ -783,14 +740,16 @@ def test_relation_width_fits_the_whole_sum():
     (identities, "sum_decomposition", {"d": 3, "n": 4}),
     (verifier, "thm13", {"d": 3, "n": 5}),
     (identities, "pochhammer_split_general", {"d": 5, "r": 2, "k": 3}),
+    (verifier, "thm12", {"d": 3, "n": 5}),
 ])
 def test_undersized_width_is_error_not_a_verdict(monkeypatch, module,
                                                  check_id, params):
     assert run_check(check_id, params).status is Status.HOLDS
-    # The check's module decides through qfuncs, so one bit short of the
-    # bits + 2 that a bound of 2^bits needs, patched there alone, reaches
-    # every width the check picks.
-    assert module.relation_vanishes is qfuncs.relation_vanishes
+    # The check's module decides or builds its closed form through qfuncs,
+    # so one bit short of the bits + 2 that a bound of 2^bits needs,
+    # patched there alone, reaches every width the check picks.
+    name = "one_minus_product" if check_id == "thm12" else "relation_vanishes"
+    assert getattr(module, name) is getattr(qfuncs, name)
     monkeypatch.setattr(qfuncs, "packed_width", lambda bits: bits + 1)
     result = run_check(check_id, params)
     assert result.status is Status.ERROR
@@ -800,31 +759,61 @@ def test_undersized_width_is_error_not_a_verdict(monkeypatch, module,
 def test_packed_bound_decides_exactness():
     width = packed_width(6)
     assert width == 8
-    six = Packed.one(width).times_one_minus([1, 2, 3, 4, 5, 6])
-    assert six.bits == 6 and six.laurent() == one_minus_product(range(1, 7))
-    assert six == six.shifted(0) and not six.is_zero()
-    seven = six.times_one_minus([7])
-    for ask in (seven.is_zero, seven.laurent, lambda: seven == six):
+    six = Packed(*qfuncs._times_one_minus(1, 0, range(1, 7), width), 6, width)
+    assert six.laurent() == _laurent_product(range(1, 7))
+    assert not six.is_zero()
+    seven = Packed(*qfuncs._times_one_minus(six.value, 0, [7], width), 7,
+                   width)
+    for ask in (seven.is_zero, seven.laurent):
         with pytest.raises(PackingOverflowError):
             ask()
-    with pytest.raises(ValueError):
-        six == Packed.one(16)
-    with pytest.raises(ValueError):
-        six == Packed.one(width, fold=3)
     # Folded, the bound also carries the growth of each reduction.
-    folded = Packed.one(width, fold=3).times_one_minus([1, 2])
-    assert folded.bits == 2 + qfuncs.fold_bits(2 * 3 + 3, 3) == 6
-    assert folded.laurent() == one_minus_product([1, 2])
+    bits = qfuncs.grown_bits(0, [1, 2], 3)
+    assert bits == 2 + qfuncs.fold_bits(2 * 3 + 3, 3) == 6
+    folded = Packed(*qfuncs._times_one_minus(1, 0, [1, 2], width, 3), bits,
+                    width, 3)
+    assert folded.laurent() == _laurent_product([1, 2])
+    bits = qfuncs.grown_bits(0, [1, 2, 1], 3)
     with pytest.raises(PackingOverflowError):
-        folded.times_one_minus([1]).is_zero()
+        Packed(*qfuncs._times_one_minus(1, 0, [1, 2, 1], width, 3), bits,
+               width, 3).is_zero()
     # q^400 = -199 + 200 q^2 mod (1 - q^2)^2: 200 needs more than 8-bit
     # digits, which the reduction's growth in the bound asks for.
-    far = Packed.one(8, fold=2).shifted(400)
+    bits = qfuncs.grown_bits(0, [], 2, 400)
+    far = Packed(*qfuncs._plus_shifted(0, 0, 1, 0, 400, 8, 2), bits, 8, 2)
     with pytest.raises(PackingOverflowError):
         far.laurent()
-    far = Packed.one(packed_width(far.bits), fold=2).shifted(400)
+    width = packed_width(bits)
+    far = Packed(*qfuncs._plus_shifted(0, 0, 1, 0, 400, width, 2), bits,
+                 width, 2)
     assert far.laurent() == Laurent(Poly((-199, 0, 200)), 0)
     # Factors of either sign and offsets line up like Laurent products.
-    mixed = Packed.one(16).times_one_minus([3, -2]).shifted(-4)
+    value, low = qfuncs._times_one_minus(1, 0, [3, -2], 16)
+    mixed = Packed(*qfuncs._plus_shifted(0, 0, value, low, -4, 16), 2, 16)
     assert mixed.laurent() == _laurent_product([3, -2]).shifted(-4)
-    assert (mixed - mixed).is_zero()
+    assert Packed(*qfuncs._plus_shifted(mixed.value, mixed.low, -mixed.value,
+                                        mixed.low, 0, 16), 3, 16).is_zero()
+
+
+@pytest.mark.parametrize("fold", [0, 3])
+def test_packed_decides_at_bits_plus_two_and_refuses_past_it(fold):
+    # ||c - c q^2||_1 = 2^bits with c = 2^(bits - 1): decided and unpacked
+    # while bits + 2 == width, refused at bits + 3.  Folded, a multiple of
+    # (2^{3 width} - 1)^2 is the zero class.
+    for width in (8, 16, 24):
+        bits = width - 2
+        c = 1 << (bits - 1)
+        low = 0 if fold else -1  # a folded value has no offset
+        cases = [(c - (c << 2 * width), Laurent(Poly((c, 0, -c)), low)),
+                 (0, Laurent(Poly()))]
+        if fold:
+            modulus = ((1 << fold * width) - 1) ** 2
+            cases += [(value + 5 * modulus, rep) for value, rep in cases]
+        for value, rep in cases:
+            at = Packed(value, low, bits, width, fold)
+            assert at.is_zero() is rep.is_zero()
+            assert at.laurent() == rep
+            past = Packed(value, low, bits + 1, width, fold)
+            for ask in (past.is_zero, past.laurent):
+                with pytest.raises(PackingOverflowError):
+                    ask()
