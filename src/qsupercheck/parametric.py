@@ -6,31 +6,32 @@ band of bases carrying the low q-power (or a shifted Pochhammer index),
 and the fixed denominator bases {q^d} + {a^j q^d : j = d-2, d-4, ..., 2-d}.
 Substituting a = q^{+-n} makes everything univariate; the congruence
 modulo (1 - a q^n)(a - q^n) is certified by exact rational-function
-equality at both substitution points.  The a-exponents run symmetrically
-and the central band depends only on |j|, so a = q^{-n} gives the same
-exponent lists as a = q^n, up to the order of factors that commute: each
-point's identity (every term's increments and the closed form's sign,
-shift and factor lists, sorted) is compared by counting, and each
-distinct identity is certified once, so a point whose lists differ still
-gets its own exact check.  After the substitution most numerator
-factors 1 - q^e of a term reappear in the denominator of the same or a
-later term; ``cancel_increments`` cancels them by counting, and the
-closed form's denominator, exponent lists as ``families.closed_form``
-gives them, is cancelled against what is left.  The cross products
-N den = sign q^shift D num, or N = 0, are one ``relation_vanishes`` call.
-Substituting a = 1 into the same increments must reproduce the
-corresponding non-parametric summand term by term, which pins down the
-reconstruction of the displayed exponent patterns.  The reference
-summand is written as increments too, the thm42 family's own unless the
-index is shifted, and ``first_failing_term`` decides every term of the
-difference, each factor counted once.  Each family deforms a q-statement
-of the catalog, lemma21 or thm42, and is admissible where that statement
-is and its own condition on (d, r) holds.
+equality at both substitution points.  Term k >= 1 of each sum is
+[x + d(k - 1)] over fixed intercept lists, so a sum is an O(d) template,
+expanded into lists only where one is built.  The a-exponents run
+symmetrically and the central band depends only on |j|, so a = q^{-n}
+gives the same template as a = q^n up to the order of commuting factors:
+each point's identity (the template and the closed form, every list
+sorted) is compared, and each distinct identity is certified once.  Most
+numerator factors 1 - q^e of a term reappear in the denominator of the
+same or a later term; ``cancel_increments`` cancels them by counting,
+and the closed form's denominator, exponent lists as
+``families.closed_form`` gives them, is cancelled against what is left.
+The cross products N den = sign q^shift D num, or N = 0, are one
+``relation_vanishes`` call.  Substituting a = 1 into the same template
+must reproduce the corresponding non-parametric summand term by term,
+which pins down the reconstruction of the displayed exponent patterns.
+The reference summand is a template too, the thm42 family's own unless
+the index is shifted: equal sorted templates give equal terms at every
+k and every n, and a template that differs is expanded and decided by
+``first_failing_term``.  Each family deforms a q-statement of the
+catalog, lemma21 or thm42, and is admissible where that statement is
+and its own condition on (d, r) holds.
 """
 
 from __future__ import annotations
 
-from .families import (F6_THM42, a_exponent, family_increments, mutated,
+from .families import (F6_THM42, a_exponent, mutated, numerator_factors,
                        theorem_precondition)
 from .qfuncs import cancel_increments, first_failing_term, relation_vanishes
 from .results import CheckResult, fails, holds, skipped
@@ -109,14 +110,16 @@ def _upper_limit(check_id: str, d: int, r: int, n: int) -> int:
     return n - 1
 
 
-def _sum_increments(check_id: str, d: int, r: int, n: int, s: int):
-    """``truncated_sum`` increments (a_k, b_k, c_k), k = 0..limit, of the LHS.
+def _sum_template(check_id: str, d: int, r: int, n: int, s: int):
+    """The LHS as a template (head, a, b, c) of ``truncated_sum`` increments.
 
     s = +1 or -1 selects a = q^{sn}; s = 0 gives the a = 1 collapse.
     Term k multiplies (x; q^d)_{k+off} over the numerator bases x and
     divides by (x; q^d)_k over the denominator bases, q^d among them.
     An index k - 2 puts its reciprocal factors 1 - x q^{-2d}, 1 - x q^{-d}
-    into b_0 and takes them back from a_1 and a_2.
+    into b_0 and takes them back from a_1 and a_2.  Term 0 is the head
+    (a_0, b_0, c_0); every term k >= 1 is ``_expand``'s
+    [x + d(k - 1)] over the intercept lists a, b and c.
     """
     entries = [(j * s * n + e, off)
                for j, e, off in numerator_entries(check_id, d, r)]
@@ -128,12 +131,30 @@ def _sum_increments(check_id: str, d: int, r: int, n: int, s: int):
     if 0 in reciprocal:
         raise DegenerateSubstitutionError("reciprocal factor 1 - q^0")
     width = r if check_id in _SHIFTED_INDEX else 0
-    increments = [([], reciprocal, [r - d] * width)]
-    for k in range(1, _upper_limit(check_id, d, r, n) + 1):
-        increments.append(([x + d * (k - 1 + off) for x, off in entries],
-                           [x + d * (k - 1) for x in den_bases],
-                           [d * k - d + r] * width))
+    return (([], reciprocal, [r - d] * width),
+            [x + d * off for x, off in entries], den_bases, [r] * width)
+
+
+def _expand(template, d: int, limit: int) -> list[tuple[list, list, list]]:
+    """The template's increments (a_k, b_k, c_k), k = 0..limit."""
+    (a0, b0, c0), a, b, c = template
+    increments = [(list(a0), list(b0), list(c0))]
+    for shift in range(0, d * limit, d):
+        increments.append(([x + shift for x in a], [x + shift for x in b],
+                           [x + shift for x in c]))
     return increments
+
+
+def _key(template, closed=None):
+    """The template with each list sorted, and the closed form's sign,
+    shift and sorted factor lists.  Equal lists as multisets give equal
+    increments at every k, so equal keys give the same identity."""
+    (a0, b0, c0), a, b, c = template
+    key = tuple(tuple(sorted(exps)) for exps in (a0, b0, c0, a, b, c))
+    if closed is None:
+        return key
+    sign, shift, num, den = closed
+    return key, sign, shift, tuple(sorted(num)), tuple(sorted(den))
 
 
 def _rhs_factors(check_id: str, d: int, r: int, n: int, s: int,
@@ -149,9 +170,9 @@ def _rhs_factors(check_id: str, d: int, r: int, n: int, s: int,
     return mutated((sign, shift, num, den), mutation)
 
 
-def _reference_increments(check_id: str, d: int, r: int, n: int):
-    """The non-parametric summand the a = 1 collapse must reproduce, as
-    ``truncated_sum`` increments (a_k, b_k, c_k), k = 0..limit.
+def _reference_template(check_id: str, d: int, r: int):
+    """The non-parametric summand the a = 1 collapse must reproduce, as a
+    template (head, a, b, c) like ``_sum_template``'s.
 
     Without the shifted index it is the thm42 summand.  The shifted index
     writes term k as q^{dk} (q^{d+r}; q^d)_k^{d-r-1} (q^{r-d}; q^d)_k^{r+1}
@@ -159,26 +180,35 @@ def _reference_increments(check_id: str, d: int, r: int, n: int):
     (q^{d+r}; q^d)_{k-2} is (q^{r-d}; q^d)_k over those two factors, and
     multiplied by (1 - q^{dk-d+r})^r.
     """
-    limit = _upper_limit(check_id, d, r, n)
     if check_id not in _SHIFTED_INDEX:
-        return family_increments(F6_THM42, d, r, limit)
-    increments = [([], [r - d, r] * (r + 1), [r - d] * r)]
-    for k in range(1, limit + 1):
-        increments.append(([d + r + d * (k - 1)] * (d - r - 1)
-                           + [r - d + d * (k - 1)] * (r + 1),
-                           [d * k] * d, [d * k - d + r] * r))
-    return increments
+        return (([], [], []), [e for e, mult in numerator_factors(
+            F6_THM42, d, r) for _ in range(mult)], [d] * d, [])
+    return (([], [r - d, r] * (r + 1), [r - d] * r),
+            [d + r] * (d - r - 1) + [r - d] * (r + 1), [d] * d, [r] * r)
+
+
+def _differing_term(lhs, rhs, d: int, limit: int) -> int | None:
+    """The first k <= limit at which term k of two templates' sums differ,
+    or None.  Equal keys answer at once: the sum templates hold no
+    denominator 1 - q^0, which they refuse.  Otherwise
+    ``first_failing_term`` decides the expanded lists with the relation
+    lhs - rhs, each factor counted once."""
+    if _key(lhs) == _key(rhs):
+        return None
+    return first_failing_term((_expand(lhs, d, limit), _expand(rhs, d, limit)),
+                              ((1, 0, []), (-1, 0, [])))
 
 
 def _collapse_at_one(check_id: str, d: int, r: int, n: int) -> str | None:
-    """Termwise a = 1 consistency by exponent counting; a witness on failure.
+    """Termwise a = 1 consistency against the reference summand; a witness
+    on failure.
 
     Term k of the sum at a = 1 is q^{dk} prod_{j<=k} a_j c_k / prod_{j<=k} b_j
-    over the same increments the substituted sums are built from.
+    over the same template the substituted sums are built from.
     """
-    k = first_failing_term((_sum_increments(check_id, d, r, n, 0),
-                            _reference_increments(check_id, d, r, n)),
-                           ((1, 0, []), (-1, 0, [])))
+    k = _differing_term(_sum_template(check_id, d, r, n, 0),
+                        _reference_template(check_id, d, r), d,
+                        _upper_limit(check_id, d, r, n))
     if k is None:
         return None
     return f"a = 1 collapse differs from reference summand at k = {k}"
@@ -196,18 +226,6 @@ def _cancel_common(lhs_den: list[int], den: list[int]):
     return lhs_den, kept
 
 
-def _identity(increments, closed):
-    """The substituted identity up to the order of its factors 1 - q^e,
-    which commute: each term's increments and the closed form's factor
-    lists, sorted, with the closed form's sign and shift."""
-    terms = tuple(tuple(tuple(sorted(exps)) for exps in inc)
-                  for inc in increments)
-    if closed is None:
-        return terms
-    sign, shift, num, den = closed
-    return terms, sign, shift, tuple(sorted(num)), tuple(sorted(den))
-
-
 def verify_parametric(check_id: str, d: int, r: int, n: int,
                       mutation: str | None = None) -> CheckResult:
     """Exact equality at a = q^{+-n} plus the a = 1 termwise collapse."""
@@ -217,16 +235,17 @@ def verify_parametric(check_id: str, d: int, r: int, n: int,
         return skipped(check_id, params, reason)
     certified = set()
     for s in (1, -1):
-        raw = _sum_increments(check_id, d, r, n, s)
+        template = _sum_template(check_id, d, r, n, s)
         # None for a sum that vanishes, as lemma21's does; it refuses
         # every mutation.
         closed = (mutated(None, mutation) if check_id in _SHIFTED_INDEX
                   else _rhs_factors(check_id, d, r, n, s, mutation))
-        identity = _identity(raw, closed)
+        identity = _key(template, closed)
         if identity in certified:  # the same identity as at a = q^n
             continue
         certified.add(identity)
-        increments = cancel_increments(raw)
+        increments = cancel_increments(
+            _expand(template, d, _upper_limit(check_id, d, r, n)))
         if closed is None:
             if not relation_vanishes(d, [(1, 0, [], increments)]):
                 return fails(check_id, params,

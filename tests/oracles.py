@@ -14,14 +14,22 @@ from math import factorial
 from math import gcd as igcd
 
 from qsupercheck.families import (
+    F6_THM42,
     a_exponent,
+    family_increments,
     numerator_factors,
     one_parameter_exponent,
 )
 from qsupercheck.cyclotomic import is_prime
 from qsupercheck.laurent import Laurent, RatFunc
 from qsupercheck.padic import padic_gamma, rational_residue
-from qsupercheck.parametric import _SHIFTED_INDEX, _sum_increments
+from qsupercheck.parametric import (
+    _SHIFTED_INDEX,
+    DegenerateSubstitutionError,
+    _den_core,
+    _upper_limit,
+    numerator_entries,
+)
 from qsupercheck.poly import Poly, pack, poly_prod
 from qsupercheck.qfuncs import (
     DegenerateProductError,
@@ -42,6 +50,15 @@ def one_minus(c, exp):
     if exp == 0:
         return Laurent(Poly((1 - c,)), 0)
     return Laurent(Poly((-c,) + (0,) * (-exp - 1) + (1,)), exp)
+
+
+def laurent_product(exps):
+    """prod (1 - q^e), the factors multiplied one Laurent product at a
+    time."""
+    product = Laurent(Poly((1,)))
+    for e in exps:
+        product = product * one_minus(1, e)
+    return product
 
 
 @dataclass(frozen=True)
@@ -168,6 +185,61 @@ def lhs_sum_whole(family, d, r, n, ring):
     return ring.element(num_total) * ring.element(den).invert()
 
 
+def sum_increments(check_id, d, r, n, s):
+    """A parametric LHS written out as ``truncated_sum`` increments
+    (a_k, b_k, c_k), k = 0..limit, each term's lists built whole.
+
+    s = +1 or -1 selects a = q^{sn}; s = 0 gives the a = 1 collapse.
+    Term k multiplies (x; q^d)_{k+off} over the numerator bases x and
+    divides by (x; q^d)_k over the denominator bases, q^d among them.
+    An index k - 2 puts its reciprocal factors 1 - x q^{-2d}, 1 - x q^{-d}
+    into b_0 and takes them back from a_1 and a_2.
+    """
+    entries = [(j * s * n + e, off)
+               for j, e, off in numerator_entries(check_id, d, r)]
+    den_bases = [j * s * n + d for j in [0] + _den_core(d)]
+    for e in den_bases:
+        if e % d == 0 and e <= 0:
+            raise DegenerateSubstitutionError(f"denominator base q^{e}")
+    reciprocal = [x + d * (off + t) for x, off in entries for t in range(-off)]
+    if 0 in reciprocal:
+        raise DegenerateSubstitutionError("reciprocal factor 1 - q^0")
+    width = r if check_id in _SHIFTED_INDEX else 0
+    increments = [([], reciprocal, [r - d] * width)]
+    for k in range(1, _upper_limit(check_id, d, r, n) + 1):
+        increments.append(([x + d * (k - 1 + off) for x, off in entries],
+                           [x + d * (k - 1) for x in den_bases],
+                           [d * k - d + r] * width))
+    return increments
+
+
+def reference_increments(check_id, d, r, n):
+    """The non-parametric summand the a = 1 collapse must reproduce,
+    written out as ``truncated_sum`` increments, k = 0..limit: the thm42
+    family's own unless the index is shifted."""
+    limit = _upper_limit(check_id, d, r, n)
+    if check_id not in _SHIFTED_INDEX:
+        return family_increments(F6_THM42, d, r, limit)
+    increments = [([], [r - d, r] * (r + 1), [r - d] * r)]
+    for k in range(1, limit + 1):
+        increments.append(([d + r + d * (k - 1)] * (d - r - 1)
+                           + [r - d + d * (k - 1)] * (r + 1),
+                           [d * k] * d, [d * k - d + r] * r))
+    return increments
+
+
+def identity(increments, closed):
+    """A substituted identity up to the order of its factors 1 - q^e,
+    which commute: each term's increments and the closed form's factor
+    lists, sorted, with the closed form's sign and shift."""
+    terms = tuple(tuple(tuple(sorted(exps)) for exps in inc)
+                  for inc in increments)
+    if closed is None:
+        return terms
+    sign, shift, num, den = closed
+    return terms, sign, shift, tuple(sorted(num)), tuple(sorted(den))
+
+
 def reference_summand(check_id, d, r, k):
     """The non-parametric term the a = 1 collapse must reproduce, as
     (sign, q-shift, numerator exponents, denominator exponents), written
@@ -191,7 +263,7 @@ def collapse_at_one(check_id, d, r, n):
     """The a = 1 collapse with every term's normal form rebuilt from all
     its factors at every k, against ``reference_summand``: quadratic."""
     num, den = [], []
-    for k, (a, b, c) in enumerate(_sum_increments(check_id, d, r, n, 0)):
+    for k, (a, b, c) in enumerate(sum_increments(check_id, d, r, n, 0)):
         num += a
         den += b
         ref = one_minus_normal_form(*reference_summand(check_id, d, r, k))

@@ -9,7 +9,10 @@ from oracles import (
     counting_first_failing_term,
     dense_product,
     first_differing_term,
+    identity,
+    reference_increments,
     reference_summand,
+    sum_increments,
 )
 from qsupercheck import parametric, qfuncs
 from qsupercheck.catalog import GRID_PARAMETRIC, run_check
@@ -19,10 +22,13 @@ from qsupercheck.parametric import (
     DegenerateSubstitutionError,
     _collapse_at_one,
     _den_core,
-    _reference_increments,
+    _differing_term,
+    _expand,
+    _key,
+    _reference_template,
     _rhs_factors,
     _SHIFTED_INDEX,
-    _sum_increments,
+    _sum_template,
     _upper_limit,
     numerator_entries,
     parametric_precondition,
@@ -55,10 +61,24 @@ INSTANCES = sorted({(cid, d, r, n) for grid in (GRID_PARAMETRIC, PAST_GRID)
                     for cid, triples in grid.items() for d, r, n in triples})
 
 
+def _sum(check_id, d, r, n, s):
+    """The LHS increments as ``verify_parametric`` expands them, at
+    a = q^{sn}, or a = 1 for s = 0."""
+    return _expand(_sum_template(check_id, d, r, n, s), d,
+                   _upper_limit(check_id, d, r, n))
+
+
+def _reference(check_id, d, r, n):
+    """The reference summand's increments as the a = 1 collapse expands
+    them."""
+    return _expand(_reference_template(check_id, d, r), d,
+                   _upper_limit(check_id, d, r, n))
+
+
 def _sum_sides(check_id, d, r, n, s):
     """The kernel's LHS N at a = q^{sn} and D, the product of every b,
     unpacked."""
-    increments = _sum_increments(check_id, d, r, n, s)
+    increments = _sum(check_id, d, r, n, s)
     return truncated_sum(d, increments).laurent(), one_minus_product(
         [e for _, b, _ in increments for e in b])
 
@@ -142,8 +162,8 @@ def test_both_points_give_the_same_exponent_lists():
     # a = q^n's; this pins that the two points coincide on the whole range.
     assert len(ADMISSIBLE_TO_40) == 369
     for cid, d, r, n in ADMISSIBLE_TO_40:
-        assert _multisets(_sum_increments(cid, d, r, n, 1)) == _multisets(
-            _sum_increments(cid, d, r, n, -1)), (cid, d, r, n)
+        assert _multisets(sum_increments(cid, d, r, n, 1)) == _multisets(
+            sum_increments(cid, d, r, n, -1)), (cid, d, r, n)
         if cid in _SHIFTED_INDEX:
             continue
         (sign, shift, num, den), (sign2, shift2, num2, den2) = (
@@ -154,7 +174,8 @@ def test_both_points_give_the_same_exponent_lists():
 
 def _bumped_at_minus_n(real):
     """``real`` with one exponent raised by one at a = q^-n only: the
-    closed form's first numerator factor, or the first of term 1's a."""
+    closed form's first numerator factor, or the template's first a
+    intercept, which every term k >= 1 carries."""
     def bumped(check_id, d, r, n, s, *rest):
         out = real(check_id, d, r, n, s, *rest)
         if s != -1:
@@ -162,15 +183,15 @@ def _bumped_at_minus_n(real):
         if real is _rhs_factors:
             sign, shift, num, den = out
             return sign, shift, [num[0] + 1] + num[1:], den
-        out[1][0][0] += 1
-        return out
+        head, a, b, c = out
+        return head, [a[0] + 1] + a[1:], b, c
     return bumped
 
 
 @pytest.mark.parametrize("check_id,d,r,n,target,witness", [
-    ("p1_24", 7, 2, 12, "_sum_increments", "substituted sum nonzero"),
-    ("p2_25", 7, 3, 11, "_sum_increments", "substituted sum nonzero"),
-    ("p5_43", 5, 2, 13, "_sum_increments", "sides differ"),
+    ("p1_24", 7, 2, 12, "_sum_template", "substituted sum nonzero"),
+    ("p2_25", 7, 3, 11, "_sum_template", "substituted sum nonzero"),
+    ("p5_43", 5, 2, 13, "_sum_template", "sides differ"),
     ("p7_45", 7, 3, 11, "_rhs_factors", "sides differ"),
     ("p8_46", 5, 3, 12, "_rhs_factors", "sides differ"),
 ])
@@ -198,7 +219,7 @@ def test_a_change_at_minus_n_alone_is_certified_and_fails(
 def test_vanishing_sum_without_last_term_is_nonzero():
     # Negative control: the vanishing check must not pass vacuously.
     for s in (1, -1):
-        increments = _sum_increments("p1_24", 4, 1, 7, s)
+        increments = _sum("p1_24", 4, 1, 7, s)
         assert truncated_sum(4, increments).is_zero()
         assert not truncated_sum(4, increments[:-1]).is_zero()
 
@@ -222,8 +243,7 @@ def _collapsed_term_by_entries(check_id, d, r, k):
 def test_collapse_counting_matches_polynomial_oracle(check_id, d, r, n):
     num, den, ref_num, ref_den = [], [], [], []
     for k, ((a, b, c), (ra, rb, rc)) in enumerate(zip(
-            _sum_increments(check_id, d, r, n, 0),
-            _reference_increments(check_id, d, r, n))):
+            _sum(check_id, d, r, n, 0), _reference(check_id, d, r, n))):
         num, den = num + a, den + b
         ref_num, ref_den = ref_num + ra, ref_den + rb
         lhs_num = one_minus_product(num + c).shifted(d * k)
@@ -236,11 +256,11 @@ def test_collapse_counting_matches_polynomial_oracle(check_id, d, r, n):
 
 
 def test_collapse_detects_a_wrong_exponent(monkeypatch):
-    def off_by_one(check_id, d, r, n):
-        (a, b, c), *rest = _reference_increments(check_id, d, r, n)
-        return [(a + [1], b + [2], c)] + rest
+    def off_by_one(check_id, d, r):
+        (a, b, c), *lines = _reference_template(check_id, d, r)
+        return ((a + [1], b + [2], c), *lines)
 
-    monkeypatch.setattr(parametric, "_reference_increments", off_by_one)
+    monkeypatch.setattr(parametric, "_reference_template", off_by_one)
     witness = _collapse_at_one("p7_45", 7, 3, 11)
     assert witness == "a = 1 collapse differs from reference summand at k = 0"
 
@@ -253,7 +273,7 @@ ADMISSIBLE = [(cid, d, r, n) for cid in PARAMETRIC_IDS for d in range(2, 12)
 def test_reference_increments_match_the_written_out_summands():
     for cid, d, r, n in ADMISSIBLE:
         num, den = [], []
-        for k, (a, b, c) in enumerate(_reference_increments(cid, d, r, n)):
+        for k, (a, b, c) in enumerate(_reference(cid, d, r, n)):
             num, den = num + a, den + b
             assert one_minus_normal_form(1, d * k, num + c, den) == \
                 one_minus_normal_form(*reference_summand(cid, d, r, k))
@@ -309,8 +329,8 @@ def _exponent_mutants(increments):
 def test_collapse_mutants_match_the_quadratic_oracle(check_id, d, r, n):
     # Every mutant of either side gives the oracle's first differing k or
     # its DegenerateProductError.
-    lhs = _sum_increments(check_id, d, r, n, 0)
-    rhs = _reference_increments(check_id, d, r, n)
+    lhs = _sum(check_id, d, r, n, 0)
+    rhs = _reference(check_id, d, r, n)
     pairs = [(m, rhs) for m in _exponent_mutants(lhs)]
     pairs += [(lhs, m) for m in _exponent_mutants(rhs)]
     for pair in pairs:
@@ -326,8 +346,7 @@ def test_collapse_without_counts_matches_the_counting_oracle():
     # term is counted; the oracle counts every term.
     assert len(ADMISSIBLE_TO_40) == 369
     for cid, d, r, n in ADMISSIBLE_TO_40:
-        runs = (_sum_increments(cid, d, r, n, 0),
-                _reference_increments(cid, d, r, n))
+        runs = (_sum(cid, d, r, n, 0), _reference(cid, d, r, n))
         assert first_failing_term(runs, COLLAPSE) is None
         assert counting_first_failing_term(runs, COLLAPSE) is None
 
@@ -348,16 +367,79 @@ def _raised_or_lowered(increments):
 def test_collapse_mutants_match_the_counting_oracle(check_id, d, r, n):
     # A mutant counts from its changed term on and matches elsewhere: both
     # paths decide it, and each k or DegenerateProductError is the oracle's.
-    rhs = _reference_increments(check_id, d, r, n)
-    mutants = list(_raised_or_lowered(_sum_increments(check_id, d, r, n, 0)))
+    rhs = _reference(check_id, d, r, n)
+    mutants = list(_raised_or_lowered(_sum(check_id, d, r, n, 0)))
     outcomes = [_outcome(_collapse_term, lhs, rhs) for lhs in mutants]
     assert outcomes == [_outcome(_counted_term, lhs, rhs) for lhs in mutants]
     assert any(isinstance(k, int) for k in outcomes)
 
 
+ADMISSIBLE_TO_60 = [(cid, d, r, n) for cid in PARAMETRIC_IDS
+                    for d in range(2, 14) for r in range(1, 12)
+                    for n in range(61)
+                    if parametric_precondition(cid, d, r, n) is None]
+
+
+def test_templates_expand_to_the_written_out_lists():
+    # verify_parametric compares templates where it compared lists: the
+    # a = q^-n identity with a = q^n's, and the a = 1 collapse with the
+    # reference summand.  Both must read as the list comparisons do.
+    assert len(ADMISSIBLE_TO_60) == 698
+    for cid, d, r, n in ADMISSIBLE_TO_60:
+        limit = _upper_limit(cid, d, r, n)
+        templates = {s: _sum_template(cid, d, r, n, s) for s in (1, -1, 0)}
+        lists = {s: sum_increments(cid, d, r, n, s) for s in (1, -1, 0)}
+        for s, template in templates.items():
+            assert _expand(template, d, limit) == lists[s], (cid, d, r, n, s)
+        ref, ref_lists = (_reference_template(cid, d, r),
+                          reference_increments(cid, d, r, n))
+        assert _expand(ref, d, limit) == ref_lists, (cid, d, r, n)
+        closed = {s: None if cid in _SHIFTED_INDEX
+                  else _rhs_factors(cid, d, r, n, s, None) for s in (1, -1)}
+        same_identity = (identity(lists[1], closed[1])
+                         == identity(lists[-1], closed[-1]))
+        assert (_key(templates[1], closed[1]) == _key(
+            templates[-1], closed[-1])) == same_identity, (cid, d, r, n)
+        same_terms = identity(lists[0], None) == identity(ref_lists, None)
+        assert (_key(templates[0]) == _key(ref)) == same_terms, (cid, d, r, n)
+        assert same_identity and same_terms, (cid, d, r, n)
+        assert _differing_term(templates[0], ref, d, limit) is None
+        assert counting_first_failing_term((lists[0], ref_lists),
+                                           COLLAPSE) is None
+
+
+def _template_mutants(template):
+    """Each +-1 change of one head exponent or one intercept."""
+    (a0, b0, c0), a, b, c = template
+    lists = (a0, b0, c0, a, b, c)
+    for p, exps in enumerate(lists):
+        for i in range(len(exps)):
+            for delta in (1, -1):
+                mutant = [list(part) for part in lists]
+                mutant[p][i] += delta
+                yield tuple(mutant[:3]), *mutant[3:]
+
+
+@pytest.mark.parametrize("check_id,d,r,n", INSTANCES)
+def test_template_mutants_match_the_counting_oracle(check_id, d, r, n):
+    # A mutant template's key differs, so its expanded lists are decided:
+    # each k or DegenerateProductError must be the oracle's.
+    limit = _upper_limit(check_id, d, r, n)
+    lhs = _sum_template(check_id, d, r, n, 0)
+    rhs = _reference_template(check_id, d, r)
+    pairs = [(m, rhs) for m in _template_mutants(lhs)]
+    pairs += [(lhs, m) for m in _template_mutants(rhs)]
+    outcomes = [_outcome(lambda x, y: _differing_term(x, y, d, limit), *pair)
+                for pair in pairs]
+    assert outcomes == [_outcome(lambda x, y: counting_first_failing_term(
+        (_expand(x, d, limit), _expand(y, d, limit)), COLLAPSE), *pair)
+        for pair in pairs]
+    assert all(isinstance(k, (int, tuple)) for k in outcomes)
+
+
 def test_runs_of_unequal_length_are_refused(monkeypatch):
-    lhs = _sum_increments("p3_32", 5, 1, 14, 0)
-    rhs = _reference_increments("p3_32", 5, 1, 14)
+    lhs = _sum("p3_32", 5, 1, 14, 0)
+    rhs = _reference("p3_32", 5, 1, 14)
     # Counting along zip alone, 5 of 14 terms compared read as agreement.
     assert counting_first_failing_term((lhs, rhs[:5]), COLLAPSE) is None
     for runs, relation in (((lhs, rhs[:5]), COLLAPSE),
@@ -366,8 +448,13 @@ def test_runs_of_unequal_length_are_refused(monkeypatch):
                            ((lhs, rhs), COLLAPSE[:1])):
         with pytest.raises(ValueError):
             first_failing_term(runs, relation)
-    monkeypatch.setattr(parametric, "_reference_increments",
-                        lambda *args: rhs[:5])
+    # A reference template that differs is expanded, here to 5 terms.
+    (a0, b0, c0), a, b, c = _reference_template("p3_32", 5, 1)
+    short = ((a0, b0, c0), [a[0] + 1] + a[1:], b, c)
+    real = parametric._expand
+    monkeypatch.setattr(parametric, "_reference_template", lambda *_: short)
+    monkeypatch.setattr(parametric, "_expand", lambda template, d, limit: real(
+        template, d, 4 if template is short else limit))
     result = run_check("p3_32", {"d": 5, "n": 14, "r": 1})
     assert result.status is Status.ERROR
     assert result.witness.startswith("ValueError")

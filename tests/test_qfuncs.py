@@ -1,9 +1,7 @@
 """q-shifted factorials, Gaussian binomials and the packed kernel."""
 
 import copy
-import functools
 import itertools
-import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -49,6 +47,7 @@ from oracles import (
     dense_product,
     dense_sum,
     inflate,
+    laurent_product,
     one_minus,
     packed_truncated_sum,
     q_pochhammer,
@@ -219,12 +218,6 @@ def test_denominator_zero_reads_as_fails(monkeypatch):
     assert result.witness.startswith("DegenerateProductError")
 
 
-def _laurent_product(exps):
-    """Oracle: the factors multiplied one Laurent product at a time."""
-    return functools.reduce(operator.mul, (one_minus(1, e) for e in exps),
-                            Laurent(Poly((1,))))
-
-
 _exponents = st.lists(st.integers(-6, 6), max_size=5)
 _nonzero = _exponents.map(lambda es: [e for e in es if e])
 
@@ -232,7 +225,7 @@ _nonzero = _exponents.map(lambda es: [e for e in es if e])
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(-9, 9), max_size=10))
 def test_one_minus_product_matches_laurent_products(exps):
-    assert one_minus_product(exps) == _laurent_product(exps)
+    assert one_minus_product(exps) == laurent_product(exps)
 
 
 @settings(max_examples=200, deadline=None)
@@ -245,9 +238,9 @@ def test_truncated_sum_matches_rational_sum(step, increments):
     a, b = [], []
     for k, (a_k, b_k, c_k) in enumerate(increments):
         a, b = a + a_k, b + b_k
-        total = total + RatFunc(_laurent_product(a + c_k).shifted(step * k),
-                                _laurent_product(b))
-    assert den == _laurent_product(b)
+        total = total + RatFunc(laurent_product(a + c_k).shifted(step * k),
+                                laurent_product(b))
+    assert den == laurent_product(b)
     assert RatFunc(num, den) == total
 
 
@@ -465,8 +458,9 @@ def test_cancel_increments_keeps_every_parametric_sum():
     assert len(instances) == 32
     for cid, d, r, n in sorted(instances):
         for s in (1, -1):
-            _assert_cancels_exactly(
-                d, parametric._sum_increments(cid, d, r, n, s))
+            _assert_cancels_exactly(d, parametric._expand(
+                parametric._sum_template(cid, d, r, n, s), d,
+                parametric._upper_limit(cid, d, r, n)))
 
 
 def _oracle_verdict(check_id, d, r, n, increments):
@@ -487,30 +481,36 @@ def _oracle_verdict(check_id, d, r, n, increments):
 
 def test_single_exponent_mutants_agree_with_dense_oracle(monkeypatch):
     rng = random.Random(5)
-    real = parametric._sum_increments
+    real = parametric._sum_template
     small = [(cid, d, r, n) for cid, grid in GRID_PARAMETRIC.items()
              for d, r, n in grid if n <= 9]
     verdicts = []
-    for _ in range(64):
+    while len(verdicts) < 64:
         cid, d, r, n = rng.choice(small)
-        increments = {s: [tuple(list(part) for part in inc)
-                          for inc in real(cid, d, r, n, s)] for s in (1, -1)}
-        inc = increments[rng.choice((1, -1))]
-        k, part = rng.choice([(k, p) for k in range(len(inc))
-                              for p in range(3) if inc[k][p]])
-        exps = inc[k][part]
-        i = rng.randrange(len(exps))
-        delta = rng.choice((1, -1))
-        if part == 1 and exps[i] + delta == 0:  # keep denominators nonzero
-            delta = -delta
-        exps[i] += delta
-        def mutated(c, d_, r_, n_, s, increments=increments):
-            return increments[s] if s else real(c, d_, r_, n_, s)
+        # Each template as its six lists: the head's a_0, b_0, c_0, then
+        # the intercepts of a, b and c.
+        lists = {}
+        for s in (1, -1):
+            (a0, b0, c0), a, b, c = real(cid, d, r, n, s)
+            lists[s] = [a0, b0, c0, a, b, c]
+        mutant = lists[rng.choice((1, -1))]
+        part = rng.choice([p for p in range(6) if mutant[p]])
+        mutant[part][rng.randrange(len(mutant[part]))] += rng.choice((1, -1))
+        templates = {s: (tuple(parts[:3]), *parts[3:])
+                     for s, parts in lists.items()}
+        limit = parametric._upper_limit(cid, d, r, n)
+        increments = {s: parametric._expand(template, d, limit)
+                      for s, template in templates.items()}
+        if any(0 in b for inc in increments.values() for _, b, _ in inc):
+            continue  # keep denominators nonzero
 
-        monkeypatch.setattr(parametric, "_sum_increments", mutated)
+        def mutated(c, d_, r_, n_, s, templates=templates):
+            return templates[s] if s else real(c, d_, r_, n_, s)
+
+        monkeypatch.setattr(parametric, "_sum_template", mutated)
         packed = verify_parametric(cid, d, r, n).status
         assert packed is _oracle_verdict(cid, d, r, n, increments), (
-            cid, d, r, n, k, part, i, delta)
+            cid, d, r, n, part, templates)
         verdicts.append(packed)
     # A mutant inside a term that a factor 1 - q^0 already zeroes changes
     # nothing, so some mutants hold.
@@ -588,7 +588,7 @@ def test_fold_matches_division_by_one_minus_q_n_squared(n, coeffs, exps,
     folded = Packed(value, 0, grown, width, n)
     expected = sum((Laurent(Poly((c,)), e) for e, c in coeffs.items()),
                    Laurent(Poly()))
-    expected = (expected * _laurent_product(exps)).shifted(shift)
+    expected = (expected * laurent_product(exps)).shifted(shift)
     rep = _fold_oracle(expected, n)
     assert folded.laurent() == rep
     assert not rep.body.coeffs or rep.min_exp + rep.body.degree < 2 * n
@@ -607,7 +607,7 @@ def _dense_relation(step, terms, fold):
     for sign, shift, exps, increments in terms:
         num = (Laurent(Poly((1,))) if increments is None
                else dense_sum(step, increments)[0])
-        total = total + (num * _laurent_product(exps)).shifted(shift) * sign
+        total = total + (num * laurent_product(exps)).shifted(shift) * sign
     return _fold_oracle(total, fold) if fold else total
 
 
@@ -760,7 +760,7 @@ def test_packed_bound_decides_exactness():
     width = packed_width(6)
     assert width == 8
     six = Packed(*qfuncs._times_one_minus(1, 0, range(1, 7), width), 6, width)
-    assert six.laurent() == _laurent_product(range(1, 7))
+    assert six.laurent() == laurent_product(range(1, 7))
     assert not six.is_zero()
     seven = Packed(*qfuncs._times_one_minus(six.value, 0, [7], width), 7,
                    width)
@@ -772,7 +772,7 @@ def test_packed_bound_decides_exactness():
     assert bits == 2 + qfuncs.fold_bits(2 * 3 + 3, 3) == 6
     folded = Packed(*qfuncs._times_one_minus(1, 0, [1, 2], width, 3), bits,
                     width, 3)
-    assert folded.laurent() == _laurent_product([1, 2])
+    assert folded.laurent() == laurent_product([1, 2])
     bits = qfuncs.grown_bits(0, [1, 2, 1], 3)
     with pytest.raises(PackingOverflowError):
         Packed(*qfuncs._times_one_minus(1, 0, [1, 2, 1], width, 3), bits,
@@ -790,7 +790,7 @@ def test_packed_bound_decides_exactness():
     # Factors of either sign and offsets line up like Laurent products.
     value, low = qfuncs._times_one_minus(1, 0, [3, -2], 16)
     mixed = Packed(*qfuncs._plus_shifted(0, 0, value, low, -4, 16), 2, 16)
-    assert mixed.laurent() == _laurent_product([3, -2]).shifted(-4)
+    assert mixed.laurent() == laurent_product([3, -2]).shifted(-4)
     assert Packed(*qfuncs._plus_shifted(mixed.value, mixed.low, -mixed.value,
                                         mixed.low, 0, 16), 3, 16).is_zero()
 

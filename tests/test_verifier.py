@@ -49,19 +49,11 @@ from qsupercheck.verifier import (
 )
 
 from oracles import (
+    laurent_product,
     lhs_sum_whole,
-    one_minus,
     written_out_closed_form,
     written_out_counts,
 )
-
-
-def _dense_product(exponents):
-    """prod (1 - q^e) by dense Laurent multiplication."""
-    product = Laurent(Poly((1,)))
-    for e in exponents:
-        product = product * one_minus(1, e)
-    return product
 
 
 def _same_value(a, b):
@@ -399,8 +391,8 @@ def test_congruence_by_polynomial_divisibility_oracle(check_id, d, r, n):
     lhs_den = poch_power_base(d, d, n - 1) ** d
 
     sign, shift, num, den = closed_form(check_id, d, n, r)
-    rhs_num = _dense_product(num).shifted(shift) * sign
-    rhs_den = _dense_product(den)
+    rhs_num = laurent_product(num).shifted(shift) * sign
+    rhs_den = laurent_product(den)
 
     difference = lhs_num * rhs_den - rhs_num * lhs_den
     modulus = cyclotomic(n) ** 2
