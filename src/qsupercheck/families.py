@@ -5,18 +5,22 @@ Every left-hand side in the catalog is a sum over k of
     prod_i (q^{e_i}; q^d)_k^{m_i} * q^{dk} / (q^d; q^d)_k^d
 
 and the family is pinned down by its list of (base exponent, multiplicity)
-pairs; ``family_increments`` writes the sum as ``truncated_sum``
-increments.  Right-hand sides share one shape as well: a sign, a few
-explicit (1 - q^e) factors, a quotient of (q^d; q^d)_L Pochhammers, and a
-power of q whose exponent is an integer-valued formula of (d, n, r);
-integrality is asserted at build time.  ``closed_form`` returns it as the
-exponent lists (sign, shift, num, den) that every quotient of factors
-1 - q^e is carried as, and ``mutated`` derives the negative controls.
+pairs; ``family_template`` writes the sum as a template of
+``truncated_sum`` increments, a head and intercept lists moved by
+d(k - 1), and ``family_increments`` expands it.  Right-hand sides share
+one shape as well: a sign, a few explicit (1 - q^e) factors, a quotient
+of (q^d; q^d)_L Pochhammers, and a power of q whose exponent is an
+integer-valued formula of (d, n, r); integrality is asserted at build
+time.  ``closed_form`` returns it as the exponent lists (sign, shift,
+num, den) that every quotient of factors 1 - q^e is carried as, and
+``mutated`` derives the negative controls.
 """
 
 from __future__ import annotations
 
 from math import gcd as igcd
+
+from .qfuncs import expand
 
 
 class IntegralityError(ArithmeticError):
@@ -74,13 +78,18 @@ def one_parameter_exponent(d: int, n: int) -> int:
     return _exact_quotient(d * (d + n) * (n + 1) - (n + 1) ** 2, 2 * d)
 
 
+def family_template(family: str, d: int, r: int):
+    """The family's sum as a template (head, a, b, c) of ``truncated_sum``
+    increments: term 0 is 1, and term k >= 1 is [x + d(k - 1)] over the
+    numerator bases a, with multiplicity, and b = [d] * d."""
+    return (([], [], []), [e for e, mult in numerator_factors(family, d, r)
+                           for _ in range(mult)], [d] * d, [])
+
+
 def family_increments(family: str, d: int, r: int, limit: int) -> list[tuple]:
     """``truncated_sum`` increments (a_k, b_k, c_k), k = 0..limit, of the
     family's sum over the denominator (q^d; q^d)_limit^d."""
-    factors = numerator_factors(family, d, r)
-    return [([], [], [])] + [
-        ([e + d * (k - 1) for e, mult in factors for _ in range(mult)],
-         [d * k] * d, []) for k in range(1, limit + 1)]
+    return expand(family_template(family, d, r), d, limit)
 
 
 def closed_form(check_id: str, d: int, n: int, r: int = 1):

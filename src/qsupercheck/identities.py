@@ -18,8 +18,12 @@ q-binomial rewriting and the splittings are equalities of quotients
 forms; the one sum among them, 1 + ratio in the splittings, is decided
 by ``relation_vanishes`` as A + B - C.  The three-sum decomposition,
 mixed = [d] divisibility - q [d-1] squared over the families' own
-increments, holds for every upper limit, so ``first_failing_term`` proves
-it term by term, on the factors the three terms do not share.
+templates, holds term by term.  Each run's intercepts are congruent to
+run 1's mod d, so the ratios of their terms telescope, and cleared of
+them the relation has degree D = 1 in x = q^{dk} (``termwise_degree``):
+``first_failing_term`` on terms 0..D + 1 proves it for every n.  Where
+the ratios do not telescope, or a sampled term differs, it runs on all n
+terms, and then on the whole sums.
 """
 
 from __future__ import annotations
@@ -28,15 +32,17 @@ import random
 from fractions import Fraction
 
 from .cyclotomic import cyclotomic, divisors, q_integer
-from .families import F2_MIXED, F3_SQUARED, F7_DIVISIBILITY, family_increments
+from .families import F2_MIXED, F3_SQUARED, F7_DIVISIBILITY, family_template
 from .parametric import parametric_precondition
 from .poly import poly_prod
 from .qfuncs import (
     Packed,
+    expand,
     first_failing_term,
     one_minus_normal_form,
     packed_width,
     relation_vanishes,
+    termwise_degree,
 )
 from .results import CheckResult, fails, holds, skipped
 
@@ -294,12 +300,17 @@ def _check_exponent_identity(d, r, n, k) -> str | None:
     return None
 
 
-def _decomposition_increments(d, n) -> list[list]:
-    """``truncated_sum`` increments of the three sums of the decomposition,
-    mixed = [d] divisibility - q [d-1] squared, each over the common
-    denominator (q^d; q^d)_{n-1}^d."""
-    return [family_increments(f, d, 1, n - 1)
+def _decomposition_templates(d) -> list[tuple]:
+    """The three sums of the decomposition, mixed = [d] divisibility -
+    q [d-1] squared, as ``family_template`` templates."""
+    return [family_template(f, d, 1)
             for f in (F2_MIXED, F7_DIVISIBILITY, F3_SQUARED)]
+
+
+def _decomposition_increments(d, n) -> list[list]:
+    """``truncated_sum`` increments of the three sums, each over the common
+    denominator (q^d; q^d)_{n-1}^d."""
+    return [expand(t, d, n - 1) for t in _decomposition_templates(d)]
 
 
 def _decomposition_relation(d):
@@ -308,16 +319,25 @@ def _decomposition_relation(d):
 
 
 def _check_sum_decomposition(d, n) -> str | None:
-    """s1 = [d] s2 - q [d-1] s3, term by term when the runs share their
-    denominators; otherwise, or when a term differs, the relation times
-    1 - q on the whole sums: (1 - q)[m] = 1 - q^m."""
+    """s1 = [d] s2 - q [d-1] s3, term by term: on terms 0..D + 1 of the
+    templates where ``termwise_degree`` reads a D, else on all n terms
+    when the runs share their denominators; otherwise, or when a term
+    differs, the relation times 1 - q on the whole sums:
+    (1 - q)[m] = 1 - q^m."""
+    templates = _decomposition_templates(d)
+    relation = _decomposition_relation(d)
+    degree = termwise_degree(templates, d, n - 1)
+    if degree is not None and first_failing_term(
+            [expand(t, d, min(n - 1, degree + 1)) for t in templates],
+            relation) is None:
+        return None
     sums = _decomposition_increments(d, n)
     shared = all(b == b1 for (_, b1, _), *rest in zip(*sums, strict=True)
                  for _, b, _ in rest)
-    if shared and first_failing_term(sums, _decomposition_relation(d)) is None:
+    if shared and first_failing_term(sums, relation) is None:
         return None
     if not relation_vanishes(d, [(*part, inc) for part, inc
-                                 in zip(_decomposition_relation(d), sums)]):
+                                 in zip(relation, sums)]):
         return "three-sum decomposition differs"
     return None
 

@@ -13,14 +13,17 @@ symmetrically and the central band depends only on |j|, so a = q^{-n}
 gives the same template as a = q^n up to the order of commuting factors:
 each point's identity (the template and the closed form, every list
 sorted) is compared, and each distinct identity is certified once.  Most
-numerator factors 1 - q^e of a term reappear in the denominator of the
-same or a later term; ``cancel_increments`` cancels them by counting,
-and the closed form's denominator, exponent lists as
-``families.closed_form`` gives them, is cancelled against what is left.
-The cross products N den = sign q^shift D num, or N = 0, are one
-``relation_vanishes`` call.  Substituting a = 1 into the same template
-must reproduce the corresponding non-parametric summand term by term,
-which pins down the reconstruction of the displayed exponent patterns.
+a intercepts exceed a b intercept by a multiple of d, so most numerator
+factors 1 - q^e of a term reappear in the denominator of a later term;
+``template_increments`` cancels them on the intercepts and ends the sum
+where a numerator factor 1 - q^0 zeroes every later term, as the
+terminating q-binomial theorem does, and the closed form's denominator,
+exponent lists as ``families.closed_form`` gives them, is cancelled
+against what is left.  The cross products N den = sign q^shift D num, or
+N = 0, are one ``relation_vanishes`` call.  Substituting a = 1 into the
+same template must reproduce the corresponding non-parametric summand
+term by term, which pins down the reconstruction of the displayed
+exponent patterns.
 The reference summand is a template too, the thm42 family's own unless
 the index is shifted: equal sorted templates give equal terms at every
 k and every n, and a template that differs is expanded and decided by
@@ -31,9 +34,10 @@ and its own condition on (d, r) holds.
 
 from __future__ import annotations
 
-from .families import (F6_THM42, a_exponent, mutated, numerator_factors,
+from .families import (F6_THM42, a_exponent, family_template, mutated,
                        theorem_precondition)
-from .qfuncs import cancel_increments, first_failing_term, relation_vanishes
+from .qfuncs import (expand, first_failing_term, relation_vanishes,
+                     template_increments, without_common)
 from .results import CheckResult, fails, holds, skipped
 
 # Family -> (the q-statement it deforms, its condition on (d, r), that
@@ -110,19 +114,20 @@ def _upper_limit(check_id: str, d: int, r: int, n: int) -> int:
     return n - 1
 
 
-def _sum_template(check_id: str, d: int, r: int, n: int, s: int):
-    """The LHS as a template (head, a, b, c) of ``truncated_sum`` increments.
+def _sum_template(check_id: str, d: int, r: int, n: int, s: int, entries):
+    """The LHS as a template (head, a, b, c) of ``truncated_sum`` increments,
+    from the summand's ``numerator_entries``, which a check builds once
+    for its three points.
 
     s = +1 or -1 selects a = q^{sn}; s = 0 gives the a = 1 collapse.
     Term k multiplies (x; q^d)_{k+off} over the numerator bases x and
     divides by (x; q^d)_k over the denominator bases, q^d among them.
     An index k - 2 puts its reciprocal factors 1 - x q^{-2d}, 1 - x q^{-d}
     into b_0 and takes them back from a_1 and a_2.  Term 0 is the head
-    (a_0, b_0, c_0); every term k >= 1 is ``_expand``'s
+    (a_0, b_0, c_0); every term k >= 1 is ``qfuncs.expand``'s
     [x + d(k - 1)] over the intercept lists a, b and c.
     """
-    entries = [(j * s * n + e, off)
-               for j, e, off in numerator_entries(check_id, d, r)]
+    entries = [(j * s * n + e, off) for j, e, off in entries]
     den_bases = [j * s * n + d for j in [0] + _den_core(d)]
     for e in den_bases:
         if e % d == 0 and e <= 0:
@@ -133,16 +138,6 @@ def _sum_template(check_id: str, d: int, r: int, n: int, s: int):
     width = r if check_id in _SHIFTED_INDEX else 0
     return (([], reciprocal, [r - d] * width),
             [x + d * off for x, off in entries], den_bases, [r] * width)
-
-
-def _expand(template, d: int, limit: int) -> list[tuple[list, list, list]]:
-    """The template's increments (a_k, b_k, c_k), k = 0..limit."""
-    (a0, b0, c0), a, b, c = template
-    increments = [(list(a0), list(b0), list(c0))]
-    for shift in range(0, d * limit, d):
-        increments.append(([x + shift for x in a], [x + shift for x in b],
-                           [x + shift for x in c]))
-    return increments
 
 
 def _key(template, closed=None):
@@ -181,8 +176,7 @@ def _reference_template(check_id: str, d: int, r: int):
     multiplied by (1 - q^{dk-d+r})^r.
     """
     if check_id not in _SHIFTED_INDEX:
-        return (([], [], []), [e for e, mult in numerator_factors(
-            F6_THM42, d, r) for _ in range(mult)], [d] * d, [])
+        return family_template(F6_THM42, d, r)
     return (([], [r - d, r] * (r + 1), [r - d] * r),
             [d + r] * (d - r - 1) + [r - d] * (r + 1), [d] * d, [r] * r)
 
@@ -195,35 +189,24 @@ def _differing_term(lhs, rhs, d: int, limit: int) -> int | None:
     lhs - rhs, each factor counted once."""
     if _key(lhs) == _key(rhs):
         return None
-    return first_failing_term((_expand(lhs, d, limit), _expand(rhs, d, limit)),
+    return first_failing_term((expand(lhs, d, limit), expand(rhs, d, limit)),
                               ((1, 0, []), (-1, 0, [])))
 
 
-def _collapse_at_one(check_id: str, d: int, r: int, n: int) -> str | None:
+def _collapse_at_one(check_id: str, d: int, r: int, n: int,
+                     entries) -> str | None:
     """Termwise a = 1 consistency against the reference summand; a witness
     on failure.
 
     Term k of the sum at a = 1 is q^{dk} prod_{j<=k} a_j c_k / prod_{j<=k} b_j
     over the same template the substituted sums are built from.
     """
-    k = _differing_term(_sum_template(check_id, d, r, n, 0),
+    k = _differing_term(_sum_template(check_id, d, r, n, 0, entries),
                         _reference_template(check_id, d, r), d,
                         _upper_limit(check_id, d, r, n))
     if k is None:
         return None
     return f"a = 1 collapse differs from reference summand at k = {k}"
-
-
-def _cancel_common(lhs_den: list[int], den: list[int]):
-    """Both denominators less their common factors 1 - q^e, e != 0 (a
-    multiset intersection; the lists are short)."""
-    kept = []
-    for e in den:
-        if e and e in lhs_den:
-            lhs_den.remove(e)
-        else:
-            kept.append(e)
-    return lhs_den, kept
 
 
 def verify_parametric(check_id: str, d: int, r: int, n: int,
@@ -233,9 +216,10 @@ def verify_parametric(check_id: str, d: int, r: int, n: int,
     reason = parametric_precondition(check_id, d, r, n)
     if reason is not None:
         return skipped(check_id, params, reason)
+    entries = numerator_entries(check_id, d, r)
     certified = set()
     for s in (1, -1):
-        template = _sum_template(check_id, d, r, n, s)
+        template = _sum_template(check_id, d, r, n, s, entries)
         # None for a sum that vanishes, as lemma21's does; it refuses
         # every mutation.
         closed = (mutated(None, mutation) if check_id in _SHIFTED_INDEX
@@ -244,20 +228,22 @@ def verify_parametric(check_id: str, d: int, r: int, n: int,
         if identity in certified:  # the same identity as at a = q^n
             continue
         certified.add(identity)
-        increments = cancel_increments(
-            _expand(template, d, _upper_limit(check_id, d, r, n)))
+        increments = template_increments(template, d,
+                                         _upper_limit(check_id, d, r, n))
         if closed is None:
             if not relation_vanishes(d, [(1, 0, [], increments)]):
                 return fails(check_id, params,
                              f"substituted sum nonzero at a = q^{s * n}")
             continue
         sign, shift, num, den = closed
-        lhs_den, den = _cancel_common(
-            [e for _, b, _ in increments for e in b], den)
+        # The increments hold no denominator 1 - q^0, so no such factor
+        # cancels.
+        den, lhs_den = without_common(
+            den, [e for _, b, _ in increments for e in b])
         if not relation_vanishes(d, [(1, 0, den, increments),
                                      (-sign, shift, lhs_den + num, None)]):
             return fails(check_id, params, f"sides differ at a = q^{s * n}")
-    witness = _collapse_at_one(check_id, d, r, n)
+    witness = _collapse_at_one(check_id, d, r, n, entries)
     if witness is not None:
         return fails(check_id, params, witness)
     return holds(check_id, params)

@@ -20,11 +20,16 @@ it decides zero or unpacks while that bound fits the digit width B.
 checks, each at the width of its own bound.  ``relation_vanishes``
 decides whether a signed sum of such products and sums is zero, at the
 width of the whole sum's bound.
-``cancel_increments`` rewrites a sum's increments, by exponent counting,
-into the same sum over a smaller denominator, which tightens that count.
-With ``fold = n`` the same kernel keeps a value modulo (1 - q^n)^2, as
-an int modulo (2^{n B} - 1)^2, so a divisibility by (1 - q^n)^2 is
-decided without unpacking.  ``one_minus_normal_form`` reduces a quotient
+A template, a sum's head and the intercept lists that term k >= 1 moves
+by step (k - 1), stands for its increments (``expand``):
+``template_increments`` writes it as the same sum over a smaller
+denominator, cancelled on its intercepts and ended where a numerator
+factor 1 - q^0 zeroes every later term, which tightens that count, and
+``termwise_degree`` reads from the templates of a termwise relation the
+number of terms that prove it for every k.  With ``fold = n`` the
+same kernel keeps a value modulo (1 - q^n)^2, as an int modulo
+(2^{n B} - 1)^2, so a divisibility by (1 - q^n)^2 is decided without
+unpacking.  ``one_minus_normal_form`` reduces a quotient
 of such factors to exponent counts, which decides equality of two
 quotients with no polynomial arithmetic, and ``first_failing_term``
 decides a relation between sums term by term on running counts of the
@@ -249,36 +254,152 @@ def sum_bounds(increments, step: int = 0, fold: int = 0) -> int:
     return (total - 1).bit_length() + grow
 
 
-def cancel_increments(increments) -> list[tuple[list, list, list]]:
-    """The same sum as ``truncated_sum``'s increments over a smaller D.
+def expand(template, step: int, limit: int) -> list[tuple[list, list, list]]:
+    """A template's ``truncated_sum`` increments (a_k, b_k, c_k), k = 0..limit.
 
-    Walking k upward, an exponent e of b_k that equals a still unmatched
-    exponent of some a_j, j <= k, is paired with the latest such j: the
-    factor 1 - q^e leaves a_j and b_k, and joins c_t for j <= t < k.
-    Terms t >= k lose it from numerator and denominator alike, terms
-    j <= t < k keep it through c_t, and D loses it: every term keeps its
-    value, and the bound of ``sum_bounds`` halves with each pair.  Only
-    equal nonzero exponents pair, so 1 - q^0 is refused or zeroes terms as
-    before, and e never pairs with its associate -e.
+    A template ((a_0, b_0, c_0), a, b, c) is a sum's head, term 0's own
+    lists, and the intercept lists of every later term: term k >= 1 is
+    [x + step (k - 1)] over a, b and c.
     """
-    out = [(list(a), [], list(c)) for a, _, c in increments]
-    open_at = {}  # e -> the j of each a_j holding an unmatched e, in order
-    for k, (a, b, _) in enumerate(increments):
-        for e in a:
-            if e in open_at:
-                open_at[e].append(k)
+    (a0, b0, c0), a, b, c = template
+    increments = [(list(a0), list(b0), list(c0))]
+    for shift in range(0, step * limit, step):
+        increments.append(([x + shift for x in a], [x + shift for x in b],
+                           [x + shift for x in c]))
+    return increments
+
+
+def _refuse_zero_denominator(template, step: int, limit: int) -> None:
+    """DegenerateProductError when some b_k, k <= limit, holds 1 - q^0."""
+    (_, b0, _), _, b, _ = template
+    if 0 in b0 or any(y <= 0 and y % step == 0 and -y // step < limit
+                      for y in b):
+        raise DegenerateProductError("denominator factor 1 - q^0")
+
+
+def template_increments(template, step: int, limit: int):
+    """The template's sum, k = 0..limit, as ``truncated_sum`` increments
+    over a smaller D, cancelled on its intercepts; step > 0.
+
+    A denominator 1 - q^0 anywhere in the range raises
+    DegenerateProductError first.  An a intercept x <= 0 with step | x
+    puts 1 - q^0 into the running product at j = 1 - x/step, which zeroes
+    every term from j on, so the sum ends before j.  Then an a intercept
+    x is paired with a b intercept y, x - y = L step >= 0: the quotient
+    (q^x; q^step)_k / (q^y; q^step)_k is (q^{y + step k}; q^step)_L over
+    (q^y; q^step)_L.  So b_k keeps y only for k <= L, a_j keeps x only for
+    j > limit - L, and c_t gains x + step (j - 1) for the j <= limit - L
+    with j <= t < j + L: every term keeps its value, and D loses a factor
+    at each k > L.  Within a residue class mod step, each x in ascending
+    order pairs with the largest unpaired y <= x.
+    """
+    _refuse_zero_denominator(template, step, limit)
+    (a0, b0, c0), a, b, c = template
+    limit = min([limit] + [-x // step for x in a if x <= 0 and x % step == 0])
+    open_b, kept_a, pairs = {}, [], []
+    for e, is_a in sorted([(y, False) for y in b] + [(x, True) for x in a]):
+        ys = open_b.setdefault(e % step, [])
+        if not is_a:
+            ys.append(e)
+        elif ys:
+            y = ys.pop()
+            span = (e - y) // step
+            # The a_j factors that pair, j = 1..limit - L.
+            pairs.append((e, y, span, range(e, e + step * (limit - span),
+                                            step)))
+        else:
+            kept_a.append(e)
+    kept_b = [y for ys in open_b.values() for y in ys]
+    increments = [(list(a0), list(b0), list(c0))]
+    for k in range(1, limit + 1):
+        shift = step * (k - 1)
+        a_k = [x + shift for x in kept_a]
+        b_k = [y + shift for y in kept_b]
+        c_k = [x + shift for x in c]
+        for x, y, span, paired in pairs:
+            if k > limit - span:
+                a_k.append(x + shift)
+            if k <= span:
+                b_k.append(y + shift)
+                c_k += paired[:k]
             else:
-                open_at[e] = [k]
-        for e in b:
-            js = open_at.get(e)
-            if e and js:
-                j = js.pop()
-                out[j][0].remove(e)
-                for t in range(j, k):
-                    out[t][2].append(e)
-            else:
-                out[k][1].append(e)
-    return out
+                c_k += paired[k - span:k]
+        increments.append((a_k, b_k, c_k))
+    return increments
+
+
+def without_common(up, down):
+    """up less down and down less up, as multisets (the lists are short)."""
+    rest, only = list(down), []
+    for e in up:
+        if e in rest:
+            rest.remove(e)
+        else:
+            only.append(e)
+    return only, rest
+
+
+def _telescoped(up, down, step: int):
+    """prod_up (q^u; q^step)_k over prod_down (q^v; q^step)_k, k >= 1, as
+    the intercepts beta of its factors 1 - q^{beta + step k} above and
+    below, and of its constant factors 1 - q^beta below; None when the
+    lists, less their common part, do not pair up within residue classes
+    mod step.  Sorted pairs u - v = L step telescope to |L| factors."""
+    classes = {}
+    for side, exps in enumerate(without_common(up, down)):
+        for e in sorted(exps):
+            classes.setdefault(e % step, ([], []))[side].append(e)
+    above, below, fixed = [], [], []
+    for us, vs in classes.values():
+        if len(us) != len(vs):
+            return None
+        for u, v in zip(us, vs):
+            if u >= v:  # (q^{v + step k}; q^step)_L / (q^v; q^step)_L
+                above += range(v, u, step)
+                fixed += range(v, u, step)
+            else:  # (q^u; q^step)_L / (q^{u + step k}; q^step)_L
+                below += range(u, v, step)
+    return above, below, fixed
+
+
+def termwise_degree(templates, step: int, limit: int) -> int | None:
+    """Degree D in x = q^{step k} of a termwise relation between template
+    sums, cleared of the ratios of each run's term k >= 1 to run 0's; None
+    where no such D proves the relation.  step > 0.
+
+    A ratio of Pochhammers (q^u; q^step)_k whose bases agree mod step
+    telescopes to factors 1 - q^{beta + step k} (A = B, ch. 5), and each
+    c intercept gives one such factor.  Times the least common multiple
+    of the factors below and the constants below, sum_i relation_i
+    term_k(run i) is term_k(run 0) times a polynomial of degree at most D
+    in x.  The q^{step k} are distinct, so the relation holds at every
+    k >= 1 once it holds at D + 1 of them, provided that run 0's term is
+    nonzero there and no factor cleared below vanishes at any k >= 1:
+    checking terms 0..D + 1 proves it.  None when a ratio does not
+    telescope or that proviso fails.  A denominator 1 - q^0 in any run,
+    k <= limit, raises DegenerateProductError, as the whole sums would.
+    """
+    for template in templates:
+        _refuse_zero_denominator(template, step, limit)
+    (head, _, _), a0, b0, c0 = templates[0]
+    if 0 in head or any(e <= 0 and e % step == 0 for e in a0 + c0):
+        return None
+    lcm, parts = {}, []
+    for _, a, b, c in templates[1:]:
+        ratio = _telescoped(a + b0, a0 + b, step)
+        if ratio is None:
+            return None
+        above, below, fixed = ratio
+        c_up, c_down = without_common(c, c0)
+        above += [e - step for e in c_up]
+        below += [e - step for e in c_down]
+        if 0 in fixed or any(e < 0 and e % step == 0 for e in below):
+            return None
+        for e in below:
+            lcm[e] = max(lcm.get(e, 0), below.count(e))
+        parts.append((len(above), len(below)))
+    degree = sum(lcm.values())
+    return max([degree] + [up + degree - down for up, down in parts])
 
 
 def _numerator(step: int, increments, width: int, fold: int = 0):

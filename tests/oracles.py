@@ -392,6 +392,40 @@ def packed_truncated_sum(step, increments, width, fold=0):
     return pack(num, width // 8), low, sum_bounds(increments, step, fold)
 
 
+def cancel_increments(increments):
+    """The same sum as ``truncated_sum``'s increments over a smaller D, by
+    counting on the expanded lists, as ``qfuncs.template_increments`` does
+    on a template's intercepts.
+
+    Walking k upward, an exponent e of b_k that equals a still unmatched
+    exponent of some a_j, j <= k, is paired with the latest such j: the
+    factor 1 - q^e leaves a_j and b_k, and joins c_t for j <= t < k.
+    Terms t >= k lose it from numerator and denominator alike, terms
+    j <= t < k keep it through c_t, and D loses it: every term keeps its
+    value, and the bound of ``sum_bounds`` halves with each pair.  Only
+    equal nonzero exponents pair, so 1 - q^0 is refused or zeroes terms as
+    before, and e never pairs with its associate -e.
+    """
+    out = [(list(a), [], list(c)) for a, _, c in increments]
+    open_at = {}  # e -> the j of each a_j holding an unmatched e, in order
+    for k, (a, b, _) in enumerate(increments):
+        for e in a:
+            if e in open_at:
+                open_at[e].append(k)
+            else:
+                open_at[e] = [k]
+        for e in b:
+            js = open_at.get(e)
+            if e and js:
+                j = js.pop()
+                out[j][0].remove(e)
+                for t in range(j, k):
+                    out[t][2].append(e)
+            else:
+                out[k][1].append(e)
+    return out
+
+
 def counting_first_failing_term(runs, relation):
     """``first_failing_term`` with every run counted at every term, equal
     factors or not, and leftover lists built at every term."""

@@ -16,6 +16,7 @@ from qsupercheck.identities import (
     _check_sum_decomposition,
     _decomposition_increments,
     _decomposition_relation,
+    _decomposition_templates,
     _km_degenerate,
     _km_sides,
     _poch_parts,
@@ -29,16 +30,20 @@ from qsupercheck.laurent import Laurent, RatFunc
 from qsupercheck.poly import Poly, divrem, poly_prod
 from qsupercheck.qfuncs import (
     Packed,
+    expand,
     first_failing_term,
     one_minus_product,
     packed_width,
     q_binomial,
+    relation_vanishes,
+    termwise_degree,
     truncated_sum,
 )
 from qsupercheck.results import Status
 
 from oracles import (
     QMonomial,
+    counting_first_failing_term,
     dense_product,
     inflate,
     q_pochhammer,
@@ -264,19 +269,24 @@ def test_decomposition_runs_are_the_written_out_sums():
                     assert (b, c) == ([d * k] * d, [])
 
 
+def _raised(templates, run, part, i, delta=1):
+    """The templates with intercept i of list ``part`` (1 a, 2 b, 3 c) of
+    one run raised by delta."""
+    out = [tuple(list(p) if j else p for j, p in enumerate(t))
+           for t in templates]
+    out[run][part][i] += delta
+    return out
+
+
 def test_decomposition_with_a_wrong_exponent_fails(monkeypatch):
-    import qsupercheck.identities as ident
+    real = identities._decomposition_templates
 
-    real = ident._decomposition_increments
-
-    def one_off(d, n):
-        sums = real(d, n)
-        sums[1][-1][0][0] += 1  # one numerator exponent of the last term of s2
-        return sums
+    def one_off(d):
+        return _raised(real(d), 1, 1, 0)  # the first a intercept of s2
 
     assert verify_proof_step("sum_decomposition", {"d": 3, "n": 5}).status \
         is Status.HOLDS
-    monkeypatch.setattr(ident, "_decomposition_increments", one_off)
+    monkeypatch.setattr(identities, "_decomposition_templates", one_off)
     result = verify_proof_step("sum_decomposition", {"d": 3, "n": 5})
     assert result.status is Status.FAILS
     assert result.witness == "three-sum decomposition differs"
@@ -284,7 +294,9 @@ def test_decomposition_with_a_wrong_exponent_fails(monkeypatch):
 
 def test_decomposition_runs_of_unequal_length_are_an_error(monkeypatch):
     # The runs share every denominator, so comparing along zip alone would
-    # have certified the first n - 2 terms of s3 as the whole of it.
+    # have certified the first n - 2 terms of s3 as the whole of it.  Here
+    # no D is read from the templates, so the n-term step runs.
+    monkeypatch.setattr(identities, "termwise_degree", lambda *args: None)
     real = identities._decomposition_increments
 
     def short(d, n):
@@ -315,6 +327,77 @@ def test_termwise_decomposition_matches_three_sum_oracle(monkeypatch):
                 assert _by_three_sums(monkeypatch, d, n) is None
 
 
+def test_decomposition_reads_degree_one_at_every_d():
+    # Run 2 over run 1 is (1 - q)/(1 - q^{dk+1}), run 3 over run 1 is
+    # (1 - q)(1 - q^{d(k-1)+1})/((1 - q^{1-d})(1 - q^{dk+1})): cleared of
+    # 1 - q^{dk+1}, the relation has degree 1 in x = q^{dk}.
+    for d in range(2, 30):
+        assert termwise_degree(_decomposition_templates(d), d, 40) == 1, d
+
+
+def test_decomposition_certificate_matches_the_n_term_verdict(monkeypatch):
+    # On D + 2 = 3 terms the certificate gives the n-term verdict at every
+    # (d, n) of CI's sweep, and it is the one termwise call made.
+    lengths = []
+    real = identities.first_failing_term
+
+    def spy(runs, relation):
+        lengths.append({len(run) for run in runs})
+        return real(runs, relation)
+
+    monkeypatch.setattr(identities, "first_failing_term", spy)
+    for d in range(2, 12):
+        for n in range(1, 41):
+            lengths.clear()
+            verdict = _check_sum_decomposition(d, n)
+            assert verdict is None
+            assert lengths == [{min(n, 3)}], (d, n)
+            assert verdict == real(_decomposition_increments(d, n),
+                                   _decomposition_relation(d))
+
+
+def _parent_verdict(d, n, sums):
+    """Oracle: the decomposition decided without templates, on the n-term
+    counting oracle where the runs share their denominators and then on
+    the whole sums."""
+    relation = _decomposition_relation(d)
+    shared = all(b == b1 for (_, b1, _), *rest in zip(*sums)
+                 for _, b, _ in rest)
+    if shared and counting_first_failing_term(sums, relation) is None:
+        return None
+    if not relation_vanishes(d, [(*part, inc) for part, inc
+                                 in zip(relation, sums)]):
+        return "three-sum decomposition differs"
+    return None
+
+
+def test_a_raised_intercept_takes_the_fallback(monkeypatch):
+    # Raised by one, an intercept leaves its residue class: no D is read,
+    # and the check gives the verdict of the n-term and whole-sum path.
+    # Raised by d, the ratios still telescope, to a larger D, and the
+    # certificate's verdict must be that path's too.
+    cases = 0
+    for d in range(2, 12):
+        templates = _decomposition_templates(d)
+        for n in (1, 2, 3, 4, 6, 9):
+            if d * n > 120:
+                continue
+            for run, part in itertools.product(range(3), (1, 2)):
+                for i in {0, len(templates[run][part]) - 1}:
+                    for delta in (1, d):
+                        mutant = _raised(templates, run, part, i, delta)
+                        degree = termwise_degree(mutant, d, n - 1)
+                        assert (degree is None) is (delta == 1)
+                        monkeypatch.setattr(identities,
+                                            "_decomposition_templates",
+                                            lambda d, mutant=mutant: mutant)
+                        sums = [expand(t, d, n - 1) for t in mutant]
+                        assert _check_sum_decomposition(d, n) == \
+                            _parent_verdict(d, n, sums), (d, n, run, part)
+                        cases += 1
+    assert cases > 600
+
+
 def test_failing_termwise_step_falls_back_to_the_sums(monkeypatch):
     monkeypatch.setattr(identities, "first_failing_term", lambda runs, rel: 0)
     for d, n in ((2, 1), (3, 5), (7, 12)):
@@ -336,21 +419,42 @@ def _decomposition_mutants(sums):
                         yield mutant
 
 
+def _template_mutants(templates):
+    """Each +-1 change of one intercept of one run's template."""
+    for run, template in enumerate(templates):
+        for part in (1, 2, 3):
+            for i in range(len(template[part])):
+                for delta in (1, -1):
+                    yield _raised(templates, run, part, i, delta)
+
+
 @pytest.mark.parametrize("d,n", [(2, 4), (3, 5), (5, 4)])
 def test_decomposition_mutants_keep_the_three_sum_verdict(monkeypatch, d, n):
-    # The termwise step may only prove what the whole sums prove.
+    # The termwise steps may only prove what the whole sums prove: the
+    # n-term step on every list mutant, where the templates read no D,
+    # and the D + 2-term certificate on every template mutant.
     mutants = list(_decomposition_mutants(_decomposition_increments(d, n)))
     assert len(mutants) > 40
-    for sums in mutants:
-        monkeypatch.setattr(identities, "_decomposition_increments",
-                            lambda d, n, sums=sums: sums)
+    with monkeypatch.context() as patch:
+        patch.setattr(identities, "termwise_degree", lambda *args: None)
+        for sums in mutants:
+            patch.setattr(identities, "_decomposition_increments",
+                          lambda d, n, sums=sums: sums)
+            witness = _check_sum_decomposition(d, n)
+            assert witness == _by_three_sums(monkeypatch, d, n)
+            # The check runs the termwise step where the denominators
+            # agree.
+            if all(b == b1 for (_, b1, _), *rest in zip(*sums)
+                   for _, b, _ in rest):
+                assert first_failing_term(sums, _decomposition_relation(
+                    d)) is not None or witness is None
+    templates = list(_template_mutants(_decomposition_templates(d)))
+    assert len(templates) == 2 * 3 * (2 * d)
+    for mutant in templates:
+        monkeypatch.setattr(identities, "_decomposition_templates",
+                            lambda d, mutant=mutant: mutant)
         witness = _check_sum_decomposition(d, n)
         assert witness == _by_three_sums(monkeypatch, d, n)
-        # The check runs the termwise step where the denominators agree.
-        if all(b == b1 for (_, b1, _), *rest in zip(*sums)
-               for _, b, _ in rest):
-            assert first_failing_term(sums, _decomposition_relation(d)) \
-                is not None or witness is None
 
 
 def test_ratio_shifts():

@@ -23,7 +23,6 @@ from qsupercheck.parametric import (
     _collapse_at_one,
     _den_core,
     _differing_term,
-    _expand,
     _key,
     _reference_template,
     _rhs_factors,
@@ -38,6 +37,7 @@ from qsupercheck.parametric import (
 from qsupercheck.poly import Poly
 from qsupercheck.qfuncs import (
     DegenerateProductError,
+    expand,
     first_failing_term,
     one_minus_normal_form,
     one_minus_product,
@@ -61,18 +61,30 @@ INSTANCES = sorted({(cid, d, r, n) for grid in (GRID_PARAMETRIC, PAST_GRID)
                     for cid, triples in grid.items() for d, r, n in triples})
 
 
+def _template(check_id, d, r, n, s):
+    """The LHS template at a = q^{sn}, or a = 1 for s = 0."""
+    return _sum_template(check_id, d, r, n, s,
+                         numerator_entries(check_id, d, r))
+
+
+def _collapse(check_id, d, r, n):
+    """The a = 1 collapse's witness, or None."""
+    return _collapse_at_one(check_id, d, r, n,
+                            numerator_entries(check_id, d, r))
+
+
 def _sum(check_id, d, r, n, s):
-    """The LHS increments as ``verify_parametric`` expands them, at
-    a = q^{sn}, or a = 1 for s = 0."""
-    return _expand(_sum_template(check_id, d, r, n, s), d,
-                   _upper_limit(check_id, d, r, n))
+    """The LHS template's expanded increments at a = q^{sn}, or a = 1 for
+    s = 0."""
+    return expand(_template(check_id, d, r, n, s), d,
+                  _upper_limit(check_id, d, r, n))
 
 
 def _reference(check_id, d, r, n):
     """The reference summand's increments as the a = 1 collapse expands
     them."""
-    return _expand(_reference_template(check_id, d, r), d,
-                   _upper_limit(check_id, d, r, n))
+    return expand(_reference_template(check_id, d, r), d,
+                  _upper_limit(check_id, d, r, n))
 
 
 def _sum_sides(check_id, d, r, n, s):
@@ -252,7 +264,7 @@ def test_collapse_counting_matches_polynomial_oracle(check_id, d, r, n):
         assert lhs_num * oracle_den == oracle_num * lhs_den
         ref = one_minus_product(ref_num + rc).shifted(d * k)
         assert lhs_num * one_minus_product(ref_den) == ref * lhs_den
-    assert _collapse_at_one(check_id, d, r, n) is None
+    assert _collapse(check_id, d, r, n) is None
 
 
 def test_collapse_detects_a_wrong_exponent(monkeypatch):
@@ -261,7 +273,7 @@ def test_collapse_detects_a_wrong_exponent(monkeypatch):
         return ((a + [1], b + [2], c), *lines)
 
     monkeypatch.setattr(parametric, "_reference_template", off_by_one)
-    witness = _collapse_at_one("p7_45", 7, 3, 11)
+    witness = _collapse("p7_45", 7, 3, 11)
     assert witness == "a = 1 collapse differs from reference summand at k = 0"
 
 
@@ -282,7 +294,7 @@ def test_reference_increments_match_the_written_out_summands():
 def test_running_collapse_matches_the_quadratic_oracle():
     assert len(ADMISSIBLE) == 365
     for cid, d, r, n in ADMISSIBLE:
-        assert _collapse_at_one(cid, d, r, n) == collapse_at_one(
+        assert _collapse(cid, d, r, n) == collapse_at_one(
             cid, d, r, n) is None
 
 
@@ -387,13 +399,13 @@ def test_templates_expand_to_the_written_out_lists():
     assert len(ADMISSIBLE_TO_60) == 698
     for cid, d, r, n in ADMISSIBLE_TO_60:
         limit = _upper_limit(cid, d, r, n)
-        templates = {s: _sum_template(cid, d, r, n, s) for s in (1, -1, 0)}
+        templates = {s: _template(cid, d, r, n, s) for s in (1, -1, 0)}
         lists = {s: sum_increments(cid, d, r, n, s) for s in (1, -1, 0)}
         for s, template in templates.items():
-            assert _expand(template, d, limit) == lists[s], (cid, d, r, n, s)
+            assert expand(template, d, limit) == lists[s], (cid, d, r, n, s)
         ref, ref_lists = (_reference_template(cid, d, r),
                           reference_increments(cid, d, r, n))
-        assert _expand(ref, d, limit) == ref_lists, (cid, d, r, n)
+        assert expand(ref, d, limit) == ref_lists, (cid, d, r, n)
         closed = {s: None if cid in _SHIFTED_INDEX
                   else _rhs_factors(cid, d, r, n, s, None) for s in (1, -1)}
         same_identity = (identity(lists[1], closed[1])
@@ -425,14 +437,14 @@ def test_template_mutants_match_the_counting_oracle(check_id, d, r, n):
     # A mutant template's key differs, so its expanded lists are decided:
     # each k or DegenerateProductError must be the oracle's.
     limit = _upper_limit(check_id, d, r, n)
-    lhs = _sum_template(check_id, d, r, n, 0)
+    lhs = _template(check_id, d, r, n, 0)
     rhs = _reference_template(check_id, d, r)
     pairs = [(m, rhs) for m in _template_mutants(lhs)]
     pairs += [(lhs, m) for m in _template_mutants(rhs)]
     outcomes = [_outcome(lambda x, y: _differing_term(x, y, d, limit), *pair)
                 for pair in pairs]
     assert outcomes == [_outcome(lambda x, y: counting_first_failing_term(
-        (_expand(x, d, limit), _expand(y, d, limit)), COLLAPSE), *pair)
+        (expand(x, d, limit), expand(y, d, limit)), COLLAPSE), *pair)
         for pair in pairs]
     assert all(isinstance(k, (int, tuple)) for k in outcomes)
 
@@ -451,9 +463,9 @@ def test_runs_of_unequal_length_are_refused(monkeypatch):
     # A reference template that differs is expanded, here to 5 terms.
     (a0, b0, c0), a, b, c = _reference_template("p3_32", 5, 1)
     short = ((a0, b0, c0), [a[0] + 1] + a[1:], b, c)
-    real = parametric._expand
+    real = parametric.expand
     monkeypatch.setattr(parametric, "_reference_template", lambda *_: short)
-    monkeypatch.setattr(parametric, "_expand", lambda template, d, limit: real(
+    monkeypatch.setattr(parametric, "expand", lambda template, d, limit: real(
         template, d, 4 if template is short else limit))
     result = run_check("p3_32", {"d": 5, "n": 14, "r": 1})
     assert result.status is Status.ERROR
