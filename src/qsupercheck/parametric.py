@@ -209,14 +209,41 @@ def _collapse_at_one(check_id: str, d: int, r: int, n: int,
     return f"a = 1 collapse differs from reference summand at k = {k}"
 
 
+# Witnesses (None for HOLDS) of the work after the precondition, keyed on
+# what decides it; ``p3_32`` is ``p7_45`` at r = 1, for one.  At most
+# ``_CERTIFIED_MAX`` entries are kept, the oldest dropped first.
+_CERTIFIED: dict = {}
+_CERTIFIED_MAX = 4096
+
+
 def verify_parametric(check_id: str, d: int, r: int, n: int,
                       mutation: str | None = None) -> CheckResult:
-    """Exact equality at a = q^{+-n} plus the a = 1 termwise collapse."""
+    """Exact equality at a = q^{+-n} plus the a = 1 termwise collapse.
+
+    The work after the precondition depends on the family only through
+    the shifted index, ``numerator_entries`` and ``rhs_band``, so it is
+    done once per process for each such key, with d, r, n and the
+    mutation, and its verdict is returned under the id that asks."""
     params = {"d": d, "n": n, "r": r}
     reason = parametric_precondition(check_id, d, r, n)
     if reason is not None:
         return skipped(check_id, params, reason)
     entries = numerator_entries(check_id, d, r)
+    key = (d, r, n, mutation, check_id in _SHIFTED_INDEX, tuple(entries),
+           tuple(rhs_band(check_id, d, r)))
+    if key not in _CERTIFIED:
+        while len(_CERTIFIED) >= _CERTIFIED_MAX:
+            del _CERTIFIED[next(iter(_CERTIFIED))]
+        _CERTIFIED[key] = _witness(check_id, d, r, n, mutation, entries)
+    witness = _CERTIFIED[key]
+    if witness is not None:
+        return fails(check_id, params, witness)
+    return holds(check_id, params)
+
+
+def _witness(check_id: str, d: int, r: int, n: int, mutation: str | None,
+             entries) -> str | None:
+    """``verify_parametric``'s witness of FAILS, None where it HOLDS."""
     certified = set()
     for s in (1, -1):
         template = _sum_template(check_id, d, r, n, s, entries)
@@ -232,8 +259,7 @@ def verify_parametric(check_id: str, d: int, r: int, n: int,
                                          _upper_limit(check_id, d, r, n))
         if closed is None:
             if not relation_vanishes(d, [(1, 0, [], increments)]):
-                return fails(check_id, params,
-                             f"substituted sum nonzero at a = q^{s * n}")
+                return f"substituted sum nonzero at a = q^{s * n}"
             continue
         sign, shift, num, den = closed
         # The increments hold no denominator 1 - q^0, so no such factor
@@ -242,8 +268,5 @@ def verify_parametric(check_id: str, d: int, r: int, n: int,
             den, [e for _, b, _ in increments for e in b])
         if not relation_vanishes(d, [(1, 0, den, increments),
                                      (-sign, shift, lhs_den + num, None)]):
-            return fails(check_id, params, f"sides differ at a = q^{s * n}")
-    witness = _collapse_at_one(check_id, d, r, n, entries)
-    if witness is not None:
-        return fails(check_id, params, witness)
-    return holds(check_id, params)
+            return f"sides differ at a = q^{s * n}"
+    return _collapse_at_one(check_id, d, r, n, entries)

@@ -259,8 +259,10 @@ def expand(template, step: int, limit: int) -> list[tuple[list, list, list]]:
 
     A template ((a_0, b_0, c_0), a, b, c) is a sum's head, term 0's own
     lists, and the intercept lists of every later term: term k >= 1 is
-    [x + step (k - 1)] over a, b and c.
+    [x + step (k - 1)] over a, b and c.  A denominator 1 - q^0 raises
+    DegenerateProductError, as in ``template_increments``; step > 0.
     """
+    _refuse_zero_denominator(template, step, limit)
     (a0, b0, c0), a, b, c = template
     increments = [(list(a0), list(b0), list(c0))]
     for shift in range(0, step * limit, step):
@@ -403,9 +405,8 @@ def termwise_degree(templates, step: int, limit: int) -> int | None:
 
 
 def _numerator(step: int, increments, width: int, fold: int = 0):
-    """``truncated_sum``'s N as the packed pair (value, low), on plain ints."""
-    if any(0 in b for _, b, _ in increments):
-        raise DegenerateProductError("denominator factor 1 - q^0")
+    """``truncated_sum``'s N as the packed pair (value, low), on plain ints;
+    the increments hold no denominator 1 - q^0."""
     num = low = run_low = 0
     run = 1
     for k, (a, b, c) in enumerate(increments):
@@ -432,6 +433,8 @@ def truncated_sum(step: int, increments) -> Packed:
     term from a, only term k from c, and raises DegenerateProductError
     from b.
     """
+    if any(0 in b for _, b, _ in increments):
+        raise DegenerateProductError("denominator factor 1 - q^0")
     bits = sum_bounds(increments, step)
     width = packed_width(bits)
     return Packed(*_numerator(step, increments, width), bits, width)
@@ -442,7 +445,9 @@ def relation_vanishes(step: int, terms, fold: int = 0) -> bool:
     modulo (1 - q^n)^2 with ``fold = n``.
 
     ``terms[i] = (sign, shift, exps, increments)`` with sign 1, -1 or 0;
-    N_i is ``truncated_sum``'s numerator of the increments, 1 for None.
+    N_i is ``truncated_sum``'s numerator of the increments, 1 for None;
+    the increments come from ``expand`` or ``template_increments``, which
+    refuse a denominator 1 - q^0, so it is not looked for again here.
     Term i's bound b_i is its ``sum_bounds`` grown by ``grown_bits``, and
     the width fits the total's, the bit length of sum_i 2^{b_i} - 1.  The
     total is summed on plain ints and packed once, to be decided.

@@ -2,7 +2,13 @@
 
 Results are sorted by (check id, canonical parameter string) before
 serialization, so re-running a sweep with the same seed and flags yields
-a byte-identical body once the elapsed fields are set aside.
+a byte-identical body once the elapsed fields are set aside.  The JSON
+body is ``json.dumps(report.to_dict(), indent=2, sort_keys=True)`` and a
+newline, but CPython's C encoder runs only without ``indent``, so
+``to_json`` lays out the report's fixed shape itself: keys in sorted
+order, strings through ``encode_basestring_ascii`` and numbers through
+``repr``, as the encoder writes them.  A value of any other kind goes
+through ``json.dumps`` and is indented where it sits.
 """
 
 from __future__ import annotations
@@ -10,6 +16,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+from json.encoder import encode_basestring_ascii as _string
+from math import isfinite
+from operator import itemgetter
 
 from . import __version__
 from .results import CheckResult, Status, canonical_params
@@ -17,6 +26,62 @@ from .results import CheckResult, Status, canonical_params
 
 _SUMMARY_KEYS = {Status.HOLDS: "holds", Status.FAILS: "fails",
                  Status.SKIPPED_PRECONDITION: "skipped", Status.ERROR: "errors"}
+
+
+def _value(value, pad: str) -> str:
+    """``value`` as ``json.dumps(indent=2, sort_keys=True)`` writes it on a
+    line indented by ``pad``."""
+    kind = type(value)
+    if kind is int:
+        return repr(value)
+    if kind is str:
+        return _string(value)
+    if kind is float and isfinite(value):
+        return repr(value)
+    if kind in (tuple, list) and value and all(type(v) is int for v in value):
+        inner = ",\n" + pad + "  "
+        return "[" + inner[1:] + inner.join(map(repr, value)) + "\n" + pad + "]"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
+def _object(fields, pad: str) -> str:
+    """A JSON object of (key, written value) fields, given in sorted key
+    order, whose braces sit at the indentation ``pad``."""
+    if not fields:
+        return "{}"
+    inner = "\n" + pad + "  "
+    return "{" + ",".join([f"{inner}{_string(key)}: {value}"
+                           for key, value in fields]) + "\n" + pad + "}"
+
+
+def _array(items, pad: str) -> str:
+    """A JSON array of written items whose brackets sit at ``pad``."""
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+
+
+def _params(params: dict, pad: str) -> str:
+    """A parameter dict whose braces sit at ``pad``."""
+    inner = pad + "  "
+    return _object([(key, _value(value, inner))
+                    for key, value in sorted(params.items())], pad)
+
+
+_STATUS = {status: _string(status.value) for status in Status}
+
+
+def _result(r: CheckResult) -> str:
+    """One entry of the report's results, as ``CheckResult.to_dict``."""
+    pad = "      "
+    note = "" if r.note is None else f',\n{pad}"note": {_value(r.note, pad)}'
+    witness = ("" if r.witness is None
+               else f',\n{pad}"witness": {_value(r.witness, pad)}')
+    return (f'{{\n{pad}"elapsed_ms": {_value(round(r.elapsed_ms, 3), pad)},'
+            f'\n{pad}"id": {_string(r.check_id)}{note},'
+            f'\n{pad}"params": {_params(r.params, pad)},'
+            f'\n{pad}"status": {_STATUS[r.status]}{witness}\n    }}')
 
 
 class SweepPlan:
@@ -51,6 +116,23 @@ class SweepPlan:
             ]
         return plan
 
+    def _json(self) -> str:
+        """``to_dict()`` as ``Report.to_json`` writes it, one level in."""
+        pad, entry = "    ", "        "
+        fields = []
+        if not self.suite:
+            fields.append(("checks", _array([
+                _object([("id", _value(cid, entry)),
+                         ("params", _params(params, entry))], "      ")
+                for cid, params in self.checks], pad)))
+        fields += [("fast_mode", _value(self.fast_mode, pad)),
+                   ("instances", _value(self.instance_count(), pad)),
+                   ("seed", _value(self.seed, pad))]
+        if self.suite:
+            fields.append(("suite", _value(self.suite, pad)))
+        fields.append(("trials", _value(self.trials, pad)))
+        return _object(fields, "  ")
+
 
 class Report:
     __slots__ = ("plan", "results", "total_elapsed_ms")
@@ -59,8 +141,16 @@ class Report:
         self.plan, self.results = plan, results
         self.total_elapsed_ms = 0.0
 
+    def _keyed(self) -> list[tuple[tuple[str, str], CheckResult]]:
+        """((check id, canonical params), result) pairs in report order,
+        each result's parameter string built once."""
+        keyed = [((r.check_id, canonical_params(r.params)), r)
+                 for r in self.results]
+        keyed.sort(key=itemgetter(0))
+        return keyed
+
     def sorted_results(self) -> list[CheckResult]:
-        return sorted(self.results, key=CheckResult.sort_key)
+        return [r for _, r in self._keyed()]
 
     def summary(self) -> dict:
         """Counts per status; ``errors`` appears only when nonzero."""
@@ -80,15 +170,25 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        """``json.dumps(self.to_dict(), indent=2, sort_keys=True)`` and a
+        newline, byte for byte, written without building ``to_dict()``."""
+        pad = "  "
+        summary = sorted(self.summary().items())
+        return _object([
+            ("plan", self.plan._json()),
+            ("results", _array([_result(r) for _, r in self._keyed()], pad)),
+            ("summary", _object([(k, repr(v)) for k, v in summary], pad)),
+            ("total_elapsed_ms", _value(round(self.total_elapsed_ms, 3), pad)),
+            ("version", _value(__version__, pad)),
+        ], "") + "\n"
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["id", "params", "status", "elapsed_ms"])
-        for r in self.sorted_results():
-            writer.writerow([r.check_id, canonical_params(r.params),
-                             r.status.value, round(r.elapsed_ms, 3)])
+        for (check_id, params), r in self._keyed():
+            writer.writerow([check_id, params, r.status.value,
+                             round(r.elapsed_ms, 3)])
         return buf.getvalue()
 
     def render(self, fmt: str) -> str:

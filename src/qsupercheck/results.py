@@ -36,12 +36,6 @@ class CheckResult:
                 f" {self.status}, witness={self.witness!r},"
                 f" note={self.note!r})")
 
-    def params_key(self) -> str:
-        return canonical_params(self.params)
-
-    def sort_key(self):
-        return (self.check_id, self.params_key())
-
     def to_dict(self) -> dict:
         out = {
             "id": self.check_id,

@@ -13,6 +13,7 @@ from itertools import zip_longest
 from math import factorial
 from math import gcd as igcd
 
+from qsupercheck import identities
 from qsupercheck.families import (
     F6_THM42,
     a_exponent,
@@ -33,6 +34,7 @@ from qsupercheck.parametric import (
 from qsupercheck.poly import Poly, pack, poly_prod
 from qsupercheck.qfuncs import (
     DegenerateProductError,
+    expand,
     one_minus_normal_form,
     poch_power_base,
     q_binomial,
@@ -183,6 +185,12 @@ def lhs_sum_whole(family, d, r, n, ring):
         num_total = num_total + term * cofactor
     den = poch_power_base(d, d, n - 1) ** d
     return ring.element(num_total) * ring.element(den).invert()
+
+
+# Parametric families whose instances are another family's wherever they
+# are admissible, written out from the paper's conditions: p3_32 (odd
+# d > 3, r = 1) is p7_45 at r = 1, and p4_33 (d = 3, r = 1) is p8_46 there.
+SAME_WORK = {"p3_32": "p7_45", "p4_33": "p8_46"}
 
 
 def sum_increments(check_id, d, r, n, s):
@@ -452,6 +460,66 @@ def counting_first_failing_term(runs, relation):
                 extra in zip(relation, left)]) if any(counts) else equal):
             return k
     return None
+
+
+def decomposition_sums(d, n):
+    """The three sums of the decomposition, mixed, divisibility and
+    squared, as ``truncated_sum`` increments k = 0..n - 1 over the common
+    denominator (q^d; q^d)_{n-1}^d, expanded from the templates that
+    ``identities`` reads when it is called."""
+    return [expand(t, d, n - 1) for t in identities._decomposition_templates(d)]
+
+
+def whole_sum_decomposition(d, sums):
+    """The decomposition's witness, or None, decided on the whole sums by
+    one ``relation_vanishes`` call: (1 - q) s1 - (1 - q^d) s2
+    + q (1 - q^{d-1}) s3 = 0, since (1 - q)[m] = 1 - q^m."""
+    relation = ((1, 0, [1]), (-1, 0, [d]), (1, 1, [d - 1]))
+    if relation_vanishes(d, [(*part, inc) for part, inc
+                             in zip(relation, sums, strict=True)]):
+        return None
+    return "three-sum decomposition differs"
+
+
+def km_certificate(ns, rhs_shift=0):
+    """Karlsson-Minton's summation for all b at the offsets ``ns``, decided
+    by one ``relation_vanishes`` call; the right-hand side is multiplied by
+    q^rhs_shift, so only rhs_shift = 0 may hold.
+
+    Times (q; q)_N prod_j (b_j; q)_{n_j}, N = sum n_j, the summation reads
+    sum_k q^k (q^{-N}; q)_k (q^{k+1}; q)_{N-k} prod_j (b_j q^k; q)_{n_j}
+    = (-1)^N q^{sum C(n_j, 2)} (q; q)_N^2 prod_j b_j^{n_j}, a polynomial of
+    degree at most n_j in each b_j.  Substituting b_j = q^{D_j}, with D_1
+    above the q-exponent span of every term read from its exponent lists
+    and D_{j+1} = D_j (n_j + 1), maps distinct b-monomials to q-powers at
+    least D_1 apart, so it is injective on such polynomials (Kronecker
+    substitution): the N + 2 terms vanish exactly when the relation holds
+    for all b.
+    """
+    total = sum(ns)
+    # Term k: its q-power, its factors 1 - q^e, and for each j the e of
+    # its factors 1 - b_j q^e.
+    lhs = [(k, [t - total for t in range(k)]
+            + [k + 1 + t for t in range(total - k)],
+            [range(k, k + nj) for nj in ns]) for k in range(total + 1)]
+    rhs_shift += sum(nj * (nj - 1) // 2 for nj in ns)
+    squared = list(range(1, total + 1)) * 2
+    # Every q-exponent of the coefficient of a b-monomial is in [low, high].
+    low = min([rhs_shift] + [k + sum(e for e in fixed if e < 0)
+                             for k, fixed, _ in lhs])
+    high = max([rhs_shift + sum(squared)]
+               + [k + sum(e for e in fixed if e > 0) + sum(map(sum, bs))
+                  for k, fixed, bs in lhs])
+    powers, base = [], high - low + 1
+    for nj in ns:
+        powers.append(base)
+        base *= nj + 1
+    relation = [(1, k, fixed + [p + e for p, es in zip(powers, bs)
+                                for e in es], None)
+                for k, fixed, bs in lhs]
+    relation.append((-(-1) ** total, rhs_shift + sum(
+        p * nj for p, nj in zip(powers, ns)), squared, None))
+    return relation_vanishes(0, relation)
 
 
 def rising_factorial_mod(x, j, p, k=2):

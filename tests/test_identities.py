@@ -14,7 +14,6 @@ from qsupercheck.identities import (
     _check_qbinom_rewrite,
     _check_ratio_shift,
     _check_sum_decomposition,
-    _decomposition_increments,
     _decomposition_relation,
     _decomposition_templates,
     _km_degenerate,
@@ -30,12 +29,10 @@ from qsupercheck.laurent import Laurent, RatFunc
 from qsupercheck.poly import Poly, divrem, poly_prod
 from qsupercheck.qfuncs import (
     Packed,
-    expand,
     first_failing_term,
     one_minus_product,
     packed_width,
     q_binomial,
-    relation_vanishes,
     termwise_degree,
     truncated_sum,
 )
@@ -44,11 +41,27 @@ from qsupercheck.results import Status
 from oracles import (
     QMonomial,
     counting_first_failing_term,
+    decomposition_sums,
     dense_product,
     inflate,
+    km_certificate,
     q_pochhammer,
     qbinom_alternating_sum,
+    whole_sum_decomposition,
 )
+
+
+def test_km_certificate_oracle_decides_every_paper_default_list():
+    # The exact proof that ROADMAP item 2 plans, as an oracle: with every
+    # denominator cleared and b_j = q^{D_j}, one relation_vanishes call
+    # proves the summation for all b at each offset list of the suite, and
+    # the right-hand side times q is refused at each.
+    lists = [params["n_list"] for cid, params in paper_default_suite()
+             if cid == "km"]
+    assert len(lists) == 155
+    for ns in lists:
+        assert km_certificate(ns), ns
+        assert not km_certificate(ns, rhs_shift=1), ns
 
 
 def test_km_trivial_offsets_give_one():
@@ -247,7 +260,7 @@ def _decomposition_sums_per_term(d, n):
                          + [(2, 1), (2, 2), (5, 14), (6, 12), (7, 10)])
 def test_decomposition_sums_match_per_term_oracle(d, n):
     sums = []
-    for increments in _decomposition_increments(d, n):
+    for increments in decomposition_sums(d, n):
         sums.append(truncated_sum(d, increments).laurent())
     assert sums == _decomposition_sums_per_term(d, n)
 
@@ -258,7 +271,7 @@ def test_decomposition_runs_are_the_written_out_sums():
     for d in range(2, 12):
         shapes = ((d - 1, 0, 1), (d - 2, 1, 1), (d - 2, 2, 0))
         for n in range(1, 41):
-            runs = _decomposition_increments(d, n)
+            runs = decomposition_sums(d, n)
             assert len(runs) == 3
             for run, (high, one, neg) in zip(runs, shapes):
                 assert len(run) == n and run[0] == ([], [], [])
@@ -278,11 +291,22 @@ def _raised(templates, run, part, i, delta=1):
     return out
 
 
+def _certified(d, n):
+    """The check's witness, or "no certificate" where it has none."""
+    try:
+        return _check_sum_decomposition(d, n)
+    except RuntimeError as exc:
+        assert str(exc).startswith("no certificate")
+        return "no certificate"
+
+
 def test_decomposition_with_a_wrong_exponent_fails(monkeypatch):
     real = identities._decomposition_templates
 
     def one_off(d):
-        return _raised(real(d), 1, 1, 0)  # the first a intercept of s2
+        # The first a intercept of s2 raised by d: the ratios still
+        # telescope, so the certificate decides it.
+        return _raised(real(d), 1, 1, 0, d)
 
     assert verify_proof_step("sum_decomposition", {"d": 3, "n": 5}).status \
         is Status.HOLDS
@@ -290,49 +314,49 @@ def test_decomposition_with_a_wrong_exponent_fails(monkeypatch):
     result = verify_proof_step("sum_decomposition", {"d": 3, "n": 5})
     assert result.status is Status.FAILS
     assert result.witness == "three-sum decomposition differs"
+    assert whole_sum_decomposition(3, decomposition_sums(3, 5)) == \
+        result.witness
 
 
-def test_decomposition_runs_of_unequal_length_are_an_error(monkeypatch):
-    # The runs share every denominator, so comparing along zip alone would
-    # have certified the first n - 2 terms of s3 as the whole of it.  Here
-    # no D is read from the templates, so the n-term step runs.
-    monkeypatch.setattr(identities, "termwise_degree", lambda *args: None)
-    real = identities._decomposition_increments
-
-    def short(d, n):
-        sums = real(d, n)
-        return sums[:2] + [sums[2][:-1]]
-
-    monkeypatch.setattr(identities, "_decomposition_increments", short)
+def test_decomposition_without_a_certificate_is_an_error(monkeypatch):
+    # Raised by one, an intercept leaves its residue class mod d, so no D
+    # is read: the check decides nothing and reports an engine ERROR,
+    # though the whole sums differ.
+    real = identities._decomposition_templates
+    monkeypatch.setattr(identities, "_decomposition_templates",
+                        lambda d: _raised(real(d), 1, 1, 0))
+    assert termwise_degree(identities._decomposition_templates(3), 3, 3) \
+        is None
+    assert whole_sum_decomposition(3, decomposition_sums(3, 4)) is not None
     result = run_check("sum_decomposition", {"d": 3, "n": 4})
     assert result.status is Status.ERROR
-    assert result.witness.startswith("ValueError")
+    assert result.witness.startswith("RuntimeError: no certificate")
+    monkeypatch.undo()
+    monkeypatch.setattr(identities, "termwise_degree", lambda *args: None)
+    result = run_check("sum_decomposition", {"d": 3, "n": 4})
+    assert result.status is Status.ERROR
+    assert result.witness.startswith("RuntimeError: no certificate")
 
 
-def _by_three_sums(monkeypatch, d, n):
-    """The decomposition's witness from the whole packed sums alone."""
-    with monkeypatch.context() as patch:
-        patch.setattr(identities, "first_failing_term", lambda runs, rel: 0)
-        return _check_sum_decomposition(d, n)
-
-
-def test_termwise_decomposition_matches_three_sum_oracle(monkeypatch):
+def test_termwise_decomposition_matches_three_sum_oracle():
     # Every term matches on the whole range; the whole sums, whose cost
     # grows like (dn)^3, are compared where d n <= 120 (221 of 400 cells).
     for d in range(2, 12):
         for n in range(1, 41):
-            assert first_failing_term(_decomposition_increments(d, n),
-                                      _decomposition_relation(d)) is None
+            sums = decomposition_sums(d, n)
+            assert first_failing_term(sums, _decomposition_relation(d)) is None
             if d * n <= 120:
-                assert _by_three_sums(monkeypatch, d, n) is None
+                assert whole_sum_decomposition(d, sums) is None
 
 
 def test_decomposition_reads_degree_one_at_every_d():
     # Run 2 over run 1 is (1 - q)/(1 - q^{dk+1}), run 3 over run 1 is
     # (1 - q)(1 - q^{d(k-1)+1})/((1 - q^{1-d})(1 - q^{dk+1})): cleared of
     # 1 - q^{dk+1}, the relation has degree 1 in x = q^{dk}.
-    for d in range(2, 30):
-        assert termwise_degree(_decomposition_templates(d), d, 40) == 1, d
+    for d in range(2, 101):
+        for n in (1, 2, 3, 5, 17, 60):
+            assert termwise_degree(_decomposition_templates(d), d, n - 1) \
+                == 1, (d, n)
 
 
 def test_decomposition_certificate_matches_the_n_term_verdict(monkeypatch):
@@ -352,7 +376,7 @@ def test_decomposition_certificate_matches_the_n_term_verdict(monkeypatch):
             verdict = _check_sum_decomposition(d, n)
             assert verdict is None
             assert lengths == [{min(n, 3)}], (d, n)
-            assert verdict == real(_decomposition_increments(d, n),
+            assert verdict == real(decomposition_sums(d, n),
                                    _decomposition_relation(d))
 
 
@@ -365,17 +389,14 @@ def _parent_verdict(d, n, sums):
                  for _, b, _ in rest)
     if shared and counting_first_failing_term(sums, relation) is None:
         return None
-    if not relation_vanishes(d, [(*part, inc) for part, inc
-                                 in zip(relation, sums)]):
-        return "three-sum decomposition differs"
-    return None
+    return whole_sum_decomposition(d, sums)
 
 
-def test_a_raised_intercept_takes_the_fallback(monkeypatch):
+def test_a_raised_intercept_is_refused_or_certified(monkeypatch):
     # Raised by one, an intercept leaves its residue class: no D is read,
-    # and the check gives the verdict of the n-term and whole-sum path.
-    # Raised by d, the ratios still telescope, to a larger D, and the
-    # certificate's verdict must be that path's too.
+    # and the check has no certificate.  Raised by d, the ratios still
+    # telescope, to a larger D, and the certificate's verdict must be the
+    # n-term and whole-sum verdict.
     cases = 0
     for d in range(2, 12):
         templates = _decomposition_templates(d)
@@ -391,18 +412,21 @@ def test_a_raised_intercept_takes_the_fallback(monkeypatch):
                         monkeypatch.setattr(identities,
                                             "_decomposition_templates",
                                             lambda d, mutant=mutant: mutant)
-                        sums = [expand(t, d, n - 1) for t in mutant]
-                        assert _check_sum_decomposition(d, n) == \
-                            _parent_verdict(d, n, sums), (d, n, run, part)
+                        want = ("no certificate" if delta == 1 else
+                                _parent_verdict(d, n, decomposition_sums(d, n)))
+                        assert _certified(d, n) == want, (d, n, run, part)
                         cases += 1
     assert cases > 600
 
 
-def test_failing_termwise_step_falls_back_to_the_sums(monkeypatch):
+def test_failing_termwise_step_is_a_fails(monkeypatch):
+    # A term of the certificate that differs is the verdict: no later
+    # step can turn it into HOLDS.
     monkeypatch.setattr(identities, "first_failing_term", lambda runs, rel: 0)
     for d, n in ((2, 1), (3, 5), (7, 12)):
         result = verify_proof_step("sum_decomposition", {"d": d, "n": n})
-        assert result.status is Status.HOLDS
+        assert result.status is Status.FAILS
+        assert result.witness == "three-sum decomposition differs"
 
 
 def _decomposition_mutants(sums):
@@ -430,31 +454,27 @@ def _template_mutants(templates):
 
 @pytest.mark.parametrize("d,n", [(2, 4), (3, 5), (5, 4)])
 def test_decomposition_mutants_keep_the_three_sum_verdict(monkeypatch, d, n):
-    # The termwise steps may only prove what the whole sums prove: the
-    # n-term step on every list mutant, where the templates read no D,
-    # and the D + 2-term certificate on every template mutant.
-    mutants = list(_decomposition_mutants(_decomposition_increments(d, n)))
+    # The termwise steps may only prove what the whole sums prove:
+    # ``first_failing_term`` on all n terms of every list mutant.  Every
+    # template mutant moves an intercept out of its residue class mod d, so
+    # no D is read and the check has no certificate; raised by d, an
+    # intercept is certified (test_a_raised_intercept_is_refused_or_certified).
+    mutants = list(_decomposition_mutants(decomposition_sums(d, n)))
     assert len(mutants) > 40
-    with monkeypatch.context() as patch:
-        patch.setattr(identities, "termwise_degree", lambda *args: None)
-        for sums in mutants:
-            patch.setattr(identities, "_decomposition_increments",
-                          lambda d, n, sums=sums: sums)
-            witness = _check_sum_decomposition(d, n)
-            assert witness == _by_three_sums(monkeypatch, d, n)
-            # The check runs the termwise step where the denominators
-            # agree.
-            if all(b == b1 for (_, b1, _), *rest in zip(*sums)
-                   for _, b, _ in rest):
-                assert first_failing_term(sums, _decomposition_relation(
-                    d)) is not None or witness is None
+    relation = _decomposition_relation(d)
+    for sums in mutants:
+        try:
+            verdict = first_failing_term(sums, relation)
+        except qfuncs.DegenerateProductError:
+            continue
+        if verdict is None:
+            assert whole_sum_decomposition(d, sums) is None
     templates = list(_template_mutants(_decomposition_templates(d)))
     assert len(templates) == 2 * 3 * (2 * d)
     for mutant in templates:
         monkeypatch.setattr(identities, "_decomposition_templates",
                             lambda d, mutant=mutant: mutant)
-        witness = _check_sum_decomposition(d, n)
-        assert witness == _by_three_sums(monkeypatch, d, n)
+        assert _certified(d, n) == "no certificate"
 
 
 def test_ratio_shifts():

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from oracles import (
+    SAME_WORK,
     collapse_at_one,
     counting_first_failing_term,
     dense_product,
@@ -222,10 +223,72 @@ def test_a_change_at_minus_n_alone_is_certified_and_fails(
     assert len(calls) == 1
     monkeypatch.setattr(parametric, target,
                         _bumped_at_minus_n(getattr(parametric, target)))
+    parametric._CERTIFIED.clear()  # decide the patched instance afresh
     result = verify_parametric(check_id, d, r, n)
     assert result.status is Status.FAILS
     assert result.witness == f"{witness} at a = q^-{n}"
     assert len(calls) == 3
+
+
+def test_families_share_work_exactly_where_written_out():
+    # Two families admissible at one (d, r, n) run the same computation
+    # exactly when their shifted index, numerator entries and central
+    # band agree; that happens only for the pairs written out.
+    shared = set()
+    for d in range(2, 16):
+        for r in range(1, d):
+            for n in range(2, 41):
+                groups = {}
+                for cid in PARAMETRIC_IDS:
+                    if parametric_precondition(cid, d, r, n) is None:
+                        groups.setdefault((
+                            cid in _SHIFTED_INDEX,
+                            tuple(numerator_entries(cid, d, r)),
+                            tuple(rhs_band(cid, d, r))), []).append(cid)
+                for cids in groups.values():
+                    assert len(cids) <= 2, (d, r, n, cids)
+                    if len(cids) == 2:
+                        assert SAME_WORK.get(cids[0]) == cids[1], (d, r, n)
+                        shared.add(tuple(cids))
+    assert shared == set(SAME_WORK.items())
+    for cid, twin in SAME_WORK.items():
+        for d in range(2, 16):
+            for r in range(1, d):
+                for n in range(2, 41):
+                    if parametric_precondition(cid, d, r, n) is None:
+                        assert parametric_precondition(twin, d, r, n) is None
+
+
+def test_shared_work_is_certified_once_per_process(monkeypatch):
+    calls = []
+    real = qfuncs._numerator
+
+    def spy(step, increments, width, fold=0):
+        calls.append(width)
+        return real(step, increments, width, fold)
+
+    monkeypatch.setattr(qfuncs, "_numerator", spy)
+    first = verify_parametric("p7_45", 5, 1, 14)
+    second = verify_parametric("p3_32", 5, 1, 14)
+    assert len(calls) == 1
+    assert (first.check_id, first.status) == ("p7_45", Status.HOLDS)
+    assert (second.check_id, second.status) == ("p3_32", Status.HOLDS)
+    assert second.params == first.params == {"d": 5, "n": 14, "r": 1}
+    assert second.params is not first.params
+    # A mutation is other work: it is decided, and only once.
+    for _ in range(2):
+        mutant = verify_parametric("p3_32", 5, 1, 14, mutation="sign")
+        assert (mutant.check_id, mutant.status) == ("p3_32", Status.FAILS)
+        assert mutant.witness == "sides differ at a = q^14"
+    assert len(calls) == 2
+    # So is another n; the store stays within its bound.
+    assert verify_parametric("p3_32", 5, 1, 19).status is Status.HOLDS
+    assert len(calls) == 3
+    monkeypatch.setattr(parametric, "_CERTIFIED_MAX", 2)
+    assert verify_parametric("p7_45", 7, 3, 11).status is Status.HOLDS
+    assert len(parametric._CERTIFIED) == 2
+    assert verify_parametric("p7_45", 5, 1, 14).status is Status.HOLDS
+    assert len(calls) == 5
 
 
 def test_vanishing_sum_without_last_term_is_nonzero():

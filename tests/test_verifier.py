@@ -300,14 +300,15 @@ def test_divisibility_reaches_no_division(monkeypatch):
         assert verify_divisibility(d, n).status is Status.HOLDS
 
 
-def _fold_theorem_verdict(check_id, d, n, r, mutation):
+def _fold_theorem_verdict(check_id, d, n, r, mutation, added=None):
     """verify_theorem's verdict from sums folded modulo (1 - q^n)^2.
 
     A is 0 mod Phi_n^2 exactly when (1 - q^n)^2 divides C A, where
     C = prod_{m | n, m < n} (1 - q^m)^2 is coprime to Phi_n and divisible by
     the square of every other cyclotomic factor of 1 - q^n.  A is the
     cross-multiplied difference N rden - sign q^s rnum D, and a vanishing
-    closed form has sign 0.
+    closed form has sign 0.  ``added = (p, s)`` adds (1 - q^n)^p q^s to the
+    right-hand side, so A loses q^s (1 - q^n)^p rden D.
     """
     increments = family_increments(theorem_family(check_id), d, r, n - 1)
     quotient = mutated(closed_form(check_id, d, n, r), mutation)
@@ -316,9 +317,12 @@ def _fold_theorem_verdict(check_id, d, n, r, mutation):
     if any(e % n == 0 for e in lhs_den + rden):
         return "FAILS"  # a denominator that is no unit mod Phi_n^2
     c = [m for m in divisors(n) if m < n for _ in range(2)]
-    same = relation_vanishes(d, [(1, 0, rden + c, increments),
-                                 (-sign, shift, lhs_den + rnum + c, None)],
-                             fold=n)
+    terms = [(1, 0, rden + c, increments),
+             (-sign, shift, lhs_den + rnum + c, None)]
+    if added is not None:
+        power, s = added
+        terms.append((-1, s, lhs_den + rden + [n] * power + c, None))
+    same = relation_vanishes(d, terms, fold=n)
     return "HOLDS" if same else "FAILS"
 
 
@@ -328,6 +332,20 @@ def test_fold_reproduces_theorem_grid_verdicts():
             _outcome(lambda: _fold_theorem_verdict(check_id, d, n, r, mutation))
             for mutation in (None, "sign", "exponent"))
         assert statuses == THEOREM_GRID_VERDICTS[check_id], (check_id, d, r, n)
+
+
+def test_fold_sees_the_square():
+    # The control that sees the square: a right-hand side shifted by
+    # (1 - q^n) q^s is still congruent mod Phi_n, but not mod Phi_n^2,
+    # since rden D is a unit there, so the fold must report FAILS.  A fold
+    # reduced by the wrong power would pass the sign and exponent mutants.
+    # Shifted by (1 - q^n)^2 q^s, the congruence still holds.
+    for check_id, d, r, n in THEOREM_GRID:
+        for s in (-3, 0, 1, n + 2):
+            assert _fold_theorem_verdict(check_id, d, n, r, None,
+                                         (1, s)) == "FAILS", (check_id, d, n)
+            assert _fold_theorem_verdict(check_id, d, n, r, None,
+                                         (2, s)) == "HOLDS", (check_id, d, n)
 
 
 def test_closed_forms_match_the_written_out_pochhammers():
