@@ -20,9 +20,9 @@ by ``relation_vanishes`` as A + B - C.  The three-sum decomposition,
 mixed = [d] divisibility - q [d-1] squared over the families' own
 templates, holds term by term.  Each run's intercepts are congruent to
 run 1's mod d, so the ratios of their terms telescope, and cleared of
-them the relation has degree D = 1 in x = q^{dk} (``termwise_degree``):
-``first_failing_term`` on terms 0..D + 1 proves it for every n, and a
-term among them that differs is a FAILS.  Templates whose ratios do not
+them the relation has degree D = 1 in x = q^{dk}: ``first_failing_term``
+decides it on terms 0..D + 1, which prove it for every n.  A term among
+them that differs is a FAILS, and templates whose ratios do not
 telescope have no certificate, which is an ERROR.
 """
 
@@ -37,12 +37,10 @@ from .parametric import parametric_precondition
 from .poly import poly_prod
 from .qfuncs import (
     Packed,
-    expand,
     first_failing_term,
     one_minus_normal_form,
     packed_width,
     relation_vanishes,
-    termwise_degree,
 )
 from .results import CheckResult, fails, holds, skipped
 
@@ -313,18 +311,10 @@ def _decomposition_relation(d):
 
 
 def _check_sum_decomposition(d, n) -> str | None:
-    """s1 = [d] s2 - q [d-1] s3, term by term, on terms 0..D + 1 of the
-    templates, D the degree that ``termwise_degree`` reads from them:
-    (1 - q)[m] = 1 - q^m.  Templates from which no D is read have no
-    certificate, and that is an engine error, not a verdict."""
-    templates = _decomposition_templates(d)
-    degree = termwise_degree(templates, d, n - 1)
-    if degree is None:
-        raise RuntimeError("no certificate: the terms' ratios do not"
-                           " telescope to a bounded degree")
-    if first_failing_term(
-            [expand(t, d, min(n - 1, degree + 1)) for t in templates],
-            _decomposition_relation(d)) is not None:
+    """s1 = [d] s2 - q [d-1] s3, term by term, decided on the templates'
+    certificate by ``first_failing_term``: (1 - q)[m] = 1 - q^m."""
+    if first_failing_term(_decomposition_templates(d),
+                          _decomposition_relation(d), d, n - 1) is not None:
         return "three-sum decomposition differs"
     return None
 

@@ -26,17 +26,19 @@ term by term, which pins down the reconstruction of the displayed
 exponent patterns.
 The reference summand is a template too, the thm42 family's own unless
 the index is shifted: equal sorted templates give equal terms at every
-k and every n, and a template that differs is expanded and decided by
-``first_failing_term``.  Each family deforms a q-statement of the
-catalog, lemma21 or thm42, and is admissible where that statement is
-and its own condition on (d, r) holds.
+k and every n, and templates that differ are decided on their
+certificate by ``first_failing_term``, which reads ERROR "no
+certificate" where their terms' ratios do not telescope.  Each family
+deforms a q-statement of the catalog, lemma21 or thm42, and is
+admissible where that statement is and its own condition on (d, r)
+holds.
 """
 
 from __future__ import annotations
 
 from .families import (F6_THM42, a_exponent, family_template, mutated,
                        theorem_precondition)
-from .qfuncs import (expand, first_failing_term, relation_vanishes,
+from .qfuncs import (first_failing_term, relation_vanishes,
                      template_increments, without_common)
 from .results import CheckResult, fails, holds, skipped
 
@@ -181,29 +183,23 @@ def _reference_template(check_id: str, d: int, r: int):
             [d + r] * (d - r - 1) + [r - d] * (r + 1), [d] * d, [r] * r)
 
 
-def _differing_term(lhs, rhs, d: int, limit: int) -> int | None:
-    """The first k <= limit at which term k of two templates' sums differ,
-    or None.  Equal keys answer at once: the sum templates hold no
-    denominator 1 - q^0, which they refuse.  Otherwise
-    ``first_failing_term`` decides the expanded lists with the relation
-    lhs - rhs, each factor counted once."""
-    if _key(lhs) == _key(rhs):
-        return None
-    return first_failing_term((expand(lhs, d, limit), expand(rhs, d, limit)),
-                              ((1, 0, []), (-1, 0, [])))
-
-
 def _collapse_at_one(check_id: str, d: int, r: int, n: int,
                      entries) -> str | None:
     """Termwise a = 1 consistency against the reference summand; a witness
     on failure.
 
     Term k of the sum at a = 1 is q^{dk} prod_{j<=k} a_j c_k / prod_{j<=k} b_j
-    over the same template the substituted sums are built from.
+    over the same template the substituted sums are built from.  Equal
+    keys answer at once, since the sum templates refuse a denominator
+    1 - q^0; templates that differ are decided by ``first_failing_term``
+    with the relation lhs - rhs.
     """
-    k = _differing_term(_sum_template(check_id, d, r, n, 0, entries),
-                        _reference_template(check_id, d, r), d,
-                        _upper_limit(check_id, d, r, n))
+    lhs = _sum_template(check_id, d, r, n, 0, entries)
+    rhs = _reference_template(check_id, d, r)
+    if _key(lhs) == _key(rhs):
+        return None
+    k = first_failing_term((lhs, rhs), ((1, 0, []), (-1, 0, [])), d,
+                           _upper_limit(check_id, d, r, n))
     if k is None:
         return None
     return f"a = 1 collapse differs from reference summand at k = {k}"

@@ -26,14 +26,14 @@ by step (k - 1), stands for its increments (``expand``):
 denominator, cancelled on its intercepts and ended where a numerator
 factor 1 - q^0 zeroes every later term, which tightens that count, and
 ``termwise_degree`` reads from the templates of a termwise relation the
-number of terms that prove it for every k.  With ``fold = n`` the
-same kernel keeps a value modulo (1 - q^n)^2, as an int modulo
-(2^{n B} - 1)^2, so a divisibility by (1 - q^n)^2 is decided without
-unpacking.  ``one_minus_normal_form`` reduces a quotient
-of such factors to exponent counts, which decides equality of two
-quotients with no polynomial arithmetic, and ``first_failing_term``
-decides a relation between sums term by term on running counts of the
-factors their terms do not share.
+number of terms that prove it for every k.  ``first_failing_term``
+decides such a relation on those terms alone, each term whole, on the
+factors its runs do not share.  With ``fold = n`` the same kernel keeps
+a value modulo (1 - q^n)^2, as an int modulo (2^{n B} - 1)^2, so a
+divisibility by (1 - q^n)^2 is decided without unpacking.
+``one_minus_normal_form`` reduces a quotient of such factors to
+exponent counts, which decides equality of two quotients with no
+polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -105,18 +105,6 @@ def one_minus_normal_form(sign: int, shift: int, num, den):
                 sign, shift, e = -sign, shift + unit * e, -e
             counts[e] += unit
     return sign, shift, frozenset((e, m) for e, m in counts.items() if m)
-
-
-def tally(count: dict, exps, unit: int) -> dict:
-    """Add ``unit`` to count[e] for each exponent e and drop the entries
-    that reach 0, so an empty count means that every factor cancelled."""
-    for e in exps:
-        m = count.get(e, 0) + unit
-        if m:
-            count[e] = m
-        else:
-            del count[e]
-    return count
 
 
 class PackingOverflowError(RuntimeError):
@@ -470,58 +458,43 @@ def relation_vanishes(step: int, terms, fold: int = 0) -> bool:
     return Packed(total, low, bits, width, fold).is_zero()
 
 
-def _same(x, y) -> bool:
-    """Whether two exponent lists are equal as multisets."""
-    return x == y or (len(x) == len(y) and sorted(x) == sorted(y))
+def first_failing_term(templates, relation, step: int,
+                       limit: int) -> int | None:
+    """The first k <= limit with sum_i relation_i term_k(templates[i]) != 0,
+    or None, decided on the relation's certificate; step > 0.
 
-
-def first_failing_term(runs, relation) -> int | None:
-    """The first k with sum_i relation_i term_k(runs[i]) != 0, or None.
-
-    ``runs`` are ``truncated_sum`` increment lists of one length over one
-    step, and ``relation[i] = (sign, shift, exps)`` is
-    sign q^shift prod (1 - q^e), one for each run; other lengths raise
-    ValueError.  Runs 1, 2, ... are counts of signed exponents relative to
-    run 0, a denominator factor counting -1, so shared factors cancel as
-    they come, and a run whose a_k, b_k and c_k equal run 0's as multisets
-    adds none.  Term k of run i is q^{step k} X R_i, X the least count of
-    each exponent: the relation holds where X holds 1 - q^0, which run 0's
-    count of it tells, or where sum_i relation_i R_i vanishes.  Where no run
-    holds a count that sum is the relation's own, decided once as
-    ``equal``.  A denominator 1 - q^0 raises DegenerateProductError.
+    ``relation[i] = (sign, shift, exps)`` is sign q^shift prod (1 - q^e),
+    one for each template; another number of parts raises ValueError.
+    ``termwise_degree`` reads the degree D for which terms 0..D + 1 prove
+    the relation for every k; templates from which it reads none have no
+    certificate, which raises RuntimeError.  Each of those terms is
+    decided whole.  Term k of run i is q^{step k} prod (1 - q^e)^{m_i(e)},
+    m_i(e) counting e once for each a_0..a_k and c_k that holds it and
+    minus once for each b_0..b_k.  The least m_i(e) of every e != 0 is
+    divided out, and the factors left are decided by one
+    ``relation_vanishes`` call; 1 - q^0 is never divided out, so it still
+    zeroes its term.  A denominator 1 - q^0 raises DegenerateProductError.
     """
-    if len(relation) != len(runs) or len({len(run) for run in runs}) != 1:
-        raise ValueError(f"runs of lengths {[len(run) for run in runs]} for"
-                         f" a relation of {len(relation)} parts")
-    rel = [{} for _ in runs[1:]]
-    held = 0  # factors 1 - q^0 in run 0's running numerator
-    equal = relation_vanishes(0, [(*part, None) for part in relation])
-    for k, ((a0, b0, c0), *rest) in enumerate(zip(*runs)):
-        if 0 in b0 or any(0 in b for _, b, _ in rest):
-            raise DegenerateProductError("denominator factor 1 - q^0")
-        held += a0.count(0)
+    degree = termwise_degree(templates, step, limit)
+    if degree is None:
+        raise RuntimeError("no certificate: the terms' ratios do not"
+                           " telescope to a bounded degree")
+    runs = [expand(t, step, min(limit, degree + 1)) for t in templates]
+    for k in range(len(runs[0])):
         counts = []
-        for count, (a, b, c) in zip(rel, rest):
-            if not _same(a, a0):
-                tally(tally(count, a, 1), a0, -1)
-            if not _same(b, b0):
-                tally(tally(count, b, -1), b0, 1)
-            counts.append(count if _same(c, c0)
-                          else tally(tally(dict(count), c, 1), c0, -1))
-        zero = held + c0.count(0)
-        if not any(counts):
-            if zero <= 0 and not equal:
-                return k
-            continue
-        left = [[] for _ in runs]
-        for e in set().union(*counts):
-            ms = [0] + [count.get(e, 0) for count in counts]
-            low = min(ms)
-            for exps, m in zip(left, ms):
-                exps += [e] * (m - low)
-        zero += min([0] + [count.get(0, 0) for count in counts])
-        if zero <= 0 and not relation_vanishes(0, [
-                (sign, shift, exps + extra, None) for (sign, shift, exps),
-                extra in zip(relation, left)]):
+        for run in runs:
+            count = Counter(run[k][2])
+            for a, b, _ in run[:k + 1]:
+                count.update(a)
+                count.subtract(b)
+            counts.append(count)
+        for e in set().union(*counts) - {0}:
+            low = min(count[e] for count in counts)
+            for count in counts:
+                count[e] -= low
+        if not relation_vanishes(0, [
+                (sign, shift, exps + list(count.elements()), None)
+                for (sign, shift, exps), count
+                in zip(relation, counts, strict=True)]):
             return k
     return None

@@ -40,7 +40,6 @@ from qsupercheck.qfuncs import (
     q_binomial,
     relation_vanishes,
     sum_bounds,
-    tally,
 )
 from qsupercheck.results import Status
 
@@ -434,9 +433,25 @@ def cancel_increments(increments):
     return out
 
 
+def tally(count: dict, exps, unit: int) -> dict:
+    """Add ``unit`` to count[e] for each exponent e and drop the entries
+    that reach 0, so an empty count means that every factor cancelled."""
+    for e in exps:
+        m = count.get(e, 0) + unit
+        if m:
+            count[e] = m
+        else:
+            del count[e]
+    return count
+
+
 def counting_first_failing_term(runs, relation):
-    """``first_failing_term`` with every run counted at every term, equal
-    factors or not, and leftover lists built at every term."""
+    """The first k with sum_i relation_i term_k(runs[i]) != 0, or None, on
+    increment lists of any length: every run counted at every term as
+    signed exponents relative to run 0, the counts running from term to
+    term, and the factors no run shares decided by ``relation_vanishes``.
+    ``qfuncs.first_failing_term`` decides only the terms of a template
+    relation's certificate."""
     rel = [{} for _ in runs[1:]]
     held = 0
     equal = relation_vanishes(0, [(*part, None) for part in relation])

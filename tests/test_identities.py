@@ -29,6 +29,7 @@ from qsupercheck.laurent import Laurent, RatFunc
 from qsupercheck.poly import Poly, divrem, poly_prod
 from qsupercheck.qfuncs import (
     Packed,
+    expand,
     first_failing_term,
     one_minus_product,
     packed_width,
@@ -291,6 +292,24 @@ def _raised(templates, run, part, i, delta=1):
     return out
 
 
+def _outcome(decide, *args):
+    """The first failing k, the DegenerateProductError, or "no certificate"
+    where ``first_failing_term`` has none."""
+    try:
+        return decide(*args)
+    except ZeroDivisionError as exc:
+        return type(exc), str(exc)
+    except RuntimeError as exc:
+        assert str(exc).startswith("no certificate")
+        return "no certificate"
+
+
+def _counted(templates, relation, step, limit):
+    """The counting oracle on the templates' expanded lists."""
+    return counting_first_failing_term(
+        [expand(t, step, limit) for t in templates], relation)
+
+
 def _certified(d, n):
     """The check's witness, or "no certificate" where it has none."""
     try:
@@ -332,19 +351,23 @@ def test_decomposition_without_a_certificate_is_an_error(monkeypatch):
     assert result.status is Status.ERROR
     assert result.witness.startswith("RuntimeError: no certificate")
     monkeypatch.undo()
-    monkeypatch.setattr(identities, "termwise_degree", lambda *args: None)
+    monkeypatch.setattr(qfuncs, "termwise_degree", lambda *args: None)
     result = run_check("sum_decomposition", {"d": 3, "n": 4})
     assert result.status is Status.ERROR
     assert result.witness.startswith("RuntimeError: no certificate")
 
 
 def test_termwise_decomposition_matches_three_sum_oracle():
-    # Every term matches on the whole range; the whole sums, whose cost
-    # grows like (dn)^3, are compared where d n <= 120 (221 of 400 cells).
+    # The certificate and the counting oracle on every term hold on the
+    # whole range; the whole sums, whose cost grows like (dn)^3, are
+    # compared where d n <= 120 (221 of 400 cells).
     for d in range(2, 12):
+        relation = _decomposition_relation(d)
         for n in range(1, 41):
             sums = decomposition_sums(d, n)
-            assert first_failing_term(sums, _decomposition_relation(d)) is None
+            assert first_failing_term(_decomposition_templates(d), relation,
+                                      d, n - 1) is None
+            assert counting_first_failing_term(sums, relation) is None
             if d * n <= 120:
                 assert whole_sum_decomposition(d, sums) is None
 
@@ -360,24 +383,31 @@ def test_decomposition_reads_degree_one_at_every_d():
 
 
 def test_decomposition_certificate_matches_the_n_term_verdict(monkeypatch):
-    # On D + 2 = 3 terms the certificate gives the n-term verdict at every
-    # (d, n) of CI's sweep, and it is the one termwise call made.
-    lengths = []
-    real = identities.first_failing_term
+    # One termwise call decides each (d, n) of CI's sweep, on D + 2 = 3
+    # terms of each template, and its verdict is the counting oracle's on
+    # all n terms: certified, never "no certificate".
+    calls, limits = [], []
+    real, real_expand = identities.first_failing_term, qfuncs.expand
 
-    def spy(runs, relation):
-        lengths.append({len(run) for run in runs})
-        return real(runs, relation)
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    def expand_spy(template, step, limit):
+        limits.append(limit)
+        return real_expand(template, step, limit)
 
     monkeypatch.setattr(identities, "first_failing_term", spy)
+    monkeypatch.setattr(qfuncs, "expand", expand_spy)
     for d in range(2, 12):
         for n in range(1, 41):
-            lengths.clear()
-            verdict = _check_sum_decomposition(d, n)
+            calls.clear()
+            limits.clear()
+            verdict = _certified(d, n)
             assert verdict is None
-            assert lengths == [{min(n, 3)}], (d, n)
-            assert verdict == real(decomposition_sums(d, n),
-                                   _decomposition_relation(d))
+            assert len(calls) == 1 and limits == [min(n - 1, 2)] * 3, (d, n)
+            assert verdict == counting_first_failing_term(
+                decomposition_sums(d, n), _decomposition_relation(d))
 
 
 def _parent_verdict(d, n, sums):
@@ -422,7 +452,7 @@ def test_a_raised_intercept_is_refused_or_certified(monkeypatch):
 def test_failing_termwise_step_is_a_fails(monkeypatch):
     # A term of the certificate that differs is the verdict: no later
     # step can turn it into HOLDS.
-    monkeypatch.setattr(identities, "first_failing_term", lambda runs, rel: 0)
+    monkeypatch.setattr(identities, "first_failing_term", lambda *args: 0)
     for d, n in ((2, 1), (3, 5), (7, 12)):
         result = verify_proof_step("sum_decomposition", {"d": d, "n": n})
         assert result.status is Status.FAILS
@@ -443,38 +473,49 @@ def _decomposition_mutants(sums):
                         yield mutant
 
 
-def _template_mutants(templates):
-    """Each +-1 change of one intercept of one run's template."""
+def _template_mutants(templates, delta):
+    """Each change of one intercept of one run's template by delta."""
     for run, template in enumerate(templates):
         for part in (1, 2, 3):
             for i in range(len(template[part])):
-                for delta in (1, -1):
-                    yield _raised(templates, run, part, i, delta)
+                yield _raised(templates, run, part, i, delta)
 
 
 @pytest.mark.parametrize("d,n", [(2, 4), (3, 5), (5, 4)])
-def test_decomposition_mutants_keep_the_three_sum_verdict(monkeypatch, d, n):
-    # The termwise steps may only prove what the whole sums prove:
-    # ``first_failing_term`` on all n terms of every list mutant.  Every
-    # template mutant moves an intercept out of its residue class mod d, so
-    # no D is read and the check has no certificate; raised by d, an
-    # intercept is certified (test_a_raised_intercept_is_refused_or_certified).
+def test_decomposition_mutants_keep_the_three_sum_verdict(d, n):
+    # The termwise steps may only prove what the whole sums prove: the
+    # counting oracle on all n terms of every list mutant, and the
+    # certificate on every template mutant.  Moved by one, an intercept
+    # leaves its residue class mod d, so no D is read and the check has no
+    # certificate; moved by d, the certificate decides, and its verdict is
+    # the counting oracle's on all n terms.
     mutants = list(_decomposition_mutants(decomposition_sums(d, n)))
     assert len(mutants) > 40
     relation = _decomposition_relation(d)
     for sums in mutants:
         try:
-            verdict = first_failing_term(sums, relation)
+            verdict = counting_first_failing_term(sums, relation)
         except qfuncs.DegenerateProductError:
             continue
         if verdict is None:
             assert whole_sum_decomposition(d, sums) is None
-    templates = list(_template_mutants(_decomposition_templates(d)))
-    assert len(templates) == 2 * 3 * (2 * d)
-    for mutant in templates:
-        monkeypatch.setattr(identities, "_decomposition_templates",
-                            lambda d, mutant=mutant: mutant)
-        assert _certified(d, n) == "no certificate"
+    templates = _decomposition_templates(d)
+    certified = 0
+    for delta in (1, -1, d, -d):
+        mutants = list(_template_mutants(templates, delta))
+        assert len(mutants) == 3 * (2 * d)
+        for mutant in mutants:
+            outcome = _outcome(first_failing_term, mutant, relation, d, n - 1)
+            if abs(delta) == 1:
+                assert outcome == "no certificate"
+                continue
+            assert outcome in ("no certificate", _outcome(
+                _counted, mutant, relation, d, n - 1))
+            if outcome is None:
+                assert whole_sum_decomposition(
+                    d, [expand(t, d, n - 1) for t in mutant]) is None
+            certified += outcome != "no certificate"
+    assert certified > 2 * d
 
 
 def test_ratio_shifts():

@@ -23,7 +23,6 @@ from qsupercheck.parametric import (
     DegenerateSubstitutionError,
     _collapse_at_one,
     _den_core,
-    _differing_term,
     _key,
     _reference_template,
     _rhs_factors,
@@ -361,39 +360,60 @@ def test_running_collapse_matches_the_quadratic_oracle():
             cid, d, r, n) is None
 
 
-def _collapse_term(lhs, rhs):
-    """``first_failing_term`` with the collapse's relation, lhs - rhs."""
-    return first_failing_term((lhs, rhs), ((1, 0, []), (-1, 0, [])))
+COLLAPSE = ((1, 0, []), (-1, 0, []))
 
 
-def _counted_term(lhs, rhs):
-    """The counting oracle with the collapse's relation, lhs - rhs."""
-    return counting_first_failing_term((lhs, rhs), ((1, 0, []), (-1, 0, [])))
+def _collapse_term(lhs, rhs, d, limit):
+    """``first_failing_term`` on two templates with the collapse's
+    relation, lhs - rhs."""
+    return first_failing_term((lhs, rhs), COLLAPSE, d, limit)
 
 
-def _outcome(first_differing, lhs, rhs):
+def _counted_term(lhs, rhs, d, limit):
+    """The counting oracle on the expanded lists, relation lhs - rhs."""
+    return counting_first_failing_term(
+        (expand(lhs, d, limit), expand(rhs, d, limit)), COLLAPSE)
+
+
+def _quadratic_term(lhs, rhs, d, limit):
+    """The quadratic oracle on the expanded lists."""
+    return first_differing_term(expand(lhs, d, limit), expand(rhs, d, limit))
+
+
+def _outcome(first_differing, *args):
+    """The first differing k, the DegenerateProductError, or "no
+    certificate" where ``first_failing_term`` has none."""
     try:
-        return first_differing(lhs, rhs)
+        return first_differing(*args)
     except ZeroDivisionError as exc:
         return type(exc), str(exc)
+    except RuntimeError as exc:
+        assert str(exc).startswith("no certificate")
+        return "no certificate"
 
 
-def _exponent_mutants(increments):
-    """Each +-1 change of one exponent, and each negation of one or two
-    exponents of one part: 1 - q^-e = -q^-e (1 - q^e) keeps the counts
-    and moves only the sign, or with two only the q-shift."""
-    for k, parts in enumerate(increments):
-        for p, exps in enumerate(parts):
-            changes = [{i: exps[i] + delta} for i in range(len(exps))
-                       for delta in (1, -1)]
-            changes += [{i: -exps[i], j: -exps[j]} for i in range(len(exps))
-                        for j in range(i, len(exps))]
-            for change in changes:
-                mutant = [tuple(list(part) for part in inc)
-                          for inc in increments]
-                for i, e in change.items():
-                    mutant[k][p][i] = e
-                yield mutant
+def _changed(template, changes):
+    """The template with its exponent lists changed: change (p, i, e) puts
+    e at place i of list p of (a_0, b_0, c_0, a, b, c)."""
+    (a0, b0, c0), a, b, c = template
+    lists = [list(exps) for exps in (a0, b0, c0, a, b, c)]
+    for p, i, e in changes:
+        lists[p][i] = e
+    return tuple(lists[:3]), *lists[3:]
+
+
+def _exponent_mutants(template, d):
+    """Each change of one exponent by +-1 or +-d, and each negation of one
+    or two exponents of one list: in the head, 1 - q^-e = -q^-e (1 - q^e)
+    keeps the counts and moves only the sign, or with two only the
+    q-shift."""
+    (a0, b0, c0), a, b, c = template
+    for p, exps in enumerate((a0, b0, c0, a, b, c)):
+        for i, e in enumerate(exps):
+            for delta in (1, -1, d, -d):
+                yield _changed(template, [(p, i, e + delta)])
+            for j in range(i, len(exps)):
+                yield _changed(template, [(p, i, -e), (p, j, -exps[j])])
 
 
 @pytest.mark.parametrize("check_id,d,r,n", [
@@ -402,50 +422,57 @@ def _exponent_mutants(increments):
     ("p6_44", 2, 1, 3), ("p6_44", 4, 3, 5), ("p7_45", 7, 3, 11),
     ("p8_46", 5, 3, 7)])
 def test_collapse_mutants_match_the_quadratic_oracle(check_id, d, r, n):
-    # Every mutant of either side gives the oracle's first differing k or
-    # its DegenerateProductError.
-    lhs = _sum(check_id, d, r, n, 0)
-    rhs = _reference(check_id, d, r, n)
-    pairs = [(m, rhs) for m in _exponent_mutants(lhs)]
-    pairs += [(lhs, m) for m in _exponent_mutants(rhs)]
+    # Every mutant template of either side gives the quadratic oracle's
+    # first differing k or its DegenerateProductError, or has no
+    # certificate.
+    limit = _upper_limit(check_id, d, r, n)
+    lhs = _template(check_id, d, r, n, 0)
+    rhs = _reference_template(check_id, d, r)
+    pairs = [(m, rhs) for m in _exponent_mutants(lhs, d)]
+    pairs += [(lhs, m) for m in _exponent_mutants(rhs, d)]
+    certified = []
     for pair in pairs:
-        assert _outcome(_collapse_term, *pair) == _outcome(
-            first_differing_term, *pair)
-
-
-COLLAPSE = ((1, 0, []), (-1, 0, []))
+        outcome = _outcome(_collapse_term, *pair, d, limit)
+        if outcome != "no certificate":
+            assert outcome == _outcome(_quadratic_term, *pair, d, limit)
+            certified.append(outcome)
+    assert any(isinstance(k, int) for k in certified)
 
 
 def test_collapse_without_counts_matches_the_counting_oracle():
-    # Both sides carry the same factors as multisets at every term, so no
-    # term is counted; the oracle counts every term.
+    # Both sides carry the same factors as multisets at every term, so the
+    # certificate, with the equal-key answer bypassed, leaves no factor
+    # over at any term; the oracle counts every term.
     assert len(ADMISSIBLE_TO_40) == 369
     for cid, d, r, n in ADMISSIBLE_TO_40:
-        runs = (_sum(cid, d, r, n, 0), _reference(cid, d, r, n))
-        assert first_failing_term(runs, COLLAPSE) is None
-        assert counting_first_failing_term(runs, COLLAPSE) is None
+        pair = _template(cid, d, r, n, 0), _reference_template(cid, d, r)
+        limit = _upper_limit(cid, d, r, n)
+        assert _collapse_term(*pair, d, limit) is None
+        assert _counted_term(*pair, d, limit) is None
 
 
-def _raised_or_lowered(increments):
-    """Each +-1 change of one exponent."""
-    for k, parts in enumerate(increments):
-        for p, exps in enumerate(parts):
-            for i in range(len(exps)):
-                for delta in (1, -1):
-                    mutant = [tuple(list(part) for part in inc)
-                              for inc in increments]
-                    mutant[k][p][i] += delta
-                    yield mutant
+def _intercepts_moved(template, d):
+    """Each change of one intercept by +-d."""
+    for p in (3, 4, 5):
+        for i, e in enumerate(template[p - 2]):
+            for delta in (d, -d):
+                yield _changed(template, [(p, i, e + delta)])
 
 
 @pytest.mark.parametrize("check_id,d,r,n", INSTANCES)
 def test_collapse_mutants_match_the_counting_oracle(check_id, d, r, n):
-    # A mutant counts from its changed term on and matches elsewhere: both
-    # paths decide it, and each k or DegenerateProductError is the oracle's.
-    rhs = _reference(check_id, d, r, n)
-    mutants = list(_raised_or_lowered(_sum(check_id, d, r, n, 0)))
-    outcomes = [_outcome(_collapse_term, lhs, rhs) for lhs in mutants]
-    assert outcomes == [_outcome(_counted_term, lhs, rhs) for lhs in mutants]
+    # An intercept moved by +-d stays in its residue class mod d, so the
+    # ratios still telescope and the certificate decides the mutant: each
+    # k or DegenerateProductError must be the counting oracle's on the
+    # expanded lists.
+    limit = _upper_limit(check_id, d, r, n)
+    lhs = _template(check_id, d, r, n, 0)
+    rhs = _reference_template(check_id, d, r)
+    pairs = [(m, rhs) for m in _intercepts_moved(lhs, d)]
+    pairs += [(lhs, m) for m in _intercepts_moved(rhs, d)]
+    outcomes = [_outcome(_collapse_term, *pair, d, limit) for pair in pairs]
+    for pair, outcome in zip(pairs, outcomes):
+        assert outcome == _outcome(_counted_term, *pair, d, limit), pair
     assert any(isinstance(k, int) for k in outcomes)
 
 
@@ -478,7 +505,7 @@ def test_templates_expand_to_the_written_out_lists():
         same_terms = identity(lists[0], None) == identity(ref_lists, None)
         assert (_key(templates[0]) == _key(ref)) == same_terms, (cid, d, r, n)
         assert same_identity and same_terms, (cid, d, r, n)
-        assert _differing_term(templates[0], ref, d, limit) is None
+        assert _collapse_term(templates[0], ref, d, limit) is None
         assert counting_first_failing_term((lists[0], ref_lists),
                                            COLLAPSE) is None
 
@@ -497,62 +524,96 @@ def _template_mutants(template):
 
 @pytest.mark.parametrize("check_id,d,r,n", INSTANCES)
 def test_template_mutants_match_the_counting_oracle(check_id, d, r, n):
-    # A mutant template's key differs, so its expanded lists are decided:
-    # each k or DegenerateProductError must be the oracle's.
+    # A mutant template's key differs, so the certificate decides it: each
+    # outcome is the counting oracle's k or DegenerateProductError on the
+    # expanded lists, or "no certificate", and a certified None is the
+    # oracle's None.
     limit = _upper_limit(check_id, d, r, n)
     lhs = _template(check_id, d, r, n, 0)
     rhs = _reference_template(check_id, d, r)
     pairs = [(m, rhs) for m in _template_mutants(lhs)]
     pairs += [(lhs, m) for m in _template_mutants(rhs)]
-    outcomes = [_outcome(lambda x, y: _differing_term(x, y, d, limit), *pair)
-                for pair in pairs]
-    assert outcomes == [_outcome(lambda x, y: counting_first_failing_term(
-        (expand(x, d, limit), expand(y, d, limit)), COLLAPSE), *pair)
-        for pair in pairs]
-    assert all(isinstance(k, (int, tuple)) for k in outcomes)
+    for pair in pairs:
+        assert _key(pair[0]) != _key(pair[1])
+        outcome = _outcome(_collapse_term, *pair, d, limit)
+        assert outcome in ("no certificate",
+                           _outcome(_counted_term, *pair, d, limit)), pair
 
 
-def test_runs_of_unequal_length_are_refused(monkeypatch):
-    lhs = _sum("p3_32", 5, 1, 14, 0)
-    rhs = _reference("p3_32", 5, 1, 14)
-    # Counting along zip alone, 5 of 14 terms compared read as agreement.
-    assert counting_first_failing_term((lhs, rhs[:5]), COLLAPSE) is None
-    for runs, relation in (((lhs, rhs[:5]), COLLAPSE),
-                           ((lhs[:5], rhs), COLLAPSE),
-                           ((lhs, rhs), COLLAPSE + ((1, 0, []),)),
-                           ((lhs, rhs), COLLAPSE[:1])):
-        with pytest.raises(ValueError):
-            first_failing_term(runs, relation)
-    # A reference template that differs is expanded, here to 5 terms.
+def test_collapse_without_a_certificate_is_an_error(monkeypatch):
+    # The reference's first a intercept raised by one leaves its residue
+    # class mod d: the templates neither match nor telescope, so the
+    # collapse has no certificate, an engine ERROR.  Raised by d, they
+    # telescope and the certificate finds the oracle's differing term.
+    lhs = _template("p3_32", 5, 1, 14, 0)
     (a0, b0, c0), a, b, c = _reference_template("p3_32", 5, 1)
-    short = ((a0, b0, c0), [a[0] + 1] + a[1:], b, c)
-    real = parametric.expand
-    monkeypatch.setattr(parametric, "_reference_template", lambda *_: short)
-    monkeypatch.setattr(parametric, "expand", lambda template, d, limit: real(
-        template, d, 4 if template is short else limit))
-    result = run_check("p3_32", {"d": 5, "n": 14, "r": 1})
-    assert result.status is Status.ERROR
-    assert result.witness.startswith("ValueError")
+    for delta in (1, 5):
+        raised = ((a0, b0, c0), [a[0] + delta] + a[1:], b, c)
+        monkeypatch.setattr(parametric, "_reference_template",
+                            lambda *_, raised=raised: raised)
+        result = run_check("p3_32", {"d": 5, "n": 14, "r": 1})
+        if delta == 1:
+            assert result.status is Status.ERROR
+            assert result.witness.startswith("RuntimeError: no certificate")
+        else:
+            k = _counted_term(lhs, raised, 5, 13)
+            assert result.status is Status.FAILS
+            assert result.witness == ("a = 1 collapse differs from"
+                                      f" reference summand at k = {k}")
+    # A relation of another number of parts than templates is refused.
+    for relation in (COLLAPSE + ((1, 0, []),), COLLAPSE[:1]):
+        with pytest.raises(ValueError):
+            first_failing_term((lhs, lhs), relation, 5, 13)
 
 
+def test_collapse_with_a_shared_intercept_holds_on_its_certificate(
+        monkeypatch):
+    # One more intercept in both the reference's a and b lists divides
+    # each term by (q; q^d)_k / (q; q^d)_k: the sorted templates differ,
+    # the terms do not, and the certificate proves it.
+    calls = []
+    real = parametric.first_failing_term
+
+    def spy(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    def shared(check_id, d, r):
+        head, a, b, c = _reference_template(check_id, d, r)
+        return head, a + [1], b + [1], c
+
+    monkeypatch.setattr(parametric, "first_failing_term", spy)
+    monkeypatch.setattr(parametric, "_reference_template", shared)
+    for cid, d, r, n in INSTANCES:
+        calls.clear()
+        parametric._CERTIFIED.clear()  # p3_32 would read p7_45's verdict
+        assert run_check(cid, {"d": d, "n": n, "r": r}).status \
+            is Status.HOLDS, (cid, d, r, n)
+        assert calls == [None], (cid, d, r, n)
+
+
+# Each pair is two templates of step 2, decided up to term 3.
 @pytest.mark.parametrize("lhs,rhs,k", [
-    # Equal counts and q-shift, opposite signs: q^-3 P against -q^-3 P.
-    ([([], [], []), ([-1, -2, 3], [4], [])],
-     [([], [], []), ([1, 2, -3], [4], [])], 1),
+    # Term 0 zero in both, then equal counts and q-shift, opposite signs:
+    # q^-3 P against -q^-3 P.
+    ((([-1, -2, 3], [], [0]), [], [], []), (([1, 2, -3], [], [0]), [], [], []),
+     1),
     # Equal counts and sign, q-shifts -3 and 0.
-    ([([-1, -2], [], [])], [([1, 2], [], [])], 0),
-    ([([-1, 5], [2], [-4])], [([-1, 5], [2], [-4])], None),
+    ((([-1, -2], [], []), [], [], []), (([1, 2], [], []), [], [], []), 0),
+    ((([-1, 5], [2], [-4]), [1], [3], []),
+     (([5, -1], [2], [-4]), [1], [3], []), None),
     # A factor 1 - q^0 held by both runs makes both terms zero: equal.
-    ([([], [], []), ([0, 2], [3], [])], [([], [], []), ([0, -3], [3], [])],
+    ((([2], [3], [0, -3]), [], [], []), (([2], [3], [0, 2]), [], [], []),
      None),
-    # Held by one run only, the terms differ from there on.
-    ([([], [], []), ([2], [3], [0])], [([], [], []), ([2], [3], [])], 1),
+    # Held by one run only, at k = 1, the terms differ there.
+    ((([], [], []), [2], [3], []), (([], [], []), [2], [3], [0]), 1),
     # A denominator 1 - q^0 is refused.
-    ([([1], [0], [])], [([1], [1], [])], DegenerateProductError),
+    ((([1], [0], []), [], [], []), (([1], [1], []), [], [], []),
+     DegenerateProductError),
 ])
 def test_first_differing_term_tracks_sign_and_shift(lhs, rhs, k):
-    outcome = _outcome(_collapse_term, lhs, rhs)
-    assert outcome == _outcome(first_differing_term, lhs, rhs)
+    outcome = _outcome(_collapse_term, lhs, rhs, 2, 3)
+    assert outcome == _outcome(_quadratic_term, lhs, rhs, 2, 3)
     if isinstance(outcome, tuple):
         assert outcome == (k, "denominator factor 1 - q^0")
     else:

@@ -548,9 +548,10 @@ def test_template_increments_by_hand():
     # kernel refuses it.
     assert template_increments((([], [], []), [-4], [], []), 2, 5) == [
         ([], [], []), ([-4], [], []), ([-2], [], [])]
-    with pytest.raises(DegenerateProductError):
-        template_increments((([], [], []), [], [-4], []), 2, 3)
-    assert len(template_increments((([], [], []), [], [-4], []), 2, 2)) == 3
+    for write_out in (template_increments, expand):
+        with pytest.raises(DegenerateProductError):
+            write_out((([], [], []), [], [-4], []), 2, 3)
+        assert len(write_out((([], [], []), [], [-4], []), 2, 2)) == 3
 
 
 def _runs(*intercepts):
@@ -571,9 +572,12 @@ def test_termwise_degree_by_hand():
     # Run 0's term 1 holds 1 - q^0 in c_1, so it proves nothing: here the
     # relation s0 - (1 - q^5) s1 holds at k = 0 and 1 and fails at k = 2.
     runs = [(([], [], [5]), [1], [], [0]), (([], [], []), [1], [], [0])]
+    relation = [(1, 0, []), (-1, 0, [5])]
     assert termwise_degree(runs, 2, 9) is None
-    assert first_failing_term([expand(t, 2, 2) for t in runs],
-                              [(1, 0, []), (-1, 0, [5])]) == 2
+    assert counting_first_failing_term([expand(t, 2, 2) for t in runs],
+                                       relation) == 2
+    with pytest.raises(RuntimeError, match="^no certificate"):
+        first_failing_term(runs, relation, 2, 9)
     # A constant cleared below, (q^-2; q^2)_2, holds 1 - q^0.
     assert termwise_degree(_runs(([], [], []), ([2], [-2], [])), 2, 1) is None
     # A denominator 1 - q^0 in range is refused, in any run.
@@ -825,42 +829,76 @@ def test_each_sum_is_bounded_once(monkeypatch):
     assert calls == [0, 5]
 
 
-def _first_failing(decide, runs, relation):
+def _outcome(decide, *args):
+    """The first failing k, the DegenerateProductError, or "no certificate"
+    where ``first_failing_term`` has none."""
     try:
-        return decide(runs, relation)
+        return decide(*args)
     except ZeroDivisionError as exc:
         return type(exc), str(exc)
+    except RuntimeError as exc:
+        assert str(exc).startswith("no certificate")
+        return "no certificate"
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(_exponents, _nonzero, _exponents), min_size=1,
-                max_size=4), st.integers(1, 2), st.booleans(), st.data())
-def test_first_failing_term_matches_the_counting_oracle(run, others,
-                                                        vanishing, data):
-    # Runs 1, 2, ... are run 0 with every list reordered, so most terms
-    # take the path without counts, and sometimes one exponent changed, so
-    # the rest are counted.  A vanishing relation pairs one part with its
-    # negation; 1 - q^0 in a or c leaves terms that hold either way.
-    runs = [run]
-    for _ in range(others):
-        copy_ = [tuple(list(data.draw(st.permutations(part))) for part in inc)
-                 for inc in run]
-        if data.draw(st.booleans()):
-            spots = [(k, p, i) for k, inc in enumerate(copy_)
-                     for p, part in enumerate(inc) for i in range(len(part))]
-            if spots:
-                k, p, i = data.draw(st.sampled_from(spots))
-                copy_[k][p][i] += 1
-        runs.append(copy_)
-    part = st.tuples(st.sampled_from((1, -1)), st.integers(-2, 2), _exponents)
-    relation = data.draw(st.lists(part, min_size=len(runs),
-                                  max_size=len(runs)))
-    if vanishing:  # the first part, its negation, and parts of sign 0
-        sign, shift, exps = relation[0]
-        relation = [relation[0], (-sign, shift, exps[::-1])] + [
-            (0, 0, [])] * (len(runs) - 2)
-    assert _first_failing(qfuncs.first_failing_term, runs, relation) == \
-        _first_failing(counting_first_failing_term, runs, relation)
+def _counted(templates, relation, step, limit):
+    """The counting oracle on the templates' expanded lists."""
+    return counting_first_failing_term(
+        [expand(t, step, limit) for t in templates], relation)
+
+
+# Intercepts mostly above 0, so that most ratios telescope with no factor
+# that vanishes at some k >= 1.
+_intercepts = st.lists(st.integers(-1, 8), max_size=4)
+_templates = st.tuples(st.tuples(_nonzero, _nonzero, _exponents),
+                       _intercepts, st.lists(st.integers(1, 6), max_size=4),
+                       _intercepts)
+
+
+def test_first_failing_term_matches_the_counting_oracle():
+    outcomes = []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 6), _templates,
+           st.integers(1, 2), st.booleans(), st.data())
+    def check(step, limit, template, others, vanishing, data):
+        # Runs 1, 2, ... are run 0's template with every list reordered,
+        # and sometimes one exponent moved: by a multiple of the step, which
+        # keeps the ratios telescoping, or by one, which mostly does not.
+        # A vanishing relation pairs one part with its negation; 1 - q^0 in
+        # a or c leaves terms that hold either way.
+        templates = [template]
+        for _ in range(others):
+            lists = [list(data.draw(st.permutations(exps)))
+                     for exps in (*template[0], *template[1:])]
+            spots = [(p, i) for p, exps in enumerate(lists)
+                     for i in range(len(exps))]
+            if spots and data.draw(st.booleans()):
+                p, i = data.draw(st.sampled_from(spots))
+                lists[p][i] += data.draw(st.sampled_from(
+                    (1, -1, step, -step, 2 * step)))
+            templates.append((tuple(lists[:3]), *lists[3:]))
+        part = st.tuples(st.sampled_from((1, -1)), st.integers(-2, 2),
+                         _exponents)
+        relation = data.draw(st.lists(part, min_size=len(templates),
+                                      max_size=len(templates)))
+        if vanishing:  # the first part, its negation, and parts of sign 0
+            sign, shift, exps = relation[0]
+            relation = [relation[0], (-sign, shift, exps[::-1])] + [
+                (0, 0, [])] * (len(templates) - 2)
+        got = _outcome(first_failing_term, templates, relation, step, limit)
+        if got == "no certificate":
+            assert termwise_degree(templates, step, limit) is None
+        else:
+            assert got == _outcome(_counted, templates, relation, step,
+                                   limit)
+        outcomes.append(got)
+
+    check()
+    # Certified verdicts of both kinds are compared, failures past term 0
+    # among them.
+    assert None in outcomes and "no certificate" in outcomes
+    assert any(isinstance(k, int) and k > 0 for k in outcomes)
 
 
 def test_relation_width_fits_the_whole_sum():
