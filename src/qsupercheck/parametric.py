@@ -1,4 +1,4 @@
-"""Parametric congruence families checked at a = q^n and a = q^{-n}.
+"""Parametric congruence families, certified at a = q^n and a = q^{-n}.
 
 Each family's summand multiplies Pochhammers whose bases are a^j q^e with
 the a-exponents j running from d-1 down to 1-d in steps of 2, a central
@@ -8,11 +8,14 @@ Substituting a = q^{+-n} makes everything univariate; the congruence
 modulo (1 - a q^n)(a - q^n) is certified by exact rational-function
 equality at both substitution points.  Term k >= 1 of each sum is
 [x + d(k - 1)] over fixed intercept lists, so a sum is an O(d) template,
-expanded into lists only where one is built.  The a-exponents run
-symmetrically and the central band depends only on |j|, so a = q^{-n}
-gives the same template as a = q^n up to the order of commuting factors:
-each point's identity (the template and the closed form, every list
-sorted) is compared, and each distinct identity is certified once.  Most
+expanded into lists only where one is built.
+The substitution enters the template and the closed form only as j s n,
+for j from ``numerator_entries``, ``rhs_band`` and ``_den_core``.  Where
+each of those lists is the same multiset under j -> -j, a = q^{-n} gives
+the a = q^n identity with its commuting factors reordered, so deciding
+a = q^n decides both points.  The symmetry is checked on the O(d) lists
+of every check; a list that is not symmetric raises RuntimeError, an
+ERROR, since the second point would then need its own identity.  Most
 a intercepts exceed a b intercept by a multiple of d, so most numerator
 factors 1 - q^e of a term reappear in the denominator of a later term;
 ``template_increments`` cancels them on the intercepts and ends the sum
@@ -25,8 +28,10 @@ same template must reproduce the corresponding non-parametric summand
 term by term, which pins down the reconstruction of the displayed
 exponent patterns.
 The reference summand is a template too, the thm42 family's own unless
-the index is shifted: equal sorted templates give equal terms at every
-k and every n, and templates that differ are decided on their
+the index is shifted.  Neither template depends on n, so whether their
+sorted lists agree is stored once per shape (the shifted index, the
+entries, d and r): equal sorted templates give equal terms at every k
+and every n.  Templates that differ are decided at each n on their
 certificate by ``first_failing_term``, which reads ERROR "no
 certificate" where their terms' ratios do not telescope.  Each family
 deforms a q-statement of the catalog, lemma21 or thm42, and is
@@ -119,7 +124,7 @@ def _upper_limit(check_id: str, d: int, r: int, n: int) -> int:
 def _sum_template(check_id: str, d: int, r: int, n: int, s: int, entries):
     """The LHS as a template (head, a, b, c) of ``truncated_sum`` increments,
     from the summand's ``numerator_entries``, which a check builds once
-    for its three points.
+    for both its templates.
 
     s = +1 or -1 selects a = q^{sn}; s = 0 gives the a = 1 collapse.
     Term k multiplies (x; q^d)_{k+off} over the numerator bases x and
@@ -142,16 +147,11 @@ def _sum_template(check_id: str, d: int, r: int, n: int, s: int, entries):
             [x + d * off for x, off in entries], den_bases, [r] * width)
 
 
-def _key(template, closed=None):
-    """The template with each list sorted, and the closed form's sign,
-    shift and sorted factor lists.  Equal lists as multisets give equal
-    increments at every k, so equal keys give the same identity."""
+def _key(template):
+    """The template with each list sorted.  Equal lists as multisets give
+    equal increments at every k, so equal keys give the same terms."""
     (a0, b0, c0), a, b, c = template
-    key = tuple(tuple(sorted(exps)) for exps in (a0, b0, c0, a, b, c))
-    if closed is None:
-        return key
-    sign, shift, num, den = closed
-    return key, sign, shift, tuple(sorted(num)), tuple(sorted(den))
+    return tuple(tuple(sorted(exps)) for exps in (a0, b0, c0, a, b, c))
 
 
 def _rhs_factors(check_id: str, d: int, r: int, n: int, s: int,
@@ -183,38 +183,62 @@ def _reference_template(check_id: str, d: int, r: int):
             [d + r] * (d - r - 1) + [r - d] * (r + 1), [d] * d, [r] * r)
 
 
+# Witnesses (None for HOLDS) of the work after the precondition, keyed on
+# what decides it; ``p3_32`` is ``p7_45`` at r = 1, for one.
+_CERTIFIED: dict = {}
+_CERTIFIED_MAX = 4096
+
+
+def _stored(store: dict, key, decide):
+    """store[key], set to ``decide()`` when absent; at most
+    ``_CERTIFIED_MAX`` entries are kept, the oldest dropped first."""
+    if key not in store:
+        while len(store) >= _CERTIFIED_MAX:
+            del store[next(iter(store))]
+        store[key] = decide()
+    return store[key]
+
+
+def _same_shape(check_id: str, d: int, r: int, n: int, entries) -> bool:
+    """Whether the a = 1 template and the reference's have equal keys;
+    neither depends on n."""
+    return _key(_sum_template(check_id, d, r, n, 0, entries)) == _key(
+        _reference_template(check_id, d, r))
+
+
+# ``_same_shape`` of each shape: the shifted index, the entries, d and r.
+_SAME_SHAPE: dict = {}
+
+
 def _collapse_at_one(check_id: str, d: int, r: int, n: int,
                      entries) -> str | None:
     """Termwise a = 1 consistency against the reference summand; a witness
     on failure.
 
     Term k of the sum at a = 1 is q^{dk} prod_{j<=k} a_j c_k / prod_{j<=k} b_j
-    over the same template the substituted sums are built from.  Equal
-    keys answer at once, since the sum templates refuse a denominator
-    1 - q^0; templates that differ are decided by ``first_failing_term``
-    with the relation lhs - rhs.
+    over the same template the substituted sum is built from.  Equal keys
+    answer at once, since the sum templates refuse a denominator 1 - q^0,
+    and that answer is stored once per shape.  Templates that differ are
+    decided by ``first_failing_term`` with the relation lhs - rhs, up to
+    n's limit.
     """
-    lhs = _sum_template(check_id, d, r, n, 0, entries)
-    rhs = _reference_template(check_id, d, r)
-    if _key(lhs) == _key(rhs):
+    shape = (check_id in _SHIFTED_INDEX, tuple(entries), d, r)
+    if _stored(_SAME_SHAPE, shape,
+               lambda: _same_shape(check_id, d, r, n, entries)):
         return None
-    k = first_failing_term((lhs, rhs), ((1, 0, []), (-1, 0, [])), d,
+    k = first_failing_term((_sum_template(check_id, d, r, n, 0, entries),
+                            _reference_template(check_id, d, r)),
+                           ((1, 0, []), (-1, 0, [])), d,
                            _upper_limit(check_id, d, r, n))
     if k is None:
         return None
     return f"a = 1 collapse differs from reference summand at k = {k}"
 
 
-# Witnesses (None for HOLDS) of the work after the precondition, keyed on
-# what decides it; ``p3_32`` is ``p7_45`` at r = 1, for one.  At most
-# ``_CERTIFIED_MAX`` entries are kept, the oldest dropped first.
-_CERTIFIED: dict = {}
-_CERTIFIED_MAX = 4096
-
-
 def verify_parametric(check_id: str, d: int, r: int, n: int,
                       mutation: str | None = None) -> CheckResult:
-    """Exact equality at a = q^{+-n} plus the a = 1 termwise collapse.
+    """Exact equality at a = q^n, which stands for a = q^{-n} too, plus the
+    a = 1 termwise collapse.
 
     The work after the precondition depends on the family only through
     the shifted index, ``numerator_entries`` and ``rhs_band``, so it is
@@ -225,38 +249,45 @@ def verify_parametric(check_id: str, d: int, r: int, n: int,
     if reason is not None:
         return skipped(check_id, params, reason)
     entries = numerator_entries(check_id, d, r)
+    band = rhs_band(check_id, d, r)
     key = (d, r, n, mutation, check_id in _SHIFTED_INDEX, tuple(entries),
-           tuple(rhs_band(check_id, d, r)))
-    if key not in _CERTIFIED:
-        while len(_CERTIFIED) >= _CERTIFIED_MAX:
-            del _CERTIFIED[next(iter(_CERTIFIED))]
-        _CERTIFIED[key] = _witness(check_id, d, r, n, mutation, entries)
-    witness = _CERTIFIED[key]
+           tuple(band))
+    witness = _stored(_CERTIFIED, key, lambda: _witness(
+        check_id, d, r, n, mutation, entries, band))
     if witness is not None:
         return fails(check_id, params, witness)
     return holds(check_id, params)
 
 
+def _refuse_asymmetry(entries, band, d: int) -> None:
+    """RuntimeError unless the entries, the band and ``_den_core`` are each
+    the same multiset under j -> -j, which makes the a = q^{-n} identity
+    the a = q^n one."""
+    core = _den_core(d)
+    for name, items, mirror in (
+            ("numerator_entries", entries,
+             [(-j, e, off) for j, e, off in entries]),
+            ("rhs_band", band, [-j for j in band]),
+            ("_den_core", core, [-j for j in core])):
+        if sorted(items) != sorted(mirror):
+            raise RuntimeError(f"{name} is not symmetric under j -> -j")
+
+
 def _witness(check_id: str, d: int, r: int, n: int, mutation: str | None,
-             entries) -> str | None:
+             entries, band) -> str | None:
     """``verify_parametric``'s witness of FAILS, None where it HOLDS."""
-    certified = set()
-    for s in (1, -1):
-        template = _sum_template(check_id, d, r, n, s, entries)
-        # None for a sum that vanishes, as lemma21's does; it refuses
-        # every mutation.
-        closed = (mutated(None, mutation) if check_id in _SHIFTED_INDEX
-                  else _rhs_factors(check_id, d, r, n, s, mutation))
-        identity = _key(template, closed)
-        if identity in certified:  # the same identity as at a = q^n
-            continue
-        certified.add(identity)
-        increments = template_increments(template, d,
-                                         _upper_limit(check_id, d, r, n))
-        if closed is None:
-            if not relation_vanishes(d, [(1, 0, [], increments)]):
-                return f"substituted sum nonzero at a = q^{s * n}"
-            continue
+    _refuse_asymmetry(entries, band, d)
+    template = _sum_template(check_id, d, r, n, 1, entries)
+    # None for a sum that vanishes, as lemma21's does; it refuses every
+    # mutation.
+    closed = (mutated(None, mutation) if check_id in _SHIFTED_INDEX
+              else _rhs_factors(check_id, d, r, n, 1, mutation))
+    increments = template_increments(template, d,
+                                     _upper_limit(check_id, d, r, n))
+    if closed is None:
+        if not relation_vanishes(d, [(1, 0, [], increments)]):
+            return f"substituted sum nonzero at a = q^{n}"
+    else:
         sign, shift, num, den = closed
         # The increments hold no denominator 1 - q^0, so no such factor
         # cancels.
@@ -264,5 +295,5 @@ def _witness(check_id: str, d: int, r: int, n: int, mutation: str | None,
             den, [e for _, b, _ in increments for e in b])
         if not relation_vanishes(d, [(1, 0, den, increments),
                                      (-sign, shift, lhs_den + num, None)]):
-            return f"sides differ at a = q^{s * n}"
+            return f"sides differ at a = q^{n}"
     return _collapse_at_one(check_id, d, r, n, entries)

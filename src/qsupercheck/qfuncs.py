@@ -27,8 +27,9 @@ denominator, cancelled on its intercepts and ended where a numerator
 factor 1 - q^0 zeroes every later term, which tightens that count, and
 ``termwise_degree`` reads from the templates of a termwise relation the
 number of terms that prove it for every k.  ``first_failing_term``
-decides such a relation on those terms alone, each term whole, on the
-factors its runs do not share.  With ``fold = n`` the same kernel keeps
+decides such a relation on those terms alone, read straight from the
+templates into one running exponent count per run, each term whole, on
+the factors its runs do not share.  With ``fold = n`` the same kernel keeps
 a value modulo (1 - q^n)^2, as an int modulo (2^{n B} - 1)^2, so a
 divisibility by (1 - q^n)^2 is decided without unpacking.
 ``one_minus_normal_form`` reduces a quotient of such factors to
@@ -466,34 +467,42 @@ def first_failing_term(templates, relation, step: int,
     ``relation[i] = (sign, shift, exps)`` is sign q^shift prod (1 - q^e),
     one for each template; another number of parts raises ValueError.
     ``termwise_degree`` reads the degree D for which terms 0..D + 1 prove
-    the relation for every k; templates from which it reads none have no
+    the relation for every k, and refuses a denominator 1 - q^0 with
+    DegenerateProductError; templates from which it reads none have no
     certificate, which raises RuntimeError.  Each of those terms is
-    decided whole.  Term k of run i is q^{step k} prod (1 - q^e)^{m_i(e)},
-    m_i(e) counting e once for each a_0..a_k and c_k that holds it and
-    minus once for each b_0..b_k.  The least m_i(e) of every e != 0 is
-    divided out, and the factors left are decided by one
-    ``relation_vanishes`` call; 1 - q^0 is never divided out, so it still
-    zeroes its term.  A denominator 1 - q^0 raises DegenerateProductError.
+    decided whole, read straight from the head and the intercepts.  Term k
+    of run i is q^{step k} prod (1 - q^e)^{m_i(e)}: a running count per
+    run adds a_k and takes away b_k once per term, and a copy of it adds
+    c_k.  The least m_i(e) of every e != 0 is divided out, and the factors
+    left are decided by one ``relation_vanishes`` call; 1 - q^0 is never
+    divided out, so it still zeroes its term.
     """
     degree = termwise_degree(templates, step, limit)
     if degree is None:
         raise RuntimeError("no certificate: the terms' ratios do not"
                            " telescope to a bounded degree")
-    runs = [expand(t, step, min(limit, degree + 1)) for t in templates]
-    for k in range(len(runs[0])):
+    running = [{} for _ in templates]
+    for k in range(min(limit, degree + 1) + 1):
         counts = []
-        for run in runs:
-            count = Counter(run[k][2])
-            for a, b, _ in run[:k + 1]:
-                count.update(a)
-                count.subtract(b)
+        for (head, *intercepts), run in zip(templates, running):
+            # Term 0 is the head; term k >= 1 moves the intercepts.
+            a, b, c = intercepts if k else head
+            move = step * (k - 1) if k else 0
+            for x in a:
+                run[x + move] = run.get(x + move, 0) + 1
+            for y in b:
+                run[y + move] = run.get(y + move, 0) - 1
+            count = run.copy()
+            for z in c:
+                count[z + move] = count.get(z + move, 0) + 1
             counts.append(count)
         for e in set().union(*counts) - {0}:
-            low = min(count[e] for count in counts)
+            low = min(count.get(e, 0) for count in counts)
             for count in counts:
-                count[e] -= low
+                count[e] = count.get(e, 0) - low
         if not relation_vanishes(0, [
-                (sign, shift, exps + list(count.elements()), None)
+                (sign, shift, exps + [e for e, m in count.items()
+                                      for _ in range(m)], None)
                 for (sign, shift, exps), count
                 in zip(relation, counts, strict=True)]):
             return k

@@ -34,6 +34,8 @@ _QFUNCS = "tests/test_qfuncs.py::"
 _SIGN_AND_SHIFT = (_PARAMETRIC
                    + "test_first_differing_term_tracks_sign_and_shift")
 _BY_HAND = _QFUNCS + "test_termwise_degree_by_hand"
+_ASYMMETRIC = _PARAMETRIC + "test_an_asymmetric_list_is_an_error"
+_SHAPES = _PARAMETRIC + "test_stored_shapes_answer_as_an_empty_store_does"
 _INCREMENTS = _QFUNCS + "test_template_increments_by_hand"
 _REPORT = "tests/test_report.py"
 
@@ -45,14 +47,36 @@ MUTANTS = [
     ("qfuncs.py", "set().union(*counts) - {0}", "set().union(*counts)",
      "1 - q^0 cancelled across runs: a term that both runs zero differs",
      [_SIGN_AND_SHIFT]),
-    ("qfuncs.py", "low = min(count[e] for count in counts)",
-     "low = max(count[e] for count in counts)",
+    ("qfuncs.py", "low = min(count.get(e, 0) for count in counts)",
+     "low = max(count.get(e, 0) for count in counts)",
      "the largest shared count divided out: factors go missing",
      [_SIGN_AND_SHIFT]),
-    ("parametric.py", "    if _key(lhs) == _key(rhs):\n        return None",
-     "    if True:\n        return None",
+    ("qfuncs.py", "            for y in b:\n"
+     "                run[y + move] = run.get(y + move, 0) - 1\n"
+     "            count = run.copy()\n",
+     "            count = run.copy()\n            for y in b:\n"
+     "                run[y + move] = run.get(y + move, 0) - 1\n",
+     "b_k counted at term k + 1",
+     [_QFUNCS + "test_first_failing_term_matches_the_counting_oracle"]),
+    ("parametric.py", "    return _key(_sum_template(check_id, d, r, n, 0,"
+     " entries)) == _key(\n        _reference_template(check_id, d, r))",
+     "    return True",
      "the collapse's equal-key answer taken without comparing keys",
      [_PARAMETRIC + "test_collapse_detects_a_wrong_exponent"]),
+    # One substituted identity for both points, and the a = 1 shapes.
+    ("parametric.py", "if sorted(items) != sorted(mirror):",
+     "if sorted(items) != sorted(items):",
+     "the symmetry check comparing a list with itself", [_ASYMMETRIC]),
+    ("parametric.py", '            ("rhs_band", band, [-j for j in band]),\n',
+     "", "rhs_band left unchecked", [_ASYMMETRIC]),
+    ("parametric.py",
+     "shape = (check_id in _SHIFTED_INDEX, tuple(entries), d, r)",
+     "shape = (check_id in _SHIFTED_INDEX, tuple(entries), d)",
+     "the collapse store keyed without r", [_SHAPES]),
+    ("parametric.py",
+     "shape = (check_id in _SHIFTED_INDEX, tuple(entries), d, r)",
+     "shape = (tuple(entries), d, r)",
+     "the collapse store keyed without the shifted index", [_SHAPES]),
     ("identities.py", "(1, 1, [d - 1])", "(-1, 1, [d - 1])",
      "a sign flipped in the decomposition's relation",
      [_DECOMPOSITION
@@ -72,10 +96,6 @@ MUTANTS = [
      "tuple(len(exps) for exps in (a0, b0, c0, a, b, c))",
      "_key on the lists' lengths only",
      [_PARAMETRIC + "test_template_mutants_match_the_counting_oracle"]),
-    ("parametric.py", "identity = _key(template, closed)",
-     "identity = _key(template)",
-     "the a = q^-n identity keyed without its closed form",
-     [_PARAMETRIC + "test_a_change_at_minus_n_alone_is_certified_and_fails"]),
     ("parametric.py", "[x + d * off for x, off in entries]",
      "[x for x, off in entries]", "intercepts without the index offset",
      [_PARAMETRIC + "test_templates_expand_to_the_written_out_lists"]),

@@ -384,30 +384,34 @@ def test_decomposition_reads_degree_one_at_every_d():
 
 def test_decomposition_certificate_matches_the_n_term_verdict(monkeypatch):
     # One termwise call decides each (d, n) of CI's sweep, on D + 2 = 3
-    # terms of each template, and its verdict is the counting oracle's on
-    # all n terms: certified, never "no certificate".
-    calls, limits = [], []
-    real, real_expand = identities.first_failing_term, qfuncs.expand
+    # terms read straight from the templates, one relation each, and its
+    # verdict is the counting oracle's on all n terms: certified, never
+    # "no certificate".
+    calls, terms, expanded = [], [], []
+    real, real_vanishes = (identities.first_failing_term,
+                           qfuncs.relation_vanishes)
 
     def spy(*args):
         calls.append(args)
         return real(*args)
 
-    def expand_spy(template, step, limit):
-        limits.append(limit)
-        return real_expand(template, step, limit)
+    def vanishes_spy(step, parts, fold=0):
+        terms.append(step)
+        return real_vanishes(step, parts, fold)
 
     monkeypatch.setattr(identities, "first_failing_term", spy)
-    monkeypatch.setattr(qfuncs, "expand", expand_spy)
+    monkeypatch.setattr(qfuncs, "relation_vanishes", vanishes_spy)
+    monkeypatch.setattr(qfuncs, "expand", lambda *args: expanded.append(args))
     for d in range(2, 12):
         for n in range(1, 41):
             calls.clear()
-            limits.clear()
+            terms.clear()
             verdict = _certified(d, n)
             assert verdict is None
-            assert len(calls) == 1 and limits == [min(n - 1, 2)] * 3, (d, n)
+            assert len(calls) == 1 and terms == [0] * min(n, 3), (d, n)
             assert verdict == counting_first_failing_term(
                 decomposition_sums(d, n), _decomposition_relation(d))
+    assert expanded == []
 
 
 def _parent_verdict(d, n, sums):

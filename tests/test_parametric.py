@@ -155,7 +155,7 @@ def test_cancelled_cross_product_packs_at_32_bit_digits(monkeypatch):
 
     monkeypatch.setattr(qfuncs, "_numerator", spy)
     assert verify_parametric("p7_45", 7, 3, 11).status is Status.HOLDS
-    # a = q^-n gives the same identity as a = q^n, so one sum is built.
+    # a = q^-n is the a = q^n identity, so one sum is built.
     assert len(widths) == 1 and max(widths) <= 32
 
 
@@ -170,10 +170,14 @@ def _multisets(increments):
 
 
 def test_both_points_give_the_same_exponent_lists():
-    # verify_parametric certifies a = q^-n by finding its identity equal to
-    # a = q^n's; this pins that the two points coincide on the whole range.
+    # verify_parametric decides a = q^n alone, once it has found
+    # numerator_entries, rhs_band and _den_core symmetric under j -> -j;
+    # this oracle pins on the whole range that the two points then give
+    # the same lists and the same closed form.
     assert len(ADMISSIBLE_TO_40) == 369
     for cid, d, r, n in ADMISSIBLE_TO_40:
+        parametric._refuse_asymmetry(numerator_entries(cid, d, r),
+                                     rhs_band(cid, d, r), d)
         assert _multisets(sum_increments(cid, d, r, n, 1)) == _multisets(
             sum_increments(cid, d, r, n, -1)), (cid, d, r, n)
         if cid in _SHIFTED_INDEX:
@@ -184,49 +188,39 @@ def test_both_points_give_the_same_exponent_lists():
             sign2, shift2, Counter(num2), Counter(den2)), (cid, d, r, n)
 
 
-def _bumped_at_minus_n(real):
-    """``real`` with one exponent raised by one at a = q^-n only: the
-    closed form's first numerator factor, or the template's first a
-    intercept, which every term k >= 1 carries."""
-    def bumped(check_id, d, r, n, s, *rest):
-        out = real(check_id, d, r, n, s, *rest)
-        if s != -1:
-            return out
-        if real is _rhs_factors:
-            sign, shift, num, den = out
-            return sign, shift, [num[0] + 1] + num[1:], den
-        head, a, b, c = out
-        return head, [a[0] + 1] + a[1:], b, c
-    return bumped
+def _unmirrored(real):
+    """``real`` with its first a-exponent j, d - 1 or the band's largest,
+    raised by one, so that no -j mirrors it."""
+    def raised(check_id, d, r):
+        first, *rest = real(check_id, d, r)
+        if isinstance(first, tuple):
+            return [(first[0] + 1, *first[1:])] + rest
+        return [first + 1] + rest
+    return raised
 
 
-@pytest.mark.parametrize("check_id,d,r,n,target,witness", [
-    ("p1_24", 7, 2, 12, "_sum_template", "substituted sum nonzero"),
-    ("p2_25", 7, 3, 11, "_sum_template", "substituted sum nonzero"),
-    ("p5_43", 5, 2, 13, "_sum_template", "sides differ"),
-    ("p7_45", 7, 3, 11, "_rhs_factors", "sides differ"),
-    ("p8_46", 5, 3, 12, "_rhs_factors", "sides differ"),
+@pytest.mark.parametrize("check_id,d,r,n,target", [
+    ("p1_24", 7, 2, 12, "numerator_entries"),
+    ("p2_25", 7, 3, 11, "numerator_entries"),
+    ("p5_43", 5, 2, 13, "numerator_entries"),
+    ("p7_45", 7, 3, 11, "rhs_band"),
+    ("p8_46", 5, 3, 12, "rhs_band"),
 ])
-def test_a_change_at_minus_n_alone_is_certified_and_fails(
-        monkeypatch, check_id, d, r, n, target, witness):
-    # Negative control: the second point is compared, not assumed equal.
-    calls = []
-    real = qfuncs._numerator
-
-    def spy(step, increments, width, fold=0):
-        calls.append(width)
-        return real(step, increments, width, fold)
-
-    monkeypatch.setattr(qfuncs, "_numerator", spy)
-    assert verify_parametric(check_id, d, r, n).status is Status.HOLDS
-    assert len(calls) == 1
+def test_an_asymmetric_list_is_an_error(monkeypatch, check_id, d, r, n,
+                                        target):
+    # Negative control: a = q^n stands for a = q^-n only while the lists
+    # that a j s n enters are symmetric, so one j without its mirror is
+    # refused as an engine error, not decided at one point.
+    params = {"d": d, "n": n, "r": r}
+    assert run_check(check_id, params).status is Status.HOLDS
     monkeypatch.setattr(parametric, target,
-                        _bumped_at_minus_n(getattr(parametric, target)))
+                        _unmirrored(getattr(parametric, target)))
     parametric._CERTIFIED.clear()  # decide the patched instance afresh
-    result = verify_parametric(check_id, d, r, n)
-    assert result.status is Status.FAILS
-    assert result.witness == f"{witness} at a = q^-{n}"
-    assert len(calls) == 3
+    parametric._SAME_SHAPE.clear()
+    result = run_check(check_id, params)
+    assert result.status is Status.ERROR
+    assert result.witness == (f"RuntimeError: {target} is not symmetric"
+                              " under j -> -j")
 
 
 def test_families_share_work_exactly_where_written_out():
@@ -483,9 +477,10 @@ ADMISSIBLE_TO_60 = [(cid, d, r, n) for cid in PARAMETRIC_IDS
 
 
 def test_templates_expand_to_the_written_out_lists():
-    # verify_parametric compares templates where it compared lists: the
-    # a = q^-n identity with a = q^n's, and the a = 1 collapse with the
-    # reference summand.  Both must read as the list comparisons do.
+    # Templates are compared where lists were: the a = 1 collapse with the
+    # reference summand in verify_parametric, and a = q^-n with a = q^n,
+    # which the symmetry of the generator lists makes equal.  Both must
+    # read as the list comparisons do.
     assert len(ADMISSIBLE_TO_60) == 698
     for cid, d, r, n in ADMISSIBLE_TO_60:
         limit = _upper_limit(cid, d, r, n)
@@ -498,10 +493,11 @@ def test_templates_expand_to_the_written_out_lists():
         assert expand(ref, d, limit) == ref_lists, (cid, d, r, n)
         closed = {s: None if cid in _SHIFTED_INDEX
                   else _rhs_factors(cid, d, r, n, s, None) for s in (1, -1)}
+        same_sums = identity(lists[1], None) == identity(lists[-1], None)
+        assert (_key(templates[1]) == _key(templates[-1])) == same_sums, (
+            cid, d, r, n)
         same_identity = (identity(lists[1], closed[1])
                          == identity(lists[-1], closed[-1]))
-        assert (_key(templates[1], closed[1]) == _key(
-            templates[-1], closed[-1])) == same_identity, (cid, d, r, n)
         same_terms = identity(lists[0], None) == identity(ref_lists, None)
         assert (_key(templates[0]) == _key(ref)) == same_terms, (cid, d, r, n)
         assert same_identity and same_terms, (cid, d, r, n)
@@ -551,6 +547,8 @@ def test_collapse_without_a_certificate_is_an_error(monkeypatch):
         raised = ((a0, b0, c0), [a[0] + delta] + a[1:], b, c)
         monkeypatch.setattr(parametric, "_reference_template",
                             lambda *_, raised=raised: raised)
+        parametric._CERTIFIED.clear()  # decide each patched reference
+        parametric._SAME_SHAPE.clear()
         result = run_check("p3_32", {"d": 5, "n": 14, "r": 1})
         if delta == 1:
             assert result.status is Status.ERROR
@@ -587,9 +585,86 @@ def test_collapse_with_a_shared_intercept_holds_on_its_certificate(
     for cid, d, r, n in INSTANCES:
         calls.clear()
         parametric._CERTIFIED.clear()  # p3_32 would read p7_45's verdict
+        parametric._SAME_SHAPE.clear()
         assert run_check(cid, {"d": d, "n": n, "r": r}).status \
             is Status.HOLDS, (cid, d, r, n)
         assert calls == [None], (cid, d, r, n)
+
+
+def _admissible_ns(check_id, d, r):
+    return [n for n in range(2, 61)
+            if parametric_precondition(check_id, d, r, n) is None]
+
+
+def test_a_cached_shape_builds_no_second_collapse_template(monkeypatch):
+    # Neither the a = 1 template nor the reference depends on n, so a
+    # second n of one shape builds only its a = q^n template.  Where the
+    # shapes differ, every n is still decided on its own limit.
+    points, limits = [], []
+    real_template, real_first = (parametric._sum_template,
+                                 parametric.first_failing_term)
+
+    def template_spy(check_id, d, r, n, s, entries):
+        points.append(s)
+        return real_template(check_id, d, r, n, s, entries)
+
+    def first_spy(templates, relation, step, limit):
+        limits.append(limit)
+        return real_first(templates, relation, step, limit)
+
+    monkeypatch.setattr(parametric, "_sum_template", template_spy)
+    monkeypatch.setattr(parametric, "first_failing_term", first_spy)
+    for cid, d, r in (("p7_45", 7, 3), ("p1_24", 7, 2), ("p5_43", 5, 2)):
+        first, second = _admissible_ns(cid, d, r)[:2]
+        points.clear()
+        assert verify_parametric(cid, d, r, first).status is Status.HOLDS
+        assert points == [1, 0], cid
+        points.clear()
+        assert verify_parametric(cid, d, r, second).status is Status.HOLDS
+        assert points == [1], cid
+    assert limits == []
+
+    def shared(check_id, d, r):
+        head, a, b, c = _reference_template(check_id, d, r)
+        return head, a + [1], b + [1], c
+
+    monkeypatch.setattr(parametric, "_reference_template", shared)
+    parametric._CERTIFIED.clear()  # decide the patched reference afresh
+    parametric._SAME_SHAPE.clear()
+    ns = _admissible_ns("p7_45", 7, 3)[:3]
+    for n in ns:
+        assert verify_parametric("p7_45", 7, 3, n).status is Status.HOLDS
+    assert limits == [_upper_limit("p7_45", 7, 3, n) for n in ns]
+
+
+def test_stored_shapes_answer_as_an_empty_store_does():
+    # The shape is all that builds the two templates.  A family's entries
+    # handed on with another r, or to a family of the other index, must
+    # read as they do with nothing stored, after the honest call has
+    # stored its answer.
+    calls = []
+    for cid, d, r, n in INSTANCES:
+        entries = numerator_entries(cid, d, r)
+        calls.append((cid, d, r, n, entries))
+        calls += [(cid, d, r + delta, n, entries) for delta in (1, 2)]
+        calls += [(other, d, r, n, entries) for other in PARAMETRIC_IDS
+                  if (other in _SHIFTED_INDEX) != (cid in _SHIFTED_INDEX)]
+
+    def outcome(call):
+        try:
+            return _collapse_at_one(*call)
+        except (ZeroDivisionError, RuntimeError) as exc:
+            return type(exc), str(exc)
+
+    fresh = []
+    for call in calls:
+        parametric._SAME_SHAPE.clear()
+        fresh.append(outcome(call))
+    parametric._SAME_SHAPE.clear()
+    assert [outcome(call) for call in calls] == fresh
+    # Only the honest calls hold, so a store that answered a changed call
+    # from an honest one would be seen.
+    assert fresh.count(None) == len(INSTANCES)
 
 
 # Each pair is two templates of step 2, decided up to term 3.

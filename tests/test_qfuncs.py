@@ -604,15 +604,16 @@ def test_raised_intercepts_still_fail(monkeypatch):
 
             monkeypatch.setattr(parametric, "_sum_template", raised)
             parametric._CERTIFIED.clear()  # each mutant is decided afresh
+            parametric._SAME_SHAPE.clear()
             result = run_check(cid, {"d": d, "n": n, "r": r})
             assert result.status is Status.FAILS, (cid, d, r, n, part)
 
 
 def _oracle_verdict(check_id, d, r, n, increments):
-    """HOLDS when both substituted sums, built on dense lists, equal their
-    closed forms by Laurent cross-multiplication."""
+    """HOLDS when the substituted sums at both points, built on dense
+    lists, equal their closed forms by Laurent cross-multiplication."""
     for s in (1, -1):
-        num, den = dense_sum(d, increments[s])
+        num, den = dense_sum(d, increments)
         if check_id in ("p1_24", "p2_25"):
             same = num.is_zero()
         else:
@@ -625,6 +626,8 @@ def _oracle_verdict(check_id, d, r, n, increments):
 
 
 def test_single_exponent_mutants_agree_with_dense_oracle(monkeypatch):
+    # The one template that stands for both points, mutated: the dense
+    # oracle sees its lists at a = q^n and at a = q^-n.
     rng = random.Random(5)
     real = parametric._sum_template
     small = [(cid, d, r, n) for cid, grid in GRID_PARAMETRIC.items()
@@ -632,32 +635,28 @@ def test_single_exponent_mutants_agree_with_dense_oracle(monkeypatch):
     verdicts = []
     while len(verdicts) < 64:
         cid, d, r, n = rng.choice(small)
-        # Each template as its six lists: the head's a_0, b_0, c_0, then
-        # the intercepts of a, b and c.
-        lists = {}
-        for s in (1, -1):
-            (a0, b0, c0), a, b, c = _template(cid, d, r, n, s)
-            lists[s] = [a0, b0, c0, a, b, c]
-        mutant = lists[rng.choice((1, -1))]
+        # The template as its six lists: the head's a_0, b_0, c_0, then the
+        # intercepts of a, b and c.
+        (a0, b0, c0), a, b, c = _template(cid, d, r, n, 1)
+        mutant = [a0, b0, c0, a, b, c]
         part = rng.choice([p for p in range(6) if mutant[p]])
         mutant[part][rng.randrange(len(mutant[part]))] += rng.choice((1, -1))
-        templates = {s: (tuple(parts[:3]), *parts[3:])
-                     for s, parts in lists.items()}
-        limit = parametric._upper_limit(cid, d, r, n)
+        template = (tuple(mutant[:3]), *mutant[3:])
         try:
-            increments = {s: expand(template, d, limit)
-                          for s, template in templates.items()}
+            increments = expand(template, d,
+                                parametric._upper_limit(cid, d, r, n))
         except DegenerateProductError:
             continue  # keep denominators nonzero
 
-        def mutated(c, d_, r_, n_, s, entries, templates=templates):
-            return templates[s] if s else real(c, d_, r_, n_, s, entries)
+        def mutated(c, d_, r_, n_, s, entries, template=template):
+            return template if s else real(c, d_, r_, n_, s, entries)
 
         monkeypatch.setattr(parametric, "_sum_template", mutated)
         parametric._CERTIFIED.clear()  # each mutant is decided afresh
+        parametric._SAME_SHAPE.clear()
         packed = verify_parametric(cid, d, r, n).status
         assert packed is _oracle_verdict(cid, d, r, n, increments), (
-            cid, d, r, n, part, templates)
+            cid, d, r, n, part, template)
         verdicts.append(packed)
     # A mutant inside a term that a factor 1 - q^0 already zeroes changes
     # nothing, so some mutants hold.
@@ -933,6 +932,7 @@ def test_undersized_width_is_error_not_a_verdict(monkeypatch, module,
     assert getattr(module, name) is getattr(qfuncs, name)
     monkeypatch.setattr(qfuncs, "packed_width", lambda bits: bits + 1)
     parametric._CERTIFIED.clear()  # decide the patched instance afresh
+    parametric._SAME_SHAPE.clear()
     result = run_check(check_id, params)
     assert result.status is Status.ERROR
     assert result.witness.startswith("PackingOverflowError")
