@@ -31,15 +31,9 @@ from .verifier import verify_divisibility, verify_theorem
 # Registry
 # --------------------------------------------------------------------------
 
-class CheckSpec(namedtuple("CheckSpec",
-                           "check_id param_names description runner")):
-    """A check's id, parameter names, description, and its runner, which
-    takes (check id, params)."""
-
-    __slots__ = ()
-
-    def run(self, params: dict) -> CheckResult:
-        return self.runner(self.check_id, params)
+# A check's id, parameter names, description, and its runner, which takes
+# (check id, params).
+CheckSpec = namedtuple("CheckSpec", "check_id param_names description runner")
 
 
 # Runners take (check id, params) and look each verifier up by its name in
@@ -148,7 +142,7 @@ def run_check(check_id: str, params: dict) -> CheckResult:
         raise ValueError(f"unknown check id {check_id!r}")
     start = time.perf_counter()
     try:
-        result = spec.run(params)
+        result = spec.runner(check_id, params)
     except ArithmeticError as exc:  # non-unit, pole, non-integral exponent
         result = fails(check_id, params, f"{type(exc).__name__}: {exc}")
     except Exception as exc:  # sweeps must stay total

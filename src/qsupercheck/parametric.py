@@ -29,17 +29,23 @@ term by term, which pins down the reconstruction of the displayed
 exponent patterns.
 The reference summand is a template too, the thm42 family's own unless
 the index is shifted.  Neither template depends on n, so whether their
-sorted lists agree is stored once per shape (the shifted index, the
-entries, d and r): equal sorted templates give equal terms at every k
-and every n.  Templates that differ are decided at each n on their
-certificate by ``first_failing_term``, which reads ERROR "no
-certificate" where their terms' ratios do not telescope.  Each family
-deforms a q-statement of the catalog, lemma21 or thm42, and is
-admissible where that statement is and its own condition on (d, r)
+sorted lists agree is decided once per shape: equal sorted templates give
+equal terms at every k and every n.  Templates that differ are decided at
+each n on their certificate by ``first_failing_term``, which reads ERROR
+"no certificate" where their terms' ratios do not telescope.
+Each helper takes only what it reads, the shifted index as a flag and
+the generator lists as tuples, so the two memos of a process are
+``functools.lru_cache``s of 4,096 entries keyed by their arguments:
+``_witness``, the verdict of the work after the precondition, which
+families share (p3_32 is p7_45 at r = 1), and ``_same_shape``.
+Each family deforms a q-statement of the catalog, lemma21 or thm42, and
+is admissible where that statement is and its own condition on (d, r)
 holds.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .families import (F6_THM42, a_exponent, family_template, mutated,
                        theorem_precondition)
@@ -115,18 +121,20 @@ def parametric_precondition(check_id: str, d: int, r: int, n: int) -> str | None
     return None if condition(d, r) else f"requires {words}"
 
 
-def _upper_limit(check_id: str, d: int, r: int, n: int) -> int:
-    if check_id in _SHIFTED_INDEX:
+def _upper_limit(shifted: bool, d: int, r: int, n: int) -> int:
+    if shifted:
         return n - 1 - (n + r) // d
     return n - 1
 
 
-def _sum_template(check_id: str, d: int, r: int, n: int, s: int, entries):
+def _sum_template(shifted: bool, d: int, r: int, n: int, s: int, entries):
     """The LHS as a template (head, a, b, c) of ``truncated_sum`` increments,
     from the summand's ``numerator_entries``, which a check builds once
-    for both its templates.
+    for both its templates; ``shifted`` is whether the central band has
+    index k - 2.
 
-    s = +1 or -1 selects a = q^{sn}; s = 0 gives the a = 1 collapse.
+    s = +1 or -1 selects a = q^{sn}; s = 0 gives the a = 1 collapse, which
+    reads no n.
     Term k multiplies (x; q^d)_{k+off} over the numerator bases x and
     divides by (x; q^d)_k over the denominator bases, q^d among them.
     An index k - 2 puts its reciprocal factors 1 - x q^{-2d}, 1 - x q^{-d}
@@ -142,7 +150,7 @@ def _sum_template(check_id: str, d: int, r: int, n: int, s: int, entries):
     reciprocal = [x + d * (off + t) for x, off in entries for t in range(-off)]
     if 0 in reciprocal:
         raise DegenerateSubstitutionError("reciprocal factor 1 - q^0")
-    width = r if check_id in _SHIFTED_INDEX else 0
+    width = r if shifted else 0
     return (([], reciprocal, [r - d] * width),
             [x + d * off for x, off in entries], den_bases, [r] * width)
 
@@ -154,20 +162,21 @@ def _key(template):
     return tuple(tuple(sorted(exps)) for exps in (a0, b0, c0, a, b, c))
 
 
-def _rhs_factors(check_id: str, d: int, r: int, n: int, s: int,
+def _rhs_factors(band, d: int, r: int, n: int, s: int,
                  mutation: str | None):
     """Substituted closed form sign q^shift prod_num (1 - q^e) over
-    prod_den (1 - q^e), as (sign, shift, num exponents, den exponents)."""
+    prod_den (1 - q^e), as (sign, shift, num exponents, den exponents),
+    from the family's ``rhs_band``."""
     m = (n + r) // d
     shift = a_exponent(d, n, r) - r
     sign = 1 if (n - 1 - m) % 2 == 0 else -1
-    num = [j * s * n + r for j in rhs_band(check_id, d, r)]
+    num = [j * s * n + r for j in band]
     num += [d * t for t in range(1, n - m)]
     den = [j * s * n + d + d * t for j in _den_core(d) for t in range(m)]
     return mutated((sign, shift, num, den), mutation)
 
 
-def _reference_template(check_id: str, d: int, r: int):
+def _reference_template(shifted: bool, d: int, r: int):
     """The non-parametric summand the a = 1 collapse must reproduce, as a
     template (head, a, b, c) like ``_sum_template``'s.
 
@@ -177,59 +186,37 @@ def _reference_template(check_id: str, d: int, r: int):
     (q^{d+r}; q^d)_{k-2} is (q^{r-d}; q^d)_k over those two factors, and
     multiplied by (1 - q^{dk-d+r})^r.
     """
-    if check_id not in _SHIFTED_INDEX:
+    if not shifted:
         return family_template(F6_THM42, d, r)
     return (([], [r - d, r] * (r + 1), [r - d] * r),
             [d + r] * (d - r - 1) + [r - d] * (r + 1), [d] * d, [r] * r)
 
 
-# Witnesses (None for HOLDS) of the work after the precondition, keyed on
-# what decides it; ``p3_32`` is ``p7_45`` at r = 1, for one.
-_CERTIFIED: dict = {}
-_CERTIFIED_MAX = 4096
-
-
-def _stored(store: dict, key, decide):
-    """store[key], set to ``decide()`` when absent; at most
-    ``_CERTIFIED_MAX`` entries are kept, the oldest dropped first."""
-    if key not in store:
-        while len(store) >= _CERTIFIED_MAX:
-            del store[next(iter(store))]
-        store[key] = decide()
-    return store[key]
-
-
-def _same_shape(check_id: str, d: int, r: int, n: int, entries) -> bool:
+@functools.lru_cache(maxsize=4096)
+def _same_shape(shifted: bool, entries, d: int, r: int) -> bool:
     """Whether the a = 1 template and the reference's have equal keys;
-    neither depends on n."""
-    return _key(_sum_template(check_id, d, r, n, 0, entries)) == _key(
-        _reference_template(check_id, d, r))
+    neither depends on n, so the answer is kept once per shape."""
+    return _key(_sum_template(shifted, d, r, 0, 0, entries)) == _key(
+        _reference_template(shifted, d, r))
 
 
-# ``_same_shape`` of each shape: the shifted index, the entries, d and r.
-_SAME_SHAPE: dict = {}
-
-
-def _collapse_at_one(check_id: str, d: int, r: int, n: int,
+def _collapse_at_one(shifted: bool, d: int, r: int, n: int,
                      entries) -> str | None:
     """Termwise a = 1 consistency against the reference summand; a witness
     on failure.
 
     Term k of the sum at a = 1 is q^{dk} prod_{j<=k} a_j c_k / prod_{j<=k} b_j
     over the same template the substituted sum is built from.  Equal keys
-    answer at once, since the sum templates refuse a denominator 1 - q^0,
-    and that answer is stored once per shape.  Templates that differ are
-    decided by ``first_failing_term`` with the relation lhs - rhs, up to
-    n's limit.
+    answer at once, since the sum templates refuse a denominator 1 - q^0.
+    Templates that differ are decided by ``first_failing_term`` with the
+    relation lhs - rhs, up to n's limit.
     """
-    shape = (check_id in _SHIFTED_INDEX, tuple(entries), d, r)
-    if _stored(_SAME_SHAPE, shape,
-               lambda: _same_shape(check_id, d, r, n, entries)):
+    if _same_shape(shifted, entries, d, r):
         return None
-    k = first_failing_term((_sum_template(check_id, d, r, n, 0, entries),
-                            _reference_template(check_id, d, r)),
+    k = first_failing_term((_sum_template(shifted, d, r, n, 0, entries),
+                            _reference_template(shifted, d, r)),
                            ((1, 0, []), (-1, 0, [])), d,
-                           _upper_limit(check_id, d, r, n))
+                           _upper_limit(shifted, d, r, n))
     if k is None:
         return None
     return f"a = 1 collapse differs from reference summand at k = {k}"
@@ -241,19 +228,17 @@ def verify_parametric(check_id: str, d: int, r: int, n: int,
     a = 1 termwise collapse.
 
     The work after the precondition depends on the family only through
-    the shifted index, ``numerator_entries`` and ``rhs_band``, so it is
-    done once per process for each such key, with d, r, n and the
-    mutation, and its verdict is returned under the id that asks."""
+    the shifted index, ``numerator_entries`` and ``rhs_band``, which
+    ``_witness`` takes with d, r, n and the mutation, so it is done once
+    per process for each such argument list, and its verdict is returned
+    under the id that asks."""
     params = {"d": d, "n": n, "r": r}
     reason = parametric_precondition(check_id, d, r, n)
     if reason is not None:
         return skipped(check_id, params, reason)
-    entries = numerator_entries(check_id, d, r)
-    band = rhs_band(check_id, d, r)
-    key = (d, r, n, mutation, check_id in _SHIFTED_INDEX, tuple(entries),
-           tuple(band))
-    witness = _stored(_CERTIFIED, key, lambda: _witness(
-        check_id, d, r, n, mutation, entries, band))
+    witness = _witness(d, r, n, mutation, check_id in _SHIFTED_INDEX,
+                       tuple(numerator_entries(check_id, d, r)),
+                       tuple(rhs_band(check_id, d, r)))
     if witness is not None:
         return fails(check_id, params, witness)
     return holds(check_id, params)
@@ -273,17 +258,18 @@ def _refuse_asymmetry(entries, band, d: int) -> None:
             raise RuntimeError(f"{name} is not symmetric under j -> -j")
 
 
-def _witness(check_id: str, d: int, r: int, n: int, mutation: str | None,
+@functools.lru_cache(maxsize=4096)
+def _witness(d: int, r: int, n: int, mutation: str | None, shifted: bool,
              entries, band) -> str | None:
     """``verify_parametric``'s witness of FAILS, None where it HOLDS."""
     _refuse_asymmetry(entries, band, d)
-    template = _sum_template(check_id, d, r, n, 1, entries)
+    template = _sum_template(shifted, d, r, n, 1, entries)
     # None for a sum that vanishes, as lemma21's does; it refuses every
     # mutation.
-    closed = (mutated(None, mutation) if check_id in _SHIFTED_INDEX
-              else _rhs_factors(check_id, d, r, n, 1, mutation))
+    closed = (mutated(None, mutation) if shifted
+              else _rhs_factors(band, d, r, n, 1, mutation))
     increments = template_increments(template, d,
-                                     _upper_limit(check_id, d, r, n))
+                                     _upper_limit(shifted, d, r, n))
     if closed is None:
         if not relation_vanishes(d, [(1, 0, [], increments)]):
             return f"substituted sum nonzero at a = q^{n}"
@@ -296,4 +282,4 @@ def _witness(check_id: str, d: int, r: int, n: int, mutation: str | None,
         if not relation_vanishes(d, [(1, 0, den, increments),
                                      (-sign, shift, lhs_den + num, None)]):
             return f"sides differ at a = q^{n}"
-    return _collapse_at_one(check_id, d, r, n, entries)
+    return _collapse_at_one(shifted, d, r, n, entries)

@@ -86,15 +86,19 @@ def _result(r: CheckResult) -> str:
 
 class SweepPlan:
     """The instances of a sweep and the settings its report header shows;
-    ``fast_mode`` is always False, kept so report headers keep the key."""
+    the header's ``fast_mode`` is always false, kept so reports keep the
+    key.  ``fast_mode`` is taken only as False, the value
+    ``perfbench/worker.py`` passes by position."""
 
-    __slots__ = ("checks", "seed", "trials", "fast_mode", "suite")
+    __slots__ = ("checks", "seed", "trials", "suite")
 
     def __init__(self, checks: list[tuple[str, dict]], seed: int,
                  trials: int, fast_mode: bool = False,
                  suite: str | None = None):
+        if fast_mode:
+            raise ValueError("sweeps have no fast mode")
         self.checks, self.seed, self.trials = checks, seed, trials
-        self.fast_mode, self.suite = fast_mode, suite
+        self.suite = suite
 
     def instance_count(self) -> int:
         return len(self.checks)
@@ -103,7 +107,7 @@ class SweepPlan:
         plan = {
             "seed": self.seed,
             "trials": self.trials,
-            "fast_mode": self.fast_mode,
+            "fast_mode": False,
             "instances": self.instance_count(),
         }
         if self.suite:
@@ -125,7 +129,7 @@ class SweepPlan:
                 _object([("id", _value(cid, entry)),
                          ("params", _params(params, entry))], "      ")
                 for cid, params in self.checks], pad)))
-        fields += [("fast_mode", _value(self.fast_mode, pad)),
+        fields += [("fast_mode", "false"),
                    ("instances", _value(self.instance_count(), pad)),
                    ("seed", _value(self.seed, pad))]
         if self.suite:

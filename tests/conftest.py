@@ -10,8 +10,8 @@ def _fresh_parametric_verdicts():
     """Each test decides its parametric instances afresh: a test that
     patches the engine must not read a verdict, or an a = 1 shape, that an
     earlier call stored."""
-    parametric._CERTIFIED.clear()
-    parametric._SAME_SHAPE.clear()
+    parametric._witness.cache_clear()
+    parametric._same_shape.cache_clear()
     yield
-    parametric._CERTIFIED.clear()
-    parametric._SAME_SHAPE.clear()
+    parametric._witness.cache_clear()
+    parametric._same_shape.cache_clear()

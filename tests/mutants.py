@@ -35,7 +35,8 @@ _SIGN_AND_SHIFT = (_PARAMETRIC
                    + "test_first_differing_term_tracks_sign_and_shift")
 _BY_HAND = _QFUNCS + "test_termwise_degree_by_hand"
 _ASYMMETRIC = _PARAMETRIC + "test_an_asymmetric_list_is_an_error"
-_SHAPES = _PARAMETRIC + "test_stored_shapes_answer_as_an_empty_store_does"
+_SHAPES = _PARAMETRIC + "test_a_cached_shape_builds_no_second_collapse_template"
+_PACKED = _QFUNCS + "test_packed_bound_decides_exactness"
 _INCREMENTS = _QFUNCS + "test_template_increments_by_hand"
 _REPORT = "tests/test_report.py"
 
@@ -58,8 +59,8 @@ MUTANTS = [
      "                run[y + move] = run.get(y + move, 0) - 1\n",
      "b_k counted at term k + 1",
      [_QFUNCS + "test_first_failing_term_matches_the_counting_oracle"]),
-    ("parametric.py", "    return _key(_sum_template(check_id, d, r, n, 0,"
-     " entries)) == _key(\n        _reference_template(check_id, d, r))",
+    ("parametric.py", "    return _key(_sum_template(shifted, d, r, 0, 0,"
+     " entries)) == _key(\n        _reference_template(shifted, d, r))",
      "    return True",
      "the collapse's equal-key answer taken without comparing keys",
      [_PARAMETRIC + "test_collapse_detects_a_wrong_exponent"]),
@@ -69,14 +70,12 @@ MUTANTS = [
      "the symmetry check comparing a list with itself", [_ASYMMETRIC]),
     ("parametric.py", '            ("rhs_band", band, [-j for j in band]),\n',
      "", "rhs_band left unchecked", [_ASYMMETRIC]),
-    ("parametric.py",
-     "shape = (check_id in _SHIFTED_INDEX, tuple(entries), d, r)",
-     "shape = (check_id in _SHIFTED_INDEX, tuple(entries), d)",
-     "the collapse store keyed without r", [_SHAPES]),
-    ("parametric.py",
-     "shape = (check_id in _SHIFTED_INDEX, tuple(entries), d, r)",
-     "shape = (tuple(entries), d, r)",
-     "the collapse store keyed without the shifted index", [_SHAPES]),
+    ("parametric.py", "_same_shape(shifted, entries, d, r)",
+     "_same_shape(shifted, entries, d, r + 1)",
+     "the a = 1 shape asked at the wrong r", [_SHAPES]),
+    ("parametric.py", "_same_shape(shifted, entries, d, r)",
+     "_same_shape(False, entries, d, r)",
+     "the a = 1 shape asked without the shifted index", [_SHAPES]),
     ("identities.py", "(1, 1, [d - 1])", "(-1, 1, [d - 1])",
      "a sign flipped in the decomposition's relation",
      [_DECOMPOSITION
@@ -102,9 +101,9 @@ MUTANTS = [
     ("parametric.py", "[d] * d, [r] * r)", "[d] * d, [r + 1] * r)",
      "a wrong c intercept in the shifted-index reference",
      [_PARAMETRIC + "test_running_collapse_matches_the_quadratic_oracle"]),
-    ("parametric.py", "key = (d, r, n, mutation, check_id in _SHIFTED_INDEX,",
-     "key = (d, r, n, check_id in _SHIFTED_INDEX,",
-     "shared verdicts keyed without the mutation",
+    ("parametric.py", "_witness(d, r, n, mutation, check_id in _SHIFTED_INDEX,",
+     "_witness(d, r, n, None, check_id in _SHIFTED_INDEX,",
+     "shared verdicts decided without the mutation",
      [_PARAMETRIC + "test_shared_work_is_certified_once_per_process"]),
     ("qfuncs.py", "for shift in range(0, step * limit, step):",
      "for shift in range(step, step * limit + step, step):",
@@ -151,6 +150,26 @@ MUTANTS = [
     ("qfuncs.py", "    for template in templates:\n"
      "        _refuse_zero_denominator(template, step, limit)\n", "",
      "no refusal of a denominator 1 - q^0 in termwise_degree", [_BY_HAND]),
+    # The packed kernel and its bounds.
+    ("qfuncs.py", "if self.bits + 2 > self.width:",
+     "if self.bits + 1 > self.width:", "the exactness gate one bit loose",
+     [_QFUNCS + "test_packed_decides_at_bits_plus_two_and_refuses_past_it"]),
+    ("qfuncs.py", "    return (total - 1).bit_length() + grow",
+     "    return (total - 1).bit_length() - 1 + grow",
+     "sum_bounds one bit short",
+     [_QFUNCS + "test_int_kernel_matches_the_packed_object_loop"]),
+    ("qfuncs.py", "        return (value << (low - k) * width) + term, k",
+     "        return (value << (low - k) * width) + term, low",
+     "_plus_shifted keeping the wrong offset", [_PACKED]),
+    ("qfuncs.py", "    bits = (bound - 1).bit_length()\n",
+     "    bits = (bound - 1).bit_length() - 1\n",
+     "relation_vanishes sized one bit short",
+     [_QFUNCS + "test_packed_kernel_matches_dense_oracle"]),
+    ("qfuncs.py", "            low += e\n", "            low -= e\n",
+     "_times_one_minus moving the offset the wrong way", [_PACKED]),
+    ("qfuncs.py", "return (2 * (span // n + 1)).bit_length()",
+     "return (span // n + 1).bit_length()",
+     "fold_bits without its factor 2", [_PACKED]),
     # The report layout.
     ("report.py", "keyed.sort(key=itemgetter(0))",
      "keyed.sort(key=lambda pair: pair[0][1])",

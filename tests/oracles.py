@@ -213,7 +213,7 @@ def sum_increments(check_id, d, r, n, s):
         raise DegenerateSubstitutionError("reciprocal factor 1 - q^0")
     width = r if check_id in _SHIFTED_INDEX else 0
     increments = [([], reciprocal, [r - d] * width)]
-    for k in range(1, _upper_limit(check_id, d, r, n) + 1):
+    for k in range(1, _upper_limit(check_id in _SHIFTED_INDEX, d, r, n) + 1):
         increments.append(([x + d * (k - 1 + off) for x, off in entries],
                            [x + d * (k - 1) for x in den_bases],
                            [d * k - d + r] * width))
@@ -224,7 +224,7 @@ def reference_increments(check_id, d, r, n):
     """The non-parametric summand the a = 1 collapse must reproduce,
     written out as ``truncated_sum`` increments, k = 0..limit: the thm42
     family's own unless the index is shifted."""
-    limit = _upper_limit(check_id, d, r, n)
+    limit = _upper_limit(check_id in _SHIFTED_INDEX, d, r, n)
     if check_id not in _SHIFTED_INDEX:
         return family_increments(F6_THM42, d, r, limit)
     increments = [([], [r - d, r] * (r + 1), [r - d] * r)]

@@ -1,5 +1,6 @@
 """Parametric congruences at a = q^n, a = q^-n, and the a = 1 collapse."""
 
+import functools
 from collections import Counter
 
 import pytest
@@ -63,28 +64,38 @@ INSTANCES = sorted({(cid, d, r, n) for grid in (GRID_PARAMETRIC, PAST_GRID)
 
 def _template(check_id, d, r, n, s):
     """The LHS template at a = q^{sn}, or a = 1 for s = 0."""
-    return _sum_template(check_id, d, r, n, s,
+    return _sum_template(check_id in _SHIFTED_INDEX, d, r, n, s,
                          numerator_entries(check_id, d, r))
 
 
 def _collapse(check_id, d, r, n):
     """The a = 1 collapse's witness, or None."""
-    return _collapse_at_one(check_id, d, r, n,
-                            numerator_entries(check_id, d, r))
+    return _collapse_at_one(check_id in _SHIFTED_INDEX, d, r, n,
+                            tuple(numerator_entries(check_id, d, r)))
+
+
+def _limit(check_id, d, r, n):
+    """The sum's last term."""
+    return _upper_limit(check_id in _SHIFTED_INDEX, d, r, n)
+
+
+def _ref_template(check_id, d, r):
+    """The reference summand's template."""
+    return _reference_template(check_id in _SHIFTED_INDEX, d, r)
 
 
 def _sum(check_id, d, r, n, s):
     """The LHS template's expanded increments at a = q^{sn}, or a = 1 for
     s = 0."""
     return expand(_template(check_id, d, r, n, s), d,
-                  _upper_limit(check_id, d, r, n))
+                  _limit(check_id, d, r, n))
 
 
 def _reference(check_id, d, r, n):
     """The reference summand's increments as the a = 1 collapse expands
     them."""
-    return expand(_reference_template(check_id, d, r), d,
-                  _upper_limit(check_id, d, r, n))
+    return expand(_ref_template(check_id, d, r), d,
+                  _limit(check_id, d, r, n))
 
 
 def _sum_sides(check_id, d, r, n, s):
@@ -100,7 +111,7 @@ def _sum_sides_by_suffixes(check_id, d, r, n, s):
     the denominator increments, with the reciprocal factors of index k - 2
     handled at k = 0 and k = 1 by hand."""
     entries = numerator_entries(check_id, d, r)
-    limit = _upper_limit(check_id, d, r, n)
+    limit = _limit(check_id, d, r, n)
     den_bases = [j * s * n + d for j in [0] + _den_core(d)]
     for e in den_bases:
         if e % d == 0 and e <= 0:
@@ -183,7 +194,8 @@ def test_both_points_give_the_same_exponent_lists():
         if cid in _SHIFTED_INDEX:
             continue
         (sign, shift, num, den), (sign2, shift2, num2, den2) = (
-            _rhs_factors(cid, d, r, n, s, None) for s in (1, -1))
+            _rhs_factors(rhs_band(cid, d, r), d, r, n, s, None)
+            for s in (1, -1))
         assert (sign, shift, Counter(num), Counter(den)) == (
             sign2, shift2, Counter(num2), Counter(den2)), (cid, d, r, n)
 
@@ -215,8 +227,8 @@ def test_an_asymmetric_list_is_an_error(monkeypatch, check_id, d, r, n,
     assert run_check(check_id, params).status is Status.HOLDS
     monkeypatch.setattr(parametric, target,
                         _unmirrored(getattr(parametric, target)))
-    parametric._CERTIFIED.clear()  # decide the patched instance afresh
-    parametric._SAME_SHAPE.clear()
+    parametric._witness.cache_clear()  # decide the patched instance afresh
+    parametric._same_shape.cache_clear()
     result = run_check(check_id, params)
     assert result.status is Status.ERROR
     assert result.witness == (f"RuntimeError: {target} is not symmetric"
@@ -274,14 +286,25 @@ def test_shared_work_is_certified_once_per_process(monkeypatch):
         assert (mutant.check_id, mutant.status) == ("p3_32", Status.FAILS)
         assert mutant.witness == "sides differ at a = q^14"
     assert len(calls) == 2
-    # So is another n; the store stays within its bound.
+    # So is another n; the memo stays within its bound.
     assert verify_parametric("p3_32", 5, 1, 19).status is Status.HOLDS
     assert len(calls) == 3
-    monkeypatch.setattr(parametric, "_CERTIFIED_MAX", 2)
+    assert parametric._witness.cache_info().maxsize == 4096
+    assert parametric._same_shape.cache_info().maxsize == 4096
+    small = functools.lru_cache(maxsize=2)(parametric._witness.__wrapped__)
+    monkeypatch.setattr(parametric, "_witness", small)
     assert verify_parametric("p7_45", 7, 3, 11).status is Status.HOLDS
-    assert len(parametric._CERTIFIED) == 2
     assert verify_parametric("p7_45", 5, 1, 14).status is Status.HOLDS
     assert len(calls) == 5
+    assert verify_parametric("p3_32", 5, 1, 14).status is Status.HOLDS
+    assert len(calls) == 5
+    # A third verdict drops the least recently used, (7, 3, 11).
+    assert verify_parametric("p3_32", 5, 1, 19).status is Status.HOLDS
+    assert parametric._witness.cache_info().currsize == 2
+    assert verify_parametric("p7_45", 5, 1, 14).status is Status.HOLDS
+    assert len(calls) == 6
+    assert verify_parametric("p7_45", 7, 3, 11).status is Status.HOLDS
+    assert len(calls) == 7
 
 
 def test_vanishing_sum_without_last_term_is_nonzero():
@@ -324,8 +347,8 @@ def test_collapse_counting_matches_polynomial_oracle(check_id, d, r, n):
 
 
 def test_collapse_detects_a_wrong_exponent(monkeypatch):
-    def off_by_one(check_id, d, r):
-        (a, b, c), *lines = _reference_template(check_id, d, r)
+    def off_by_one(shifted, d, r):
+        (a, b, c), *lines = _reference_template(shifted, d, r)
         return ((a + [1], b + [2], c), *lines)
 
     monkeypatch.setattr(parametric, "_reference_template", off_by_one)
@@ -419,9 +442,9 @@ def test_collapse_mutants_match_the_quadratic_oracle(check_id, d, r, n):
     # Every mutant template of either side gives the quadratic oracle's
     # first differing k or its DegenerateProductError, or has no
     # certificate.
-    limit = _upper_limit(check_id, d, r, n)
+    limit = _limit(check_id, d, r, n)
     lhs = _template(check_id, d, r, n, 0)
-    rhs = _reference_template(check_id, d, r)
+    rhs = _ref_template(check_id, d, r)
     pairs = [(m, rhs) for m in _exponent_mutants(lhs, d)]
     pairs += [(lhs, m) for m in _exponent_mutants(rhs, d)]
     certified = []
@@ -439,8 +462,8 @@ def test_collapse_without_counts_matches_the_counting_oracle():
     # over at any term; the oracle counts every term.
     assert len(ADMISSIBLE_TO_40) == 369
     for cid, d, r, n in ADMISSIBLE_TO_40:
-        pair = _template(cid, d, r, n, 0), _reference_template(cid, d, r)
-        limit = _upper_limit(cid, d, r, n)
+        pair = _template(cid, d, r, n, 0), _ref_template(cid, d, r)
+        limit = _limit(cid, d, r, n)
         assert _collapse_term(*pair, d, limit) is None
         assert _counted_term(*pair, d, limit) is None
 
@@ -459,9 +482,9 @@ def test_collapse_mutants_match_the_counting_oracle(check_id, d, r, n):
     # ratios still telescope and the certificate decides the mutant: each
     # k or DegenerateProductError must be the counting oracle's on the
     # expanded lists.
-    limit = _upper_limit(check_id, d, r, n)
+    limit = _limit(check_id, d, r, n)
     lhs = _template(check_id, d, r, n, 0)
-    rhs = _reference_template(check_id, d, r)
+    rhs = _ref_template(check_id, d, r)
     pairs = [(m, rhs) for m in _intercepts_moved(lhs, d)]
     pairs += [(lhs, m) for m in _intercepts_moved(rhs, d)]
     outcomes = [_outcome(_collapse_term, *pair, d, limit) for pair in pairs]
@@ -483,16 +506,17 @@ def test_templates_expand_to_the_written_out_lists():
     # read as the list comparisons do.
     assert len(ADMISSIBLE_TO_60) == 698
     for cid, d, r, n in ADMISSIBLE_TO_60:
-        limit = _upper_limit(cid, d, r, n)
+        limit = _limit(cid, d, r, n)
         templates = {s: _template(cid, d, r, n, s) for s in (1, -1, 0)}
         lists = {s: sum_increments(cid, d, r, n, s) for s in (1, -1, 0)}
         for s, template in templates.items():
             assert expand(template, d, limit) == lists[s], (cid, d, r, n, s)
-        ref, ref_lists = (_reference_template(cid, d, r),
+        ref, ref_lists = (_ref_template(cid, d, r),
                           reference_increments(cid, d, r, n))
         assert expand(ref, d, limit) == ref_lists, (cid, d, r, n)
         closed = {s: None if cid in _SHIFTED_INDEX
-                  else _rhs_factors(cid, d, r, n, s, None) for s in (1, -1)}
+                  else _rhs_factors(rhs_band(cid, d, r), d, r, n, s, None)
+                  for s in (1, -1)}
         same_sums = identity(lists[1], None) == identity(lists[-1], None)
         assert (_key(templates[1]) == _key(templates[-1])) == same_sums, (
             cid, d, r, n)
@@ -524,9 +548,9 @@ def test_template_mutants_match_the_counting_oracle(check_id, d, r, n):
     # outcome is the counting oracle's k or DegenerateProductError on the
     # expanded lists, or "no certificate", and a certified None is the
     # oracle's None.
-    limit = _upper_limit(check_id, d, r, n)
+    limit = _limit(check_id, d, r, n)
     lhs = _template(check_id, d, r, n, 0)
-    rhs = _reference_template(check_id, d, r)
+    rhs = _ref_template(check_id, d, r)
     pairs = [(m, rhs) for m in _template_mutants(lhs)]
     pairs += [(lhs, m) for m in _template_mutants(rhs)]
     for pair in pairs:
@@ -542,13 +566,13 @@ def test_collapse_without_a_certificate_is_an_error(monkeypatch):
     # collapse has no certificate, an engine ERROR.  Raised by d, they
     # telescope and the certificate finds the oracle's differing term.
     lhs = _template("p3_32", 5, 1, 14, 0)
-    (a0, b0, c0), a, b, c = _reference_template("p3_32", 5, 1)
+    (a0, b0, c0), a, b, c = _ref_template("p3_32", 5, 1)
     for delta in (1, 5):
         raised = ((a0, b0, c0), [a[0] + delta] + a[1:], b, c)
         monkeypatch.setattr(parametric, "_reference_template",
                             lambda *_, raised=raised: raised)
-        parametric._CERTIFIED.clear()  # decide each patched reference
-        parametric._SAME_SHAPE.clear()
+        parametric._witness.cache_clear()  # decide each patched reference
+        parametric._same_shape.cache_clear()
         result = run_check("p3_32", {"d": 5, "n": 14, "r": 1})
         if delta == 1:
             assert result.status is Status.ERROR
@@ -576,16 +600,16 @@ def test_collapse_with_a_shared_intercept_holds_on_its_certificate(
         calls.append(real(*args))
         return calls[-1]
 
-    def shared(check_id, d, r):
-        head, a, b, c = _reference_template(check_id, d, r)
+    def shared(shifted, d, r):
+        head, a, b, c = _reference_template(shifted, d, r)
         return head, a + [1], b + [1], c
 
     monkeypatch.setattr(parametric, "first_failing_term", spy)
     monkeypatch.setattr(parametric, "_reference_template", shared)
     for cid, d, r, n in INSTANCES:
         calls.clear()
-        parametric._CERTIFIED.clear()  # p3_32 would read p7_45's verdict
-        parametric._SAME_SHAPE.clear()
+        parametric._witness.cache_clear()  # p3_32 would read p7_45's verdict
+        parametric._same_shape.cache_clear()
         assert run_check(cid, {"d": d, "n": n, "r": r}).status \
             is Status.HOLDS, (cid, d, r, n)
         assert calls == [None], (cid, d, r, n)
@@ -604,9 +628,9 @@ def test_a_cached_shape_builds_no_second_collapse_template(monkeypatch):
     real_template, real_first = (parametric._sum_template,
                                  parametric.first_failing_term)
 
-    def template_spy(check_id, d, r, n, s, entries):
+    def template_spy(shifted, d, r, n, s, entries):
         points.append(s)
-        return real_template(check_id, d, r, n, s, entries)
+        return real_template(shifted, d, r, n, s, entries)
 
     def first_spy(templates, relation, step, limit):
         limits.append(limit)
@@ -624,31 +648,30 @@ def test_a_cached_shape_builds_no_second_collapse_template(monkeypatch):
         assert points == [1], cid
     assert limits == []
 
-    def shared(check_id, d, r):
-        head, a, b, c = _reference_template(check_id, d, r)
+    def shared(shifted, d, r):
+        head, a, b, c = _reference_template(shifted, d, r)
         return head, a + [1], b + [1], c
 
     monkeypatch.setattr(parametric, "_reference_template", shared)
-    parametric._CERTIFIED.clear()  # decide the patched reference afresh
-    parametric._SAME_SHAPE.clear()
+    parametric._witness.cache_clear()  # decide the patched reference afresh
+    parametric._same_shape.cache_clear()
     ns = _admissible_ns("p7_45", 7, 3)[:3]
     for n in ns:
         assert verify_parametric("p7_45", 7, 3, n).status is Status.HOLDS
-    assert limits == [_upper_limit("p7_45", 7, 3, n) for n in ns]
+    assert limits == [_limit("p7_45", 7, 3, n) for n in ns]
 
 
 def test_stored_shapes_answer_as_an_empty_store_does():
     # The shape is all that builds the two templates.  A family's entries
-    # handed on with another r, or to a family of the other index, must
-    # read as they do with nothing stored, after the honest call has
-    # stored its answer.
+    # handed on with another r, or with the other index, must read as they
+    # do with nothing stored, after the honest call has stored its answer.
     calls = []
     for cid, d, r, n in INSTANCES:
-        entries = numerator_entries(cid, d, r)
-        calls.append((cid, d, r, n, entries))
-        calls += [(cid, d, r + delta, n, entries) for delta in (1, 2)]
-        calls += [(other, d, r, n, entries) for other in PARAMETRIC_IDS
-                  if (other in _SHIFTED_INDEX) != (cid in _SHIFTED_INDEX)]
+        shifted, entries = cid in _SHIFTED_INDEX, tuple(
+            numerator_entries(cid, d, r))
+        calls.append((shifted, d, r, n, entries))
+        calls += [(shifted, d, r + delta, n, entries) for delta in (1, 2)]
+        calls.append((not shifted, d, r, n, entries))
 
     def outcome(call):
         try:
@@ -658,9 +681,9 @@ def test_stored_shapes_answer_as_an_empty_store_does():
 
     fresh = []
     for call in calls:
-        parametric._SAME_SHAPE.clear()
+        parametric._same_shape.cache_clear()
         fresh.append(outcome(call))
-    parametric._SAME_SHAPE.clear()
+    parametric._same_shape.cache_clear()
     assert [outcome(call) for call in calls] == fresh
     # Only the honest calls hold, so a store that answered a changed call
     # from an honest one would be seen.

@@ -23,6 +23,8 @@ from qsupercheck.laurent import Laurent, RatFunc
 from qsupercheck.parametric import (
     PARAMETRIC_IDS,
     _rhs_factors,
+    _SHIFTED_INDEX,
+    rhs_band,
     verify_parametric,
 )
 from qsupercheck.poly import Poly, divrem
@@ -454,7 +456,8 @@ def test_packed_kernel_matches_dense_oracle(monkeypatch):
     for cid, params in KERNEL_INSTANCES:
         if cid in PARAMETRIC_IDS:
             for s in (1, -1):
-                _, _, num, den = _rhs_factors(cid, params["d"], params["r"],
+                d, r = params["d"], params["r"]
+                _, _, num, den = _rhs_factors(rhs_band(cid, d, r), d, r,
                                               params["n"], s, None)
                 assert one_minus_product(num) == dense_product(num)
                 assert one_minus_product(den) == dense_product(den)
@@ -463,7 +466,13 @@ def test_packed_kernel_matches_dense_oracle(monkeypatch):
 def _template(check_id, d, r, n, s):
     """A parametric sum's template at a = q^{sn}."""
     return parametric._sum_template(
-        check_id, d, r, n, s, parametric.numerator_entries(check_id, d, r))
+        check_id in _SHIFTED_INDEX, d, r, n, s,
+        parametric.numerator_entries(check_id, d, r))
+
+
+def _limit(check_id, d, r, n):
+    """A parametric sum's last term."""
+    return parametric._upper_limit(check_id in _SHIFTED_INDEX, d, r, n)
 
 
 def test_cancel_increments_keeps_every_parametric_sum():
@@ -474,8 +483,7 @@ def test_cancel_increments_keeps_every_parametric_sum():
     for cid, d, r, n in sorted(instances):
         for s in (1, -1):
             _assert_cancels_exactly(d, expand(_template(cid, d, r, n, s), d,
-                                              parametric._upper_limit(
-                                                  cid, d, r, n)))
+                                              _limit(cid, d, r, n)))
 
 
 def _at_two(step, increments):
@@ -518,7 +526,7 @@ def test_template_increments_match_the_counting_cancel():
     assert len(ADMISSIBLE_TO_40) == 369
     narrower = 0
     for cid, d, r, n in ADMISSIBLE_TO_40:
-        limit = parametric._upper_limit(cid, d, r, n)
+        limit = _limit(cid, d, r, n)
         for s in (1, -1):
             template = _template(cid, d, r, n, s)
             ours = template_increments(template, d, limit)
@@ -603,8 +611,8 @@ def test_raised_intercepts_still_fail(monkeypatch):
                 return tuple(template)
 
             monkeypatch.setattr(parametric, "_sum_template", raised)
-            parametric._CERTIFIED.clear()  # each mutant is decided afresh
-            parametric._SAME_SHAPE.clear()
+            parametric._witness.cache_clear()  # each mutant is decided afresh
+            parametric._same_shape.cache_clear()
             result = run_check(cid, {"d": d, "n": n, "r": r})
             assert result.status is Status.FAILS, (cid, d, r, n, part)
 
@@ -617,7 +625,8 @@ def _oracle_verdict(check_id, d, r, n, increments):
         if check_id in ("p1_24", "p2_25"):
             same = num.is_zero()
         else:
-            sign, shift, rnum, rden = _rhs_factors(check_id, d, r, n, s, None)
+            sign, shift, rnum, rden = _rhs_factors(rhs_band(check_id, d, r),
+                                                   d, r, n, s, None)
             rhs = dense_product(rnum).shifted(shift) * den * sign
             same = num * dense_product(rden) == rhs
         if not same:
@@ -643,8 +652,7 @@ def test_single_exponent_mutants_agree_with_dense_oracle(monkeypatch):
         mutant[part][rng.randrange(len(mutant[part]))] += rng.choice((1, -1))
         template = (tuple(mutant[:3]), *mutant[3:])
         try:
-            increments = expand(template, d,
-                                parametric._upper_limit(cid, d, r, n))
+            increments = expand(template, d, _limit(cid, d, r, n))
         except DegenerateProductError:
             continue  # keep denominators nonzero
 
@@ -652,8 +660,8 @@ def test_single_exponent_mutants_agree_with_dense_oracle(monkeypatch):
             return template if s else real(c, d_, r_, n_, s, entries)
 
         monkeypatch.setattr(parametric, "_sum_template", mutated)
-        parametric._CERTIFIED.clear()  # each mutant is decided afresh
-        parametric._SAME_SHAPE.clear()
+        parametric._witness.cache_clear()  # each mutant is decided afresh
+        parametric._same_shape.cache_clear()
         packed = verify_parametric(cid, d, r, n).status
         assert packed is _oracle_verdict(cid, d, r, n, increments), (
             cid, d, r, n, part, template)
@@ -931,8 +939,8 @@ def test_undersized_width_is_error_not_a_verdict(monkeypatch, module,
     name = "one_minus_product" if check_id == "thm12" else "relation_vanishes"
     assert getattr(module, name) is getattr(qfuncs, name)
     monkeypatch.setattr(qfuncs, "packed_width", lambda bits: bits + 1)
-    parametric._CERTIFIED.clear()  # decide the patched instance afresh
-    parametric._SAME_SHAPE.clear()
+    parametric._witness.cache_clear()  # decide the patched instance afresh
+    parametric._same_shape.cache_clear()
     result = run_check(check_id, params)
     assert result.status is Status.ERROR
     assert result.witness.startswith("PackingOverflowError")

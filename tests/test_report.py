@@ -23,8 +23,7 @@ def test_canonical_params_sorted_and_flattened():
 
 
 def test_report_summary_and_sorting():
-    plan = SweepPlan([("a", {"x": 2}), ("a", {"x": 1})], seed=1, trials=5,
-                     fast_mode=False)
+    plan = SweepPlan([("a", {"x": 2}), ("a", {"x": 1})], seed=1, trials=5)
     report = Report(plan, [
         CheckResult("a", {"x": 2}, Status.HOLDS),
         CheckResult("a", {"x": 1}, Status.SKIPPED_PRECONDITION, note="why"),
@@ -35,11 +34,20 @@ def test_report_summary_and_sorting():
     assert not report.has_failures
     parsed = json.loads(report.to_json())
     assert parsed["plan"]["instances"] == 2
+    assert parsed["plan"]["fast_mode"] is False
+
+
+def test_a_plan_takes_fast_mode_only_as_false():
+    # perfbench/worker.py passes False by position; there is no fast mode.
+    plan = SweepPlan([], 1, 5, False, suite="paper-default")
+    assert plan.to_dict()["fast_mode"] is False
+    assert not hasattr(plan, "fast_mode")
+    with pytest.raises(ValueError):
+        SweepPlan([], 1, 5, True)
 
 
 def test_csv_rendering_and_tuple_params():
-    plan = SweepPlan([("km", {"n_list": (1, 1), "m": 2})], seed=1, trials=5,
-                     fast_mode=False)
+    plan = SweepPlan([("km", {"n_list": (1, 1), "m": 2})], seed=1, trials=5)
     report = Report(plan, [CheckResult("km", {"n_list": (1, 1), "m": 2},
                                        Status.HOLDS)])
     lines = report.to_csv().splitlines()
