@@ -271,4 +271,44 @@ def paper_default_suite(seed: int = DEFAULT_SEED,
             + _proof_step_instances() + _grid_instances(_CLASSICAL_ROWS))
 
 
-SUITES = {"paper-default": paper_default_suite}
+# (check id, parameter names, axes) rows past the acceptance grid, one
+# instance per point of the axes' product.  The axes are ranges and tuples,
+# so importing this module builds no instance.
+_WIDE_D, _WIDE_R, _WIDE_N, _WIDE_P = (range(2, 12), range(1, 10),
+                                      range(2, 41), range(2, 120))
+_WIDE_ROWS = (
+    ("thm12", _DN, ((3,), range(2, 51))),
+    ("thm42", _DRN, (range(2, 9), range(1, 6), range(2, 31))),
+    ("thm13", _DN, (range(2, 8), (11, 14, 15, 17, 19, 20, 23, 24))),
+    ("p1_24", _DRN, (range(4, 10), range(1, 5), _WIDE_N)),
+    ("p2_25", _DRN, (_WIDE_D, _WIDE_R, _WIDE_N)),
+    ("p3_32", _DRN, (range(5, 12, 2), (1,), _WIDE_N)),
+    ("p4_33", _DRN, (_WIDE_D, _WIDE_R, _WIDE_N)),
+    ("p5_43", _DRN, (_WIDE_D, _WIDE_R, _WIDE_N)),
+    ("p6_44", _DRN, (_WIDE_D, _WIDE_R, _WIDE_N)),
+    ("p7_45", _DRN, (range(5, 12, 2), range(1, 8, 2), _WIDE_N)),
+    ("p8_46", _DRN, (_WIDE_D, _WIDE_R, _WIDE_N)),
+    ("qbinom_vanish", ("n",), (range(1, 81),)),
+    ("ratio_shift_central", _DRNJK, ((4, 5, 6, 7, 8, 9, 11), range(1, 5),
+                                     range(5, 41), range(1, 11), range(7))),
+    ("sum_decomposition", _DN, (_WIDE_D, range(1, 41))),
+    ("pochhammer_split_general", ("d", "r", "k"),
+     (range(3, 14, 2), range(1, 5), range(9))),
+    ("rv_11", ("p",), (_WIDE_P,)),
+    ("deines_12", ("d", "p"), (_WIDE_D, _WIDE_P)),
+    ("cor41_i", _DRP, (_WIDE_D, _WIDE_R, _WIDE_P)),
+    ("cor41_ii", _DRP, (_WIDE_D, _WIDE_R, _WIDE_P)),
+    ("gamma_factorial", _DRP, (_WIDE_D, _WIDE_R, _WIDE_P)),
+    ("wlt_integrality", _DN, (range(2, 9), range(1, 60))),
+)
+
+
+def paper_wide_suite(seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS):
+    """The evidence past the acceptance grid as (check id, params)
+    instances; no row is km, so ``seed`` and ``trials`` go unused."""
+    return _grid_instances((cid, names, itertools.product(*axes))
+                           for cid, names, axes in _WIDE_ROWS)
+
+
+SUITES = {"paper-default": paper_default_suite,
+          "paper-wide": paper_wide_suite}

@@ -6,13 +6,18 @@ congruence criterion demands exact ring or polynomial equality.
 """
 
 import contextlib
+import csv
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import prod
 from pathlib import Path
 
 import pytest
 
+from qsupercheck import cli
 from qsupercheck.catalog import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
@@ -34,14 +39,16 @@ from qsupercheck.catalog import (
     GRID_THM42,
     GRID_WLT,
     QBINOM_MAX_N,
+    _WIDE_ROWS,
     km_offset_lists,
     paper_default_suite,
+    paper_wide_suite,
     run_check,
 )
 from qsupercheck.families import F5_THM41, F6_THM42, numerator_factors
 from qsupercheck.padic import shadow_sum
 from qsupercheck.parametric import verify_parametric
-from qsupercheck.report import Report, SweepPlan
+from qsupercheck.report import _SUMMARY_KEYS, Report, SweepPlan
 from qsupercheck.residue import ResidueRing
 from qsupercheck.results import Status, canonical_params
 from qsupercheck.verifier import lhs_sum, rhs_closed_form, verify_theorem
@@ -55,6 +62,9 @@ GOLDEN_REPORT = Path(__file__).parent / "data" / "paper_default_report.json"
 # The benchmark's pinned paper-default instance list.
 PINNED_SUITE = (Path(__file__).parent.parent / "perfbench"
                 / "paper_default_suite.json")
+# One `<check id> holds=H fails=F skipped=S` line per paper-wide row, in
+# row order.
+WIDE_SUMMARY = Path(__file__).parent / "data" / "paper_wide_summary.txt"
 
 
 @pytest.fixture(scope="module")
@@ -280,3 +290,92 @@ def test_paper_default_suite_matches_the_benchmark_pin():
     pinned = json.loads(PINNED_SUITE.read_text(encoding="utf-8"))
     suite = paper_default_suite(pinned["km_seed"])
     assert json.loads(json.dumps(suite)) == pinned["instances"]
+
+
+def _csv_rows(text):
+    """(id, params, status) of each row of a CSV report, elapsed set aside."""
+    return [(row["id"], row["params"], row["status"])
+            for row in csv.DictReader(text.splitlines())]
+
+
+def test_paper_default_through_the_process_pool(exact_results, monkeypatch,
+                                                tmp_path, capsys):
+    # Two CPUs, so that a one-CPU host still starts the pool.
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    out = tmp_path / "pool.csv"
+    assert cli.main(["sweep", "--suite", "paper-default", "--jobs", "2",
+                     "--format", "csv", "--out", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "holds=607 fails=0 skipped=0"
+    plan = SweepPlan(paper_default_suite(), DEFAULT_SEED, DEFAULT_TRIALS,
+                     suite="paper-default")
+    serial = Report(plan, list(exact_results.values())).to_csv()
+    assert _csv_rows(out.read_text(encoding="utf-8")) == _csv_rows(serial)
+
+
+def _wide_golden():
+    return [line.split(" ", 1)
+            for line in WIDE_SUMMARY.read_text(encoding="utf-8").splitlines()]
+
+
+def test_paper_wide_rows_name_checks_and_their_parameters():
+    for cid, names, axes in _WIDE_ROWS:
+        # The rule `sweep --check` applies to its flags: a known check, its
+        # own parameters, and every one it needs.
+        cli._check_names(cid, names, str)
+        assert len(set(names)) == len(names) == len(axes), cid
+        assert all(isinstance(axis, (range, tuple)) for axis in axes), cid
+
+
+def test_paper_wide_golden_lists_each_row_once_with_its_size():
+    golden = _wide_golden()
+    assert [cid for cid, _ in golden] == [cid for cid, _, _ in _WIDE_ROWS]
+    for (cid, line), (_, _, axes) in zip(golden, _WIDE_ROWS):
+        counts = [int(item.split("=")[1]) for item in line.split()]
+        assert sum(counts) == prod(len(axis) for axis in axes), cid
+
+
+def test_paper_wide_suite_repeats_no_instance():
+    keys = [(cid, canonical_params(params))
+            for cid, params in paper_wide_suite()]
+    assert len(set(keys)) == len(keys) == 125205
+
+
+def test_importing_the_package_builds_no_paper_wide_instance():
+    # A profile hook sees every Python call the imports make.
+    probe = (
+        "import sys\n"
+        "calls = []\n"
+        "def hook(frame, event, arg):\n"
+        "    if event == 'call' and frame.f_code.co_name in (\n"
+        "            'paper_wide_suite', '_grid_instances'):\n"
+        "        calls.append(frame.f_code.co_name)\n"
+        "sys.setprofile(hook)\n"
+        "import qsupercheck.cli\n"
+        "sys.setprofile(None)\n"
+        "print(*calls)\n")
+    src = str(Path(cli.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True).stdout
+    assert out.split() == []
+
+
+def test_criterion_11_paper_wide_matches_its_golden_summaries(tmp_path,
+                                                             capsys):
+    with criterion("11 paper-wide sweep matches its golden per-check lines"):
+        out = tmp_path / "wide.csv"
+        assert cli.main(["sweep", "--suite", "paper-wide", "--format",
+                         "csv", "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "holds=3182 fails=0 skipped=122023"
+        counts = {}
+        with out.open(encoding="utf-8", newline="") as fh:
+            for row in csv.DictReader(fh):
+                count = counts.setdefault(
+                    row["id"], {"holds": 0, "fails": 0, "skipped": 0})
+                key = _SUMMARY_KEYS[Status(row["status"])]
+                count[key] = count.get(key, 0) + 1
+        got = {cid: " ".join(f"{k}={v}" for k, v in count.items())
+               for cid, count in counts.items()}
+        assert got == dict(_wide_golden())

@@ -107,6 +107,20 @@ def test_sweep_inline_grid(tmp_path, capsys):
     assert ids == sorted(ids)
 
 
+def test_grid_sweep_json_report_loads_with_its_summary(tmp_path, capsys):
+    # The JSON report is laid out by hand, not by the json encoder.
+    out_path = tmp_path / "report.json"
+    assert main(["sweep", "--check", "pochhammer_split_general",
+                 "--d", "3,5,7,9,11,13", "--r", "1,2,3,4",
+                 "--k", "0,1,2,3,4,5,6,7,8", "--format", "json",
+                 "--out", str(out_path)]) == 0
+    with out_path.open(encoding="utf-8") as fh:
+        report = json.load(fh)
+    assert report["summary"] == {"holds": 198, "fails": 0, "skipped": 18}
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "holds=198 fails=0 skipped=18")
+
+
 def test_sweep_reports_are_reproducible(tmp_path):
     args = ["sweep", "--check", "km", "--m-max", "2", "--nj-max", "2",
             "--trials", "3", "--seed", "42"]

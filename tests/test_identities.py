@@ -120,11 +120,12 @@ def test_qbinom_sum_is_a_pochhammer(n):
         assert qbinom_alternating_sum(n, j) == (-1) ** n * expected, j
 
 
-def test_qbinom_negative_j_is_nonvanishing():
-    result = run_check("qbinom_vanish", {"n": 3, "j": -1})
+@pytest.mark.parametrize("n, j", [(3, -1), (40, 40), (40, -1)])
+def test_qbinom_negative_j_is_nonvanishing(n, j):
+    result = run_check("qbinom_vanish", {"n": n, "j": j})
     assert result.status is Status.HOLDS
     assert result.note == "expected-nonvanishing outside stated range"
-    forced = run_check("qbinom_vanish", {"n": 3, "j": -1, "expect": "zero"})
+    forced = run_check("qbinom_vanish", {"n": n, "j": j, "expect": "zero"})
     assert forced.status is Status.FAILS
 
 
