@@ -31,9 +31,12 @@ from .verifier import verify_divisibility, verify_theorem
 # Registry
 # --------------------------------------------------------------------------
 
-# A check's id, parameter names, description, and its runner, which takes
-# (check id, params).
-CheckSpec = namedtuple("CheckSpec", "check_id param_names description runner")
+# A check's id, parameter names, description, its runner, which takes
+# (check id, params), and the parameters an instance may leave out, named
+# in one string as the fields are here.
+CheckSpec = namedtuple("CheckSpec",
+                       "check_id param_names description runner optional",
+                       defaults=("",))
 
 
 # Runners take (check id, params) and look each verifier up by its name in
@@ -50,7 +53,7 @@ _DRNJK = ("d", "r", "n", "j", "k")
 # The tail every parametric description shares.
 _SUBS = "; exact equality at a = q^n and a = q^-n plus termwise a = 1 collapse"
 
-# check id -> (parameter names, description, runner)
+# check id -> (parameter names, description, runner[, optional ones])
 _CHECKS = {
     "eq13": (_DN, "sum (q^(d-1);q^d)_k^d q^(dk) / (q^d;q^d)_k^d vs closed "
              "form, mod Phi_n(q)^2, n == 1 (mod d)", _theorem),
@@ -92,11 +95,13 @@ _CHECKS = {
            "summation, exact random rational evaluation",
            lambda cid, p: verify_karlsson_minton(
                p["n_list"], p.get("trials", DEFAULT_TRIALS),
-               p.get("seed", DEFAULT_SEED), p.get("m"))),
+               p.get("seed", DEFAULT_SEED), p.get("m")),
+           "m trials seed"),
     "qbinom_vanish": (("n", "j", "expect"), "alternating q-binomial sum "
                       "vanishes for 0 <= j <= n-1",
                       lambda cid, p: verify_qbinomial_vanishing(
-                          p["n"], p.get("j"), p.get("expect"))),
+                          p["n"], p.get("j"), p.get("expect")),
+                      "j expect"),
     "ratio_shift_generic": (_DRNJK, "Pochhammer ratio shift outside the "
                             "central band, by exponent counting", _proof_step),
     "ratio_shift_central": (_DRNJK, "Pochhammer ratio shift on the central "

@@ -33,7 +33,6 @@ EXIT_ERROR = 4
 
 _INT_FLAGS = ("d", "r", "n", "j", "k", "p", "m")
 _CHECK_FLAGS = _INT_FLAGS + ("n_list", "expect")
-_OPTIONAL_PARAMS = ("j", "expect", "m", "trials", "seed")
 
 
 class UsageError(Exception):
@@ -96,8 +95,8 @@ def _parse_int_values(text: str, flag: str) -> list[int]:
 
 def _check_names(check_id: str, names, label) -> None:
     """Usage error unless the check is known, each name is one of its
-    parameters, and every parameter but the optional ones is named;
-    ``label`` renders a name for the message."""
+    parameters, and every parameter but its registry row's optional ones
+    is named; ``label`` renders a name for the message."""
     spec = REGISTRY.get(check_id)
     if spec is None:
         raise UsageError(f"unknown check id {check_id!r}")
@@ -105,7 +104,7 @@ def _check_names(check_id: str, names, label) -> None:
         if name not in spec.param_names:
             raise UsageError(f"{label(name)} does not apply to {check_id}")
     missing = [label(name) for name in spec.param_names
-               if name not in names and name not in _OPTIONAL_PARAMS]
+               if name not in names and name not in spec.optional.split()]
     if missing:
         raise UsageError(f"{check_id} needs " + ", ".join(missing))
 

@@ -4,39 +4,39 @@ Each family's summand multiplies Pochhammers whose bases are a^j q^e with
 the a-exponents j running from d-1 down to 1-d in steps of 2, a central
 band of bases carrying the low q-power (or a shifted Pochhammer index),
 and the fixed denominator bases {q^d} + {a^j q^d : j = d-2, d-4, ..., 2-d}.
-Substituting a = q^{+-n} makes everything univariate; the congruence
-modulo (1 - a q^n)(a - q^n) is certified by exact rational-function
-equality at both substitution points.  Term k >= 1 of each sum is
-[x + d(k - 1)] over fixed intercept lists, so a sum is an O(d) template,
-expanded into lists only where one is built.
+Substituting a = q^{+-n} makes everything univariate, and term k >= 1 of
+each sum is [x + d(k - 1)] over fixed intercept lists: an O(d) template.
 The substitution enters the template and the closed form only as j s n,
-for j from ``numerator_entries``, ``rhs_band`` and ``_den_core``.  Where
-each of those lists is the same multiset under j -> -j, a = q^{-n} gives
-the a = q^n identity with its commuting factors reordered, so deciding
-a = q^n decides both points.  The symmetry is checked on the O(d) lists
-of every check; a list that is not symmetric raises RuntimeError, an
-ERROR, since the second point would then need its own identity.  Most
-a intercepts exceed a b intercept by a multiple of d, so most numerator
-factors 1 - q^e of a term reappear in the denominator of a later term;
-``template_increments`` cancels them on the intercepts and ends the sum
-where a numerator factor 1 - q^0 zeroes every later term, as the
-terminating q-binomial theorem does, and the closed form's denominator,
-exponent lists as ``families.closed_form`` gives them, is cancelled
-against what is left.  The cross products N den = sign q^shift D num, or
-N = 0, are one ``relation_vanishes`` call.  Substituting a = 1 into the
-same template must reproduce the corresponding non-parametric summand
-term by term, which pins down the reconstruction of the displayed
-exponent patterns.
-The reference summand is a template too, the thm42 family's own unless
-the index is shifted.  Neither template depends on n, so whether their
-sorted lists agree is decided once per shape: equal sorted templates give
-equal terms at every k and every n.  Templates that differ are decided at
-each n on their certificate by ``first_failing_term``, which reads ERROR
-"no certificate" where their terms' ratios do not telescope.
-Each helper takes only what it reads, the shifted index as a flag and
-the generator lists as tuples, so the two memos of a process are
-``functools.lru_cache``s of 4,096 entries keyed by their arguments:
-``_witness``, the verdict of the work after the precondition, which
+for j from ``numerator_entries``, ``rhs_band`` and ``_den_core``; where
+each is the same multiset under j -> -j, a = q^{-n} gives the a = q^n
+identity with its factors reordered, so a = q^n alone is decided.  A
+list that is not symmetric raises RuntimeError, an ERROR.
+The a = q^n sum is decided by Gasper's proof of the Karlsson-Minton
+summation (SIAM J. Math. Anal. 12, 1981), by exponent counting on the
+template.  Within each residue class mod d, each a intercept x in
+ascending order takes the largest open b intercept y <= x
+(``pair_intercepts``), with span L = (x - y)/d.  Five premises must
+hold, or the check reads ERROR "no certificate": (1) the unpaired b
+intercepts are [d] and the unpaired a ones [-dN]; (2) the upper limit is
+at least N; (3) c_0 is c less d; (4) no constant factor 1 - q^0 is in
+b_0 or a pair's (q^y; q^d)_L; (5) M = sum L + |c| <= N.  With x = q^{dk},
+term k is then const x (q^{-dN}; q^d)_k / (q^d; q^d)_k P(x), where P(x) =
+prod_pairs prod_{t<L} (1 - q^{y+dt} x) prod_c (1 - q^{c-d} x) has degree
+M and const = prod a_0 / (prod b_0 prod_pairs (q^y; q^d)_L).  By the
+terminating q-binomial theorem the sum of (q^{-dN}; q^d)_k / (q^d; q^d)_k
+q^{d(j+1)k}, k <= N, is (q^{d(1+j-N)}; q^d)_N: 0 for 0 <= j < N and
+(q^d; q^d)_N at j = N.  So the sum vanishes when M < N, as lemma21's
+deformations do, and at M = N it is const (-1)^M q^{sum of P's lead
+exponents} (q^d; q^d)_N, compared with the closed form by
+``one_minus_normal_form``.
+At a = 1 the same template must reproduce the non-parametric summand
+term by term: the thm42 family's unless the index is shifted.  Neither
+template depends on n, so whether their sorted lists agree is decided
+once per shape; templates that differ are decided at each n by
+``first_failing_term``, which reads ERROR "no certificate" where their
+terms' ratios do not telescope.  Each helper takes only what it reads,
+so the two memos are ``functools.lru_cache``s of 4,096 entries keyed by
+their arguments: ``_witness``, the work after the precondition, which
 families share (p3_32 is p7_45 at r = 1), and ``_same_shape``.
 Each family deforms a q-statement of the catalog, lemma21 or thm42, and
 is admissible where that statement is and its own condition on (d, r)
@@ -49,8 +49,8 @@ import functools
 
 from .families import (F6_THM42, a_exponent, family_template, mutated,
                        theorem_precondition)
-from .qfuncs import (first_failing_term, relation_vanishes,
-                     template_increments, without_common)
+from .qfuncs import (first_failing_term, one_minus_normal_form,
+                     pair_intercepts)
 from .results import CheckResult, fails, holds, skipped
 
 # Family -> (the q-statement it deforms, its condition on (d, r), that
@@ -258,6 +258,35 @@ def _refuse_asymmetry(entries, band, d: int) -> None:
             raise RuntimeError(f"{name} is not symmetric under j -> -j")
 
 
+def _gasper_sum(template, d: int, limit: int):
+    """The template's sum, k = 0..limit, by Gasper's argument on the five
+    premises of the module: its ``one_minus_normal_form``, None where it
+    vanishes; RuntimeError "no certificate" where a premise fails."""
+    (a0, b0, c0), _, _, c = template
+    kept_a, kept_b, pairs = pair_intercepts(template, d, limit)
+    if kept_b != [d] or len(kept_a) != 1 or kept_a[0] > 0 or kept_a[0] % d:
+        raise RuntimeError("no certificate: the kept intercepts are not"
+                           " b = [d] and a = [-dN]")
+    top = -kept_a[0] // d
+    if limit < top:
+        raise RuntimeError(f"no certificate: the sum ends before N = {top}")
+    if sorted(c0) != sorted(e - d for e in c):
+        raise RuntimeError("no certificate: c_0 is not c at k = 0")
+    fixed = [y + d * t for y, span in pairs for t in range(span)]
+    if 0 in fixed or 0 in b0:
+        raise RuntimeError("no certificate: a constant factor 1 - q^0")
+    lead = fixed + [e - d for e in c]
+    if len(lead) > top:
+        raise RuntimeError(f"no certificate: P has degree {len(lead)}"
+                           f" > N = {top}")
+    if len(lead) < top:
+        return None
+    # (q^{d(1 + j - N)}; q^d)_N vanishes for j < N, so only P's leading
+    # coefficient (-1)^M q^{sum lead} meets (q^d; q^d)_N.
+    return one_minus_normal_form((-1) ** top, sum(lead), list(a0) + [
+        d * t for t in range(1, top + 1)], list(b0) + fixed)
+
+
 @functools.lru_cache(maxsize=4096)
 def _witness(d: int, r: int, n: int, mutation: str | None, shifted: bool,
              entries, band) -> str | None:
@@ -268,18 +297,10 @@ def _witness(d: int, r: int, n: int, mutation: str | None, shifted: bool,
     # mutation.
     closed = (mutated(None, mutation) if shifted
               else _rhs_factors(band, d, r, n, 1, mutation))
-    increments = template_increments(template, d,
-                                     _upper_limit(shifted, d, r, n))
+    total = _gasper_sum(template, d, _upper_limit(shifted, d, r, n))
     if closed is None:
-        if not relation_vanishes(d, [(1, 0, [], increments)]):
+        if total is not None:
             return f"substituted sum nonzero at a = q^{n}"
-    else:
-        sign, shift, num, den = closed
-        # The increments hold no denominator 1 - q^0, so no such factor
-        # cancels.
-        den, lhs_den = without_common(
-            den, [e for _, b, _ in increments for e in b])
-        if not relation_vanishes(d, [(1, 0, den, increments),
-                                     (-sign, shift, lhs_den + num, None)]):
-            return f"sides differ at a = q^{n}"
+    elif total != one_minus_normal_form(*closed):
+        return f"sides differ at a = q^{n}"
     return _collapse_at_one(shifted, d, r, n, entries)

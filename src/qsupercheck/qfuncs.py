@@ -22,9 +22,8 @@ decides whether a signed sum of such products and sums is zero, at the
 width of the whole sum's bound.
 A template, a sum's head and the intercept lists that term k >= 1 moves
 by step (k - 1), stands for its increments (``expand``):
-``template_increments`` writes it as the same sum over a smaller
-denominator, cancelled on its intercepts and ended where a numerator
-factor 1 - q^0 zeroes every later term, which tightens that count, and
+``pair_intercepts`` pairs its a and b intercepts within residue classes,
+as Gasper's Karlsson-Minton argument reads a sum, and
 ``termwise_degree`` reads from the templates of a termwise relation the
 number of terms that prove it for every k.  ``first_failing_term``
 decides such a relation on those terms alone, read straight from the
@@ -249,7 +248,7 @@ def expand(template, step: int, limit: int) -> list[tuple[list, list, list]]:
     A template ((a_0, b_0, c_0), a, b, c) is a sum's head, term 0's own
     lists, and the intercept lists of every later term: term k >= 1 is
     [x + step (k - 1)] over a, b and c.  A denominator 1 - q^0 raises
-    DegenerateProductError, as in ``template_increments``; step > 0.
+    DegenerateProductError, as in ``pair_intercepts``; step > 0.
     """
     _refuse_zero_denominator(template, step, limit)
     (a0, b0, c0), a, b, c = template
@@ -268,25 +267,18 @@ def _refuse_zero_denominator(template, step: int, limit: int) -> None:
         raise DegenerateProductError("denominator factor 1 - q^0")
 
 
-def template_increments(template, step: int, limit: int):
-    """The template's sum, k = 0..limit, as ``truncated_sum`` increments
-    over a smaller D, cancelled on its intercepts; step > 0.
+def pair_intercepts(template, step: int, limit: int):
+    """The template's a and b intercepts as (kept a, kept b, pairs), each
+    pair (y, L) for a paired a intercept x = y + L step; step > 0.
 
     A denominator 1 - q^0 anywhere in the range raises
-    DegenerateProductError first.  An a intercept x <= 0 with step | x
-    puts 1 - q^0 into the running product at j = 1 - x/step, which zeroes
-    every term from j on, so the sum ends before j.  Then an a intercept
-    x is paired with a b intercept y, x - y = L step >= 0: the quotient
+    DegenerateProductError first.  Within a residue class mod step, each
+    x in ascending order takes the largest open y <= x, so that
     (q^x; q^step)_k / (q^y; q^step)_k is (q^{y + step k}; q^step)_L over
-    (q^y; q^step)_L.  So b_k keeps y only for k <= L, a_j keeps x only for
-    j > limit - L, and c_t gains x + step (j - 1) for the j <= limit - L
-    with j <= t < j + L: every term keeps its value, and D loses a factor
-    at each k > L.  Within a residue class mod step, each x in ascending
-    order pairs with the largest unpaired y <= x.
+    the constant (q^y; q^step)_L: a polynomial of degree L in q^{step k}.
     """
     _refuse_zero_denominator(template, step, limit)
-    (a0, b0, c0), a, b, c = template
-    limit = min([limit] + [-x // step for x in a if x <= 0 and x % step == 0])
+    _, a, b, _ = template
     open_b, kept_a, pairs = {}, [], []
     for e, is_a in sorted([(y, False) for y in b] + [(x, True) for x in a]):
         ys = open_b.setdefault(e % step, [])
@@ -294,29 +286,10 @@ def template_increments(template, step: int, limit: int):
             ys.append(e)
         elif ys:
             y = ys.pop()
-            span = (e - y) // step
-            # The a_j factors that pair, j = 1..limit - L.
-            pairs.append((e, y, span, range(e, e + step * (limit - span),
-                                            step)))
+            pairs.append((y, (e - y) // step))
         else:
             kept_a.append(e)
-    kept_b = [y for ys in open_b.values() for y in ys]
-    increments = [(list(a0), list(b0), list(c0))]
-    for k in range(1, limit + 1):
-        shift = step * (k - 1)
-        a_k = [x + shift for x in kept_a]
-        b_k = [y + shift for y in kept_b]
-        c_k = [x + shift for x in c]
-        for x, y, span, paired in pairs:
-            if k > limit - span:
-                a_k.append(x + shift)
-            if k <= span:
-                b_k.append(y + shift)
-                c_k += paired[:k]
-            else:
-                c_k += paired[k - span:k]
-        increments.append((a_k, b_k, c_k))
-    return increments
+    return kept_a, [y for ys in open_b.values() for y in ys], pairs
 
 
 def without_common(up, down):
@@ -435,8 +408,8 @@ def relation_vanishes(step: int, terms, fold: int = 0) -> bool:
 
     ``terms[i] = (sign, shift, exps, increments)`` with sign 1, -1 or 0;
     N_i is ``truncated_sum``'s numerator of the increments, 1 for None;
-    the increments come from ``expand`` or ``template_increments``, which
-    refuse a denominator 1 - q^0, so it is not looked for again here.
+    the increments come from ``expand``, which refuses a denominator
+    1 - q^0, so it is not looked for again here.
     Term i's bound b_i is its ``sum_bounds`` grown by ``grown_bits``, and
     the width fits the total's, the bit length of sum_i 2^{b_i} - 1.  The
     total is summed on plain ints and packed once, to be decided.

@@ -38,6 +38,10 @@ _ASYMMETRIC = _PARAMETRIC + "test_an_asymmetric_list_is_an_error"
 _SHAPES = _PARAMETRIC + "test_a_cached_shape_builds_no_second_collapse_template"
 _PACKED = _QFUNCS + "test_packed_bound_decides_exactness"
 _INCREMENTS = _QFUNCS + "test_template_increments_by_hand"
+_PREMISES = (_PARAMETRIC
+             + "test_a_failed_premise_is_an_error_never_a_verdict")
+_AGREEMENT = (_PARAMETRIC
+              + "test_gasper_agrees_with_the_packed_oracle_on_the_wide_rows")
 _REPORT = "tests/test_report.py"
 
 MUTANTS = [
@@ -112,22 +116,30 @@ MUTANTS = [
      "    (a0, b0, c0), a, b, c = template\n    increments = [",
      "    (a0, b0, c0), a, b, c = template\n    increments = [",
      "no refusal of a denominator 1 - q^0 in expand", [_INCREMENTS]),
-    # Cancellation on the intercepts.
+    # The range refusal that expand and the pairing share.
     ("qfuncs.py", "-y // step < limit", "-y // step <= limit",
      "the range refusal one term too wide", [_INCREMENTS]),
-    ("qfuncs.py", "    limit = min([limit] + [-x // step for x in a"
-     " if x <= 0 and x % step == 0])\n", "",
-     "no natural end", [_INCREMENTS]),
-    ("qfuncs.py", "[-x // step for x in a if x <= 0",
-     "[-x // step + 1 for x in a if x <= 0",
-     "the natural end one term late", [_INCREMENTS]),
-    ("qfuncs.py", "c_k += paired[k - span:k]",
-     "c_k += paired[k - span + 1:k + 1]", "the c window shifted",
-     [_INCREMENTS]),
-    ("qfuncs.py", "if k > limit - span:", "if k > limit - span + 1:",
-     "a paired a intercept kept one term less", [_INCREMENTS]),
-    ("qfuncs.py", "if k <= span:", "if k <= span + 1:",
-     "a paired b intercept kept one term more", [_INCREMENTS]),
+    # Gasper's argument on the a = q^n template.
+    ("parametric.py", "if kept_b != [d] or len(kept_a) != 1",
+     "if len(kept_a) != 1", "the kept-b premise dropped", [_PREMISES]),
+    ("parametric.py", "if limit < top:", "if limit < 0:",
+     "limit < N unchecked", [_PREMISES]),
+    ("parametric.py", "if len(lead) < top:", "if len(lead) < top - 1:",
+     "M < N decided as M = N", [_AGREEMENT]),
+    ("parametric.py", "(-1) ** top, sum(lead)", "1, sum(lead)",
+     "the sign (-1)^M dropped", [_AGREEMENT]),
+    ("parametric.py", "d * t for t in range(1, top + 1)",
+     "d * t for t in range(1, top)", "(q^d; q^d)_N one factor short",
+     [_AGREEMENT]),
+    ("parametric.py", "lead = fixed + [e - d for e in c]",
+     "lead = fixed + list(c)", "P's c factors without their -d shift",
+     [_PARAMETRIC + "test_gasper_sum_matches_the_dense_sum"]),
+    ("parametric.py", "if sorted(c0) != sorted(e - d for e in c):",
+     "if sorted(c0) != sorted(c):", "c_0 compared with c unshifted",
+     [_AGREEMENT]),
+    ("qfuncs.py", "            y = ys.pop()\n", "            y = ys.pop(0)\n",
+     "an a intercept paired with the smallest open b",
+     [_PARAMETRIC + "test_gasper_sum_matches_the_dense_sum"]),
     # The degree D of a termwise relation.
     ("qfuncs.py", "for up, down in parts])",
      "for up, down in parts]) - 1", "D one less in termwise_degree",

@@ -13,11 +13,12 @@ from itertools import zip_longest
 from math import factorial
 from math import gcd as igcd
 
-from qsupercheck import identities
+from qsupercheck import identities, parametric
 from qsupercheck.families import (
     F6_THM42,
     a_exponent,
     family_increments,
+    mutated,
     numerator_factors,
     one_parameter_exponent,
 )
@@ -34,12 +35,14 @@ from qsupercheck.parametric import (
 from qsupercheck.poly import Poly, pack, poly_prod
 from qsupercheck.qfuncs import (
     DegenerateProductError,
+    _refuse_zero_denominator,
     expand,
     one_minus_normal_form,
     poch_power_base,
     q_binomial,
     relation_vanishes,
     sum_bounds,
+    without_common,
 )
 from qsupercheck.results import Status
 
@@ -401,7 +404,7 @@ def packed_truncated_sum(step, increments, width, fold=0):
 
 def cancel_increments(increments):
     """The same sum as ``truncated_sum``'s increments over a smaller D, by
-    counting on the expanded lists, as ``qfuncs.template_increments`` does
+    counting on the expanded lists, as ``template_increments`` does
     on a template's intercepts.
 
     Walking k upward, an exponent e of b_k that equals a still unmatched
@@ -431,6 +434,89 @@ def cancel_increments(increments):
             else:
                 out[k][1].append(e)
     return out
+
+
+def template_increments(template, step: int, limit: int):
+    """The template's sum, k = 0..limit, as ``truncated_sum`` increments
+    over a smaller D, cancelled on its intercepts; step > 0.
+
+    A denominator 1 - q^0 anywhere in the range raises
+    DegenerateProductError first.  An a intercept x <= 0 with step | x
+    puts 1 - q^0 into the running product at j = 1 - x/step, which zeroes
+    every term from j on, so the sum ends before j.  Then an a intercept
+    x is paired with a b intercept y, x - y = L step >= 0: the quotient
+    (q^x; q^step)_k / (q^y; q^step)_k is (q^{y + step k}; q^step)_L over
+    (q^y; q^step)_L.  So b_k keeps y only for k <= L, a_j keeps x only for
+    j > limit - L, and c_t gains x + step (j - 1) for the j <= limit - L
+    with j <= t < j + L: every term keeps its value, and D loses a factor
+    at each k > L.  Within a residue class mod step, each x in ascending
+    order pairs with the largest unpaired y <= x.
+    """
+    _refuse_zero_denominator(template, step, limit)
+    (a0, b0, c0), a, b, c = template
+    limit = min([limit] + [-x // step for x in a if x <= 0 and x % step == 0])
+    open_b, kept_a, pairs = {}, [], []
+    for e, is_a in sorted([(y, False) for y in b] + [(x, True) for x in a]):
+        ys = open_b.setdefault(e % step, [])
+        if not is_a:
+            ys.append(e)
+        elif ys:
+            y = ys.pop()
+            span = (e - y) // step
+            # The a_j factors that pair, j = 1..limit - L.
+            pairs.append((e, y, span, range(e, e + step * (limit - span),
+                                            step)))
+        else:
+            kept_a.append(e)
+    kept_b = [y for ys in open_b.values() for y in ys]
+    increments = [(list(a0), list(b0), list(c0))]
+    for k in range(1, limit + 1):
+        shift = step * (k - 1)
+        a_k = [x + shift for x in kept_a]
+        b_k = [y + shift for y in kept_b]
+        c_k = [x + shift for x in c]
+        for x, y, span, paired in pairs:
+            if k > limit - span:
+                a_k.append(x + shift)
+            if k <= span:
+                b_k.append(y + shift)
+                c_k += paired[:k]
+            else:
+                c_k += paired[k - span:k]
+        increments.append((a_k, b_k, c_k))
+    return increments
+
+
+def packed_witness(d, r, n, mutation, shifted, entries, band):
+    """``parametric._witness`` by the packed cross product: the sum at
+    a = q^n cancelled by ``template_increments``, the closed form's
+    denominator cancelled against what is left, and N den = sign q^shift
+    D num, or N = 0, decided by one ``relation_vanishes`` call."""
+    parametric._refuse_asymmetry(entries, band, d)
+    template = parametric._sum_template(shifted, d, r, n, 1, entries)
+    closed = (mutated(None, mutation) if shifted
+              else parametric._rhs_factors(band, d, r, n, 1, mutation))
+    increments = template_increments(template, d,
+                                     _upper_limit(shifted, d, r, n))
+    if closed is None:
+        if not relation_vanishes(d, [(1, 0, [], increments)]):
+            return f"substituted sum nonzero at a = q^{n}"
+    else:
+        sign, shift, num, den = closed
+        den, lhs_den = without_common(
+            den, [e for _, b, _ in increments for e in b])
+        if not relation_vanishes(d, [(1, 0, den, increments),
+                                     (-sign, shift, lhs_den + num, None)]):
+            return f"sides differ at a = q^{n}"
+    return parametric._collapse_at_one(shifted, d, r, n, entries)
+
+
+def packed_check(check_id, d, r, n, mutation=None):
+    """``packed_witness`` on the arguments that ``verify_parametric``
+    hands ``parametric._witness`` for the family."""
+    return packed_witness(d, r, n, mutation, check_id in _SHIFTED_INDEX,
+                          tuple(numerator_entries(check_id, d, r)),
+                          tuple(parametric.rhs_band(check_id, d, r)))
 
 
 def tally(count: dict, exps, unit: int) -> dict:

@@ -321,7 +321,8 @@ def _wide_golden():
 def test_paper_wide_rows_name_checks_and_their_parameters():
     for cid, names, axes in _WIDE_ROWS:
         # The rule `sweep --check` applies to its flags: a known check, its
-        # own parameters, and every one it needs.
+        # own parameters, and every one its registry row does not declare
+        # optional.
         cli._check_names(cid, names, str)
         assert len(set(names)) == len(names) == len(axes), cid
         assert all(isinstance(axis, (range, tuple)) for axis in axes), cid

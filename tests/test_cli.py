@@ -279,6 +279,26 @@ def test_plan_entry_names_follow_the_flag_rule(tmp_path, capsys, entry,
     assert message in capsys.readouterr().err
 
 
+def test_optional_parameters_are_declared_per_check(tmp_path, capsys):
+    # Only qbinom_vanish and km may leave parameters out, so a ratio shift
+    # without j is a usage error, from the flags or from a plan entry,
+    # before any check runs.
+    assert {cid: spec.optional.split() for cid, spec in cli.REGISTRY.items()
+            if spec.optional} == {"km": ["m", "trials", "seed"],
+                                  "qbinom_vanish": ["j", "expect"]}
+    assert main(["verify", "--check", "ratio_shift_central", "--d", "5",
+                 "--r", "2", "--n", "8", "--k", "1"]) == 2
+    assert "ratio_shift_central needs --j" in capsys.readouterr().err
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({"checks": [
+        {"id": "ratio_shift_generic",
+         "params": {"d": 5, "r": 2, "n": 8, "k": 1}}]}))
+    assert main(["sweep", "--plan", str(plan_path)]) == 2
+    assert ("ratio_shift_generic needs plan parameter 'j'"
+            in capsys.readouterr().err)
+    assert main(["verify", "--check", "qbinom_vanish", "--n", "3"]) == 0
+
+
 @pytest.mark.parametrize("plan", [[1], {"checks": 5}, {"seed": 1},
                                   {"checks": [7]}])
 def test_plan_of_the_wrong_shape_is_a_usage_error(tmp_path, capsys, plan):

@@ -1,23 +1,30 @@
 """Parametric congruences at a = q^n, a = q^-n, and the a = 1 collapse."""
 
 import functools
+import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     SAME_WORK,
     collapse_at_one,
     counting_first_failing_term,
     dense_product,
+    dense_sum,
     first_differing_term,
     identity,
+    packed_check,
+    packed_witness,
     reference_increments,
     reference_summand,
     sum_increments,
 )
 from qsupercheck import parametric, qfuncs
-from qsupercheck.catalog import GRID_PARAMETRIC, run_check
+from qsupercheck.catalog import _WIDE_ROWS, GRID_PARAMETRIC, run_check
+from qsupercheck.identities import _alternating_sum, qbinomial_row
 from qsupercheck.laurent import Laurent
 from qsupercheck.parametric import (
     PARAMETRIC_IDS,
@@ -42,6 +49,7 @@ from qsupercheck.qfuncs import (
     first_failing_term,
     one_minus_normal_form,
     one_minus_product,
+    packed_width,
     truncated_sum,
 )
 from qsupercheck.results import Status
@@ -155,8 +163,9 @@ def test_sum_sides_match_suffix_product_oracle(check_id, d, r, n):
 
 
 def test_cancelled_cross_product_packs_at_32_bit_digits(monkeypatch):
-    # Factor counts alone packed p7_45 (7, 3, 11) at 88-bit digits for
-    # 27-bit coefficients; after the counted cancellation 32 bits suffice.
+    # The packed oracle: factor counts alone packed p7_45 (7, 3, 11) at
+    # 88-bit digits for 27-bit coefficients; after the counted
+    # cancellation 32 bits suffice.
     widths = []
     real = qfuncs._numerator
 
@@ -165,9 +174,171 @@ def test_cancelled_cross_product_packs_at_32_bit_digits(monkeypatch):
         return real(step, increments, width, fold)
 
     monkeypatch.setattr(qfuncs, "_numerator", spy)
-    assert verify_parametric("p7_45", 7, 3, 11).status is Status.HOLDS
+    assert packed_check("p7_45", 7, 3, 11) is None
     # a = q^-n is the a = q^n identity, so one sum is built.
     assert len(widths) == 1 and max(widths) <= 32
+
+
+WIDE = [(cid, d, r, n) for cid, _, axes in _WIDE_ROWS if cid in PARAMETRIC_IDS
+        for d, r, n in itertools.product(*axes)
+        if parametric_precondition(cid, d, r, n) is None]
+WIDE_TO_24 = [inst for inst in WIDE if inst[3] <= 24]
+
+
+def _decided(check_id, d, r, n, mutation=None, witness=None):
+    """``parametric._witness`` on the family's arguments, or the packed
+    oracle's with ``witness=packed_witness``; an exception as its type and
+    text."""
+    try:
+        return (witness or parametric._witness)(
+            d, r, n, mutation, check_id in _SHIFTED_INDEX,
+            tuple(numerator_entries(check_id, d, r)),
+            tuple(rhs_band(check_id, d, r)))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_gasper_agrees_with_the_packed_oracle_on_the_wide_rows():
+    # Every admissible instance of the eight parametric paper-wide rows up
+    # to n = 24, and its sign and exponent twins, reads the packed cross
+    # product's witness, or its refusal of a mutated vanishing sum.
+    assert (len(WIDE), len(WIDE_TO_24)) == (345, 196)
+    held = Counter()
+    for cid, d, r, n in WIDE_TO_24:
+        for mutation in (None, "sign", "exponent"):
+            got = _decided(cid, d, r, n, mutation)
+            assert got == _decided(cid, d, r, n, mutation, packed_witness), (
+                cid, d, r, n, mutation)
+            held[mutation] += got is None
+    assert held == {None: 196, "sign": 0, "exponent": 0}
+
+
+def _patched_template(monkeypatch, change):
+    """The a = q^n template changed by ``change(template, d, limit)``; the
+    a = 1 one is left alone."""
+    def patched(shifted, d, r, n, s, entries):
+        template = _sum_template(shifted, d, r, n, s, entries)
+        if not s:
+            return template
+        return change(template, d, _upper_limit(shifted, d, r, n))
+
+    monkeypatch.setattr(parametric, "_sum_template", patched)
+
+
+def _one_more_c(template, d, limit):
+    (a0, b0, c0), a, b, c = template
+    return (a0, b0, c0 + [d + 1]), a, b, c + [2 * d + 1]
+
+
+def _kept_a_past_the_limit(template, d, limit):
+    (kept,), _, _ = qfuncs.pair_intercepts(template, d, limit)
+    head, a, b, c = template
+    return head, [-d * (limit + 1) if x == kept else x for x in a], b, c
+
+
+def _one_more_kept_b(template, d, limit):
+    head, a, b, c = template
+    return head, a, b + [max(a) + d], c
+
+
+def _c0_unshifted(template, d, limit):
+    (a0, b0, _), a, b, c = template
+    return (a0, b0, list(c)), a, b, c
+
+
+@pytest.mark.parametrize("check_id,d,r,n,change,why", [
+    ("p7_45", 7, 3, 11, _one_more_c, "P has degree 9 > N = 8"),
+    ("p7_45", 7, 3, 11, _kept_a_past_the_limit, "the sum ends before N = 11"),
+    ("p5_43", 5, 2, 13, _one_more_kept_b, "the kept intercepts are not"),
+    ("p1_24", 7, 2, 12, _c0_unshifted, "c_0 is not c at k = 0"),
+    ("p1_24", 7, 2, 12, _one_more_kept_b, "the kept intercepts are not"),
+])
+def test_a_failed_premise_is_an_error_never_a_verdict(monkeypatch, check_id,
+                                                     d, r, n, change, why):
+    params = {"d": d, "n": n, "r": r}
+    assert run_check(check_id, params).status is Status.HOLDS
+    _patched_template(monkeypatch, change)
+    parametric._witness.cache_clear()  # decide the patched instance afresh
+    result = run_check(check_id, params)
+    assert result.status is Status.ERROR
+    assert result.witness.startswith("RuntimeError: no certificate: " + why)
+
+
+def test_an_a_intercept_raised_by_d_never_holds(monkeypatch):
+    # (q^{x+d}; q^d)_k is (q^x; q^d)_{k+1} / (1 - q^x): a pair's L or N
+    # moves by one.  A closed form's M = N becomes M > N, an ERROR, and a
+    # vanishing sum's M = N - 1 becomes M = N, a FAILS, as the packed
+    # oracle finds.
+    statuses = Counter()
+    for cid, d, r, n in WIDE_TO_24:
+        for i in range(len(numerator_entries(cid, d, r))):
+            def raised(template, d, limit, i=i):
+                head, a, b, c = template
+                return head, a[:i] + [a[i] + d] + a[i + 1:], b, c
+
+            _patched_template(monkeypatch, raised)
+            parametric._witness.cache_clear()
+            result = run_check(cid, {"d": d, "n": n, "r": r})
+            statuses[cid in _SHIFTED_INDEX, result.status] += 1
+            if result.status is Status.FAILS:
+                assert result.witness == _decided(cid, d, r, n, None,
+                                                  packed_witness)
+            else:
+                assert result.witness.startswith(
+                    "RuntimeError: no certificate: P has degree"), (
+                        cid, d, r, n, i)
+    assert set(statuses) == {(True, Status.FAILS), (False, Status.ERROR)}
+
+
+_small = st.lists(st.integers(-5, 7), max_size=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 4),
+       st.lists(st.tuples(st.integers(1, 7), st.integers(0, 2)), max_size=2),
+       _small, _small, _small.map(lambda es: [e for e in es if e]),
+       st.integers(0, 2))
+def test_gasper_sum_matches_the_dense_sum(d, top, pairs, c, a0, b0, extra):
+    # Templates built to Gasper's shape: kept a = [-dN], kept b = [d], pairs
+    # (y, L) and c factors, with M <= N.  Each y >= 1 in the class of d is
+    # at least d, so the largest open b leaves d unpaired and every premise
+    # holds.  The normal form read off them is the dense sum's, or None
+    # exactly where that sum is zero.
+    assume(sum(span for _, span in pairs) + len(c) <= top)
+    template = ((a0, b0, [e - d for e in c]),
+                [-d * top] + [y + d * span for y, span in pairs],
+                [d] + [y for y, _ in pairs], c)
+    limit = top + extra
+    got = parametric._gasper_sum(template, d, limit)
+    num, den = dense_sum(d, expand(template, d, limit))
+    if got is None:
+        assert num.is_zero()
+        return
+    sign, shift, counts = got
+    up = [e for e, m in counts for _ in range(m)]
+    down = [e for e, m in counts for _ in range(-m)]
+    assert num * dense_product(down) == (
+        dense_product(up) * den).shifted(shift) * sign
+
+
+def test_every_n_reached_sits_inside_the_qbinom_row():
+    # Gasper's sum vanishes for M < N because (q^{d(1+j-N)}; q^d)_N = 0
+    # for 0 <= j < N.  At base q that is paper-wide's qbinom_vanish row,
+    # whose alternating sum is q^{C(N,2)} (q^{j+1-N}; q)_N, so every N
+    # reached must lie on the row; at j = N the sum is q^{C(N,2)} (q; q)_N.
+    reached = set()
+    for cid, d, r, n in WIDE:
+        (kept,), _, _ = qfuncs.pair_intercepts(_template(cid, d, r, n, 1), d,
+                                               _limit(cid, d, r, n))
+        reached.add(-kept // d)
+    (row,) = next(axes for cid, _, axes in _WIDE_ROWS
+                  if cid == "qbinom_vanish")
+    assert max(reached) <= row[-1] == 80 and row[0] == 1 <= min(reached)
+    for top in sorted(reached):
+        width = packed_width(top)
+        total = _alternating_sum(qbinomial_row(top, width), top, width)
+        assert total.laurent() == dense_product(range(1, top + 1)).shifted(
+            top * (top - 1) // 2), top
 
 
 ADMISSIBLE_TO_40 = [(cid, d, r, n) for cid in PARAMETRIC_IDS
@@ -266,13 +437,13 @@ def test_families_share_work_exactly_where_written_out():
 
 def test_shared_work_is_certified_once_per_process(monkeypatch):
     calls = []
-    real = qfuncs._numerator
+    real = parametric._gasper_sum
 
-    def spy(step, increments, width, fold=0):
-        calls.append(width)
-        return real(step, increments, width, fold)
+    def spy(template, d, limit):
+        calls.append(limit)
+        return real(template, d, limit)
 
-    monkeypatch.setattr(qfuncs, "_numerator", spy)
+    monkeypatch.setattr(parametric, "_gasper_sum", spy)
     first = verify_parametric("p7_45", 5, 1, 14)
     second = verify_parametric("p3_32", 5, 1, 14)
     assert len(calls) == 1

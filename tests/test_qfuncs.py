@@ -40,7 +40,6 @@ from qsupercheck.qfuncs import (
     q_binomial,
     relation_vanishes,
     sum_bounds,
-    template_increments,
     termwise_degree,
     truncated_sum,
 )
@@ -58,7 +57,9 @@ from oracles import (
     one_minus,
     SAME_WORK,
     packed_truncated_sum,
+    packed_check,
     q_pochhammer,
+    template_increments,
 )
 
 
@@ -422,19 +423,21 @@ def test_packed_kernel_matches_dense_oracle(monkeypatch):
     monkeypatch.setattr(qfuncs, "_numerator", spy)
     for cid, params in KERNEL_INSTANCES:
         assert run_check(cid, params).status is Status.HOLDS, (cid, params)
-    monkeypatch.undo()
-    # One sum per parametric instance, whose a = q^-n identity equals its
-    # a = q^n one, and one folded sum per thm13; the decomposition, proved
-    # term by term, builds none.  A parametric instance already certified
-    # in the process builds none: a repeated one, p3_32 as p7_45 at r = 1
-    # or p4_33 as p8_46.
-    parametric_work = {(SAME_WORK.get(cid, cid), tuple(sorted(params.items())))
-                       for cid, params in KERNEL_INSTANCES
+    # One folded sum per thm13; the parametric checks count exponents and
+    # the decomposition is proved term by term, so neither builds one.
+    folded = sum(1 for cid, _ in KERNEL_INSTANCES if cid == "thm13")
+    assert len(calls) == folded and all(fold for *_, fold in calls)
+    # The packed oracle of the parametric checks builds one sum for each
+    # piece of work, whose a = q^-n identity equals its a = q^n one: a
+    # repeated instance, p3_32 as p7_45 at r = 1 or p4_33 as p8_46, is
+    # the same work.
+    parametric_work = {(SAME_WORK.get(cid, cid), params["d"], params["r"],
+                        params["n"]) for cid, params in KERNEL_INSTANCES
                        if cid in PARAMETRIC_IDS}
-    assert len(calls) == len(parametric_work) + sum(
-        1 for cid, _ in KERNEL_INSTANCES if cid == "thm13")
-    assert sum(1 for *_, fold in calls if fold) == sum(
-        1 for cid, _ in KERNEL_INSTANCES if cid == "thm13")
+    for cid, d, r, n in sorted(parametric_work):
+        assert packed_check(cid, d, r, n) is None
+    monkeypatch.undo()
+    assert len(calls) == folded + len(parametric_work)
     for step, increments, width, fold in calls:
         dense_num, dense_den = dense_sum(step, increments)
         # N at the width the decision picked, with its own bound.
@@ -595,8 +598,11 @@ def test_termwise_degree_by_hand():
 
 def test_raised_intercepts_still_fail(monkeypatch):
     # Negative control: one a or b intercept raised by one, at both points,
-    # is found by the cancelled sums.  Such a sum cancels little, so the
-    # larger instances are left out for time.
+    # is found by the packed oracle's cancelled sums.  It leaves its
+    # residue class mod d, so Gasper's pairing keeps more than b = [d] and
+    # a = [-dN]: the check reads ERROR "no certificate", or FAILS where
+    # the raise puts 1 - q^0 into a denominator.  Such a sum cancels
+    # little, so the larger instances are left out for time.
     real = parametric._sum_template
     instances = [inst for inst in ADMISSIBLE_TO_40 if inst[1] * inst[3] <= 120]
     assert len(instances) == 173
@@ -614,7 +620,15 @@ def test_raised_intercepts_still_fail(monkeypatch):
             parametric._witness.cache_clear()  # each mutant is decided afresh
             parametric._same_shape.cache_clear()
             result = run_check(cid, {"d": d, "n": n, "r": r})
-            assert result.status is Status.FAILS, (cid, d, r, n, part)
+            where = (cid, d, r, n, part)
+            if result.status is Status.FAILS:
+                assert result.witness.startswith(
+                    "DegenerateProductError"), where
+                continue
+            assert result.status is Status.ERROR, where
+            assert result.witness.startswith(
+                "RuntimeError: no certificate"), where
+            assert packed_check(cid, d, r, n) is not None, where
 
 
 def _oracle_verdict(check_id, d, r, n, increments):
@@ -662,10 +676,20 @@ def test_single_exponent_mutants_agree_with_dense_oracle(monkeypatch):
         monkeypatch.setattr(parametric, "_sum_template", mutated)
         parametric._witness.cache_clear()  # each mutant is decided afresh
         parametric._same_shape.cache_clear()
-        packed = verify_parametric(cid, d, r, n).status
-        assert packed is _oracle_verdict(cid, d, r, n, increments), (
-            cid, d, r, n, part, template)
-        verdicts.append(packed)
+        where = cid, d, r, n, part, template
+        oracle = _oracle_verdict(cid, d, r, n, increments)
+        packed = packed_check(cid, d, r, n)
+        assert (packed is None) is (oracle is Status.HOLDS), where
+        # Gasper's argument reads a mutant whose premises fail, such as an
+        # intercept moved out of its class mod d, as ERROR "no
+        # certificate", and decides every other one as the oracle does.
+        result = run_check(cid, {"d": d, "n": n, "r": r})
+        if result.status is Status.ERROR:
+            assert result.witness.startswith(
+                "RuntimeError: no certificate"), where
+        else:
+            assert result.status is oracle, where
+        verdicts.append(oracle)
     # A mutant inside a term that a factor 1 - q^0 already zeroes changes
     # nothing, so some mutants hold.
     assert verdicts.count(Status.FAILS) > len(verdicts) // 2
@@ -831,7 +855,11 @@ def test_each_sum_is_bounded_once(monkeypatch):
         return real(increments, step, fold)
 
     monkeypatch.setattr(qfuncs, "sum_bounds", spy)
+    # The parametric checks count exponents and bound no sum; the packed
+    # oracle they replaced bounds its one sum once.
     assert verify_parametric("p7_45", 7, 3, 11).status is Status.HOLDS
+    assert calls == []
+    assert packed_check("p7_45", 7, 3, 11) is None
     assert run_check("thm13", {"d": 3, "n": 5}).status is Status.HOLDS
     assert calls == [0, 5]
 
@@ -937,11 +965,21 @@ def test_undersized_width_is_error_not_a_verdict(monkeypatch, module,
     # so one bit short of the bits + 2 that a bound of 2^bits needs,
     # patched there alone, reaches every width the check picks.
     name = "one_minus_product" if check_id == "thm12" else "relation_vanishes"
-    assert getattr(module, name) is getattr(qfuncs, name)
+    if module is not parametric:
+        assert getattr(module, name) is getattr(qfuncs, name)
     monkeypatch.setattr(qfuncs, "packed_width", lambda bits: bits + 1)
     parametric._witness.cache_clear()  # decide the patched instance afresh
     parametric._same_shape.cache_clear()
     result = run_check(check_id, params)
+    if module is parametric:
+        # Gasper's argument counts exponents and packs nothing, so the
+        # verdict stands; the packed oracle it replaced reads the width
+        # as an error.
+        assert not hasattr(parametric, name)
+        assert result.status is Status.HOLDS
+        with pytest.raises(PackingOverflowError):
+            packed_check(check_id, params["d"], params["r"], params["n"])
+        return
     assert result.status is Status.ERROR
     assert result.witness.startswith("PackingOverflowError")
 
