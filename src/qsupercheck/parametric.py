@@ -27,8 +27,8 @@ terminating q-binomial theorem the sum of (q^{-dN}; q^d)_k / (q^d; q^d)_k
 q^{d(j+1)k}, k <= N, is (q^{d(1+j-N)}; q^d)_N: 0 for 0 <= j < N and
 (q^d; q^d)_N at j = N.  So the sum vanishes when M < N, as lemma21's
 deformations do, and at M = N it is const (-1)^M q^{sum of P's lead
-exponents} (q^d; q^d)_N, compared with the closed form by
-``one_minus_normal_form``.
+exponents} (q^d; q^d)_N, whose quotient by the closed form must have
+the ``one_minus_normal_form`` of 1.
 At a = 1 the same template must reproduce the non-parametric summand
 term by term: the thm42 family's unless the index is shifted.  Neither
 template depends on n, so whether their sorted lists agree is decided
@@ -49,8 +49,8 @@ import functools
 
 from .families import (F6_THM42, a_exponent, family_template, mutated,
                        theorem_precondition)
-from .qfuncs import (first_failing_term, one_minus_normal_form,
-                     pair_intercepts)
+from .qfuncs import (DegenerateProductError, first_failing_term,
+                     one_minus_normal_form, pair_intercepts)
 from .results import CheckResult, fails, holds, skipped
 
 # Family -> (the q-statement it deforms, its condition on (d, r), that
@@ -260,8 +260,9 @@ def _refuse_asymmetry(entries, band, d: int) -> None:
 
 def _gasper_sum(template, d: int, limit: int):
     """The template's sum, k = 0..limit, by Gasper's argument on the five
-    premises of the module: its ``one_minus_normal_form``, None where it
-    vanishes; RuntimeError "no certificate" where a premise fails."""
+    premises of the module: (sign, shift, num, den) as ``_rhs_factors``
+    gives a closed form, None where it vanishes; RuntimeError "no
+    certificate" where a premise fails."""
     (a0, b0, c0), _, _, c = template
     kept_a, kept_b, pairs = pair_intercepts(template, d, limit)
     if kept_b != [d] or len(kept_a) != 1 or kept_a[0] > 0 or kept_a[0] % d:
@@ -283,8 +284,23 @@ def _gasper_sum(template, d: int, limit: int):
         return None
     # (q^{d(1 + j - N)}; q^d)_N vanishes for j < N, so only P's leading
     # coefficient (-1)^M q^{sum lead} meets (q^d; q^d)_N.
-    return one_minus_normal_form((-1) ** top, sum(lead), list(a0) + [
-        d * t for t in range(1, top + 1)], list(b0) + fixed)
+    return (-1) ** top, sum(lead), list(a0) + [
+        d * t for t in range(1, top + 1)], list(b0) + fixed
+
+
+def _sides_differ(total, closed) -> bool:
+    """Whether ``_gasper_sum``'s sum and the closed form differ, each None
+    for 0, on one net count: their quotient's ``one_minus_normal_form``.  A
+    numerator 1 - q^0 makes a side 0, and a denominator one in the closed
+    form raises DegenerateProductError."""
+    if closed is not None and 0 in closed[3]:
+        raise DegenerateProductError("denominator factor 1 - q^0")
+    zero = [side is None or 0 in side[2] for side in (total, closed)]
+    if any(zero):
+        return zero[0] != zero[1]
+    (s1, h1, n1, d1), (s2, h2, n2, d2) = total, closed
+    return one_minus_normal_form(s1 * s2, h1 - h2, n1 + d2, d1 + n2) != (
+        1, 0, frozenset())
 
 
 @functools.lru_cache(maxsize=4096)
@@ -293,14 +309,11 @@ def _witness(d: int, r: int, n: int, mutation: str | None, shifted: bool,
     """``verify_parametric``'s witness of FAILS, None where it HOLDS."""
     _refuse_asymmetry(entries, band, d)
     template = _sum_template(shifted, d, r, n, 1, entries)
-    # None for a sum that vanishes, as lemma21's does; it refuses every
-    # mutation.
+    # None for a sum that vanishes, as lemma21's, which has no mutation.
     closed = (mutated(None, mutation) if shifted
               else _rhs_factors(band, d, r, n, 1, mutation))
     total = _gasper_sum(template, d, _upper_limit(shifted, d, r, n))
-    if closed is None:
-        if total is not None:
-            return f"substituted sum nonzero at a = q^{n}"
-    elif total != one_minus_normal_form(*closed):
-        return f"sides differ at a = q^{n}"
+    if _sides_differ(total, closed):
+        return (f"substituted sum nonzero at a = q^{n}" if closed is None
+                else f"sides differ at a = q^{n}")
     return _collapse_at_one(shifted, d, r, n, entries)

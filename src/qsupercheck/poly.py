@@ -191,9 +191,6 @@ class Poly:
             return self
         return Poly((0,) * k + self.coeffs)
 
-    def __divmod__(self, other):
-        return divrem(self, other)
-
     def __floordiv__(self, other):
         return divrem(self, other)[0]
 

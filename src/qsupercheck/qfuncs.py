@@ -11,29 +11,19 @@ integers; the verification sums hit indices k-2 at k = 0, 1.
 The packed kernel holds a Laurent polynomial with integer coefficients
 as its value at q = 2^B, one Python int, on the plain pair (value, low):
 a factor 1 - q^e is one shift and one subtraction (``_times_one_minus``),
-and a shifted sum one shift and one addition (``_plus_shifted``).
-``Packed`` is only the result, wrapped once with a bound on its
-coefficients counted from the factors (``sum_bounds``, ``grown_bits``):
-it decides zero or unpacks while that bound fits the digit width B.
-``one_minus_product`` unpacks a packed product of factors 1 - q^e, and
-``truncated_sum`` packs the numerator of a truncated Laurent sum of the
-checks, each at the width of its own bound.  ``relation_vanishes``
-decides whether a signed sum of such products and sums is zero, at the
-width of the whole sum's bound.
+and a shifted sum one shift and one addition (``_plus_shifted``).  With
+``fold = n`` it keeps only the class modulo (1 - q^n)^2, an int modulo
+(X - 1)^2 for X = 2^{n B}, and folds the running value by X^2 = 2X - 1
+after each factor and each sum.  ``one_minus_product``, ``truncated_sum``
+and ``relation_vanishes`` build a product, a truncated sum's numerator
+and a signed sum of both, and wrap it once in ``Packed`` with a bound
+counted from the factors, to decide zero or unpack it exactly.
 A template, a sum's head and the intercept lists that term k >= 1 moves
-by step (k - 1), stands for its increments (``expand``):
-``pair_intercepts`` pairs its a and b intercepts within residue classes,
-as Gasper's Karlsson-Minton argument reads a sum, and
-``termwise_degree`` reads from the templates of a termwise relation the
-number of terms that prove it for every k.  ``first_failing_term``
-decides such a relation on those terms alone, read straight from the
-templates into one running exponent count per run, each term whole, on
-the factors its runs do not share.  With ``fold = n`` the same kernel keeps
-a value modulo (1 - q^n)^2, as an int modulo (2^{n B} - 1)^2, so a
-divisibility by (1 - q^n)^2 is decided without unpacking.
-``one_minus_normal_form`` reduces a quotient of such factors to
-exponent counts, which decides equality of two quotients with no
-polynomial arithmetic.
+by step (k - 1), stands for its increments (``expand``) and is read by
+exponent counting: ``pair_intercepts`` for Gasper's Karlsson-Minton
+argument, ``termwise_degree`` and ``first_failing_term`` for termwise
+relations.  ``one_minus_normal_form`` decides equality of quotients of
+factors with no polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -134,22 +124,21 @@ def grown_bits(bits: int, exps, fold: int = 0, shift: int = 0) -> int:
     return bits
 
 
-def _times_q(value: int, e: int, n: int, width: int) -> int:
-    """q^e value mod (X - 1)^2, X = 2^{n width}, folded into [0, X^2)."""
-    j, s = divmod(e, n)
-    value <<= s * width
-    value += j * ((value << n * width) - value)
-    while high := value >> 2 * n * width:  # X^2 = 2X - 1
-        value += (high << n * width + 1) - high - (high << 2 * n * width)
-    return value
-
-
 def _times_one_minus(value: int, low: int, exps, width: int, fold: int = 0):
     """The packed pair (value, low) times prod (1 - q^e) over the exponent
-    list, folded modulo (1 - q^n)^2 with ``fold = n``."""
+    list; with ``fold = n`` its class modulo (X - 1)^2, X = 2^{n width}:
+    factor e = jn + s subtracts the value's q^s shift t times X^j =
+    1 + j(X - 1), then folds the value into [0, X^2) by X^2 = 2X - 1."""
     if fold:
+        digits, mask = fold * width, (1 << 2 * fold * width) - 1
         for e in exps:
-            value -= _times_q(value, e, fold, width)
+            j, s = divmod(e, fold)
+            term = value << s * width
+            if j:  # X^j = 1 + j (X - 1)
+                term += j * ((term << digits) - term)
+            value -= term
+            while high := value >> 2 * digits:  # X^2 = 2X - 1
+                value = (value & mask) + (high << digits + 1) - high
         return value, low
     for e in exps:
         if e > 0:
@@ -165,9 +154,15 @@ def _times_one_minus(value: int, low: int, exps, width: int, fold: int = 0):
 def _plus_shifted(value: int, low: int, term: int, term_low: int, k: int,
                   width: int, fold: int = 0):
     """The packed pair (value, low) plus q^k (term, term_low), over the
-    lower of the two offsets; with ``fold = n`` every offset is 0."""
+    lower of the two offsets; with ``fold = n`` every offset is 0, and the
+    sum is folded as ``_times_one_minus`` folds."""
     if fold:
-        return value + _times_q(term, k, fold, width), 0
+        digits, (j, s) = fold * width, divmod(k, fold)
+        term <<= s * width
+        value += term + j * ((term << digits) - term)
+        while high := value >> 2 * digits:
+            value += (high << digits + 1) - high - (high << 2 * digits)
+        return value, 0
     k += term_low
     if k < low:
         return (value << (low - k) * width) + term, k
@@ -178,25 +173,20 @@ class Packed:
     """q^low P(q) held as the integer P(2^width), with ||P||_1 <= 2^bits:
     the checked result of the packed kernel.
 
-    Evaluation at q = 2^width is a ring homomorphism from Z[q], so sums,
-    shifts and factors 1 - q^e (one shift and one subtraction) are exact
-    integer operations on the value, whatever the coefficients.  The
-    kernel runs them on the plain pair (value, low), in
-    ``_times_one_minus`` and ``_plus_shifted``, and wraps the result here
-    once, with a bound counted from the factors (``sum_bounds``,
-    ``grown_bits``) from which the width was chosen before building.
-    Evaluation is injective on polynomials with coefficients below 2^width
-    in absolute value: while bits + 2 <= width, the value is zero exactly
-    when P is, and the coefficients are its balanced digits.  Deciding or
-    unpacking beyond that raises PackingOverflowError.
+    Evaluation at q = 2^width is a ring homomorphism from Z[q], so the
+    kernel's sums, shifts and factors 1 - q^e are exact on the value,
+    whatever the coefficients, and its result is wrapped here once, with
+    the bound that chose the width.  It is injective on polynomials with
+    coefficients below 2^width in absolute value: while bits + 2 <= width,
+    the value is zero exactly when P is, and the coefficients are its
+    balanced digits; beyond, deciding or unpacking raises PackingOverflowError.
 
-    With ``fold = n`` the value is held modulo M = (X - 1)^2, X = 2^{n
-    width}, the image of Z[q]/((1 - q^n)^2) at q = 2^width, and low is 0:
-    there q^{jn+s} = q^s (1 + j(q^n - 1)) for j of either sign, and
-    X^2 = 2X - 1 folds the high part back after every factor.  P is then
-    the class's representative of degree < 2n, and ``bits`` also adds the
-    ``fold_bits`` of each reduction.  While bits + 2 <= width, the balanced
-    residue mod M is P(2^width), so the class is zero when M | value.
+    With ``fold = n`` only the class modulo M = (X - 1)^2, X = 2^{n width},
+    is carried, the image of Z[q]/((1 - q^n)^2) at q = 2^width, and low is
+    0 (``_times_one_minus`` gives the step).  P is the class's
+    representative of degree < 2n, and ``bits`` also adds its reduction's
+    ``fold_bits``.  While bits + 2 <= width, the balanced residue mod M is
+    P(2^width), so the class is zero when M | value.
     """
 
     __slots__ = ("value", "low", "bits", "width", "fold")

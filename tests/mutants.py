@@ -43,6 +43,9 @@ _PREMISES = (_PARAMETRIC
 _AGREEMENT = (_PARAMETRIC
               + "test_gasper_agrees_with_the_packed_oracle_on_the_wide_rows")
 _REPORT = "tests/test_report.py"
+_NET_COUNT = (_PARAMETRIC
+              + "test_sides_are_compared_on_one_net_count_by_hand")
+_FOLD = _QFUNCS + "test_fold_step_matches_the_old_step_and_division"
 
 MUTANTS = [
     # The termwise decider and its two callers.
@@ -137,6 +140,13 @@ MUTANTS = [
     ("parametric.py", "if sorted(c0) != sorted(e - d for e in c):",
      "if sorted(c0) != sorted(c):", "c_0 compared with c unshifted",
      [_AGREEMENT]),
+    ("parametric.py", "return zero[0] != zero[1]", "return False",
+     "a zero side read as equal to any other", [_NET_COUNT]),
+    ("parametric.py", "one_minus_normal_form(s1 * s2, h1 - h2,",
+     "one_minus_normal_form(s1, h1 - h2,", "the closed form's sign dropped",
+     [_NET_COUNT]),
+    ("parametric.py", "n1 + d2, d1 + n2)", "n1 + n2, d1 + d2)",
+     "the closed form's factors counted on the sum's side", [_NET_COUNT]),
     ("qfuncs.py", "            y = ys.pop()\n", "            y = ys.pop(0)\n",
      "an a intercept paired with the smallest open b",
      [_PARAMETRIC + "test_gasper_sum_matches_the_dense_sum"]),
@@ -182,6 +192,24 @@ MUTANTS = [
     ("qfuncs.py", "return (2 * (span // n + 1)).bit_length()",
      "return (span // n + 1).bit_length()",
      "fold_bits without its factor 2", [_PACKED]),
+    # One fold of the running value per factor, and per sum.
+    ("qfuncs.py", "                value = (value & mask) + (high << digits + 1)"
+     " - high\n", "                value = (value & mask) + (high << digits"
+     " + 1) + high\n", "the fold by X^2 = 2X + 1", [_FOLD]),
+    ("qfuncs.py", "            if j:  # X^j = 1 + j (X - 1)\n"
+     "                term += j * ((term << digits) - term)\n", "",
+     "a factor's j term dropped", [_FOLD]),
+    ("qfuncs.py", "while high := value >> 2 * digits:  # X^2 = 2X - 1",
+     "if high := value >> 2 * digits:  # X^2 = 2X - 1",
+     "one fold pass per factor", [_FOLD]),
+    ("qfuncs.py", "(1 << 2 * fold * width) - 1",
+     "(1 << 2 * fold * width - 1) - 1", "the fold's mask one bit short",
+     [_FOLD]),
+    ("qfuncs.py", "value += term + j * ((term << digits) - term)",
+     "value += term", "a sum's j term dropped", [_FOLD]),
+    ("qfuncs.py", "value += (high << digits + 1) - high - (high << 2 * digits)",
+     "value += (high << digits + 1) + high - (high << 2 * digits)",
+     "a sum's fold by X^2 = 2X + 1", [_FOLD]),
     # The report layout.
     ("report.py", "keyed.sort(key=itemgetter(0))",
      "keyed.sort(key=lambda pair: pair[0][1])",

@@ -402,6 +402,26 @@ def packed_truncated_sum(step, increments, width, fold=0):
     return pack(num, width // 8), low, sum_bounds(increments, step, fold)
 
 
+def times_q(value: int, e: int, n: int, width: int) -> int:
+    """q^e value mod (X - 1)^2, X = 2^{n width}, folded into [0, X^2): the
+    folded kernel's old step, which reduced each factor's shifted copy of
+    the value on its own, before subtracting it."""
+    j, s = divmod(e, n)
+    value <<= s * width
+    value += j * ((value << n * width) - value)
+    while high := value >> 2 * n * width:  # X^2 = 2X - 1
+        value += (high << n * width + 1) - high - (high << 2 * n * width)
+    return value
+
+
+def folded_times_one_minus(value: int, exps, n: int, width: int) -> int:
+    """The old fold branch of ``_times_one_minus``: value prod (1 - q^e)
+    modulo (X - 1)^2, the running value itself never reduced."""
+    for e in exps:
+        value -= times_q(value, e, n, width)
+    return value
+
+
 def cancel_increments(increments):
     """The same sum as ``truncated_sum``'s increments over a smaller D, by
     counting on the expanded lists, as ``template_increments`` does

@@ -314,11 +314,29 @@ def test_gasper_sum_matches_the_dense_sum(d, top, pairs, c, a0, b0, extra):
     if got is None:
         assert num.is_zero()
         return
-    sign, shift, counts = got
-    up = [e for e, m in counts for _ in range(m)]
-    down = [e for e, m in counts for _ in range(-m)]
+    sign, shift, up, down = got
     assert num * dense_product(down) == (
         dense_product(up) * den).shifted(shift) * sign
+
+
+def test_sides_are_compared_on_one_net_count_by_hand():
+    differ = parametric._sides_differ
+    one_plus_q = (1, 0, [2], [1])  # (1 - q^2) / (1 - q) = 1 + q
+    # The same value through other factors, and through 1 - q^-2 =
+    # -q^-2 (1 - q^2); then a wrong sign, power of q and factor.
+    assert not differ(one_plus_q, (1, 0, [2, 3], [1, 3]))
+    assert not differ(one_plus_q, (-1, 2, [-2], [1]))
+    for other in ((-1, 0, [2], [1]), (1, 1, [2], [1]), (1, 0, [4], [2])):
+        assert differ(one_plus_q, other) and differ(other, one_plus_q)
+    # 1 - q^0 in either side's numerator makes that side 0, as None does.
+    for zero in (None, (1, 3, [0], [1]), (-1, 0, [2, 0], [5])):
+        for other in (None, (1, 0, [0, 2], [1])):
+            assert not differ(zero, other)
+        assert differ(zero, one_plus_q) and differ(one_plus_q, zero)
+    # 1 - q^0 in the closed form's denominator is refused, whatever the sum.
+    for total in (one_plus_q, None, (1, 0, [0], [])):
+        with pytest.raises(DegenerateProductError):
+            differ(total, (1, 0, [2], [0]))
 
 
 def test_every_n_reached_sits_inside_the_qbinom_row():

@@ -27,7 +27,7 @@ from qsupercheck.parametric import (
     rhs_band,
     verify_parametric,
 )
-from qsupercheck.poly import Poly, divrem
+from qsupercheck.poly import Poly, divrem, pack
 from qsupercheck.qfuncs import (
     DegenerateProductError,
     Packed,
@@ -52,6 +52,7 @@ from oracles import (
     decomposition_sums,
     dense_product,
     dense_sum,
+    folded_times_one_minus,
     inflate,
     laurent_product,
     one_minus,
@@ -60,6 +61,7 @@ from oracles import (
     packed_check,
     q_pochhammer,
     template_increments,
+    times_q,
 )
 
 
@@ -776,6 +778,47 @@ def test_fold_matches_division_by_one_minus_q_n_squared(n, coeffs, exps,
     other, _ = qfuncs._plus_shifted(0, 0, start, 0, shift, width, n)
     other, _ = qfuncs._times_one_minus(other, 0, exps, width, n)
     assert (value - other) % folded._modulus() == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9), st.lists(st.integers(-9, 9), max_size=27),
+       st.sampled_from(["zero", "negative", "folded", "raw"]),
+       st.lists(st.integers(-50, 50), max_size=5), st.integers(-50, 50))
+@example(4, [3, -1, 0, 2, 0, 0, 0, 0, 0, 5], "raw", [-7, 2, 11, 8], 13)
+@example(3, [1, 2], "negative", [-3, 0, 7], -5)
+@example(5, [7, 0, 0, 0, 0, 0, 1], "folded", [23, -12, 4], 2)
+@example(2, [1], "zero", [5, -5], 9)
+def test_fold_step_matches_the_old_step_and_division(n, coeffs, kind, exps,
+                                                     k):
+    # After a factor or a sum, the folded branches hold the running value
+    # in [0, X^2) and in the class modulo (X - 1)^2 of the old per-factor
+    # step, whose unpacked residue is the dense one modulo (1 - q^n)^2.
+    coeffs = [] if kind == "zero" else coeffs[:3 * n]  # degree < 3n
+    # The top nonzero coefficient sets the sign of the packed start.
+    if kind == "negative" and [c for c in coeffs if c][-1:] > [0]:
+        coeffs = [-c for c in coeffs]
+    dense = Laurent(Poly(tuple(coeffs)), 0)
+    span = 3 * n + sum(map(abs, exps)) + abs(k)
+    bits = (sum(map(abs, coeffs)).bit_length() + len(exps) + 1
+            + qfuncs.fold_bits(span, n))
+    width = packed_width(bits)
+    start = pack(coeffs, width // 8)
+    assert start < 0 or kind != "negative" or not any(coeffs)
+    if kind == "folded":
+        start, _ = qfuncs._plus_shifted(0, 0, start, 0, 0, width, n)
+    square = 1 << 2 * n * width
+    modulus = ((1 << n * width) - 1) ** 2
+    value, low = qfuncs._times_one_minus(start, 0, exps, width, n)
+    assert low == 0 and (0 <= value < square if exps else value == start)
+    old = folded_times_one_minus(start, exps, n, width)
+    assert (value - old) % modulus == 0
+    rep = _fold_oracle(dense * laurent_product(exps), n)
+    assert Packed(value, 0, bits, width, n).laurent() == rep
+    total, low = qfuncs._plus_shifted(value, 0, start, 0, k, width, n)
+    assert low == 0 and 0 <= total < square
+    assert (total - value - times_q(start, k, n, width)) % modulus == 0
+    rep = _fold_oracle(dense * laurent_product(exps) + dense.shifted(k), n)
+    assert Packed(total, 0, bits, width, n).laurent() == rep
 
 
 def _dense_relation(step, terms, fold):
