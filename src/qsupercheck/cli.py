@@ -22,7 +22,7 @@ from .catalog import (
     km_instances,
     run_check,
 )
-from .report import Report, SweepPlan
+from .report import Report, SweepPlan, result_json
 from .results import Status
 
 EXIT_OK = 0
@@ -231,7 +231,7 @@ def _execute_plan(plan: SweepPlan, jobs: int) -> Report:
 def _cmd_verify(args) -> int:
     instances = _collect_params(args, args.check, grid=False)
     result = run_check(args.check, instances[0])
-    print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
+    print(result_json(result))
     if result.status is Status.ERROR:
         return EXIT_ERROR
     return EXIT_FAILS if result.status is Status.FAILS else EXIT_OK
@@ -241,7 +241,7 @@ def _cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     plan = _plan_from_args(args)
-    print(f"running {plan.instance_count()} check instances", file=sys.stderr)
+    print(f"running {len(plan.checks)} check instances", file=sys.stderr)
     report = _execute_plan(plan, args.jobs)
     body = report.render(args.format)
     if args.out:
@@ -253,11 +253,11 @@ def _cmd_sweep(args) -> int:
             return EXIT_WRITE
     else:
         sys.stdout.write(body)
-    print(" ".join(f"{k}={v}" for k, v in report.summary().items()),
-          file=sys.stderr)
-    if report.has_errors:
+    summary = report.summary()
+    print(" ".join(f"{k}={v}" for k, v in summary.items()), file=sys.stderr)
+    if "errors" in summary:
         return EXIT_ERROR
-    return EXIT_FAILS if report.has_failures else EXIT_OK
+    return EXIT_FAILS if summary["fails"] else EXIT_OK
 
 
 def _cmd_list() -> int:

@@ -14,16 +14,16 @@ exponent identity, the three-sum decomposition, the two Pochhammer
 splittings, the prefactor divisibility (by counting cyclotomic factors),
 and the cyclotomic factorization of [n].  The ratio shifts, the
 q-binomial rewriting and the splittings are equalities of quotients
-+-q^s prod (1 - q^e)^{+-1}, decided by comparing exponent-count normal
-forms; the one sum among them, 1 + ratio in the splittings, is decided
-by ``relation_vanishes`` as A + B - C.  The three-sum decomposition,
-mixed = [d] divisibility - q [d-1] squared over the families' own
-templates, holds term by term.  Each run's intercepts are congruent to
-run 1's mod d, so the ratios of their terms telescope, and cleared of
-them the relation has degree D = 1 in x = q^{dk}: ``first_failing_term``
-decides it on terms 0..D + 1, which prove it for every n.  A term among
-them that differs is a FAILS, and templates whose ratios do not
-telescope have no certificate, which is an ERROR.
++-q^s prod (1 - q^e)^{+-1}, decided by ``quotients_differ`` on one
+exponent count of their ratio; the one sum among them, 1 + ratio in the
+splittings, is decided by ``relation_vanishes`` as A + B - C.  The
+three-sum decomposition, mixed = [d] divisibility - q [d-1] squared over
+the families' own templates, holds term by term.  Each run's intercepts
+are congruent to run 1's mod d, so the ratios of their terms telescope,
+and cleared of them the relation has degree D = 1 in x = q^{dk}:
+``first_failing_term`` decides it on terms 0..D + 1, which prove it for
+every n.  A term among them that differs is a FAILS, and templates whose
+ratios do not telescope have no certificate, which is an ERROR.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from .poly import poly_prod
 from .qfuncs import (
     Packed,
     first_failing_term,
-    one_minus_normal_form,
     packed_width,
+    quotients_differ,
     relation_vanishes,
 )
 from .results import CheckResult, fails, holds, skipped
@@ -263,7 +263,7 @@ def _ratio_shift_sides(d, r, n, j, k, central: bool):
 
 def _check_ratio_shift(d, r, n, j, k, central: bool) -> str | None:
     lhs, rhs = _ratio_shift_sides(d, r, n, j, k, central)
-    if one_minus_normal_form(*lhs) != one_minus_normal_form(*rhs):
+    if quotients_differ(lhs, rhs):
         return f"ratio shift differs at j={j}, k={k}"
     return None
 
@@ -283,7 +283,7 @@ def _qbinom_rewrite_sides(d, r, n, k):
 
 def _check_qbinom_rewrite(d, r, n, k) -> str | None:
     lhs, rhs = _qbinom_rewrite_sides(d, r, n, k)
-    if one_minus_normal_form(*lhs) != one_minus_normal_form(*rhs):
+    if quotients_differ(lhs, rhs):
         return f"q-binomial rewrite differs at k={k}"
     return None
 
@@ -340,7 +340,7 @@ def _check_poch_split(d, r, k) -> str | None:
                                  (-1, sc, ec, None)]):
         return f"1 + ratio differs at d={d}, r={r}, k={k}"
     rhs = (sign, shift + sc - sa, num + ec, den + ea)  # times C/A
-    if one_minus_normal_form(*lhs) != one_minus_normal_form(*rhs):
+    if quotients_differ(lhs, rhs):
         return f"Pochhammer splitting differs at d={d}, r={r}, k={k}"
     return None
 

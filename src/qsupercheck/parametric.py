@@ -27,8 +27,8 @@ terminating q-binomial theorem the sum of (q^{-dN}; q^d)_k / (q^d; q^d)_k
 q^{d(j+1)k}, k <= N, is (q^{d(1+j-N)}; q^d)_N: 0 for 0 <= j < N and
 (q^d; q^d)_N at j = N.  So the sum vanishes when M < N, as lemma21's
 deformations do, and at M = N it is const (-1)^M q^{sum of P's lead
-exponents} (q^d; q^d)_N, whose quotient by the closed form must have
-the ``one_minus_normal_form`` of 1.
+exponents} (q^d; q^d)_N, which ``quotients_differ`` compares with the
+closed form on one net count.
 At a = 1 the same template must reproduce the non-parametric summand
 term by term: the thm42 family's unless the index is shifted.  Neither
 template depends on n, so whether their sorted lists agree is decided
@@ -49,8 +49,7 @@ import functools
 
 from .families import (F6_THM42, a_exponent, family_template, mutated,
                        theorem_precondition)
-from .qfuncs import (DegenerateProductError, first_failing_term,
-                     one_minus_normal_form, pair_intercepts)
+from .qfuncs import first_failing_term, pair_intercepts, quotients_differ
 from .results import CheckResult, fails, holds, skipped
 
 # Family -> (the q-statement it deforms, its condition on (d, r), that
@@ -288,21 +287,6 @@ def _gasper_sum(template, d: int, limit: int):
         d * t for t in range(1, top + 1)], list(b0) + fixed
 
 
-def _sides_differ(total, closed) -> bool:
-    """Whether ``_gasper_sum``'s sum and the closed form differ, each None
-    for 0, on one net count: their quotient's ``one_minus_normal_form``.  A
-    numerator 1 - q^0 makes a side 0, and a denominator one in the closed
-    form raises DegenerateProductError."""
-    if closed is not None and 0 in closed[3]:
-        raise DegenerateProductError("denominator factor 1 - q^0")
-    zero = [side is None or 0 in side[2] for side in (total, closed)]
-    if any(zero):
-        return zero[0] != zero[1]
-    (s1, h1, n1, d1), (s2, h2, n2, d2) = total, closed
-    return one_minus_normal_form(s1 * s2, h1 - h2, n1 + d2, d1 + n2) != (
-        1, 0, frozenset())
-
-
 @functools.lru_cache(maxsize=4096)
 def _witness(d: int, r: int, n: int, mutation: str | None, shifted: bool,
              entries, band) -> str | None:
@@ -313,7 +297,7 @@ def _witness(d: int, r: int, n: int, mutation: str | None, shifted: bool,
     closed = (mutated(None, mutation) if shifted
               else _rhs_factors(band, d, r, n, 1, mutation))
     total = _gasper_sum(template, d, _upper_limit(shifted, d, r, n))
-    if _sides_differ(total, closed):
+    if quotients_differ(total, closed):
         return (f"substituted sum nonzero at a = q^{n}" if closed is None
                 else f"sides differ at a = q^{n}")
     return _collapse_at_one(shifted, d, r, n, entries)

@@ -22,8 +22,9 @@ A template, a sum's head and the intercept lists that term k >= 1 moves
 by step (k - 1), stands for its increments (``expand``) and is read by
 exponent counting: ``pair_intercepts`` for Gasper's Karlsson-Minton
 argument, ``termwise_degree`` and ``first_failing_term`` for termwise
-relations.  ``one_minus_normal_form`` decides equality of quotients of
-factors with no polynomial arithmetic.
+relations.  ``quotients_differ`` decides equality of two quotients of
+factors with no polynomial arithmetic, on one ``one_minus_normal_form``
+of their ratio.
 """
 
 from __future__ import annotations
@@ -95,6 +96,23 @@ def one_minus_normal_form(sign: int, shift: int, num, den):
                 sign, shift, e = -sign, shift + unit * e, -e
             counts[e] += unit
     return sign, shift, frozenset((e, m) for e, m in counts.items() if m)
+
+
+def quotients_differ(lhs, rhs) -> bool:
+    """Whether two quotients, each (sign, shift, num, den) as
+    ``one_minus_normal_form`` takes it or None for 0, differ, on one net
+    count: the normal form of lhs over rhs against that of 1.  A
+    denominator 1 - q^0 raises DegenerateProductError, lhs's first, and a
+    numerator one makes its side 0."""
+    for side in (lhs, rhs):
+        if side is not None and 0 in side[3]:
+            raise DegenerateProductError("denominator factor 1 - q^0")
+    zero = [side is None or 0 in side[2] for side in (lhs, rhs)]
+    if any(zero):
+        return zero[0] != zero[1]
+    (s1, h1, n1, d1), (s2, h2, n2, d2) = lhs, rhs
+    return one_minus_normal_form(s1 * s2, h1 - h2, n1 + d2, d1 + n2) != (
+        1, 0, frozenset())
 
 
 class PackingOverflowError(RuntimeError):

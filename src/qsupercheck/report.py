@@ -3,12 +3,14 @@
 Results are sorted by (check id, canonical parameter string) before
 serialization, so re-running a sweep with the same seed and flags yields
 a byte-identical body once the elapsed fields are set aside.  The JSON
-body is ``json.dumps(report.to_dict(), indent=2, sort_keys=True)`` and a
-newline, but CPython's C encoder runs only without ``indent``, so
-``to_json`` lays out the report's fixed shape itself: keys in sorted
-order, strings through ``encode_basestring_ascii`` and numbers through
-``repr``, as the encoder writes them.  A value of any other kind goes
-through ``json.dumps`` and is indented where it sits.
+body is ``json.dumps(report_dict(report), indent=2, sort_keys=True)`` and
+a newline, byte for byte, where ``report_dict`` is the tests' oracle in
+``tests/oracles.py``; ``qsupercheck verify`` prints ``result_json``, one
+entry of it, at top level.  CPython's C encoder runs only without
+``indent``, so the report's fixed shape is laid out here directly: keys
+in sorted order, strings through ``encode_basestring_ascii`` and numbers
+through ``repr``, as the encoder writes them.  A value of any other kind
+goes through ``json.dumps`` and is indented where it sits.
 """
 
 from __future__ import annotations
@@ -72,16 +74,20 @@ def _params(params: dict, pad: str) -> str:
 _STATUS = {status: _string(status.value) for status in Status}
 
 
-def _result(r: CheckResult) -> str:
-    """One entry of the report's results, as ``CheckResult.to_dict``."""
-    pad = "      "
-    note = "" if r.note is None else f',\n{pad}"note": {_value(r.note, pad)}'
+def result_json(r: CheckResult, pad: str = "") -> str:
+    """The result as ``json.dumps(indent=2, sort_keys=True)`` writes it
+    with its braces at the indentation ``pad``: one entry of a report's
+    results, or the whole of ``qsupercheck verify``'s output."""
+    inner = pad + "  "
+    note = ("" if r.note is None
+            else f',\n{inner}"note": {_value(r.note, inner)}')
     witness = ("" if r.witness is None
-               else f',\n{pad}"witness": {_value(r.witness, pad)}')
-    return (f'{{\n{pad}"elapsed_ms": {_value(round(r.elapsed_ms, 3), pad)},'
-            f'\n{pad}"id": {_string(r.check_id)}{note},'
-            f'\n{pad}"params": {_params(r.params, pad)},'
-            f'\n{pad}"status": {_STATUS[r.status]}{witness}\n    }}')
+               else f',\n{inner}"witness": {_value(r.witness, inner)}')
+    elapsed = _value(round(r.elapsed_ms, 3), inner)
+    return (f'{{\n{inner}"elapsed_ms": {elapsed},'
+            f'\n{inner}"id": {_string(r.check_id)}{note},'
+            f'\n{inner}"params": {_params(r.params, inner)},'
+            f'\n{inner}"status": {_STATUS[r.status]}{witness}\n{pad}}}')
 
 
 class SweepPlan:
@@ -100,28 +106,8 @@ class SweepPlan:
         self.checks, self.seed, self.trials = checks, seed, trials
         self.suite = suite
 
-    def instance_count(self) -> int:
-        return len(self.checks)
-
-    def to_dict(self) -> dict:
-        plan = {
-            "seed": self.seed,
-            "trials": self.trials,
-            "fast_mode": False,
-            "instances": self.instance_count(),
-        }
-        if self.suite:
-            plan["suite"] = self.suite
-        else:
-            plan["checks"] = [
-                {"id": cid, "params": {k: list(v) if isinstance(v, tuple) else v
-                                       for k, v in sorted(params.items())}}
-                for cid, params in self.checks
-            ]
-        return plan
-
     def _json(self) -> str:
-        """``to_dict()`` as ``Report.to_json`` writes it, one level in."""
+        """The plan's header as ``Report.to_json`` writes it, one level in."""
         pad, entry = "    ", "        "
         fields = []
         if not self.suite:
@@ -130,7 +116,7 @@ class SweepPlan:
                          ("params", _params(params, entry))], "      ")
                 for cid, params in self.checks], pad)))
         fields += [("fast_mode", "false"),
-                   ("instances", _value(self.instance_count(), pad)),
+                   ("instances", _value(len(self.checks), pad)),
                    ("seed", _value(self.seed, pad))]
         if self.suite:
             fields.append(("suite", _value(self.suite, pad)))
@@ -153,9 +139,6 @@ class Report:
         keyed.sort(key=itemgetter(0))
         return keyed
 
-    def sorted_results(self) -> list[CheckResult]:
-        return [r for _, r in self._keyed()]
-
     def summary(self) -> dict:
         """Counts per status; ``errors`` appears only when nonzero."""
         counts = {"holds": 0, "fails": 0, "skipped": 0}
@@ -164,23 +147,14 @@ class Report:
             counts[key] = counts.get(key, 0) + 1
         return counts
 
-    def to_dict(self) -> dict:
-        return {
-            "version": __version__,
-            "plan": self.plan.to_dict(),
-            "results": [r.to_dict() for r in self.sorted_results()],
-            "summary": self.summary(),
-            "total_elapsed_ms": round(self.total_elapsed_ms, 3),
-        }
-
     def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), indent=2, sort_keys=True)`` and a
-        newline, byte for byte, written without building ``to_dict()``."""
+        """The report's JSON body, laid out directly."""
         pad = "  "
         summary = sorted(self.summary().items())
         return _object([
             ("plan", self.plan._json()),
-            ("results", _array([_result(r) for _, r in self._keyed()], pad)),
+            ("results", _array([result_json(r, "    ")
+                                for _, r in self._keyed()], pad)),
             ("summary", _object([(k, repr(v)) for k, v in summary], pad)),
             ("total_elapsed_ms", _value(round(self.total_elapsed_ms, 3), pad)),
             ("version", _value(__version__, pad)),
@@ -201,11 +175,3 @@ class Report:
         if fmt == "csv":
             return self.to_csv()
         raise ValueError(f"unknown format {fmt!r}")
-
-    @property
-    def has_failures(self) -> bool:
-        return self.summary()["fails"] > 0
-
-    @property
-    def has_errors(self) -> bool:
-        return "errors" in self.summary()

@@ -36,19 +36,6 @@ class CheckResult:
                 f" {self.status}, witness={self.witness!r},"
                 f" note={self.note!r})")
 
-    def to_dict(self) -> dict:
-        out = {
-            "id": self.check_id,
-            "params": _jsonable_params(self.params),
-            "status": self.status.value,
-            "elapsed_ms": round(self.elapsed_ms, 3),
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.note is not None:
-            out["note"] = self.note
-        return out
-
 
 def canonical_params(params: dict) -> str:
     parts = []
@@ -58,13 +45,6 @@ def canonical_params(params: dict) -> str:
             value = ",".join(str(v) for v in value)
         parts.append(f"{key}={value}")
     return ";".join(parts)
-
-
-def _jsonable_params(params: dict) -> dict:
-    return {
-        k: list(v) if isinstance(v, tuple) else v
-        for k, v in sorted(params.items())
-    }
 
 
 def skipped(check_id: str, params: dict, reason: str) -> CheckResult:

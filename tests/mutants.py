@@ -140,13 +140,16 @@ MUTANTS = [
     ("parametric.py", "if sorted(c0) != sorted(e - d for e in c):",
      "if sorted(c0) != sorted(c):", "c_0 compared with c unshifted",
      [_AGREEMENT]),
-    ("parametric.py", "return zero[0] != zero[1]", "return False",
+    # One net count decides whether two quotients differ.
+    ("qfuncs.py", "return zero[0] != zero[1]", "return False",
      "a zero side read as equal to any other", [_NET_COUNT]),
-    ("parametric.py", "one_minus_normal_form(s1 * s2, h1 - h2,",
-     "one_minus_normal_form(s1, h1 - h2,", "the closed form's sign dropped",
+    ("qfuncs.py", "one_minus_normal_form(s1 * s2, h1 - h2,",
+     "one_minus_normal_form(s1, h1 - h2,", "the rhs's sign dropped",
      [_NET_COUNT]),
-    ("parametric.py", "n1 + d2, d1 + n2)", "n1 + n2, d1 + d2)",
-     "the closed form's factors counted on the sum's side", [_NET_COUNT]),
+    ("qfuncs.py", "n1 + d2, d1 + n2)", "n1 + n2, d1 + d2)",
+     "the rhs's factors counted on the lhs's side", [_NET_COUNT]),
+    ("qfuncs.py", "    for side in (lhs, rhs):\n", "    for side in (rhs,):\n",
+     "no refusal of a denominator 1 - q^0 in the lhs", [_NET_COUNT]),
     ("qfuncs.py", "            y = ys.pop()\n", "            y = ys.pop(0)\n",
      "an a intercept paired with the smallest open b",
      [_PARAMETRIC + "test_gasper_sum_matches_the_dense_sum"]),
@@ -220,6 +223,9 @@ MUTANTS = [
      "an int list indented one space short", [_REPORT]),
     ("report.py", '        return "[]"', '        return "[ ]"',
      "an empty array written as [ ]", [_REPORT]),
+    ("report.py", "{witness}\\n{pad}}}')", "{witness}\\n{inner}}}')",
+     "a result's closing brace at its fields' indentation",
+     ["tests/test_cli.py::test_verify_prints_the_result_oracle_byte_for_byte"]),
 ]
 
 

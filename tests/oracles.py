@@ -13,7 +13,7 @@ from itertools import zip_longest
 from math import factorial
 from math import gcd as igcd
 
-from qsupercheck import identities, parametric
+from qsupercheck import __version__, identities, parametric
 from qsupercheck.families import (
     F6_THM42,
     a_exponent,
@@ -44,7 +44,7 @@ from qsupercheck.qfuncs import (
     sum_bounds,
     without_common,
 )
-from qsupercheck.results import Status
+from qsupercheck.results import Status, canonical_params
 
 
 def one_minus(c, exp):
@@ -292,6 +292,15 @@ def first_differing_term(lhs, rhs):
         if one_minus_normal_form(1, 0, lnum + lc, lden) != ref:
             return k
     return None
+
+
+def normal_forms_differ(lhs, rhs):
+    """Whether two quotients (sign, shift, num, den), None for 0, differ,
+    by comparing their two ``one_minus_normal_form``s; lhs's is built
+    first, so a denominator 1 - q^0 in it raises first."""
+    forms = [None if side is None else one_minus_normal_form(*side)
+             for side in (lhs, rhs)]
+    return forms[0] != forms[1]
 
 
 class _Dense:
@@ -757,3 +766,45 @@ def written_out_classical(check_id, params):
     if lhs != rhs:
         return Status.FAILS, f"{lhs} != {rhs} (mod {prime}^2)"
     return Status.HOLDS, None
+
+
+def _jsonable(params):
+    """Parameters with each tuple a list, as JSON reads them back."""
+    return {key: list(value) if isinstance(value, tuple) else value
+            for key, value in sorted(params.items())}
+
+
+def result_dict(result):
+    """A result as the JSON object ``report.result_json`` lays out."""
+    out = {"id": result.check_id, "params": _jsonable(result.params),
+           "status": result.status.value,
+           "elapsed_ms": round(result.elapsed_ms, 3)}
+    if result.witness is not None:
+        out["witness"] = result.witness
+    if result.note is not None:
+        out["note"] = result.note
+    return out
+
+
+def plan_dict(plan):
+    """A sweep plan's header as ``Report.to_json`` lays it out: the suite's
+    name, or every check when there is none."""
+    out = {"seed": plan.seed, "trials": plan.trials, "fast_mode": False,
+           "instances": len(plan.checks)}
+    if plan.suite:
+        out["suite"] = plan.suite
+    else:
+        out["checks"] = [{"id": cid, "params": _jsonable(params)}
+                         for cid, params in plan.checks]
+    return out
+
+
+def report_dict(report):
+    """A report as ``Report.to_json`` lays it out, its results sorted on
+    (check id, canonical parameters)."""
+    results = sorted(report.results, key=lambda r: (
+        r.check_id, canonical_params(r.params)))
+    return {"version": __version__, "plan": plan_dict(report.plan),
+            "results": [result_dict(r) for r in results],
+            "summary": report.summary(),
+            "total_elapsed_ms": round(report.total_elapsed_ms, 3)}

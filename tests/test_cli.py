@@ -12,6 +12,8 @@ import pytest
 from qsupercheck import cli
 from qsupercheck.cli import main
 
+from oracles import result_dict
+
 
 def _strip_timing(report: dict) -> dict:
     out = copy.deepcopy(report)
@@ -90,6 +92,31 @@ def test_verify_fails_exit_one(capsys):
     assert code == 1
     assert out["status"] == "FAILS"
     assert "witness" in out
+
+
+@pytest.mark.parametrize("argv, status, code", [
+    (["--check", "thm12", "--d", "3", "--n", "5"], "HOLDS", 0),
+    (["--check", "qbinom_vanish", "--n", "5", "--j", "7", "--expect", "zero"],
+     "FAILS", 1),
+    (["--check", "thm11", "--d", "4", "--n", "6"], "SKIPPED_PRECONDITION", 0),
+    (["--check", "km", "--n-list", "1,2"], "HOLDS", 0),
+])
+def test_verify_prints_the_result_oracle_byte_for_byte(argv, status, code,
+                                                       capsys, monkeypatch):
+    # The result verify ran, caught on its way out, laid out by json.dumps
+    # from the tests' result_dict: a witness, a note and an offset list.
+    seen, real = [], cli.run_check
+
+    def run(*task):
+        seen.append(real(*task))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "run_check", run)
+    assert main(["verify", *argv]) == code
+    (result,) = seen
+    assert result.status.value == status
+    assert capsys.readouterr().out == json.dumps(
+        result_dict(result), indent=2, sort_keys=True) + "\n"
 
 
 def test_sweep_inline_grid(tmp_path, capsys):

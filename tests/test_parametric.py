@@ -320,7 +320,7 @@ def test_gasper_sum_matches_the_dense_sum(d, top, pairs, c, a0, b0, extra):
 
 
 def test_sides_are_compared_on_one_net_count_by_hand():
-    differ = parametric._sides_differ
+    differ = qfuncs.quotients_differ
     one_plus_q = (1, 0, [2], [1])  # (1 - q^2) / (1 - q) = 1 + q
     # The same value through other factors, and through 1 - q^-2 =
     # -q^-2 (1 - q^2); then a wrong sign, power of q and factor.
@@ -333,10 +333,14 @@ def test_sides_are_compared_on_one_net_count_by_hand():
         for other in (None, (1, 0, [0, 2], [1])):
             assert not differ(zero, other)
         assert differ(zero, one_plus_q) and differ(one_plus_q, zero)
-    # 1 - q^0 in the closed form's denominator is refused, whatever the sum.
-    for total in (one_plus_q, None, (1, 0, [0], [])):
-        with pytest.raises(DegenerateProductError):
-            differ(total, (1, 0, [2], [0]))
+    # 1 - q^0 in either side's denominator is refused, whatever the other
+    # side, and even where that side's numerator makes it 0.
+    for other in (one_plus_q, None, (1, 0, [0], [])):
+        for degenerate in ((1, 0, [2], [0]), (-1, 1, [0], [3, 0])):
+            with pytest.raises(DegenerateProductError):
+                differ(other, degenerate)
+            with pytest.raises(DegenerateProductError):
+                differ(degenerate, other)
 
 
 def test_every_n_reached_sits_inside_the_qbinom_row():

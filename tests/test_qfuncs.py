@@ -38,6 +38,7 @@ from qsupercheck.qfuncs import (
     one_minus_product,
     packed_width,
     q_binomial,
+    quotients_differ,
     relation_vanishes,
     sum_bounds,
     termwise_degree,
@@ -55,6 +56,7 @@ from oracles import (
     folded_times_one_minus,
     inflate,
     laurent_product,
+    normal_forms_differ,
     one_minus,
     SAME_WORK,
     packed_truncated_sum,
@@ -382,6 +384,48 @@ def test_normal_form_sees_rearranged_quotients_equal(sign, shift, num, den,
     form = one_minus_normal_form(sign, shift, num, den)
     other = one_minus_normal_form(sign2, shift + extra, num2, den2)
     assert form == other
+
+
+def _rewritten(side, rnd):
+    """The same quotient written another way: some exponents e as -e by
+    1 - q^e = -q^e (1 - q^-e), a common factor on both sides, shuffled."""
+    sign, shift, num, den = side
+    num2, den2 = [], []
+    for exps, unit, out in ((num, 1, num2), (den, -1, den2)):
+        for e in exps:
+            if rnd.random() < 0.5:
+                sign, shift, e = -sign, shift + unit * e, -e
+            out.append(e)
+    common = rnd.choice([-3, 2, 5])
+    num2.append(common)
+    den2.append(common)
+    rnd.shuffle(num2)
+    rnd.shuffle(den2)
+    return sign, shift, num2, den2
+
+
+_side = st.none() | st.tuples(_signs, st.integers(-4, 4), _exponents,
+                              _exponents)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_side, _side, st.booleans(), st.randoms(use_true_random=False))
+def test_net_count_matches_two_normal_forms(lhs, rhs, rewrite, rnd):
+    # Sides with negative exponents, zero sides (None, or 1 - q^0 in a
+    # numerator) and 1 - q^0 in a denominator; with ``rewrite`` the rhs is
+    # the lhs written another way.  One net count of lhs over rhs must give
+    # the verdict of comparing two normal forms, or its error.
+    if rewrite and lhs is not None:
+        rhs = _rewritten(lhs, rnd)
+    try:
+        want = normal_forms_differ(lhs, rhs)
+    except DegenerateProductError:
+        with pytest.raises(DegenerateProductError):
+            quotients_differ(lhs, rhs)
+        return
+    assert quotients_differ(lhs, rhs) == want
+    if rewrite and lhs is not None:
+        assert not want
 
 
 def test_normal_form_degenerate_factors():

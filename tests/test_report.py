@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsupercheck.report import Report, SweepPlan
+from qsupercheck.report import Report, SweepPlan, result_json
 from qsupercheck.results import CheckResult, Status, canonical_params
+
+from oracles import plan_dict, report_dict, result_dict
 
 
 def test_fails_requires_witness():
@@ -28,10 +30,9 @@ def test_report_summary_and_sorting():
         CheckResult("a", {"x": 2}, Status.HOLDS),
         CheckResult("a", {"x": 1}, Status.SKIPPED_PRECONDITION, note="why"),
     ])
-    data = report.to_dict()
+    data = report_dict(report)
     assert data["summary"] == {"holds": 1, "fails": 0, "skipped": 1}
     assert [r["params"]["x"] for r in data["results"]] == [1, 2]
-    assert not report.has_failures
     parsed = json.loads(report.to_json())
     assert parsed["plan"]["instances"] == 2
     assert parsed["plan"]["fast_mode"] is False
@@ -40,7 +41,7 @@ def test_report_summary_and_sorting():
 def test_a_plan_takes_fast_mode_only_as_false():
     # perfbench/worker.py passes False by position; there is no fast mode.
     plan = SweepPlan([], 1, 5, False, suite="paper-default")
-    assert plan.to_dict()["fast_mode"] is False
+    assert plan_dict(plan)["fast_mode"] is False
     assert not hasattr(plan, "fast_mode")
     with pytest.raises(ValueError):
         SweepPlan([], 1, 5, True)
@@ -60,7 +61,7 @@ def test_csv_rendering_and_tuple_params():
 def _dumps(report):
     """The report as ``json.dumps`` lays it out: what ``to_json`` must give
     byte for byte."""
-    return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    return json.dumps(report_dict(report), indent=2, sort_keys=True) + "\n"
 
 
 def _csv(report):
@@ -104,6 +105,9 @@ def test_json_layout_is_the_encoders_byte_for_byte(suite):
     report = Report(plan, list(_RESULTS))
     report.total_elapsed_ms = 17.123456
     assert report.to_json() == _dumps(report)
+    for r in _RESULTS:
+        assert result_json(r) == json.dumps(result_dict(r), indent=2,
+                                            sort_keys=True)
     assert report.to_csv() == _csv(report)
     assert report.summary() == {"holds": 4, "fails": 1, "skipped": 1,
                                 "errors": 1}
@@ -149,3 +153,6 @@ def test_json_layout_matches_the_encoder_on_any_report(rows, suite, seed,
     report.total_elapsed_ms = total
     assert report.to_json() == _dumps(report)
     assert report.to_csv() == _csv(report)
+    for r in results:
+        assert result_json(r) == json.dumps(result_dict(r), indent=2,
+                                            sort_keys=True)
