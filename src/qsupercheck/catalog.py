@@ -39,11 +39,11 @@ CheckSpec = namedtuple("CheckSpec",
                        defaults=("",))
 
 
-# Runners take (check id, params) and look each verifier up by its name in
-# this module when they run, so a wrapper patched over that name sees every
-# call.
-_theorem = lambda cid, p: verify_theorem(cid, p["d"], p["n"], p.get("r", 1))
-_parametric = lambda cid, p: verify_parametric(cid, p["d"], p["r"], p["n"])
+# Runners take (check id, params), pass the params by name (each default is
+# the verifier's own), and look the verifier up by its name in this module
+# when they run, so a wrapper patched over that name sees every call.
+_theorem = lambda cid, p: verify_theorem(cid, **p)
+_parametric = lambda cid, p: verify_parametric(cid, **p)
 _proof_step = lambda cid, p: verify_proof_step(cid, p)
 _classical = lambda cid, p: verify_classical(cid, p)
 
@@ -74,7 +74,7 @@ _CHECKS = {
               "A(d,n,r)-r, mod Phi_n(q)^2", _theorem),
     "thm13": (_DN, "(q^d;q^d)_(n-1)^d/(1-q)^(dn-d) times the mixed sum is "
               "divisible by [n]^2 as a polynomial",
-              lambda cid, p: verify_divisibility(p["d"], p["n"])),
+              lambda cid, p: verify_divisibility(**p)),
     "p1_24": (_DRN, "parametric vanishing sum, d + r odd, index k-2 central "
               "band" + _SUBS, _parametric),
     "p2_25": (_DRN, "parametric vanishing sum, d and r odd, index k-2 central "
@@ -93,14 +93,10 @@ _CHECKS = {
               _parametric),
     "km": (("m", "n_list", "trials", "seed"), "terminating Karlsson-Minton "
            "summation, exact random rational evaluation",
-           lambda cid, p: verify_karlsson_minton(
-               p["n_list"], p.get("trials", DEFAULT_TRIALS),
-               p.get("seed", DEFAULT_SEED), p.get("m")),
-           "m trials seed"),
+           lambda cid, p: verify_karlsson_minton(**p), "m trials seed"),
     "qbinom_vanish": (("n", "j", "expect"), "alternating q-binomial sum "
                       "vanishes for 0 <= j <= n-1",
-                      lambda cid, p: verify_qbinomial_vanishing(
-                          p["n"], p.get("j"), p.get("expect")),
+                      lambda cid, p: verify_qbinomial_vanishing(**p),
                       "j expect"),
     "ratio_shift_generic": (_DRNJK, "Pochhammer ratio shift outside the "
                             "central band, by exponent counting", _proof_step),

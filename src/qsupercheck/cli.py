@@ -93,6 +93,22 @@ def _parse_int_values(text: str, flag: str) -> list[int]:
         raise UsageError(f"--{flag} expects integers, got {text!r}")
 
 
+def _check_values(params: dict, label) -> dict:
+    """Plan ``params`` if each value is what its flag's parser reads: zero or
+    nonzero for expect, a list of ints for n_list, an int for d, r, n, j, k,
+    p, m, seed and trials; else a usage error that names the parameter."""
+    for name, value in params.items():
+        if name == "expect":
+            ok, wanted = value in ("zero", "nonzero"), "zero or nonzero"
+        else:  # by type, as JSON's true and false are no ints
+            items = value if name == "n_list" else (value,)
+            ok = type(items) is tuple and all(type(v) is int for v in items)
+            wanted = "a list of integers" if name == "n_list" else "an integer"
+        if not ok:
+            raise UsageError(f"{label(name)} expects {wanted}, got {value!r}")
+    return params
+
+
 def _check_names(check_id: str, names, label) -> None:
     """Usage error unless the check is known, each name is one of its
     parameters, and every parameter but its registry row's optional ones
@@ -181,6 +197,9 @@ def _plan_from_args(args) -> SweepPlan:
             if key in raw and getattr(args, key) is not None:
                 raise UsageError(f"--{key} does not combine with a plan that"
                                  f" sets {key}")
+        _check_values({key: raw[key] for key in ("seed", "trials")
+                       if key in raw}, lambda name: f"plan {name!r}")
+        label = lambda name: f"plan parameter {name!r}"
         checks = []
         for entry in entries:
             cid = entry.get("id")
@@ -188,8 +207,8 @@ def _plan_from_args(args) -> SweepPlan:
                 k: tuple(v) if isinstance(v, list) else v
                 for k, v in entry["params"].items()
             }
-            _check_names(cid, params, lambda name: f"plan parameter {name!r}")
-            checks.append((cid, params))
+            _check_names(cid, params, label)
+            checks.append((cid, _check_values(params, label)))
         return SweepPlan(checks, raw.get("seed", seed),
                          raw.get("trials", trials))
     if args.suite is not None:

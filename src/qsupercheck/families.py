@@ -1,18 +1,15 @@
-"""Term shapes and closed forms for the truncated sum families.
+"""Summands and closed forms of the paper's theorems, declared once.
 
-Every left-hand side in the catalog is a sum over k of
-
-    prod_i (q^{e_i}; q^d)_k^{m_i} * q^{dk} / (q^d; q^d)_k^d
-
-and the family is pinned down by its list of (base exponent, multiplicity)
-pairs; ``family_template`` writes the sum as a template of
-``truncated_sum`` increments, a head and intercept lists moved by
-d(k - 1), and ``family_increments`` expands it.  Right-hand sides share
-one shape as well: a sign, a few explicit (1 - q^e) factors, a quotient
-of (q^d; q^d)_L Pochhammers, and a power of q whose exponent is an
-integer-valued formula of (d, n, r); integrality is asserted at build
-time.  ``closed_form`` returns it as the exponent lists (sign, shift,
-num, den) that every quotient of factors 1 - q^e is carried as, and
+Each left-hand side is a sum over k of prod_e (q^e; q^d)_k q^{dk} /
+(q^d; q^d)_k^d over the exponent multiset of its numerator bases
+(``numerator_bases``), one for each two-parameter statement (lemma21,
+thm41, thm42) and for Guo's eq13; ``THEOREMS`` maps each theorem id to
+the (statement, r) it checks.  ``family_template`` writes a statement's
+sum as a template of ``truncated_sum`` increments, and
+``family_increments`` expands it.  ``closed_form`` gives a right-hand
+side as the exponent lists (sign, shift, num, den) of sign q^shift times
+explicit factors 1 - q^e and (q^d; q^d)_L Pochhammers, the exponent an
+integer-valued formula of (d, n, r) asserted at build time, and
 ``mutated`` derives the negative controls.
 """
 
@@ -27,38 +24,38 @@ class IntegralityError(ArithmeticError):
     """An exponent formula failed to be an integer."""
 
 
-F1_GUO = "F1_GUO"
-F2_MIXED = "F2_MIXED"
-F3_SQUARED = "F3_SQUARED"
-F4_LEMMA = "F4_LEMMA"
-F5_THM41 = "F5_THM41"
-F6_THM42 = "F6_THM42"
-F7_DIVISIBILITY = "F7_DIVISIBILITY"
+# Theorem id -> (the statement whose summand and closed form it checks, at
+# which r; None: the instance's own r).
+THEOREMS = {
+    "eq13": ("eq13", 1),
+    "eq14": ("thm41", 1),
+    "eq15": ("thm42", 1),
+    "thm11": ("thm41", 1),
+    "thm12": ("thm42", 1),
+    "lemma21": ("lemma21", None),
+    "eq22": ("lemma21", 1),
+    "thm41": ("thm41", None),
+    "thm42": ("thm42", None),
+}
 
 
-def numerator_factors(family: str, d: int, r: int) -> list[tuple[int, int]]:
-    """(base exponent, multiplicity) pairs for the family's summand numerator.
+def at_r(declared, r: int) -> tuple[str, int]:
+    """A declared (statement, r or None) at the instance's r."""
+    statement, fixed = declared
+    return statement, r if fixed is None else fixed
 
-    Zero multiplicities are dropped; the denominator is always
-    (q^d; q^d)_k^d and the term carries q^{dk}.
-    """
-    if family == F1_GUO:
-        pairs = [(d - 1, d)]
-    elif family == F2_MIXED:
-        pairs = [(d + 1, d - 1), (1 - d, 1)]
-    elif family == F3_SQUARED:
-        pairs = [(d + 1, d - 2), (1, 2)]
-    elif family == F4_LEMMA:
-        pairs = [(d + r, d - r - 1), (r, r), (r - d, 1)]
-    elif family == F5_THM41:
-        pairs = [(d + r, d - r), (r, r - 1), (r - d, 1)]
-    elif family == F6_THM42:
-        pairs = [(d + r, d - r - 1), (r, r + 1)]
-    elif family == F7_DIVISIBILITY:
-        pairs = [(d + 1, d - 2), (1, 1), (1 - d, 1)]
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    return [(e, m) for e, m in pairs if m > 0]
+
+def numerator_bases(statement: str, d: int, r: int) -> list[int]:
+    """The exponents e of its numerator factors (q^e; q^d)_k, with repeats."""
+    if statement == "eq13":
+        return [d - 1] * d
+    if statement == "lemma21":
+        return [d + r] * (d - r - 1) + [r] * r + [r - d]
+    if statement == "thm41":
+        return [d + r] * (d - r) + [r] * (r - 1) + [r - d]
+    if statement == "thm42":
+        return [d + r] * (d - r - 1) + [r] * (r + 1)
+    raise ValueError(f"unknown statement {statement!r}")
 
 
 def _exact_quotient(num: int, den: int) -> int:
@@ -73,54 +70,43 @@ def a_exponent(d: int, n: int, r: int) -> int:
     return _exact_quotient(num, 2 * d) - r * (r + 1) // 2
 
 
-def one_parameter_exponent(d: int, n: int) -> int:
-    """(d(d+n)(n+1) - (n+1)^2) / (2d), the r = 1 closed-form exponent core."""
-    return _exact_quotient(d * (d + n) * (n + 1) - (n + 1) ** 2, 2 * d)
+def family_template(statement: str, d: int, r: int):
+    """The statement's sum as a template (head, a, b, c) of
+    ``truncated_sum`` increments: term 0 is 1, and term k >= 1 is
+    [x + d(k - 1)] over the numerator bases a and b = [d] * d."""
+    return ([], [], []), numerator_bases(statement, d, r), [d] * d, []
 
 
-def family_template(family: str, d: int, r: int):
-    """The family's sum as a template (head, a, b, c) of ``truncated_sum``
-    increments: term 0 is 1, and term k >= 1 is [x + d(k - 1)] over the
-    numerator bases a, with multiplicity, and b = [d] * d."""
-    return (([], [], []), [e for e, mult in numerator_factors(family, d, r)
-                           for _ in range(mult)], [d] * d, [])
-
-
-def family_increments(family: str, d: int, r: int, limit: int) -> list[tuple]:
+def family_increments(statement: str, d: int, r: int,
+                      limit: int) -> list[tuple]:
     """``truncated_sum`` increments (a_k, b_k, c_k), k = 0..limit, of the
-    family's sum over the denominator (q^d; q^d)_limit^d."""
-    return expand(family_template(family, d, r), d, limit)
+    statement's sum over the denominator (q^d; q^d)_limit^d."""
+    return expand(family_template(statement, d, r), d, limit)
 
 
-def closed_form(check_id: str, d: int, n: int, r: int = 1):
-    """Right-hand side of a catalog congruence as (sign, shift, num, den),
-    the quotient sign q^shift prod_num (1 - q^e) / prod_den (1 - q^e); None
+def closed_form(statement: str, d: int, n: int, r: int):
+    """Right-hand side of a statement as (sign, shift, num, den), the
+    quotient sign q^shift prod_num (1 - q^e) / prod_den (1 - q^e); None
     when it is zero.
 
     num is the explicit factors followed by (q^d; q^d)_{n-1-m}, den is
     (q^d; q^d)_m repeated d - 1 times, and the sign is (-1)^parity.
     """
-    if check_id in ("lemma21", "eq22"):
+    if statement == "lemma21":
         return None
-    if check_id == "eq13":
+    if statement == "eq13":
         m = _exact_quotient(n - 1, d)
         parity, units = n - 1 - m, []
         shift = _exact_quotient((d - 1) * (n - 1) * (d + n - 1), 2 * d)
-    elif check_id in ("eq14", "thm11", "eq15", "thm12"):
-        m = _exact_quotient(n + 1, d)
-        mixed = check_id in ("eq14", "thm11")
-        parity = mixed + (m if check_id in ("thm11", "eq15") else 0)
-        shift = one_parameter_exponent(d, n) - (1 if mixed else 2)
-        units = [1, d - 1] if mixed else [1, 1]
-    elif check_id == "thm41":
+    elif statement == "thm41":
         m = _exact_quotient(n + r, d)
         parity, shift, units = n - m, a_exponent(d, n, r), [r] * r + [d - r]
-    elif check_id == "thm42":
+    elif statement == "thm42":
         m = _exact_quotient(n + r, d)
         parity, shift = n - 1 - m, a_exponent(d, n, r) - r
         units = [r] * (r + 1)
     else:
-        raise ValueError(f"no closed form for check {check_id!r}")
+        raise ValueError(f"no closed form for statement {statement!r}")
     num = units + [d * (t + 1) for t in range(n - 1 - m)]
     den = [d * (t + 1) for t in range(m)] * (d - 1)
     return (-1) ** (parity % 2), shift, num, den
@@ -140,20 +126,6 @@ def mutated(quotient, mutation: str | None):
     if mutation == "exponent":
         return sign, shift + 1, num, den
     raise ValueError(f"unknown mutation {mutation!r}")
-
-
-def theorem_family(check_id: str) -> str:
-    return {
-        "eq13": F1_GUO,
-        "eq14": F2_MIXED,
-        "thm11": F2_MIXED,
-        "eq15": F3_SQUARED,
-        "thm12": F3_SQUARED,
-        "lemma21": F4_LEMMA,
-        "eq22": F4_LEMMA,
-        "thm41": F5_THM41,
-        "thm42": F6_THM42,
-    }[check_id]
 
 
 def theorem_precondition(check_id: str, d: int, n: int, r: int) -> str | None:

@@ -18,7 +18,7 @@ q-binomial rewriting and the splittings are equalities of quotients
 exponent count of their ratio; the one sum among them, 1 + ratio in the
 splittings, is decided by ``relation_vanishes`` as A + B - C.  The
 three-sum decomposition, mixed = [d] divisibility - q [d-1] squared over
-the families' own templates, holds term by term.  Each run's intercepts
+their (statement, r) templates, holds term by term.  Each run's intercepts
 are congruent to run 1's mod d, so the ratios of their terms telescope,
 and cleared of them the relation has degree D = 1 in x = q^{dk}:
 ``first_failing_term`` decides it on terms 0..D + 1, which prove it for
@@ -32,7 +32,7 @@ import random
 from fractions import Fraction
 
 from .cyclotomic import cyclotomic, divisors, q_integer
-from .families import F2_MIXED, F3_SQUARED, F7_DIVISIBILITY, family_template
+from .families import family_template
 from .parametric import parametric_precondition
 from .poly import poly_prod
 from .qfuncs import (
@@ -298,11 +298,14 @@ def _check_exponent_identity(d, r, n, k) -> str | None:
     return None
 
 
+# The decomposition's mixed, divisibility and squared sums as (statement, r).
+DECOMPOSITION_SUMMANDS = (("thm41", 1), ("lemma21", 1), ("thm42", 1))
+
+
 def _decomposition_templates(d) -> list[tuple]:
-    """The three sums of the decomposition, mixed = [d] divisibility -
-    q [d-1] squared, as ``family_template`` templates."""
-    return [family_template(f, d, 1)
-            for f in (F2_MIXED, F7_DIVISIBILITY, F3_SQUARED)]
+    """The decomposition's three sums as ``family_template`` templates."""
+    return [family_template(statement, d, r)
+            for statement, r in DECOMPOSITION_SUMMANDS]
 
 
 def _decomposition_relation(d):

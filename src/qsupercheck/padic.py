@@ -1,16 +1,16 @@
-"""The classical congruences, read as the q -> 1 shadows of the families.
+"""The classical congruences, read as the q -> 1 shadows of the statements.
 
-At q = 1 a family's term prod (q^e; q^d)_k^m q^{dk} / (q^d; q^d)_k^d is
-prod (e/d)_k^m / k!^d.  ``shadow_sum`` sums it over the integers, and each
-check is admissible where the q-statement it shadows is, at n = p:
+At q = 1 a statement's term prod_e (q^e; q^d)_k q^{dk} / (q^d; q^d)_k^d
+is prod_e (e/d)_k / k!^d.  ``shadow_sum`` sums it over the integers, and
+each check is admissible where the q-statement it shadows is, at n = p:
 
-    check            q-statement    family   least prime
-    rv_11            eq13, d = 2    F1       3
-    deines_12        eq13           F1       3
-    cor41_i          lemma21        F5       3
-    cor41_ii         thm42          F6       5
-    gamma_factorial  thm42          -        5
-    wlt_integrality  thm13          F7       - (takes n, not p)
+    check            q-statement    summand         least prime
+    rv_11            eq13, d = 2    eq13            3
+    deines_12        eq13           eq13            3
+    cor41_i          lemma21        thm41           3
+    cor41_ii         thm42          thm42           5
+    gamma_factorial  thm42          -               5
+    wlt_integrality  thm13          lemma21, r = 1  - (takes n, not p)
 
 Morita's Gamma_p is read at a rational through its integer representative
 mod p^k, since Gamma_p(x) == Gamma_p(y) (mod p^k) whenever x == y (mod
@@ -19,23 +19,24 @@ p^k); the product Gamma_p(m) = (-1)^m prod_{0 < i < m, p !| i} i suffices.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
 from .cyclotomic import is_prime
-from .families import (F1_GUO, F5_THM41, F6_THM42, F7_DIVISIBILITY,
-                       numerator_factors, theorem_precondition)
+from .families import at_r, numerator_bases, theorem_precondition
 from .results import CheckResult, fails, holds, skipped
 
-# Check id -> (q-statement whose precondition it shares, family whose sum
-# at q = 1 is its left-hand side, least prime p or None when it takes n).
+# Check id -> (q-statement whose precondition it shares, (statement, r or
+# None for the instance's) whose sum at q = 1 is its left-hand side, least
+# prime p or None when it takes n).
 SHADOWS = {
-    "rv_11": ("eq13", F1_GUO, 3),
-    "deines_12": ("eq13", F1_GUO, 3),
-    "cor41_i": ("lemma21", F5_THM41, 3),
-    "cor41_ii": ("thm42", F6_THM42, 5),
+    "rv_11": ("eq13", ("eq13", 1), 3),
+    "deines_12": ("eq13", ("eq13", 1), 3),
+    "cor41_i": ("lemma21", ("thm41", None), 3),
+    "cor41_ii": ("thm42", ("thm42", None), 5),
     "gamma_factorial": ("thm42", None, 5),
-    "wlt_integrality": ("thm13", F7_DIVISIBILITY, None),
+    "wlt_integrality": ("thm13", ("lemma21", 1), None),
 }
 CLASSICAL_IDS = tuple(SHADOWS)
 
@@ -64,17 +65,18 @@ def padic_gamma(p: int, k: int, x: int | Fraction) -> int:
     return (-product if m % 2 else product) % modulus
 
 
-def shadow_sum(family: str, d: int, r: int, limit: int) -> tuple[int, int]:
-    """Integers (N, D) with N / D = sum_{k <= limit} prod (e/d)_k^m / k!^d
-    over the family's numerator factors (e, m), its sum at q = 1.
+def shadow_sum(statement: str, d: int, r: int, limit: int) -> tuple[int, int]:
+    """Integers (N, D) with N / D = sum_{k <= limit} prod (e/d)_k / k!^d
+    over the statement's numerator bases e, its sum at q = 1.
 
-    The multiplicities sum to d, so term k is A_k / (d^k k!)^d with
-    A_k = prod_{j<k} prod (e + jd)^m, and N_k = N_{k-1} (dk)^d + A_k,
+    There are d bases, so term k is A_k / (d^k k!)^d with
+    A_k = prod_{j<k} prod (e + jd), and N_k = N_{k-1} (dk)^d + A_k,
     D_k = D_{k-1} (dk)^d.
     """
-    factors = numerator_factors(family, d, r)
-    if sum(m for _, m in factors) != d:
-        raise ValueError(f"{family} multiplicities do not sum to d = {d}")
+    bases = numerator_bases(statement, d, r)
+    if len(bases) != d:
+        raise ValueError(f"{statement} has {len(bases)} bases, not d = {d}")
+    factors = Counter(bases).items()
     num = den = term = 1
     for k in range(1, limit + 1):
         for e, m in factors:
@@ -88,7 +90,7 @@ def verify_classical(check_id: str, params: dict) -> CheckResult:
     """One classical check: a congruence mod p^2, or wlt's integrality."""
     if check_id not in SHADOWS:
         raise ValueError(f"unknown classical id {check_id!r}")
-    statement, family, least = SHADOWS[check_id]
+    statement, summand, least = SHADOWS[check_id]
     params = dict(params)
     d, r = params.get("d", 2), params.get("r", 1)  # rv_11: d = 2; no r: 1
     n = params["p"] if least else params["n"]
@@ -98,18 +100,20 @@ def verify_classical(check_id: str, params: dict) -> CheckResult:
     if reason:
         at = " at n = p" if least else ""
         return skipped(check_id, params, f"as {statement}{at}: {reason}")
+    if summand is not None:  # gamma_factorial has none
+        name, at = at_r(summand, r)
+        num, den = shadow_sum(name, d, at, n - 1)
     if not least:  # wlt's prefactor (n-1)!^d d^(dn-d) is D: N / n^2 is left
-        value = Fraction(shadow_sum(family, d, r, n - 1)[0], n * n)
+        value = Fraction(num, n * n)
         if value.denominator != 1:
             return fails(check_id, params, f"non-integer value {value}")
         return holds(check_id, params)
     p, modulus = n, n * n
-    if family is None:  # gamma_factorial
+    if summand is None:
         m = (p + r) // d
         lhs = factorial(p - 1 - m) * pow(factorial(m), 1 - d, modulus)
     else:
-        num, den = shadow_sum(family, d, r, p - 1)  # p !| den: k < p, p !| d
-        lhs = num * pow(den, -1, modulus)
+        lhs = num * pow(den, -1, modulus)  # p !| den: k < p, p !| d
     if check_id == "rv_11":
         rhs = (-1) ** ((p - 1) // 2)
     elif check_id == "deines_12":

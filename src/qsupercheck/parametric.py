@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import functools
 
-from .families import (F6_THM42, a_exponent, family_template, mutated,
+from .families import (a_exponent, family_template, mutated,
                        theorem_precondition)
 from .qfuncs import first_failing_term, pair_intercepts, quotients_differ
 from .results import CheckResult, fails, holds, skipped
@@ -186,7 +186,7 @@ def _reference_template(shifted: bool, d: int, r: int):
     multiplied by (1 - q^{dk-d+r})^r.
     """
     if not shifted:
-        return family_template(F6_THM42, d, r)
+        return family_template("thm42", d, r)
     return (([], [r - d, r] * (r + 1), [r - d] * r),
             [d + r] * (d - r - 1) + [r - d] * (r + 1), [d] * d, [r] * r)
 

@@ -5,33 +5,33 @@ denominators are products of factors 1 - q^e.  Each side is kept as a
 (numerator, denominator) pair of elements of Z[q]/(Phi_n^2), and the
 check compares the cross products.  The modulus is monic with integer
 coefficients, so every coefficient stays an integer and nothing is
-inverted.  The closed form comes from ``families.closed_form`` as exponent
-lists, and each list is one product of factors 1 - q^e reduced into the
-ring.  Cross-multiplying is valid only when both denominators are units;
-1 - q^e is divisible by Phi_n exactly when n divides e, so each
-denominator factor is checked by counting and a non-unit raises
-``NonUnitError``.  The divisibility family is different in kind: its
+inverted.  A theorem id checks the (statement, r) of ``families.THEOREMS``,
+whose closed form's exponent lists are each reduced into the ring as one
+product of factors 1 - q^e.  Cross-multiplying is valid only when both
+denominators are units; 1 - q^e is divisible by Phi_n exactly when n
+divides e, so each denominator factor is checked by counting and a
+non-unit raises ``NonUnitError``.  thm13's sum is different in kind: its
 prefactor cancels every denominator exactly, which is proved by counting
 factors 1 - q^e, and [n]^2 divides the result exactly when (1 - q^n)^2
-divides (1 - q)^2 times the numerator of the family's sum, which
-``relation_vanishes`` decides folded modulo (1 - q^n)^2; only a FAILS
-unpacks that numerator, for its witness.  The ring sum ``lhs_sum`` keeps
-its own recurrence on ring elements.
+divides (1 - q)^2 times the sum's numerator, which ``relation_vanishes``
+decides folded modulo (1 - q^n)^2; only a FAILS unpacks that numerator,
+for its witness.  ``lhs_sum`` keeps its own recurrence on ring elements.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import accumulate
 
 from .cyclotomic import cyclotomic, q_integer
 from .families import (
-    F7_DIVISIBILITY,
+    THEOREMS,
     IntegralityError,
+    at_r,
     closed_form,
     family_increments,
     mutated,
-    numerator_factors,
-    theorem_family,
+    numerator_bases,
     theorem_precondition,
 )
 from .laurent import Laurent
@@ -40,8 +40,8 @@ from .qfuncs import one_minus_product, relation_vanishes, truncated_sum
 from .residue import NonUnitError, ResidueRing, RingElement
 from .results import CheckResult, fails, holds, skipped
 
-THEOREM_IDS = ("eq13", "eq14", "eq15", "thm11", "thm12", "lemma21", "eq22",
-               "thm41", "thm42")
+# thm13's summand: the divisibility sum is lemma21's at r = 1.
+DIVISIBILITY_SUMMAND = ("lemma21", 1)
 
 Fractional = tuple[RingElement, RingElement]  # (numerator, denominator)
 
@@ -55,16 +55,17 @@ def _require_unit(ring: ResidueRing, e: int) -> None:
         raise NonUnitError(cyclotomic(ring.n) if e else Poly())
 
 
-def lhs_sum(family: str, d: int, r: int, n: int, ring: ResidueRing) -> Fractional:
-    """Sum_{k=0}^{n-1} of the family's term as a pair (N, D) with sum = N / D.
+def lhs_sum(statement: str, d: int, r: int, n: int,
+            ring: ResidueRing) -> Fractional:
+    """Sum_{k=0}^{n-1} of the statement's term as (N, D), sum = N / D.
 
     With h_k = (1 - q^{dk})^d and T_k = q^{dk} prod_e (q^e; q^d)_k^{m_e}
     the term's numerator, the forward recurrence N_k = N_{k-1} h_k + T_k,
     D_k = D_{k-1} h_k gives D = (q^d; q^d)_{n-1}^d.  Every factor of D is
     checked to be a unit; none is inverted.
     """
-    factors = numerator_factors(family, d, r)
-    running = {e: ring.one for e, _ in factors}
+    factors = Counter(numerator_bases(statement, d, r))
+    running = {e: ring.one for e in factors}
     base = {e: ring.pow_q(e) for e in running}
     q_step = ring.pow_q(d)
     q_power = ring.one  # q^{d(k-1)} at the top of the loop, q^{dk} below
@@ -76,18 +77,18 @@ def lhs_sum(family: str, d: int, r: int, n: int, ring: ResidueRing) -> Fractiona
         q_power = q_power * q_step
         h = (ring.one - q_power) ** d
         term = q_power
-        for e, mult in factors:
+        for e, mult in factors.items():
             term = term * running[e] ** mult
         num = num * h + term
         den = den * h
     return num, den
 
 
-def rhs_closed_form(check_id: str, d: int, r: int, n: int, ring: ResidueRing,
+def rhs_closed_form(statement: str, d: int, r: int, n: int, ring: ResidueRing,
                     mutation: str | None = None) -> Fractional:
-    """The check's closed form as a (num, den) pair; (0, 1) for the
-    vanishing ones.  Every factor of den is checked to be a unit."""
-    quotient = mutated(closed_form(check_id, d, n, r), mutation)
+    """The statement's closed form as a (num, den) pair; (0, 1) for the
+    vanishing one.  Every factor of den is checked to be a unit."""
+    quotient = mutated(closed_form(statement, d, n, r), mutation)
     if quotient is None:
         return ring.zero, ring.one
     sign, shift, num, den = quotient
@@ -100,10 +101,11 @@ def rhs_closed_form(check_id: str, d: int, r: int, n: int, ring: ResidueRing,
 def verify_theorem(check_id: str, d: int, n: int, r: int = 1,
                    mutation: str | None = None) -> CheckResult:
     """Compare LHS sum and closed form in Z[q]/(Phi_n(q)^2)."""
-    if check_id not in THEOREM_IDS:
+    declared = THEOREMS.get(check_id)
+    if declared is None:
         raise ValueError(f"unknown theorem id {check_id!r}")
     params = {"d": d, "n": n}
-    if check_id in ("lemma21", "thm41", "thm42"):
+    if declared[1] is None:
         params["r"] = r
     reason = theorem_precondition(check_id, d, n, r)
     if reason is not None:
@@ -113,8 +115,9 @@ def verify_theorem(check_id: str, d: int, n: int, r: int = 1,
         note = "boundary case n = 2: accepted, smallest admissible n"
     try:
         ring = ResidueRing(n)
-        lhs_num, lhs_den = lhs_sum(theorem_family(check_id), d, r, n, ring)
-        rhs_num, rhs_den = rhs_closed_form(check_id, d, r, n, ring, mutation)
+        name, at = at_r(declared, r)
+        lhs_num, lhs_den = lhs_sum(name, d, at, n, ring)
+        rhs_num, rhs_den = rhs_closed_form(name, d, at, n, ring, mutation)
     except (NonUnitError, IntegralityError) as exc:
         return fails(check_id, params, f"{type(exc).__name__}: {exc}")
     difference = lhs_num * rhs_den - rhs_num * lhs_den
@@ -150,7 +153,8 @@ def divisibility_expression(d: int, n: int) -> Laurent:
     division raises IntegralityError.  ``verify_divisibility`` needs this
     only for the witness of a FAILS.
     """
-    increments = family_increments(F7_DIVISIBILITY, d, 1, n - 1)
+    statement, r = DIVISIBILITY_SUMMAND
+    increments = family_increments(statement, d, r, n - 1)
     num = truncated_sum(d, increments).laurent()
     body = list(num.body.coeffs)
     for _ in range(d * (n - 1)):
@@ -174,7 +178,8 @@ def verify_divisibility(d: int, n: int) -> CheckResult:
     if reason is not None:
         return skipped("thm13", params, reason)
     try:
-        increments = family_increments(F7_DIVISIBILITY, d, 1, n - 1)
+        statement, r = DIVISIBILITY_SUMMAND
+        increments = family_increments(statement, d, r, n - 1)
         _require_integral(increments, d * (n - 1))
         if relation_vanishes(d, [(1, 0, [1, 1], increments)], fold=n):
             return holds("thm13", params)

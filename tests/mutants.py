@@ -46,6 +46,8 @@ _REPORT = "tests/test_report.py"
 _NET_COUNT = (_PARAMETRIC
               + "test_sides_are_compared_on_one_net_count_by_hand")
 _FOLD = _QFUNCS + "test_fold_step_matches_the_old_step_and_division"
+_VERIFIER = "tests/test_verifier.py::"
+_DISPLAYS = _VERIFIER + "test_every_summand_is_the_papers_display"
 
 MUTANTS = [
     # The termwise decider and its two callers.
@@ -91,6 +93,10 @@ MUTANTS = [
      "        return None",
      "a differing certificate term read as HOLDS",
      [_DECOMPOSITION + "test_decomposition_with_a_wrong_exponent_fails"]),
+    ("identities.py", 'if expect not in (None, "zero", "nonzero"):',
+     "if False:",
+     "an unknown expectation checks nothing and reads as HOLDS",
+     [_DECOMPOSITION + "test_qbinom_unknown_expect_is_an_error"]),
     # Templates and their keys.
     ("parametric.py",
      "tuple(tuple(sorted(exps)) for exps in (a0, b0, c0, a, b, c))",
@@ -213,6 +219,18 @@ MUTANTS = [
     ("qfuncs.py", "value += (high << digits + 1) - high - (high << 2 * digits)",
      "value += (high << digits + 1) + high - (high << 2 * digits)",
      "a sum's fold by X^2 = 2X + 1", [_FOLD]),
+    # The (statement, r) table and the summands it reads.
+    ("families.py", '"eq14": ("thm41", 1)', '"eq14": ("thm42", 1)',
+     "eq14 read as thm42", [_DISPLAYS]),
+    ("families.py", '"thm12": ("thm42", 1)', '"thm12": ("thm42", 2)',
+     "a one-parameter id read at r = 2",
+     [_VERIFIER + "test_verify_theorem_examples", _DISPLAYS]),
+    ("verifier.py", 'DIVISIBILITY_SUMMAND = ("lemma21", 1)',
+     'DIVISIBILITY_SUMMAND = ("thm41", 1)', "thm13's summand read as thm41's",
+     [_DISPLAYS, _VERIFIER
+      + "test_divisibility_expression_matches_q_integer_oracle"]),
+    ("families.py", "[r] * (r - 1)", "[r] * r",
+     "one power too many of thm41's (q^r; q^d)_k", [_DISPLAYS]),
     # The report layout.
     ("report.py", "keyed.sort(key=itemgetter(0))",
      "keyed.sort(key=lambda pair: pair[0][1])",

@@ -14,14 +14,7 @@ from math import factorial
 from math import gcd as igcd
 
 from qsupercheck import __version__, identities, parametric
-from qsupercheck.families import (
-    F6_THM42,
-    a_exponent,
-    family_increments,
-    mutated,
-    numerator_factors,
-    one_parameter_exponent,
-)
+from qsupercheck.families import a_exponent, mutated
 from qsupercheck.cyclotomic import is_prime
 from qsupercheck.laurent import Laurent, RatFunc
 from qsupercheck.padic import padic_gamma, rational_residue
@@ -123,6 +116,37 @@ def _exact(num, den):
     return num // den
 
 
+def written_out_summand(check_id, d, r=1):
+    """The summand's numerator Pochhammers as the paper displays them, each
+    (q^e; q^d)_k^m as (e, m), for a theorem id, thm13 or a classical id,
+    whose sum is its q-statement's at q = 1 ((e/d)_k^m / k!^d); the
+    denominator is (q^d; q^d)_k^d and the term carries q^{dk}."""
+    if check_id in ("eq13", "deines_12"):
+        return ((d - 1, d),)
+    if check_id == "rv_11":  # (1/2)_k^2 / k!^2, at d = 2
+        return ((1, 2),)
+    if check_id in ("eq14", "thm11"):
+        return ((d + 1, d - 1), (1 - d, 1))
+    if check_id in ("eq15", "thm12"):
+        return ((d + 1, d - 2), (1, 2))
+    if check_id in ("eq22", "thm13", "wlt_integrality"):
+        return ((d + 1, d - 2), (1, 1), (1 - d, 1))
+    if check_id == "lemma21":
+        return ((d + r, d - r - 1), (r, r), (r - d, 1))
+    if check_id in ("thm41", "cor41_i"):
+        return ((d + r, d - r), (r, r - 1), (r - d, 1))
+    assert check_id in ("thm42", "cor41_ii"), check_id
+    return ((d + r, d - r - 1), (r, r + 1))
+
+
+def summand_counts(check_id, d, r=1):
+    """``written_out_summand`` as a Counter of numerator bases."""
+    counts = Counter()
+    for e, mult in written_out_summand(check_id, d, r):
+        counts[e] += mult
+    return +counts
+
+
 def written_out_closed_form(check_id, d, n, r=1):
     """The closed form as the paper displays it: (sign, q-power, unit
     factors (e, multiplicity), numerator and denominator Pochhammers
@@ -132,15 +156,15 @@ def written_out_closed_form(check_id, d, n, r=1):
         return (-1 if ((d - 1) * t) % 2 else 1,
                 _exact((d - 1) * (n - 1) * (d + n - 1), 2 * d),
                 (), ((d, d, (d - 1) * t, 1),), ((d, d, t, d - 1),))
-    if check_id in ("eq14", "thm11"):
+    if check_id in ("eq14", "thm11", "eq15", "thm12"):
         m = _exact(n + 1, d)
-        sign = 1 if check_id == "thm11" and m % 2 else -1
-        return (sign, one_parameter_exponent(d, n) - 1, ((1, 1), (d - 1, 1)),
-                ((d, d, n - 1 - m, 1),), ((d, d, m, d - 1),))
-    if check_id in ("eq15", "thm12"):
-        m = _exact(n + 1, d)
+        core = _exact(d * (d + n) * (n + 1) - (n + 1) ** 2, 2 * d)
+        if check_id in ("eq14", "thm11"):
+            sign = 1 if check_id == "thm11" and m % 2 else -1
+            return (sign, core - 1, ((1, 1), (d - 1, 1)),
+                    ((d, d, n - 1 - m, 1),), ((d, d, m, d - 1),))
         sign = -1 if check_id == "eq15" and m % 2 else 1
-        return (sign, one_parameter_exponent(d, n) - 2, ((1, 2),),
+        return (sign, core - 2, ((1, 2),),
                 ((d, d, n - 1 - m, 1),), ((d, d, m, d - 1),))
     if check_id in ("lemma21", "eq22"):
         return None
@@ -174,10 +198,19 @@ def written_out_counts(check_id, d, n, r, mutation):
     return sign, shift, num, den
 
 
-def lhs_sum_whole(family, d, r, n, ring):
-    """The congruence sum built as numerator over a common denominator,
-    both reduced once, and divided in the ring."""
-    factors = numerator_factors(family, d, r)
+def written_out_value(check_id, d, n, ring, r=1):
+    """``written_out_closed_form`` as a (num, den) pair in the ring."""
+    sign, shift, num, den = written_out_counts(check_id, d, n, r, None)
+    rhs = ring.pow_q(shift) * ring.element(laurent_product(num.elements()))
+    return (rhs if sign > 0 else -rhs), ring.element(
+        laurent_product(den.elements()))
+
+
+def lhs_sum_whole(check_id, d, r, n, ring):
+    """The congruence sum of ``written_out_summand`` built as numerator
+    over a common denominator, both reduced once, and divided in the
+    ring."""
+    factors = written_out_summand(check_id, d, r)
     num_total = Laurent(Poly())
     for k in range(n):
         term = Laurent(Poly((1,))).shifted(d * k)
@@ -229,7 +262,9 @@ def reference_increments(check_id, d, r, n):
     family's own unless the index is shifted."""
     limit = _upper_limit(check_id in _SHIFTED_INDEX, d, r, n)
     if check_id not in _SHIFTED_INDEX:
-        return family_increments(F6_THM42, d, r, limit)
+        bases = list(summand_counts("thm42", d, r).elements())
+        return [([], [], [])] + [([e + d * (k - 1) for e in bases],
+                                  [d * k] * d, []) for k in range(1, limit + 1)]
     increments = [([], [r - d, r] * (r + 1), [r - d] * r)]
     for k in range(1, limit + 1):
         increments.append(([d + r + d * (k - 1)] * (d - r - 1)

@@ -45,7 +45,7 @@ from qsupercheck.catalog import (
     paper_wide_suite,
     run_check,
 )
-from qsupercheck.families import F5_THM41, F6_THM42, numerator_factors
+from qsupercheck.families import THEOREMS, at_r
 from qsupercheck.padic import shadow_sum
 from qsupercheck.parametric import verify_parametric
 from qsupercheck.report import _SUMMARY_KEYS, Report, SweepPlan
@@ -53,7 +53,12 @@ from qsupercheck.residue import ResidueRing
 from qsupercheck.results import Status, canonical_params
 from qsupercheck.verifier import lhs_sum, rhs_closed_form, verify_theorem
 
-from oracles import classical_lhs_sum, lhs_sum_whole
+from oracles import (
+    classical_lhs_sum,
+    lhs_sum_whole,
+    written_out_summand,
+    written_out_value,
+)
 
 
 # `qsupercheck sweep --suite paper-default --format json` without its
@@ -192,7 +197,7 @@ def test_criterion_8a_r1_collapse():
                 pairs.append(("thm41", mixed_id))
             for two_param, one_param in pairs:
                 num2, den2 = rhs_closed_form(two_param, d, 1, n, ring)
-                num1, den1 = rhs_closed_form(one_param, d, 1, n, ring)
+                num1, den1 = written_out_value(one_param, d, n, ring)
                 assert num2 * den1 == num1 * den2, (two_param, d, n)
 
 
@@ -211,9 +216,10 @@ def _summand_value_at_one(num_factors, d, k):
     return Fraction(prod(num) if len(num) == len(den) else 0, prod(den))
 
 
-def _family_sum_at_one_mod(family, d, r, p, precision=2):
-    """Sum over k < p of the q = 1 term values, reduced mod p^precision."""
-    factors = numerator_factors(family, d, r)
+def _family_sum_at_one_mod(check_id, d, r, p, precision=2):
+    """Sum over k < p of the q = 1 term values of the displayed summand,
+    reduced mod p^precision."""
+    factors = written_out_summand(check_id, d, r)
     total = sum(_summand_value_at_one(factors, d, k) for k in range(p))
     modulus = p**precision
     if total.denominator % p == 0:
@@ -224,17 +230,15 @@ def _family_sum_at_one_mod(family, d, r, p, precision=2):
 def test_criterion_8b_q1_specialization_matches_padic():
     with criterion("8b q = 1 specialization agrees with the mod-p^2 sums"):
         for d, r, p in ((3, 1, 5), (4, 1, 7), (5, 2, 13)):
-            for family, kind in ((F5_THM41, "thm41"), (F6_THM42, "thm42")):
-                at_one = _family_sum_at_one_mod(family, d, r, p)
+            for kind in ("thm41", "thm42"):
+                at_one = _family_sum_at_one_mod(kind, d, r, p)
                 assert at_one == classical_lhs_sum(kind, d, r, p)
-                num, den = shadow_sum(family, d, r, p - 1)
+                num, den = shadow_sum(kind, d, r, p - 1)
                 assert at_one == num * pow(den, -1, p * p) % (p * p)
 
 
 def test_criterion_8c_incremental_vs_whole_sum_oracle():
     with criterion("8c fraction-free sums match the one-shot oracle, n <= 10"):
-        from qsupercheck.families import theorem_family
-
         seen = 0
         grids = [("eq13", [(d, 1, n) for d, n in GRID_EQ13]),
                  ("eq14", [(d, 1, n) for d, n in GRID_EQ14]),
@@ -245,13 +249,13 @@ def test_criterion_8c_incremental_vs_whole_sum_oracle():
                  ("thm41", GRID_THM41),
                  ("thm42", GRID_THM42)]
         for cid, grid in grids:
-            family = theorem_family(cid)
             for d, r, n in grid:
                 if n > 10:
                     continue
                 ring = ResidueRing(n)
-                num, den = lhs_sum(family, d, r, n, ring)
-                assert num == lhs_sum_whole(family, d, r, n, ring) * den, (
+                statement, at = at_r(THEOREMS[cid], r)
+                num, den = lhs_sum(statement, d, at, n, ring)
+                assert num == lhs_sum_whole(cid, d, r, n, ring) * den, (
                     cid, d, r, n)
                 seen += 1
         assert seen >= 30

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qsupercheck import cli
+from qsupercheck import catalog, cli
 from qsupercheck.cli import main
 
 from oracles import result_dict
@@ -306,6 +306,32 @@ def test_plan_entry_names_follow_the_flag_rule(tmp_path, capsys, entry,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("plan,message", [
+    ({"checks": [{"id": "thm12", "params": {"d": "3", "n": 5}}]},
+     "plan parameter 'd' expects an integer, got '3'"),
+    ({"checks": [{"id": "km", "params": {"n_list": [1, 2], "trials": 2.5}}]},
+     "plan parameter 'trials' expects an integer, got 2.5"),
+    ({"checks": [{"id": "km", "params": {"n_list": [1]}}], "trials": "5"},
+     "plan 'trials' expects an integer, got '5'"),
+    ({"checks": [{"id": "km", "params": {"n_list": [1, "2"]}}]},
+     "plan parameter 'n_list' expects a list of integers, got (1, '2')"),
+    ({"checks": [{"id": "qbinom_vanish",
+                  "params": {"n": 4, "j": 1, "expect": "maybe"}}]},
+     "plan parameter 'expect' expects zero or nonzero, got 'maybe'"),
+    ({"checks": [{"id": "thm12", "params": {"d": True, "n": 5}}]},
+     "plan parameter 'd' expects an integer, got True"),
+])
+def test_plan_values_follow_the_flag_rule(tmp_path, capsys, monkeypatch,
+                                          plan, message):
+    # As `--d x` is a usage error, so is a plan value the flag would not
+    # read; no check runs.
+    monkeypatch.setattr(cli, "run_check", None)
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    assert main(["sweep", "--plan", str(plan_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_optional_parameters_are_declared_per_check(tmp_path, capsys):
     # Only qbinom_vanish and km may leave parameters out, so a ratio shift
     # without j is a usage error, from the flags or from a plan entry,
@@ -353,17 +379,18 @@ def test_plan_km_entries_take_the_plan_seed_and_trials(tmp_path, capsys):
     # An entry without its own seed or trials lists the ones it ran with,
     # whatever its status; the echoed plan stays as written.
     checks = [{"id": "km", "params": {"n_list": [1, 2]}},
-              {"id": "km", "params": {"n_list": [1], "trials": "5"}}]
+              {"id": "km", "params": {"n_list": [1], "trials": 0}}]
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps({"checks": checks, "seed": 7}))
     out_path = tmp_path / "report.json"
     assert main(["sweep", "--plan", str(plan_path), "--trials", "3",
-                 "--out", str(out_path)]) == 4
+                 "--out", str(out_path)]) == 0
     report = json.loads(out_path.read_text())
     params = {r["status"]: r["params"] for r in report["results"]}
     assert params["HOLDS"] == {"m": 2, "n_list": [1, 2], "seed": 7,
                                "trials": 3}
-    assert params["ERROR"] == {"n_list": [1], "seed": 7, "trials": "5"}
+    assert params["SKIPPED_PRECONDITION"] == {"m": 1, "n_list": [1],
+                                              "seed": 7, "trials": 0}
     assert report["plan"]["checks"] == checks
 
 
@@ -467,14 +494,23 @@ def test_fast_mode_flag_is_a_usage_error(capsys):
     assert main(["sweep", "--suite", "paper-default", "--fast-mode"]) == 2
 
 
-def test_engine_error_exit_four(tmp_path, capsys):
+def test_engine_error_exit_four(tmp_path, capsys, monkeypatch):
+    # A plan that passes the flag rules reaches no engine fault, so one is
+    # planted in the verifier that catalog's runners look up by name.
+    real = catalog.verify_theorem
+
+    def faulty(check_id, **params):
+        if params["d"] == 5:
+            raise TypeError("planted engine fault")
+        return real(check_id, **params)
+
+    monkeypatch.setattr(catalog, "verify_theorem", faulty)
     plan = {"checks": [
         {"id": "thm12", "params": {"d": 3, "n": 5}},
         {"id": "qbinom_vanish", "params": {"n": 2, "j": 2, "expect": "zero"}},
-        {"id": "thm12", "params": {"d": 3, "n": "x"}},
-        # An expectation other than zero or nonzero would check nothing.
-        {"id": "qbinom_vanish", "params": {"n": 4, "j": 9, "expect": "zer0"}},
-        {"id": "qbinom_vanish", "params": {"n": 4, "j": 1, "expect": "maybe"}},
+        {"id": "thm12", "params": {"d": 5, "n": 9}},
+        {"id": "eq13", "params": {"d": 5, "n": 6}},
+        {"id": "thm41", "params": {"d": 5, "r": 2, "n": 8}},
     ]}
     plan_path = tmp_path / "plan.json"
     plan_path.write_text(json.dumps(plan))
@@ -485,5 +521,5 @@ def test_engine_error_exit_four(tmp_path, capsys):
     assert report["summary"] == {"holds": 1, "fails": 1, "skipped": 0,
                                  "errors": 3}
     error = [r for r in report["results"] if r["status"] == "ERROR"]
-    assert [r["witness"].split(":")[0] for r in error] == [
-        "ValueError", "ValueError", "TypeError"]
+    assert [r["witness"] for r in error] == [
+        "TypeError: planted engine fault"] * 3

@@ -137,6 +137,16 @@ def test_qbinom_expect_without_j_is_refused(expect):
         assert result.note == "requires j with expect"
 
 
+@pytest.mark.parametrize("expect", ["zer0", "maybe"])
+def test_qbinom_unknown_expect_is_an_error(expect):
+    # An expectation other than zero or nonzero would check nothing.
+    with pytest.raises(ValueError, match="expect must be"):
+        verify_qbinomial_vanishing(4, 1, expect)
+    result = run_check("qbinom_vanish", {"n": 4, "j": 9, "expect": expect})
+    assert result.status is Status.ERROR
+    assert result.witness.startswith("ValueError")
+
+
 def test_qbinom_vanishing_small():
     assert verify_qbinomial_vanishing(1).status is Status.HOLDS
     assert verify_qbinomial_vanishing(5).status is Status.HOLDS

@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from qsupercheck.families import F6_THM42, F7_DIVISIBILITY
 from qsupercheck.padic import (
     padic_gamma,
     rational_residue,
@@ -106,7 +105,7 @@ def test_gamma_factorial_example():
 def test_wlt_integrality():
     value = wlt_integrality_value(3, 5)
     assert value.denominator == 1
-    num, den = shadow_sum(F7_DIVISIBILITY, 3, 1, 4)
+    num, den = shadow_sum("lemma21", 3, 1, 4)
     assert Fraction(num, 25) == value
     assert den == 24**3 * 3 ** (3 * 5 - 3)
     assert verify_classical(
@@ -132,7 +131,7 @@ def test_classical_sum_matches_direct_rational_computation():
                 value *= base + i
             term *= value**mult
         total += term
-    assert Fraction(*shadow_sum(F6_THM42, d, r, p - 1)) == total
+    assert Fraction(*shadow_sum("thm42", d, r, p - 1)) == total
     expected = (total.numerator * pow(total.denominator, -1, p * p)) % (p * p)
     assert classical_lhs_sum("thm42", d, r, p) == expected
 
@@ -164,9 +163,9 @@ def test_skip_notes_read_in_terms_of_p():
 
 
 def test_shadow_sum_refuses_multiplicities_off_d():
-    # F7 at d = 1 keeps (1, 1) and (0, 1): two factors over one.
+    # lemma21 at d = 1, r = 1 keeps the bases 1 and 0: two over one.
     with pytest.raises(ValueError):
-        shadow_sum(F7_DIVISIBILITY, 1, 1, 3)
+        shadow_sum("lemma21", 1, 1, 3)
 
 
 def _classical_grid():

@@ -18,7 +18,7 @@ from qsupercheck.catalog import (
     run_check,
 )
 from qsupercheck.cyclotomic import q_integer
-from qsupercheck.families import F7_DIVISIBILITY, family_increments
+from qsupercheck.families import family_increments
 from qsupercheck.laurent import Laurent, RatFunc
 from qsupercheck.parametric import (
     PARAMETRIC_IDS,
@@ -335,7 +335,7 @@ def test_cancel_increments_fixes_thm13_and_decomposition_sums():
     cases = []
     for cid, p in KERNEL_INSTANCES:
         if cid == "thm13":
-            cases.append(family_increments(F7_DIVISIBILITY, p["d"], 1,
+            cases.append(family_increments("lemma21", p["d"], 1,
                                            p["n"] - 1))
         elif cid == "sum_decomposition":
             cases += decomposition_sums(p["d"], p["n"])
@@ -759,7 +759,7 @@ def test_divisibility_exponent_mutants_agree_with_dense_oracle(monkeypatch):
     verdicts = []
     for _ in range(70):
         d, n = rng.choice(GRID_THM13)
-        increments = family_increments(F7_DIVISIBILITY, d, 1, n - 1)
+        increments = family_increments("lemma21", d, 1, n - 1)
         k, part = rng.choice([(k, p) for k in range(n) for p in range(2)
                               if increments[k][p]])
         exps = increments[k][part]

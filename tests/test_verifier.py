@@ -20,29 +20,27 @@ from qsupercheck.catalog import (
 )
 from qsupercheck.cyclotomic import cyclotomic, divisors, q_integer
 from qsupercheck.families import (
-    F1_GUO,
-    F3_SQUARED,
-    F4_LEMMA,
-    F7_DIVISIBILITY,
+    THEOREMS,
     IntegralityError,
     a_exponent,
+    at_r,
     closed_form,
     family_increments,
+    family_template,
     mutated,
-    numerator_factors,
-    one_parameter_exponent,
-    theorem_family,
     theorem_precondition,
 )
+from qsupercheck.identities import DECOMPOSITION_SUMMANDS
 from qsupercheck.laurent import Laurent
+from qsupercheck.padic import SHADOWS
 from qsupercheck.poly import Poly, poly_prod
 from qsupercheck.qfuncs import Packed, poch_power_base, relation_vanishes
 from qsupercheck.residue import NonUnitError, ResidueRing
 from qsupercheck.results import Status
 from qsupercheck.verifier import (
+    DIVISIBILITY_SUMMAND,
     lhs_sum,
     divisibility_expression,
-    THEOREM_IDS,
     rhs_closed_form,
     verify_divisibility,
     verify_theorem,
@@ -51,9 +49,18 @@ from qsupercheck.verifier import (
 from oracles import (
     laurent_product,
     lhs_sum_whole,
+    summand_counts,
     written_out_closed_form,
     written_out_counts,
+    written_out_summand,
+    written_out_value,
 )
+
+
+def _closed_form(check_id, d, n, r):
+    """The closed form of the (statement, r) the theorem id checks."""
+    statement, at = at_r(THEOREMS[check_id], r)
+    return closed_form(statement, d, n, at)
 
 
 def _same_value(a, b):
@@ -67,40 +74,41 @@ def test_lhs_sum_two_term_by_hand():
     h1 = poch_power_base(3, 3, 1) ** 3
     t1 = (poch_power_base(4, 3, 1) * poch_power_base(1, 3, 1) ** 2
           * Laurent(Poly((1,)), 3))
-    num, den = lhs_sum(F3_SQUARED, 3, 1, 2, ring)
+    num, den = lhs_sum("thm42", 3, 1, 2, ring)
     assert num == ring.element(h1 + t1)
     assert den == ring.element(h1)
 
 
 def test_lhs_sum_coefficients_stay_integral():
     ring = ResidueRing(11)
-    for value in lhs_sum(F3_SQUARED, 3, 1, 11, ring):
+    for value in lhs_sum("thm42", 3, 1, 11, ring):
         assert all(type(c) is int for c in value.rep.coeffs)
 
 
 def test_lhs_sum_matches_whole_sum_oracle():
     ring = ResidueRing(3)
-    num, den = lhs_sum(F1_GUO, 2, 1, 3, ring)
-    assert num == lhs_sum_whole(F1_GUO, 2, 1, 3, ring) * den
+    num, den = lhs_sum("eq13", 2, 1, 3, ring)
+    assert num == lhs_sum_whole("eq13", 2, 1, 3, ring) * den
 
 
 def test_lemma_sum_vanishes():
     ring = ResidueRing(7)
-    num, _ = lhs_sum(F4_LEMMA, 4, 1, 7, ring)
+    num, _ = lhs_sum("lemma21", 4, 1, 7, ring)
     assert num.is_zero()
 
 
 def test_lhs_sum_refuses_non_unit_denominator():
     # d = 2, n = 4: the k = 2 factor 1 - q^4 is divisible by Phi_4.
     with pytest.raises(NonUnitError) as err:
-        lhs_sum(F1_GUO, 2, 1, 4, ResidueRing(4))
+        lhs_sum("eq13", 2, 1, 4, ResidueRing(4))
     assert err.value.witness == cyclotomic(4)
 
 
 def test_rhs_closed_form_refuses_non_unit_denominator():
-    # thm12 at d = 3, n = 8 in the ring of n = 3: (q^3; q^3)_3 has 1 - q^3.
+    # thm12, thm42 at r = 1, at d = 3, n = 8 in the ring of n = 3:
+    # (q^3; q^3)_3 has 1 - q^3.
     with pytest.raises(NonUnitError):
-        rhs_closed_form("thm12", 3, 1, 8, ResidueRing(3))
+        rhs_closed_form("thm42", 3, 1, 8, ResidueRing(3))
 
 
 # Statuses of (no mutation, sign mutant, exponent mutant) per check id on
@@ -163,7 +171,8 @@ def test_a_exponent_values():
     assert a_exponent(2, 3, 1) == 5
     # The r = 1 exponent of the squared family agrees with the
     # one-parameter form: A(d, n, 1) - 1 = core(d, n) - 2.
-    assert a_exponent(3, 5, 1) - 1 == one_parameter_exponent(3, 5) - 2
+    assert a_exponent(3, 5, 1) - 1 == written_out_closed_form(
+        "thm12", 3, 5)[1] == 16
 
 
 def test_rhs_closed_form_first_family():
@@ -204,6 +213,23 @@ def test_verify_theorem_rejects_unknown_id():
         verify_theorem("thm99", 3, 5)
 
 
+def test_one_parameter_ids_read_no_instance_r():
+    # A one-parameter id checks its statement at r = 1 whatever r it is
+    # called with, as its result's params, which carry no r, say; eq22
+    # once summed lemma21's summand at the given r and read FAILS.
+    for check_id, grid in (("eq13", GRID_EQ13), ("eq14", GRID_EQ14),
+                           ("eq15", GRID_EQ15), ("thm11", GRID_THM11),
+                           ("thm12", GRID_THM12), ("eq22", GRID_EQ22)):
+        for d, n in grid:
+            at_one = verify_theorem(check_id, d, n)
+            assert at_one.status is Status.HOLDS and "r" not in at_one.params
+            for r in range(2, d):
+                other = verify_theorem(check_id, d, n, r)
+                assert (other.status, other.params, other.witness) == (
+                    at_one.status, at_one.params, at_one.witness), (
+                    check_id, d, n, r)
+
+
 @pytest.mark.parametrize("check_id,d,n,r", [
     ("eq13", 2, 3, 1),
     ("eq14", 3, 5, 1),
@@ -229,7 +255,7 @@ def _divisibility_by_q_integers(d, n):
     total = Laurent(Poly())
     for k in range(n):
         exponents = []
-        for e, mult in numerator_factors(F7_DIVISIBILITY, d, 1):
+        for e, mult in written_out_summand("thm13", d):
             for j in range(k):
                 exponents.extend([e + d * j] * mult)
         for j in range(k + 1, n):
@@ -310,8 +336,9 @@ def _fold_theorem_verdict(check_id, d, n, r, mutation, added=None):
     closed form has sign 0.  ``added = (p, s)`` adds (1 - q^n)^p q^s to the
     right-hand side, so A loses q^s (1 - q^n)^p rden D.
     """
-    increments = family_increments(theorem_family(check_id), d, r, n - 1)
-    quotient = mutated(closed_form(check_id, d, n, r), mutation)
+    statement, at = at_r(THEOREMS[check_id], r)
+    increments = family_increments(statement, d, at, n - 1)
+    quotient = mutated(closed_form(statement, d, n, at), mutation)
     sign, shift, rnum, rden = quotient or (0, 0, [], [])
     lhs_den = [e for _, b, _ in increments for e in b]
     if any(e % n == 0 for e in lhs_den + rden):
@@ -352,14 +379,14 @@ def test_closed_forms_match_the_written_out_pochhammers():
     # Every admissible instance with d <= 12 and n <= 200: the same sign,
     # q-power and exponent multisets as the displayed formulas, mutants too.
     seen = 0
-    for check_id in THEOREM_IDS:
+    for check_id in THEOREMS:
         two_parameter = check_id in ("lemma21", "thm41", "thm42")
         for d in range(2, 13):
             for r in range(1, d) if two_parameter else (1,):
                 for n in range(2, 201):
                     if theorem_precondition(check_id, d, n, r) is not None:
                         continue
-                    quotient = closed_form(check_id, d, n, r)
+                    quotient = _closed_form(check_id, d, n, r)
                     if written_out_closed_form(check_id, d, n, r) is None:
                         assert quotient is None
                         continue
@@ -373,7 +400,7 @@ def test_closed_forms_match_the_written_out_pochhammers():
 
 
 def test_r1_collapse_of_closed_forms():
-    # The two-parameter closed forms at r = 1 must equal the
+    # The two-parameter closed forms at r = 1 must equal the displayed
     # one-parameter ones, odd d matching the odd-d display and even d
     # the even-d one.
     for d, n, flavor_mixed, flavor_squared in (
@@ -383,9 +410,9 @@ def test_r1_collapse_of_closed_forms():
     ):
         ring = ResidueRing(n)
         assert _same_value(rhs_closed_form("thm41", d, 1, n, ring),
-                           rhs_closed_form(flavor_mixed, d, 1, n, ring))
+                           written_out_value(flavor_mixed, d, n, ring))
         assert _same_value(rhs_closed_form("thm42", d, 1, n, ring),
-                           rhs_closed_form(flavor_squared, d, 1, n, ring))
+                           written_out_value(flavor_squared, d, n, ring))
 
 
 @pytest.mark.parametrize("check_id,d,r,n", [
@@ -398,7 +425,7 @@ def test_congruence_by_polynomial_divisibility_oracle(check_id, d, r, n):
     # and check Phi_n(q)^2 divides the resulting Laurent polynomial.
     from qsupercheck.poly import divrem
 
-    factors = numerator_factors(theorem_family(check_id), d, r)
+    factors = written_out_summand(check_id, d, r)
     lhs_num = Laurent(Poly())
     for k in range(n):
         term = Laurent(Poly((1,))).shifted(d * k)
@@ -408,7 +435,7 @@ def test_congruence_by_polynomial_divisibility_oracle(check_id, d, r, n):
         lhs_num = lhs_num + term
     lhs_den = poch_power_base(d, d, n - 1) ** d
 
-    sign, shift, num, den = closed_form(check_id, d, n, r)
+    sign, shift, num, den = _closed_form(check_id, d, n, r)
     rhs_num = laurent_product(num).shifted(shift) * sign
     rhs_den = laurent_product(den)
 
@@ -425,13 +452,42 @@ def test_congruence_by_polynomial_divisibility_oracle(check_id, d, r, n):
 
 
 def test_two_parameter_families_collapse_termwise_at_r1():
-    from qsupercheck.families import (
-        F2_MIXED,
-        F5_THM41,
-        F6_THM42,
-        numerator_factors,
-    )
+    # As the paper displays them, Guo's summands and eq22's (thm13's too)
+    # are thm41's, thm42's and lemma21's at r = 1, factor for factor: the
+    # identity that ``THEOREMS`` rests on.
+    for d in range(2, 13):
+        for one, two in (("eq14", "thm41"), ("thm11", "thm41"),
+                         ("eq15", "thm42"), ("thm12", "thm42"),
+                         ("eq22", "lemma21"), ("thm13", "lemma21")):
+            assert summand_counts(one, d) == summand_counts(two, d, 1), (
+                one, d)
 
-    for d in (3, 4, 5, 7):
-        assert numerator_factors(F5_THM41, d, 1) == numerator_factors(F2_MIXED, d, 1)
-        assert numerator_factors(F6_THM42, d, 1) == numerator_factors(F3_SQUARED, d, 1)
+
+def _template_counts(declared, d, r):
+    """The numerator bases of a declared (statement, r or None)'s
+    template at the instance's r, each term's denominator checked to be
+    (q^d; q^d)_k^d with nothing else."""
+    statement, at = at_r(declared, r)
+    head, a, b, c = family_template(statement, d, at)
+    assert (head, b, c) == (([], [], []), [d] * d, [])
+    return Counter(a)
+
+
+def test_every_summand_is_the_papers_display():
+    # Every theorem id's template, thm13's, the three-sum decomposition's
+    # (mixed = [d] divisibility - q [d-1] squared) and each classical
+    # shadow's, against the summand written out from the paper.
+    seen = 0
+    for d in range(2, 13):
+        for r in range(1, d):
+            declared = [(cid, THEOREMS[cid]) for cid in THEOREMS]
+            declared.append(("thm13", DIVISIBILITY_SUMMAND))
+            declared += zip(("eq14", "thm13", "eq15"), DECOMPOSITION_SUMMANDS)
+            declared += [(cid, summand) for cid, (_, summand, _)
+                         in SHADOWS.items()
+                         if summand and (cid != "rv_11" or d == 2)]
+            for cid, summand in declared:
+                assert _template_counts(summand, d, r) == summand_counts(
+                    cid, d, r), (cid, d, r)
+                seen += 1
+    assert seen == 66 * 17 + 1
