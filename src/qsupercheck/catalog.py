@@ -45,7 +45,7 @@ CheckSpec = namedtuple("CheckSpec",
 _theorem = lambda cid, p: verify_theorem(cid, **p)
 _parametric = lambda cid, p: verify_parametric(cid, **p)
 _proof_step = lambda cid, p: verify_proof_step(cid, p)
-_classical = lambda cid, p: verify_classical(cid, p)
+_classical = lambda cid, p: verify_classical(cid, **p)
 
 _DN, _DNR, _DRN = ("d", "n"), ("d", "n", "r"), ("d", "r", "n")
 _DRP, _DRNK = ("d", "r", "p"), ("d", "r", "n", "k")
@@ -72,8 +72,9 @@ _CHECKS = {
               "A(d,n,r), mod Phi_n(q)^2", _theorem),
     "thm42": (_DNR, "two-parameter squared sum vs closed form with exponent "
               "A(d,n,r)-r, mod Phi_n(q)^2", _theorem),
-    "thm13": (_DN, "(q^d;q^d)_(n-1)^d/(1-q)^(dn-d) times the mixed sum is "
-              "divisible by [n]^2 as a polynomial",
+    "thm13": (_DN, "(q^d;q^d)_(n-1)^d/(1-q)^(dn-d) times eq22's sum "
+              "(q^(d+1);q^d)_k^(d-2)(q,q^(1-d);q^d)_k is divisible by [n]^2 "
+              "as a polynomial",
               lambda cid, p: verify_divisibility(**p)),
     "p1_24": (_DRN, "parametric vanishing sum, d + r odd, index k-2 central "
               "band" + _SUBS, _parametric),
@@ -129,7 +130,7 @@ _CHECKS = {
                  "Gamma_p(-r/d)^d mod p^2", _classical),
     "gamma_factorial": (_DRP, "(p-1-(p+r)/d)!/((p+r)/d)!^(d-1) vs "
                         "-(-1)^((p+r)/d) Gamma_p(-r/d)^d mod p^2", _classical),
-    "wlt_integrality": (_DN, "(n-1)!^d d^(dn-d) n^-2 times the mixed "
+    "wlt_integrality": (_DN, "(n-1)!^d d^(dn-d) n^-2 times eq22's "
                         "classical sum is an integer", _classical),
 }
 

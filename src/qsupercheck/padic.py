@@ -29,14 +29,14 @@ from .results import CheckResult, fails, holds, skipped
 
 # Check id -> (q-statement whose precondition it shares, (statement, r or
 # None for the instance's) whose sum at q = 1 is its left-hand side, least
-# prime p or None when it takes n).
+# prime p or None when it takes n, the d it fixes or None when it takes d).
 SHADOWS = {
-    "rv_11": ("eq13", ("eq13", 1), 3),
-    "deines_12": ("eq13", ("eq13", 1), 3),
-    "cor41_i": ("lemma21", ("thm41", None), 3),
-    "cor41_ii": ("thm42", ("thm42", None), 5),
-    "gamma_factorial": ("thm42", None, 5),
-    "wlt_integrality": ("thm13", ("lemma21", 1), None),
+    "rv_11": ("eq13", ("eq13", 1), 3, 2),
+    "deines_12": ("eq13", ("eq13", 1), 3, None),
+    "cor41_i": ("lemma21", ("thm41", None), 3, None),
+    "cor41_ii": ("thm42", ("thm42", None), 5, None),
+    "gamma_factorial": ("thm42", None, 5, None),
+    "wlt_integrality": ("thm13", ("lemma21", 1), None, None),
 }
 CLASSICAL_IDS = tuple(SHADOWS)
 
@@ -86,14 +86,22 @@ def shadow_sum(statement: str, d: int, r: int, limit: int) -> tuple[int, int]:
     return num, den
 
 
-def verify_classical(check_id: str, params: dict) -> CheckResult:
-    """One classical check: a congruence mod p^2, or wlt's integrality."""
+def verify_classical(check_id: str, *, d: int | None = None,
+                     r: int | None = None, p: int | None = None,
+                     n: int | None = None) -> CheckResult:
+    """One classical check: a congruence mod p^2, or wlt's integrality.
+
+    A check takes the parameters its catalog row names, and its result
+    carries those: p, or n for wlt; d unless its row fixes it, as rv_11's
+    does; r where its q-statement reads one, and no other check reads r.
+    """
     if check_id not in SHADOWS:
         raise ValueError(f"unknown classical id {check_id!r}")
-    statement, summand, least = SHADOWS[check_id]
-    params = dict(params)
-    d, r = params.get("d", 2), params.get("r", 1)  # rv_11: d = 2; no r: 1
-    n = params["p"] if least else params["n"]
+    statement, summand, least, fixed = SHADOWS[check_id]
+    params = {name: value for name, value in
+              (("d", d), ("r", r), ("p", p), ("n", n)) if value is not None}
+    d = d if fixed is None else fixed
+    n = p if least else n
     if least and (not is_prime(n) or n < least):
         return skipped(check_id, params, f"requires a prime p >= {least}")
     reason = theorem_precondition(statement, d, n, r)

@@ -16,10 +16,16 @@ factors 1 - q^e, and [n]^2 divides the result exactly when (1 - q^n)^2
 divides (1 - q)^2 times the sum's numerator, which ``relation_vanishes``
 decides folded modulo (1 - q^n)^2; only a FAILS unpacks that numerator,
 for its witness.  ``lhs_sum`` keeps its own recurrence on ring elements.
+The left side depends on (statement, d, r, n) alone, so ``_left_side``
+keeps the ring and the sum in a ``functools.lru_cache`` of 4,096 entries
+under that key: a one-parameter id and the two-parameter statement it is
+at r = 1, or a mutant and its sibling, sum once.  The right side carries
+the mutation and is built at every call; a raised error is never kept.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from itertools import accumulate
 
@@ -98,6 +104,16 @@ def rhs_closed_form(statement: str, d: int, r: int, n: int, ring: ResidueRing,
     return (rhs if sign > 0 else -rhs), ring.element(one_minus_product(den))
 
 
+@functools.lru_cache(maxsize=4096)
+def _left_side(statement: str, d: int, r: int,
+               n: int) -> tuple[ResidueRing, Fractional]:
+    """The ring Z[q]/(Phi_n^2) and ``lhs_sum`` in it, kept per key;
+    ``lhs_sum`` is looked up by its module name, so a wrapper patched over
+    it counts every sum made."""
+    ring = ResidueRing(n)
+    return ring, lhs_sum(statement, d, r, n, ring)
+
+
 def verify_theorem(check_id: str, d: int, n: int, r: int = 1,
                    mutation: str | None = None) -> CheckResult:
     """Compare LHS sum and closed form in Z[q]/(Phi_n(q)^2)."""
@@ -114,9 +130,8 @@ def verify_theorem(check_id: str, d: int, n: int, r: int = 1,
     if check_id == "thm12" and n == 2:
         note = "boundary case n = 2: accepted, smallest admissible n"
     try:
-        ring = ResidueRing(n)
         name, at = at_r(declared, r)
-        lhs_num, lhs_den = lhs_sum(name, d, at, n, ring)
+        ring, (lhs_num, lhs_den) = _left_side(name, d, at, n)
         rhs_num, rhs_den = rhs_closed_form(name, d, at, n, ring, mutation)
     except (NonUnitError, IntegralityError) as exc:
         return fails(check_id, params, f"{type(exc).__name__}: {exc}")
@@ -144,8 +159,9 @@ def _require_integral(increments, order: int) -> None:
 
 
 def divisibility_expression(d: int, n: int) -> Laurent:
-    """(q^d;q^d)_{n-1}^d / (1-q)^{d(n-1)} times the mixed sum, assembled as
-    one Laurent polynomial with integer coefficients.
+    """(q^d;q^d)_{n-1}^d / (1-q)^{d(n-1)} times the divisibility sum, eq22's
+    (q^{d+1};q^d)_k^{d-2} (q, q^{1-d};q^d)_k, assembled as one Laurent
+    polynomial with integer coefficients.
 
     ``truncated_sum`` gives the sum's numerator N over the denominator
     (q^d;q^d)_{n-1}^d, packed at the width of its own bound and unpacked;
@@ -166,7 +182,7 @@ def divisibility_expression(d: int, n: int) -> Laurent:
 
 def verify_divisibility(d: int, n: int) -> CheckResult:
     """Divisibility of f = N / (1 - q)^{d(n-1)} by [n]^2, N the numerator of
-    the prefactored mixed sum.
+    the prefactored divisibility sum (``divisibility_expression``).
 
     f is a Laurent polynomial because every nonzero term of N has d(n-1)
     factors 1 - q^e with e != 0, counted on the increments.  [n] is coprime

@@ -2,16 +2,19 @@
 
 import pytest
 
-from qsupercheck import parametric
+from qsupercheck import parametric, verifier
+
+# Every process-wide memo of the package.
+_MEMOS = (parametric._witness, parametric._same_shape, verifier._left_side)
 
 
 @pytest.fixture(autouse=True)
-def _fresh_parametric_verdicts():
-    """Each test decides its parametric instances afresh: a test that
-    patches the engine must not read a verdict, or an a = 1 shape, that an
-    earlier call stored."""
-    parametric._witness.cache_clear()
-    parametric._same_shape.cache_clear()
+def _fresh_memos():
+    """Each test decides its instances afresh: a test that patches the
+    engine must not read a verdict, an a = 1 shape or a theorem's left side
+    that an earlier call stored."""
+    for memo in _MEMOS:
+        memo.cache_clear()
     yield
-    parametric._witness.cache_clear()
-    parametric._same_shape.cache_clear()
+    for memo in _MEMOS:
+        memo.cache_clear()

@@ -2,8 +2,10 @@
 
 Each entry of ``MUTANTS`` is (file under ``src/qsupercheck``, the exact old
 text, the new text, what the change breaks, the tests that must catch it).
-The old text must occur exactly once in its file, so an entry whose code
-has moved on is an error rather than a silent pass.
+A change made at two places gives a tuple of old texts and one of new
+ones, replaced pairwise.  Each old text must occur exactly once in its
+file, so an entry whose code has moved on is an error rather than a silent
+pass.
 
     python tests/mutants.py
 
@@ -231,6 +233,26 @@ MUTANTS = [
       + "test_divisibility_expression_matches_q_integer_oracle"]),
     ("families.py", "[r] * (r - 1)", "[r] * r",
      "one power too many of thm41's (q^r; q^d)_k", [_DISPLAYS]),
+    # The theorem congruences' left sides, kept per (statement, d, r, n).
+    ("verifier.py", ("_left_side(name, d, at, n)",
+                     "    return ring, lhs_sum(statement, d, r, n, ring)"),
+     ("_left_side(check_id, d, r, n)",
+      "    name, at = at_r(THEOREMS[statement], r)\n"
+      "    return ring, lhs_sum(name, d, at, n, ring)"),
+     "the left side kept per check id, not per (statement, r): an alias"
+     " sums again", [_VERIFIER + "test_each_left_side_is_summed_once_per"
+                     "_statement_d_r_n"]),
+    ("verifier.py", ("    return ring, lhs_sum(statement, d, r, n, ring)",
+                     "        ring, (lhs_num, lhs_den) = _left_side(name, d,"
+                     " at, n)\n        rhs_num, rhs_den = rhs_closed_form("
+                     "name, d, at, n, ring, mutation)\n"),
+     ("    return ring, lhs_sum(statement, d, r, n, ring), {}",
+      "        ring, (lhs_num, lhs_den), kept = _left_side(name, d, at, n)\n"
+      "        rhs_num, rhs_den = kept.setdefault(\"rhs\", rhs_closed_form("
+      "name, d, at, n, ring, mutation))\n"),
+     "the right side kept with the left, without the mutation in the key:"
+     " a twin reads its sibling's verdict",
+     [_VERIFIER + "test_a_kept_left_side_decides_as_a_fresh_one"]),
     # The report layout.
     ("report.py", "keyed.sort(key=itemgetter(0))",
      "keyed.sort(key=lambda pair: pair[0][1])",
@@ -247,6 +269,13 @@ MUTANTS = [
 ]
 
 
+def edits(old, new):
+    """A mutant's (old, new) text pairs: one, or a tuple of each."""
+    if isinstance(old, tuple):
+        return zip(old, new, strict=True)
+    return [(old, new)]
+
+
 def _pytest(src: Path, tests, cwd: str) -> int:
     """pytest's exit code on ``tests`` with ``src`` first on the path; the
     hypothesis database is written under ``cwd``."""
@@ -259,8 +288,9 @@ def _pytest(src: Path, tests, cwd: str) -> int:
 
 
 def main() -> int:
-    stale = [(file, old) for file, old, *_ in MUTANTS
-             if (ROOT / PACKAGE / file).read_text().count(old) != 1]
+    stale = [(file, text) for file, old, new, *_ in MUTANTS
+             for text, _ in edits(old, new)
+             if (ROOT / PACKAGE / file).read_text().count(text) != 1]
     for file, old in stale:
         print(f"STALE {file}: old text does not occur exactly once: {old!r}")
     if stale:
@@ -276,8 +306,10 @@ def main() -> int:
         survived = 0
         for file, old, new, what, named in MUTANTS:
             path = src / "qsupercheck" / file
-            original = path.read_text()
-            path.write_text(original.replace(old, new))
+            original = mutant = path.read_text()
+            for text, replacement in edits(old, new):
+                mutant = mutant.replace(text, replacement)
+            path.write_text(mutant)
             code = _pytest(src, named, tmp)
             path.write_text(original)
             verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR {code}")

@@ -733,7 +733,7 @@ def classical_lhs_sum(kind, d, r, p):
 
 
 def wlt_integrality_value(d, n):
-    """(n-1)!^d d^(dn-d) n^-2 times the mixed classical sum, as a Fraction
+    """(n-1)!^d d^(dn-d) n^-2 times eq22's classical sum, as a Fraction
     summed term by term."""
     total = Fraction(0)
     for k in range(n):

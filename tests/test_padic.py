@@ -78,28 +78,29 @@ def test_rational_residue():
 
 
 def test_rv_sum_value_at_5():
-    result = verify_classical("rv_11", {"p": 5})
+    result = verify_classical("rv_11", p=5)
     assert result.status is Status.HOLDS
-    assert verify_classical("rv_11", {"p": 9}).status is Status.SKIPPED_PRECONDITION
+    assert result.params == {"p": 5}  # d = 2 is the row's, not a parameter
+    assert verify_classical("rv_11", p=9).status is Status.SKIPPED_PRECONDITION
 
 
 def test_deines_skips_wrong_residue_class():
     assert verify_classical(
-        "deines_12", {"d": 3, "p": 5}).status is Status.SKIPPED_PRECONDITION
+        "deines_12", d=3, p=5).status is Status.SKIPPED_PRECONDITION
 
 
 def test_cor41_examples():
     assert verify_classical(
-        "cor41_ii", {"d": 3, "r": 1, "p": 5}).status is Status.HOLDS
+        "cor41_ii", d=3, r=1, p=5).status is Status.HOLDS
     assert verify_classical(
-        "cor41_i", {"d": 4, "r": 1, "p": 7}).status is Status.HOLDS
+        "cor41_i", d=4, r=1, p=7).status is Status.HOLDS
     assert verify_classical(
-        "cor41_i", {"d": 4, "r": 1, "p": 5}).status is Status.SKIPPED_PRECONDITION
+        "cor41_i", d=4, r=1, p=5).status is Status.SKIPPED_PRECONDITION
 
 
 def test_gamma_factorial_example():
     assert verify_classical(
-        "gamma_factorial", {"d": 4, "r": 1, "p": 7}).status is Status.HOLDS
+        "gamma_factorial", d=4, r=1, p=7).status is Status.HOLDS
 
 
 def test_wlt_integrality():
@@ -109,9 +110,9 @@ def test_wlt_integrality():
     assert Fraction(num, 25) == value
     assert den == 24**3 * 3 ** (3 * 5 - 3)
     assert verify_classical(
-        "wlt_integrality", {"d": 3, "n": 5}).status is Status.HOLDS
+        "wlt_integrality", d=3, n=5).status is Status.HOLDS
     assert verify_classical(
-        "wlt_integrality", {"d": 3, "n": 4}).status is Status.SKIPPED_PRECONDITION
+        "wlt_integrality", d=3, n=4).status is Status.SKIPPED_PRECONDITION
 
 
 def test_classical_sum_matches_direct_rational_computation():
@@ -146,19 +147,19 @@ def test_rational_residue_defining_property():
 def test_gamma_factorial_shares_the_gcd_condition_of_thm42():
     # p + r = d with p | d and p | r: outside the paper's conditions, and
     # (p-1-m)!/m!^(d-1) = 6 is not -(-1)^m Gamma_p(-1/2)^10 = 1 mod 25.
-    result = verify_classical("gamma_factorial", {"d": 10, "r": 5, "p": 5})
+    result = verify_classical("gamma_factorial", d=10, r=5, p=5)
     assert result.status is Status.SKIPPED_PRECONDITION
     assert result.note == "as thm42 at n = p: requires gcd(d, r) = 1"
 
 
 def test_skip_notes_read_in_terms_of_p():
-    assert verify_classical("rv_11", {"p": 9}).note == \
+    assert verify_classical("rv_11", p=9).note == \
         "requires a prime p >= 3"
-    assert verify_classical("cor41_ii", {"d": 2, "r": 1, "p": 3}).note == \
+    assert verify_classical("cor41_ii", d=2, r=1, p=3).note == \
         "requires a prime p >= 5"
-    assert verify_classical("cor41_i", {"d": 4, "r": 1, "p": 5}).note == \
+    assert verify_classical("cor41_i", d=4, r=1, p=5).note == \
         "as lemma21 at n = p: requires n == -r (mod d)"
-    assert verify_classical("wlt_integrality", {"d": 3, "n": 4}).note == \
+    assert verify_classical("wlt_integrality", d=3, n=4).note == \
         "as thm13: requires n == -1 (mod d)"
 
 
@@ -185,7 +186,7 @@ def test_shadow_checks_match_the_written_out_checks_past_the_grid():
     changed, count = [], 0
     for cid, params in _classical_grid():
         count += 1
-        result = verify_classical(cid, params)
+        result = verify_classical(cid, **params)
         if (result.status, result.witness) != written_out_classical(cid,
                                                                     params):
             changed.append((cid, params))
