@@ -3,9 +3,10 @@
 Every check is a pure function of (id, params), so sweeps can
 run instances in any order or concurrently and merge deterministically by
 sorting on (id, canonical parameter string).  ``run_check`` is the one
-place a check is timed, and it keeps sweeps total: an arithmetic
-exception is the mathematics refusing the instance and reads as FAILS,
-any other exception is an engine fault and reads as ERROR.
+place a check is timed, and it keeps sweeps total: a
+``results.RefusalError`` is the mathematics refusing the instance and
+reads as FAILS; any other exception, a stray ZeroDivisionError or
+OverflowError included, is an engine fault and reads as ERROR.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .identities import (
 )
 from .padic import verify_classical
 from .parametric import verify_parametric
-from .results import CheckResult, errored, fails
+from .results import CheckResult, RefusalError, errored, fails
 from .verifier import verify_divisibility, verify_theorem
 
 
@@ -44,7 +45,7 @@ CheckSpec = namedtuple("CheckSpec",
 # when they run, so a wrapper patched over that name sees every call.
 _theorem = lambda cid, p: verify_theorem(cid, **p)
 _parametric = lambda cid, p: verify_parametric(cid, **p)
-_proof_step = lambda cid, p: verify_proof_step(cid, p)
+_proof_step = lambda cid, p: verify_proof_step(cid, **p)
 _classical = lambda cid, p: verify_classical(cid, **p)
 
 _DN, _DNR, _DRN = ("d", "n"), ("d", "n", "r"), ("d", "r", "n")
@@ -145,7 +146,7 @@ def run_check(check_id: str, params: dict) -> CheckResult:
     start = time.perf_counter()
     try:
         result = spec.runner(check_id, params)
-    except ArithmeticError as exc:  # non-unit, pole, non-integral exponent
+    except RefusalError as exc:  # non-unit, pole, non-integral exponent
         result = fails(check_id, params, f"{type(exc).__name__}: {exc}")
     except Exception as exc:  # sweeps must stay total
         result = errored(check_id, params, f"{type(exc).__name__}: {exc}")

@@ -18,9 +18,10 @@ from __future__ import annotations
 from math import gcd as igcd
 
 from .qfuncs import expand
+from .results import RefusalError
 
 
-class IntegralityError(ArithmeticError):
+class IntegralityError(RefusalError):
     """An exponent formula failed to be an integer."""
 
 

@@ -14,9 +14,9 @@ exponent identity, the three-sum decomposition, the two Pochhammer
 splittings, the prefactor divisibility (by counting cyclotomic factors),
 and the cyclotomic factorization of [n].  The ratio shifts, the
 q-binomial rewriting and the splittings are equalities of quotients
-+-q^s prod (1 - q^e)^{+-1}, decided by ``quotients_differ`` on one
-exponent count of their ratio; the one sum among them, 1 + ratio in the
-splittings, is decided by ``relation_vanishes`` as A + B - C.  The
++-q^s prod (1 - q^e)^{+-1}, decided by ``quotients_differ`` on the
+sorted exponent lists of their ratio; the one sum among them, 1 + ratio
+in the splittings, is decided by ``relation_vanishes`` as A + B - C.  The
 three-sum decomposition, mixed = [d] divisibility - q [d-1] squared over
 their (statement, r) templates, holds term by term.  Each run's intercepts
 are congruent to run 1's mod d, so the ratios of their terms telescope,
@@ -30,12 +30,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 
 from .cyclotomic import cyclotomic, divisors, q_integer
 from .families import family_template
 from .parametric import parametric_precondition
 from .poly import poly_prod
 from .qfuncs import (
+    DegenerateProductError,
     Packed,
     first_failing_term,
     packed_width,
@@ -43,18 +45,6 @@ from .qfuncs import (
     relation_vanishes,
 )
 from .results import CheckResult, fails, holds, skipped
-
-PROOF_STEP_IDS = (
-    "ratio_shift_generic",
-    "ratio_shift_central",
-    "qbinom_rewrite",
-    "exponent_identity",
-    "sum_decomposition",
-    "pochhammer_split_r1",
-    "pochhammer_split_general",
-    "prefactor_divisibility",
-    "bracket_factorization",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +212,8 @@ def _poch_parts(base: int, step: int, idx: int):
         return [base + step * t for t in range(idx)], []
     den = [base - step * t for t in range(1, -idx + 1)]
     if any(e == 0 for e in den):
-        raise ZeroDivisionError("degenerate reciprocal q-shifted factorial")
+        raise DegenerateProductError(
+            "degenerate reciprocal q-shifted factorial")
     return [], den
 
 
@@ -370,51 +361,62 @@ def _check_bracket_factorization(n) -> str | None:
     return None
 
 
-def verify_proof_step(step_id: str, params: dict) -> CheckResult:
-    """Dispatch one exact proof-step identity check."""
-    if step_id not in PROOF_STEP_IDS:
+def _qbinom_rewrite_pre(d, r, n, k) -> str | None:
+    if d < 1:
+        return "requires d >= 1"
+    if (n + r) % d or k < 0:
+        return "requires n == -r (mod d), k >= 0"
+    if n - 1 - (n + r) // d < 0:
+        return "requires n - 1 - (n + r)/d >= 0"
+    return None
+
+
+def _exponent_identity_pre(d, r, n, k) -> str | None:
+    if d < 1:
+        return "requires d >= 1"
+    return "requires n == -r (mod d)" if (n + r) % d else None
+
+
+# Step id -> (precondition, check), both called with the step's parameters
+# by name: the precondition gives the reason to skip or None, the check
+# the witness of FAILS or None.
+_PROOF_STEPS = {
+    "ratio_shift_generic": (partial(_ratio_shift_pre, central=False),
+                            partial(_check_ratio_shift, central=False)),
+    "ratio_shift_central": (partial(_ratio_shift_pre, central=True),
+                            partial(_check_ratio_shift, central=True)),
+    "qbinom_rewrite": (_qbinom_rewrite_pre, _check_qbinom_rewrite),
+    "exponent_identity": (_exponent_identity_pre, _check_exponent_identity),
+    "sum_decomposition": (
+        lambda d, n: None if d >= 2 and n >= 1
+        else "requires d >= 2 and n >= 1", _check_sum_decomposition),
+    "pochhammer_split_r1": (
+        lambda d, k: None if d >= 2 and k >= 0
+        else "requires d >= 2 and k >= 0",
+        lambda d, k: _check_poch_split(d, 1, k)),
+    "pochhammer_split_general": (
+        lambda d, r, k: None if d > r >= 1 and k >= 0
+        else "requires d > r >= 1 and k >= 0", _check_poch_split),
+    "prefactor_divisibility": (
+        lambda d, n: None if d >= 2 and n >= 2
+        else "requires d >= 2 and n >= 2", _check_prefactor_divisibility),
+    "bracket_factorization": (
+        lambda n: None if n >= 2 else "requires n >= 2",
+        _check_bracket_factorization),
+}
+
+
+def verify_proof_step(step_id: str, **params) -> CheckResult:
+    """One exact proof-step identity check, on the parameters its step
+    names, so a missing one is a TypeError that names it; the result
+    echoes the parameters given."""
+    if step_id not in _PROOF_STEPS:
         raise ValueError(f"unknown proof step {step_id!r}")
-    p = dict(params)
-    witness = None
-    if step_id in ("ratio_shift_generic", "ratio_shift_central"):
-        central = step_id == "ratio_shift_central"
-        reason = _ratio_shift_pre(p["d"], p["r"], p["n"], p["j"], p["k"], central)
-        if reason:
-            return skipped(step_id, p, reason)
-        witness = _check_ratio_shift(p["d"], p["r"], p["n"], p["j"], p["k"],
-                                     central)
-    elif step_id in ("qbinom_rewrite", "exponent_identity") and p["d"] < 1:
-        return skipped(step_id, p, "requires d >= 1")
-    elif step_id == "qbinom_rewrite":
-        if (p["n"] + p["r"]) % p["d"] or p["k"] < 0:
-            return skipped(step_id, p, "requires n == -r (mod d), k >= 0")
-        if p["n"] - 1 - (p["n"] + p["r"]) // p["d"] < 0:
-            return skipped(step_id, p, "requires n - 1 - (n + r)/d >= 0")
-        witness = _check_qbinom_rewrite(p["d"], p["r"], p["n"], p["k"])
-    elif step_id == "exponent_identity":
-        if (p["n"] + p["r"]) % p["d"]:
-            return skipped(step_id, p, "requires n == -r (mod d)")
-        witness = _check_exponent_identity(p["d"], p["r"], p["n"], p["k"])
-    elif step_id == "sum_decomposition":
-        if p["d"] < 2 or p["n"] < 1:
-            return skipped(step_id, p, "requires d >= 2 and n >= 1")
-        witness = _check_sum_decomposition(p["d"], p["n"])
-    elif step_id == "pochhammer_split_r1":
-        if p["d"] < 2 or p["k"] < 0:
-            return skipped(step_id, p, "requires d >= 2 and k >= 0")
-        witness = _check_poch_split(p["d"], 1, p["k"])
-    elif step_id == "pochhammer_split_general":
-        if not (p["d"] > p["r"] >= 1) or p["k"] < 0:
-            return skipped(step_id, p, "requires d > r >= 1 and k >= 0")
-        witness = _check_poch_split(p["d"], p["r"], p["k"])
-    elif step_id == "prefactor_divisibility":
-        if p["d"] < 2 or p["n"] < 2:
-            return skipped(step_id, p, "requires d >= 2 and n >= 2")
-        witness = _check_prefactor_divisibility(p["d"], p["n"])
-    elif step_id == "bracket_factorization":
-        if p["n"] < 2:
-            return skipped(step_id, p, "requires n >= 2")
-        witness = _check_bracket_factorization(p["n"])
+    precondition, check = _PROOF_STEPS[step_id]
+    reason = precondition(**params)
+    if reason:
+        return skipped(step_id, params, reason)
+    witness = check(**params)
     if witness is not None:
-        return fails(step_id, p, witness)
-    return holds(step_id, p)
+        return fails(step_id, params, witness)
+    return holds(step_id, params)

@@ -25,7 +25,12 @@ from math import factorial
 
 from .cyclotomic import is_prime
 from .families import at_r, numerator_bases, theorem_precondition
-from .results import CheckResult, fails, holds, skipped
+from .results import CheckResult, RefusalError, fails, holds, skipped
+
+
+class ResidueDenominatorError(RefusalError, ZeroDivisionError):
+    """A rational whose denominator p divides has no residue mod p^k."""
+
 
 # Check id -> (q-statement whose precondition it shares, (statement, r or
 # None for the instance's) whose sum at q = 1 is its left-hand side, least
@@ -45,7 +50,7 @@ def rational_residue(x: Fraction | int, p: int, k: int = 2) -> int:
     """Residue mod p**k of a rational with denominator prime to p."""
     x = Fraction(x)
     if x.denominator % p == 0:
-        raise ZeroDivisionError(f"denominator of {x} divisible by {p}")
+        raise ResidueDenominatorError(f"denominator of {x} divisible by {p}")
     modulus = p**k
     return x.numerator * pow(x.denominator, -1, modulus) % modulus
 

@@ -28,16 +28,20 @@ q^{d(j+1)k}, k <= N, is (q^{d(1+j-N)}; q^d)_N: 0 for 0 <= j < N and
 (q^d; q^d)_N at j = N.  So the sum vanishes when M < N, as lemma21's
 deformations do, and at M = N it is const (-1)^M q^{sum of P's lead
 exponents} (q^d; q^d)_N, which ``quotients_differ`` compares with the
-closed form on one net count.
+closed form on sorted exponent lists.
 At a = 1 the same template must reproduce the non-parametric summand
 term by term: the thm42 family's unless the index is shifted.  Neither
 template depends on n, so whether their sorted lists agree is decided
 once per shape; templates that differ are decided at each n by
 ``first_failing_term``, which reads ERROR "no certificate" where their
 terms' ratios do not telescope.  Each helper takes only what it reads,
-so the two memos are ``functools.lru_cache``s of 4,096 entries keyed by
-their arguments: ``_witness``, the work after the precondition, which
-families share (p3_32 is p7_45 at r = 1), and ``_same_shape``.
+so the three memos are ``functools.lru_cache``s of 4,096 entries keyed
+by their arguments: ``_witness``, the work after the precondition, which
+families share (p3_32 is p7_45 at r = 1); ``_left_side``, the part of it
+that no mutation reaches (the symmetry check, the template, Gasper's sum
+and the a = 1 collapse), so that a mutant twin run after its sibling
+builds only its closed form and one ``quotients_differ``; and
+``_same_shape``.
 Each family deforms a q-statement of the catalog, lemma21 or thm42, and
 is admissible where that statement is and its own condition on (d, r)
 holds.
@@ -50,7 +54,7 @@ import functools
 from .families import (a_exponent, family_template, mutated,
                        theorem_precondition)
 from .qfuncs import first_failing_term, pair_intercepts, quotients_differ
-from .results import CheckResult, fails, holds, skipped
+from .results import CheckResult, RefusalError, fails, holds, skipped
 
 # Family -> (the q-statement it deforms, its condition on (d, r), that
 # condition in words).  The lemma21 deformations vanish, as lemma21 does,
@@ -75,7 +79,7 @@ _SHIFTED_INDEX = tuple(cid for cid, (statement, _, _) in _DEFORMS.items()
                        if statement == "lemma21")
 
 
-class DegenerateSubstitutionError(ZeroDivisionError):
+class DegenerateSubstitutionError(RefusalError, ZeroDivisionError):
     """A substituted denominator factor is identically zero."""
 
 
@@ -288,16 +292,27 @@ def _gasper_sum(template, d: int, limit: int):
 
 
 @functools.lru_cache(maxsize=4096)
+def _left_side(d: int, r: int, n: int, shifted: bool, entries,
+               band) -> tuple:
+    """What no mutation reaches: the a = q^n sum by Gasper's argument, as
+    ``_gasper_sum`` gives it, and the a = 1 collapse's witness or None.
+    A mutant twin reads its sibling's, and builds only its closed form;
+    every caller shares the sum's lists, which are read, never changed."""
+    _refuse_asymmetry(entries, band, d)
+    template = _sum_template(shifted, d, r, n, 1, entries)
+    total = _gasper_sum(template, d, _upper_limit(shifted, d, r, n))
+    return total, _collapse_at_one(shifted, d, r, n, entries)
+
+
+@functools.lru_cache(maxsize=4096)
 def _witness(d: int, r: int, n: int, mutation: str | None, shifted: bool,
              entries, band) -> str | None:
     """``verify_parametric``'s witness of FAILS, None where it HOLDS."""
-    _refuse_asymmetry(entries, band, d)
-    template = _sum_template(shifted, d, r, n, 1, entries)
+    total, collapse = _left_side(d, r, n, shifted, entries, band)
     # None for a sum that vanishes, as lemma21's, which has no mutation.
     closed = (mutated(None, mutation) if shifted
               else _rhs_factors(band, d, r, n, 1, mutation))
-    total = _gasper_sum(template, d, _upper_limit(shifted, d, r, n))
     if quotients_differ(total, closed):
         return (f"substituted sum nonzero at a = q^{n}" if closed is None
                 else f"sides differ at a = q^{n}")
-    return _collapse_at_one(shifted, d, r, n, entries)
+    return collapse

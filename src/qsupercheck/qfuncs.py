@@ -1,5 +1,5 @@
 """Products of factors 1 - q^e: q-shifted factorials, Gaussian binomials,
-their exponent-count normal form, and the packed kernel that sums them.
+the comparison of their quotients, and the packed kernel that sums them.
 
 A q-shifted factorial (q^e; q^s)_k with monic base is the product of the
 factors 1 - q^{e + s t}, t < k, so the checks carry it as that exponent
@@ -22,21 +22,24 @@ A template, a sum's head and the intercept lists that term k >= 1 moves
 by step (k - 1), stands for its increments (``expand``) and is read by
 exponent counting: ``pair_intercepts`` for Gasper's Karlsson-Minton
 argument, ``termwise_degree`` and ``first_failing_term`` for termwise
-relations.  ``quotients_differ`` decides equality of two quotients of
-factors with no polynomial arithmetic, on one ``one_minus_normal_form``
-of their ratio.
+relations, the latter counting each run's term over run 0's, so only the
+exponents where the runs differ are visited.  ``quotients_differ``
+decides equality of two quotients of factors with no polynomial
+arithmetic and no multiset: their ratio is 1 when the sorted |e| of its
+numerator and denominator are one list, its sign parity even and its
+shift 0.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import Counter
 
 from .laurent import Laurent
 from .poly import Poly, exact_div, unpack
+from .results import RefusalError
 
 
-class DegenerateProductError(ZeroDivisionError):
+class DegenerateProductError(RefusalError, ZeroDivisionError):
     """A denominator, such as a reciprocal q-shifted factorial, vanishes."""
 
 
@@ -75,35 +78,20 @@ def one_minus_product(exponents) -> Laurent:
                   len(exponents), width).laurent()
 
 
-def one_minus_normal_form(sign: int, shift: int, num, den):
-    """Normal form of sign q^shift prod_num (1 - q^e) / prod_den (1 - q^e).
-
-    Returns (sign, shift, counts) with counts the frozenset of (e, m), e > 0,
-    m != 0 the net multiplicity of 1 - q^e; None when a numerator factor is
-    1 - q^0, which a denominator one refuses with DegenerateProductError.
-    Phi_m divides 1 - q^e to the first power exactly when m | e, so
-    Moebius inversion recovers the counts from the cyclotomic factorization:
-    two such quotients are equal exactly when their normal forms are.
-    """
-    if 0 in den:
-        raise DegenerateProductError("denominator factor 1 - q^0")
-    if 0 in num:
-        return None
-    counts = Counter()
-    for exps, unit in ((num, 1), (den, -1)):
-        for e in exps:
-            if e < 0:  # 1 - q^e = -q^e (1 - q^-e)
-                sign, shift, e = -sign, shift + unit * e, -e
-            counts[e] += unit
-    return sign, shift, frozenset((e, m) for e, m in counts.items() if m)
-
-
 def quotients_differ(lhs, rhs) -> bool:
-    """Whether two quotients, each (sign, shift, num, den) as
-    ``one_minus_normal_form`` takes it or None for 0, differ, on one net
-    count: the normal form of lhs over rhs against that of 1.  A
-    denominator 1 - q^0 raises DegenerateProductError, lhs's first, and a
-    numerator one makes its side 0."""
+    """Whether two quotients sign q^shift prod_num (1 - q^e) / prod_den
+    (1 - q^e), each (sign, shift, num, den) or None for 0, differ.
+
+    A denominator 1 - q^0 raises DegenerateProductError, lhs's first, and
+    a numerator one makes its side 0.  Otherwise lhs / rhs is s1 s2
+    q^{h1 - h2} prod_up (1 - q^e) / prod_down (1 - q^e), up = num1 + den2
+    and down = den1 + num2, and 1 - q^e = -q^e (1 - q^-e) for e < 0 turns
+    it into sign q^shift times factors 1 - q^|e|.  Phi_m divides 1 - q^e
+    to the first power exactly when m | e, so by Moebius inversion it is 1
+    exactly when the sorted |e| of up and down are one list, the sign
+    (-1)^(number of e < 0) s1 s2 is 1 and the shift is 0: once the |e|
+    agree, the e < 0 of up less those of down sum to (sum up - sum down)/2.
+    """
     for side in (lhs, rhs):
         if side is not None and 0 in side[3]:
             raise DegenerateProductError("denominator factor 1 - q^0")
@@ -111,8 +99,12 @@ def quotients_differ(lhs, rhs) -> bool:
     if any(zero):
         return zero[0] != zero[1]
     (s1, h1, n1, d1), (s2, h2, n2, d2) = lhs, rhs
-    return one_minus_normal_form(s1 * s2, h1 - h2, n1 + d2, d1 + n2) != (
-        1, 0, frozenset())
+    up, down = n1 + d2, d1 + n2
+    if sorted(map(abs, up)) != sorted(map(abs, down)):
+        return True
+    negative = [e for e in up + down if e < 0]
+    return (s1 * s2 * (-1) ** len(negative) != 1
+            or h1 - h2 + (sum(up) - sum(down)) // 2 != 0)
 
 
 class PackingOverflowError(RuntimeError):
@@ -440,6 +432,14 @@ def relation_vanishes(step: int, terms, fold: int = 0) -> bool:
     return Packed(total, low, bits, width, fold).is_zero()
 
 
+def _over_run0(lists, lists0):
+    """Term lists (a, b, c) over run 0's (a0, b0, c0), as the exponents
+    counted up and down: a + b0 less a0 + b and back, then c less c0 and
+    back."""
+    (a, b, c), (a0, b0, c0) = lists, lists0
+    return (*without_common(a + b0, a0 + b), *without_common(c, c0))
+
+
 def first_failing_term(templates, relation, step: int,
                        limit: int) -> int | None:
     """The first k <= limit with sum_i relation_i term_k(templates[i]) != 0,
@@ -452,39 +452,55 @@ def first_failing_term(templates, relation, step: int,
     DegenerateProductError; templates from which it reads none have no
     certificate, which raises RuntimeError.  Each of those terms is
     decided whole, read straight from the head and the intercepts.  Term k
-    of run i is q^{step k} prod (1 - q^e)^{m_i(e)}: a running count per
-    run adds a_k and takes away b_k once per term, and a copy of it adds
-    c_k.  The least m_i(e) of every e != 0 is divided out, and the factors
-    left are decided by one ``relation_vanishes`` call; 1 - q^0 is never
-    divided out, so it still zeroes its term.
+    of run i is q^{step k} prod (1 - q^e)^{m_i(e)}, and is carried as its
+    count over run 0's, m_i - m_0: the runs share most factors, so a
+    running count per run adds only the few exponents where its head or
+    intercepts differ from run 0's, and a copy adds those of c_k.  The
+    least m_i(e) of every e != 0 is divided out, which leaves run 0 the
+    factors some run lacks, and the factors left are decided by one
+    ``relation_vanishes`` call; 1 - q^0 is never divided out, so it still
+    zeroes its term.
     """
     degree = termwise_degree(templates, step, limit)
     if degree is None:
         raise RuntimeError("no certificate: the terms' ratios do not"
                            " telescope to a bounded degree")
-    running = [{} for _ in templates]
+    (head0, *lists0), *rest = templates
+    overs = ([_over_run0(head, head0) for head, *_ in rest],
+             [_over_run0(lists, lists0) for _, *lists in rest])
+    running = [{} for _ in rest]
+    zeros = 0  # run 0's factors 1 - q^0 so far
     for k in range(min(limit, degree + 1) + 1):
-        counts = []
-        for (head, *intercepts), run in zip(templates, running):
-            # Term 0 is the head; term k >= 1 moves the intercepts.
-            a, b, c = intercepts if k else head
-            move = step * (k - 1) if k else 0
-            for x in a:
-                run[x + move] = run.get(x + move, 0) + 1
-            for y in b:
-                run[y + move] = run.get(y + move, 0) - 1
+        # Term 0 is the head; term k >= 1 moves the intercepts.
+        move = step * (k - 1) if k else 0
+        a0, _, c0 = lists0 if k else head0
+        zeros += a0.count(-move)
+        held = zeros + c0.count(-move)
+        counts, low = [], {}
+        for (grow, shrink, up, down), run in zip(overs[k > 0], running):
+            for e in grow:
+                run[e + move] = run.get(e + move, 0) + 1
+            for e in shrink:
+                run[e + move] = run.get(e + move, 0) - 1
             count = run.copy()
-            for z in c:
-                count[z + move] = count.get(z + move, 0) + 1
+            for e in up:
+                count[e + move] = count.get(e + move, 0) + 1
+            for e in down:
+                count[e + move] = count.get(e + move, 0) - 1
+            for e, m in count.items():
+                if e and m < low.get(e, 0):
+                    low[e] = m
             counts.append(count)
-        for e in set().union(*counts) - {0}:
-            low = min(count.get(e, 0) for count in counts)
-            for count in counts:
-                count[e] = count.get(e, 0) - low
+        parts = [[0] * held + [e for e, m in low.items() for _ in range(-m)]]
+        for count in counts:
+            part = [0] * (held + count.pop(0, 0))
+            for e, m in low.items():
+                count[e] = count.get(e, 0) - m
+            parts.append(part + [e for e, m in count.items()
+                                 for _ in range(m)])
         if not relation_vanishes(0, [
-                (sign, shift, exps + [e for e, m in count.items()
-                                      for _ in range(m)], None)
-                for (sign, shift, exps), count
-                in zip(relation, counts, strict=True)]):
+                (sign, shift, exps + part, None)
+                for (sign, shift, exps), part
+                in zip(relation, parts, strict=True)]):
             return k
     return None

@@ -15,9 +15,10 @@ from __future__ import annotations
 from .cyclotomic import cyclotomic
 from .laurent import Laurent
 from .poly import Poly, divrem, xgcd
+from .results import RefusalError
 
 
-class NonUnitError(ArithmeticError):
+class NonUnitError(RefusalError):
     """Inversion of a ring element sharing a factor with the modulus."""
 
     def __init__(self, witness: Poly):

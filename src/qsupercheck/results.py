@@ -5,6 +5,12 @@ from __future__ import annotations
 import enum
 
 
+class RefusalError(ArithmeticError):
+    """The mathematics refuses an instance: a non-unit, a vanishing
+    denominator, a non-integral exponent.  ``catalog.run_check`` reads this
+    class, and no other exception, as FAILS."""
+
+
 class Status(enum.Enum):
     HOLDS = "HOLDS"
     FAILS = "FAILS"

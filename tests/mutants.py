@@ -2,8 +2,8 @@
 
 Each entry of ``MUTANTS`` is (file under ``src/qsupercheck``, the exact old
 text, the new text, what the change breaks, the tests that must catch it).
-A change made at two places gives a tuple of old texts and one of new
-ones, replaced pairwise.  Each old text must occur exactly once in its
+A change made at more than one place gives a tuple of old texts and one
+of new ones, replaced pairwise.  Each old text must occur exactly once in its
 file, so an entry whose code has moved on is an error rather than a silent
 pass.
 
@@ -56,20 +56,20 @@ MUTANTS = [
     ("qfuncs.py", "min(limit, degree + 1)", "min(limit, degree)",
      "D one less: a relation that first fails at term D + 1 is certified",
      [_SIGN_AND_SHIFT]),
-    ("qfuncs.py", "set().union(*counts) - {0}", "set().union(*counts)",
-     "1 - q^0 cancelled across runs: a term that both runs zero differs",
+    ("qfuncs.py", "if e and m < low.get(e, 0):", "if m < low.get(e, 0):",
+     "1 - q^0 divided out across runs: a run without it is zeroed",
+     [_BY_HAND]),
+    ("qfuncs.py", "if e and m < low.get(e, 0):", "if e and m > low.get(e, 0):",
+     "the largest count over run 0's divided out: factors go missing",
      [_SIGN_AND_SHIFT]),
-    ("qfuncs.py", "low = min(count.get(e, 0) for count in counts)",
-     "low = max(count.get(e, 0) for count in counts)",
-     "the largest shared count divided out: factors go missing",
-     [_SIGN_AND_SHIFT]),
-    ("qfuncs.py", "            for y in b:\n"
-     "                run[y + move] = run.get(y + move, 0) - 1\n"
+    ("qfuncs.py", "            for e in shrink:\n"
+     "                run[e + move] = run.get(e + move, 0) - 1\n"
      "            count = run.copy()\n",
-     "            count = run.copy()\n            for y in b:\n"
-     "                run[y + move] = run.get(y + move, 0) - 1\n",
-     "b_k counted at term k + 1",
-     [_QFUNCS + "test_first_failing_term_matches_the_counting_oracle"]),
+     "            count = run.copy()\n            for e in shrink:\n"
+     "                run[e + move] = run.get(e + move, 0) - 1\n",
+     "the factors run 0 has more of counted a term late",
+     [_DECOMPOSITION
+      + "test_decomposition_certificate_matches_the_n_term_verdict"]),
     ("parametric.py", "    return _key(_sum_template(shifted, d, r, 0, 0,"
      " entries)) == _key(\n        _reference_template(shifted, d, r))",
      "    return True",
@@ -120,6 +120,19 @@ MUTANTS = [
      "_witness(d, r, n, None, check_id in _SHIFTED_INDEX,",
      "shared verdicts decided without the mutation",
      [_PARAMETRIC + "test_shared_work_is_certified_once_per_process"]),
+    ("parametric.py",
+     ("    return total, _collapse_at_one(shifted, d, r, n, entries)",
+      "    total, collapse = _left_side(d, r, n, shifted, entries, band)\n",
+      "    closed = (mutated(None, mutation) if shifted\n"),
+     ("    return total, _collapse_at_one(shifted, d, r, n, entries), {}",
+      "    total, collapse, kept = _left_side(d, r, n, shifted, entries,"
+      " band)\n",
+      "    closed = kept.setdefault(\"closed\", mutated(None, mutation)"
+      " if shifted\n"),
+     "the closed form kept with the shared sum, without the mutation in the"
+     " key: a twin reads its sibling's",
+     [_PARAMETRIC
+      + "test_a_twin_after_its_sibling_builds_only_its_closed_form"]),
     ("qfuncs.py", "for shift in range(0, step * limit, step):",
      "for shift in range(step, step * limit + step, step):",
      "expand shifted one step", [_INCREMENTS]),
@@ -148,14 +161,19 @@ MUTANTS = [
     ("parametric.py", "if sorted(c0) != sorted(e - d for e in c):",
      "if sorted(c0) != sorted(c):", "c_0 compared with c unshifted",
      [_AGREEMENT]),
-    # One net count decides whether two quotients differ.
+    # One comparison of sorted lists decides whether two quotients differ.
     ("qfuncs.py", "return zero[0] != zero[1]", "return False",
      "a zero side read as equal to any other", [_NET_COUNT]),
-    ("qfuncs.py", "one_minus_normal_form(s1 * s2, h1 - h2,",
-     "one_minus_normal_form(s1, h1 - h2,", "the rhs's sign dropped",
+    ("qfuncs.py", "s1 * s2 * (-1) ** len(negative) != 1",
+     "s1 * (-1) ** len(negative) != 1", "the rhs's sign dropped",
      [_NET_COUNT]),
-    ("qfuncs.py", "n1 + d2, d1 + n2)", "n1 + n2, d1 + d2)",
+    ("qfuncs.py", "up, down = n1 + d2, d1 + n2", "up, down = n1 + n2, d1 + d2",
      "the rhs's factors counted on the lhs's side", [_NET_COUNT]),
+    ("qfuncs.py", "h1 - h2 + (sum(up) - sum(down)) // 2 != 0", "h1 - h2 != 0",
+     "the shift of the negative exponents dropped", [_NET_COUNT]),
+    ("qfuncs.py", "s1 * s2 * (-1) ** len(negative) != 1", "s1 * s2 != 1",
+     "|e| compared without the parity of the negative exponents",
+     [_NET_COUNT]),
     ("qfuncs.py", "    for side in (lhs, rhs):\n", "    for side in (rhs,):\n",
      "no refusal of a denominator 1 - q^0 in the lhs", [_NET_COUNT]),
     ("qfuncs.py", "            y = ys.pop()\n", "            y = ys.pop(0)\n",
@@ -253,6 +271,12 @@ MUTANTS = [
      "the right side kept with the left, without the mutation in the key:"
      " a twin reads its sibling's verdict",
      [_VERIFIER + "test_a_kept_left_side_decides_as_a_fresh_one"]),
+    # Only the mathematics' refusals read FAILS.
+    ("catalog.py", "except RefusalError as exc:",
+     "except ArithmeticError as exc:",
+     "every arithmetic error read as FAILS: a stray 1 // 0 is a"
+     " counterexample", ["tests/test_sweep_totality.py::"
+                         "test_a_stray_arithmetic_error_is_an_engine_fault"]),
     # The report layout.
     ("report.py", "keyed.sort(key=itemgetter(0))",
      "keyed.sort(key=lambda pair: pair[0][1])",

@@ -30,7 +30,6 @@ from qsupercheck.qfuncs import (
     DegenerateProductError,
     _refuse_zero_denominator,
     expand,
-    one_minus_normal_form,
     poch_power_base,
     q_binomial,
     relation_vanishes,
@@ -315,6 +314,30 @@ def collapse_at_one(check_id, d, r, n):
         if one_minus_normal_form(1, d * k, num + c, den) != ref:
             return f"a = 1 collapse differs from reference summand at k = {k}"
     return None
+
+
+def one_minus_normal_form(sign: int, shift: int, num, den):
+    """Normal form of sign q^shift prod_num (1 - q^e) / prod_den (1 - q^e).
+
+    Returns (sign, shift, counts) with counts the frozenset of (e, m), e > 0,
+    m != 0 the net multiplicity of 1 - q^e; None when a numerator factor is
+    1 - q^0, which a denominator one refuses with DegenerateProductError.
+    Phi_m divides 1 - q^e to the first power exactly when m | e, so
+    Moebius inversion recovers the counts from the cyclotomic factorization:
+    two such quotients are equal exactly when their normal forms are.
+    ``qfuncs.quotients_differ`` decides the same equality on sorted lists.
+    """
+    if 0 in den:
+        raise DegenerateProductError("denominator factor 1 - q^0")
+    if 0 in num:
+        return None
+    counts = Counter()
+    for exps, unit in ((num, 1), (den, -1)):
+        for e in exps:
+            if e < 0:  # 1 - q^e = -q^e (1 - q^-e)
+                sign, shift, e = -sign, shift + unit * e, -e
+            counts[e] += unit
+    return sign, shift, frozenset((e, m) for e, m in counts.items() if m)
 
 
 def first_differing_term(lhs, rhs):

@@ -214,7 +214,7 @@ def test_exponent_identity_example_value():
     lhs = d * _binom2(k) + (n + 2 * d + r - d * n) * k
     rhs = d * _binom2(top - k) - d * _binom2(top)
     assert lhs == rhs == -24
-    result = verify_proof_step("exponent_identity", {"d": d, "r": r, "n": n, "k": k})
+    result = verify_proof_step("exponent_identity", d=d, r=r, n=n, k=k)
     assert result.status is Status.HOLDS
 
 
@@ -230,12 +230,12 @@ def test_pochhammer_split_general_display_instance():
            * correction
            * q_pochhammer(QMonomial(1, 2), 5, 3) ** 2)
     assert RatFunc(lhs) == rhs
-    result = verify_proof_step("pochhammer_split_general", {"d": 5, "r": 2, "k": 3})
+    result = verify_proof_step("pochhammer_split_general", d=5, r=2, k=3)
     assert result.status is Status.HOLDS
 
 
 def test_pochhammer_split_r1_empty_product():
-    result = verify_proof_step("pochhammer_split_r1", {"d": 4, "k": 0})
+    result = verify_proof_step("pochhammer_split_r1", d=4, k=0)
     assert result.status is Status.HOLDS
 
 
@@ -248,7 +248,7 @@ def test_sum_decomposition_termwise_oracle():
     bracket_d = Laurent(q_integer(d))
     bracket_d1 = Laurent(q_integer(d - 1), 1)
     assert high * neg == bracket_d * low * neg - bracket_d1 * low * low
-    result = verify_proof_step("sum_decomposition", {"d": 3, "n": 5})
+    result = verify_proof_step("sum_decomposition", d=3, n=5)
     assert result.status is Status.HOLDS
 
 
@@ -338,10 +338,10 @@ def test_decomposition_with_a_wrong_exponent_fails(monkeypatch):
         # telescope, so the certificate decides it.
         return _raised(real(d), 1, 1, 0, d)
 
-    assert verify_proof_step("sum_decomposition", {"d": 3, "n": 5}).status \
+    assert verify_proof_step("sum_decomposition", d=3, n=5).status \
         is Status.HOLDS
     monkeypatch.setattr(identities, "_decomposition_templates", one_off)
-    result = verify_proof_step("sum_decomposition", {"d": 3, "n": 5})
+    result = verify_proof_step("sum_decomposition", d=3, n=5)
     assert result.status is Status.FAILS
     assert result.witness == "three-sum decomposition differs"
     assert whole_sum_decomposition(3, decomposition_sums(3, 5)) == \
@@ -469,7 +469,7 @@ def test_failing_termwise_step_is_a_fails(monkeypatch):
     # step can turn it into HOLDS.
     monkeypatch.setattr(identities, "first_failing_term", lambda *args: 0)
     for d, n in ((2, 1), (3, 5), (7, 12)):
-        result = verify_proof_step("sum_decomposition", {"d": d, "n": n})
+        result = verify_proof_step("sum_decomposition", d=d, n=n)
         assert result.status is Status.FAILS
         assert result.witness == "three-sum decomposition differs"
 
@@ -535,22 +535,22 @@ def test_decomposition_mutants_keep_the_three_sum_verdict(d, n):
 
 def test_ratio_shifts():
     holds = verify_proof_step(
-        "ratio_shift_generic", {"d": 4, "r": 1, "n": 7, "j": 3, "k": 2})
+        "ratio_shift_generic", d=4, r=1, n=7, j=3, k=2)
     assert holds.status is Status.HOLDS
     central = verify_proof_step(
-        "ratio_shift_central", {"d": 4, "r": 1, "n": 7, "j": 2, "k": 0})
+        "ratio_shift_central", d=4, r=1, n=7, j=2, k=0)
     assert central.status is Status.HOLDS
     wrong_band = verify_proof_step(
-        "ratio_shift_generic", {"d": 4, "r": 1, "n": 7, "j": 2, "k": 2})
+        "ratio_shift_generic", d=4, r=1, n=7, j=2, k=2)
     assert wrong_band.status is Status.SKIPPED_PRECONDITION
     parity = verify_proof_step(
-        "ratio_shift_generic", {"d": 5, "r": 1, "n": 9, "j": 4, "k": 1})
+        "ratio_shift_generic", d=5, r=1, n=9, j=4, k=1)
     assert parity.status is Status.SKIPPED_PRECONDITION
 
 
 def test_qbinom_rewrite():
     result = verify_proof_step(
-        "qbinom_rewrite", {"d": 5, "r": 2, "n": 8, "k": 4})
+        "qbinom_rewrite", d=5, r=2, n=8, k=4)
     assert result.status is Status.HOLDS
 
 
@@ -744,7 +744,7 @@ def test_counted_steps_need_no_polynomial_arithmetic(monkeypatch):
             if hasattr(module, attr):
                 monkeypatch.setattr(module, attr, refuse)
     for cid, params in PAPER_STEPS:
-        assert verify_proof_step(cid, params).status is Status.HOLDS, (
+        assert verify_proof_step(cid, **params).status is Status.HOLDS, (
             cid, params)
 
 
@@ -752,16 +752,16 @@ def test_bracket_factorization_12():
     product = cyclotomic(12) * poly_prod(
         [cyclotomic(m) for m in (2, 3, 4, 6)])
     assert product == q_integer(12)
-    result = verify_proof_step("bracket_factorization", {"n": 12})
+    result = verify_proof_step("bracket_factorization", n=12)
     assert result.status is Status.HOLDS
 
 
 def test_prefactor_divisibility():
     assert verify_proof_step(
-        "prefactor_divisibility", {"d": 2, "n": 9}).status is Status.HOLDS
+        "prefactor_divisibility", d=2, n=9).status is Status.HOLDS
     # Prime n has no proper divisors above 1; the modulus is trivial.
     assert verify_proof_step(
-        "prefactor_divisibility", {"d": 2, "n": 7}).status is Status.HOLDS
+        "prefactor_divisibility", d=2, n=7).status is Status.HOLDS
 
 
 def _prefactor_divides_by_division(d, n):
@@ -805,7 +805,7 @@ def test_q_binomial_steps_need_positive_d(step_id):
 
 def test_unknown_step_rejected():
     with pytest.raises(ValueError):
-        verify_proof_step("nope", {})
+        verify_proof_step("nope")
 
 
 def test_km_sample_exhaustion(monkeypatch):

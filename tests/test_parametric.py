@@ -16,6 +16,7 @@ from oracles import (
     dense_sum,
     first_differing_term,
     identity,
+    one_minus_normal_form,
     packed_check,
     packed_witness,
     reference_increments,
@@ -47,7 +48,6 @@ from qsupercheck.qfuncs import (
     DegenerateProductError,
     expand,
     first_failing_term,
-    one_minus_normal_form,
     one_minus_product,
     packed_width,
     truncated_sum,
@@ -259,6 +259,7 @@ def test_a_failed_premise_is_an_error_never_a_verdict(monkeypatch, check_id,
     assert run_check(check_id, params).status is Status.HOLDS
     _patched_template(monkeypatch, change)
     parametric._witness.cache_clear()  # decide the patched instance afresh
+    parametric._left_side.cache_clear()
     result = run_check(check_id, params)
     assert result.status is Status.ERROR
     assert result.witness.startswith("RuntimeError: no certificate: " + why)
@@ -278,6 +279,7 @@ def test_an_a_intercept_raised_by_d_never_holds(monkeypatch):
 
             _patched_template(monkeypatch, raised)
             parametric._witness.cache_clear()
+            parametric._left_side.cache_clear()
             result = run_check(cid, {"d": d, "n": n, "r": r})
             statuses[cid in _SHIFTED_INDEX, result.status] += 1
             if result.status is Status.FAILS:
@@ -421,6 +423,7 @@ def test_an_asymmetric_list_is_an_error(monkeypatch, check_id, d, r, n,
     monkeypatch.setattr(parametric, target,
                         _unmirrored(getattr(parametric, target)))
     parametric._witness.cache_clear()  # decide the patched instance afresh
+    parametric._left_side.cache_clear()
     parametric._same_shape.cache_clear()
     result = run_check(check_id, params)
     assert result.status is Status.ERROR
@@ -458,46 +461,89 @@ def test_families_share_work_exactly_where_written_out():
 
 
 def test_shared_work_is_certified_once_per_process(monkeypatch):
-    calls = []
-    real = parametric._gasper_sum
+    calls, closed = [], []
+    real, real_rhs = parametric._gasper_sum, parametric._rhs_factors
 
     def spy(template, d, limit):
         calls.append(limit)
         return real(template, d, limit)
 
+    def rhs_spy(*args):
+        closed.append(args)
+        return real_rhs(*args)
+
     monkeypatch.setattr(parametric, "_gasper_sum", spy)
+    monkeypatch.setattr(parametric, "_rhs_factors", rhs_spy)
     first = verify_parametric("p7_45", 5, 1, 14)
     second = verify_parametric("p3_32", 5, 1, 14)
-    assert len(calls) == 1
+    assert (len(calls), len(closed)) == (1, 1)
     assert (first.check_id, first.status) == ("p7_45", Status.HOLDS)
     assert (second.check_id, second.status) == ("p3_32", Status.HOLDS)
     assert second.params == first.params == {"d": 5, "n": 14, "r": 1}
     assert second.params is not first.params
-    # A mutation is other work: it is decided, and only once.
+    # A mutation reaches only the closed form: it is decided, once, on the
+    # sum its sibling built.
     for _ in range(2):
         mutant = verify_parametric("p3_32", 5, 1, 14, mutation="sign")
         assert (mutant.check_id, mutant.status) == ("p3_32", Status.FAILS)
         assert mutant.witness == "sides differ at a = q^14"
-    assert len(calls) == 2
-    # So is another n; the memo stays within its bound.
+    assert (len(calls), len(closed)) == (1, 2)
+    # Another n is other work; the memos stay within their bound.
     assert verify_parametric("p3_32", 5, 1, 19).status is Status.HOLDS
-    assert len(calls) == 3
-    assert parametric._witness.cache_info().maxsize == 4096
-    assert parametric._same_shape.cache_info().maxsize == 4096
-    small = functools.lru_cache(maxsize=2)(parametric._witness.__wrapped__)
-    monkeypatch.setattr(parametric, "_witness", small)
+    assert (len(calls), len(closed)) == (2, 3)
+    for memo in (parametric._witness, parametric._left_side,
+                 parametric._same_shape):
+        assert memo.cache_info().maxsize == 4096
+    small = functools.lru_cache(maxsize=2)(parametric._left_side.__wrapped__)
+    monkeypatch.setattr(parametric, "_left_side", small)
+    monkeypatch.setattr(parametric, "_witness",
+                        parametric._witness.__wrapped__)
     assert verify_parametric("p7_45", 7, 3, 11).status is Status.HOLDS
     assert verify_parametric("p7_45", 5, 1, 14).status is Status.HOLDS
-    assert len(calls) == 5
+    assert len(calls) == 4
     assert verify_parametric("p3_32", 5, 1, 14).status is Status.HOLDS
-    assert len(calls) == 5
-    # A third verdict drops the least recently used, (7, 3, 11).
+    assert len(calls) == 4
+    # A third sum drops the least recently used, (7, 3, 11).
     assert verify_parametric("p3_32", 5, 1, 19).status is Status.HOLDS
-    assert parametric._witness.cache_info().currsize == 2
+    assert parametric._left_side.cache_info().currsize == 2
     assert verify_parametric("p7_45", 5, 1, 14).status is Status.HOLDS
-    assert len(calls) == 6
+    assert len(calls) == 5
     assert verify_parametric("p7_45", 7, 3, 11).status is Status.HOLDS
-    assert len(calls) == 7
+    assert len(calls) == 6
+
+
+def test_a_twin_after_its_sibling_builds_only_its_closed_form(monkeypatch):
+    # Every grid and past-grid instance, then its sign and exponent twins:
+    # a twin builds no second template or sum, and decides as it does
+    # with every memo cleared, down to the error of a mutated vanishing
+    # sum.
+    built = Counter()
+    for name in ("_sum_template", "_gasper_sum"):
+        def spy(*args, name=name, real=getattr(parametric, name)):
+            built[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(parametric, name, spy)
+
+    def decided(cid, d, r, n, mutation):
+        try:
+            result = verify_parametric(cid, d, r, n, mutation=mutation)
+        except ValueError as exc:
+            return "ValueError", str(exc)
+        return result.status, result.witness, result.note
+
+    for cid, d, r, n in INSTANCES:
+        assert decided(cid, d, r, n, None)[0] is Status.HOLDS
+        for mutation in ("sign", "exponent"):
+            before = built.copy()
+            warm = decided(cid, d, r, n, mutation)
+            assert built == before, (cid, d, r, n, mutation)
+            for memo in (parametric._witness, parametric._left_side,
+                         parametric._same_shape):
+                memo.cache_clear()
+            assert decided(cid, d, r, n, mutation) == warm
+            assert warm[0] in (Status.FAILS, "ValueError")
+            assert built["_gasper_sum"] == before["_gasper_sum"] + 1
 
 
 def test_vanishing_sum_without_last_term_is_nonzero():
@@ -765,6 +811,7 @@ def test_collapse_without_a_certificate_is_an_error(monkeypatch):
         monkeypatch.setattr(parametric, "_reference_template",
                             lambda *_, raised=raised: raised)
         parametric._witness.cache_clear()  # decide each patched reference
+        parametric._left_side.cache_clear()
         parametric._same_shape.cache_clear()
         result = run_check("p3_32", {"d": 5, "n": 14, "r": 1})
         if delta == 1:
@@ -802,6 +849,7 @@ def test_collapse_with_a_shared_intercept_holds_on_its_certificate(
     for cid, d, r, n in INSTANCES:
         calls.clear()
         parametric._witness.cache_clear()  # p3_32 would read p7_45's verdict
+        parametric._left_side.cache_clear()
         parametric._same_shape.cache_clear()
         assert run_check(cid, {"d": d, "n": n, "r": r}).status \
             is Status.HOLDS, (cid, d, r, n)
@@ -847,6 +895,7 @@ def test_a_cached_shape_builds_no_second_collapse_template(monkeypatch):
 
     monkeypatch.setattr(parametric, "_reference_template", shared)
     parametric._witness.cache_clear()  # decide the patched reference afresh
+    parametric._left_side.cache_clear()
     parametric._same_shape.cache_clear()
     ns = _admissible_ns("p7_45", 7, 3)[:3]
     for n in ns:

@@ -34,7 +34,6 @@ from qsupercheck.qfuncs import (
     PackingOverflowError,
     expand,
     first_failing_term,
-    one_minus_normal_form,
     one_minus_product,
     packed_width,
     q_binomial,
@@ -58,6 +57,7 @@ from oracles import (
     laurent_product,
     normal_forms_differ,
     one_minus,
+    one_minus_normal_form,
     SAME_WORK,
     packed_truncated_sum,
     packed_check,
@@ -410,11 +410,23 @@ _side = st.none() | st.tuples(_signs, st.integers(-4, 4), _exponents,
 
 @settings(max_examples=400, deadline=None)
 @given(_side, _side, st.booleans(), st.randoms(use_true_random=False))
+# Equal through a negative exponent, and a sign, a shift or one factor off.
+@example((1, 0, [2], [1]), (-1, 2, [-2], [1]), False, None)
+@example((1, 0, [2], [1]), (1, 0, [-2], [-1]), False, None)
+@example((1, 0, [2, -3], [1]), (1, -3, [2, 3], [1]), False, None)
+@example((1, 0, [2, 3], [1, 3]), (1, 0, [2, 3], [1]), False, None)
+# Zero sides, and 1 - q^0 in a denominator, which lhs's normal form
+# meets first, whatever rhs is.
+@example((-1, 3, [-3, 0], [2]), None, False, None)
+@example((1, 0, [0], [1]), (1, 0, [2], [0]), False, None)
+@example((1, 0, [2], [0]), None, False, None)
+@example((1, 0, [2], [0]), (1, 0, [0], [-1, 0]), False, None)
 def test_net_count_matches_two_normal_forms(lhs, rhs, rewrite, rnd):
     # Sides with negative exponents, zero sides (None, or 1 - q^0 in a
     # numerator) and 1 - q^0 in a denominator; with ``rewrite`` the rhs is
-    # the lhs written another way.  One net count of lhs over rhs must give
-    # the verdict of comparing two normal forms, or its error.
+    # the lhs written another way.  Comparing the sorted |e| lists, the
+    # parity and the shift of lhs over rhs must give the verdict of the
+    # oracle ``one_minus_normal_form`` on each side, or its error.
     if rewrite and lhs is not None:
         rhs = _rewritten(lhs, rnd)
     try:
@@ -635,6 +647,13 @@ def test_termwise_degree_by_hand():
                                        relation) == 2
     with pytest.raises(RuntimeError, match="^no certificate"):
         first_failing_term(runs, relation, 2, 9)
+    # Only run 0's head holds 1 - q^0, in c_0: term 0 is 0 - 1, so the
+    # relation fails there; 1 - q^0 is never divided out across runs.
+    runs = [(([], [], [0]), [1], [], []), (([], [], []), [1], [], [])]
+    relation = [(1, 0, []), (-1, 0, [])]
+    assert termwise_degree(runs, 2, 9) == 0
+    assert first_failing_term(runs, relation, 2, 9) == 0 == \
+        counting_first_failing_term([expand(t, 2, 1) for t in runs], relation)
     # A constant cleared below, (q^-2; q^2)_2, holds 1 - q^0.
     assert termwise_degree(_runs(([], [], []), ([2], [-2], [])), 2, 1) is None
     # A denominator 1 - q^0 in range is refused, in any run.
@@ -664,6 +683,7 @@ def test_raised_intercepts_still_fail(monkeypatch):
 
             monkeypatch.setattr(parametric, "_sum_template", raised)
             parametric._witness.cache_clear()  # each mutant is decided afresh
+            parametric._left_side.cache_clear()
             parametric._same_shape.cache_clear()
             result = run_check(cid, {"d": d, "n": n, "r": r})
             where = (cid, d, r, n, part)
@@ -721,6 +741,7 @@ def test_single_exponent_mutants_agree_with_dense_oracle(monkeypatch):
 
         monkeypatch.setattr(parametric, "_sum_template", mutated)
         parametric._witness.cache_clear()  # each mutant is decided afresh
+        parametric._left_side.cache_clear()
         parametric._same_shape.cache_clear()
         where = cid, d, r, n, part, template
         oracle = _oracle_verdict(cid, d, r, n, increments)
@@ -1056,6 +1077,7 @@ def test_undersized_width_is_error_not_a_verdict(monkeypatch, module,
         assert getattr(module, name) is getattr(qfuncs, name)
     monkeypatch.setattr(qfuncs, "packed_width", lambda bits: bits + 1)
     parametric._witness.cache_clear()  # decide the patched instance afresh
+    parametric._left_side.cache_clear()
     parametric._same_shape.cache_clear()
     result = run_check(check_id, params)
     if module is parametric:

@@ -1,6 +1,11 @@
 """Rectangular sweeps are total: every instance yields a status, never a crash."""
 
-from qsupercheck.catalog import REGISTRY, run_check
+import json
+
+import pytest
+
+from qsupercheck.catalog import REGISTRY, paper_default_suite, run_check
+from qsupercheck.cli import main
 from qsupercheck.results import Status
 
 
@@ -72,3 +77,60 @@ def test_run_check_times_every_status():
     assert [r.status for r in (skipped, held, failed)] == [
         Status.SKIPPED_PRECONDITION, Status.HOLDS, Status.FAILS]
     assert all(r.elapsed_ms > 0 for r in (skipped, held, failed))
+
+
+_VERIFIERS = ("verify_theorem", "verify_divisibility", "verify_parametric",
+              "verify_karlsson_minton", "verify_qbinomial_vanishing",
+              "verify_proof_step", "verify_classical")
+
+
+def _planted(monkeypatch, exc):
+    """Every verifier that catalog's runners look up by name raises exc."""
+    import qsupercheck.catalog
+
+    def check(*args, **kwargs):
+        raise exc
+
+    for name in _VERIFIERS:
+        monkeypatch.setattr(qsupercheck.catalog, name, check)
+
+
+def test_each_refusal_of_the_mathematics_reads_fails(monkeypatch):
+    from qsupercheck.families import IntegralityError
+    from qsupercheck.padic import ResidueDenominatorError
+    from qsupercheck.parametric import DegenerateSubstitutionError
+    from qsupercheck.poly import Poly
+    from qsupercheck.qfuncs import DegenerateProductError
+    from qsupercheck.residue import NonUnitError
+
+    for exc in (NonUnitError(Poly((1, 1))), IntegralityError("1/2"),
+                DegenerateProductError("denominator factor 1 - q^0"),
+                DegenerateSubstitutionError("denominator base q^0"),
+                ResidueDenominatorError("denominator of 1/5 divisible by 5")):
+        _planted(monkeypatch, exc)
+        result = run_check("p5_43", {"d": 5, "r": 2, "n": 8})
+        assert result.status is Status.FAILS
+        assert result.witness == f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("exc", [
+    ZeroDivisionError("integer division or modulo by zero"),
+    OverflowError("int too large to convert to float")])
+def test_a_stray_arithmetic_error_is_an_engine_fault(monkeypatch, tmp_path,
+                                                     exc):
+    # A bug such as 1 // 0 says nothing about the mathematics: in every
+    # catalog runner it reads ERROR, never a counterexample, and a sweep
+    # that meets it exits 4.
+    _planted(monkeypatch, exc)
+    first = {}
+    for cid, params in paper_default_suite():
+        first.setdefault(cid, params)
+    assert set(first) == set(REGISTRY)
+    for cid, params in first.items():
+        result = run_check(cid, params)
+        assert result.status is Status.ERROR, cid
+        assert result.witness == f"{type(exc).__name__}: {exc}"
+    out = tmp_path / "report.json"
+    assert main(["sweep", "--suite", "paper-default", "--out", str(out)]) == 4
+    assert json.loads(out.read_text())["summary"] == {
+        "holds": 0, "fails": 0, "skipped": 0, "errors": 607}
