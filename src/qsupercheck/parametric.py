@@ -31,17 +31,16 @@ exponents} (q^d; q^d)_N, which ``quotients_differ`` compares with the
 closed form on sorted exponent lists.
 At a = 1 the same template must reproduce the non-parametric summand
 term by term: the thm42 family's unless the index is shifted.  Neither
-template depends on n, so whether their sorted lists agree is decided
-once per shape; templates that differ are decided at each n by
-``first_failing_term``, which reads ERROR "no certificate" where their
-terms' ratios do not telescope.  Each helper takes only what it reads,
-so the three memos are ``functools.lru_cache``s of 4,096 entries keyed
-by their arguments: ``_witness``, the work after the precondition, which
-families share (p3_32 is p7_45 at r = 1); ``_left_side``, the part of it
-that no mutation reaches (the symmetry check, the template, Gasper's sum
-and the a = 1 collapse), so that a mutant twin run after its sibling
-builds only its closed form and one ``quotients_differ``; and
-``_same_shape``.
+template depends on n, and equal sorted lists give equal terms at every
+k and n, so this premise is decided once per shape (``_same_shape``);
+templates that differ read ERROR "no certificate", as a failed premise
+of Gasper's sum does.  Each helper takes only what it reads, so the two
+memos are ``functools.lru_cache``s of 4,096 entries keyed by their
+arguments: ``_left_side``, the work that no mutation reaches (the
+symmetry check, the template, Gasper's sum and the a = 1 premise), which
+families share (p3_32 is p7_45 at r = 1) and which a mutant twin run
+after its sibling reads, building only its closed form and one
+``quotients_differ``; and ``_same_shape``.
 Each family deforms a q-statement of the catalog, lemma21 or thm42, and
 is admissible where that statement is and its own condition on (d, r)
 holds.
@@ -53,29 +52,30 @@ import functools
 
 from .families import (a_exponent, family_template, mutated,
                        theorem_precondition)
-from .qfuncs import first_failing_term, pair_intercepts, quotients_differ
+from .qfuncs import pair_intercepts, quotients_differ
 from .results import CheckResult, RefusalError, fails, holds, skipped
 
-# Family -> (the q-statement it deforms, its condition on (d, r), that
+# Family -> (the q-statement it deforms, b: its central band is the
+# a-exponents j with b <= |j| <= r + b, its condition on (d, r), that
 # condition in words).  The lemma21 deformations vanish, as lemma21 does,
 # and use index k - 2 on their central band.
 _DEFORMS = {
-    "p1_24": ("lemma21", lambda d, r: (d + r) % 2, "d + r odd"),
-    "p2_25": ("lemma21", lambda d, r: d % 2 and r % 2, "d, r odd"),
-    "p3_32": ("thm42", lambda d, r: d % 2 and d > 3 and r == 1,
+    "p1_24": ("lemma21", 0, lambda d, r: (d + r) % 2, "d + r odd"),
+    "p2_25": ("lemma21", 1, lambda d, r: d % 2 and r % 2, "d, r odd"),
+    "p3_32": ("thm42", 1, lambda d, r: d % 2 and d > 3 and r == 1,
               "odd d > 3 and r = 1"),
-    "p4_33": ("thm42", lambda d, r: d == 3 and r == 1, "d = 3 and r = 1"),
-    "p5_43": ("thm42", lambda d, r: (d + r) % 2 and d - r >= 3,
+    "p4_33": ("thm42", 1, lambda d, r: d == 3 and r == 1, "d = 3 and r = 1"),
+    "p5_43": ("thm42", 0, lambda d, r: (d + r) % 2 and d - r >= 3,
               "d + r odd and d - r >= 3"),
-    "p6_44": ("thm42", lambda d, r: (d + r) % 2 and d - r == 1,
+    "p6_44": ("thm42", 0, lambda d, r: (d + r) % 2 and d - r == 1,
               "d + r odd and d - r = 1"),
-    "p7_45": ("thm42", lambda d, r: d % 2 and r % 2 and d - r >= 4,
+    "p7_45": ("thm42", 1, lambda d, r: d % 2 and r % 2 and d - r >= 4,
               "d, r odd and d - r >= 4"),
-    "p8_46": ("thm42", lambda d, r: d % 2 and r % 2 and d - r == 2,
+    "p8_46": ("thm42", 1, lambda d, r: d % 2 and r % 2 and d - r == 2,
               "d, r odd and d - r = 2"),
 }
 PARAMETRIC_IDS = tuple(_DEFORMS)
-_SHIFTED_INDEX = tuple(cid for cid, (statement, _, _) in _DEFORMS.items()
+_SHIFTED_INDEX = tuple(cid for cid, (statement, *_) in _DEFORMS.items()
                        if statement == "lemma21")
 
 
@@ -92,9 +92,8 @@ def _den_core(d: int) -> list[int]:
 
 
 def _central(check_id: str, j: int, r: int) -> bool:
-    if check_id in ("p1_24", "p5_43", "p6_44"):
-        return abs(j) <= r
-    return j != 0 and abs(j) <= r + 1
+    low = _DEFORMS[check_id][1]
+    return low <= abs(j) <= r + low
 
 
 def numerator_entries(check_id: str, d: int, r: int) -> list[tuple[int, int, int]]:
@@ -117,7 +116,7 @@ def parametric_precondition(check_id: str, d: int, r: int, n: int) -> str | None
     """None when (d, r, n) is admissible, else a short reason to skip."""
     if check_id not in _DEFORMS:
         raise ValueError(f"unknown parametric id {check_id!r}")
-    statement, condition, words = _DEFORMS[check_id]
+    statement, _, condition, words = _DEFORMS[check_id]
     reason = theorem_precondition(statement, d, n, r)
     if reason:
         return f"as {statement}: {reason}"
@@ -203,48 +202,30 @@ def _same_shape(shifted: bool, entries, d: int, r: int) -> bool:
         _reference_template(shifted, d, r))
 
 
-def _collapse_at_one(shifted: bool, d: int, r: int, n: int,
-                     entries) -> str | None:
-    """Termwise a = 1 consistency against the reference summand; a witness
-    on failure.
-
-    Term k of the sum at a = 1 is q^{dk} prod_{j<=k} a_j c_k / prod_{j<=k} b_j
-    over the same template the substituted sum is built from.  Equal keys
-    answer at once, since the sum templates refuse a denominator 1 - q^0.
-    Templates that differ are decided by ``first_failing_term`` with the
-    relation lhs - rhs, up to n's limit.
-    """
-    if _same_shape(shifted, entries, d, r):
-        return None
-    k = first_failing_term((_sum_template(shifted, d, r, n, 0, entries),
-                            _reference_template(shifted, d, r)),
-                           ((1, 0, []), (-1, 0, [])), d,
-                           _upper_limit(shifted, d, r, n))
-    if k is None:
-        return None
-    return f"a = 1 collapse differs from reference summand at k = {k}"
-
-
 def verify_parametric(check_id: str, d: int, r: int, n: int,
                       mutation: str | None = None) -> CheckResult:
-    """Exact equality at a = q^n, which stands for a = q^{-n} too, plus the
-    a = 1 termwise collapse.
+    """Exact equality at a = q^n, which stands for a = q^{-n} too, once
+    the a = 1 collapse is certified.
 
-    The work after the precondition depends on the family only through
-    the shifted index, ``numerator_entries`` and ``rhs_band``, which
-    ``_witness`` takes with d, r, n and the mutation, so it is done once
-    per process for each such argument list, and its verdict is returned
-    under the id that asks."""
+    The left side depends on the family only through the shifted index,
+    ``numerator_entries`` and ``rhs_band``, which ``_left_side`` takes
+    with d, r and n, so it is built once per process for each such
+    argument list; the closed form carries the mutation and is built at
+    every call."""
     params = {"d": d, "n": n, "r": r}
     reason = parametric_precondition(check_id, d, r, n)
     if reason is not None:
         return skipped(check_id, params, reason)
-    witness = _witness(d, r, n, mutation, check_id in _SHIFTED_INDEX,
-                       tuple(numerator_entries(check_id, d, r)),
-                       tuple(rhs_band(check_id, d, r)))
-    if witness is not None:
-        return fails(check_id, params, witness)
-    return holds(check_id, params)
+    shifted, band = check_id in _SHIFTED_INDEX, tuple(rhs_band(check_id, d, r))
+    total = _left_side(d, r, n, shifted,
+                       tuple(numerator_entries(check_id, d, r)), band)
+    # None for a sum that vanishes, as lemma21's, which has no mutation.
+    closed = (mutated(None, mutation) if shifted
+              else _rhs_factors(band, d, r, n, 1, mutation))
+    if not quotients_differ(total, closed):
+        return holds(check_id, params)
+    return fails(check_id, params, f"substituted sum nonzero at a = q^{n}"
+                 if closed is None else f"sides differ at a = q^{n}")
 
 
 def _refuse_asymmetry(entries, band, d: int) -> None:
@@ -292,27 +273,16 @@ def _gasper_sum(template, d: int, limit: int):
 
 
 @functools.lru_cache(maxsize=4096)
-def _left_side(d: int, r: int, n: int, shifted: bool, entries,
-               band) -> tuple:
+def _left_side(d: int, r: int, n: int, shifted: bool, entries, band):
     """What no mutation reaches: the a = q^n sum by Gasper's argument, as
-    ``_gasper_sum`` gives it, and the a = 1 collapse's witness or None.
-    A mutant twin reads its sibling's, and builds only its closed form;
-    every caller shares the sum's lists, which are read, never changed."""
+    ``_gasper_sum`` gives it, once the a = 1 template is the reference
+    summand's, else RuntimeError "no certificate".  A mutant twin reads
+    its sibling's; every caller shares the sum's lists, which are read,
+    never changed."""
     _refuse_asymmetry(entries, band, d)
     template = _sum_template(shifted, d, r, n, 1, entries)
     total = _gasper_sum(template, d, _upper_limit(shifted, d, r, n))
-    return total, _collapse_at_one(shifted, d, r, n, entries)
-
-
-@functools.lru_cache(maxsize=4096)
-def _witness(d: int, r: int, n: int, mutation: str | None, shifted: bool,
-             entries, band) -> str | None:
-    """``verify_parametric``'s witness of FAILS, None where it HOLDS."""
-    total, collapse = _left_side(d, r, n, shifted, entries, band)
-    # None for a sum that vanishes, as lemma21's, which has no mutation.
-    closed = (mutated(None, mutation) if shifted
-              else _rhs_factors(band, d, r, n, 1, mutation))
-    if quotients_differ(total, closed):
-        return (f"substituted sum nonzero at a = q^{n}" if closed is None
-                else f"sides differ at a = q^{n}")
-    return collapse
+    if not _same_shape(shifted, entries, d, r):
+        raise RuntimeError("no certificate: the a = 1 template is not the"
+                           " reference summand's")
+    return total

@@ -87,6 +87,10 @@ MUTANTS = [
     ("parametric.py", "_same_shape(shifted, entries, d, r)",
      "_same_shape(False, entries, d, r)",
      "the a = 1 shape asked without the shifted index", [_SHAPES]),
+    ("parametric.py", "    if not _same_shape(shifted, entries, d, r):\n",
+     "    if False:\n", "the a = 1 collapse premise skipped",
+     [_PARAMETRIC + "test_collapse_detects_a_wrong_exponent",
+      _PARAMETRIC + "test_collapse_without_a_certificate_is_an_error"]),
     ("identities.py", "(1, 1, [d - 1])", "(-1, 1, [d - 1])",
      "a sign flipped in the decomposition's relation",
      [_DECOMPOSITION
@@ -116,17 +120,16 @@ MUTANTS = [
     ("parametric.py", "[d] * d, [r] * r)", "[d] * d, [r + 1] * r)",
      "a wrong c intercept in the shifted-index reference",
      [_PARAMETRIC + "test_running_collapse_matches_the_quadratic_oracle"]),
-    ("parametric.py", "_witness(d, r, n, mutation, check_id in _SHIFTED_INDEX,",
-     "_witness(d, r, n, None, check_id in _SHIFTED_INDEX,",
-     "shared verdicts decided without the mutation",
+    ("parametric.py", "else _rhs_factors(band, d, r, n, 1, mutation))",
+     "else _rhs_factors(band, d, r, n, 1, None))",
+     "the closed form built without the mutation",
      [_PARAMETRIC + "test_shared_work_is_certified_once_per_process"]),
     ("parametric.py",
-     ("    return total, _collapse_at_one(shifted, d, r, n, entries)",
-      "    total, collapse = _left_side(d, r, n, shifted, entries, band)\n",
+     ("    return total\n",
+      "    total = _left_side(d, r, n, shifted,\n",
       "    closed = (mutated(None, mutation) if shifted\n"),
-     ("    return total, _collapse_at_one(shifted, d, r, n, entries), {}",
-      "    total, collapse, kept = _left_side(d, r, n, shifted, entries,"
-      " band)\n",
+     ("    return total, {}\n",
+      "    total, kept = _left_side(d, r, n, shifted,\n",
       "    closed = kept.setdefault(\"closed\", mutated(None, mutation)"
       " if shifted\n"),
      "the closed form kept with the shared sum, without the mutation in the"

@@ -574,11 +574,15 @@ def template_increments(template, step: int, limit: int):
     return increments
 
 
-def packed_witness(d, r, n, mutation, shifted, entries, band):
-    """``parametric._witness`` by the packed cross product: the sum at
-    a = q^n cancelled by ``template_increments``, the closed form's
+def packed_witness(check_id, d, r, n, mutation=None):
+    """``verify_parametric``'s witness by the packed cross product: the
+    sum at a = q^n cancelled by ``template_increments``, the closed form's
     denominator cancelled against what is left, and N den = sign q^shift
-    D num, or N = 0, decided by one ``relation_vanishes`` call."""
+    D num, or N = 0, decided by one ``relation_vanishes`` call; then the
+    a = 1 collapse by ``collapse_at_one``, term by term."""
+    shifted = check_id in _SHIFTED_INDEX
+    entries = tuple(numerator_entries(check_id, d, r))
+    band = tuple(parametric.rhs_band(check_id, d, r))
     parametric._refuse_asymmetry(entries, band, d)
     template = parametric._sum_template(shifted, d, r, n, 1, entries)
     closed = (mutated(None, mutation) if shifted
@@ -595,15 +599,7 @@ def packed_witness(d, r, n, mutation, shifted, entries, band):
         if not relation_vanishes(d, [(1, 0, den, increments),
                                      (-sign, shift, lhs_den + num, None)]):
             return f"sides differ at a = q^{n}"
-    return parametric._collapse_at_one(shifted, d, r, n, entries)
-
-
-def packed_check(check_id, d, r, n, mutation=None):
-    """``packed_witness`` on the arguments that ``verify_parametric``
-    hands ``parametric._witness`` for the family."""
-    return packed_witness(d, r, n, mutation, check_id in _SHIFTED_INDEX,
-                          tuple(numerator_entries(check_id, d, r)),
-                          tuple(parametric.rhs_band(check_id, d, r)))
+    return collapse_at_one(check_id, d, r, n)
 
 
 def tally(count: dict, exps, unit: int) -> dict:

@@ -60,7 +60,7 @@ from oracles import (
     one_minus_normal_form,
     SAME_WORK,
     packed_truncated_sum,
-    packed_check,
+    packed_witness,
     q_pochhammer,
     template_increments,
     times_q,
@@ -493,7 +493,7 @@ def test_packed_kernel_matches_dense_oracle(monkeypatch):
                         params["n"]) for cid, params in KERNEL_INSTANCES
                        if cid in PARAMETRIC_IDS}
     for cid, d, r, n in sorted(parametric_work):
-        assert packed_check(cid, d, r, n) is None
+        assert packed_witness(cid, d, r, n) is None
     monkeypatch.undo()
     assert len(calls) == folded + len(parametric_work)
     for step, increments, width, fold in calls:
@@ -682,8 +682,7 @@ def test_raised_intercepts_still_fail(monkeypatch):
                 return tuple(template)
 
             monkeypatch.setattr(parametric, "_sum_template", raised)
-            parametric._witness.cache_clear()  # each mutant is decided afresh
-            parametric._left_side.cache_clear()
+            parametric._left_side.cache_clear()  # decide each mutant afresh
             parametric._same_shape.cache_clear()
             result = run_check(cid, {"d": d, "n": n, "r": r})
             where = (cid, d, r, n, part)
@@ -694,7 +693,7 @@ def test_raised_intercepts_still_fail(monkeypatch):
             assert result.status is Status.ERROR, where
             assert result.witness.startswith(
                 "RuntimeError: no certificate"), where
-            assert packed_check(cid, d, r, n) is not None, where
+            assert packed_witness(cid, d, r, n) is not None, where
 
 
 def _oracle_verdict(check_id, d, r, n, increments):
@@ -740,12 +739,11 @@ def test_single_exponent_mutants_agree_with_dense_oracle(monkeypatch):
             return template if s else real(c, d_, r_, n_, s, entries)
 
         monkeypatch.setattr(parametric, "_sum_template", mutated)
-        parametric._witness.cache_clear()  # each mutant is decided afresh
-        parametric._left_side.cache_clear()
+        parametric._left_side.cache_clear()  # decide each mutant afresh
         parametric._same_shape.cache_clear()
         where = cid, d, r, n, part, template
         oracle = _oracle_verdict(cid, d, r, n, increments)
-        packed = packed_check(cid, d, r, n)
+        packed = packed_witness(cid, d, r, n)
         assert (packed is None) is (oracle is Status.HOLDS), where
         # Gasper's argument reads a mutant whose premises fail, such as an
         # intercept moved out of its class mod d, as ERROR "no
@@ -967,7 +965,7 @@ def test_each_sum_is_bounded_once(monkeypatch):
     # oracle they replaced bounds its one sum once.
     assert verify_parametric("p7_45", 7, 3, 11).status is Status.HOLDS
     assert calls == []
-    assert packed_check("p7_45", 7, 3, 11) is None
+    assert packed_witness("p7_45", 7, 3, 11) is None
     assert run_check("thm13", {"d": 3, "n": 5}).status is Status.HOLDS
     assert calls == [0, 5]
 
@@ -1076,8 +1074,7 @@ def test_undersized_width_is_error_not_a_verdict(monkeypatch, module,
     if module is not parametric:
         assert getattr(module, name) is getattr(qfuncs, name)
     monkeypatch.setattr(qfuncs, "packed_width", lambda bits: bits + 1)
-    parametric._witness.cache_clear()  # decide the patched instance afresh
-    parametric._left_side.cache_clear()
+    parametric._left_side.cache_clear()  # decide the patched instance afresh
     parametric._same_shape.cache_clear()
     result = run_check(check_id, params)
     if module is parametric:
@@ -1087,7 +1084,7 @@ def test_undersized_width_is_error_not_a_verdict(monkeypatch, module,
         assert not hasattr(parametric, name)
         assert result.status is Status.HOLDS
         with pytest.raises(PackingOverflowError):
-            packed_check(check_id, params["d"], params["r"], params["n"])
+            packed_witness(check_id, params["d"], params["r"], params["n"])
         return
     assert result.status is Status.ERROR
     assert result.witness.startswith("PackingOverflowError")
