@@ -14,9 +14,10 @@ a factor 1 - q^e is one shift and one subtraction (``_times_one_minus``),
 and a shifted sum one shift and one addition (``_plus_shifted``).  With
 ``fold = n`` it keeps only the class modulo (1 - q^n)^2, an int modulo
 (X - 1)^2 for X = 2^{n B}, and folds the running value by X^2 = 2X - 1
-after each factor and each sum.  ``one_minus_product``, ``truncated_sum``
-and ``relation_vanishes`` build a product, a truncated sum's numerator
-and a signed sum of both, and wrap it once in ``Packed`` with a bound
+after each factor and each sum.  ``one_minus_product``, ``folded_product``,
+``truncated_sum`` and ``relation_vanishes`` build a product, the same
+folded modulo (1 - q^n)^2, a truncated sum's numerator and a signed sum
+of products and numerators, and wrap it once in ``Packed`` with a bound
 counted from the factors, to decide zero or unpack it exactly.
 A template, a sum's head and the intercept lists that term k >= 1 moves
 by step (k - 1), stands for its increments (``expand``) and is read by
@@ -76,6 +77,18 @@ def one_minus_product(exponents) -> Laurent:
     width = packed_width(len(exponents))
     return Packed(*_times_one_minus(1, 0, exponents, width),
                   len(exponents), width).laurent()
+
+
+def folded_product(exponents, n: int, shift: int = 0) -> list[int]:
+    """q^shift prod (1 - q^e) over the exponent list, folded modulo
+    (1 - q^n)^2: the coefficients of its balanced residue, of degree < 2n,
+    lowest first.  The product is built on the packed pair at ``fold = n``
+    with the width of its ``grown_bits``, and unpacked once."""
+    bits = grown_bits(0, exponents, n, shift)
+    width = packed_width(bits)
+    value, _ = _plus_shifted(0, 0, 1, 0, shift, width, n)
+    value, _ = _times_one_minus(value, 0, exponents, width, n)
+    return Packed(value, 0, bits, width, n).coefficients()
 
 
 def quotients_differ(lhs, rhs) -> bool:
@@ -218,13 +231,18 @@ class Packed:
         self._exact()
         return not (self.value % self._modulus() if self.fold else self.value)
 
-    def laurent(self) -> Laurent:
-        """The coefficients of P, unpacked."""
+    def coefficients(self) -> list[int]:
+        """The coefficients of P, unpacked, lowest first; the list may end
+        in zeros."""
         self._exact()
         value, half = self.value, self.fold and self._modulus() >> 1
         if half:  # the balanced residue
             value = (value + half) % (2 * half + 1) - half
-        return Laurent(Poly(unpack(value, self.width // 8)), self.low)
+        return unpack(value, self.width // 8)
+
+    def laurent(self) -> Laurent:
+        """q^low P, unpacked."""
+        return Laurent(Poly(self.coefficients()), self.low)
 
 
 def sum_bounds(increments, step: int = 0, fold: int = 0) -> int:
@@ -459,18 +477,32 @@ def first_failing_term(templates, relation, step: int,
     least m_i(e) of every e != 0 is divided out, which leaves run 0 the
     factors some run lacks, and the factors left are decided by one
     ``relation_vanishes`` call; 1 - q^0 is never divided out, so it still
-    zeroes its term.
+    zeroes its term.  Terms past D + 1 are never read, so ``_failing_term``
+    keeps the verdict per templates, relation, step and min(limit, D + 1):
+    a sum decided for every n at one d decides its certificate once for
+    each n <= D + 1 and once for all larger n.
     """
     degree = termwise_degree(templates, step, limit)
     if degree is None:
         raise RuntimeError("no certificate: the terms' ratios do not"
                            " telescope to a bounded degree")
+    return _failing_term(
+        tuple((tuple(map(tuple, head)), *map(tuple, lists))
+              for head, *lists in templates),
+        tuple((sign, shift, tuple(exps)) for sign, shift, exps in relation),
+        step, min(limit, degree + 1))
+
+
+@functools.lru_cache(maxsize=4096)
+def _failing_term(templates, relation, step: int, top: int) -> int | None:
+    """``first_failing_term``'s terms 0..top, decided on tuples and kept
+    per key."""
     (head0, *lists0), *rest = templates
     overs = ([_over_run0(head, head0) for head, *_ in rest],
              [_over_run0(lists, lists0) for _, *lists in rest])
     running = [{} for _ in rest]
     zeros = 0  # run 0's factors 1 - q^0 so far
-    for k in range(min(limit, degree + 1) + 1):
+    for k in range(top + 1):
         # Term 0 is the head; term k >= 1 moves the intercepts.
         move = step * (k - 1) if k else 0
         a0, _, c0 = lists0 if k else head0
@@ -499,7 +531,7 @@ def first_failing_term(templates, relation, step: int,
             parts.append(part + [e for e, m in count.items()
                                  for _ in range(m)])
         if not relation_vanishes(0, [
-                (sign, shift, exps + part, None)
+                (sign, shift, [*exps, *part], None)
                 for (sign, shift, exps), part
                 in zip(relation, parts, strict=True)]):
             return k

@@ -3,17 +3,20 @@
 The modulus is a monic integer polynomial with constant term 1 for
 n >= 2.  Reducing by a monic modulus never divides a coefficient, so an
 integer polynomial stays integer in the ring, and q is a unit whose
-inverse -(M - 1)/q is an integer polynomial too: negative powers of q
-become powers of that cached inverse.  Unit inversion runs extended
-Euclid against the modulus and leaves the integers; the congruence checks
-avoid it.  A non-unit raises ``NonUnitError`` carrying the offending gcd.
-Rings and their elements are immutable.
+inverse -(M - 1)/q is an integer polynomial too: ``pow_q`` turns
+negative powers of q into powers of that cached inverse.  Elements come
+from ints and integer polynomials; the congruence checks hand the ring
+products already folded modulo (1 - q^n)^2, of degree < 2n, so each is
+reduced by one ``divrem``, and neither they nor anything else in the
+package reduces a Laurent polynomial or calls ``pow_q``.  Unit inversion
+runs extended Euclid against the modulus and leaves the integers; the
+congruence checks avoid it.  A non-unit raises ``NonUnitError`` carrying
+the offending gcd.  Rings and their elements are immutable.
 """
 
 from __future__ import annotations
 
 from .cyclotomic import cyclotomic
-from .laurent import Laurent
 from .poly import Poly, divrem, xgcd
 from .results import RefusalError
 
@@ -52,22 +55,16 @@ class ResidueRing:
         return f"ResidueRing(n={self.n})"
 
     def element(self, f) -> "RingElement":
-        """Canonical class of an int, Poly, or Laurent."""
+        """Canonical class of an int or a Poly."""
         if isinstance(f, RingElement):
             if f.ring is not self:
                 raise ValueError("element of a different ring")
             return f
-        if isinstance(f, Laurent):
-            return self.reduce_laurent(f)
-        if not isinstance(f, Poly):
+        if isinstance(f, int):
             f = Poly((f,))
+        elif not isinstance(f, Poly):
+            raise TypeError(f"no ring class for a {type(f).__name__}")
         return RingElement(self, f)
-
-    def reduce_laurent(self, f: Laurent) -> "RingElement":
-        body = RingElement(self, f.body)
-        if f.min_exp >= 0:
-            return body * self.pow_q(f.min_exp)
-        return body * self.inv_q ** (-f.min_exp)
 
     def pow_q(self, e: int) -> "RingElement":
         """Class of q**e for e of either sign, by square and multiply."""
@@ -99,7 +96,7 @@ class RingElement:
             if other.ring is not self.ring:
                 raise ValueError("mixed residue rings")
             return other
-        if isinstance(other, (int, Poly, Laurent)):
+        if isinstance(other, (int, Poly)):
             return self.ring.element(other)
         return None
 

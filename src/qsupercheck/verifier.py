@@ -2,12 +2,17 @@
 
 Both sides of a congruence modulo Phi_n(q)^2 are fractions whose
 denominators are products of factors 1 - q^e.  Each side is kept as a
-(numerator, denominator) pair of elements of Z[q]/(Phi_n^2), and the
-check compares the cross products.  The modulus is monic with integer
+(numerator, denominator) pair of elements of Z[q]/(Phi_n^2), and the check
+compares the cross products.  The modulus is monic with integer
 coefficients, so every coefficient stays an integer and nothing is
-inverted.  A theorem id checks the (statement, r) of ``families.THEOREMS``,
-whose closed form's exponent lists are each reduced into the ring as one
-product of factors 1 - q^e.  Cross-multiplying is valid only when both
+inverted.  A theorem id checks the (statement, r) of
+``families.THEOREMS``.  Every product q^shift prod (1 - q^e) of either
+side is built by ``qfuncs.folded_product`` modulo (1 - q^n)^2 and reduced
+into the ring by one ``divrem`` (``_folded``); Phi_n^2 divides
+(1 - q^n)^2, so the two reductions compose to the ring's.  The closed
+form is two such products; the left side's new factors, h_k, q^{dk} and
+denominator are too, and its running Pochhammer products and recurrence
+are ring multiplies.  Cross-multiplying is valid only when both
 denominators are units; 1 - q^e is divisible by Phi_n exactly when n
 divides e, so each denominator factor is checked by counting and a
 non-unit raises ``NonUnitError``.  thm13's sum is different in kind: its
@@ -15,12 +20,12 @@ prefactor cancels every denominator exactly, which is proved by counting
 factors 1 - q^e, and [n]^2 divides the result exactly when (1 - q^n)^2
 divides (1 - q)^2 times the sum's numerator, which ``relation_vanishes``
 decides folded modulo (1 - q^n)^2; only a FAILS unpacks that numerator,
-for its witness.  ``lhs_sum`` keeps its own recurrence on ring elements.
-The left side depends on (statement, d, r, n) alone, so ``_left_side``
-keeps the ring and the sum in a ``functools.lru_cache`` of 4,096 entries
-under that key: a one-parameter id and the two-parameter statement it is
-at r = 1, or a mutant and its sibling, sum once.  The right side carries
-the mutation and is built at every call; a raised error is never kept.
+for its witness.  The left side depends on (statement, d, r, n) alone, so
+``_left_side`` keeps the ring and the sum in a ``functools.lru_cache`` of
+4,096 entries under that key: a one-parameter id and the two-parameter
+statement it is at r = 1, or a mutant and its sibling, sum once.  The
+right side carries the mutation and is built at every call; a raised error
+is never kept.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from .families import (
 )
 from .laurent import Laurent
 from .poly import Poly, divrem
-from .qfuncs import one_minus_product, relation_vanishes, truncated_sum
+from .qfuncs import folded_product, relation_vanishes, truncated_sum
 from .residue import NonUnitError, ResidueRing, RingElement
 from .results import CheckResult, fails, holds, skipped
 
@@ -61,33 +66,37 @@ def _require_unit(ring: ResidueRing, e: int) -> None:
         raise NonUnitError(cyclotomic(ring.n) if e else Poly())
 
 
+def _folded(ring: ResidueRing, exps, shift: int = 0) -> RingElement:
+    """q^shift prod (1 - q^e) in the ring: ``folded_product`` modulo
+    (1 - q^n)^2, which Phi_n^2 divides, then one ``divrem`` by Phi_n^2."""
+    return ring.element(Poly(folded_product(exps, ring.n, shift)))
+
+
 def lhs_sum(statement: str, d: int, r: int, n: int,
             ring: ResidueRing) -> Fractional:
     """Sum_{k=0}^{n-1} of the statement's term as (N, D), sum = N / D.
 
     With h_k = (1 - q^{dk})^d and T_k = q^{dk} prod_e (q^e; q^d)_k^{m_e}
-    the term's numerator, the forward recurrence N_k = N_{k-1} h_k + T_k,
-    D_k = D_{k-1} h_k gives D = (q^d; q^d)_{n-1}^d.  Every factor of D is
-    checked to be a unit; none is inverted.
+    the term's numerator, the forward recurrence N_k = N_{k-1} h_k + T_k
+    gives N over D = (q^d; q^d)_{n-1}^d.  Every factor of D is checked to
+    be a unit; none is inverted.  D, h_k, q^{dk} and each new factor
+    1 - q^{e + d(k-1)} come folded (``_folded``); the running products and
+    the recurrence are ring multiplies.
     """
+    steps = [d * k for k in range(1, n)]
+    for e in steps:
+        _require_unit(ring, e)
     factors = Counter(numerator_bases(statement, d, r))
     running = {e: ring.one for e in factors}
-    base = {e: ring.pow_q(e) for e in running}
-    q_step = ring.pow_q(d)
-    q_power = ring.one  # q^{d(k-1)} at the top of the loop, q^{dk} below
-    num = den = ring.one  # the k = 0 term is 1
-    for k in range(1, n):
+    num = ring.one  # the k = 0 term is 1
+    for dk in steps:
         for e in running:
-            running[e] = running[e] * (ring.one - base[e] * q_power)
-        _require_unit(ring, d * k)
-        q_power = q_power * q_step
-        h = (ring.one - q_power) ** d
-        term = q_power
+            running[e] = running[e] * _folded(ring, [e + dk - d])
+        term = _folded(ring, [], dk)
         for e, mult in factors.items():
             term = term * running[e] ** mult
-        num = num * h + term
-        den = den * h
-    return num, den
+        num = num * _folded(ring, [dk] * d) + term
+    return num, _folded(ring, steps * d)
 
 
 def rhs_closed_form(statement: str, d: int, r: int, n: int, ring: ResidueRing,
@@ -100,8 +109,8 @@ def rhs_closed_form(statement: str, d: int, r: int, n: int, ring: ResidueRing,
     sign, shift, num, den = quotient
     for e in den:
         _require_unit(ring, e)
-    rhs = ring.pow_q(shift) * ring.element(one_minus_product(num))
-    return (rhs if sign > 0 else -rhs), ring.element(one_minus_product(den))
+    rhs = _folded(ring, num, shift)
+    return (rhs if sign > 0 else -rhs), _folded(ring, den)
 
 
 @functools.lru_cache(maxsize=4096)

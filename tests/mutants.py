@@ -50,10 +50,12 @@ _NET_COUNT = (_PARAMETRIC
 _FOLD = _QFUNCS + "test_fold_step_matches_the_old_step_and_division"
 _VERIFIER = "tests/test_verifier.py::"
 _DISPLAYS = _VERIFIER + "test_every_summand_is_the_papers_display"
+_ORACLE_SIDES = (_VERIFIER + "test_folded_sides_match_the_ring_oracle"
+                 "_element_for_element")
 
 MUTANTS = [
     # The termwise decider and its two callers.
-    ("qfuncs.py", "min(limit, degree + 1)", "min(limit, degree)",
+    ("qfuncs.py", "step, min(limit, degree + 1))", "step, min(limit, degree))",
      "D one less: a relation that first fails at term D + 1 is certified",
      [_SIGN_AND_SHIFT]),
     ("qfuncs.py", "if e and m < low.get(e, 0):", "if m < low.get(e, 0):",
@@ -274,6 +276,24 @@ MUTANTS = [
      "the right side kept with the left, without the mutation in the key:"
      " a twin reads its sibling's verdict",
      [_VERIFIER + "test_a_kept_left_side_decides_as_a_fresh_one"]),
+    # Products of factors 1 - q^e come folded modulo (1 - q^n)^2.
+    ("verifier.py", "term = _folded(ring, [], dk)",
+     "term = _folded(ring, [], dk - d)", "the term's q^{dk} off by d",
+     [_ORACLE_SIDES]),
+    ("verifier.py", "num * _folded(ring, [dk] * d)",
+     "num * _folded(ring, [dk] * (d - 1))", "h_k with d - 1 factors",
+     [_ORACLE_SIDES]),
+    ("verifier.py", "rhs = _folded(ring, num, shift)",
+     "rhs = _folded(ring, num)", "the closed form's q^shift dropped",
+     [_ORACLE_SIDES, _VERIFIER + "test_verify_theorem_examples"]),
+    ("qfuncs.py", "value = (value + half) % (2 * half + 1) - half",
+     "value %= 2 * half + 1", "the folded residue taken without centring",
+     [_QFUNCS + "test_folded_product_is_the_balanced_residue"]),
+    ("qfuncs.py", "        step, min(limit, degree + 1))",
+     "        step, limit)",
+     "a termwise verdict kept per limit, not per last term read",
+     [_DECOMPOSITION + "test_paper_wide_decomposition_row_decides_one"
+      "_certificate_per_last_term"]),
     # Only the mathematics' refusals read FAILS.
     ("catalog.py", "except RefusalError as exc:",
      "except ArithmeticError as exc:",

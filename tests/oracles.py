@@ -14,8 +14,13 @@ from math import factorial
 from math import gcd as igcd
 
 from qsupercheck import __version__, identities, parametric
-from qsupercheck.families import a_exponent, mutated
-from qsupercheck.cyclotomic import is_prime
+from qsupercheck.families import (
+    a_exponent,
+    closed_form,
+    mutated,
+    numerator_bases,
+)
+from qsupercheck.cyclotomic import cyclotomic, is_prime
 from qsupercheck.laurent import Laurent, RatFunc
 from qsupercheck.padic import padic_gamma, rational_residue
 from qsupercheck.parametric import (
@@ -30,12 +35,14 @@ from qsupercheck.qfuncs import (
     DegenerateProductError,
     _refuse_zero_denominator,
     expand,
+    one_minus_product,
     poch_power_base,
     q_binomial,
     relation_vanishes,
     sum_bounds,
     without_common,
 )
+from qsupercheck.residue import NonUnitError
 from qsupercheck.results import Status, canonical_params
 
 
@@ -197,12 +204,64 @@ def written_out_counts(check_id, d, n, r, mutation):
     return sign, shift, num, den
 
 
+def reduce_laurent(ring, f):
+    """The ring class of a Laurent polynomial: its body reduced, times
+    ``pow_q`` of its lowest exponent, or the power of the ring's inverse of
+    q for a negative one."""
+    body = ring.element(f.body)
+    if f.min_exp >= 0:
+        return body * ring.pow_q(f.min_exp)
+    return body * ring.inv_q ** (-f.min_exp)
+
+
 def written_out_value(check_id, d, n, ring, r=1):
     """``written_out_closed_form`` as a (num, den) pair in the ring."""
     sign, shift, num, den = written_out_counts(check_id, d, n, r, None)
-    rhs = ring.pow_q(shift) * ring.element(laurent_product(num.elements()))
-    return (rhs if sign > 0 else -rhs), ring.element(
-        laurent_product(den.elements()))
+    rhs = ring.pow_q(shift) * reduce_laurent(
+        ring, laurent_product(num.elements()))
+    return (rhs if sign > 0 else -rhs), reduce_laurent(
+        ring, laurent_product(den.elements()))
+
+
+def ring_lhs_sum(statement, d, r, n, ring):
+    """``verifier.lhs_sum`` built in the ring alone: each factor
+    1 - q^{e + d(k-1)} and each h_k = (1 - q^{dk})^d from ``pow_q`` by ring
+    multiplies, N_k = N_{k-1} h_k + T_k and D_k = D_{k-1} h_k."""
+    factors = Counter(numerator_bases(statement, d, r))
+    running = {e: ring.one for e in factors}
+    base = {e: ring.pow_q(e) for e in running}
+    q_step = ring.pow_q(d)
+    q_power = ring.one  # q^{d(k-1)} at the top of the loop, q^{dk} below
+    num = den = ring.one  # the k = 0 term is 1
+    for k in range(1, n):
+        for e in running:
+            running[e] = running[e] * (ring.one - base[e] * q_power)
+        if d * k % n == 0:
+            raise NonUnitError(cyclotomic(n))
+        q_power = q_power * q_step
+        h = (ring.one - q_power) ** d
+        term = q_power
+        for e, mult in factors.items():
+            term = term * running[e] ** mult
+        num = num * h + term
+        den = den * h
+    return num, den
+
+
+def ring_rhs_closed_form(statement, d, r, n, ring, mutation=None):
+    """``verifier.rhs_closed_form`` built in the ring alone: each product
+    of factors 1 - q^e unfolded by ``one_minus_product``, reduced by
+    ``reduce_laurent`` and multiplied by ``pow_q`` of the shift."""
+    quotient = mutated(closed_form(statement, d, n, r), mutation)
+    if quotient is None:
+        return ring.zero, ring.one
+    sign, shift, num, den = quotient
+    for e in den:
+        if e % n == 0:
+            raise NonUnitError(cyclotomic(n) if e else Poly())
+    rhs = ring.pow_q(shift) * reduce_laurent(ring, one_minus_product(num))
+    return (rhs if sign > 0 else -rhs), reduce_laurent(
+        ring, one_minus_product(den))
 
 
 def lhs_sum_whole(check_id, d, r, n, ring):
@@ -218,7 +277,8 @@ def lhs_sum_whole(check_id, d, r, n, ring):
         cofactor = poch_power_base(d * (k + 1), d, n - 1 - k) ** d
         num_total = num_total + term * cofactor
     den = poch_power_base(d, d, n - 1) ** d
-    return ring.element(num_total) * ring.element(den).invert()
+    return reduce_laurent(ring, num_total) * reduce_laurent(
+        ring, den).invert()
 
 
 # Parametric families whose instances are another family's wherever they
@@ -413,6 +473,18 @@ def dense_sum(step, increments):
         term = _Dense(list(run.coeffs), run.low, run.sign) if c else run
         num.add(term.times_one_minus(c), step * k)
     return num.laurent(), den.laurent()
+
+
+def folded_laurent(f, n):
+    """A Laurent polynomial's representative of degree < 2n modulo
+    (1 - q^n)^2, monomial by monomial: q^{jn+s} = (1 - j) q^s + j q^{n+s}
+    for 0 <= s < n and every integer j."""
+    coeffs = [0] * (2 * n)
+    for i, c in enumerate(f.body.coeffs):
+        j, s = divmod(f.min_exp + i, n)
+        coeffs[s] += (1 - j) * c
+        coeffs[n + s] += j * c
+    return Poly(coeffs)
 
 
 def dense_product(exps):

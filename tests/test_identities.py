@@ -6,7 +6,12 @@ from fractions import Fraction
 import pytest
 
 from qsupercheck import identities, qfuncs
-from qsupercheck.catalog import GRID_LEMMA21, paper_default_suite, run_check
+from qsupercheck.catalog import (
+    GRID_LEMMA21,
+    paper_default_suite,
+    paper_wide_suite,
+    run_check,
+)
 from qsupercheck.cyclotomic import cyclotomic, divisors, q_integer
 from qsupercheck.identities import (
     _check_poch_split,
@@ -383,6 +388,32 @@ def test_termwise_decomposition_matches_three_sum_oracle():
                 assert whole_sum_decomposition(d, sums) is None
 
 
+def test_paper_wide_decomposition_row_decides_one_certificate_per_last_term(
+        monkeypatch):
+    # paper-wide's row, d 2..11 and n 1..40: D = 1 at every d, so the
+    # certificate reads terms 0..min(n - 1, 2).  Each of the 400 instances
+    # calls first_failing_term, and 30 certificates, one per d and last
+    # term, decide them all.
+    calls = []
+    real = identities.first_failing_term
+
+    def counted(templates, relation, step, limit):
+        calls.append((step, limit))
+        return real(templates, relation, step, limit)
+
+    monkeypatch.setattr(identities, "first_failing_term", counted)
+    row = [params for check_id, params in paper_wide_suite()
+           if check_id == "sum_decomposition"]
+    assert len(row) == 400
+    for params in row:
+        assert run_check("sum_decomposition", params).status is Status.HOLDS
+    assert sorted(calls) == [(params["d"], params["n"] - 1)
+                             for params in sorted(row, key=lambda p: (
+                                 p["d"], p["n"]))]
+    decided = qfuncs._failing_term.cache_info()
+    assert (decided.misses, decided.hits) == (30, 370)
+
+
 def test_decomposition_reads_degree_one_at_every_d():
     # Run 2 over run 1 is (1 - q)/(1 - q^{dk+1}), run 3 over run 1 is
     # (1 - q)(1 - q^{d(k-1)+1})/((1 - q^{1-d})(1 - q^{dk+1})): cleared of
@@ -397,7 +428,8 @@ def test_decomposition_certificate_matches_the_n_term_verdict(monkeypatch):
     # One termwise call decides each (d, n) of CI's sweep, on D + 2 = 3
     # terms read straight from the templates, one relation each, and its
     # verdict is the counting oracle's on all n terms: certified, never
-    # "no certificate".
+    # "no certificate".  Each (d, n) is decided with the verdicts' memo
+    # cleared.
     calls, terms, expanded = [], [], []
     real, real_vanishes = (identities.first_failing_term,
                            qfuncs.relation_vanishes)
@@ -417,6 +449,7 @@ def test_decomposition_certificate_matches_the_n_term_verdict(monkeypatch):
         for n in range(1, 41):
             calls.clear()
             terms.clear()
+            qfuncs._failing_term.cache_clear()
             verdict = _certified(d, n)
             assert verdict is None
             assert len(calls) == 1 and terms == [0] * min(n, 3), (d, n)

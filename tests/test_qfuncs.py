@@ -34,6 +34,7 @@ from qsupercheck.qfuncs import (
     PackingOverflowError,
     expand,
     first_failing_term,
+    folded_product,
     one_minus_product,
     packed_width,
     q_binomial,
@@ -45,6 +46,7 @@ from qsupercheck.qfuncs import (
 )
 from qsupercheck.results import Status
 
+from conftest import _MEMOS
 from oracles import (
     QMonomial,
     cancel_increments,
@@ -52,6 +54,7 @@ from oracles import (
     decomposition_sums,
     dense_product,
     dense_sum,
+    folded_laurent,
     folded_times_one_minus,
     inflate,
     laurent_product,
@@ -237,6 +240,18 @@ _nonzero = _exponents.map(lambda es: [e for e in es if e])
 @given(st.lists(st.integers(-9, 9), max_size=10))
 def test_one_minus_product_matches_laurent_products(exps):
     assert one_minus_product(exps) == laurent_product(exps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exponents, st.integers(2, 7), st.integers(-20, 40))
+@example([1], 3, 0)  # 1 - q is negative at q = 2^width
+def test_folded_product_is_the_balanced_residue(exps, n, shift):
+    # q^shift prod (1 - q^e) modulo (1 - q^n)^2, reduced monomial by
+    # monomial; a residue taken in [0, (X - 1)^2) would carry the modulus's
+    # 1 - 2 q^n + q^{2n} wherever the product is negative at q = 2^width.
+    folded = Poly(folded_product(exps, n, shift))
+    assert folded == folded_laurent(laurent_product(exps).shifted(shift), n)
+    assert folded.degree < 2 * n
 
 
 @settings(max_examples=200, deadline=None)
@@ -1070,12 +1085,12 @@ def test_undersized_width_is_error_not_a_verdict(monkeypatch, module,
     # The check's module decides or builds its closed form through qfuncs,
     # so one bit short of the bits + 2 that a bound of 2^bits needs,
     # patched there alone, reaches every width the check picks.
-    name = "one_minus_product" if check_id == "thm12" else "relation_vanishes"
+    name = "folded_product" if check_id == "thm12" else "relation_vanishes"
     if module is not parametric:
         assert getattr(module, name) is getattr(qfuncs, name)
     monkeypatch.setattr(qfuncs, "packed_width", lambda bits: bits + 1)
-    parametric._left_side.cache_clear()  # decide the patched instance afresh
-    parametric._same_shape.cache_clear()
+    for memo in _MEMOS:  # decide the patched instance afresh
+        memo.cache_clear()
     result = run_check(check_id, params)
     if module is parametric:
         # Gasper's argument counts exponents and packs nothing, so the

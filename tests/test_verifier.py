@@ -49,6 +49,9 @@ from qsupercheck.verifier import (
 from oracles import (
     laurent_product,
     lhs_sum_whole,
+    reduce_laurent,
+    ring_lhs_sum,
+    ring_rhs_closed_form,
     summand_counts,
     written_out_closed_form,
     written_out_counts,
@@ -75,8 +78,8 @@ def test_lhs_sum_two_term_by_hand():
     t1 = (poch_power_base(4, 3, 1) * poch_power_base(1, 3, 1) ** 2
           * Laurent(Poly((1,)), 3))
     num, den = lhs_sum("thm42", 3, 1, 2, ring)
-    assert num == ring.element(h1 + t1)
-    assert den == ring.element(h1)
+    assert num == reduce_laurent(ring, h1 + t1)
+    assert den == reduce_laurent(ring, h1)
 
 
 def test_lhs_sum_coefficients_stay_integral():
@@ -166,6 +169,31 @@ def test_theorem_grid_verdicts_without_inversion(monkeypatch):
         assert statuses == THEOREM_GRID_VERDICTS[check_id], (check_id, d, r, n)
 
 
+# Past the grid: paper-wide's thm12 and thm42 rows up to n = 30.
+WIDE_THEOREMS = [(check_id, d, r, n) for check_id, d, r, n in (
+    [("thm12", 3, 1, n) for n in range(2, 31)]
+    + [("thm42", d, r, n) for d in range(2, 9) for r in range(1, 6)
+       for n in range(2, 31)])
+    if theorem_precondition(check_id, d, n, r) is None]
+
+
+def test_folded_sides_match_the_ring_oracle_element_for_element():
+    # Each side's numerator and denominator, built from folded products,
+    # is the same canonical residue as the oracle's, built by ring
+    # multiplies, ``pow_q`` and unfolded products: every admissible grid
+    # instance and paper-wide thm12 and thm42 to n = 30, each mutated.
+    assert len(WIDE_THEOREMS) == 121
+    for check_id, d, r, n in THEOREM_GRID + WIDE_THEOREMS:
+        statement, at = at_r(THEOREMS[check_id], r)
+        ring = ResidueRing(n)
+        point = (statement, d, at, n, ring)
+        assert lhs_sum(*point) == ring_lhs_sum(*point), (check_id, d, r, n)
+        for mutation in (None, "sign", "exponent"):
+            assert _outcome(lambda: rhs_closed_form(*point, mutation)) == (
+                _outcome(lambda: ring_rhs_closed_form(*point, mutation))), (
+                check_id, d, r, n, mutation)
+
+
 def test_each_left_side_is_summed_once_per_statement_d_r_n(monkeypatch):
     # eq14 is thm41 at r = 1, and a mutant shares its sibling's left side:
     # four checks, one sum.  thm41 at (5, 1, 9) and (5, 2, 8) are two.
@@ -217,7 +245,7 @@ def test_rhs_closed_form_first_family():
     # d = 2, n = 3: the two length-one Pochhammers cancel, leaving -q^2.
     ring = ResidueRing(3)
     num, den = rhs_closed_form("eq13", 2, 1, 3, ring)
-    assert den == ring.element(poch_power_base(2, 2, 1))
+    assert den == reduce_laurent(ring, poch_power_base(2, 2, 1))
     assert num == -ring.pow_q(2) * den
 
 
